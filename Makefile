@@ -1,6 +1,6 @@
 # Convenience targets (see README for the underlying commands).
 
-.PHONY: install test bench bench-scheduler bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
+.PHONY: install test bench ledger ledger-test bench-scheduler bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -10,6 +10,12 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+ledger:
+	python3 ledger/run.py
+
+ledger-test:
+	python -m pytest ledger/tests -q
 
 bench-scheduler:
 	python -m repro scheduler-cost --json BENCH_scheduler.json \

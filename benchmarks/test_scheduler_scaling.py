@@ -60,24 +60,3 @@ def test_scheduler_regression_gate():
     )
     assert not failures, failures
 
-
-def test_engine_throughput_bench_and_determinism_gate(benchmark):
-    """End-to-end event-loop throughput (events/sec) plus the bitwise
-    makespan fingerprint the baseline pins.  A makespan mismatch at the
-    same workload is a determinism violation, never a perf delta."""
-    payload = benchmark.pedantic(
-        lambda: scheduler_cost.run_engine_bench(repeats=2),
-        rounds=1,
-        iterations=1,
-    )
-    rows = {row["workload"]: row for row in payload["rows"]}
-    assert set(rows) == {"pipeline", "event_loop"}
-    assert rows["pipeline"]["events_per_sec"] > 0
-    assert rows["event_loop"]["events_per_sec"] > 0
-    assert rows["pipeline"]["makespan_ms"] is not None
-
-    failures = scheduler_cost.check_regression(
-        {"decision_identical": True, "points": [], "engine": payload},
-        Path(__file__).resolve().parent / "scheduler_baseline.json",
-    )
-    assert not failures, failures

@@ -122,12 +122,6 @@ def _run_one(name: str, args) -> str:
             payload = scheduler_cost.run_scaling(
                 stream_lens=lens, seed=args.seed
             )
-            # End-to-end simulator throughput (events/sec) rides along:
-            # the pipeline row's makespan is additionally gated bitwise
-            # against the committed baseline (determinism check).
-            payload["engine"] = scheduler_cost.run_engine_bench(
-                seed=args.seed
-            )
             out.append(scheduler_cost.format_scaling_text(payload))
             if args.json:
                 path = scheduler_cost.write_bench_json(payload, args.json)

@@ -19,9 +19,9 @@ SYNC_MODES = ("csp", "bsp", "asp", "ssp")
 PARTITIONING = ("balanced", "static")
 CONTEXT_MODES = ("full", "cached")
 #: "index" = incremental readiness index (O(1)-amortized decisions);
-#: "scan" = per-layer queue rescan (reference; "exact" is a legacy
-#: alias); "conservative" = Algorithm 2 verbatim.
-SCHEDULER_MODES = ("index", "scan", "exact", "conservative")
+#: "scan" = per-layer queue rescan (reference); "conservative" =
+#: Algorithm 2 verbatim.
+SCHEDULER_MODES = ("index", "scan", "conservative")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ Three dependency checks are provided:
     Per-layer release semantics from the tracker, evaluated by scanning
     the queue against the per-layer user lists on every call — precisely
     Definition 2, kept as the reference implementation the index must be
-    decision-identical to (``exact`` is accepted as a legacy alias).
+    decision-identical to.
 
 ``conservative``
     Algorithm 2 verbatim: a queued subnet is blocked if any earlier,
@@ -64,10 +64,10 @@ class ScheduleDecision:
 
 _NO_TASK = ScheduleDecision(-1, -1)
 
-#: legacy spelling of the scan-based exact check
-_MODE_ALIASES = {"exact": "scan"}
 _MODES = ("index", "scan", "conservative")
-_TIMING_MODES = ("sampled", "full", "off")
+_TIMING_MODES = ("sampled", "full")
+#: ``timing="sampled"`` reads the wall clock on one call in this many.
+_SAMPLE_EVERY = 64
 
 
 class CspScheduler:
@@ -77,29 +77,20 @@ class CspScheduler:
         self,
         mode: str = "scan",
         timing: str = "sampled",
-        timing_interval: int = 64,
     ) -> None:
-        mode = _MODE_ALIASES.get(mode, mode)
         if mode not in _MODES:
-            raise ValueError(
-                f"mode must be one of {_MODES} (or 'exact', an alias of "
-                f"'scan'), got {mode!r}"
-            )
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if timing not in _TIMING_MODES:
             raise ValueError(
                 f"timing must be one of {_TIMING_MODES}, got {timing!r}"
             )
         self.mode = mode
         #: wall-time accounting policy.  ``"sampled"`` (default) times one
-        #: call in ``timing_interval`` — on the O(1) index fast path the
+        #: call in ``_SAMPLE_EVERY`` — on the O(1) index fast path the
         #: two ``perf_counter`` syscalls otherwise dominate the decision
-        #: they measure.  ``"full"`` times every call (benchmarks);
-        #: ``"off"`` never reads the clock.
+        #: they measure.  ``"full"`` times every call (benchmarks).
         self.timing = timing
-        self.timing_interval = max(1, int(timing_interval))
-        self._time_every = (
-            0 if timing == "off" else 1 if timing == "full" else self.timing_interval
-        )
+        self._time_every = 1 if timing == "full" else _SAMPLE_EVERY
         self.calls = 0
         #: schedule() calls actually wall-timed (== calls under "full")
         self.timed_calls = 0
@@ -140,7 +131,7 @@ class CspScheduler:
         """
         self.calls += 1
         every = self._time_every
-        if every and (every == 1 or self.calls % every == 1):
+        if every == 1 or self.calls % every == 1:
             started = time.perf_counter()
             try:
                 return self._decide(
@@ -208,7 +199,7 @@ class CspScheduler:
     def mean_call_time_s(self) -> float:
         """Average wall time per *timed* schedule() call (0.0 before any
         call).  Under ``timing="sampled"`` this is an unbiased estimate
-        over one call in ``timing_interval``; under ``"full"`` it is the
+        over one call in ``_SAMPLE_EVERY``; under ``"full"`` it is the
         exact mean the benchmarks report."""
         if self.timed_calls == 0:
             return 0.0

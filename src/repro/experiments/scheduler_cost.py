@@ -36,8 +36,6 @@ __all__ = [
     "format_text",
     "SchedulerScalingPoint",
     "run_scaling",
-    "EngineThroughputRow",
-    "run_engine_bench",
     "format_scaling_text",
     "write_bench_json",
     "check_regression",
@@ -221,145 +219,6 @@ def run_scaling(
     return payload
 
 
-# ----------------------------------------------------------------------
-# end-to-end events/sec: the simulator core's throughput
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EngineThroughputRow:
-    """One events/sec sample of the simulator core.
-
-    ``workload="pipeline"`` is a full NASPipe engine run (scheduling,
-    cache, observability — the real per-event cost); ``"event_loop"`` is
-    a hold-model microbenchmark of :meth:`SimulationEngine.run` alone
-    (``loop_pending`` events always in flight, each firing schedules the
-    next) — the queue-dominated regime the calendar backend targets.
-    ``makespan_ms`` doubles as a cross-machine determinism fingerprint:
-    it must match the committed baseline *bitwise*.
-    """
-
-    workload: str
-    num_gpus: int
-    events: int
-    events_per_sec: float
-    makespan_ms: Optional[float] = None
-    trace_events: Optional[int] = None
-
-
-def _bench_pipeline(
-    space_name: str, subnets: int, num_gpus: int, batch: int, seed: int,
-    repeats: int,
-) -> EngineThroughputRow:
-    from repro.baselines import naspipe
-    from repro.engines.pipeline import PipelineEngine
-    from repro.sim.cluster import ClusterSpec
-    from repro.supernet.sampler import SubnetStream
-    from repro.supernet.supernet import Supernet
-
-    space = get_search_space(space_name)
-    best_rate = 0.0
-    events = 0
-    trace_events = 0
-    makespan = None
-    for _ in range(max(1, repeats)):
-        supernet = Supernet(space)
-        stream = SubnetStream.sample(space, SeedSequenceTree(seed), subnets)
-        engine = PipelineEngine(
-            supernet, stream, naspipe(), ClusterSpec(num_gpus=num_gpus),
-            batch=batch,
-        )
-        started = time.perf_counter()
-        result = engine.run()
-        elapsed = time.perf_counter() - started
-        if makespan is not None and result.makespan_ms != makespan:
-            raise AssertionError(
-                f"non-deterministic makespan across repeats: "
-                f"{result.makespan_ms!r} != {makespan!r}"
-            )
-        makespan = result.makespan_ms
-        events = engine.sim.events_processed
-        trace_events = len(engine.trace.events)
-        best_rate = max(best_rate, events / elapsed)
-    return EngineThroughputRow(
-        workload="pipeline",
-        num_gpus=num_gpus,
-        events=events,
-        events_per_sec=best_rate,
-        makespan_ms=makespan,
-        trace_events=trace_events,
-    )
-
-
-def _bench_event_loop(
-    loop_pending: int, loop_events: int, seed: int, repeats: int
-) -> EngineThroughputRow:
-    from random import Random
-
-    from repro.sim.engine import SimulationEngine
-
-    best_rate = 0.0
-    processed = 0
-    for _ in range(max(1, repeats)):
-        rng = Random(seed)
-        delays = [rng.random() * 10.0 + 0.01 for _ in range(4096)]
-        engine = SimulationEngine(max_events=loop_events + loop_pending + 1)
-        queue = engine.queue
-        scheduled = 0
-
-        def fire() -> None:
-            nonlocal scheduled
-            if scheduled < loop_events:
-                scheduled += 1
-                queue.schedule(queue.now + delays[scheduled & 4095], fire)
-
-        for index in range(loop_pending):
-            scheduled += 1
-            queue.schedule(delays[index & 4095], fire)
-        started = time.perf_counter()
-        engine.run()
-        elapsed = time.perf_counter() - started
-        processed = engine.events_processed
-        best_rate = max(best_rate, processed / elapsed)
-    return EngineThroughputRow(
-        workload="event_loop",
-        num_gpus=0,
-        events=processed,
-        events_per_sec=best_rate,
-    )
-
-
-def run_engine_bench(
-    space_name: str = "NLP.c2",
-    subnets: int = 96,
-    num_gpus: int = 8,
-    batch: int = 32,
-    seed: int = 2022,
-    repeats: int = 3,
-    loop_pending: int = 8192,
-    loop_events: int = 200_000,
-) -> Dict:
-    """The ``"engine"`` section of ``BENCH_scheduler.json``.
-
-    Best-of-``repeats`` events/sec for the full pipeline engine and the
-    bare event loop; the pipeline row's ``makespan_ms`` is asserted
-    identical across repeats and gated bitwise against the committed
-    baseline by :func:`check_regression`.
-    """
-    rows = [
-        _bench_pipeline(space_name, subnets, num_gpus, batch, seed, repeats),
-        _bench_event_loop(loop_pending, loop_events, seed, repeats),
-    ]
-    return {
-        "space": space_name,
-        "subnets": subnets,
-        "num_gpus": num_gpus,
-        "batch": batch,
-        "seed": seed,
-        "loop_pending": loop_pending,
-        "loop_events": loop_events,
-        "rows": [asdict(row) for row in rows],
-    }
-
-
 def format_scaling_text(payload: Dict) -> str:
     lines = [
         "Scheduler scaling — readiness index vs scan reference "
@@ -390,28 +249,6 @@ def format_scaling_text(payload: Dict) -> str:
             f"scan per-call growth over the same range: "
             f"{payload['scan_growth']:.2f}x"
         )
-    engine = payload.get("engine")
-    if engine:
-        lines.append("")
-        lines.append(
-            f"Simulator throughput — {engine['space']}, "
-            f"{engine['subnets']} subnets, batch {engine['batch']}"
-        )
-        lines.append(
-            f"{'workload':>10s} {'gpus':>5s} {'events':>8s} "
-            f"{'events/sec':>11s} {'makespan_ms':>14s}"
-        )
-        for row in engine["rows"]:
-            makespan = (
-                f"{row['makespan_ms']:.3f}"
-                if row.get("makespan_ms") is not None
-                else "-"
-            )
-            lines.append(
-                f"{row['workload']:>10s} {row['num_gpus']:>5d} "
-                f"{row['events']:>8d} {row['events_per_sec']:>11.0f} "
-                f"{makespan:>14s}"
-            )
     return "\n".join(lines)
 
 
@@ -453,36 +290,4 @@ def check_regression(
                 f"{key[0]}@{key[1]}: {point['mean_call_us']:.2f}µs/call vs "
                 f"baseline {base['mean_call_us']:.2f}µs (>{factor:.1f}x)"
             )
-    engine = payload.get("engine")
-    base_engine = baseline.get("engine")
-    if engine and base_engine:
-        identity_keys = ("space", "subnets", "num_gpus", "batch", "seed")
-        same_workload = all(
-            engine.get(key) == base_engine.get(key) for key in identity_keys
-        )
-        base_rows = {
-            (r["workload"], r["num_gpus"]): r
-            for r in base_engine.get("rows", ())
-        }
-        for row in engine.get("rows", ()):
-            base = base_rows.get((row["workload"], row["num_gpus"]))
-            if base is None:
-                continue
-            if row["events_per_sec"] * factor < base["events_per_sec"]:
-                failures.append(
-                    f"{row['workload']}: {row['events_per_sec']:.0f} "
-                    f"events/sec vs baseline "
-                    f"{base['events_per_sec']:.0f} (<1/{factor:.1f}x)"
-                )
-            if (
-                same_workload
-                and row.get("makespan_ms") is not None
-                and base.get("makespan_ms") is not None
-                and row["makespan_ms"] != base["makespan_ms"]
-            ):
-                failures.append(
-                    f"{row['workload']}: makespan {row['makespan_ms']!r} != "
-                    f"baseline {base['makespan_ms']!r} — determinism "
-                    f"violation, not a perf delta"
-                )
     return failures

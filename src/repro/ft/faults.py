@@ -60,6 +60,7 @@ of these kinds over a fleet — the generator behind
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields as _dataclass_fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -120,6 +121,11 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(ALL_KINDS)}"
             )
+        for name in ("time_ms", "duration_ms", "magnitude"):
+            value = getattr(self, name)
+            # NaN passes every ``<`` check below and JSON can carry it.
+            if not math.isfinite(value):
+                raise ConfigError(f"fault {name} must be finite, got {value}")
         if self.time_ms < 0:
             raise ConfigError(f"fault time must be >= 0, got {self.time_ms}")
         if self.target < 0:

@@ -6,21 +6,14 @@ identically — a precondition for the reproducibility experiments, where
 the *simulation itself* must be deterministic before CSP vs BSP/ASP
 differences mean anything.
 
-Because the total order ``(time, priority, sequence)`` is unique, *any*
-correct priority-queue implementation pops the same sequence of events.
-That freedom is what lets the queue pick its backing store by load:
-
-* a binary **heap** for small/sparse queues (the common pipeline case:
-  a few tens of pending completions), and
-* a slot-indexed **calendar queue** (Brown 1988) once the population
-  grows — chaos sweeps pre-schedule whole fault timetables, where the
-  calendar's O(1) expected enqueue/dequeue beats the heap's O(log n).
-  Degenerate time distributions (a sparse horizon that forces year-long
-  bucket scans) are detected and demote the queue back to the heap.
+The store is one binary heap ordered by ``(time, priority, sequence)``.
+That order is unique, so any correct priority queue would pop the same
+events; the heap is the one kept because no benchmarked workload
+resolves a difference (docs/ARCHITECTURE.md, "Event-loop internals").
 
 Accounting is O(1) throughout: a live-event counter is maintained on
 ``schedule``/``cancel``/``pop``, so ``len()`` and ``clear()`` never walk
-the store, and the store is compacted when cancelled events outnumber
+the heap, and the heap is compacted when cancelled events outnumber
 live ones (fault injectors cancel whole timetables at once).
 """
 
@@ -28,26 +21,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-__all__ = ["ScheduledEvent", "EventQueue", "DEFAULT_BACKEND"]
+__all__ = ["ScheduledEvent", "EventQueue"]
 
-#: default backend policy for new queues; tests monkeypatch this to force
-#: one store ("heap" / "calendar") and prove decision-identity.
-DEFAULT_BACKEND = "auto"
-
-_BACKENDS = ("auto", "heap", "calendar")
-
-#: auto policy: promote heap -> calendar at this many stored events ...
-_CALENDAR_ENTER = 64
-#: ... and demote calendar -> heap when the live population falls below.
-_CALENDAR_EXIT = 16
-#: direct-search refills tolerated before the horizon is deemed sparse
-#: and the auto policy bans the calendar for this queue.
-_SPARSE_STRIKES = 3
 #: never compact below this many cancelled entries (tiny stores are fine).
 _COMPACT_MIN = 64
 
@@ -78,189 +56,11 @@ class ScheduledEvent:
             queue._note_cancel(self)
 
 
-class _CalendarQueue:
-    """Slot-indexed calendar of :class:`ScheduledEvent` (Brown 1988).
-
-    Events hash into ``nbuckets`` time slots of ``width`` virtual ms;
-    each bucket is a sorted list.  Dequeue scans slots from a persistent
-    cursor within the current "year"; a full fruitless year falls back
-    to a direct search over bucket heads (counted in ``sparse_strikes``
-    so the owner can demote to a heap).  All sizing decisions are pure
-    functions of the stored events — deterministic across runs.
-    """
-
-    __slots__ = (
-        "buckets",
-        "nbuckets",
-        "mask",
-        "width",
-        "count",
-        "cursor",
-        "top",
-        "sparse_strikes",
-    )
-
-    def __init__(self, events: List[ScheduledEvent], now: float) -> None:
-        n = 8
-        while n < len(events):
-            n <<= 1
-        self.nbuckets = n
-        self.mask = n - 1
-        self.width = self._estimate_width(events)
-        self.buckets: List[List[ScheduledEvent]] = [[] for _ in range(n)]
-        self.count = 0
-        self.sparse_strikes = 0
-        base = now
-        if events:
-            earliest = min(event.time for event in events)
-            if earliest < base:
-                base = earliest
-        self._set_cursor(base)
-        for event in events:
-            slot = int(event.time / self.width)
-            insort(self.buckets[slot & self.mask], event)
-            self.count += 1
-
-    @staticmethod
-    def _estimate_width(events: List[ScheduledEvent]) -> float:
-        """Bucket width = 3x the mean gap between distinct event times
-        (sampled); degenerates to 1.0 when all samples coincide."""
-        if len(events) < 2:
-            return 1.0
-        times = sorted(event.time for event in events[:256])
-        total = 0.0
-        gaps = 0
-        previous = times[0]
-        for time in times[1:]:
-            if time > previous:
-                total += time - previous
-                gaps += 1
-                previous = time
-        if gaps == 0:
-            return 1.0
-        return max((total / gaps) * 3.0, 1e-9)
-
-    def _set_cursor(self, time: float) -> None:
-        slot = int(time / self.width)
-        self.cursor = slot & self.mask
-        self.top = (slot + 1) * self.width
-
-    # ------------------------------------------------------------------
-    def insert(self, event: ScheduledEvent) -> None:
-        slot = int(event.time / self.width)
-        insort(self.buckets[slot & self.mask], event)
-        self.count += 1
-        if event.time < self.top - self.width:
-            # Earlier than the cursor's current window (cannot normally
-            # happen for time >= now, but keeps the scan sound anyway).
-            self._set_cursor(event.time)
-
-    def pop_batch(self, out: Deque[ScheduledEvent]) -> Tuple[int, int]:
-        """Move the earliest same-time run of live events into ``out``.
-
-        Returns ``(live_appended, cancelled_dropped)``; ``(0, dropped)``
-        means the calendar is empty of live events.
-        """
-        dropped = 0
-        if self.count == 0:
-            return 0, 0
-        buckets = self.buckets
-        scans = 0
-        while True:
-            bucket = buckets[self.cursor]
-            while bucket and bucket[0].cancelled:
-                bucket.pop(0)
-                self.count -= 1
-                dropped += 1
-            if bucket and bucket[0].time < self.top:
-                return self._take_run(bucket, out), dropped
-            if self.count == 0:
-                return 0, dropped
-            self.cursor = (self.cursor + 1) & self.mask
-            self.top += self.width
-            scans += 1
-            if scans > self.nbuckets:
-                # One fruitless year: the next event is far away.  Find
-                # it directly and note the sparse horizon.
-                self.sparse_strikes += 1
-                best: Optional[List[ScheduledEvent]] = None
-                for candidate in buckets:
-                    while candidate and candidate[0].cancelled:
-                        candidate.pop(0)
-                        self.count -= 1
-                        dropped += 1
-                    if candidate and (best is None or candidate[0] < best[0]):
-                        best = candidate
-                if best is None:
-                    return 0, dropped
-                self._set_cursor(best[0].time)
-                return self._take_run(best, out), dropped
-
-    def _take_run(
-        self, bucket: List[ScheduledEvent], out: Deque[ScheduledEvent]
-    ) -> int:
-        """Slice the leading same-time run (all same-time events share a
-        slot, so the run is contiguous at the bucket head)."""
-        time = bucket[0].time
-        run = 1
-        while run < len(bucket) and bucket[run].time == time:
-            run += 1
-        taken = 0
-        for event in bucket[:run]:
-            if not event.cancelled:
-                out.append(event)
-                taken += 1
-        del bucket[:run]
-        self.count -= run
-        return taken
-
-    def peek(self) -> Tuple[Optional[ScheduledEvent], int]:
-        """Earliest live event without removing it (direct search), plus
-        the number of cancelled entries pruned along the way."""
-        dropped = 0
-        best: Optional[ScheduledEvent] = None
-        for bucket in self.buckets:
-            while bucket and bucket[0].cancelled:
-                bucket.pop(0)
-                self.count -= 1
-                dropped += 1
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        return best, dropped
-
-    def drain_all(self) -> List[ScheduledEvent]:
-        events: List[ScheduledEvent] = []
-        for bucket in self.buckets:
-            events.extend(bucket)
-            bucket.clear()
-        self.count = 0
-        return events
-
-
 class EventQueue:
-    """A priority queue of :class:`ScheduledEvent` with a read-only clock.
+    """A priority queue of :class:`ScheduledEvent` with a read-only clock."""
 
-    ``backend`` selects the store: ``"auto"`` (default, promotes a heap
-    to a calendar queue under load), or ``"heap"`` / ``"calendar"`` to
-    force one — the pop order is identical in all three, which the
-    differential tests in ``tests/test_sim.py`` fuzz.
-    """
-
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = DEFAULT_BACKEND
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        self._policy = backend
+    def __init__(self) -> None:
         self._heap: List[ScheduledEvent] = []
-        self._calendar: Optional[_CalendarQueue] = None
-        self._mode = "calendar" if backend == "calendar" else "heap"
-        if self._mode == "calendar":
-            self._calendar = _CalendarQueue([], 0.0)
-        self._banned = False  # sparse horizon detected; stay on the heap
-        #: same-time run being drained by :meth:`pop_until` (already in
-        #: final order); survives an ``until`` cut so the next run resumes.
-        self._batch: Deque[ScheduledEvent] = deque()
         self._sequence = itertools.count()
         self._now = 0.0
         self._live = 0  # scheduled, not yet popped, not cancelled
@@ -271,17 +71,10 @@ class EventQueue:
     def now(self) -> float:
         return self._now
 
-    @property
-    def backend(self) -> str:
-        """The store currently in use (``"heap"`` or ``"calendar"``)."""
-        return self._mode
-
     def physical_size(self) -> int:
         """Stored entries including cancelled ones (compaction tests)."""
-        backing = len(self._heap) if self._mode == "heap" else self._calendar.count
-        return backing + len(self._batch)
+        return len(self._heap)
 
-    # ------------------------------------------------------------------
     def schedule(
         self,
         time: float,
@@ -295,26 +88,17 @@ class EventQueue:
         scheduling-order tiebreak; the pipeline engine uses it to commit
         task completions before starting new work at the same instant.
         """
-        if time < self._now:
+        # ``not >=`` rather than ``<``: NaN compares False both ways and
+        # would otherwise enter the heap and break its order.
+        if not time >= self._now:
             raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"cannot schedule at {time}: must be >= now ({self._now})"
             )
         event = ScheduledEvent(time, priority, next(self._sequence), callback, label)
         event._queue = self
         event._epoch = self._epoch
         self._live += 1
-        batch = self._batch
-        if batch:
-            last = batch[-1]
-            if (time, priority) < (last.time, last.priority):
-                # The new event sorts inside the buffered same-time run
-                # (same time, lower priority — its sequence is larger, so
-                # an equal (time, priority) always sorts after the run).
-                # Flush the run back to the store; the next refill
-                # re-merges in correct order.
-                while batch:
-                    self._insert(batch.popleft())
-        self._insert(event)
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule_after(
@@ -326,92 +110,35 @@ class EventQueue:
     ) -> ScheduledEvent:
         return self.schedule(self._now + delay, callback, priority, label)
 
-    def _insert(self, event: ScheduledEvent) -> None:
-        if self._mode == "heap":
-            heapq.heappush(self._heap, event)
-            if (
-                self._policy == "auto"
-                and not self._banned
-                and len(self._heap) >= _CALENDAR_ENTER
-            ):
-                self._switch_to_calendar()
-        else:
-            calendar = self._calendar
-            calendar.insert(event)
-            if calendar.count > 2 * calendar.nbuckets:
-                self._rebuild_calendar()
-
-    # ------------------------------------------------------------------
     def pop(self) -> Optional[ScheduledEvent]:
         """Advance the clock to, and return, the next live event."""
         return self.pop_until(None)
 
     def pop_until(self, until: Optional[float] = None) -> Optional[ScheduledEvent]:
         """Fused peek+pop: the next live event, or ``None`` when the
-        queue is drained *or* the next event lies beyond ``until``.
+        queue is drained *or* the next event lies beyond ``until`` (the
+        clock does not advance past a cut)."""
+        heap = self._live_head()
+        if not heap or (until is not None and heap[0].time > until):
+            return None
+        event = heapq.heappop(heap)
+        self._now = event.time
+        self._live -= 1
+        event._queue = None
+        return event
 
-        Same-time runs are lifted out of the store in one batch, so a
-        burst of N simultaneous completions costs one store operation
-        instead of N peek+pop pairs.
-        """
-        batch = self._batch
-        while True:
-            while batch:
-                event = batch[0]
-                if event.cancelled:
-                    batch.popleft()
-                    self._stale -= 1
-                    continue
-                if until is not None and event.time > until:
-                    return None
-                batch.popleft()
-                self._now = event.time
-                self._live -= 1
-                event._queue = None
-                return event
-            if not self._refill_batch():
-                return None
+    def peek_time(self) -> Optional[float]:
+        heap = self._live_head()
+        return heap[0].time if heap else None
 
-    def _refill_batch(self) -> bool:
-        """Move the earliest same-time run from the store into the batch."""
-        if (
-            self._mode == "calendar"
-            and self._policy == "auto"
-            and self._live < _CALENDAR_EXIT
-        ):
-            self._switch_to_heap()
-        if self._mode == "heap":
-            heap = self._heap
-            while heap:
-                event = heapq.heappop(heap)
-                if event.cancelled:
-                    self._stale -= 1
-                    continue
-                batch = self._batch
-                batch.append(event)
-                time = event.time
-                while heap and heap[0].time == time:
-                    peer = heapq.heappop(heap)
-                    if peer.cancelled:
-                        self._stale -= 1
-                    else:
-                        batch.append(peer)
-                return True
-            return False
-        calendar = self._calendar
-        taken, dropped = calendar.pop_batch(self._batch)
-        self._stale -= dropped
-        if (
-            self._policy == "auto"
-            and calendar.sparse_strikes >= _SPARSE_STRIKES
-        ):
-            self._banned = True
-            self._switch_to_heap()
-        elif calendar.count < calendar.nbuckets // 4 and calendar.nbuckets > 8:
-            self._rebuild_calendar()
-        return taken > 0
+    def _live_head(self) -> List[ScheduledEvent]:
+        """Drop cancelled entries off the top; return the heap."""
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+            self._stale -= 1
+        return heap
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._live
 
@@ -423,77 +150,18 @@ class EventQueue:
         dropped = self._live
         self._epoch += 1
         self._heap = []
-        self._batch.clear()
-        self._mode = "calendar" if self._policy == "calendar" else "heap"
-        self._calendar = _CalendarQueue([], self._now) if self._mode == "calendar" else None
         self._live = 0
         self._stale = 0
         return dropped
 
-    def peek_time(self) -> Optional[float]:
-        batch = self._batch
-        while batch and batch[0].cancelled:
-            batch.popleft()
-            self._stale -= 1
-        if batch:
-            return batch[0].time
-        if self._mode == "heap":
-            heap = self._heap
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-                self._stale -= 1
-            return heap[0].time if heap else None
-        event, dropped = self._calendar.peek()
-        self._stale -= dropped
-        return event.time if event is not None else None
-
-    # ------------------------------------------------------------------
-    # cancellation accounting
-    # ------------------------------------------------------------------
     def _note_cancel(self, event: ScheduledEvent) -> None:
         if event._epoch != self._epoch:
             return  # handle outlived a clear(); nothing is stored
         self._live -= 1
         self._stale += 1
         if self._stale >= _COMPACT_MIN and self._stale > self._live:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the backing store (triggered when
-        they outnumber live events, e.g. a fault injector cancelling a
-        whole pre-scheduled timetable)."""
-        if self._batch:
-            self._batch = deque(
-                event for event in self._batch if not event.cancelled
-            )
-        if self._mode == "heap":
-            self._heap = [event for event in self._heap if not event.cancelled]
+            # Cancelled entries outnumber live ones (e.g. a fault injector
+            # cancelling a whole pre-scheduled timetable): drop them.
+            self._heap = [entry for entry in self._heap if not entry.cancelled]
             heapq.heapify(self._heap)
-        else:
-            self._rebuild_calendar()
-        self._stale = 0
-
-    # ------------------------------------------------------------------
-    # backend transitions (deterministic: functions of stored events only)
-    # ------------------------------------------------------------------
-    def _switch_to_calendar(self) -> None:
-        live = [event for event in self._heap if not event.cancelled]
-        self._stale -= len(self._heap) - len(live)
-        self._heap = []
-        self._calendar = _CalendarQueue(live, self._now)
-        self._mode = "calendar"
-
-    def _switch_to_heap(self) -> None:
-        stored = self._calendar.drain_all()
-        live = [event for event in stored if not event.cancelled]
-        self._stale -= len(stored) - len(live)
-        self._calendar = None
-        self._heap = live
-        heapq.heapify(self._heap)
-        self._mode = "heap"
-
-    def _rebuild_calendar(self) -> None:
-        stored = self._calendar.drain_all()
-        live = [event for event in stored if not event.cancelled]
-        self._stale -= len(stored) - len(live)
-        self._calendar = _CalendarQueue(live, self._now)
+            self._stale = 0

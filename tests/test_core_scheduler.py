@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.scheduler as scheduler_module
 from repro.core.dependency import DependencyTracker
 from repro.core.scheduler import CspScheduler
 from repro.supernet.subnet import Subnet
@@ -84,7 +85,7 @@ def test_conservative_mode_waits_for_stage_finish():
         subnet_of=lambda sid: subnets[sid],
     )
     assert not conservative.found
-    exact = CspScheduler(mode="exact").schedule(
+    exact = CspScheduler(mode="scan").schedule(
         [1], _stage_layers(subnets, 0, 1), tracker
     )
     assert exact.qval == 1
@@ -111,9 +112,10 @@ def test_conservative_honours_stage_finished():
     assert decision.qval == 1
 
 
-def test_invalid_mode_rejected():
+@pytest.mark.parametrize("mode", ["loose", "exact"])
+def test_invalid_mode_rejected(mode):
     with pytest.raises(ValueError):
-        CspScheduler(mode="loose")
+        CspScheduler(mode=mode)
 
 
 def test_scheduler_counts_calls():
@@ -135,9 +137,10 @@ def _call_n(scheduler, n):
 
 
 def test_timing_sampled_times_one_call_per_interval():
-    scheduler = _call_n(CspScheduler(timing="sampled", timing_interval=4), 9)
-    # calls 1, 5 and 9 hit the sample slot (calls % 4 == 1)
-    assert scheduler.calls == 9
+    every = scheduler_module._SAMPLE_EVERY
+    scheduler = _call_n(CspScheduler(timing="sampled"), 2 * every + 1)
+    # calls 1, every+1 and 2*every+1 hit the sample slot
+    assert scheduler.calls == 2 * every + 1
     assert scheduler.timed_calls == 3
     assert scheduler.stats()["timing"] == "sampled"
 
@@ -151,16 +154,10 @@ def test_timing_full_times_every_call():
     )
 
 
-def test_timing_off_never_touches_the_clock():
-    scheduler = _call_n(CspScheduler(timing="off"), 5)
-    assert scheduler.timed_calls == 0
-    assert scheduler.total_time_s == 0.0
-    assert scheduler.mean_call_time_s == 0.0
-
-
-def test_timing_mode_validated():
+@pytest.mark.parametrize("timing", ["sometimes", "off"])
+def test_timing_mode_validated(timing):
     with pytest.raises(ValueError):
-        CspScheduler(timing="sometimes")
+        CspScheduler(timing=timing)
 
 
 def test_stats_reports_timing_counters():

@@ -1,16 +1,17 @@
-"""Event-queue backends: calendar/heap pop-order identity and O(1)
+"""Event queue: total pop order against a sorted-list oracle, and O(1)
 accounting (len / cancel / clear / compaction).
 
-The queue's total order ``(time, priority, sequence)`` is unique, so any
-correct backing store must pop the identical event sequence — the
-property the differential fuzz below checks for the heap, the calendar
-and the auto-promoting policy on the same operation stream.
+The queue's total order ``(time, priority, sequence)`` is unique, so a
+correct store must pop exactly what a sorted list of those keys pops —
+the property the fuzz below checks on a random operation stream.
 """
+
+import math
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.sim.clock as clock
 from repro.sim.clock import EventQueue
 
 
@@ -27,7 +28,7 @@ def _drain(queue):
 # O(1) accounting
 # ----------------------------------------------------------------------
 def test_len_tracks_live_events_through_cancel_and_pop():
-    queue = EventQueue(backend="heap")
+    queue = EventQueue()
     events = [queue.schedule(float(i), lambda: None) for i in range(10)]
     assert len(queue) == 10
     events[3].cancel()
@@ -42,7 +43,7 @@ def test_len_tracks_live_events_through_cancel_and_pop():
 
 
 def test_cancel_after_pop_does_not_corrupt_counters():
-    queue = EventQueue(backend="heap")
+    queue = EventQueue()
     event = queue.schedule(1.0, lambda: None)
     queue.schedule(2.0, lambda: None)
     assert queue.pop() is event
@@ -51,7 +52,7 @@ def test_cancel_after_pop_does_not_corrupt_counters():
 
 
 def test_clear_returns_live_count_and_detaches_handles():
-    queue = EventQueue(backend="heap")
+    queue = EventQueue()
     events = [queue.schedule(float(i), lambda: None) for i in range(6)]
     events[0].cancel()
     assert queue.clear() == 5
@@ -64,7 +65,7 @@ def test_clear_returns_live_count_and_detaches_handles():
 
 
 def test_mass_cancellation_compacts_physical_store():
-    queue = EventQueue(backend="heap")
+    queue = EventQueue()
     events = [queue.schedule(float(i), lambda: None) for i in range(200)]
     assert queue.physical_size() == 200
     for event in events[:150]:
@@ -77,16 +78,40 @@ def test_mass_cancellation_compacts_physical_store():
     assert len(_drain(queue)) == 50
 
 
-def test_backend_name_is_validated():
+def test_queue_takes_no_arguments():
+    with pytest.raises(TypeError):
+        EventQueue("heap")
+
+
+# ----------------------------------------------------------------------
+# rejected times
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("time", [math.nan, -math.inf, -1.0])
+def test_schedule_rejects_times_not_at_or_after_now(time):
+    """NaN compares False against everything: accepted, it would sit in
+    the heap unordered and leave ``now == nan`` once popped."""
+    queue = EventQueue()
+    queue.schedule(1.0, lambda: None)
     with pytest.raises(ValueError):
-        EventQueue(backend="fibonacci")
+        queue.schedule(time, lambda: None)
+    with pytest.raises(ValueError):
+        queue.schedule_after(time, lambda: None)
+    assert len(queue) == 1 and queue.physical_size() == 1
+
+
+def test_positive_infinity_is_ordered_last():
+    queue = EventQueue()
+    queue.schedule(math.inf, lambda: None)
+    queue.schedule(1.0, lambda: None)
+    queue.schedule(0.5, lambda: None)
+    assert [event.time for event in iter(queue.pop, None)] == [0.5, 1.0, math.inf]
 
 
 # ----------------------------------------------------------------------
 # pop_until semantics
 # ----------------------------------------------------------------------
 def test_pop_until_cuts_then_resumes():
-    queue = EventQueue(backend="heap")
+    queue = EventQueue()
     for time in (1.0, 1.0, 2.0):
         queue.schedule(time, lambda: None)
     assert queue.pop_until(1.5).time == 1.0
@@ -97,51 +122,32 @@ def test_pop_until_cuts_then_resumes():
     assert queue.pop_until(None) is None
 
 
-def test_same_time_insert_during_batch_drain_pops_in_order():
+def test_same_time_insert_during_drain_pops_in_order():
     """A callback scheduling a higher-priority event at the *current*
-    time must preempt the rest of the buffered same-time run."""
-    queue = EventQueue(backend="heap")
+    time must preempt the rest of the same-time run."""
+    queue = EventQueue()
     order = []
     queue.schedule(5.0, lambda: order.append("a"), priority=0)
     queue.schedule(5.0, lambda: order.append("c"), priority=0)
-    queue.pop().callback()  # fires a; c is buffered in the batch
+    queue.pop().callback()  # fires a; c is still pending at t=5
     queue.schedule(5.0, lambda: order.append("b"), priority=-1)
     while (event := queue.pop()) is not None:
         event.callback()
     assert order == ["a", "b", "c"]
 
 
-def test_cancelled_batch_head_is_skipped():
-    queue = EventQueue(backend="heap")
+def test_cancelled_head_is_skipped():
+    queue = EventQueue()
     first = queue.schedule(1.0, lambda: None, priority=0)
     second = queue.schedule(1.0, lambda: None, priority=1)
-    assert queue.peek_time() == 1.0  # both now buffered or peekable
+    assert queue.peek_time() == 1.0
     first.cancel()
     assert queue.pop() is second
     assert len(queue) == 0
 
 
-# ----------------------------------------------------------------------
-# auto policy transitions
-# ----------------------------------------------------------------------
-def test_auto_promotes_to_calendar_and_demotes_back():
-    queue = EventQueue(backend="auto")
-    assert queue.backend == "heap"
-    for i in range(clock._CALENDAR_ENTER + 10):
-        queue.schedule(float(i), lambda: None)
-    assert queue.backend == "calendar"
-    while len(queue) >= clock._CALENDAR_EXIT:
-        queue.pop()
-    queue.pop()
-    assert queue.backend == "heap"
-    _drain(queue)
-    assert len(queue) == 0
-
-
 def test_far_future_outlier_still_pops_in_order():
-    """A sparse horizon (one event a billion ms out) must not break the
-    calendar's scan, whatever fallback it takes."""
-    queue = EventQueue(backend="calendar")
+    queue = EventQueue()
     times = [float(i) for i in range(40)] + [1e9]
     for time in times:
         queue.schedule(time, lambda: None)
@@ -150,8 +156,39 @@ def test_far_future_outlier_still_pops_in_order():
 
 
 # ----------------------------------------------------------------------
-# differential fuzz: all backends pop the identical sequence
+# differential fuzz: the queue against a sorted-list oracle
 # ----------------------------------------------------------------------
+class _Oracle:
+    """The reference: live events as a sorted list of
+    ``[(time, priority, sequence), label]`` entries."""
+
+    def __init__(self):
+        self.now, self.sequence, self.entries = 0.0, 0, []
+
+    def schedule(self, time, priority, label):
+        entry = [(time, priority, self.sequence), label]
+        self.sequence += 1
+        insort(self.entries, entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry in self.entries:
+            self.entries.remove(entry)
+
+    def pop_until(self, until):
+        if not self.entries or (until is not None and self.entries[0][0][0] > until):
+            return None
+        (self.now, priority, _), label = self.entries.pop(0)
+        return (self.now, priority, label)
+
+    def peek_time(self):
+        return self.entries[0][0][0] if self.entries else None
+
+    def clear(self):
+        dropped, self.entries = len(self.entries), []
+        return dropped
+
+
 _OPS = st.lists(
     st.one_of(
         st.tuples(
@@ -159,10 +196,11 @@ _OPS = st.lists(
             st.floats(0.0, 100.0, allow_nan=False),
             st.integers(-2, 2),
         ),
-        st.tuples(st.just("schedule_far"), st.floats(1e6, 1e9), st.integers(0, 0)),
+        st.tuples(st.just("schedule"), st.floats(1e6, 1e9), st.just(0)),
         st.tuples(st.just("pop"), st.none(), st.none()),
         st.tuples(st.just("pop_until"), st.floats(0.0, 100.0), st.none()),
         st.tuples(st.just("cancel"), st.integers(0, 40), st.none()),
+        st.tuples(st.just("clear"), st.none(), st.none()),
         st.tuples(st.just("peek"), st.none(), st.none()),
     ),
     min_size=5,
@@ -170,55 +208,36 @@ _OPS = st.lists(
 )
 
 
-def _replay(backend, ops):
-    queue = EventQueue(backend=backend)
-    handles = []
-    log = []
-    counter = 0
-    for op, arg, extra in ops:
-        if op in ("schedule", "schedule_far"):
-            time = max(queue.now + float(arg), queue.now)
-            handles.append(
-                queue.schedule(time, lambda: None, priority=extra or 0,
-                               label=f"e{counter}")
-            )
-            counter += 1
-        elif op == "pop":
-            event = queue.pop()
-            log.append(
-                None if event is None
-                else (event.time, event.priority, event.label)
-            )
-        elif op == "pop_until":
-            event = queue.pop_until(queue.now + float(arg))
-            log.append(
-                None if event is None
-                else (event.time, event.priority, event.label)
-            )
-        elif op == "cancel":
-            if handles:
-                handles[arg % len(handles)].cancel()
-        elif op == "peek":
-            log.append(("peek", queue.peek_time()))
-        log.append(("len", len(queue)))
-    log.append(("drain", _drain(queue)))
-    return log
+def _popped(event):
+    return None if event is None else (event.time, event.priority, event.label)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(ops=_OPS)
-def test_backends_are_pop_order_identical(ops):
-    heap = _replay("heap", ops)
-    calendar = _replay("calendar", ops)
-    auto = _replay("auto", ops)
-    assert heap == calendar
-    assert heap == auto
-
-
-def test_default_backend_module_switch(monkeypatch):
-    """`DEFAULT_BACKEND` is the documented seam tests force a store
-    through; a queue built with backend=None must honour it."""
-    monkeypatch.setattr(clock, "DEFAULT_BACKEND", "calendar")
-    assert EventQueue().backend == "calendar"
-    monkeypatch.setattr(clock, "DEFAULT_BACKEND", "heap")
-    assert EventQueue().backend == "heap"
+def test_queue_matches_sorted_list_oracle(ops):
+    queue, oracle = EventQueue(), _Oracle()
+    handles = []  # (queue handle, oracle entry); kept across clear()
+    for op, arg, extra in ops:
+        if op == "schedule":
+            time, label = queue.now + arg, f"e{len(handles)}"
+            handles.append((
+                queue.schedule(time, lambda: None, priority=extra, label=label),
+                oracle.schedule(time, extra, label),
+            ))
+        elif op == "pop":
+            assert _popped(queue.pop()) == oracle.pop_until(None)
+        elif op == "pop_until":
+            until = queue.now + arg
+            assert _popped(queue.pop_until(until)) == oracle.pop_until(until)
+        elif op == "cancel" and handles:
+            handle, entry = handles[arg % len(handles)]
+            handle.cancel()
+            oracle.cancel(entry)
+        elif op == "clear":
+            assert queue.clear() == oracle.clear()
+        elif op == "peek":
+            assert queue.peek_time() == oracle.peek_time()
+        assert (len(queue), queue.now) == (len(oracle.entries), oracle.now)
+    assert _drain(queue) == [
+        (key[0], key[1], label) for key, label in oracle.entries
+    ]

@@ -165,24 +165,3 @@ def test_parallel_sweep_preserves_scenario_callback_order(chaos_space):
     assert seen == sorted(seen, key=lambda item: item[0])
     assert len(seen) == 2
 
-
-# ----------------------------------------------------------------------
-# event-queue backend is invisible to scheduling decisions under chaos
-# ----------------------------------------------------------------------
-def test_queue_backend_does_not_change_chaos_decisions(
-    chaos_space, chaos_report, monkeypatch
-):
-    """Fault storms cancel and reschedule events aggressively; the
-    calendar and heap stores must still yield identical digests,
-    losses and makespans for the whole sweep."""
-    import repro.sim.clock as clock
-
-    reports = {}
-    for backend in ("heap", "calendar"):
-        monkeypatch.setattr(clock, "DEFAULT_BACKEND", backend)
-        reports[backend] = chaos_sweep(
-            chaos_space, naspipe(), scenarios=2, gpus=(2, 4), steps=12, seed=11
-        )
-    assert reports["heap"] == reports["calendar"]
-    # and both match the auto-policy run the module fixture took
-    assert reports["heap"] == chaos_report

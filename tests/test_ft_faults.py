@@ -43,6 +43,17 @@ def test_fault_event_validation():
     assert not FaultEvent("copy_stall", 5.0, duration_ms=3.0).fatal
 
 
+@pytest.mark.parametrize("field", ["time_ms", "duration_ms", "magnitude"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fault_event_rejects_non_finite_numbers(field, value):
+    """JSON carries the literals ``NaN`` / ``Infinity``, and NaN passes
+    every ``< 0`` range check, so a config file can deliver them."""
+    entry = {"kind": "nic_degrade", "time_ms": 10.0, "target": 0,
+             "duration_ms": 5.0, "magnitude": 2.0, field: value}
+    with pytest.raises(ConfigError, match="fault event 0: fault " + field):
+        FaultSchedule.from_json(json.dumps([entry]))
+
+
 def test_schedule_sorts_and_serialises(tmp_path):
     schedule = FaultSchedule(
         [

@@ -1,6 +1,9 @@
 """Pipeline engine behaviour: completion, determinism, policy windows,
 stall accounting, per-system invariants."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import gpipe, naspipe, pipedream, ssp, vpipe
@@ -9,6 +12,7 @@ from repro.errors import PartitionError
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.supernet.sampler import SubnetStream
+from repro.supernet.search_space import get_search_space
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
@@ -38,6 +42,28 @@ def test_timing_runs_are_deterministic(tiny_supernet):
     b = _run(tiny_supernet, naspipe())
     assert a.makespan_ms == b.makespan_ms
     assert a.trace.gantt_rows() == b.trace.gantt_rows()
+
+
+def test_historic_fingerprint_matches_committed_baseline():
+    """The one end-to-end point with a recorded history (NLP.c2 x 96
+    subnets x 8 GPUs, seed 2022): makespan, simulator events and trace
+    events must equal ``benchmarks/scheduler_baseline.json`` bitwise —
+    any drift is a determinism violation, never a perf delta."""
+    baseline = Path(__file__).resolve().parent.parent / "benchmarks" / "scheduler_baseline.json"
+    pinned = json.loads(baseline.read_text())["engine"]
+    row = next(r for r in pinned["rows"] if r["workload"] == "pipeline")
+    space = get_search_space(pinned["space"])
+    engine = PipelineEngine(
+        Supernet(space),
+        SubnetStream.sample(space, SeedSequenceTree(pinned["seed"]), pinned["subnets"]),
+        naspipe(),
+        ClusterSpec(num_gpus=pinned["num_gpus"]),
+        batch=pinned["batch"],
+    )
+    result = engine.run()
+    observed = (result.makespan_ms, engine.sim.events_processed, len(engine.trace.events))
+    committed = (row["makespan_ms"], row["events"], row["trace_events"])
+    assert observed == committed == (19334.02542782906, 2976, 39019)
 
 
 def test_single_gpu_pipeline_degenerates_to_sequential(tiny_supernet):

@@ -212,8 +212,8 @@ def test_scan_and_index_agree_with_skip_sets(
         if rng.random() < 0.4:
             tracker.mark_finished(sid)
 
-    scan = CspScheduler(mode="scan", timing="off")
-    index = CspScheduler(mode="index", timing="off")
+    scan = CspScheduler(mode="scan")
+    index = CspScheduler(mode="index")
     stage_layers = lambda sid: layers_of[sid]
     for _ in range(4):
         skip = {sid for sid in queue if rng.random() < skip_fraction}
