@@ -1,6 +1,6 @@
 # Convenience targets (see README for the underlying commands).
 
-.PHONY: install test bench ledger ledger-test bench-scheduler bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
+.PHONY: install test bench docs-check ledger ledger-test bench-scheduler bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -10,6 +10,10 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+docs-check:
+	python tools/check_docs_links.py
+	python tools/check_cli_examples.py
 
 ledger:
 	python3 ledger/run.py

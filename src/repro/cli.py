@@ -7,152 +7,393 @@ Usage::
     naspipe figure5 --scale small
     naspipe table3 --spaces NLP.c2 CV.c2
     naspipe all --scale small
+    naspipe <command> --help
 
 (also reachable as ``python -m repro ...``)
+
+Each command is declared beside its handler with exactly the options
+the handler reads (any other flag is a usage error, exit 2), and the
+handler's docstring is the command's ``--help``.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
+import importlib
+import inspect
+import json
 import time
-from typing import List, Optional
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.experiments.common import ExperimentScale
 
-__all__ = ["main"]
+__all__ = ["main", "build_parser"]
 
-_EXPERIMENTS = (
-    "figure1",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "dag-bound",
-    "scheduler-cost",
-    "ranking",
-    "straggler",
-    "repro-check",
-    "demo",
-)
+#: every option's ``add_argument`` spec, once; a command lists the ones it
+#: reads by name and says in its docstring what it does with them
+_OPTIONS = {
+    "config": dict(help="JSON config file; for compare, run A"),
+    "config2": dict(help="run B (A and B: a record file or a run_id prefix)"),
+    "--scale": dict(
+        choices=("small", "paper"),
+        default="small",
+        help="experiment size (small: CI-friendly; paper: full streams)",
+    ),
+    "--spaces": dict(nargs="*", help="only these search spaces (e.g. NLP.c1 CV.c2)"),
+    "--seed": dict(
+        type=int,
+        default=2022,
+        help="stream seed; for a config command, the seed when the config sets none",
+    ),
+    "--csv": dict(metavar="DIR", help="also write the rows as CSV into this directory"),
+    "--scores": dict(
+        action="store_true",
+        help="add the Score column (scaled functional runs; slower)",
+    ),
+    "--json": dict(metavar="PATH", help="also write the machine-readable report here"),
+    "--seeds": dict(type=int, default=10, help="seeded fault schedules per GPU count"),
+    "--baseline": dict(
+        metavar="PATH",
+        help="fail (exit 1) on a >2x regression against this committed baseline JSON",
+    ),
+    "--stream-lens": dict(
+        type=int, nargs="*", help="stream lengths for the scaling benchmark"
+    ),
+    "--out": dict(
+        metavar="PATH",
+        help="trace: the Chrome trace JSON (default run.trace.json); "
+        "monitor: the scrape series as canonical JSONL",
+    ),
+    "--summary": dict(
+        action="store_true", help="also print the bubble-attribution run summary"
+    ),
+    "--summary-json": dict(
+        metavar="PATH", help="write the run summary as canonical JSON here"
+    ),
+    "--sweep-gpus": dict(
+        type=int,
+        nargs="*",
+        help="repeat the analysis at these GPU counts (default: the config's num_gpus)",
+    ),
+    "--jobs": dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help="shard the sweep across N worker processes (N <= 1: in-process); "
+        "the output is byte-identical for any N",
+    ),
+    "--register": dict(
+        action="store_true", help="append the run record to the registry"
+    ),
+    "--registry": dict(
+        metavar="PATH", help="registry JSONL path (default .naspipe/runs.jsonl)"
+    ),
+    "--verify": dict(
+        action="store_true",
+        help="re-run every job alone and require each digest to match its "
+        "shared-fleet run bitwise (overrides the config's verify_solo)",
+    ),
+    "--rules": dict(
+        metavar="PATH",
+        help="JSON alert-rule file (default: built-in rules, silent on healthy runs)",
+    ),
+    "--interval": dict(
+        type=float,
+        default=100.0,
+        metavar="MS",
+        help="scrape interval in virtual milliseconds, > 0 (default 100)",
+    ),
+    "--prom": dict(
+        metavar="PATH",
+        help="write the final Prometheus text exposition here (byte-deterministic)",
+    ),
+    "--fail-on-regression": dict(
+        type=float,
+        metavar="PCT",
+        help="exit non-zero when run B's makespan or bubble ratio is worse "
+        "than run A's by more than PCT percent (100 = the 2x CI gate)",
+    ),
+}
+#: name → (handler, the _OPTIONS it reads, --help text), in ``naspipe list`` order
+_COMMANDS: Dict[str, Tuple[Callable, Tuple[str, ...], str]] = {}
+#: the table/figure commands, which ``naspipe all`` runs in this order
+_PAPER: List[str] = []
 
 
-def _scale_from_args(args) -> ExperimentScale:
-    if args.scale == "paper":
-        return ExperimentScale.paper()
-    return ExperimentScale.small()
+def _command(name: str, *options: str, paper: bool = False) -> Callable:
+    """Declare a command: ``options`` are what its handler reads, and the
+    handler's docstring is its ``--help``.  ``paper`` marks a table/figure
+    regenerator: part of ``all``, wall time reported."""
+
+    def register(produce: Callable) -> Callable:
+        handler = produce
+        if paper:
+            _PAPER.append(name)
+
+            def handler(args) -> str:
+                started = time.time()
+                text = produce(args)
+                return f"{text}\n[{name} in {time.time() - started:.1f}s]\n"
+
+        _COMMANDS[name] = (handler, options, inspect.cleandoc(produce.__doc__))
+        return produce
+
+    return register
 
 
-def _maybe_csv(name: str, rows, args) -> str:
-    """Write rows to ``<csv_dir>/<name>.csv`` when ``--csv`` was given."""
-    if not getattr(args, "csv", None):
-        return ""
-    from pathlib import Path
-
-    from repro.experiments.export import write_csv
-
-    directory = Path(args.csv)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = write_csv(rows, directory / f"{name.replace('-', '_')}.csv")
-    return f"\n[csv written to {path}]"
+def _write(path: str, text: str) -> Path:
+    out = Path(path)
+    out.write_text(text)
+    return out
 
 
-def _run_one(name: str, args) -> str:
-    scale = _scale_from_args(args)
-    spaces: Optional[List[str]] = args.spaces or None
-    if name == "figure1":
-        from repro.experiments import figure1
+def _indented(payload) -> str:
+    """The human-diffable report files: indented, key-sorted JSON."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-        return figure1.format_text(figure1.run(seed=args.seed))
-    if name == "figure4":
-        from repro.experiments import figure4
 
-        return figure4.format_text(figure4.run(spaces=spaces, seed=args.seed))
-    if name == "figure5":
-        from repro.experiments import figure5
+# ----------------------------------------------------------------------
+# paper tables and figures: one table drives both the flags and the call
+# ----------------------------------------------------------------------
+#: ``run()`` keyword → (the option that feeds it, parsed args → the argument)
+_RUN_INPUTS = {
+    "seed": ("--seed", lambda args: args.seed),
+    "scale": ("--scale", lambda args: getattr(ExperimentScale, args.scale)()),
+    "spaces": ("--spaces", lambda args: args.spaces or None),
+    "space_names": ("--spaces", lambda args: args.spaces or None),
+    "with_scores": ("--scores", lambda args: args.scores),
+}
 
-        rows = figure5.run(scale, spaces=spaces)
-        return figure5.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "figure6":
-        from repro.experiments import figure6
 
-        rows = figure6.run(scale, spaces=spaces)
-        return figure6.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "figure7":
-        from repro.experiments import figure7
+def _scheduler_scaling(args) -> Optional[str]:
+    """``scheduler-cost --json/--baseline``: stream-length scaling,
+    readiness index vs scan reference, emitted as BENCH_scheduler.json
+    and optionally gated against a committed baseline (CI regression
+    check).  None when neither flag was given: the plain table runs."""
+    if not (args.json or args.baseline):
+        return None
+    from repro.experiments import scheduler_cost
 
-        rows = figure7.run(scale)
-        return figure7.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "table2":
-        from repro.experiments import table2
-
-        rows = table2.run(scale, spaces=spaces, with_scores=args.scores)
-        return table2.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "table3":
-        from repro.experiments import table3
-
-        return table3.format_text(table3.run(spaces=spaces, seed=args.seed))
-    if name == "table4":
-        from repro.experiments import table4
-
-        return table4.format_text(table4.run(seed=args.seed))
-    if name == "table5":
-        from repro.experiments import table5
-
-        rows = table5.run()
-        return table5.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "dag-bound":
-        from repro.experiments import dag_bound
-
-        rows = dag_bound.run(space_names=spaces)
-        return dag_bound.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "scheduler-cost":
-        from repro.experiments import scheduler_cost
-
-        out = []
-        if args.json or args.baseline:
-            # Stream-length scaling: readiness index vs scan reference,
-            # emitted as BENCH_scheduler.json and optionally gated
-            # against a committed baseline (CI regression check).
-            lens = tuple(args.stream_lens or (100, 300, 1000))
-            payload = scheduler_cost.run_scaling(
-                stream_lens=lens, seed=args.seed
+    out = []
+    lens = tuple(args.stream_lens or (100, 300, 1000))
+    payload = scheduler_cost.run_scaling(stream_lens=lens, seed=args.seed)
+    out.append(scheduler_cost.format_scaling_text(payload))
+    if args.json:
+        path = scheduler_cost.write_bench_json(payload, args.json)
+        out.append(f"[bench written to {path}]")
+    if args.baseline:
+        failures = scheduler_cost.check_regression(payload, args.baseline)
+        if failures:
+            raise SystemExit(
+                "scheduler cost regression:\n  " + "\n  ".join(failures)
             )
-            out.append(scheduler_cost.format_scaling_text(payload))
-            if args.json:
-                path = scheduler_cost.write_bench_json(payload, args.json)
-                out.append(f"[bench written to {path}]")
-            if args.baseline:
-                failures = scheduler_cost.check_regression(
-                    payload, args.baseline
-                )
-                if failures:
-                    raise SystemExit(
-                        "scheduler cost regression:\n  "
-                        + "\n  ".join(failures)
-                    )
-                out.append(f"[no regression vs {args.baseline}]")
-            return "\n".join(out)
-        rows = scheduler_cost.run(seed=args.seed)
-        return scheduler_cost.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "ranking":
-        from repro.experiments import ranking
+        out.append(f"[no regression vs {args.baseline}]")
+    return "\n".join(out)
 
-        rows = ranking.run(seed=args.seed)
-        return ranking.format_text(rows) + _maybe_csv(name, rows, args)
-    if name == "straggler":
-        from repro.experiments import straggler
 
-        return straggler.format_text(straggler.run(seed=args.seed))
-    if name == "repro-check":
-        return _repro_check(args.seed)
-    if name == "demo":
-        return _demo(args.seed)
-    raise SystemExit(f"unknown experiment {name!r}")
+class _Experiment(NamedTuple):
+    """One ``repro.experiments`` module (the command's name, ``-`` as
+    ``_``) as a command: ``format_text(run(**takes))``."""
+
+    summary: str  # the command's --help
+    takes: Tuple[str, ...] = ()  # run() keywords, each fed by its _RUN_INPUTS option
+    rows: bool = False  # run() returns a row list, so the command takes --csv
+    options: Tuple[str, ...] = ()  # further options, read only by ``first``
+    first: Optional[Callable] = None  # tried before run(); returns None to decline
+
+
+_EXPERIMENTS = {
+    "figure1": _Experiment(
+        "ASP vs BSP vs CSP on a dependent subnet stream (paper Figure 1)", ("seed",)
+    ),
+    "figure4": _Experiment(
+        "convergence per system and search space (Figure 4)", ("spaces", "seed")
+    ),
+    "figure5": _Experiment(
+        "normalized throughput across systems and spaces (Figure 5)",
+        ("scale", "spaces"),
+        rows=True,
+    ),
+    "figure6": _Experiment(
+        "ablation throughput (Figure 6)", ("scale", "spaces"), rows=True
+    ),
+    "figure7": _Experiment(
+        "total GPU ALU utilisation vs cluster size (Figure 7)", ("scale",), rows=True
+    ),
+    "table2": _Experiment(
+        "resource consumption and micro events (Table 2)",
+        ("scale", "spaces", "with_scores"),
+        rows=True,
+    ),
+    "table3": _Experiment(
+        "bitwise reproducibility across cluster sizes (Table 3)", ("spaces", "seed")
+    ),
+    "table4": _Experiment(
+        "access & update order of a shared layer, 4 vs 8 GPUs (Table 4)", ("seed",)
+    ),
+    "table5": _Experiment(
+        "computation vs swap time per representative layer (Table 5)", rows=True
+    ),
+    "dag-bound": _Experiment(
+        "dependency-DAG throughput bound (the contention-free CSP limit)",
+        ("space_names",),
+        rows=True,
+    ),
+    "scheduler-cost": _Experiment(
+        "CSP scheduler cost per call; with --json and/or --baseline, the\n"
+        "index-vs-scan stream-scaling benchmark (--stream-lens) and its gate instead",
+        ("seed",),
+        rows=True,
+        options=("--json", "--baseline", "--stream-lens"),
+        first=_scheduler_scaling,
+    ),
+    "ranking": _Experiment(
+        "subnet ranking fidelity vs sequential training", ("seed",), rows=True
+    ),
+    "straggler": _Experiment("heterogeneous-GPU straggler study", ("seed",)),
+}
+
+
+def _declare_experiment(name: str, experiment: _Experiment) -> None:
+    module_name = name.replace("-", "_")
+
+    def produce(args) -> str:
+        text = experiment.first(args) if experiment.first else None
+        if text is not None:
+            return text
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        result = module.run(
+            **{key: _RUN_INPUTS[key][1](args) for key in experiment.takes}
+        )
+        text = module.format_text(result)
+        if experiment.rows and args.csv:
+            from repro.experiments.export import write_csv
+
+            directory = Path(args.csv)
+            directory.mkdir(parents=True, exist_ok=True)
+            path = write_csv(result, directory / f"{module_name}.csv")
+            text += f"\n[csv written to {path}]"
+        return text
+
+    produce.__doc__ = experiment.summary
+    options = [_RUN_INPUTS[key][0] for key in experiment.takes]
+    if experiment.rows:
+        options.append("--csv")
+    _command(name, *options, *experiment.options, paper=True)(produce)
+
+
+for _name, _experiment in _EXPERIMENTS.items():
+    _declare_experiment(_name, _experiment)
+
+
+@_command("repro-check", "--seed", paper=True)
+def _repro_check(args) -> str:
+    """Quick bitwise-reproducibility self-check (the artifact's core
+    experiment): CSP on 1 vs 4 GPUs must match sequential exactly."""
+    from repro.replay import execute_manifest, record_run
+
+    lines = ["Reproducibility self-check (CSP vs sequential, 1 vs 4 GPUs)"]
+    run = dict(
+        space_overrides={"num_blocks": 16, "functional_width": 16},
+        seed=args.seed,
+        steps=32,
+        batch=32,
+    )
+    manifest = record_run("NLP.c2", "NASPipe", num_gpus=4, **run)
+    single = record_run("NLP.c2", "NASPipe", num_gpus=1, **run)
+    if manifest.digest == single.digest:
+        lines.append(f"PASS: digests match ({manifest.digest[:16]}…)")
+    else:
+        lines.append(
+            f"FAIL: {manifest.digest[:16]}… != {single.digest[:16]}…"
+        )
+    replay = execute_manifest(manifest)
+    lines.append(
+        "PASS: replay reproduced the 4-GPU run bitwise"
+        if replay.digest == manifest.digest
+        else "FAIL: replay diverged"
+    )
+    return "\n".join(lines)
+
+
+@_command("demo", "--seed", paper=True)
+def _demo(args) -> str:
+    """A guided tour: run NASPipe on a short stream, narrate the first
+    events, then show the schedule as a Gantt chart and sparklines."""
+    from repro.baselines import naspipe
+    from repro.engines.pipeline import PipelineEngine
+    from repro.seeding import SeedSequenceTree
+    from repro.sim.cluster import ClusterSpec
+    from repro.supernet.sampler import SubnetStream
+    from repro.supernet.search_space import get_search_space
+    from repro.supernet.supernet import Supernet
+    from repro.viz import ascii_gantt, utilization_sparklines
+
+    space = get_search_space("NLP.c2")
+    supernet = Supernet(space)
+    stream = SubnetStream.sample_generational(
+        space, SeedSequenceTree(args.seed), 40
+    )
+    narration = []
+
+    def listener(event):
+        if len(narration) >= 14:
+            return
+        if event.kind == "task_dispatch" and event.attr("direction") == "fwd":
+            kind, stage, time = "fwd-start", event.stage, event.attr("start")
+        elif event.kind == "subnet_complete":
+            kind, stage, time = "subnet-complete", 0, event.time
+        else:
+            return
+        narration.append(
+            f"  t={time:8.1f}ms  {kind:>15s}  SN{event.subnet_id:<3d} @P{stage}"
+        )
+
+    engine = PipelineEngine(supernet, stream, naspipe(), ClusterSpec(num_gpus=4))
+    engine.trace.listeners.append(listener)
+    result = engine.run()
+    lines = [
+        f"NASPipe demo — {space.name}, 4 simulated GPUs, 40 subnets",
+        "",
+        "first events:",
+        *narration,
+        "",
+        "schedule (first quarter):",
+        ascii_gantt(result.trace, width=96, end=result.trace.makespan / 4),
+        "",
+        "GPU utilisation over the whole run:",
+        utilization_sparklines(result.trace, buckets=80),
+        "",
+        result.summary(),
+    ]
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# run-config commands
+# ----------------------------------------------------------------------
+def _run_target(config) -> Dict[str, object]:
+    """What a run config runs, defaults applied — the four keys every
+    run-config command and the registry's config digest share."""
+    return {
+        "space": config.get("space", "NLP.c3"),
+        "space_overrides": config.get("space_overrides") or {},
+        "system": config.get("system", "NASPipe"),
+        "overrides": config.get("overrides") or {},
+    }
+
+
+def _resolve_target(config):
+    """:func:`_run_target` as objects: ``(search space, system config)``."""
+    from repro.baselines import system_by_name
+    from repro.supernet.search_space import get_search_space
+
+    target = _run_target(config)
+    space = get_search_space(target["space"])
+    if target["space_overrides"]:
+        space = space.scaled(**target["space_overrides"])
+    return space, system_by_name(target["system"], **target["overrides"])
 
 
 def _load_run_config(config_path, default_seed=2022):
@@ -161,8 +402,6 @@ def _load_run_config(config_path, default_seed=2022):
     Shared by ``trace`` and ``analyze``: the same config file drives
     both.  Returns ``(config_dict, scale, run_kwargs)``.
     """
-    import json
-
     config = json.loads(config_path.read_text())
     scale = ExperimentScale(
         subnets=int(config.get("subnets", 24)),
@@ -170,10 +409,11 @@ def _load_run_config(config_path, default_seed=2022):
         seed=int(config.get("seed", default_seed)),
         stream_kind=config.get("stream_kind", "generational"),
     )
+    target = _run_target(config)
     run_kwargs = dict(
         batch=config.get("batch"),
-        space_overrides=config.get("space_overrides"),
-        **config.get("overrides", {}),
+        space_overrides=target["space_overrides"],
+        **target["overrides"],
     )
     return config, scale, run_kwargs
 
@@ -181,16 +421,12 @@ def _load_run_config(config_path, default_seed=2022):
 def _run_config(config, scale, run_kwargs):
     from repro.experiments.common import run_system
 
-    result = run_system(
-        config.get("space", "NLP.c3"),
-        config.get("system", "NASPipe"),
-        scale,
-        **run_kwargs,
-    )
+    target = _run_target(config)
+    result = run_system(target["space"], target["system"], scale, **run_kwargs)
     if result is None:
         raise SystemExit(
-            f"{config.get('system')} ran out of memory on "
-            f"{config.get('space')} — no schedule to trace or analyze"
+            f"{target['system']} ran out of memory on "
+            f"{target['space']} — no schedule to trace or analyze"
         )
     return result
 
@@ -198,16 +434,57 @@ def _run_config(config, scale, run_kwargs):
 def _config_identity(config, num_gpus, scale):
     """The registry's config-digest payload for a CLI-config run."""
     return {
-        "space": config.get("space", "NLP.c3"),
-        "space_overrides": config.get("space_overrides") or {},
-        "system": config.get("system", "NASPipe"),
-        "overrides": config.get("overrides") or {},
+        **_run_target(config),
         "num_gpus": num_gpus,
         "subnets": scale.subnets,
         "batch": config.get("batch"),
         "seed": scale.seed,
         "stream_kind": scale.stream_kind,
     }
+
+
+@_command("trace", "config", "--seed", "--out", "--summary", "--summary-json")
+def _trace(args) -> str:
+    """``naspipe trace <config>``: run one configured pipeline schedule,
+    export it as Chrome Trace Event JSON (Perfetto-loadable) and print
+    where to view it; ``--summary`` adds the bubble-attribution report.
+
+    The config is a small JSON object, e.g. ``examples/trace_demo.json``::
+
+        {"space": "NLP.c3", "system": "NASPipe", "num_gpus": 4,
+         "subnets": 24, "batch": 32, "seed": 2022}
+
+    ``system`` accepts any :func:`repro.baselines.system_by_name` name;
+    extra keys under ``"overrides"`` are forwarded to it (e.g.
+    ``{"overrides": {"cache_capacity_mb": 64}}``).  ``--summary-json
+    PATH`` writes the same summary as canonical machine-readable JSON
+    (byte-identical across identical runs — the registry's input).
+    """
+    from repro.obs import format_summary, run_summary, summary_json
+
+    config_path = Path(args.config)
+    config, scale, run_kwargs = _load_run_config(
+        config_path, default_seed=args.seed
+    )
+    result = _run_config(config, scale, run_kwargs)
+    out = Path(args.out or "run.trace.json")
+    result.trace_export(path=out, label=config.get("label", config_path.stem))
+    lines = [
+        f"wrote {out} ({out.stat().st_size} bytes, "
+        f"{len(result.trace.events)} typed events) — "
+        "open in https://ui.perfetto.dev or chrome://tracing",
+    ]
+    summary = None
+    if args.summary:
+        summary = run_summary(result)
+        lines.append("")
+        lines.append(format_summary(summary))
+    if args.summary_json:
+        if summary is None:
+            summary = run_summary(result)
+        json_path = _write(args.summary_json, summary_json(summary))
+        lines.append(f"[summary JSON written to {json_path}]")
+    return "\n".join(lines)
 
 
 def _analyze_one_gpu_count(task):
@@ -257,24 +534,22 @@ def _analyze_one_gpu_count(task):
     return entry, lines, record
 
 
+@_command(
+    "analyze", "config", "--seed", "--sweep-gpus", "--jobs", "--json", "--register",
+    "--registry",
+)
 def _analyze(args) -> str:
     """``naspipe analyze <config>``: run one configured schedule, print
     the critical-path breakdown and what-if projections, and optionally
     file the run in the registry.
 
     Takes the same JSON config as ``naspipe trace`` (plus optional
-    ``space_overrides``).  ``--sweep-gpus 2 4 8`` repeats the analysis
-    per GPU count; ``--jobs N`` shards the sweep over N worker
-    processes (output and registry order stay byte-identical to a
-    serial sweep); ``--json PATH`` writes the machine-readable payload
-    (deterministic canonical JSON); ``--register`` appends a run record
-    to ``--registry`` (default ``.naspipe/runs.jsonl``).  See
-    ``docs/ANALYSIS.md`` for what the numbers mean.
+    ``space_overrides``).  Output, ``--json`` payload (deterministic
+    canonical JSON) and registry order are byte-identical for any
+    ``--jobs``.  See ``docs/ANALYSIS.md`` for what the numbers mean.
     """
-    import json
-    from pathlib import Path
-
     from repro.obs.registry import append_run
+    from repro.parallel import ordered_map
 
     config_path = Path(args.config)
     config, scale, run_kwargs = _load_run_config(
@@ -285,14 +560,7 @@ def _analyze(args) -> str:
         (config, scale, run_kwargs, gpus, args.register)
         for gpus in gpu_counts
     ]
-    jobs = getattr(args, "jobs", 1) or 1
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_analyze_one_gpu_count, tasks))
-    else:
-        outcomes = [_analyze_one_gpu_count(task) for task in tasks]
+    outcomes = ordered_map(_analyze_one_gpu_count, tasks, args.jobs)
 
     lines = []
     payload = {"schema": 1, "config": str(config_path), "runs": []}
@@ -306,14 +574,11 @@ def _analyze(args) -> str:
             )
         lines.append("")
     if args.json:
-        out = Path(args.json)
-        out.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        lines.append(f"[analysis written to {out}]")
+        lines.append(f"[analysis written to {_write(args.json, _indented(payload))}]")
     return "\n".join(lines).rstrip()
 
 
+@_command("compare", "config", "config2", "--registry", "--fail-on-regression")
 def _compare(args) -> str:
     """``naspipe compare <run-a> <run-b>``: field-by-field diff of two
     registry records.
@@ -348,52 +613,7 @@ def _compare(args) -> str:
     return text
 
 
-def _trace(args) -> str:
-    """``naspipe trace <config>``: run one configured pipeline schedule,
-    export it as Chrome Trace Event JSON (Perfetto-loadable) and print
-    where to view it; ``--summary`` adds the bubble-attribution report.
-
-    The config is a small JSON object, e.g. ``examples/trace_demo.json``::
-
-        {"space": "NLP.c3", "system": "NASPipe", "num_gpus": 4,
-         "subnets": 24, "batch": 32, "seed": 2022}
-
-    ``system`` accepts any :func:`repro.baselines.system_by_name` name;
-    extra keys under ``"overrides"`` are forwarded to it (e.g.
-    ``{"overrides": {"cache_capacity_mb": 64}}``).  ``--summary-json
-    PATH`` writes the same summary as canonical machine-readable JSON
-    (byte-identical across identical runs — the registry's input).
-    """
-    from pathlib import Path
-
-    from repro.obs import format_summary, run_summary, summary_json
-
-    config_path = Path(args.config)
-    config, scale, run_kwargs = _load_run_config(
-        config_path, default_seed=args.seed
-    )
-    result = _run_config(config, scale, run_kwargs)
-    out = Path(args.out or "run.trace.json")
-    result.trace_export(path=out, label=config.get("label", config_path.stem))
-    lines = [
-        f"wrote {out} ({out.stat().st_size} bytes, "
-        f"{len(result.trace.events)} typed events) — "
-        "open in https://ui.perfetto.dev or chrome://tracing",
-    ]
-    summary = None
-    if args.summary:
-        summary = run_summary(result)
-        lines.append("")
-        lines.append(format_summary(summary))
-    if args.summary_json:
-        if summary is None:
-            summary = run_summary(result)
-        json_path = Path(args.summary_json)
-        json_path.write_text(summary_json(summary))
-        lines.append(f"[summary JSON written to {json_path}]")
-    return "\n".join(lines)
-
-
+@_command("faults", "config", "--seed", "--json")
 def _faults(args) -> str:
     """``naspipe faults <config>``: run one fault-injection scenario and
     report availability metrics plus the digest comparison against the
@@ -411,11 +631,8 @@ def _faults(args) -> str:
     digest still matches the fault-free run bitwise.  ``--json PATH``
     also writes the machine-readable availability summary.
     """
-    import json
     import tempfile
-    from pathlib import Path
 
-    from repro.baselines import system_by_name
     from repro.ft import (
         FaultSchedule,
         RecoverySpec,
@@ -425,16 +642,10 @@ def _faults(args) -> str:
         run_with_recovery,
     )
     from repro.seeding import SeedSequenceTree
-    from repro.supernet.search_space import get_search_space
 
     config_path = Path(args.config)
     config = json.loads(config_path.read_text())
-    space = get_search_space(config.get("space", "NLP.c3"))
-    if config.get("space_overrides"):
-        space = space.scaled(**config["space_overrides"])
-    system = system_by_name(
-        config.get("system", "NASPipe"), **config.get("overrides", {})
-    )
+    space, system = _resolve_target(config)
     num_gpus = int(config.get("num_gpus", 4))
     steps = int(config.get("subnets", 24))
     seed = int(config.get("seed", args.seed))
@@ -483,12 +694,12 @@ def _faults(args) -> str:
         format_availability(summary),
     ]
     if args.json:
-        out = Path(args.json)
-        out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        out = _write(args.json, _indented(summary))
         lines.append(f"[availability summary written to {out}]")
     return "\n".join(lines)
 
 
+@_command("chaos", "config", "--seed", "--seeds", "--jobs", "--json")
 def _chaos(args) -> str:
     """``naspipe chaos <config>``: seeded randomized robustness sweep.
 
@@ -506,21 +717,11 @@ def _chaos(args) -> str:
 
     ``--json PATH`` also writes the machine-readable sweep report.
     """
-    import json
-    from pathlib import Path
-
-    from repro.baselines import system_by_name
     from repro.ft import chaos_sweep, format_chaos_report
-    from repro.supernet.search_space import get_search_space
 
     config_path = Path(args.config)
     config = json.loads(config_path.read_text())
-    space = get_search_space(config.get("space", "NLP.c3"))
-    if config.get("space_overrides"):
-        space = space.scaled(**config["space_overrides"])
-    system = system_by_name(
-        config.get("system", "NASPipe"), **config.get("overrides", {})
-    )
+    space, system = _resolve_target(config)
     gpus = config.get("gpus") or [int(config.get("num_gpus", 4))]
     report = chaos_sweep(
         space,
@@ -534,13 +735,11 @@ def _chaos(args) -> str:
         nic_slowdown=float(config.get("nic_slowdown", 4.0)),
         degradation=config.get("degradation", True),
         batch=config.get("batch"),
-        jobs=getattr(args, "jobs", 1) or 1,
+        jobs=args.jobs,
     )
     text = format_chaos_report(report)
     if args.json:
-        out = Path(args.json)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        text += f"\n[chaos report written to {out}]"
+        text += f"\n[chaos report written to {_write(args.json, _indented(report))}]"
     if not report["ok"]:
         print(text)
         raise SystemExit(
@@ -550,6 +749,7 @@ def _chaos(args) -> str:
     return text
 
 
+@_command("chaos-fleet", "config", "--json")
 def _chaos_fleet(args) -> str:
     """``naspipe chaos-fleet <config>``: fleet-scale preemption storms.
 
@@ -572,9 +772,6 @@ def _chaos_fleet(args) -> str:
     (byte-identical across identical runs; the ``chaos-fleet-smoke``
     CI gate ``cmp``'s two of them).  See ``docs/FAULT_TOLERANCE.md``.
     """
-    import json
-    from pathlib import Path
-
     from repro.ft import fleet_report_json, fleet_sweep, format_fleet_report
 
     config_path = Path(args.config)
@@ -582,8 +779,7 @@ def _chaos_fleet(args) -> str:
     report = fleet_sweep(payload)
     text = format_fleet_report(report)
     if args.json:
-        out = Path(args.json)
-        out.write_text(fleet_report_json(report))
+        out = _write(args.json, fleet_report_json(report))
         text += f"\n[fleet chaos report written to {out}]"
     if not report["ok"]:
         print(text)
@@ -594,6 +790,7 @@ def _chaos_fleet(args) -> str:
     return text
 
 
+@_command("serve", "config", "--verify", "--json")
 def _serve(args) -> str:
     """``naspipe serve <jobs.json>``: run a multi-tenant job mix on one
     shared simulated fleet and report per-job outcomes.
@@ -615,9 +812,6 @@ def _serve(args) -> str:
     (byte-identical across identical runs; the ``service-smoke`` CI
     gate ``cmp``'s two of them).  See ``docs/OPERATIONS.md``.
     """
-    import json
-    from pathlib import Path
-
     from repro.service import (
         format_service_report,
         run_service,
@@ -631,8 +825,7 @@ def _serve(args) -> str:
     )
     text = format_service_report(report)
     if args.json:
-        out = Path(args.json)
-        out.write_text(service_report_json(report))
+        out = _write(args.json, service_report_json(report))
         text += f"\n[service report written to {out}]"
     if not report["ok"]:
         print(text)
@@ -643,6 +836,7 @@ def _serve(args) -> str:
     return text
 
 
+@_command("bench-serving", "config", "--json", "--baseline")
 def _bench_serving(args) -> str:
     """``naspipe bench-serving <config>``: run the subnet-evaluation
     serving benchmark (cache on / cache off / overload) and report
@@ -665,9 +859,6 @@ def _bench_serving(args) -> str:
     (cache must strictly help; admitted overload requests must meet the
     SLO).  See ``docs/SERVING.md``.
     """
-    import json
-    from pathlib import Path
-
     from repro.serving import (
         check_regression,
         format_serving_report,
@@ -679,8 +870,7 @@ def _bench_serving(args) -> str:
     payload = run_bench(json.loads(config_path.read_text()))
     out = [format_serving_report(payload)]
     if args.json:
-        target = Path(args.json)
-        target.write_text(serving_report_json(payload))
+        target = _write(args.json, serving_report_json(payload))
         out.append(f"[serving bench written to {target}]")
     if args.baseline:
         failures = check_regression(payload, args.baseline)
@@ -693,6 +883,7 @@ def _bench_serving(args) -> str:
     return "\n".join(out)
 
 
+@_command("monitor", "config", "--rules", "--interval", "--out", "--prom", "--json")
 def _monitor(args) -> str:
     """``naspipe monitor <config>``: run a plane with the live telemetry
     hub armed — deterministic metrics scraping on the virtual clock,
@@ -702,29 +893,21 @@ def _monitor(args) -> str:
 
     The config is a **service** config (has ``"jobs"``, e.g.
     ``examples/serve_demo.json``) or a **serving** config (has
-    ``"space"``, e.g. ``examples/serving_demo.json``).  Flags:
-
-    * ``--rules PATH`` — JSON alert rules (default: the built-in rules,
-      silent on healthy runs; see ``docs/TELEMETRY.md``);
-    * ``--interval MS`` — scrape interval in virtual ms (default 100);
-    * ``--out PATH`` — write the scrape series as canonical JSONL;
-    * ``--prom PATH`` — write the final Prometheus text exposition;
-    * ``--json PATH`` — write the monitor report (alerts + metering).
+    ``"space"``, e.g. ``examples/serving_demo.json``); ``--rules``
+    replaces the built-in alert rules (see ``docs/TELEMETRY.md``) and
+    ``--json`` writes the monitor report (alerts + metering).
 
     Every output is byte-identical across identical runs — the
     ``monitor-smoke`` CI job runs this twice and ``cmp``'s the files —
     and arming the hub changes nothing: engine decisions, digests and
     reports are bitwise the same with telemetry on or off.
     """
-    import json
-    from pathlib import Path
-
     from repro.obs.telemetry import TelemetryHub
     from repro.viz import utilization_sparklines
 
     config_path = Path(args.config)
     payload = json.loads(config_path.read_text())
-    interval = float(getattr(args, "interval", None) or 100.0)
+    interval = args.interval
     hub = TelemetryHub(scrape_interval_ms=interval, rules=args.rules)
 
     if "jobs" in payload:
@@ -770,12 +953,10 @@ def _monitor(args) -> str:
     lines.append(hub.meter.format_report(metering))
 
     if args.out:
-        series_path = Path(args.out)
-        series_path.write_text(hub.scraper.series_jsonl())
+        series_path = _write(args.out, hub.scraper.series_jsonl())
         lines.append(f"\n[scrape series written to {series_path}]")
-    if getattr(args, "prom", None):
-        prom_path = Path(args.prom)
-        prom_path.write_text(hub.scraper.prometheus_text())
+    if args.prom:
+        prom_path = _write(args.prom, hub.scraper.prometheus_text())
         lines.append(f"[prometheus exposition written to {prom_path}]")
     if args.json:
         report = {
@@ -786,361 +967,48 @@ def _monitor(args) -> str:
             "metering": metering,
             "peak_queue_depth": hub.peak_queue_depth(),
         }
-        json_path = Path(args.json)
-        json_path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+        lines.append(f"[monitor report written to {_write(args.json, _indented(report))}]")
+    return "\n".join(lines)
+
+
+_LISTED = tuple(_COMMANDS)  # ``all`` and ``list`` are about the commands above
+
+
+@_command("all", "--scale", "--spaces", "--seed", "--csv", "--scores")
+def _all(args) -> str:
+    """Every paper table and figure, in ``naspipe list`` order."""
+    # scheduler-cost's scaling benchmark is its own command line
+    vars(args).update(json=None, baseline=None, stream_lens=None)
+    return "\n".join(_COMMANDS[name][0](args) for name in _PAPER)
+
+
+@_command("list")
+def _list(args) -> str:
+    """Print every command's name except ``all`` and ``list``."""
+    return "\n".join(_LISTED)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="naspipe",
+        description="NASPipe reproduction — regenerate paper tables/figures "
+        "and run the tools around them (naspipe <command> --help)",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="command", required=True)
+    for name, (handler, options, doc) in _COMMANDS.items():
+        sub = commands.add_parser(
+            name,
+            help=" ".join(doc.split("\n\n")[0].split()),
+            description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        lines.append(f"[monitor report written to {json_path}]")
-    return "\n".join(lines)
-
-
-def _demo(seed: int) -> str:
-    """A guided tour: run NASPipe on a short stream, narrate the first
-    events, then show the schedule as a Gantt chart and sparklines."""
-    from repro.baselines import naspipe
-    from repro.engines.pipeline import PipelineEngine
-    from repro.seeding import SeedSequenceTree
-    from repro.sim.cluster import ClusterSpec
-    from repro.supernet.sampler import SubnetStream
-    from repro.supernet.search_space import get_search_space
-    from repro.supernet.supernet import Supernet
-    from repro.viz import ascii_gantt, utilization_sparklines
-
-    space = get_search_space("NLP.c2")
-    supernet = Supernet(space)
-    stream = SubnetStream.sample_generational(
-        space, SeedSequenceTree(seed), 40
-    )
-    narration = []
-
-    def listener(kind, stage, subnet_id, time):
-        if len(narration) < 14 and kind in ("fwd-start", "subnet-complete"):
-            narration.append(
-                f"  t={time:8.1f}ms  {kind:>15s}  SN{subnet_id:<3d} @P{stage}"
-            )
-
-    engine = PipelineEngine(
-        supernet, stream, naspipe(), ClusterSpec(num_gpus=4),
-        event_listener=listener,
-    )
-    result = engine.run()
-    lines = [
-        f"NASPipe demo — {space.name}, 4 simulated GPUs, 40 subnets",
-        "",
-        "first events:",
-        *narration,
-        "",
-        "schedule (first quarter):",
-        ascii_gantt(result.trace, width=96, end=result.trace.makespan / 4),
-        "",
-        "GPU utilisation over the whole run:",
-        utilization_sparklines(result.trace, buckets=80),
-        "",
-        result.summary(),
-    ]
-    return "\n".join(lines)
-
-
-def _repro_check(seed: int) -> str:
-    """Quick bitwise-reproducibility self-check (the artifact's core
-    experiment): CSP on 1 vs 4 GPUs must match sequential exactly."""
-    from repro.replay import execute_manifest, record_run
-
-    lines = ["Reproducibility self-check (CSP vs sequential, 1 vs 4 GPUs)"]
-    manifest = record_run(
-        "NLP.c2",
-        "NASPipe",
-        space_overrides={"num_blocks": 16, "functional_width": 16},
-        num_gpus=4,
-        seed=seed,
-        steps=32,
-        batch=32,
-    )
-    single = record_run(
-        "NLP.c2",
-        "NASPipe",
-        space_overrides={"num_blocks": 16, "functional_width": 16},
-        num_gpus=1,
-        seed=seed,
-        steps=32,
-        batch=32,
-    )
-    if manifest.digest == single.digest:
-        lines.append(f"PASS: digests match ({manifest.digest[:16]}…)")
-    else:
-        lines.append(
-            f"FAIL: {manifest.digest[:16]}… != {single.digest[:16]}…"
-        )
-    replay = execute_manifest(manifest)
-    lines.append(
-        "PASS: replay reproduced the 4-GPU run bitwise"
-        if replay.digest == manifest.digest
-        else "FAIL: replay diverged"
-    )
-    return "\n".join(lines)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
+        sub.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="naspipe",
-        description="NASPipe reproduction — regenerate paper tables/figures",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=_EXPERIMENTS
-        + (
-            "trace",
-            "analyze",
-            "compare",
-            "faults",
-            "chaos",
-            "chaos-fleet",
-            "serve",
-            "bench-serving",
-            "monitor",
-            "all",
-            "list",
-        ),
-        help="which table/figure to regenerate ('trace' exports a "
-        "Perfetto-compatible run trace; 'analyze' prints the "
-        "critical-path breakdown and what-if projections; 'compare' "
-        "diffs two registry records; 'faults' runs a fault-injection "
-        "scenario with recovery; 'chaos' runs a seeded randomized "
-        "robustness sweep; 'chaos-fleet' runs seeded preemption storms "
-        "against a multi-tenant fleet and checks the recovery "
-        "invariants; 'serve' runs a multi-tenant job mix on a "
-        "shared fleet; 'bench-serving' runs the subnet-evaluation "
-        "serving benchmark with latency percentiles and SLO stats; "
-        "'monitor' runs a service/serving config with the live "
-        "telemetry plane armed — deterministic scrapes, alerts and "
-        "per-tenant usage metering)",
-    )
-    parser.add_argument(
-        "config",
-        nargs="?",
-        help="trace/analyze/faults/chaos/chaos-fleet/serve: JSON run "
-        "config (see examples/trace_demo.json, examples/faults_demo.json, "
-        "examples/chaos_demo.json, examples/chaos_fleet_demo.json and "
-        "examples/serve_demo.json); "
-        "compare: run A (record file or run_id prefix)",
-    )
-    parser.add_argument(
-        "config2",
-        nargs="?",
-        help="compare: run B (record file or run_id prefix)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=("small", "paper"),
-        default="small",
-        help="experiment size (small: CI-friendly; paper: full streams)",
-    )
-    parser.add_argument(
-        "--spaces",
-        nargs="*",
-        help="restrict to these search spaces (e.g. NLP.c1 CV.c2)",
-    )
-    parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument(
-        "--csv",
-        metavar="DIR",
-        help="also write row-list experiments as CSV into this directory",
-    )
-    parser.add_argument(
-        "--scores",
-        action="store_true",
-        help="table2: add the Score column (scaled functional runs; slower)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="scheduler-cost: run the stream-scaling benchmark and write "
-        "its payload (BENCH_scheduler.json) here; faults: write the "
-        "machine-readable availability summary here; chaos: write the "
-        "machine-readable sweep report here; chaos-fleet: write the "
-        "canonical fleet storm report here; serve: write the canonical "
-        "service report here (byte-deterministic); bench-serving: write "
-        "the canonical serving benchmark (BENCH_serving.json) here",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        default=10,
-        help="chaos: number of seeded fault schedules per GPU count",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="scheduler-cost: fail (exit 1) if mean per-call time "
-        "regresses >2x against this committed baseline JSON; "
-        "bench-serving: fail if p99 latency or throughput regresses >2x "
-        "against it (plus bitwise determinism checks)",
-    )
-    parser.add_argument(
-        "--stream-lens",
-        type=int,
-        nargs="*",
-        help="scheduler-cost: stream lengths for the scaling benchmark",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="trace: write the Chrome trace JSON here "
-        "(default run.trace.json)",
-    )
-    parser.add_argument(
-        "--summary",
-        action="store_true",
-        help="trace: also print the bubble-attribution run summary",
-    )
-    parser.add_argument(
-        "--summary-json",
-        metavar="PATH",
-        help="trace: write the run summary as canonical JSON here "
-        "(deterministic; the registry's input format)",
-    )
-    parser.add_argument(
-        "--sweep-gpus",
-        type=int,
-        nargs="*",
-        help="analyze: repeat the analysis at these GPU counts "
-        "(default: the config's num_gpus)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze/chaos: shard the sweep across N worker processes; "
-        "the merged output is byte-identical to a serial run",
-    )
-    parser.add_argument(
-        "--register",
-        action="store_true",
-        help="analyze: append the run record to the registry",
-    )
-    parser.add_argument(
-        "--registry",
-        metavar="PATH",
-        help="analyze/compare: registry JSONL path "
-        "(default .naspipe/runs.jsonl)",
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="serve: re-run every job alone and require each digest to "
-        "match its shared-fleet run bitwise (overrides the config's "
-        "verify_solo)",
-    )
-    parser.add_argument(
-        "--rules",
-        metavar="PATH",
-        help="monitor: JSON alert-rule file (default: built-in rules, "
-        "silent on healthy runs — see docs/TELEMETRY.md)",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        metavar="MS",
-        help="monitor: scrape interval in virtual milliseconds "
-        "(default 100)",
-    )
-    parser.add_argument(
-        "--prom",
-        metavar="PATH",
-        help="monitor: write the final Prometheus text exposition here "
-        "(virtual timestamps omitted; byte-deterministic)",
-    )
-    parser.add_argument(
-        "--fail-on-regression",
-        type=float,
-        metavar="PCT",
-        help="compare: exit non-zero when run B's makespan or bubble "
-        "ratio is worse than run A's by more than PCT percent "
-        "(100 = the 2x CI gate)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.experiment == "list":
-        print(
-            "\n".join(
-                _EXPERIMENTS
-                + (
-                    "trace",
-                    "analyze",
-                    "compare",
-                    "faults",
-                    "chaos",
-                    "chaos-fleet",
-                    "serve",
-                    "bench-serving",
-                    "monitor",
-                )
-            )
-        )
-        return 0
-
-    if args.experiment == "trace":
-        if not args.config:
-            parser.error("trace requires a JSON run config path")
-        print(_trace(args))
-        return 0
-
-    if args.experiment == "analyze":
-        if not args.config:
-            parser.error("analyze requires a JSON run config path")
-        print(_analyze(args))
-        return 0
-
-    if args.experiment == "compare":
-        if not args.config or not args.config2:
-            parser.error("compare requires two run references")
-        print(_compare(args))
-        return 0
-
-    if args.experiment == "faults":
-        if not args.config:
-            parser.error("faults requires a JSON run config path")
-        print(_faults(args))
-        return 0
-
-    if args.experiment == "chaos":
-        if not args.config:
-            parser.error("chaos requires a JSON run config path")
-        print(_chaos(args))
-        return 0
-
-    if args.experiment == "chaos-fleet":
-        if not args.config:
-            parser.error("chaos-fleet requires a JSON fleet config path")
-        print(_chaos_fleet(args))
-        return 0
-
-    if args.experiment == "serve":
-        if not args.config:
-            parser.error("serve requires a JSON jobs config path")
-        print(_serve(args))
-        return 0
-
-    if args.experiment == "bench-serving":
-        if not args.config:
-            parser.error("bench-serving requires a JSON serving config path")
-        print(_bench_serving(args))
-        return 0
-
-    if args.experiment == "monitor":
-        if not args.config:
-            parser.error("monitor requires a JSON service/serving config path")
-        print(_monitor(args))
-        return 0
-
-    names = list(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        started = time.time()
-        print(_run_one(name, args))
-        print(f"[{name} in {time.time() - started:.1f}s]\n")
+    args = build_parser().parse_args(argv)
+    print(args.handler(args))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -212,7 +212,6 @@ class PipelineEngine:
         cluster_spec: Optional[ClusterSpec] = None,
         batch: Optional[int] = None,
         functional: Optional[FunctionalPlane] = None,
-        event_listener=None,
         faults=None,
         checkpoints=None,
         degradation=None,
@@ -243,10 +242,6 @@ class PipelineEngine:
 
         self.trace = ExecutionTrace(num_gpus=self.stages)
         self.sim = SimulationEngine(trace=self.trace)
-        #: optional callback(kind, stage, subnet_id, virtual_time_ms) fired
-        #: on task starts/finishes and subnet completions — the hook for
-        #: live monitors, progress bars, or custom trace sinks.
-        self.event_listener = event_listener
         #: optional :class:`~repro.obs.telemetry.TelemetryHub` — a pure
         #: observer (trace listener + scrape events); arming it changes
         #: no engine decision, so digests stay bitwise identical
@@ -698,16 +693,11 @@ class PipelineEngine:
             start=start,
             end=start + duration,
         )
-        self._emit(f"{kind}-start", stage, subnet_id, start)
         self.sim.schedule(
             start + duration,
             lambda: self._on_task_done(stage, subnet_id, is_backward),
             label=f"SN{subnet_id}.{kind}@P{stage}",
         )
-
-    def _emit(self, kind: str, stage: int, subnet_id: int, time: float) -> None:
-        if self.event_listener is not None:
-            self.event_listener(kind, stage, subnet_id, time)
 
     # ------------------------------------------------------------------
     # completion
@@ -720,12 +710,6 @@ class PipelineEngine:
             stage=stage,
             subnet_id=subnet_id,
             direction="bwd" if is_backward else "fwd",
-        )
-        self._emit(
-            "bwd-done" if is_backward else "fwd-done",
-            stage,
-            subnet_id,
-            self.sim.now,
         )
         if is_backward:
             self._finish_backward(stage, subnet_id)
@@ -866,7 +850,6 @@ class PipelineEngine:
             self._active_started -= 1
         self.completed[subnet_id] = now
         self.trace.record_subnet_complete(subnet_id, now)
-        self._emit("subnet-complete", 0, subnet_id, now)
         flush_ids = self.policy.on_subnet_complete(subnet_id)
         self._flush(flush_ids)
         if self.checkpoints is not None:

@@ -26,7 +26,7 @@ scenario is a *repro case*, not a flake: re-running the same
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
@@ -40,6 +40,7 @@ from repro.ft.injector import FaultInjector
 from repro.ft.recovery import run_uninterrupted
 from repro.obs.events import validate_trace
 from repro.obs.summary import run_summary
+from repro.parallel import ordered_map
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.supernet import Supernet
@@ -244,18 +245,14 @@ def run_chaos_scenario(
     return scenario
 
 
-def _baseline_worker(task: Tuple) -> BaselineSummary:
-    """Process-pool phase 1: one GPU count's unfaulted baseline."""
-    space, config, kwargs = task
-    return BaselineSummary.from_result(
-        run_uninterrupted(space, config, **kwargs)
-    )
+def _baseline_worker(run: Dict[str, object]) -> BaselineSummary:
+    """Sweep phase 1: one GPU count's unfaulted baseline."""
+    return BaselineSummary.from_result(run_uninterrupted(**run))
 
 
-def _scenario_worker(task: Tuple) -> Dict[str, object]:
-    """Process-pool phase 2: one seeded fault scenario."""
-    space, config, baseline, kwargs = task
-    return run_chaos_scenario(space, config, baseline=baseline, **kwargs)
+def _scenario_worker(scenario: Dict[str, object]) -> Dict[str, object]:
+    """Sweep phase 2: one seeded fault scenario."""
+    return run_chaos_scenario(**scenario)
 
 
 def chaos_sweep(
@@ -281,79 +278,47 @@ def chaos_sweep(
     Returns a JSON-stable report; ``report["ok"]`` is the single gate a
     CI job needs.
 
-    ``jobs > 1`` shards the sweep over a process pool: phase 1 runs the
-    per-GPU baselines concurrently, phase 2 runs every ``(gpus, index)``
-    scenario concurrently, and the parent merges results in the serial
-    loop's ``(gpus, index)`` order — the report is **byte-identical** to
-    a ``jobs=1`` run (every run is virtual-clock deterministic; only
-    wall-clock completion order varies, and the merge ignores it).
-    ``on_scenario`` fires in merged order, in the parent.
+    Two :func:`~repro.parallel.ordered_map` phases — the per-GPU
+    baselines, then every ``(gpus, index)`` scenario — so ``jobs > 1``
+    shards the sweep over a process pool and the report is
+    **byte-identical** to a ``jobs=1`` run (every run is virtual-clock
+    deterministic; only wall-clock completion order varies, and the map
+    ignores it).  ``on_scenario`` fires in ``(gpus, index)`` order, in
+    the parent.
     """
 
-    def scenario_kwargs(num_gpus: int, index: int) -> Dict[str, object]:
-        return dict(
+    run = dict(
+        space=space,
+        config=config,
+        steps=steps,
+        seed=seed,
+        batch=batch,
+        functional_batch=functional_batch,
+    )
+    baselines = dict(
+        zip(
+            gpus,
+            ordered_map(
+                _baseline_worker, [dict(run, num_gpus=g) for g in gpus], jobs
+            ),
+        )
+    )
+    pairs = [(g, i) for g in gpus for i in range(scenarios)]
+    scenario_tasks = [
+        dict(
+            run,
+            baseline=baselines[num_gpus],
             num_gpus=num_gpus,
-            steps=steps,
-            seed=seed,
             fault_seed=seed * 100_003 + index,
             mtbf_fraction=mtbf_fraction,
             stall_ms=stall_ms,
             nic_slowdown=nic_slowdown,
             degradation=degradation,
-            batch=batch,
-            functional_batch=functional_batch,
             stream_name=f"chaos/{num_gpus}gpu/{index}",
         )
-
-    pairs = [(g, i) for g in gpus for i in range(scenarios)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        baseline_kwargs = dict(
-            steps=steps, seed=seed, batch=batch,
-            functional_batch=functional_batch,
-        )
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            baseline_futures = {
-                g: pool.submit(
-                    _baseline_worker,
-                    (space, config, dict(baseline_kwargs, num_gpus=g)),
-                )
-                for g in gpus
-            }
-            baselines = {g: f.result() for g, f in baseline_futures.items()}
-            scenario_futures = {
-                (g, i): pool.submit(
-                    _scenario_worker,
-                    (space, config, baselines[g], scenario_kwargs(g, i)),
-                )
-                for g, i in pairs
-            }
-            ordered = [scenario_futures[pair].result() for pair in pairs]
-    else:
-        baselines = {}
-        ordered = []
-        for num_gpus, index in pairs:
-            if num_gpus not in baselines:
-                baselines[num_gpus] = BaselineSummary.from_result(
-                    run_uninterrupted(
-                        space,
-                        config,
-                        num_gpus=num_gpus,
-                        steps=steps,
-                        seed=seed,
-                        batch=batch,
-                        functional_batch=functional_batch,
-                    )
-                )
-            ordered.append(
-                run_chaos_scenario(
-                    space,
-                    config,
-                    baseline=baselines[num_gpus],
-                    **scenario_kwargs(num_gpus, index),
-                )
-            )
+        for num_gpus, index in pairs
+    ]
+    ordered = ordered_map(_scenario_worker, scenario_tasks, jobs)
 
     rows: List[Dict[str, object]] = []
     violations: List[str] = []

@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import LeaseError
+from repro.errors import ConfigError, LeaseError
+from repro.ft.faults import FLEET_KINDS, NODE_DOWN
 from repro.service.lease import DeviceLease
 from repro.sim.cluster import ClusterSpec
 
@@ -299,3 +300,53 @@ class ClusterManager:
         self._free.append(slot)
         self._free.sort()
         self._notify_usage("up", "", -1, slot, self.clock(), "")
+
+    def arm_fleet_faults(
+        self, sim, schedule, slots_per_node, slots, on_revoked, on_slot_up,
+        on_struck=lambda event: None,
+    ) -> None:
+        """The one strike path the planes share: schedule every event of
+        a fleet-scoped ``schedule`` on the calling plane's ``sim``.
+
+        ``slot_preempt`` strikes one slot, ``node_down`` a contiguous
+        ``slots_per_node`` group clipped to the fleet; ``slots`` (None:
+        all) masks which physical slots this plane reacts to.  Per struck
+        slot, in order: :meth:`revoke`; schedule :meth:`mark_up` then
+        ``on_slot_up(slot)`` for ``duration_ms`` later; then
+        ``on_revoked(lease, slot, event)`` if a lease was invalidated.
+        ``on_struck(event)`` follows an event's last slot.  A non-fleet
+        kind is a :class:`ConfigError`.
+        """
+        mask = range(self.total_gpus) if slots is None else frozenset(slots)
+
+        def slot_up(slot: int) -> None:
+            self.mark_up(slot)
+            on_slot_up(slot)
+
+        def strike(event) -> None:
+            width = slots_per_node if event.kind == NODE_DOWN else 1
+            fault = f"{event.kind}@{event.target} t={event.time_ms:g}ms"
+            for slot in range(event.target * width, (event.target + 1) * width):
+                if slot >= self.total_gpus or slot not in mask or self.is_down(slot):
+                    continue
+                lease = self.revoke(slot, fault=fault)
+                sim.schedule(
+                    sim.now + event.duration_ms,
+                    lambda slot=slot: slot_up(slot),
+                    label=f"slot-up {slot}",
+                )
+                if lease is not None:
+                    on_revoked(lease, slot, event)
+            on_struck(event)
+
+        for event in schedule:
+            if event.kind not in FLEET_KINDS:
+                raise ConfigError(
+                    f"inject_fleet_faults needs fleet kinds "
+                    f"{sorted(FLEET_KINDS)}, got {event.kind!r}"
+                )
+            sim.schedule(
+                event.time_ms,
+                lambda event=event: strike(event),
+                label=f"fleet {event.kind}@{event.target}",
+            )

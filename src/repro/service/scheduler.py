@@ -75,7 +75,7 @@ from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
 from repro.errors import ServiceError
 from repro.ft.availability import failure_summary
-from repro.ft.faults import FLEET_KINDS, NODE_DOWN, FaultEvent, FaultSchedule
+from repro.ft.faults import FaultEvent, FaultSchedule
 from repro.ft.recovery import (
     build_stream,
     default_optimizer,
@@ -348,7 +348,6 @@ class JobScheduler:
         self._plan_pending = False
         self._ran = False
         self.fleet_faults = 0
-        self._fleet_mask: Optional[frozenset] = None
 
     # ------------------------------------------------------------------
     # submission
@@ -594,78 +593,44 @@ class JobScheduler:
         schedule: FaultSchedule,
         slots: Optional[Sequence[int]] = None,
     ) -> None:
-        """Arm a fleet-scoped fault schedule against this service run.
-
-        Every event must be a fleet kind (``slot_preempt`` /
-        ``node_down``); engine-scoped kinds belong in
-        :class:`~repro.ft.injector.FaultInjector`.  ``slots`` optionally
-        restricts which physical slots this scheduler reacts to — the
-        fleet-chaos harness uses it to route one storm across co-located
-        planes (training vs serving) sharing a manager.
+        """Arm a fleet-scoped fault schedule against this service run
+        (:meth:`ClusterManager.arm_fleet_faults` strikes; engine-scoped
+        kinds belong in :class:`~repro.ft.injector.FaultInjector`).
+        ``slots`` optionally restricts which physical slots this
+        scheduler reacts to — the fleet-chaos harness routes one storm
+        across co-located planes (training vs serving) sharing a manager.
         """
         if self._ran:
             raise ServiceError("scheduler already ran; build a fresh one")
-        if slots is not None:
-            self._fleet_mask = frozenset(slots)
-        for event in schedule:
-            if event.kind not in FLEET_KINDS:
-                raise ServiceError(
-                    f"inject_fleet_faults needs fleet kinds "
-                    f"{sorted(FLEET_KINDS)}, got {event.kind!r}"
-                )
-            self.sim.schedule(
-                event.time_ms,
-                lambda event=event: self._on_fleet_fault(event),
-                label=f"fleet {event.kind}@{event.target}",
-            )
+        self.manager.arm_fleet_faults(
+            self.sim,
+            schedule,
+            self.slots_per_node,
+            slots,
+            on_revoked=self._on_lease_revoked,
+            on_slot_up=lambda slot: self._request_plan(),
+            on_struck=self._on_fleet_struck,
+        )
 
-    def _fleet_slot_group(self, event: FaultEvent) -> List[int]:
-        """Physical slots an event strikes: one for ``slot_preempt``, a
-        contiguous ``slots_per_node`` group for ``node_down``."""
-        total = self.manager.total_gpus
-        if event.kind == NODE_DOWN:
-            base = event.target * self.slots_per_node
-            return [
-                s for s in range(base, base + self.slots_per_node) if s < total
-            ]
-        return [event.target] if event.target < total else []
-
-    def _on_fleet_fault(self, event: FaultEvent) -> None:
+    def _on_lease_revoked(self, lease, slot: int, event: FaultEvent) -> None:
         now = self.sim.now
-        self.fleet_faults += 1
-        label = f"{event.kind}@{event.target} t={event.time_ms:g}ms"
-        for slot in self._fleet_slot_group(event):
-            if self._fleet_mask is not None and slot not in self._fleet_mask:
-                continue
-            if self.manager.is_down(slot):
-                continue
-            lease = self.manager.revoke(slot, fault=label)
-            self.sim.schedule(
-                now + event.duration_ms,
-                lambda slot=slot: self._on_slot_up(slot),
-                label=f"slot-up {slot}",
-            )
-            if lease is None:
-                continue
-            self.trace.record_event(
-                "lease_revoke",
-                now,
-                job=lease.job,
-                lease=lease.lease_id,
-                slot=slot,
-                fault=event.kind,
-            )
-            state = self._jobs.get(lease.job)
-            if state is None or state.preemptible:
-                # elastic: the in-flight segment drains to its cut, the
-                # deferred release is idempotent, and the next plan pass
-                # reshapes the job onto the shrunken fleet
-                continue
+        self.trace.record_event(
+            "lease_revoke",
+            now,
+            job=lease.job,
+            lease=lease.lease_id,
+            slot=slot,
+            fault=event.kind,
+        )
+        state = self._jobs.get(lease.job)
+        # an elastic job needs nothing here: the in-flight segment drains
+        # to its cut, the deferred release is idempotent, and the next
+        # plan pass reshapes the job onto the shrunken fleet
+        if state is not None and not state.preemptible:
             self._abort_rigid(state, lease, event.kind, now)
-        self._request_plan()
 
-    def _on_slot_up(self, slot: int) -> None:
-        self.manager.mark_up(slot)
+    def _on_fleet_struck(self, event: FaultEvent) -> None:
+        self.fleet_faults += 1
         self._request_plan()
 
     def _abort_rigid(

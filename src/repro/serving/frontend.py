@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigError, ServiceError
 from repro.core.context_manager import StageContextManager
-from repro.ft.faults import FLEET_KINDS, NODE_DOWN, FaultEvent, FaultSchedule
+from repro.ft.faults import FaultEvent, FaultSchedule
 from repro.partition.static import static_partition_for_space
 from repro.serving.batcher import BatchPolicy, BoundedBatcher, FormedBatch
 from repro.serving.cache import LayerBlockCache, ResultCache, subnet_digest
@@ -202,7 +202,6 @@ class ServingEngine:
         self._backlog = 0  # admitted requests formed but not finished
         # fleet-fault bookkeeping
         self._ran = False
-        self._fault_mask: "Optional[frozenset]" = None
         self.revocations = 0
         #: [start, end] spans during which the tenant held no lease
         self.outage_windows: List = []
@@ -442,67 +441,34 @@ class ServingEngine:
     def inject_fleet_faults(
         self, schedule: FaultSchedule, slots=None
     ) -> None:
-        """Arm a fleet-scoped fault schedule against this serving run.
-
-        Mirrors :meth:`repro.service.scheduler.JobScheduler.
-        inject_fleet_faults`; ``slots`` optionally restricts which
-        physical slots this engine reacts to (the fleet-chaos harness
-        routes one storm across co-located planes with disjoint masks).
+        """Arm a fleet-scoped fault schedule against this serving run
+        (:meth:`ClusterManager.arm_fleet_faults` strikes); ``slots``
+        optionally restricts which physical slots this engine reacts to
+        (the fleet-chaos harness routes one storm across co-located
+        planes with disjoint masks).
         """
         if self._ran:
             raise ServiceError(
                 "serving engine already ran; build a fresh one to arm faults"
             )
-        if slots is not None:
-            self._fault_mask = frozenset(slots)
-        for event in schedule:
-            if event.kind not in FLEET_KINDS:
-                raise ConfigError(
-                    f"inject_fleet_faults needs fleet kinds "
-                    f"{sorted(FLEET_KINDS)}, got {event.kind!r}"
-                )
-            self.sim.schedule(
-                event.time_ms,
-                lambda event=event: self._on_fleet_fault(event),
-                label=f"fleet {event.kind}@{event.target}",
-            )
+        self.manager.arm_fleet_faults(
+            self.sim,
+            schedule,
+            self.slots_per_node,
+            slots,
+            on_revoked=self._on_lease_revoked,
+            on_slot_up=self._on_slot_up,
+        )
 
-    def _fleet_slot_group(self, event: FaultEvent) -> List[int]:
-        total = self.manager.total_gpus
-        if event.kind == NODE_DOWN:
-            base = event.target * self.slots_per_node
-            return [
-                s for s in range(base, base + self.slots_per_node) if s < total
-            ]
-        return [event.target] if event.target < total else []
-
-    def _on_fleet_fault(self, event: FaultEvent) -> None:
-        now = self.sim.now
-        label = f"{event.kind}@{event.target} t={event.time_ms:g}ms"
-        for slot in self._fleet_slot_group(event):
-            if self._fault_mask is not None and slot not in self._fault_mask:
-                continue
-            if self.manager.is_down(slot):
-                continue
-            lease = self.manager.revoke(slot, fault=label)
-            self.sim.schedule(
-                now + event.duration_ms,
-                lambda slot=slot: self._on_slot_up(slot),
-                label=f"slot-up {slot}",
-            )
-            if lease is None:
-                continue
-            if self.lease is not None and lease.lease_id == self.lease.lease_id:
-                self._on_lease_revoked(slot, event.kind)
-
-    def _on_lease_revoked(self, slot: int, kind: str) -> None:
+    def _on_lease_revoked(self, lease, slot: int, event: FaultEvent) -> None:
         """The serving lease was struck: dissolve in-flight batches and
         re-queue their requests at the batcher front (deterministic
         retry order: executing batch first, then executor-queue order,
         admission order within a batch)."""
+        if self.lease is None or lease.lease_id != self.lease.lease_id:
+            return  # a co-tenant's lease
         now = self.sim.now
         self.revocations += 1
-        assert self.lease is not None
         self.trace.record_event(
             "lease_revoke",
             now,
@@ -510,7 +476,7 @@ class ServingEngine:
             job="serving",
             lease=self.lease.lease_id,
             slot=slot,
-            fault=kind,
+            fault=event.kind,
         )
         dissolved: List[FormedBatch] = []
         if self._executor_batch is not None:
@@ -574,7 +540,6 @@ class ServingEngine:
             self._on_batch(batch)
 
     def _on_slot_up(self, slot: int) -> None:
-        self.manager.mark_up(slot)
         if (
             self.lease is None
             and self.manager.available_gpus >= self.stages

@@ -120,11 +120,11 @@ def _run_with_caps(caps):
     )
     pending = list(caps)
 
-    def listener(kind, stage, subnet_id, time):
-        if kind == "subnet-complete" and pending:
+    def listener(event):
+        if event.kind == "subnet_complete" and pending:
             engine.admission_cap = pending.pop(0)
 
-    engine.event_listener = listener
+    engine.trace.listeners.append(listener)
     return engine.run()
 
 

@@ -197,3 +197,162 @@ def test_chaos_fleet_command(tmp_path, capsys):
 def test_chaos_fleet_command_requires_config():
     with pytest.raises(SystemExit):
         main(["chaos-fleet"])
+
+
+# ----------------------------------------------------------------------
+# one front door: each command accepts exactly the options it reads
+# ----------------------------------------------------------------------
+#: the whole CLI surface: 26 commands, 64 accepted flag×command pairs
+_FLAGS = {
+    "figure1": {"--seed"},
+    "figure4": {"--spaces", "--seed"},
+    "figure5": {"--scale", "--spaces", "--csv"},
+    "figure6": {"--scale", "--spaces", "--csv"},
+    "figure7": {"--scale", "--csv"},
+    "table2": {"--scale", "--spaces", "--scores", "--csv"},
+    "table3": {"--spaces", "--seed"},
+    "table4": {"--seed"},
+    "table5": {"--csv"},
+    "dag-bound": {"--spaces", "--csv"},
+    "scheduler-cost": {"--seed", "--csv", "--json", "--baseline", "--stream-lens"},
+    "ranking": {"--seed", "--csv"},
+    "straggler": {"--seed"},
+    "repro-check": {"--seed"},
+    "demo": {"--seed"},
+    "trace": {"--seed", "--out", "--summary", "--summary-json"},
+    "analyze": {
+        "--seed", "--sweep-gpus", "--jobs", "--json", "--register", "--registry"
+    },
+    "compare": {"--registry", "--fail-on-regression"},
+    "faults": {"--seed", "--json"},
+    "chaos": {"--seed", "--seeds", "--jobs", "--json"},
+    "chaos-fleet": {"--json"},
+    "serve": {"--verify", "--json"},
+    "bench-serving": {"--json", "--baseline"},
+    "monitor": {"--rules", "--interval", "--out", "--prom", "--json"},
+    "all": {"--scale", "--spaces", "--seed", "--csv", "--scores"},
+    "list": set(),
+}
+_CONFIG_COMMANDS = {
+    "trace", "analyze", "compare", "faults", "chaos", "chaos-fleet", "serve",
+    "bench-serving", "monitor",
+}
+
+
+def test_list_prints_the_24_names_in_order(capsys):
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "figure1", "figure4", "figure5", "figure6", "figure7", "table2",
+        "table3", "table4", "table5", "dag-bound", "scheduler-cost",
+        "ranking", "straggler", "repro-check", "demo", "trace", "analyze",
+        "compare", "faults", "chaos", "chaos-fleet", "serve", "bench-serving",
+        "monitor",
+    ]
+    assert sum(len(flags) for flags in _FLAGS.values()) == 64
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_names_exactly_the_commands_own_flags(command, capsys):
+    import re
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == _FLAGS[command] | {"--help"}
+    usage = text[: text.index("\n\n")]
+    assert (" config" in usage) == (command in _CONFIG_COMMANDS)
+    assert (" config2" in usage) == (command == "compare")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the four accepted-but-ignored invocations of the flat namespace
+        ["figure5", "--seed", "7"],
+        ["chaos-fleet", "cfg.json", "--jobs", "4", "--seeds", "99", "--scale", "paper"],
+        ["table5", "bogus.json", "--verify", "--prom", "x", "--fail-on-regression", "3"],
+        # a sample of the other 482 pairs
+        ["chaos-fleet", "cfg.json", "--jobs", "4"],
+        ["serve", "cfg.json", "--baseline", "x"],
+        ["table5", "extra.json"],
+        ["trace", "cfg.json", "--seeds", "3"],
+        ["monitor", "cfg.json", "--sweep-gpus", "2"],
+        ["all", "--json", "x"],
+        ["list", "--seed", "1"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_monitor_interval_zero_is_rejected_by_the_scraper():
+    from pathlib import Path
+
+    from repro.errors import ConfigError
+
+    config = Path(__file__).parent.parent / "examples" / "serve_demo.json"
+    with pytest.raises(ConfigError, match="scrape_interval_ms must be > 0"):
+        main(["monitor", str(config), "--interval", "0"])
+
+
+def test_chaos_jobs_zero_runs_serially(tmp_path, capsys):
+    """``--jobs N`` with N <= 1 is the in-process sweep: same report."""
+    import json
+
+    config = tmp_path / "chaos.json"
+    config.write_text(
+        json.dumps(
+            {
+                "space": "NLP.c3",
+                "space_overrides": {"num_blocks": 8, "functional_width": 16},
+                "gpus": [2],
+                "subnets": 8,
+                "seed": 7,
+            }
+        )
+    )
+    reports = []
+    for name, jobs in (("default", []), ("zero", ["--jobs", "0"])):
+        out = tmp_path / f"{name}.json"
+        argv = ["chaos", str(config), "--seeds", "2", "--json", str(out)]
+        assert main(argv + jobs) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_all_accepts_the_experiment_flags():
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(
+        ["all", "--scale", "paper", "--spaces", "NLP.c1", "--seed", "3",
+         "--csv", "out", "--scores"]
+    )
+    assert (args.scale, args.spaces, args.seed, args.csv, args.scores) == (
+        "paper", ["NLP.c1"], 3, "out", True
+    )
+
+
+def test_experiments_table_matches_the_modules():
+    """A flag exists iff ``run()`` takes what it feeds."""
+    import importlib
+    import inspect
+
+    from repro.cli import _EXPERIMENTS, _RUN_INPUTS
+
+    for name, experiment in _EXPERIMENTS.items():
+        module = importlib.import_module(
+            "repro.experiments." + name.replace("-", "_")
+        )
+        inspect.signature(module.run).bind(
+            **{key: None for key in experiment.takes}
+        )
+        assert callable(module.format_text)
+        fed = {_RUN_INPUTS[key][0] for key in experiment.takes}
+        if experiment.rows:
+            fed.add("--csv")
+        assert fed | set(experiment.options) == _FLAGS[name]

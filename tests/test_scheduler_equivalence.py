@@ -136,6 +136,9 @@ def test_ready_set_matches_brute_force_under_random_ops(
 # ----------------------------------------------------------------------
 # 3. end-to-end: identical events and identical parameter digests
 # ----------------------------------------------------------------------
+_TASK_KINDS = ("task_dispatch", "task_done", "subnet_complete")
+
+
 def _run_mode(mode: str, seed: int, gpus: int):
     # Identical space *name* across modes: the name seeds sampling, so a
     # differing name would compare different streams (false divergence).
@@ -154,7 +157,9 @@ def _run_mode(mode: str, seed: int, gpus: int):
         ClusterSpec(num_gpus=gpus),
         batch=32,
         functional=plane,
-        event_listener=lambda *event: events.append(event),
+    )
+    engine.trace.listeners.append(
+        lambda event: event.kind in _TASK_KINDS and events.append(event)
     )
     result = engine.run()
     return result, events

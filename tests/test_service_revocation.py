@@ -9,7 +9,7 @@ fleet-scoped fault schedule armed (docs/FAULT_TOLERANCE.md
 import pytest
 
 from repro.baselines import naspipe, pipedream
-from repro.errors import FaultToleranceError, ServiceError
+from repro.errors import ConfigError, FaultToleranceError, ServiceError
 from repro.ft import (
     FaultEvent,
     FaultSchedule,
@@ -253,7 +253,7 @@ def test_run_service_accepts_a_fault_schedule_payload():
 
 def test_inject_rejects_engine_kinds_and_post_run_arming():
     _, scheduler = _scheduler(4, [_elastic_spec()])
-    with pytest.raises(ServiceError):
+    with pytest.raises(ConfigError):
         scheduler.inject_fleet_faults(
             FaultSchedule([FaultEvent("gpu_crash", 10.0, target=0)])
         )

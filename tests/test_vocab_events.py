@@ -71,9 +71,9 @@ def test_vocab_validation():
 
 
 # ----------------------------------------------------------------------
-# engine event listener
+# engine observation via trace.listeners
 # ----------------------------------------------------------------------
-def test_event_listener_receives_ordered_events(tiny_supernet):
+def test_trace_listener_receives_ordered_events(tiny_supernet):
     from repro.baselines import naspipe
     from repro.engines.pipeline import PipelineEngine
     from repro.sim.cluster import ClusterSpec
@@ -82,21 +82,29 @@ def test_event_listener_receives_ordered_events(tiny_supernet):
     events = []
     stream = SubnetStream.sample(tiny_supernet.space, SeedSequenceTree(2), 6)
     engine = PipelineEngine(
-        tiny_supernet, stream, naspipe(), ClusterSpec(num_gpus=2),
-        batch=16, event_listener=lambda *e: events.append(e),
+        tiny_supernet, stream, naspipe(), ClusterSpec(num_gpus=2), batch=16
     )
-    engine.run()
-    kinds = [e[0] for e in events]
-    assert kinds.count("subnet-complete") == 6
-    assert kinds.count("fwd-start") == 6 * 2
-    assert kinds.count("bwd-done") == 6 * 2
+    engine.trace.listeners.append(events.append)
+    result = engine.run()
+    # every event recorded since subscribing, in emission order
+    assert events == result.trace.events[-len(events):]
+    tasks = [
+        e for e in events
+        if e.kind in ("task_dispatch", "task_done", "subnet_complete")
+    ]
+    kinds = [(e.kind, e.attr("direction")) for e in tasks]
+    assert kinds.count(("subnet_complete", None)) == 6
+    assert kinds.count(("task_dispatch", "fwd")) == 6 * 2
+    assert kinds.count(("task_done", "bwd")) == 6 * 2
     # Completion times non-decreasing per emission order of completions.
-    completions = [e for e in events if e[0] == "subnet-complete"]
-    times = [e[3] for e in completions]
+    times = [e.time for e in tasks if e.kind == "subnet_complete"]
     assert times == sorted(times)
     # First event of any subnet is its stage-0 forward start.
-    first_for_zero = next(e for e in events if e[2] == 0)
-    assert first_for_zero[0] == "fwd-start" and first_for_zero[1] == 0
+    first_for_zero = next(e for e in tasks if e.subnet_id == 0)
+    assert first_for_zero.kind == "task_dispatch"
+    assert first_for_zero.attr("direction") == "fwd"
+    assert first_for_zero.stage == 0
+    assert first_for_zero.attr("start") >= first_for_zero.time
 
 
 # ----------------------------------------------------------------------
