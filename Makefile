@@ -1,6 +1,6 @@
 # Convenience targets (see README for the underlying commands).
 
-.PHONY: install test bench docs-check ledger ledger-test bench-scheduler bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
+.PHONY: install test bench docs-check ledger ledger-test bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -20,10 +20,6 @@ ledger:
 
 ledger-test:
 	python -m pytest ledger/tests -q
-
-bench-scheduler:
-	python -m repro scheduler-cost --json BENCH_scheduler.json \
-		--baseline benchmarks/scheduler_baseline.json
 
 bench-serving:
 	python -m repro bench-serving examples/serving_demo.json \

@@ -9,9 +9,17 @@ directions, reproducibility verdicts).  Run with::
 
 from __future__ import annotations
 
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ExperimentScale
+
+# tests/scheduler_reference.py holds the synthetic stream driver the
+# scheduler benches share with the equivalence suite
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +34,27 @@ def run_once(benchmark, fn, *args, **kwargs):
     only re-measure the same simulation.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+class ScheduleStopwatch:
+    """Outside timer around ``schedule`` — the scheduler holds no clock.
+    Stands in for the scheduler it wraps (every other attribute is the
+    wrapped one's), so it can be set as ``engine.policy.scheduler``."""
+
+    def __init__(self, scheduler) -> None:
+        self.scheduler = scheduler
+        self.elapsed_s = 0.0
+
+    def __getattr__(self, name):
+        return getattr(self.scheduler, name)
+
+    def schedule(self, *args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return self.scheduler.schedule(*args, **kwargs)
+        finally:
+            self.elapsed_s += time.perf_counter() - started
+
+    @property
+    def mean_call_s(self) -> float:
+        return self.elapsed_s / max(1, self.scheduler.calls)

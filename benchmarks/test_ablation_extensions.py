@@ -75,7 +75,7 @@ def test_cache_capacity_sweep(benchmark):
 def test_scheduler_mode_equivalent_results(benchmark):
     def both():
         return (
-            _run_config(naspipe(scheduler_mode="scan")),
+            _run_config(naspipe(scheduler_mode="index")),
             _run_config(naspipe(scheduler_mode="conservative")),
         )
 

@@ -57,9 +57,6 @@ _OPTIONS = {
         metavar="PATH",
         help="fail (exit 1) on a >2x regression against this committed baseline JSON",
     ),
-    "--stream-lens": dict(
-        type=int, nargs="*", help="stream lengths for the scaling benchmark"
-    ),
     "--out": dict(
         metavar="PATH",
         help="trace: the Chrome trace JSON (default run.trace.json); "
@@ -166,32 +163,6 @@ _RUN_INPUTS = {
 }
 
 
-def _scheduler_scaling(args) -> Optional[str]:
-    """``scheduler-cost --json/--baseline``: stream-length scaling,
-    readiness index vs scan reference, emitted as BENCH_scheduler.json
-    and optionally gated against a committed baseline (CI regression
-    check).  None when neither flag was given: the plain table runs."""
-    if not (args.json or args.baseline):
-        return None
-    from repro.experiments import scheduler_cost
-
-    out = []
-    lens = tuple(args.stream_lens or (100, 300, 1000))
-    payload = scheduler_cost.run_scaling(stream_lens=lens, seed=args.seed)
-    out.append(scheduler_cost.format_scaling_text(payload))
-    if args.json:
-        path = scheduler_cost.write_bench_json(payload, args.json)
-        out.append(f"[bench written to {path}]")
-    if args.baseline:
-        failures = scheduler_cost.check_regression(payload, args.baseline)
-        if failures:
-            raise SystemExit(
-                "scheduler cost regression:\n  " + "\n  ".join(failures)
-            )
-        out.append(f"[no regression vs {args.baseline}]")
-    return "\n".join(out)
-
-
 class _Experiment(NamedTuple):
     """One ``repro.experiments`` module (the command's name, ``-`` as
     ``_``) as a command: ``format_text(run(**takes))``."""
@@ -199,8 +170,6 @@ class _Experiment(NamedTuple):
     summary: str  # the command's --help
     takes: Tuple[str, ...] = ()  # run() keywords, each fed by its _RUN_INPUTS option
     rows: bool = False  # run() returns a row list, so the command takes --csv
-    options: Tuple[str, ...] = ()  # further options, read only by ``first``
-    first: Optional[Callable] = None  # tried before run(); returns None to decline
 
 
 _EXPERIMENTS = {
@@ -241,12 +210,9 @@ _EXPERIMENTS = {
         rows=True,
     ),
     "scheduler-cost": _Experiment(
-        "CSP scheduler cost per call; with --json and/or --baseline, the\n"
-        "index-vs-scan stream-scaling benchmark (--stream-lens) and its gate instead",
+        "CSP scheduler (Algorithm 2) cost per call vs queue size (paper §3.2)",
         ("seed",),
         rows=True,
-        options=("--json", "--baseline", "--stream-lens"),
-        first=_scheduler_scaling,
     ),
     "ranking": _Experiment(
         "subnet ranking fidelity vs sequential training", ("seed",), rows=True
@@ -259,9 +225,6 @@ def _declare_experiment(name: str, experiment: _Experiment) -> None:
     module_name = name.replace("-", "_")
 
     def produce(args) -> str:
-        text = experiment.first(args) if experiment.first else None
-        if text is not None:
-            return text
         module = importlib.import_module(f"repro.experiments.{module_name}")
         result = module.run(
             **{key: _RUN_INPUTS[key][1](args) for key in experiment.takes}
@@ -280,7 +243,7 @@ def _declare_experiment(name: str, experiment: _Experiment) -> None:
     options = [_RUN_INPUTS[key][0] for key in experiment.takes]
     if experiment.rows:
         options.append("--csv")
-    _command(name, *options, *experiment.options, paper=True)(produce)
+    _command(name, *options, paper=True)(produce)
 
 
 for _name, _experiment in _EXPERIMENTS.items():
@@ -977,8 +940,6 @@ _LISTED = tuple(_COMMANDS)  # ``all`` and ``list`` are about the commands above
 @_command("all", "--scale", "--spaces", "--seed", "--csv", "--scores")
 def _all(args) -> str:
     """Every paper table and figure, in ``naspipe list`` order."""
-    # scheduler-cost's scaling benchmark is its own command line
-    vars(args).update(json=None, baseline=None, stream_lens=None)
     return "\n".join(_COMMANDS[name][0](args) for name in _PAPER)
 
 

@@ -19,9 +19,8 @@ SYNC_MODES = ("csp", "bsp", "asp", "ssp")
 PARTITIONING = ("balanced", "static")
 CONTEXT_MODES = ("full", "cached")
 #: "index" = incremental readiness index (O(1)-amortized decisions);
-#: "scan" = per-layer queue rescan (reference); "conservative" =
-#: Algorithm 2 verbatim.
-SCHEDULER_MODES = ("index", "scan", "conservative")
+#: "conservative" = Algorithm 2 verbatim.
+SCHEDULER_MODES = ("index", "conservative")
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,23 @@ class SystemConfig:
         if self.predictor and self.context == "full":
             raise ConfigError(
                 f"{self.name}: the predictor only applies to cached context"
+            )
+        # These arrive from JSON ``overrides``; out of range they would
+        # only surface as a mid-run DeadlockError, or not at all.
+        for field_name in ("inject_window", "bulk_size"):
+            value = getattr(self, field_name)
+            if value is not None and value < 1:
+                raise ConfigError(
+                    f"{self.name}: {field_name} must be >= 1, got {value!r}"
+                )
+        if self.predictor and self.predictor_depth < 1:
+            raise ConfigError(
+                f"{self.name}: predictor_depth must be >= 1, "
+                f"got {self.predictor_depth!r}"
+            )
+        if self.staleness < 0:
+            raise ConfigError(
+                f"{self.name}: staleness must be >= 0, got {self.staleness!r}"
             )
 
     def with_overrides(self, **overrides) -> "SystemConfig":

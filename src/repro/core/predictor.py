@@ -20,17 +20,21 @@ Two call sites, mirroring Algorithm 1:
 
 ``depth`` controls how many future forwards are prefetched per call (the
 paper uses 2).
+
+The hypothetical re-run is a copy-on-write
+:class:`~repro.core.dependency.ReadinessOverlay` over the stage's
+readiness-index scope — O(affected edges) per assumed subnet.  The
+brute-force walk of the per-layer user lists it must agree with lives in
+``tests/test_core_predictor.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Sequence
 
 from repro.core.dependency import DependencyTracker
-from repro.core.scheduler import CspScheduler
 from repro.core.task import Task, TaskKind
-from repro.nn.parameter_store import LayerId
 
 __all__ = ["Prediction", "ContextPredictor"]
 
@@ -44,55 +48,35 @@ class Prediction:
 
 
 class ContextPredictor:
-    """Per-stage forecast engine (one instance per pipeline stage)."""
+    """Per-stage forecast engine (one instance per pipeline stage).
 
-    def __init__(
-        self,
-        stage: int,
-        scheduler: CspScheduler,
-        stage_layers_of: Callable[[int], Sequence[LayerId]],
-        depth: int = 2,
-    ) -> None:
+    ``stage`` is also the tracker's readiness-index scope the CSP policy
+    mirrors this stage's forward queue into.
+    """
+
+    def __init__(self, stage: int, depth: int = 2) -> None:
         self.stage = stage
-        self.scheduler = scheduler
-        self.stage_layers_of = stage_layers_of
         self.depth = depth
-        #: backward tasks reported blocked by later stages (L_blocked)
-        self.blocked_backwards: List[int] = []
+        #: backward tasks reported blocked by later stages (L_blocked),
+        #: in arrival order; a dict so membership and removal are O(1)
+        self._blocked: Dict[int, None] = {}
         self.predictions_made = 0
+
+    @property
+    def blocked_backwards(self) -> List[int]:
+        return list(self._blocked)
 
     # ------------------------------------------------------------------
     def _chain_forwards(
         self,
-        queue: Sequence[int],
         tracker: DependencyTracker,
-        assume_released: Set[int],
-        skip: Set[int],
+        assume_released: Iterable[int],
+        skip: Iterable[int],
     ) -> List[int]:
         """Re-run SCHEDULE() up to ``depth`` times against hypothetical
-        state: subnets in ``assume_released`` are treated as finished.
-
-        When the tracker carries a readiness-index scope for this stage
-        (the CSP policy's ``index`` scheduler mode), the lookahead is a
-        copy-on-write :class:`~repro.core.dependency.ReadinessOverlay`
-        over that index — O(affected edges) per assumed subnet instead of
-        ``depth`` fresh scans of the per-layer user lists.  Otherwise the
-        scan fallback below reproduces the original behaviour.
-        """
-        if tracker.has_scope(self.stage):
-            return self._chain_forwards_indexed(
-                tracker, assume_released, skip
-            )
-        return self._chain_forwards_scan(queue, tracker, assume_released, skip)
-
-    def _chain_forwards_indexed(
-        self,
-        tracker: DependencyTracker,
-        assume_released: Set[int],
-        skip: Set[int],
-    ) -> List[int]:
+        state: subnets in ``assume_released`` are treated as finished."""
         overlay = tracker.overlay(self.stage)
-        for subnet_id in sorted(assume_released):
+        for subnet_id in assume_released:
             overlay.assume_released(subnet_id)
         picks: List[int] = []
         local_skip = set(skip)
@@ -107,58 +91,25 @@ class ContextPredictor:
             overlay.assume_released(chosen)
         return picks
 
-    def _chain_forwards_scan(
-        self,
-        queue: Sequence[int],
-        tracker: DependencyTracker,
-        assume_released: Set[int],
-        skip: Set[int],
-    ) -> List[int]:
-        def layers_clear(subnet_id: int) -> bool:
-            for layer in self.stage_layers_of(subnet_id):
-                for user in tracker.layer_users(layer):
-                    if user >= subnet_id:
-                        break
-                    if user in assume_released:
-                        continue
-                    if not tracker.has_released(user, layer):
-                        return False
-            return True
-
-        picks: List[int] = []
-        local_skip = set(skip)
-        for _ in range(self.depth):
-            chosen = None
-            for qval in queue:
-                if qval in local_skip:
-                    continue
-                if layers_clear(qval):
-                    chosen = qval
-                    break
-            if chosen is None:
-                break
-            picks.append(chosen)
-            local_skip.add(chosen)
-            # Assume the pick runs to completion before the next forecast
-            # step — optimistic, but that is exactly the paper's heuristic.
-            assume_released = assume_released | {chosen}
-        return picks
-
     # ------------------------------------------------------------------
     def predict_on_backward(
         self,
         backward_subnet: int,
-        queue: Sequence[int],
         tracker: DependencyTracker,
         pending_backward_hints: Sequence[int] = (),
     ) -> List[Prediction]:
-        """Algorithm 3, ``recv is not None`` branch."""
+        """Algorithm 3, ``recv is not None`` branch.
+
+        ``backward_subnet``'s own hint is dropped here — its backward is
+        running, so it is no longer pending — which bounds L_blocked by
+        the in-flight window instead of the stream length.
+        """
         self.predictions_made += 1
         for hint in pending_backward_hints:
-            if hint not in self.blocked_backwards:
-                self.blocked_backwards.append(hint)
+            self._blocked[hint] = None
+        self._blocked.pop(backward_subnet, None)
         picks = self._chain_forwards(
-            queue, tracker, assume_released={backward_subnet}, skip=set()
+            tracker, assume_released=(backward_subnet,), skip=()
         )
         return [
             Prediction(Task(pick, self.stage, TaskKind.FORWARD), "after-backward")
@@ -168,28 +119,31 @@ class ContextPredictor:
     def predict_on_forward(
         self,
         forward_subnet: int,
-        queue: Sequence[int],
         tracker: DependencyTracker,
     ) -> List[Prediction]:
-        """Algorithm 3, forward branch (lines 13-19)."""
+        """Algorithm 3, forward branch (lines 13-19).
+
+        The ``pending-backward`` branch is unreachable in the
+        single-engine wiring: the CSP policy's hints are the subnets
+        whose forward already ran at this stage, so none of them can be
+        the forward being launched.  It serves callers that carry hints
+        from a later stage, as the paper's gradient messages do.
+        """
         self.predictions_made += 1
         predictions: List[Prediction] = []
         # Does launching this forward release a pending backward?  In the
         # pipeline, a blocked backward at a later stage waits for some
         # forward to arrive there; its precedence is the forward subnet.
-        still_blocked: List[int] = []
-        for bwd in self.blocked_backwards:
-            if bwd == forward_subnet:
-                predictions.append(
-                    Prediction(
-                        Task(bwd, self.stage, TaskKind.BACKWARD), "pending-backward"
-                    )
+        if forward_subnet in self._blocked:
+            del self._blocked[forward_subnet]
+            predictions.append(
+                Prediction(
+                    Task(forward_subnet, self.stage, TaskKind.BACKWARD),
+                    "pending-backward",
                 )
-            else:
-                still_blocked.append(bwd)
-        self.blocked_backwards = still_blocked
+            )
         picks = self._chain_forwards(
-            queue, tracker, assume_released=set(), skip={forward_subnet}
+            tracker, assume_released=(), skip=(forward_subnet,)
         )
         predictions.extend(
             Prediction(Task(pick, self.stage, TaskKind.FORWARD), "after-forward")

@@ -113,7 +113,6 @@ class PipelineResult:
     scheduler_mode: str = ""
     scheduler_scans: int = 0
     scheduler_ready_pops: int = 0
-    scheduler_mean_call_us: float = 0.0
     # -- fault tolerance (repro.ft) ------------------------------------
     #: True when a fatal fault halted the run before the stream drained;
     #: completions/losses then cover only the surviving prefix
@@ -1004,9 +1003,6 @@ class PipelineEngine:
             scheduler_mode=scheduler.mode if scheduler else "",
             scheduler_scans=scheduler.scans if scheduler else 0,
             scheduler_ready_pops=scheduler.ready_pops if scheduler else 0,
-            scheduler_mean_call_us=(
-                scheduler.mean_call_time_s * 1e6 if scheduler else 0.0
-            ),
             oom_retries=self.oom_retries,
             peak_cache_bytes=(
                 max(c.peak_resident_bytes for c in self.contexts)

@@ -52,24 +52,19 @@ class CspPolicy(SyncPolicy):
             self.tracker.reset_frontier(base)
         if self.config.predictor and self.config.context == "cached":
             self._predictors = [
-                ContextPredictor(
-                    stage,
-                    self.scheduler,
-                    self._stage_layers_fn(stage),
-                    depth=self.config.predictor_depth,
-                )
+                ContextPredictor(stage, depth=self.config.predictor_depth)
                 for stage in range(self.stages)
             ]
-        if self.scheduler.uses_index:
-            # Mirror each stage's forward queue into the tracker's
-            # readiness index: enqueue indexes the (subnet, stage-slice)
-            # pair, pop retires it.  All blocked-edge maintenance then
-            # rides the release path inside the tracker.
-            for state in engine.stage_states:
-                state.attach_queue_observer(
-                    self._index_enqueue_fn(state.stage),
-                    self._index_pop_fn(state.stage),
-                )
+        # Mirror each stage's forward queue into the tracker's readiness
+        # index: enqueue indexes the (subnet, stage-slice) pair, pop
+        # retires it.  All blocked-edge maintenance then rides the
+        # release path inside the tracker.  Every scheduler mode mirrors:
+        # the predictor's lookahead reads the same index.
+        for state in engine.stage_states:
+            state.attach_queue_observer(
+                self._index_enqueue_fn(state.stage),
+                self._index_pop_fn(state.stage),
+            )
 
     def _index_enqueue_fn(self, stage: int) -> Callable[[int], None]:
         def on_enqueue(subnet_id: int) -> None:
@@ -141,11 +136,10 @@ class CspPolicy(SyncPolicy):
             return
         now = sim.now
         state = self.engine.stage_states[stage]
-        if self.scheduler.uses_index:
-            size = self.tracker.ready_count(stage)
-            if self._ready_size.get(stage) != size:
-                self._ready_size[stage] = size
-                trace.record_event("ready_set", now, stage=stage, size=size)
+        size = self.tracker.ready_count(stage)
+        if self._ready_size.get(stage) != size:
+            self._ready_size[stage] = size
+            trace.record_event("ready_set", now, stage=stage, size=size)
         if chosen is not None:
             since = self._wait_since.pop(stage, None)
             if since is not None:
@@ -206,7 +200,7 @@ class CspPolicy(SyncPolicy):
             if not decision.found:
                 return None
             # Safety validation with exact per-layer semantics; only
-            # relevant in conservative mode, free in exact mode.
+            # ever rejects a conservative-mode proposal.
             if self.tracker.is_clear(decision.qval, stage_layers(decision.qval)):
                 return decision.qval
             skip.add(decision.qval)
@@ -221,14 +215,11 @@ class CspPolicy(SyncPolicy):
         if is_backward:
             predictions = predictor.predict_on_backward(
                 subnet_id,
-                state.queue,
                 self.tracker,
                 pending_backward_hints=sorted(state.busy_subnets),
             )
         else:
-            predictions = predictor.predict_on_forward(
-                subnet_id, state.queue, self.tracker
-            )
+            predictions = predictor.predict_on_forward(subnet_id, self.tracker)
         for prediction in predictions:
             layers = self.engine.stage_layers(prediction.task.subnet_id, stage)
             self.engine.prefetch_context(stage, layers)

@@ -13,8 +13,7 @@ byte-identical lines.
 summary fields plus the per-resource critical-path split) and
 ``check_regression`` turns the diff into a CI verdict: the chaos-smoke
 gate records a baseline record in-repo and fails the build when
-makespan or bubble ratio regresses past the threshold — the same
-pattern as the scheduler-cost gate.
+makespan or bubble ratio regresses past the threshold.
 
 Record schema (see ``docs/ANALYSIS.md``):
 

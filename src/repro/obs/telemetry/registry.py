@@ -30,6 +30,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "render_prometheus",
+    "BOUNDS_RULE",
+    "checked_bounds",
+    "bucket_index",
 ]
 
 _LabelValues = Tuple[str, ...]
@@ -128,6 +131,27 @@ class Gauge(_Instrument):
         ]
 
 
+BOUNDS_RULE = "histogram buckets must be non-empty and strictly ascending"
+
+
+def checked_bounds(buckets: Sequence[float]) -> Optional[Tuple[float, ...]]:
+    """``buckets`` as floats, or None when they break :data:`BOUNDS_RULE`
+    (each caller raises its own error type around the shared rule)."""
+    bounds = tuple(float(b) for b in buckets)
+    if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        return None
+    return bounds
+
+
+def bucket_index(bounds: Sequence[float], value: float) -> int:
+    """Index of the first upper bound ``value`` fits under;
+    ``len(bounds)`` is the overflow (+Inf) bucket."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
 class Histogram(_Instrument):
     """Fixed-boundary histogram (no dynamic buckets — determinism).
 
@@ -146,14 +170,9 @@ class Histogram(_Instrument):
         labels: Sequence[str] = (),
     ) -> None:
         super().__init__(name, help, labels)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise ConfigError(
-                f"{name}: histogram buckets must be non-empty and "
-                f"strictly ascending, got {list(buckets)}"
-            )
+        bounds = checked_bounds(buckets)
+        if bounds is None:
+            raise ConfigError(f"{name}: {BOUNDS_RULE}, got {list(buckets)}")
         self.buckets = bounds
         self._counts: Dict[_LabelValues, List[int]] = {}
         self._sum: Dict[_LabelValues, float] = {}
@@ -163,12 +182,7 @@ class Histogram(_Instrument):
         key = self._key(label_values)
         counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
         number = float(value)
-        for index, bound in enumerate(self.buckets):
-            if number <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
+        counts[bucket_index(self.buckets, number)] += 1
         self._sum[key] = self._sum.get(key, 0.0) + number
         self._count[key] = self._count.get(key, 0) + 1
 

@@ -1,4 +1,4 @@
-"""Layer + scheduler profiling harnesses (paper §3.2).
+"""Layer profiling harness (paper §3.2).
 
 NASPipe's balanced partitioner and context predictor both rest on
 pre-profiled per-layer statistics.  The paper profiles CUDA kernels; this
@@ -10,42 +10,24 @@ custom search space (:mod:`repro.supernet.builder`).
 Profiling real kernels would be non-deterministic; the default experiment
 pipeline therefore uses the paper-anchored catalog, and this harness is
 the extension point for users bringing their own layers.
-
-The second harness, :func:`profile_scheduler_stream`, measures the
-host-side scheduling hot path itself: it drives a
-:class:`~repro.core.scheduler.CspScheduler` through a synthetic
-admit/schedule/release stream and reports per-call wall time plus the
-scan/readiness counters.  A *straggler* subnet pins the elimination
-frontier at zero — the adversarial long-stream case where the per-layer
-user lists grow with the stream and the scan path's per-call cost grows
-with them, while the incremental readiness index stays flat.  The
-recorded ``(qidx, qval)`` decision sequence doubles as the differential
-fixture: any two modes run over the same seed must match it exactly.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
-from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dependency import DependencyTracker
-from repro.core.scheduler import CspScheduler
 from repro.nn.layers import LAYER_IMPLEMENTATIONS, build_parameters, layer_backward, layer_forward
 from repro.supernet.catalog import LayerTypeProfile
-from repro.supernet.subnet import Subnet
 
 __all__ = [
     "LayerMeasurement",
     "profile_layer",
     "profile_families",
     "measurements_to_profiles",
-    "SchedulerStreamProfile",
-    "profile_scheduler_stream",
 ]
 
 
@@ -126,119 +108,3 @@ def measurements_to_profiles(
         )
         for family, measurement in measurements.items()
     }
-
-
-# ----------------------------------------------------------------------
-# scheduler hot-path profiling
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SchedulerStreamProfile:
-    """Cost + decision fingerprint of one scheduler mode over one stream."""
-
-    mode: str
-    stream_len: int
-    calls: int
-    mean_call_us: float
-    scans_per_call: float
-    ready_pops: int
-    index_edge_updates: int
-    #: every (qidx, qval) the scheduler returned, in call order — the
-    #: differential-testing fixture (NONE decisions included as (-1, -1))
-    decisions: Tuple[Tuple[int, int], ...]
-
-
-def profile_scheduler_stream(
-    mode: str,
-    num_subnets: int,
-    queue_cap: int = 8,
-    inflight_cap: int = 3,
-    num_blocks: int = 8,
-    num_choices: int = 8,
-    stages: int = 8,
-    seed: int = 2022,
-    straggler: bool = True,
-) -> SchedulerStreamProfile:
-    """Drive one scheduler mode through a synthetic subnet stream.
-
-    The loop mimics one stage's Algorithm 1 skeleton: admit subnets into
-    a sorted queue up to ``queue_cap``, ask SCHEDULE() for the next
-    forward, keep up to ``inflight_cap`` scheduled subnets unreleased
-    (their WRITEs still pending), and retire the oldest when the queue is
-    fully blocked.  With ``straggler`` enabled, subnet 0 releases its
-    layers but never finishes, pinning the elimination frontier at zero —
-    user lists then grow with the stream, which is exactly the regime
-    where rescanning becomes superlinear and the readiness index does
-    not.  Everything is derived from ``seed``; two modes run with equal
-    parameters must produce identical ``decisions``.
-    """
-    rng = Random(seed)
-    subnets = [
-        Subnet(i, tuple(rng.randrange(num_choices) for _ in range(num_blocks)))
-        for i in range(num_subnets)
-    ]
-    slice_stop = max(1, num_blocks // stages)
-
-    def stage_layers(subnet_id: int) -> List:
-        return subnets[subnet_id].layers_in_range(0, slice_stop)
-
-    tracker = DependencyTracker()
-    # Full wall-time accounting: this harness *is* the measurement, so
-    # the sampled default would leave mean_call_us a 1-in-N estimate.
-    scheduler = CspScheduler(mode=mode, timing="full")
-    use_index = scheduler.uses_index
-    scope = 0
-    queue: List[int] = []
-    inflight: List[int] = []
-    decisions: List[Tuple[int, int]] = []
-    next_id = 0
-    held_straggler = False
-
-    def admit() -> None:
-        nonlocal next_id
-        while next_id < num_subnets and len(queue) < queue_cap:
-            tracker.register(subnets[next_id])
-            insort(queue, next_id)
-            if use_index:
-                tracker.index_add(scope, next_id, stage_layers(next_id))
-            next_id += 1
-
-    admit()
-    while queue:
-        decision = scheduler.schedule(
-            queue, stage_layers, tracker, scope=scope
-        )
-        decisions.append((decision.qidx, decision.qval))
-        if decision.found:
-            queue.remove(decision.qval)
-            if use_index:
-                tracker.index_discard(scope, decision.qval)
-            if straggler and decision.qval == 0:
-                # The straggler's WRITEs commit (so nothing deadlocks)
-                # but it never reports finished: the frontier stays at 0
-                # and nothing behind it is ever eliminated.
-                tracker.release_layers(0, subnets[0].layer_ids())
-                held_straggler = True
-            else:
-                inflight.append(decision.qval)
-                if len(inflight) > inflight_cap:
-                    tracker.mark_finished(inflight.pop(0))
-            admit()
-        else:
-            if not inflight:
-                break  # every queued subnet blocked only by the straggler
-            tracker.mark_finished(inflight.pop(0))
-    while inflight:
-        tracker.mark_finished(inflight.pop(0))
-    if held_straggler:
-        tracker.mark_finished(0)
-
-    return SchedulerStreamProfile(
-        mode=scheduler.mode,
-        stream_len=num_subnets,
-        calls=scheduler.calls,
-        mean_call_us=scheduler.mean_call_time_s * 1e6,
-        scans_per_call=scheduler.scans / max(1, scheduler.calls),
-        ready_pops=scheduler.ready_pops,
-        index_edge_updates=tracker.index_edge_updates,
-        decisions=tuple(decisions),
-    )

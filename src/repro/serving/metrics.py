@@ -9,10 +9,9 @@ rounding; nearest-rank always returns an actual measured latency and is
 bit-stable, which is what lets the CI gate ``cmp`` two reports.
 
 The report is canonical JSON (sorted keys, two-space indent, trailing
-newline — the repo-wide convention), and :func:`check_regression`
-mirrors the committed-baseline gate shape of
-:mod:`repro.experiments.scheduler_cost`: perf fields fail on a factor,
-fingerprint fields fail on any bitwise difference.
+newline — the repo-wide convention), and :func:`check_regression` is
+the committed-baseline gate: perf fields fail on a factor, fingerprint
+fields fail on any bitwise difference.
 """
 
 from __future__ import annotations
@@ -94,25 +93,21 @@ def latency_histogram(
     cumulative count reaches that percentile's rank (tested in
     ``tests/test_serving_metrics.py``).
     """
-    bounds = tuple(
-        float(b) for b in (buckets if buckets is not None else DEFAULT_LATENCY_BUCKETS_MS)
-    )
-    if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError(
-            f"histogram buckets must be non-empty and strictly ascending, "
-            f"got {list(bounds)}"
-        )
+    # imported here: repro.obs.telemetry reads this module's default
+    # bucket edges at import time, so a top-level import would be a cycle
+    from repro.obs.telemetry.registry import BOUNDS_RULE, bucket_index, checked_bounds
+
+    if buckets is None:
+        buckets = DEFAULT_LATENCY_BUCKETS_MS
+    bounds = checked_bounds(buckets)
+    if bounds is None:
+        raise ValueError(f"{BOUNDS_RULE}, got {[float(b) for b in buckets]}")
     counts = [0] * (len(bounds) + 1)
     total = 0.0
     for value in latencies_ms:
         number = float(value)
         total += number
-        for index, bound in enumerate(bounds):
-            if number <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
+        counts[bucket_index(bounds, number)] += 1
     return {
         "buckets_ms": list(bounds),
         "counts": counts,

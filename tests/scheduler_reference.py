@@ -1,0 +1,125 @@
+"""Reference scheduler + stream driver for the differential suites.
+
+:class:`ScanOracle` is Definition 2 as a queue walk — the exact per-layer
+check the readiness index must be decision-identical to.  It used to be
+``CspScheduler(mode="scan")``; as a reference it belongs here.
+
+:func:`drive_scheduler_stream` (moved from ``repro.profiling``) pushes any
+scheduler through a synthetic admit/schedule/release stream and returns
+its decision sequence.  Shared by ``tests/test_scheduler_equivalence.py``
+and ``benchmarks/test_scheduler_scaling.py``.
+"""
+
+from bisect import insort
+from random import Random
+from typing import List, Tuple
+
+from repro.core.dependency import DependencyTracker
+from repro.core.scheduler import ScheduleDecision
+from repro.supernet.subnet import Subnet
+
+
+class ScanOracle:
+    """First queued id whose stage slice ``tracker.is_clear`` — drop-in
+    for ``CspScheduler`` (same ``schedule`` signature and counters, so it
+    can be injected as ``engine.policy.scheduler``)."""
+
+    mode = "scan-oracle"
+
+    def __init__(self):
+        self.calls = self.scans = self.ready_pops = 0
+
+    def schedule(self, queue, stage_layers_of, tracker, stage_finished=None,
+                 subnet_of=None, skip=None, scope=None):
+        self.calls += 1
+        for qidx, qval in enumerate(queue):
+            if skip and qval in skip:
+                continue
+            self.scans += 1
+            if tracker.is_clear(qval, stage_layers_of(qval)):
+                return ScheduleDecision(qidx, qval)
+        return ScheduleDecision(-1, -1)
+
+
+def drive_scheduler_stream(
+    scheduler,
+    num_subnets: int,
+    queue_cap: int = 8,
+    inflight_cap: int = 3,
+    num_blocks: int = 8,
+    num_choices: int = 8,
+    stages: int = 8,
+    seed: int = 2022,
+    straggler: bool = True,
+) -> Tuple[Tuple[int, int], ...]:
+    """Drive ``scheduler`` through a synthetic subnet stream.
+
+    The loop mimics one stage's Algorithm 1 skeleton: admit subnets into
+    a sorted queue up to ``queue_cap`` (mirrored into the tracker's
+    readiness index, as the CSP policy does), ask SCHEDULE() for the next
+    forward, keep up to ``inflight_cap`` scheduled subnets unreleased
+    (their WRITEs still pending), and retire the oldest when the queue is
+    fully blocked.  With ``straggler`` enabled, subnet 0 releases its
+    layers but never finishes, pinning the elimination frontier at zero —
+    user lists then grow with the stream, which is exactly the regime
+    where rescanning becomes superlinear and the readiness index does
+    not.  Everything is derived from ``seed``.  Returns every
+    ``(qidx, qval)`` the scheduler answered, in call order (NONE
+    decisions included as ``(-1, -1)``): two schedulers run with equal
+    parameters must produce identical sequences.
+    """
+    rng = Random(seed)
+    subnets = [
+        Subnet(i, tuple(rng.randrange(num_choices) for _ in range(num_blocks)))
+        for i in range(num_subnets)
+    ]
+    slice_stop = max(1, num_blocks // stages)
+
+    def stage_layers(subnet_id: int) -> List:
+        return subnets[subnet_id].layers_in_range(0, slice_stop)
+
+    tracker = DependencyTracker()
+    scope = 0
+    queue: List[int] = []
+    inflight: List[int] = []
+    decisions: List[Tuple[int, int]] = []
+    next_id = 0
+    held_straggler = False
+
+    def admit() -> None:
+        nonlocal next_id
+        while next_id < num_subnets and len(queue) < queue_cap:
+            tracker.register(subnets[next_id])
+            insort(queue, next_id)
+            tracker.index_add(scope, next_id, stage_layers(next_id))
+            next_id += 1
+
+    admit()
+    while queue:
+        decision = scheduler.schedule(
+            queue, stage_layers, tracker, scope=scope
+        )
+        decisions.append((decision.qidx, decision.qval))
+        if decision.found:
+            queue.remove(decision.qval)
+            tracker.index_discard(scope, decision.qval)
+            if straggler and decision.qval == 0:
+                # The straggler's WRITEs commit (so nothing deadlocks)
+                # but it never reports finished: the frontier stays at 0
+                # and nothing behind it is ever eliminated.
+                tracker.release_layers(0, subnets[0].layer_ids())
+                held_straggler = True
+            else:
+                inflight.append(decision.qval)
+                if len(inflight) > inflight_cap:
+                    tracker.mark_finished(inflight.pop(0))
+            admit()
+        else:
+            if not inflight:
+                break  # every queued subnet blocked only by the straggler
+            tracker.mark_finished(inflight.pop(0))
+    while inflight:
+        tracker.mark_finished(inflight.pop(0))
+    if held_straggler:
+        tracker.mark_finished(0)
+    return tuple(decisions)

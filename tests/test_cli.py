@@ -202,7 +202,7 @@ def test_chaos_fleet_command_requires_config():
 # ----------------------------------------------------------------------
 # one front door: each command accepts exactly the options it reads
 # ----------------------------------------------------------------------
-#: the whole CLI surface: 26 commands, 64 accepted flag×command pairs
+#: the whole CLI surface: 26 commands, 61 accepted flag×command pairs
 _FLAGS = {
     "figure1": {"--seed"},
     "figure4": {"--spaces", "--seed"},
@@ -214,7 +214,7 @@ _FLAGS = {
     "table4": {"--seed"},
     "table5": {"--csv"},
     "dag-bound": {"--spaces", "--csv"},
-    "scheduler-cost": {"--seed", "--csv", "--json", "--baseline", "--stream-lens"},
+    "scheduler-cost": {"--seed", "--csv"},
     "ranking": {"--seed", "--csv"},
     "straggler": {"--seed"},
     "repro-check": {"--seed"},
@@ -248,7 +248,7 @@ def test_list_prints_the_24_names_in_order(capsys):
         "compare", "faults", "chaos", "chaos-fleet", "serve", "bench-serving",
         "monitor",
     ]
-    assert sum(len(flags) for flags in _FLAGS.values()) == 64
+    assert sum(len(flags) for flags in _FLAGS.values()) == 61
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
@@ -355,4 +355,4 @@ def test_experiments_table_matches_the_modules():
         fed = {_RUN_INPUTS[key][0] for key in experiment.takes}
         if experiment.rows:
             fed.add("--csv")
-        assert fed | set(experiment.options) == _FLAGS[name]
+        assert fed == _FLAGS[name]

@@ -70,6 +70,38 @@ def test_invalid_configs_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda: naspipe(inject_window=0), ["inject_window", ">= 1"]),
+        (lambda: naspipe(inject_window=-3), ["inject_window", ">= 1"]),
+        (lambda: gpipe(bulk_size=0), ["bulk_size", ">= 1"]),
+        (lambda: gpipe(bulk_size=-1), ["bulk_size", ">= 1"]),
+        (lambda: naspipe(predictor_depth=0), ["predictor_depth", ">= 1"]),
+        (lambda: naspipe(predictor_depth=-1), ["predictor_depth", ">= 1"]),
+        (lambda: ssp(-2), ["staleness", ">= 0"]),
+        (
+            lambda: naspipe(scheduler_mode="scan"),
+            ["scheduler_mode", "'index'", "'conservative'"],
+        ),
+    ],
+)
+def test_out_of_range_fields_rejected_at_construction(build, names):
+    """These reach SystemConfig through JSON ``overrides``; before the
+    check they deadlocked mid-run or were silently ignored."""
+    with pytest.raises(ConfigError) as raised:
+        build()
+    assert all(name in str(raised.value) for name in names)
+
+
+def test_range_checks_leave_valid_edges_alone():
+    assert naspipe(inject_window=1).default_window(8) == 1
+    assert gpipe(bulk_size=1).default_bulk(8) == 1
+    assert ssp(0).staleness == 0
+    # depth is only read when the predictor is on
+    assert not gpipe(predictor_depth=0).predictor
+
+
 def test_with_overrides_returns_new_config():
     base = naspipe()
     tweaked = base.with_overrides(inject_window=12)

@@ -1,11 +1,15 @@
 """CSP scheduler (Algorithm 2) tests."""
 
+import itertools
+
 import pytest
 
-import repro.core.scheduler as scheduler_module
 from repro.core.dependency import DependencyTracker
 from repro.core.scheduler import CspScheduler
+from repro.errors import SchedulingError
 from repro.supernet.subnet import Subnet
+
+SCOPE = "stage"
 
 
 def _setup(rows):
@@ -23,53 +27,76 @@ def _stage_layers(subnets, lo, hi):
     return fn
 
 
-def test_picks_lowest_clear_id():
-    subnets, tracker = _setup([(0, 0), (0, 1), (1, 1)])
+@pytest.fixture
+def ask():
+    """Index ``queue``'s stage slices under a fresh scope (as the CSP
+    policy's queue observer does), then ask a default scheduler."""
     scheduler = CspScheduler()
+    scopes = itertools.count()
+
+    def ask(queue, stage_layers, tracker, **kwargs):
+        scope = next(scopes)
+        for subnet_id in queue:
+            tracker.index_add(scope, subnet_id, stage_layers(subnet_id))
+        return scheduler.schedule(
+            queue, stage_layers, tracker, scope=scope, **kwargs
+        )
+
+    ask.scheduler = scheduler
+    return ask
+
+
+def test_picks_lowest_clear_id(ask):
+    subnets, tracker = _setup([(0, 0), (0, 1), (1, 1)])
     # subnet 1 blocked by 0 at block 0; subnet 2 blocked by 1 at block 1.
-    decision = scheduler.schedule([1, 2], _stage_layers(subnets, 0, 2), tracker)
+    decision = ask([1, 2], _stage_layers(subnets, 0, 2), tracker)
     assert not decision.found
     tracker.mark_finished(0)
-    decision = scheduler.schedule([1, 2], _stage_layers(subnets, 0, 2), tracker)
+    decision = ask([1, 2], _stage_layers(subnets, 0, 2), tracker)
     assert (decision.qidx, decision.qval) == (0, 1)
 
 
-def test_skips_blocked_head_for_later_independent():
+def test_skips_blocked_head_for_later_independent(ask):
     subnets, tracker = _setup([(0, 0), (0, 0), (1, 1)])
-    scheduler = CspScheduler()
-    decision = scheduler.schedule([1, 2], _stage_layers(subnets, 0, 2), tracker)
+    decision = ask([1, 2], _stage_layers(subnets, 0, 2), tracker)
     assert decision.qval == 2  # 1 blocked by 0, 2 independent
 
 
-def test_skip_set_excludes_entries():
+def test_skip_set_excludes_entries(ask):
     subnets, tracker = _setup([(0, 0), (1, 1), (2, 2)])
-    scheduler = CspScheduler()
-    decision = scheduler.schedule(
-        [0, 1, 2], _stage_layers(subnets, 0, 2), tracker, skip={0}
-    )
+    decision = ask([0, 1, 2], _stage_layers(subnets, 0, 2), tracker, skip={0})
     assert decision.qval == 1
 
 
-def test_empty_queue_returns_none():
-    _subnets, tracker = _setup([(0, 0)])
-    scheduler = CspScheduler()
-    decision = scheduler.schedule([], lambda sid: [], tracker)
+def test_empty_or_unpopulated_scope_returns_none(ask):
+    subnets, tracker = _setup([(0, 0)])
+    decision = ask([], lambda sid: [], tracker)  # scope never populated
     assert not decision.found
     assert (decision.qidx, decision.qval) == (-1, -1)
+    tracker.index_add(SCOPE, 0, subnets[0].layer_ids())
+    tracker.index_discard(SCOPE, 0)  # scope exists, now empty
+    assert not ask.scheduler.schedule(
+        [], lambda sid: [], tracker, scope=SCOPE
+    ).found
 
 
-def test_per_stage_slicing_limits_conflicts():
+def test_index_mode_requires_a_scope():
+    subnets, tracker = _setup([(0, 0)])
+    with pytest.raises(SchedulingError, match="scope"):
+        CspScheduler().schedule([0], _stage_layers(subnets, 0, 2), tracker)
+
+
+def test_per_stage_slicing_limits_conflicts(ask):
     # Conflict only at block 2: stage [0,2) of subnet 1 is clear while
     # stage [2,3) is blocked — the decentralised check in action.
     subnets, tracker = _setup([(0, 0, 9), (1, 1, 9)])
-    scheduler = CspScheduler()
-    early = scheduler.schedule([1], _stage_layers(subnets, 0, 2), tracker)
+    early = ask([1], _stage_layers(subnets, 0, 2), tracker)
     assert early.qval == 1
-    late = scheduler.schedule([1], _stage_layers(subnets, 2, 3), tracker)
+    late = ask([1], _stage_layers(subnets, 2, 3), tracker)
     assert not late.found
 
 
-def test_conservative_mode_waits_for_stage_finish():
+def test_conservative_mode_waits_for_stage_finish(ask):
     """Algorithm 2 verbatim clears an earlier subnet only once its
     backward ran at this stage; the exact mode clears as soon as the
     specific shared layer's WRITE committed."""
@@ -85,9 +112,7 @@ def test_conservative_mode_waits_for_stage_finish():
         subnet_of=lambda sid: subnets[sid],
     )
     assert not conservative.found
-    exact = CspScheduler(mode="scan").schedule(
-        [1], _stage_layers(subnets, 0, 1), tracker
-    )
+    exact = ask([1], _stage_layers(subnets, 0, 1), tracker)
     assert exact.qval == 1
 
 
@@ -112,56 +137,22 @@ def test_conservative_honours_stage_finished():
     assert decision.qval == 1
 
 
-@pytest.mark.parametrize("mode", ["loose", "exact"])
+@pytest.mark.parametrize("mode", ["loose", "exact", "scan"])
 def test_invalid_mode_rejected(mode):
     with pytest.raises(ValueError):
         CspScheduler(mode=mode)
 
 
-def test_scheduler_counts_calls():
+def test_scheduler_counts_calls(ask):
     subnets, tracker = _setup([(0,), (1,)])
-    scheduler = CspScheduler()
-    scheduler.schedule([0, 1], _stage_layers(subnets, 0, 1), tracker)
-    assert scheduler.calls == 1
-    assert scheduler.scans >= 1
-
-
-# ----------------------------------------------------------------------
-# timing instrumentation
-# ----------------------------------------------------------------------
-def _call_n(scheduler, n):
-    subnets, tracker = _setup([(0,), (1,)])
-    for _ in range(n):
-        scheduler.schedule([0, 1], _stage_layers(subnets, 0, 1), tracker)
-    return scheduler
-
-
-def test_timing_sampled_times_one_call_per_interval():
-    every = scheduler_module._SAMPLE_EVERY
-    scheduler = _call_n(CspScheduler(timing="sampled"), 2 * every + 1)
-    # calls 1, every+1 and 2*every+1 hit the sample slot
-    assert scheduler.calls == 2 * every + 1
-    assert scheduler.timed_calls == 3
-    assert scheduler.stats()["timing"] == "sampled"
-
-
-def test_timing_full_times_every_call():
-    scheduler = _call_n(CspScheduler(timing="full"), 5)
-    assert scheduler.timed_calls == 5
-    assert scheduler.total_time_s > 0.0
-    assert scheduler.mean_call_time_s == pytest.approx(
-        scheduler.total_time_s / 5
+    ask([0, 1], _stage_layers(subnets, 0, 1), tracker)
+    assert ask.scheduler.calls == 1
+    assert ask.scheduler.ready_pops == 1
+    assert ask.scheduler.scans == 0
+    conservative = CspScheduler(mode="conservative")
+    conservative.schedule(
+        [0, 1], _stage_layers(subnets, 0, 1), tracker,
+        subnet_of=lambda sid: subnets[sid],
     )
-
-
-@pytest.mark.parametrize("timing", ["sometimes", "off"])
-def test_timing_mode_validated(timing):
-    with pytest.raises(ValueError):
-        CspScheduler(timing=timing)
-
-
-def test_stats_reports_timing_counters():
-    scheduler = _call_n(CspScheduler(timing="full"), 3)
-    stats = scheduler.stats()
-    assert stats["timed_calls"] == 3
-    assert stats["mean_call_us"] > 0.0
+    assert (conservative.calls, conservative.ready_pops) == (1, 0)
+    assert conservative.scans >= 1

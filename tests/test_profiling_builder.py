@@ -146,17 +146,3 @@ def test_scheduler_cost_linear_in_worst_case():
     assert average[30].mean_call_us < 1000  # far under the 10ms claim
     text = scheduler_cost.format_text(points)
     assert "within the paper's 10 ms bound" in text
-
-
-def test_scheduler_tracks_wall_time():
-    from repro.core.dependency import DependencyTracker
-    from repro.core.scheduler import CspScheduler
-    from repro.supernet.subnet import Subnet
-
-    tracker = DependencyTracker()
-    tracker.register(Subnet(0, (1, 2)))
-    scheduler = CspScheduler()
-    assert scheduler.mean_call_time_s == 0.0
-    scheduler.schedule([0], lambda sid: [(0, 1)], tracker)
-    assert scheduler.total_time_s > 0
-    assert scheduler.mean_call_time_s > 0

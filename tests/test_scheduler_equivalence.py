@@ -1,15 +1,18 @@
-"""Readiness index ≡ scan reference, property-fuzzed (differential tests).
+"""Readiness index ≡ scan oracle, property-fuzzed (differential tests).
 
-The incremental readiness index is an optimisation over the rescanning
-reference scheduler, never a semantic change.  Three layers of evidence:
+The incremental readiness index is an optimisation over rescanning the
+queue against the per-layer user lists, never a semantic change.  The
+rescan lives here as :class:`scheduler_reference.ScanOracle`.  Three
+layers of evidence:
 
-1. decision-level: both modes driven over the same randomized stream
-   emit the identical ``(qidx, qval)`` sequence;
+1. decision-level: index scheduler and oracle driven over the same
+   randomized stream emit the identical ``(qidx, qval)`` sequence;
 2. structural: under random register/index/release/finish interleavings,
    the index's ready set always equals the brute-force recomputation
    from :meth:`DependencyTracker.is_clear`;
-3. end-to-end: full pipeline runs under ``scheduler_mode="scan"`` and
-   ``"index"`` produce the identical event sequence and the identical
+3. end-to-end: full pipeline runs with the oracle injected as
+   ``engine.policy.scheduler`` and with the stock ``index`` scheduler
+   produce the identical event sequence and the identical
    final-parameter digest through the functional plane.
 
 The engine-level tests must build both runs from the *same* space name —
@@ -26,13 +29,14 @@ from repro.core.dependency import DependencyTracker
 from repro.core.scheduler import CspScheduler
 from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
-from repro.profiling import profile_scheduler_stream
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.search_space import get_search_space
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
+
+from scheduler_reference import ScanOracle, drive_scheduler_stream
 
 SCOPE = 0
 
@@ -51,19 +55,21 @@ SCOPE = 0
 def test_index_and_scan_make_identical_decisions(
     seed, num_subnets, queue_cap, inflight_cap, straggler
 ):
-    profiles = [
-        profile_scheduler_stream(
-            mode,
+    oracle, index = ScanOracle(), CspScheduler(mode="index")
+    decisions = [
+        drive_scheduler_stream(
+            scheduler,
             num_subnets,
             queue_cap=queue_cap,
             inflight_cap=inflight_cap,
             seed=seed,
             straggler=straggler,
         )
-        for mode in ("scan", "index")
+        for scheduler in (oracle, index)
     ]
-    assert profiles[0].decisions == profiles[1].decisions
-    assert profiles[0].calls == profiles[1].calls
+    assert decisions[0] == decisions[1]
+    assert oracle.calls == index.calls == len(decisions[0])
+    assert index.scans == 0
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +145,8 @@ def test_ready_set_matches_brute_force_under_random_ops(
 _TASK_KINDS = ("task_dispatch", "task_done", "subnet_complete")
 
 
-def _run_mode(mode: str, seed: int, gpus: int):
-    # Identical space *name* across modes: the name seeds sampling, so a
+def _run(scheduler, seed: int, gpus: int):
+    # Identical space *name* across runs: the name seeds sampling, so a
     # differing name would compare different streams (false divergence).
     space = get_search_space("NLP.c3").scaled(
         name=f"equiv-{seed}", num_blocks=12, functional_width=16
@@ -153,11 +159,13 @@ def _run_mode(mode: str, seed: int, gpus: int):
     engine = PipelineEngine(
         supernet,
         stream,
-        naspipe().with_overrides(scheduler_mode=mode),
+        naspipe(),
         ClusterSpec(num_gpus=gpus),
         batch=32,
         functional=plane,
     )
+    if scheduler is not None:
+        engine.policy.scheduler = scheduler
     engine.trace.listeners.append(
         lambda event: event.kind in _TASK_KINDS and events.append(event)
     )
@@ -171,9 +179,10 @@ def _run_mode(mode: str, seed: int, gpus: int):
     gpus=st.sampled_from([2, 4]),
 )
 def test_pipeline_digest_identical_across_modes(seed, gpus):
-    scan_result, scan_events = _run_mode("scan", seed, gpus)
-    index_result, index_events = _run_mode("index", seed, gpus)
-    assert scan_result.scheduler_mode == "scan"
+    scan_result, scan_events = _run(ScanOracle(), seed, gpus)
+    index_result, index_events = _run(None, seed, gpus)
+    assert scan_result.scheduler_mode == ScanOracle.mode
+    assert scan_result.scheduler_scans > 0
     assert index_result.scheduler_mode == "index"
     assert index_result.scheduler_ready_pops > 0
     assert scan_events == index_events
@@ -182,7 +191,7 @@ def test_pipeline_digest_identical_across_modes(seed, gpus):
 
 
 # ----------------------------------------------------------------------
-# 4. skip-set differential: scan and index agree under exclusions
+# 4. skip-set differential: oracle and index agree under exclusions
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(
@@ -217,7 +226,7 @@ def test_scan_and_index_agree_with_skip_sets(
         if rng.random() < 0.4:
             tracker.mark_finished(sid)
 
-    scan = CspScheduler(mode="scan")
+    scan = ScanOracle()
     index = CspScheduler(mode="index")
     stage_layers = lambda sid: layers_of[sid]
     for _ in range(4):

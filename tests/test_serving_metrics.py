@@ -176,8 +176,12 @@ def test_histogram_empty_input_is_all_zero():
 def test_histogram_rejects_bad_buckets():
     with pytest.raises(ValueError):
         latency_histogram([1.0], buckets=[])
-    with pytest.raises(ValueError):
-        latency_histogram([1.0], buckets=[10.0, 5.0])
+    with pytest.raises(
+        ValueError,
+        match=r"^histogram buckets must be non-empty and strictly "
+        r"ascending, got \[10\.0, 5\.0\]$",
+    ):
+        latency_histogram([1.0], buckets=[10, 5])
     with pytest.raises(ValueError):
         latency_histogram([1.0], buckets=[5.0, 5.0])
 

@@ -144,8 +144,12 @@ def test_gauge_tracks_peak():
 
 def test_histogram_buckets_must_ascend():
     registry = MetricsRegistry()
-    with pytest.raises(ConfigError):
-        registry.histogram("t_ms", "test", buckets=(10.0, 5.0))
+    with pytest.raises(
+        ConfigError,
+        match=r"^t_ms: histogram buckets must be non-empty and strictly "
+        r"ascending, got \[10, 5\]$",
+    ):
+        registry.histogram("t_ms", "test", buckets=(10, 5))
     with pytest.raises(ConfigError):
         registry.histogram("t2_ms", "test", buckets=())
 

@@ -5,8 +5,7 @@ Runs the chaos-baseline configuration (``examples/analyze_demo.json``)
 and writes its registry record — run summary, critical-path breakdown,
 config digest — as canonical JSON.  CI's chaos-smoke job re-runs the
 same config and fails when makespan or bubble ratio regresses >2x
-against this file (``naspipe compare ... --fail-on-regression 100``),
-mirroring the scheduler-cost gate.
+against this file (``naspipe compare ... --fail-on-regression 100``).
 
 ``git_sha`` is pinned to null so the committed baseline does not churn
 with every commit; regenerate with ``make obs-baseline`` whenever an
