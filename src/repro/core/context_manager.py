@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.nn.parameter_store import LayerId
 from repro.sim.devices import CopyEngine
@@ -46,12 +46,45 @@ class FetchPlan:
         return self.misses == 0
 
 
-@dataclass
 class _CacheEntry:
-    nbytes: int
-    pins: int = 0
-    dirty: bool = False
-    ready_at: float = 0.0  # copy completion time (0 when long resident)
+    __slots__ = ("nbytes", "pins", "dirty", "ready_at")
+
+    def __init__(self, nbytes: int, ready_at: float) -> None:
+        self.nbytes = nbytes
+        self.pins = 0
+        self.dirty = False
+        self.ready_at = ready_at  # copy completion time
+
+
+_Attrs = Tuple[Tuple[str, object], ...]
+
+
+class _LayerFacts:
+    """What never varies about one layer's cache events.
+
+    ``TraceEvent.attrs`` is a tuple of immutable pairs, so every event
+    of a layer can share the same pairs — and, where nothing else
+    varies, the same attrs tuple.
+    """
+
+    __slots__ = ("nbytes", "head", "land", "evicted")
+
+    def __init__(self, layer: LayerId, nbytes: int) -> None:
+        self.nbytes = nbytes
+        #: the three pairs every cache event of this layer starts with
+        self.head: _Attrs = (
+            ("block", layer[0]),
+            ("choice", layer[1]),
+            ("nbytes", nbytes),
+        )
+        #: ``prefetch_land`` attrs, indexed by ``demand``
+        #: (``prefetch_issue`` appends the one pair that varies, ``land``)
+        self.land: Tuple[_Attrs, _Attrs] = (
+            self.head + (("demand", False),),
+            self.head + (("demand", True),),
+        )
+        #: ``eviction`` attrs: reason -> (clean, dirty), built on first use
+        self.evicted: Dict[str, Tuple[_Attrs, _Attrs]] = {}
 
 
 class StageContextManager:
@@ -71,9 +104,10 @@ class StageContextManager:
         self.capacity_bytes = capacity_bytes
         self.trace = trace
         self._entries: "OrderedDict[LayerId, _CacheEntry]" = OrderedDict()
-        #: per-layer param_bytes memo — ``_fetch`` runs ~6 times per task
-        #: and the profile lookup chain is measurable at that rate
-        self._nbytes_of: Dict[LayerId, int] = {}
+        #: per-layer memo — ``_fetch`` runs ~6 times per task, and both the
+        #: profile lookup chain and rebuilding attrs that are constants
+        #: of the layer are measurable at that rate
+        self._facts: Dict[LayerId, _LayerFacts] = {}
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
         self.writeback_bytes = 0
@@ -107,8 +141,6 @@ class StageContextManager:
         """
         if needed > self.capacity_bytes:
             return  # single working set larger than cache: run oversubscribed
-        if self.resident_bytes + needed <= self.capacity_bytes:
-            return  # already fits: skip the LRU walk (the common case)
         for layer in list(self._entries):
             if self.resident_bytes + needed <= self.capacity_bytes:
                 break
@@ -127,20 +159,15 @@ class StageContextManager:
         self, layer: LayerId, entry: _CacheEntry, now: float, reason: str
     ) -> None:
         if self.trace is not None:
-            self.trace.append_event(
-                TraceEvent(
-                    "eviction",
-                    now,
-                    self.stage,
-                    -1,
-                    (
-                        ("block", layer[0]),
-                        ("choice", layer[1]),
-                        ("nbytes", entry.nbytes),
-                        ("dirty", entry.dirty),
-                        ("reason", reason),
-                    ),
+            facts = self._facts[layer]
+            by_dirty = facts.evicted.get(reason)
+            if by_dirty is None:
+                by_dirty = facts.evicted[reason] = (
+                    facts.head + (("dirty", False), ("reason", reason)),
+                    facts.head + (("dirty", True), ("reason", reason)),
                 )
+            self.trace.append_event(
+                TraceEvent("eviction", now, self.stage, -1, by_dirty[entry.dirty])
             )
 
     def _fetch(
@@ -153,47 +180,34 @@ class StageContextManager:
         only annotates the emitted ``prefetch_issue``/``prefetch_land``
         events, the copy mechanics are identical.
         """
-        nbytes = self._nbytes_of.get(layer)
-        if nbytes is None:
-            nbytes = self.supernet.profile(layer).param_bytes
-            self._nbytes_of[layer] = nbytes
-        self._evict_for(nbytes, now)
+        facts = self._facts.get(layer)
+        if facts is None:
+            facts = self._facts[layer] = _LayerFacts(
+                layer, self.supernet.profile(layer).param_bytes
+            )
+        nbytes = facts.nbytes
+        if self.resident_bytes + nbytes > self.capacity_bytes:
+            self._evict_for(nbytes, now)
         completion = self.copy_engine.enqueue(nbytes, now)
-        self._entries[layer] = _CacheEntry(nbytes=nbytes, ready_at=completion)
+        self._entries[layer] = _CacheEntry(nbytes, completion)
         self.resident_bytes += nbytes
         if self.resident_bytes > self.peak_resident_bytes:
             self.peak_resident_bytes = self.resident_bytes
         self.fetch_bytes += nbytes
         if self.trace is not None:
-            block, choice = layer
+            landed = facts.land[demand]
+            block, choice, size, demanded = landed
             self.trace.append_event(
                 TraceEvent(
                     "prefetch_issue",
                     now,
                     self.stage,
                     -1,
-                    (
-                        ("block", block),
-                        ("choice", choice),
-                        ("nbytes", nbytes),
-                        ("demand", demand),
-                        ("land", completion),
-                    ),
+                    (block, choice, size, demanded, ("land", completion)),
                 )
             )
             self.trace.append_event(
-                TraceEvent(
-                    "prefetch_land",
-                    completion,
-                    self.stage,
-                    -1,
-                    (
-                        ("block", block),
-                        ("choice", choice),
-                        ("nbytes", nbytes),
-                        ("demand", demand),
-                    ),
-                )
+                TraceEvent("prefetch_land", completion, self.stage, -1, landed)
             )
         return completion, nbytes
 
@@ -304,7 +318,8 @@ class StageContextManager:
             if dirty:
                 entry.dirty = True
         # Opportunistically shrink back under capacity.
-        self._evict_for(0, now)
+        if self.resident_bytes > self.capacity_bytes:
+            self._evict_for(0, now)
 
     def evict_subnet(self, layers: Iterable[LayerId], now: float) -> None:
         """Eagerly evict a finished subnet's layers (paper: EVICT call).

@@ -100,13 +100,18 @@ class DependencyTracker:
         self._unreleased: Dict[LayerId, List[int]] = {}
         # --- readiness index state ------------------------------------
         self._scopes: Dict[Hashable, _ScopeIndex] = {}
-        #: (user, layer) -> indexed entries blocked on that edge
-        self._waiters: Dict[_Edge, Set[_Entry]] = {}
+        #: user -> layer -> indexed entries blocked on that (user, layer)
+        #: edge; no empty inner container is kept, so a user's keys are
+        #: exactly the layers somebody still awaits from it
+        self._waiters: Dict[int, Dict[LayerId, Set[_Entry]]] = {}
         #: layer -> indexed entries whose tracked slice contains it (used
         #: to add edges when an *earlier* subnet registers late)
         self._watchers: Dict[LayerId, Set[_Entry]] = {}
         #: cumulative incremental edge updates (profiling counter)
         self.index_edge_updates: int = 0
+        #: scopes whose ready list changed since their owner last polled
+        #: them (the owner discards; the CSP policy wakes exactly these)
+        self.dirty_scopes: Set[Hashable] = set()
 
     # ------------------------------------------------------------------
     # registration / lifecycle
@@ -170,6 +175,7 @@ class DependencyTracker:
     ) -> None:
         """Apply newly released layers and drain the affected edges."""
         released = self._released[subnet_id]
+        awaited = self._waiters.get(subnet_id)
         for layer in layers:
             if layer in released:
                 continue
@@ -178,17 +184,24 @@ class DependencyTracker:
             if unreleased is not None and _sorted_remove(unreleased, subnet_id):
                 if not unreleased:
                     del self._unreleased[layer]
-            for scope_key, waiting in self._waiters.pop((subnet_id, layer), ()):
+            entries = awaited.pop(layer, None) if awaited else None
+            if entries is None:
+                continue
+            edge = (subnet_id, layer)
+            for scope_key, waiting in entries:
                 scope = self._scopes.get(scope_key)
                 if scope is None:
                     continue
                 edges = scope.blocked.get(waiting)
                 if edges is None:
                     continue
-                edges.discard((subnet_id, layer))
+                edges.discard(edge)
                 self.index_edge_updates += 1
                 if not edges:
                     insort(scope.ready, waiting)
+                    self.dirty_scopes.add(scope_key)
+        if awaited is not None and not awaited:
+            del self._waiters[subnet_id]
 
     def _advance_frontier(self) -> None:
         while self.frontier in self._finished:
@@ -218,9 +231,20 @@ class DependencyTracker:
             return
         if not edges:
             _sorted_remove(scope.ready, waiting)
+            self.dirty_scopes.add(scope_key)
         edges.add((user, layer))
-        self._waiters.setdefault((user, layer), set()).add((scope_key, waiting))
+        self._await(user, layer, (scope_key, waiting))
         self.index_edge_updates += 1
+
+    def _await(self, user: int, layer: LayerId, entry: _Entry) -> None:
+        by_layer = self._waiters.get(user)
+        if by_layer is None:
+            by_layer = self._waiters[user] = {}
+        entries = by_layer.get(layer)
+        if entries is None:
+            by_layer[layer] = {entry}
+        else:
+            entries.add(entry)
 
     def index_add(
         self, scope_key: Hashable, subnet_id: int, layers: Iterable[LayerId]
@@ -244,11 +268,12 @@ class DependencyTracker:
                 if user >= subnet_id:
                     break  # sorted; no earlier unreleased users left
                 edges.add((user, layer))
-                self._waiters.setdefault((user, layer), set()).add(entry)
+                self._await(user, layer, entry)
         scope.blocked[subnet_id] = edges
         self.index_edge_updates += len(edges)
         if not edges:
             insort(scope.ready, subnet_id)
+            self.dirty_scopes.add(scope_key)
 
     def index_discard(self, scope_key: Hashable, subnet_id: int) -> None:
         """Stop tracking ``subnet_id`` under ``scope_key`` (queue pop)."""
@@ -265,13 +290,17 @@ class DependencyTracker:
                 watchers.discard(entry)
                 if not watchers:
                     del self._watchers[layer]
-        for edge in scope.blocked.pop(subnet_id, ()):
-            waiters = self._waiters.get(edge)
-            if waiters is not None:
-                waiters.discard(entry)
-                if not waiters:
-                    del self._waiters[edge]
-        _sorted_remove(scope.ready, subnet_id)
+        for user, layer in scope.blocked.pop(subnet_id, ()):
+            by_layer = self._waiters.get(user)
+            entries = by_layer.get(layer) if by_layer is not None else None
+            if entries is not None:
+                entries.discard(entry)
+                if not entries:
+                    del by_layer[layer]
+                    if not by_layer:
+                        del self._waiters[user]
+        if _sorted_remove(scope.ready, subnet_id):
+            self.dirty_scopes.add(scope_key)
 
     def has_scope(self, scope_key: Hashable) -> bool:
         return scope_key in self._scopes
@@ -395,14 +424,14 @@ class ReadinessOverlay:
         if subnet_id in self._assumed:
             return
         self._assumed.add(subnet_id)
-        subnet = self._tracker._subnets.get(subnet_id)
-        if subnet is None:
-            return  # finished or never registered: blocks nothing
+        # only the layers some indexed entry still awaits from it: a
+        # finished, unregistered or unawaited subnet blocks nothing
+        awaited = self._tracker._waiters.get(subnet_id)
+        if awaited is None:
+            return
         decrements: Dict[int, int] = {}
-        for layer in subnet.layer_ids():
-            for scope_key, waiting in self._tracker._waiters.get(
-                (subnet_id, layer), ()
-            ):
+        for entries in awaited.values():
+            for scope_key, waiting in entries:
                 if scope_key == self._scope_key:
                     decrements[waiting] = decrements.get(waiting, 0) + 1
         for waiting, dec in decrements.items():

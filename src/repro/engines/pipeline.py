@@ -47,12 +47,17 @@ from repro.partition.mirror import MirrorRegistry
 from repro.partition.static import static_partition_for_space
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.engine import SimulationEngine
-from repro.sim.trace import ExecutionTrace
+from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
 __all__ = ["PipelineEngine", "PipelineResult"]
+
+#: the ``direction`` pair of the per-task events, indexed by ``is_backward``
+_DIRECTION = (("direction", "fwd"), ("direction", "bwd"))
+#: ``task_done`` carries nothing else, so its whole attrs tuple is shared
+_DONE_ATTRS = ((_DIRECTION[False],), (_DIRECTION[True],))
 
 
 @dataclass
@@ -238,6 +243,9 @@ class PipelineEngine:
         self.batch = batch
         #: batch-dependent compute scaling, constant for the whole run
         self._batch_scale = supernet.batch_time_scale(batch)
+        #: per-layer ``fwd + bwd`` reference cost, what ``_partition_for``
+        #: balances (filled on first use)
+        self._layer_cost: Dict[LayerId, float] = {}
 
         self.trace = ExecutionTrace(num_gpus=self.stages)
         self.sim = SimulationEngine(trace=self.trace)
@@ -409,11 +417,14 @@ class PipelineEngine:
     def _partition_for(self, subnet: Subnet) -> Partition:
         if self.config.partitioning == "static":
             return list(self.home_partition)
-        costs = [
-            self.supernet.profile(layer).fwd_ms_ref
-            + self.supernet.profile(layer).bwd_ms_ref
-            for layer in subnet.layer_ids()
-        ]
+        memo = self._layer_cost
+        costs = []
+        for layer in subnet.layer_ids():
+            cost = memo.get(layer)
+            if cost is None:
+                profile = self.supernet.profile(layer)
+                cost = memo[layer] = profile.fwd_ms_ref + profile.bwd_ms_ref
+            costs.append(cost)
         weights = (
             self.degradation.partition_weights()
             if self.degradation is not None
@@ -683,14 +694,9 @@ class PipelineEngine:
         self._last_was_backward[stage] = is_backward
         kind = "bwd" if is_backward else "fwd"
         self.trace.record_interval(stage, start, start + duration, kind, subnet_id)
-        self.trace.record_event(
-            "task_dispatch",
-            now,
-            stage=stage,
-            subnet_id=subnet_id,
-            direction=kind,
-            start=start,
-            end=start + duration,
+        attrs = (_DIRECTION[is_backward], ("start", start), ("end", start + duration))
+        self.trace.append_event(
+            TraceEvent("task_dispatch", now, stage, subnet_id, attrs)
         )
         self.sim.schedule(
             start + duration,
@@ -703,28 +709,43 @@ class PipelineEngine:
     # ------------------------------------------------------------------
     def _on_task_done(self, stage: int, subnet_id: int, is_backward: bool) -> None:
         self._stage_busy[stage] = False
-        self.trace.record_event(
-            "task_done",
-            self.sim.now,
-            stage=stage,
-            subnet_id=subnet_id,
-            direction="bwd" if is_backward else "fwd",
+        self.trace.append_event(
+            TraceEvent(
+                "task_done", self.sim.now, stage, subnet_id, _DONE_ATTRS[is_backward]
+            )
         )
         if is_backward:
             self._finish_backward(stage, subnet_id)
         else:
             self._finish_forward(stage, subnet_id)
-        # A backward may have released layers other stages' queued forwards
-        # were waiting on (CSP), or lifted an admission barrier (BSP flush,
-        # SSP staleness) — re-kick every idle stage, own stage first.
+        # Edge-triggered, like Algorithm 1's receiveFwd/receiveBwd loop:
+        # the own stage is idle now, and beyond it only the stages the
+        # policy names can have gained something to run — those whose
+        # ready list a released layer changed (CSP), or every stage when
+        # the gate reads global state (SSP staleness, conservative CSP).
         self._kick(stage)
-        for other in range(self.stages):
+        for other in self.policy.wakes():
             if other != stage:
                 self._kick(other)
         self._try_inject()
 
     def _boundary_bytes(self, subnet_id: int, stage: int) -> int:
         return self.runs[subnet_id].boundary_bytes[stage]
+
+    def _record_transfer(
+        self, stage: int, subnet_id: int, dst: int, nbytes: int, arrival: float,
+        is_backward: bool,
+    ) -> None:
+        attrs = (
+            ("src", stage),
+            ("dst", dst),
+            ("nbytes", nbytes),
+            ("arrive", arrival),
+            _DIRECTION[is_backward],
+        )
+        self.trace.append_event(
+            TraceEvent("nic_transfer", self.sim.now, stage, subnet_id, attrs)
+        )
 
     def _finish_forward(self, stage: int, subnet_id: int) -> None:
         now = self.sim.now
@@ -753,17 +774,7 @@ class PipelineEngine:
                 run.boundary_in[stage + 1] = run.activations[stage].stage_output
             nbytes = self._boundary_bytes(subnet_id, stage)
             arrival = self.cluster.forward_link(stage).transfer(nbytes, now)
-            self.trace.record_event(
-                "nic_transfer",
-                now,
-                stage=stage,
-                subnet_id=subnet_id,
-                src=stage,
-                dst=stage + 1,
-                nbytes=nbytes,
-                arrive=arrival,
-                direction="fwd",
-            )
+            self._record_transfer(stage, subnet_id, stage + 1, nbytes, arrival, False)
             self.sim.schedule(
                 arrival,
                 lambda: self._on_forward_arrival(stage + 1, subnet_id),
@@ -818,17 +829,7 @@ class PipelineEngine:
         if stage > 0:
             nbytes = self._boundary_bytes(subnet_id, stage - 1)
             arrival = self.cluster.backward_link(stage).transfer(nbytes, now)
-            self.trace.record_event(
-                "nic_transfer",
-                now,
-                stage=stage,
-                subnet_id=subnet_id,
-                src=stage,
-                dst=stage - 1,
-                nbytes=nbytes,
-                arrive=arrival,
-                direction="bwd",
-            )
+            self._record_transfer(stage, subnet_id, stage - 1, nbytes, arrival, True)
             self.sim.schedule(
                 arrival,
                 lambda: self._on_backward_arrival(stage - 1, subnet_id),
@@ -846,11 +847,17 @@ class PipelineEngine:
         now = self.sim.now
         self.inflight.discard(subnet_id)
         if subnet_id in self.started:
+            self.started.discard(subnet_id)
             self._active_started -= 1
         self.completed[subnet_id] = now
         self.trace.record_subnet_complete(subnet_id, now)
         flush_ids = self.policy.on_subnet_complete(subnet_id)
         self._flush(flush_ids)
+        # §3.2's elimination applied to L_SN: a completed subnet's
+        # descriptor has no reader left (the conservative scan skips ids
+        # the tracker reports finished before it asks for them).
+        for state in self.stage_states:
+            state.known.pop(subnet_id, None)
         if self.checkpoints is not None:
             self.checkpoints.on_subnet_complete(subnet_id, now)
         if self.faults is not None and len(self.completed) == len(self.stream):
@@ -936,8 +943,10 @@ class PipelineEngine:
         """Per-stage diagnostic for premature quiescence: every queued
         forward with its first unreleased (blocking subnet, layer) edge
         from the dependency tracker (``None`` = held by an admission or
-        window gate, not a causal dependency), plus the backward-ready
-        lists."""
+        window gate, not a causal dependency), the backward-ready lists,
+        and ``runnable`` — the forward the policy would dispatch there
+        right now.  Anything but ``None`` on an idle stage means the
+        stage was never polled: a wake-set bug, not a causal wedge."""
         tracker = getattr(self.policy, "tracker", None)
         dump: Dict[int, Dict] = {}
         for state in self.stage_states:
@@ -965,8 +974,28 @@ class PipelineEngine:
             dump[state.stage] = {
                 "forward": edges,
                 "backward_ready": list(state.backward_ready),
+                "runnable": (
+                    None
+                    if self._stage_busy[state.stage] or not state.queue
+                    else self._muted_poll(state.stage)
+                ),
             }
         return dump
+
+    def _muted_poll(self, stage: int) -> Optional[int]:
+        """``policy.select_forward(stage)`` asked post-mortem: a scratch
+        trace swallows the events the poll emits and the scheduler's
+        effort counters are put back, so the dead run's record stays as
+        quiescence left it."""
+        scheduler = getattr(self.policy, "scheduler", None)
+        counters = dict(vars(scheduler)) if scheduler is not None else {}
+        trace, self.trace = self.trace, ExecutionTrace(num_gpus=self.stages)
+        try:
+            return self.policy.select_forward(stage)
+        finally:
+            self.trace = trace
+            if scheduler is not None:
+                vars(scheduler).update(counters)
 
     # ------------------------------------------------------------------
     def _result(self) -> PipelineResult:

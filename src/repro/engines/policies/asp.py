@@ -16,7 +16,7 @@ baseline to show CSP is not merely "less staleness".
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.config import SystemConfig
 from repro.engines.policies.base import SyncPolicy
@@ -31,6 +31,11 @@ class AspPolicy(SyncPolicy):
         assert self.engine is not None
         queue = self.engine.stage_states[stage].queue
         return queue[0] if queue else None
+
+    def wakes(self) -> Iterable[int]:
+        # FIFO runs whatever is queued, so an idle stage has empty queues
+        # and only an arrival (which polls that stage) can change that.
+        return ()
 
 
 class SspPolicy(SyncPolicy):

@@ -1,6 +1,6 @@
 """The policy interface the pipeline engine drives.
 
-A policy answers four questions the engine cannot answer generically:
+A policy answers five questions the engine cannot answer generically:
 
 1. may another subnet be injected right now? (``can_inject``)
 2. which queued forward task should stage *k* run next?
@@ -8,6 +8,8 @@ A policy answers four questions the engine cannot answer generically:
 3. do parameter updates commit at backward completion, or later?
    (``commits_immediately`` / ``flush_ready``)
 4. what bookkeeping follows task completion? (the ``on_*`` hooks)
+5. which *other* stages may a completion have given something to run?
+   (``wakes``)
 
 All policies are backward-first (the engine runs any ready backward
 before consulting ``select_forward``) — PipeDream's 1F1B, GPipe's drain
@@ -17,7 +19,7 @@ phase and NASPipe's Algorithm 1 all share that priority.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, TYPE_CHECKING
+from typing import Iterable, List, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
 
@@ -75,6 +77,17 @@ class SyncPolicy(ABC):
     @abstractmethod
     def select_forward(self, stage: int) -> Optional[int]:
         """Pick a queued forward task for ``stage`` (subnet id) or None."""
+
+    def wakes(self) -> Iterable[int]:
+        """Stages to re-poll after a task completed anywhere, ascending.
+
+        The engine always re-polls the completing stage itself and every
+        stage a task arrives at; this names the *other* stages whose
+        ``select_forward`` answer the completion may have changed.  The
+        default — every stage — is right for any gate that reads global
+        state; a policy overrides it only when it knows better.
+        """
+        return range(self.stages)
 
     def before_task(self, stage: int, subnet_id: int, is_backward: bool) -> None:
         """Called as a task is about to start (predictor hook point)."""

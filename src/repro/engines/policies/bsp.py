@@ -16,7 +16,7 @@ update).  Figure 1 and Table 4 of the paper illustrate the effect.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.config import SystemConfig
 from repro.engines.policies.base import SyncPolicy
@@ -46,6 +46,11 @@ class BspPolicy(SyncPolicy):
         assert self.engine is not None
         queue = self.engine.stage_states[stage].queue
         return queue[0] if queue else None
+
+    def wakes(self) -> Iterable[int]:
+        # FIFO runs whatever is queued, so an idle stage has empty queues
+        # and only an arrival (which polls that stage) can change that.
+        return ()
 
     # ------------------------------------------------------------------
     def on_subnet_complete(self, subnet_id: int) -> List[int]:

@@ -12,7 +12,7 @@ its predictions into context-manager prefetches.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.config import SystemConfig
 from repro.core.dependency import DependencyTracker
@@ -20,6 +20,7 @@ from repro.core.predictor import ContextPredictor
 from repro.core.scheduler import CspScheduler
 from repro.engines.policies.base import SyncPolicy
 from repro.nn.parameter_store import LayerId
+from repro.sim.trace import TraceEvent
 
 __all__ = ["CspPolicy"]
 
@@ -39,6 +40,14 @@ class CspPolicy(SyncPolicy):
         self._wait_since: Dict[int, float] = {}
         #: last emitted ready-set size per stage (counter dedup)
         self._ready_size: Dict[int, int] = {}
+        # Every stage starts woken: its first poll emits the initial
+        # ``ready_set size=0`` sample whether or not anything is queued.
+        self.tracker.dirty_scopes.update(range(stages))
+        #: ``effective_window()`` as stage 0's last poll saw it
+        self._window_seen: Optional[int] = None
+        self._stage_layers_fns = [
+            self._stage_layers_fn(stage) for stage in range(stages)
+        ]
 
     def bind(self, engine) -> None:
         super().bind(engine)
@@ -119,9 +128,25 @@ class CspPolicy(SyncPolicy):
         self.tracker.register(self.engine.subnet_of(subnet_id))
 
     def select_forward(self, stage: int) -> Optional[int]:
+        self.tracker.dirty_scopes.discard(stage)
+        if stage == 0:
+            self._window_seen = self.effective_window()
         chosen = self._select_forward_inner(stage)
         self._observe_selection(stage, chosen)
         return chosen
+
+    def wakes(self) -> Iterable[int]:
+        if self.scheduler.mode != "index":
+            # Algorithm 2 verbatim gates on the global frontier and on
+            # per-stage finished sets: any completion may change it.
+            return super().wakes()
+        # A poll answers from the stage's ready list alone — plus, at
+        # stage 0, the execution window, whose occupancy only moves on
+        # stage 0's own tasks but whose size degradation may change.
+        woken = self.tracker.dirty_scopes
+        if self._window_seen != self.effective_window():
+            woken.add(0)
+        return sorted(woken)
 
     # ------------------------------------------------------------------
     # observability: CSP wait windows + ready-set counter samples
@@ -139,7 +164,9 @@ class CspPolicy(SyncPolicy):
         size = self.tracker.ready_count(stage)
         if self._ready_size.get(stage) != size:
             self._ready_size[stage] = size
-            trace.record_event("ready_set", now, stage=stage, size=size)
+            trace.append_event(
+                TraceEvent("ready_set", now, stage, -1, (("size", size),))
+            )
         if chosen is not None:
             since = self._wait_since.pop(stage, None)
             if since is not None:
@@ -185,8 +212,8 @@ class CspPolicy(SyncPolicy):
             layers = self.engine.stage_layers(head, stage)
             return head if self.tracker.is_clear(head, layers) else None
 
-        skip: Set[int] = set()
-        stage_layers = self._stage_layers_fn(stage)
+        skip: Optional[Set[int]] = None
+        stage_layers = self._stage_layers_fns[stage]
         while True:
             decision = self.scheduler.schedule(
                 state.queue,
@@ -203,6 +230,8 @@ class CspPolicy(SyncPolicy):
             # ever rejects a conservative-mode proposal.
             if self.tracker.is_clear(decision.qval, stage_layers(decision.qval)):
                 return decision.qval
+            if skip is None:
+                skip = set()
             skip.add(decision.qval)
 
     # ------------------------------------------------------------------

@@ -79,6 +79,9 @@ class DeadlockError(SimulationError):
     :class:`~repro.core.dependency.DependencyTracker`, plus the
     backward-ready lists — the evidence needed to see *which* causal
     edge wedged the pipeline instead of a silently-truncated result.
+    A stage whose dump carries ``"runnable": <subnet id>`` was idle with
+    work the policy would have dispatched — nobody polled it — and the
+    message says so.
     """
 
     def __init__(self, pending: object, blocked: object = None) -> None:
@@ -87,6 +90,12 @@ class DeadlockError(SimulationError):
         message = f"pipeline deadlocked with pending work: {pending}"
         if blocked:
             message += f"; blocked edges by stage: {blocked}"
+            for stage, dump in blocked.items():
+                if isinstance(dump, dict) and dump.get("runnable") is not None:
+                    message += (
+                        f"; stage {stage} had runnable work but was never "
+                        "woken — wake-set bug"
+                    )
         super().__init__(message)
 
 

@@ -28,23 +28,24 @@ __all__ = [
 Partition = List[Tuple[int, int]]
 
 
-def _greedy_segments_needed(costs: Sequence[float], limit: float) -> int:
-    """Minimum number of segments so that no segment sum exceeds ``limit``.
+def _fits(costs: Sequence[float], limit: float, stages: int) -> bool:
+    """Whether greedy left-to-right filling needs at most ``stages``
+    segments of sum ≤ ``limit``; gives up at the first segment too many.
 
-    Returns a number > len(costs) when a single block already exceeds the
-    limit (infeasible).
+    ``limit`` must be at least ``max(costs)`` — the bisection below never
+    asks about less — so no single block is infeasible on its own.
     """
-    segments = 1
+    spare = stages - 1
     running = 0.0
     for cost in costs:
-        if cost > limit:
-            return len(costs) + 1
         if running + cost > limit:
-            segments += 1
+            if not spare:
+                return False
+            spare -= 1
             running = cost
         else:
             running += cost
-    return segments
+    return True
 
 
 def _cut_at_limit(costs: Sequence[float], limit: float, stages: int) -> Partition:
@@ -96,7 +97,7 @@ def balanced_partition(costs: Sequence[float], stages: int) -> Partition:
     # of float bisection reaches machine precision for any realistic sum.
     for _ in range(48):
         mid = (low + high) / 2.0
-        if _greedy_segments_needed(costs, mid) <= stages:
+        if _fits(costs, mid, stages):
             high = mid
         else:
             low = mid

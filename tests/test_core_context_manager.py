@@ -1,11 +1,20 @@
 """Stage context manager tests: residency, LRU, pins, hit accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.context_manager import StageContextManager
 from repro.sim.devices import CopyEngine
-from repro.sim.trace import ExecutionTrace
+from repro.sim.trace import ExecutionTrace, TraceEvent
+from repro.supernet.search_space import get_search_space
 from repro.supernet.supernet import Supernet
+
+#: hypothesis forbids function-scoped fixtures; same space as ``tiny_space``
+_PROPERTY_SUPERNET = Supernet(
+    get_search_space("NLP.c3").scaled(
+        name="tiny", num_blocks=8, choices_per_block=4, functional_width=16
+    )
+)
 
 
 @pytest.fixture
@@ -134,3 +143,196 @@ def test_oversized_working_set_tolerated(tiny_supernet):
     assert plan.misses == 2
     # Runs oversubscribed rather than deadlocking.
     assert manager.resident_bytes > tiny_capacity
+
+
+# ----------------------------------------------------------------------
+# per-layer facts: shared attrs must be the attrs a literal build gives
+# ----------------------------------------------------------------------
+def _traced_manager(supernet, capacity_bytes):
+    trace = ExecutionTrace(num_gpus=1)
+    manager = StageContextManager(
+        3, supernet, CopyEngine(3, 1_000_000.0), capacity_bytes, trace
+    )
+    return manager, trace
+
+
+def _exactly(event):
+    """Kind, time, stage, attrs order *and* value types (repr tells
+    ``True`` from ``1`` and ``2`` from ``2.0``; ``==`` does not)."""
+    return repr(event)
+
+
+@pytest.mark.parametrize("demand", [False, True])
+def test_fetch_events_equal_their_literal_form(tiny_supernet, demand):
+    nbytes = _layer_bytes(tiny_supernet, (2, 1))
+    manager, trace = _traced_manager(tiny_supernet, 4 * nbytes)
+    for _ in range(2):  # second round: the memoised attrs, not fresh ones
+        if demand:
+            manager.acquire_for_task([(2, 1)], now=5.0)
+        else:
+            manager.prefetch([(2, 1)], now=5.0)
+        land = manager.copy_engine.next_free
+        issue, landed = trace.events[:2]
+        assert _exactly(issue) == _exactly(
+            TraceEvent(
+                "prefetch_issue", 5.0, 3, -1,
+                (("block", 2), ("choice", 1), ("nbytes", nbytes),
+                 ("demand", demand), ("land", land)),
+            )
+        )
+        assert _exactly(landed) == _exactly(
+            TraceEvent(
+                "prefetch_land", land, 3, -1,
+                (("block", 2), ("choice", 1), ("nbytes", nbytes), ("demand", demand)),
+            )
+        )
+        manager.release_after_task([(2, 1)], now=land, dirty=False)
+        manager.evict_subnet([(2, 1)], now=land)
+        trace.events.clear()
+
+
+@pytest.mark.parametrize("dirty", [False, True])
+@pytest.mark.parametrize("reason", ["lru", "evict", "reclaim"])
+def test_eviction_events_equal_their_literal_form(tiny_supernet, dirty, reason):
+    nbytes = _layer_bytes(tiny_supernet, (1, 2))
+    # room for (1, 2) or (4, 0), never both
+    manager, trace = _traced_manager(
+        tiny_supernet, nbytes + _layer_bytes(tiny_supernet, (4, 0)) - 1
+    )
+    now = 0.0
+    for _ in range(2):
+        plan = manager.acquire_for_task([(1, 2)], now=now)
+        now = plan.ready_time
+        manager.release_after_task([(1, 2)], now=now, dirty=dirty)
+        trace.events.clear()
+        if reason == "lru":
+            manager.prefetch([(4, 0)], now=now)
+        elif reason == "evict":
+            manager.evict_subnet([(1, 2)], now=now)
+        else:
+            manager.reclaim(now)
+        assert _exactly(trace.events[0]) == _exactly(
+            TraceEvent(
+                "eviction", now, 3, -1,
+                (("block", 1), ("choice", 2), ("nbytes", nbytes),
+                 ("dirty", dirty), ("reason", reason)),
+            )
+        )
+        now = manager.copy_engine.next_free + 1.0
+        manager.reclaim(now)
+
+
+class _NaiveCache:
+    """The cache with nothing remembered: a dict in LRU order whose
+    events are built from scratch, kwargs and all, every time."""
+
+    def __init__(self, stage, supernet, copy_engine, capacity):
+        self.stage, self.supernet, self.copy, self.capacity = stage, supernet, copy_engine, capacity
+        self.entries, self.events, self.throttled = {}, [], False  # layer -> [nbytes, pins, dirty, ready_at]
+        self.resident = self.peak = self.writeback = self.fetched = self.hits = self.misses = 0
+
+    def _emit(self, kind, time, **attrs):
+        self.events.append(TraceEvent(kind, time, self.stage, -1, tuple(attrs.items())))
+
+    def _sweep(self, layers, now, reason, needed=None):
+        for layer in list(layers):
+            if needed is not None and self.resident + needed <= self.capacity:
+                break
+            nbytes, pins, dirty, ready_at = self.entries.get(layer, (0, 1, False, 0.0))
+            if pins == 0 and ready_at <= now:
+                del self.entries[layer]
+                self.resident -= nbytes
+                self._emit("eviction", now, block=layer[0], choice=layer[1], nbytes=nbytes, dirty=dirty, reason=reason)
+                if dirty:
+                    self.copy.enqueue(nbytes, now)
+                    self.writeback += nbytes
+
+    def request(self, layers, now, demand):
+        """``prefetch`` (demand False) or ``acquire_for_task`` (True)."""
+        hits = 0
+        for layer in layers:
+            if layer in self.entries:
+                self.entries[layer] = self.entries.pop(layer)  # most recently used
+                hits += self.entries[layer][3] <= now
+            elif demand or not self.throttled:
+                nbytes = self.supernet.profile(layer).param_bytes
+                if nbytes <= self.capacity:
+                    self._sweep(self.entries, now, "lru", needed=nbytes)
+                land = self.copy.enqueue(nbytes, now)
+                self.entries[layer] = [nbytes, 0, False, land]
+                self.resident += nbytes
+                self.peak = max(self.peak, self.resident)
+                self.fetched += nbytes
+                self._emit("prefetch_issue", now, block=layer[0], choice=layer[1], nbytes=nbytes, demand=demand, land=land)
+                self._emit("prefetch_land", land, block=layer[0], choice=layer[1], nbytes=nbytes, demand=demand)
+            if demand:
+                self.entries[layer][1] += 1
+        if demand:
+            self.hits, self.misses = self.hits + hits, self.misses + len(layers) - hits
+            self._emit("cache_access", now, hits=hits, misses=len(layers) - hits)
+
+    def release(self, layers, now, dirty):
+        for entry in filter(None, map(self.entries.get, layers)):
+            entry[1], entry[2] = max(0, entry[1] - 1), entry[2] or dirty
+        self._sweep(self.entries, now, "lru", needed=0)
+
+
+_LAYERS = [(block, choice) for block in range(4) for choice in range(3)]
+_OPS = ("prefetch", "acquire", "release_clean", "release_dirty", "evict", "reclaim", "throttle", "peek")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_OPS),
+            st.lists(st.sampled_from(_LAYERS), max_size=4, unique=True),
+            st.sampled_from([0.0, 0.3, 2.0, 10.0]),
+        ),
+        max_size=40,
+    )
+)
+def test_op_streams_match_the_naive_cache(ops):
+    """Capacity of about three layers: LRU evictions of clean and dirty
+    entries, walks that skip pinned and still-in-flight ones, all occur;
+    every event, byte count and hit/miss figure must equal the memo-free
+    reference after each op."""
+    nbytes = _layer_bytes(_PROPERTY_SUPERNET, (0, 0))
+    manager, trace = _traced_manager(_PROPERTY_SUPERNET, 3 * nbytes)
+    naive = _NaiveCache(3, _PROPERTY_SUPERNET, CopyEngine(3, 1_000_000.0), 3 * nbytes)
+    now = 0.0
+    for op, layers, copies in ops:
+        now += copies * nbytes / 1_000_000.0
+        if op == "prefetch":
+            manager.prefetch(layers, now)
+            naive.request(layers, now, demand=False)
+        elif op == "acquire":
+            manager.acquire_for_task(layers, now)
+            naive.request(layers, now, demand=True)
+        elif op.startswith("release"):
+            manager.release_after_task(layers, now, dirty=op == "release_dirty")
+            naive.release(layers, now, dirty=op == "release_dirty")
+        elif op == "evict":
+            manager.evict_subnet(layers, now)
+            naive._sweep(layers, now, "evict")
+        elif op == "reclaim":
+            manager.reclaim(now)
+            naive._sweep(naive.entries, now, "reclaim")
+        elif op == "throttle":
+            manager.throttled = naive.throttled = not naive.throttled
+        else:  # an observation: nothing below may notice it happened
+            resident, absent = manager.peek_residency(layers, now)
+            assert resident == sum(
+                layer in naive.entries and naive.entries[layer][3] <= now
+                for layer in layers
+            )
+            assert resident + absent == len(layers)
+        assert repr(trace.events) == repr(naive.events)
+        assert (
+            manager.resident_bytes, manager.peak_resident_bytes, manager.hits,
+            manager.misses, manager.writeback_bytes, manager.fetch_bytes,
+        ) == (
+            naive.resident, naive.peak, naive.hits,
+            naive.misses, naive.writeback, naive.fetched,
+        )
+        assert manager.copy_engine.next_free == naive.copy.next_free

@@ -125,3 +125,97 @@ def test_clearance_monotone_under_releases(choice_rows):
         assert clear_now or not clear_before
         clear_before = clear_now
     assert tracker.is_clear(last.subnet_id, last.layer_ids())
+
+
+# ----------------------------------------------------------------------
+# readiness-index upkeep: the waiter map and the dirty-scope record
+# ----------------------------------------------------------------------
+def _assert_waiters_mirror_blocked_edges(tracker):
+    """``_waiters`` (user -> layer -> entries) is exactly the inverse of
+    every scope's ``blocked`` edge sets, with no empty container kept —
+    so a user's keys are precisely the layers still awaited from it,
+    which is all ``ReadinessOverlay.assume_released`` walks."""
+    expected = {}
+    for scope_key, scope in tracker._scopes.items():
+        for waiting, edges in scope.blocked.items():
+            for user, layer in edges:
+                expected.setdefault(user, {}).setdefault(layer, set()).add(
+                    (scope_key, waiting)
+                )
+    assert tracker._waiters == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_subnets=st.integers(3, 16),
+    num_blocks=st.integers(2, 6),
+    num_choices=st.integers(1, 4),
+)
+def test_index_upkeep_under_random_ops(seed, num_subnets, num_blocks, num_choices):
+    """After every register / index_add / release_layers / mark_finished
+    / index_discard — registration order shuffled, so late-registering
+    earlier subnets add edges too — the waiter map mirrors the blocked
+    edges, and ``dirty_scopes`` covers every scope whose ``ready_ids``
+    differ from what its owner saw when it last cleared the mark."""
+    from random import Random
+
+    rng = Random(seed)
+    subnets = [
+        Subnet(i, tuple(rng.randrange(num_choices) for _ in range(num_blocks)))
+        for i in range(num_subnets)
+    ]
+    scopes = (0, 1)
+    cut = max(1, num_blocks // 2)
+    slices = {0: (0, cut), 1: (cut, num_blocks)}
+    order = list(range(num_subnets))
+    rng.shuffle(order)
+
+    tracker = DependencyTracker()
+    seen = {scope: [] for scope in scopes}
+    registered, unfinished = [], set()
+
+    def check():
+        _assert_waiters_mirror_blocked_edges(tracker)
+        for scope in scopes:
+            if tracker.ready_ids(scope) != seen[scope]:
+                assert scope in tracker.dirty_scopes
+
+    for _ in range(num_subnets * 8):
+        op = rng.randrange(6)
+        if op == 0 and order:
+            sid = order.pop()
+            tracker.register(subnets[sid])
+            registered.append(sid)
+            unfinished.add(sid)
+        elif op == 1 and unfinished:
+            sid, scope = rng.choice(sorted(unfinished)), rng.choice(scopes)
+            tracker.index_add(scope, sid, subnets[sid].layers_in_range(*slices[scope]))
+        elif op == 2 and unfinished:
+            sid, scope = rng.choice(sorted(unfinished)), rng.choice(scopes)
+            tracker.release_layers(sid, subnets[sid].layers_in_range(*slices[scope]))
+        elif op == 3 and unfinished:
+            sid = rng.choice(sorted(unfinished))
+            tracker.mark_finished(sid)
+            unfinished.discard(sid)
+        elif op == 4 and registered:
+            tracker.index_discard(rng.choice(scopes), rng.choice(registered))
+        elif op == 5:
+            # the owner polls: it reads the ready list and clears the mark
+            scope = rng.choice(scopes)
+            tracker.dirty_scopes.discard(scope)
+            seen[scope] = tracker.ready_ids(scope)
+        check()
+
+    # quiescence: everything registered, finished and popped
+    for sid in order:
+        tracker.register(subnets[sid])
+        unfinished.add(sid)
+    for sid in sorted(unfinished):
+        tracker.mark_finished(sid)
+        check()
+    for scope in scopes:
+        for sid in tracker.indexed_ids(scope):
+            tracker.index_discard(scope, sid)
+            check()
+    assert tracker._waiters == {} and tracker._watchers == {}

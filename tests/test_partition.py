@@ -13,6 +13,7 @@ from repro.partition import (
     partition_imbalance,
     static_partition_for_space,
 )
+from repro.partition.balanced import _cut_at_limit, _fits
 from repro.partition.static import expected_block_costs
 from repro.supernet.subnet import Subnet
 
@@ -55,6 +56,50 @@ def test_balanced_partition_is_optimal(costs, stages):
     achieved = partition_cost(costs, partition)
     optimal = _brute_force_minmax(costs, stages)
     assert achieved <= optimal * (1 + 1e-9) + 1e-9
+
+
+def _greedy_segments_needed(costs, limit):
+    """The bisection's feasibility count as it stood before ``_fits``
+    replaced it: minimum segments with no sum over ``limit`` (more than
+    ``len(costs)`` when one block alone exceeds it).  Kept as the oracle."""
+    segments = 1
+    running = 0.0
+    for cost in costs:
+        if cost > limit:
+            return len(costs) + 1
+        if running + cost > limit:
+            segments += 1
+            running = cost
+        else:
+            running += cost
+    return segments
+
+
+@given(
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=24),
+    st.integers(1, 9),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_early_exit_predicate_agrees_with_counting(costs, stages, position):
+    # anywhere the bisection can ask: max(costs) <= limit <= sum(costs)
+    limit = max(costs) + position * (sum(costs) - max(costs))
+    assert _fits(costs, limit, stages) == (
+        _greedy_segments_needed(costs, limit) <= stages
+    )
+
+
+@given(st.lists(st.floats(0.0, 50.0), min_size=8, max_size=48), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_balanced_partition_cut_unchanged_by_the_predicate(costs, stages):
+    low, high = max(costs), float(sum(costs))
+    for _ in range(48):
+        mid = (low + high) / 2.0
+        if _greedy_segments_needed(costs, mid) <= stages:
+            high = mid
+        else:
+            low = mid
+    assert balanced_partition(costs, stages) == _cut_at_limit(costs, high, stages)
 
 
 def test_balanced_partition_errors():
