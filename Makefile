@@ -14,6 +14,8 @@ bench:
 docs-check:
 	python tools/check_docs_links.py
 	python tools/check_cli_examples.py
+	python tools/check_one_spelling.py
+	python tools/config_keys.py --check docs/OPERATIONS.md
 
 ledger:
 	python3 ledger/run.py

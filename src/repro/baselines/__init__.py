@@ -10,6 +10,7 @@ from repro.baselines.systems import (
     naspipe_wo_predictor,
     naspipe_wo_scheduler,
     pipedream,
+    resolve_target,
     ssp,
     system_by_name,
     vpipe,
@@ -28,5 +29,6 @@ __all__ = [
     "naspipe_wo_predictor",
     "naspipe_wo_mirroring",
     "system_by_name",
+    "resolve_target",
     "RetiariiParameterServer",
 ]

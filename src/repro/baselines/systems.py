@@ -19,9 +19,12 @@ NASPipe w/o mirroring  CSP   static       cached 3×  stuck with static partitio
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import SystemConfig
+from repro.errors import ConfigError
+from repro.payload import accepted, reject_unknown
+from repro.supernet.search_space import SearchSpace, get_search_space
 
 __all__ = [
     "naspipe",
@@ -35,6 +38,7 @@ __all__ = [
     "ALL_SYSTEMS",
     "ABLATIONS",
     "system_by_name",
+    "resolve_target",
 ]
 
 
@@ -171,3 +175,31 @@ def system_by_name(name: str, **overrides) -> SystemConfig:
             f"unknown system {name!r}; known: {sorted(_FACTORIES)}"
         ) from None
     return factory(**overrides)
+
+
+def resolve_target(
+    space: str,
+    space_overrides: Optional[Mapping] = None,
+    system: str = "NASPipe",
+    overrides: Optional[Mapping] = None,
+    path: str = "config",
+) -> Tuple[SearchSpace, SystemConfig]:
+    """What a config trains and how: its ``space`` (+ ``space_overrides``)
+    and ``system`` (+ ``overrides``) keys as objects.  Every plane's
+    config goes through here, so an unknown override field or system is
+    a :class:`ConfigError` naming ``path`` rather than a ``TypeError``
+    from a dataclass constructor."""
+    space_overrides, overrides = space_overrides or {}, overrides or {}
+    reject_unknown(
+        space_overrides, accepted(SearchSpace), f"{path}.space_overrides"
+    )
+    reject_unknown(overrides, accepted(SystemConfig), f"{path}.overrides")
+    if system not in _FACTORIES:
+        raise ConfigError(
+            f"{path}.system: unknown system {system!r}; "
+            f"known: {sorted(_FACTORIES)}"
+        )
+    resolved = get_search_space(space)
+    if space_overrides:
+        resolved = resolved.scaled(**space_overrides)
+    return resolved, _FACTORIES[system](**overrides)

@@ -26,7 +26,9 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.baselines import resolve_target
 from repro.experiments.common import ExperimentScale
+from repro.payload import indented, reject_unknown
 
 __all__ = ["main", "build_parser"]
 
@@ -147,7 +149,7 @@ def _write(path: str, text: str) -> Path:
 
 def _indented(payload) -> str:
     """The human-diffable report files: indented, key-sorted JSON."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return indented(payload) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +338,23 @@ def _demo(args) -> str:
 # ----------------------------------------------------------------------
 # run-config commands
 # ----------------------------------------------------------------------
+#: the keys every run config shares; a command accepts these plus its own
+_TARGET_KEYS = ("space", "space_overrides", "system", "overrides")
+#: ``trace`` and ``analyze`` share config files, so ``analyze`` accepts
+#: ``label`` too
+_RUN_KEYS = (
+    *_TARGET_KEYS, "subnets", "num_gpus", "seed", "stream_kind", "batch", "label",
+)
+_FAULTS_KEYS = (
+    *_TARGET_KEYS, "num_gpus", "subnets", "seed", "batch", "faults", "mtbf_ms",
+    "checkpoint_interval", "recovery_gpus", "checkpoint_dir",
+)
+_CHAOS_KEYS = (
+    *_TARGET_KEYS, "gpus", "num_gpus", "subnets", "seed", "batch",
+    "mtbf_fraction", "stall_ms", "nic_slowdown", "degradation",
+)
+
+
 def _run_target(config) -> Dict[str, object]:
     """What a run config runs, defaults applied — the four keys every
     run-config command and the registry's config digest share."""
@@ -347,16 +366,13 @@ def _run_target(config) -> Dict[str, object]:
     }
 
 
-def _resolve_target(config):
-    """:func:`_run_target` as objects: ``(search space, system config)``."""
-    from repro.baselines import system_by_name
-    from repro.supernet.search_space import get_search_space
-
-    target = _run_target(config)
-    space = get_search_space(target["space"])
-    if target["space_overrides"]:
-        space = space.scaled(**target["space_overrides"])
-    return space, system_by_name(target["system"], **target["overrides"])
+def _read_config(config_path, keys, path):
+    """Parse a JSON run config that may hold ``keys`` only; returns it
+    with its target resolved: ``(config, search space, system config)``.
+    ``path`` is what a :class:`~repro.errors.ConfigError` calls it."""
+    config = json.loads(config_path.read_text())
+    reject_unknown(config, keys, path)
+    return (config, *resolve_target(**_run_target(config), path=path))
 
 
 def _load_run_config(config_path, default_seed=2022):
@@ -365,7 +381,7 @@ def _load_run_config(config_path, default_seed=2022):
     Shared by ``trace`` and ``analyze``: the same config file drives
     both.  Returns ``(config_dict, scale, run_kwargs)``.
     """
-    config = json.loads(config_path.read_text())
+    config, _space, _system = _read_config(config_path, _RUN_KEYS, "run config")
     scale = ExperimentScale(
         subnets=int(config.get("subnets", 24)),
         num_gpus=int(config.get("num_gpus", 4)),
@@ -419,7 +435,7 @@ def _trace(args) -> str:
 
     ``system`` accepts any :func:`repro.baselines.system_by_name` name;
     extra keys under ``"overrides"`` are forwarded to it (e.g.
-    ``{"overrides": {"cache_capacity_mb": 64}}``).  ``--summary-json
+    ``{"overrides": {"cache_subnets": 2.0}}``).  ``--summary-json
     PATH`` writes the same summary as canonical machine-readable JSON
     (byte-identical across identical runs — the registry's input).
     """
@@ -606,9 +622,9 @@ def _faults(args) -> str:
     )
     from repro.seeding import SeedSequenceTree
 
-    config_path = Path(args.config)
-    config = json.loads(config_path.read_text())
-    space, system = _resolve_target(config)
+    config, space, system = _read_config(
+        Path(args.config), _FAULTS_KEYS, "faults config"
+    )
     num_gpus = int(config.get("num_gpus", 4))
     steps = int(config.get("subnets", 24))
     seed = int(config.get("seed", args.seed))
@@ -682,9 +698,9 @@ def _chaos(args) -> str:
     """
     from repro.ft import chaos_sweep, format_chaos_report
 
-    config_path = Path(args.config)
-    config = json.loads(config_path.read_text())
-    space, system = _resolve_target(config)
+    config, space, system = _read_config(
+        Path(args.config), _CHAOS_KEYS, "chaos config"
+    )
     gpus = config.get("gpus") or [int(config.get("num_gpus", 4))]
     report = chaos_sweep(
         space,

@@ -29,7 +29,18 @@ from repro.sim.devices import CopyEngine
 from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.supernet import Supernet
 
-__all__ = ["StageContextManager", "FetchPlan"]
+__all__ = ["StageContextManager", "FetchPlan", "stage_cache_bytes"]
+
+
+def stage_cache_bytes(
+    supernet: Supernet, cache_subnets: float, stages: int
+) -> int:
+    """One stage's cache capacity: ``cache_subnets`` stage-shares of the
+    expected fp32 parameter footprint of a subnet — the sizing rule the
+    training engine, the serving engine and the chaos memory-cap
+    invariant share."""
+    share = supernet.expected_subnet_param_count() * 4 / stages
+    return int(cache_subnets * share)
 
 
 @dataclass(frozen=True)

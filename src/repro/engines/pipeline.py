@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.context_manager import StageContextManager
+from repro.core.context_manager import StageContextManager, stage_cache_bytes
 from repro.core.runtime import CspStageState
 from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.policies import make_policy
@@ -311,10 +311,9 @@ class PipelineEngine:
 
         self.contexts: Optional[List[StageContextManager]] = None
         if config.context == "cached":
-            share = (
-                self.supernet.expected_subnet_param_count() * 4 / self.stages
+            capacity = stage_cache_bytes(
+                supernet, config.cache_subnets, self.stages
             )
-            capacity = int(config.cache_subnets * share)
             self.contexts = [
                 StageContextManager(
                     stage,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines import system_by_name
+from repro.baselines import resolve_target
 from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.errors import GpuOutOfMemoryError
@@ -55,9 +55,9 @@ def make_stream(
     seeds = SeedSequenceTree(scale.seed).child(salt) if salt else SeedSequenceTree(
         scale.seed
     )
-    if scale.stream_kind == "generational":
-        return SubnetStream.sample_generational(space, seeds, scale.subnets)
-    return SubnetStream.sample(space, seeds, scale.subnets)
+    return SubnetStream.sample_kind(
+        scale.stream_kind, space, seeds, scale.subnets
+    )
 
 
 def run_system(
@@ -74,14 +74,13 @@ def run_system(
     (the paper's "failed to run" cells for GPipe/PipeDream on NLP.c0).
     ``space_overrides`` scales the search space before sampling (the
     same knob the faults/chaos configs expose)."""
-    space = get_search_space(space_name)
-    if space_overrides:
-        space = space.scaled(**space_overrides)
+    space, config = resolve_target(
+        space_name, space_overrides, system_name, system_overrides
+    )
     supernet = Supernet(space)
     stream = make_stream(
         space_name, scale, salt=f"{space_name}/{system_name}", space=space
     )
-    config = system_by_name(system_name, **system_overrides)
     plane = None
     if with_functional:
         plane = FunctionalPlane(supernet, SeedSequenceTree(scale.seed))

@@ -72,6 +72,7 @@ from repro.ft.recovery import (
     RecoverySpec,
     build_stream,
     default_optimizer,
+    fresh_plane,
     rewarm_prefetch,
     run_uninterrupted,
     run_with_recovery,
@@ -95,6 +96,7 @@ __all__ = [
     "run_with_recovery",
     "build_stream",
     "default_optimizer",
+    "fresh_plane",
     "rewarm_prefetch",
     "availability_summary",
     "failure_summary",

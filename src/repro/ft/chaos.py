@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config import SystemConfig
+from repro.core.context_manager import stage_cache_bytes
 from repro.errors import DeadlockError
 from repro.ft.faults import (
     COPY_STALL,
@@ -74,8 +75,7 @@ def _cache_capacity(
     None for full-context systems."""
     if config.context != "cached":
         return None
-    share = Supernet(space).expected_subnet_param_count() * 4 / num_gpus
-    return int(config.cache_subnets * share)
+    return stage_cache_bytes(Supernet(space), config.cache_subnets, num_gpus)
 
 
 def chaos_invariants(
@@ -84,7 +84,6 @@ def chaos_invariants(
     *,
     steps: int,
     capacity_bytes: Optional[int] = None,
-    mem_cap_factor: float = MEM_CAP_FACTOR,
 ) -> List[str]:
     """The invariant suite; returns human-readable violations (empty =
     the scenario holds)."""
@@ -127,11 +126,11 @@ def chaos_invariants(
         # per stage the unfaulted run itself can sit above raw capacity
         # — so the allowance anchors on whichever is larger
         baseline_peak = getattr(baseline, "peak_cache_bytes", None) or 0
-        allowance = max(capacity_bytes, baseline_peak) * mem_cap_factor
+        allowance = max(capacity_bytes, baseline_peak) * MEM_CAP_FACTOR
         if result.peak_cache_bytes > allowance:
             violations.append(
                 f"peak cache {result.peak_cache_bytes} bytes exceeds "
-                f"{mem_cap_factor}x max(capacity {capacity_bytes}, "
+                f"{MEM_CAP_FACTOR}x max(capacity {capacity_bytes}, "
                 f"baseline peak {baseline_peak}) bytes"
             )
     return violations

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.nn.parameter_store import LayerId
+from repro.payload import indented
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engines.functional_plane import FunctionalPlane
@@ -102,7 +103,7 @@ class Checkpoint:
             "rng_state": self.rng_state,
             "meta": self.meta,
         }
-        self.meta_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        self.meta_path.write_text(indented(payload))
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "Checkpoint":

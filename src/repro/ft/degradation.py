@@ -35,10 +35,11 @@ bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as _dataclass_fields, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import ConfigError
+from repro.payload import build
 
 __all__ = [
     "DegradationPolicy",
@@ -121,14 +122,7 @@ class DegradationPolicy:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "DegradationPolicy":
-        known = {f.name for f in _dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown degradation policy keys: {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**payload)
+        return build(cls, payload, "degradation")
 
 
 class HealthMonitor:

@@ -61,11 +61,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields as _dataclass_fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
+from repro.payload import build, indented
 from repro.seeding import SeedSequenceTree
 
 __all__ = [
@@ -211,23 +212,13 @@ class FaultSchedule:
     def from_payload(
         cls, payload: Sequence[Dict[str, object]]
     ) -> "FaultSchedule":
-        known = {f.name for f in _dataclass_fields(FaultEvent)}
-        events: List[FaultEvent] = []
-        for index, entry in enumerate(payload):
-            unknown = sorted(set(entry) - known)
-            if unknown:
-                raise ConfigError(
-                    f"fault event {index}: unknown keys {unknown}; "
-                    f"expected a subset of {sorted(known)}"
-                )
-            try:
-                events.append(FaultEvent(**entry))
-            except ConfigError as exc:
-                raise ConfigError(f"fault event {index}: {exc}") from None
-        return cls(events)
+        return cls(
+            build(FaultEvent, entry, f"fault event {index}")
+            for index, entry in enumerate(payload)
+        )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
+        return indented(self.to_payload())
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":

@@ -44,17 +44,14 @@ Storm draws, arrival processes and both virtual clocks are seeded, so
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.baselines import system_by_name
 from repro.errors import ConfigError, ServiceError
 from repro.ft.faults import FaultSchedule
-from repro.ft.recovery import run_uninterrupted
 from repro.obs.events import validate_trace
+from repro.payload import indented, reject_unknown
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
-from repro.supernet.search_space import get_search_space
 
 # NOTE: repro.service and repro.serving import repro.ft.faults at module
 # level, and this module is imported by repro.ft.__init__ — so both
@@ -69,23 +66,18 @@ __all__ = [
     "format_fleet_report",
 ]
 
-_FLEET_KEYS = frozenset(
-    {
-        "fleet_slots",
-        "scenarios",
-        "seed",
-        "storm_mtbf_fraction",
-        "slots_per_node",
-        "node_down_weight",
-        "preempt_outage_ms",
-        "node_outage_ms",
-        "quantum",
-        "resize_cost_ms",
-        "max_restarts",
-        "requeue_backoff_ms",
-        "serving",
-        "jobs",
-    }
+#: what a ``chaos-fleet`` config holds besides the scheduler's
+#: :data:`~repro.service.scheduler.SCHEDULER_KNOBS`
+_FLEET_KEYS = (
+    "fleet_slots",
+    "scenarios",
+    "seed",
+    "storm_mtbf_fraction",
+    "node_down_weight",
+    "preempt_outage_ms",
+    "node_outage_ms",
+    "serving",
+    "jobs",
 )
 
 
@@ -106,26 +98,17 @@ def _build_planes(
     from repro.serving.frontend import ServingEngine, ServingSpec
 
     manager = ClusterManager(ClusterSpec(num_gpus=fleet_slots))
-    slots_per_node = int(payload.get("slots_per_node", 4))
-    serving_spec = ServingSpec.from_payload(
-        {**payload["serving"], "total_gpus": fleet_slots}
-    )
+    scheduler = JobScheduler.from_payload(manager, payload)
     serving = ServingEngine(
-        serving_spec,
+        ServingSpec.from_payload(
+            {**payload["serving"], "total_gpus": fleet_slots}
+        ),
         manager=manager,
-        slots_per_node=slots_per_node,
+        slots_per_node=scheduler.slots_per_node,
         telemetry=serving_telemetry,
     )
-    scheduler = JobScheduler(
-        manager,
-        quantum=int(payload.get("quantum", 8)),
-        resize_cost_ms=float(payload.get("resize_cost_ms", 50.0)),
-        max_restarts=int(payload.get("max_restarts", 3)),
-        requeue_backoff_ms=float(payload.get("requeue_backoff_ms", 25.0)),
-        slots_per_node=slots_per_node,
-    )
-    for entry in payload["jobs"]:
-        scheduler.submit(JobSpec.from_payload(entry))
+    for index, entry in enumerate(payload["jobs"]):
+        scheduler.submit(JobSpec.from_payload(entry, f"jobs[{index}]"))
     return manager, serving, scheduler
 
 
@@ -138,44 +121,15 @@ def _unfaulted_horizon(payload: Mapping, fleet_slots: int) -> float:
     return max(training["makespan_ms"], result.makespan_ms)
 
 
-def _solo_digest(
-    entry: Mapping, solo_gpus: int, cache: Dict
-) -> Tuple[Optional[str], Dict]:
-    """Fault-free solo baseline for one job config at ``solo_gpus``,
-    memoised across scenarios and fleet sizes."""
-    key = (json.dumps(entry, sort_keys=True), solo_gpus)
-    if key not in cache:
-        from repro.service.scheduler import JobSpec
-
-        spec = JobSpec.from_payload(entry)
-        space = get_search_space(spec.space)
-        if spec.space_overrides:
-            space = space.scaled(**dict(spec.space_overrides))
-        solo = run_uninterrupted(
-            space,
-            system_by_name(spec.system, **dict(spec.overrides or {})),
-            num_gpus=solo_gpus,
-            steps=spec.subnets,
-            seed=spec.seed,
-            batch=spec.batch,
-            functional_batch=spec.functional_batch,
-            stream_kind=spec.stream_kind,
-        )
-        cache[key] = (
-            solo.digest,
-            {str(sid): loss for sid, loss in sorted(solo.losses.items())},
-        )
-    return cache[key]
-
-
 def _check_training(
     payload: Mapping,
     report: Dict,
     fleet_slots: int,
     solo_cache: Dict,
 ) -> Tuple[List[Dict], List[str]]:
-    """Invariant 2: every finished job bitwise-matches its solo run."""
-    from repro.service.scheduler import JobSpec
+    """Invariant 2: every finished job bitwise-matches its solo run
+    (baselines memoised in ``solo_cache`` across scenarios and fleets)."""
+    from repro.service.scheduler import JobSpec, solo_verdict
 
     job_rows: List[Dict] = []
     violations: List[str] = []
@@ -204,17 +158,12 @@ def _check_training(
             )
             job_rows.append(row)
             continue
-        spec = JobSpec.from_payload(entry)
-        space = get_search_space(spec.space)
-        if spec.space_overrides:
-            space = space.scaled(**dict(spec.space_overrides))
-        solo_gpus = (
-            job["segments"][-1]["gpus"]
-            if not job["elastic"]
-            else min(spec.max_gpus, fleet_slots, space.num_blocks)
+        verdict = solo_verdict(
+            JobSpec.from_payload(entry), job, fleet_slots, solo_cache
         )
-        digest, losses = _solo_digest(entry, solo_gpus, solo_cache)
-        row["digest_ok"] = digest == job["digest"] and losses == job["losses"]
+        row["digest_ok"] = (
+            verdict["digest_matches_solo"] and verdict["losses_match_solo"]
+        )
         if not row["digest_ok"]:
             violations.append(
                 f"job {job['name']} diverged from its fault-free solo run "
@@ -278,6 +227,9 @@ def run_fleet_scenario(
     """One storm seed against one fleet size; returns a JSON-stable row
     with the invariant verdicts."""
     solo_cache = solo_cache if solo_cache is not None else {}
+    manager, serving, scheduler = _build_planes(
+        payload, fleet_slots, serving_telemetry=serving_telemetry
+    )
     storm = FaultSchedule.fleet_from_mtbf(
         SeedSequenceTree(storm_seed),
         mtbf_ms=max(
@@ -285,7 +237,7 @@ def run_fleet_scenario(
         ),
         horizon_ms=horizon_ms,
         fleet_slots=fleet_slots,
-        slots_per_node=int(payload.get("slots_per_node", 4)),
+        slots_per_node=scheduler.slots_per_node,
         node_down_weight=float(payload.get("node_down_weight", 0.2)),
         preempt_outage_ms=float(payload.get("preempt_outage_ms", 120.0)),
         node_outage_ms=float(payload.get("node_outage_ms", 300.0)),
@@ -295,9 +247,6 @@ def run_fleet_scenario(
     for event in storm:
         kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
 
-    manager, serving, scheduler = _build_planes(
-        payload, fleet_slots, serving_telemetry=serving_telemetry
-    )
     serving_slots = frozenset(serving.lease.slots)
     training_slots = frozenset(range(fleet_slots)) - serving_slots
     scheduler.inject_fleet_faults(storm, slots=training_slots)
@@ -376,12 +325,12 @@ def run_fleet_scenario(
     return row
 
 
-def fleet_sweep(payload: Mapping, on_scenario=None) -> Dict:
+def fleet_sweep(payload: Mapping) -> Dict:
     """``scenarios`` storm seeds × every fleet size in the config, each
     with the full invariant suite; ``report["ok"]`` is the CI gate."""
-    unknown = sorted(set(payload) - _FLEET_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown fleet config keys: {unknown}")
+    from repro.service.scheduler import SCHEDULER_KNOBS
+
+    reject_unknown(payload, (*_FLEET_KEYS, *SCHEDULER_KNOBS), "fleet config")
     if not payload.get("jobs"):
         raise ConfigError('fleet config needs a non-empty "jobs" list')
     if not payload.get("serving"):
@@ -416,8 +365,6 @@ def fleet_sweep(payload: Mapping, on_scenario=None) -> Dict:
                     f"[fleet={fleet} storm_seed={row['storm_seed']}] "
                     f"{violation}"
                 )
-            if on_scenario is not None:
-                on_scenario(row)
     return {
         "schema": 1,
         "seed": seed,
@@ -435,7 +382,7 @@ def fleet_sweep(payload: Mapping, on_scenario=None) -> Dict:
 
 def fleet_report_json(report: Mapping) -> str:
     """Canonical byte-deterministic serialisation of a fleet report."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return indented(report) + "\n"
 
 
 def format_fleet_report(report: Mapping) -> str:

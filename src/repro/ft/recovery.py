@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.engines.functional_plane import FunctionalPlane
@@ -63,6 +63,7 @@ __all__ = [
     "run_uninterrupted",
     "build_stream",
     "default_optimizer",
+    "fresh_plane",
     "rewarm_prefetch",
 ]
 
@@ -160,8 +161,24 @@ def default_optimizer() -> MomentumSGD:
     return MomentumSGD(0.3, 0.9, 5.0)
 
 
-# historical private name, kept for callers inside this package
-_default_optimizer = default_optimizer
+def fresh_plane(
+    space: SearchSpace,
+    seed: int,
+    functional_batch: int,
+    optimizer: Optional[MomentumSGD] = None,
+) -> Tuple[Supernet, FunctionalPlane]:
+    """A job's state before subnet 0: a new supernet and a functional
+    plane initialised from ``seed`` — what every attempt, segment-0 and
+    rigid restart of one logical job must start from to stay
+    digest-comparable."""
+    supernet = Supernet(space)
+    plane = FunctionalPlane(
+        supernet,
+        SeedSequenceTree(seed),
+        functional_batch=functional_batch,
+        optimizer=default_optimizer() if optimizer is None else optimizer,
+    )
+    return supernet, plane
 
 
 def rewarm_prefetch(engine: PipelineEngine, first) -> int:
@@ -201,13 +218,9 @@ def build_stream(
     """The seeded subnet stream one logical job trains — shared by
     recovery attempts and the service plane so every incarnation of a
     job resumes the *same* stream with original sequence IDs."""
-    seeds = SeedSequenceTree(seed)
-    if stream_kind == "generational":
-        return SubnetStream.sample_generational(space, seeds, steps)
-    return SubnetStream.sample(space, seeds, steps)
-
-
-_build_stream = build_stream
+    return SubnetStream.sample_kind(
+        stream_kind, space, SeedSequenceTree(seed), steps
+    )
 
 
 def run_uninterrupted(
@@ -232,15 +245,10 @@ def run_uninterrupted(
     same entry point to single-attempt *non-fatal* fault runs — the
     chaos harness's workhorse.
     """
-    supernet = Supernet(space)
-    seeds = SeedSequenceTree(seed)
-    plane = FunctionalPlane(
-        supernet,
-        seeds,
-        functional_batch=functional_batch,
-        optimizer=(optimizer_factory or _default_optimizer)(),
+    supernet, plane = fresh_plane(
+        space, seed, functional_batch, (optimizer_factory or default_optimizer)()
     )
-    stream = _build_stream(space, seed, steps, stream_kind)
+    stream = build_stream(space, seed, steps, stream_kind)
     if isinstance(faults, FaultSchedule):
         faults = FaultInjector(faults)
     engine = PipelineEngine(
@@ -296,9 +304,9 @@ def run_with_recovery(
         )
     spec = spec or RecoverySpec()
     checkpoint_dir = Path(checkpoint_dir)
-    optimizer_factory = optimizer_factory or _default_optimizer
+    optimizer_factory = optimizer_factory or default_optimizer
     degradation_policy = _degradation_policy(degradation)
-    full_stream = list(_build_stream(space, seed, steps, stream_kind))
+    full_stream = list(build_stream(space, seed, steps, stream_kind))
 
     cursor = 0  # next subnet ID to train
     offset = 0.0  # global virtual time consumed by earlier attempts
@@ -355,13 +363,8 @@ def run_with_recovery(
         gpus = num_gpus if attempt == 1 else (spec.restart_gpus or num_gpus)
         speeds = speed_factors if attempt == 1 else restart_speed_factors
 
-        supernet = Supernet(space)
-        seeds = SeedSequenceTree(seed)
-        plane = FunctionalPlane(
-            supernet,
-            seeds,
-            functional_batch=functional_batch,
-            optimizer=optimizer_factory(),
+        supernet, plane = fresh_plane(
+            space, seed, functional_batch, optimizer_factory()
         )
         if restore_from is not None:
             restore_from.restore(plane)

@@ -22,7 +22,7 @@ from repro.nas.evaluator import SubnetEvaluator
 from repro.nas.evolution import EvolutionSearch, SearchOutcome
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
-from repro.supernet.sampler import SubnetStream
+from repro.supernet.sampler import STREAM_KINDS, SubnetStream
 from repro.supernet.search_space import SearchSpace, get_search_space
 from repro.supernet.supernet import Supernet
 
@@ -86,7 +86,7 @@ class SupernetTrainer:
         self.seed = seed
         self.num_gpus = num_gpus
         self.functional_batch = functional_batch
-        if stream_kind not in ("spos", "generational", "fair"):
+        if stream_kind not in STREAM_KINDS:
             raise ValueError(f"unknown stream kind {stream_kind!r}")
         self.stream_kind = stream_kind
         self.generation = generation
@@ -105,16 +105,9 @@ class SupernetTrainer:
     def make_stream(self, steps: int) -> SubnetStream:
         """The subnet stream for a run — a pure function of the seed, so
         every system trains the *same* ordered workload."""
-        seeds = self._seeds()
-        if self.stream_kind == "generational":
-            return SubnetStream.sample_generational(
-                self.space, seeds, steps, self.generation
-            )
-        if self.stream_kind == "fair":
-            from repro.supernet.sampler import FairSampler
-
-            return SubnetStream(FairSampler(self.space, seeds).sample_many(steps))
-        return SubnetStream.sample(self.space, seeds, steps)
+        return SubnetStream.sample_kind(
+            self.stream_kind, self.space, self._seeds(), steps, self.generation
+        )
 
     def make_plane(
         self, record_accesses: bool = True, recompute: bool = False

@@ -25,11 +25,11 @@ golden-file test enforces this).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.summary import csp_wait_windows
+from repro.payload import compact
 from repro.sim.trace import ExecutionTrace
 
 __all__ = ["to_perfetto", "export_chrome_trace", "validate_chrome_trace"]
@@ -478,7 +478,7 @@ def export_chrome_trace(
     """Serialise :func:`to_perfetto` deterministically; optionally write
     it to ``path``.  Returns the JSON text."""
     payload = to_perfetto(trace, label=label, system=system, space=space, batch=batch)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = compact(payload) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

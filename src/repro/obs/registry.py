@@ -30,11 +30,12 @@ still the same run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro.payload import compact, sha256
 
 __all__ = [
     "DEFAULT_REGISTRY",
@@ -64,15 +65,11 @@ COMPARE_FIELDS = (
 REGRESSION_FIELDS = ("makespan_ms", "bubble_ratio")
 
 
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def config_digest(identity: Dict[str, object]) -> str:
     """SHA-256 of a canonical-JSON identity payload.  For manifest-based
     runs prefer :meth:`repro.replay.RunManifest.config_digest`, which
     digests the full replayable identity."""
-    return hashlib.sha256(_canonical(identity).encode("utf-8")).hexdigest()
+    return sha256(identity)
 
 
 def _git_sha(cwd: Optional[Path] = None) -> Optional[str]:
@@ -118,7 +115,7 @@ def run_record(
             "batch": result.batch,
         }
     body = {"summary": summary, "critical_path": breakdown}
-    run_id = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()[:16]
+    run_id = sha256(body)[:16]
     if git_sha is True:
         sha: Optional[str] = _git_sha()
     elif isinstance(git_sha, str):
@@ -151,7 +148,7 @@ def append_run(
     registry = Path(path) if path is not None else DEFAULT_REGISTRY
     registry.parent.mkdir(parents=True, exist_ok=True)
     with registry.open("a", encoding="utf-8") as handle:
-        handle.write(_canonical(record) + "\n")
+        handle.write(compact(record) + "\n")
     return registry
 
 

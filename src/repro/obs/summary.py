@@ -23,11 +23,11 @@ the invariant the exporter tests enforce at 1e-9.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Dict, List, Tuple
 
+from repro.payload import compact
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -310,7 +310,7 @@ def summary_json(summary: Dict[str, object]) -> str:
     """Canonical single-line JSON for a summary dict — sorted keys, no
     whitespace, trailing newline; byte-identical across identical runs
     (the ``naspipe trace --summary-json`` and registry serialisation)."""
-    return json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
+    return compact(summary) + "\n"
 
 
 def _pct(fraction: float, digits: int = 1) -> str:

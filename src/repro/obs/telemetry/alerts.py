@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.payload import reject_unknown
 
 __all__ = ["AlertRule", "AlertEngine", "load_rules", "DEFAULT_RULES"]
 
@@ -57,9 +58,7 @@ class AlertRule:
     """One validated rule (threshold or burn_rate)."""
 
     def __init__(self, payload: Dict) -> None:
-        unknown = sorted(set(payload) - _RULE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown alert rule keys: {unknown}")
+        reject_unknown(payload, _RULE_KEYS, f"alert rule {payload.get('name')!r}")
         self.name = str(payload.get("name", ""))
         if not self.name:
             raise ConfigError("alert rule needs a name")

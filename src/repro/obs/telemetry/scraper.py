@@ -16,11 +16,11 @@ and Prometheus text exposition of the final state.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.telemetry.registry import MetricsRegistry, render_prometheus
+from repro.payload import compact
 
 __all__ = ["Scraper"]
 
@@ -82,11 +82,7 @@ class Scraper:
         """Canonical JSONL: one ``{"t_ms": ..., "samples": {...}}`` line
         per scrape, sorted keys, byte-identical across identical runs."""
         lines = [
-            json.dumps(
-                {"t_ms": t, "samples": samples},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            compact({"t_ms": t, "samples": samples})
             for t, samples in self.samples
         ]
         return "\n".join(lines) + ("\n" if lines else "")

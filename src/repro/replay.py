@@ -20,24 +20,18 @@ in library form.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.baselines import system_by_name
+from repro.baselines import resolve_target
 from repro.config import SystemConfig
-from repro.engines.functional_plane import FunctionalPlane
-from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.errors import ReproducibilityError
 from repro.nn.optim import MomentumSGD
-from repro.seeding import SeedSequenceTree
-from repro.sim.cluster import ClusterSpec
-from repro.supernet.sampler import SubnetStream
-from repro.supernet.search_space import SearchSpace, get_search_space
-from repro.supernet.supernet import Supernet
+from repro.payload import indented, sha256
+from repro.supernet.search_space import SearchSpace
 
 __all__ = ["RunManifest", "execute_manifest", "record_run", "verify_replay"]
 
@@ -103,12 +97,11 @@ class RunManifest:
         payload = dataclasses.asdict(self)
         for field_name in self.OUTCOME_FIELDS:
             payload.pop(field_name, None)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(payload)
 
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return indented(dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -127,14 +120,21 @@ class RunManifest:
         return cls.from_json(Path(path).read_text())
 
     # ------------------------------------------------------------------
+    def resolve(self) -> Tuple[SearchSpace, SystemConfig]:
+        """The search space and system config the run trained."""
+        return resolve_target(
+            self.space_name,
+            self.space_overrides,
+            self.system_name,
+            self.system_overrides,
+            path="manifest",
+        )
+
     def resolve_space(self) -> SearchSpace:
-        space = get_search_space(self.space_name)
-        if self.space_overrides:
-            space = space.scaled(**self.space_overrides)
-        return space
+        return self.resolve()[0]
 
     def resolve_system(self) -> SystemConfig:
-        return system_by_name(self.system_name, **self.system_overrides)
+        return self.resolve()[1]
 
 
 def _build_manifest(
@@ -202,48 +202,41 @@ def execute_manifest(
     checkpoints go to ``checkpoint_dir``, or a temporary directory when
     none is given) and returns a
     :class:`~repro.ft.recovery.FaultedRunResult`; otherwise a plain
-    :class:`PipelineResult`.
+    :class:`~repro.engines.pipeline.PipelineResult` from
+    :func:`~repro.ft.recovery.run_uninterrupted`.
     """
-    if manifest.fault_events:
-        return _execute_faulted(manifest, checkpoint_dir)
-    space = manifest.resolve_space()
-    supernet = Supernet(space)
-    seeds = SeedSequenceTree(manifest.seed)
-    if manifest.stream_kind == "generational":
-        stream = SubnetStream.sample_generational(space, seeds, manifest.steps)
-    else:
-        stream = SubnetStream.sample(space, seeds, manifest.steps)
-    plane = FunctionalPlane(
-        supernet,
-        seeds,
+    # repro.ft stays off ``import repro``'s path (the CLI's cold start)
+    from repro.ft.recovery import run_uninterrupted
+
+    space, system = manifest.resolve()
+    run = dict(
+        num_gpus=manifest.num_gpus,
+        steps=manifest.steps,
+        seed=manifest.seed,
+        batch=manifest.batch,
         functional_batch=manifest.functional_batch,
-        optimizer=MomentumSGD(
+        optimizer_factory=lambda: MomentumSGD(
             manifest.learning_rate, manifest.momentum, manifest.max_grad_norm
         ),
-    )
-    engine = PipelineEngine(
-        supernet,
-        stream,
-        manifest.resolve_system(),
-        ClusterSpec(
-            num_gpus=manifest.num_gpus,
-            gpu_speed_factors=(
-                tuple(manifest.speed_factors)
-                if manifest.speed_factors
-                else None
-            ),
+        stream_kind=manifest.stream_kind,
+        speed_factors=(
+            tuple(manifest.speed_factors) if manifest.speed_factors else None
         ),
-        batch=manifest.batch,
-        functional=plane,
         degradation=(
             dict(manifest.degradation) if manifest.degradation else None
         ),
     )
-    return engine.run()
+    if manifest.fault_events:
+        return _execute_faulted(manifest, space, system, run, checkpoint_dir)
+    return run_uninterrupted(space, system, **run)
 
 
 def _execute_faulted(
-    manifest: RunManifest, checkpoint_dir: Optional[Union[str, Path]]
+    manifest: RunManifest,
+    space: SearchSpace,
+    system: SystemConfig,
+    run: Dict[str, object],
+    checkpoint_dir: Optional[Union[str, Path]],
 ):
     from repro.ft.faults import FaultSchedule
     from repro.ft.recovery import RecoverySpec, run_with_recovery
@@ -254,36 +247,15 @@ def _execute_faulted(
         restart_gpus=manifest.recovery_gpus,
     )
 
-    def run(directory: Union[str, Path]):
+    def run_in(directory: Union[str, Path]):
         return run_with_recovery(
-            manifest.resolve_space(),
-            manifest.resolve_system(),
-            schedule,
-            num_gpus=manifest.num_gpus,
-            steps=manifest.steps,
-            seed=manifest.seed,
-            checkpoint_dir=directory,
-            spec=spec,
-            batch=manifest.batch,
-            functional_batch=manifest.functional_batch,
-            optimizer_factory=lambda: MomentumSGD(
-                manifest.learning_rate, manifest.momentum, manifest.max_grad_norm
-            ),
-            stream_kind=manifest.stream_kind,
-            speed_factors=(
-                tuple(manifest.speed_factors)
-                if manifest.speed_factors
-                else None
-            ),
-            degradation=(
-                dict(manifest.degradation) if manifest.degradation else None
-            ),
+            space, system, schedule, checkpoint_dir=directory, spec=spec, **run
         )
 
     if checkpoint_dir is not None:
-        return run(checkpoint_dir)
+        return run_in(checkpoint_dir)
     with tempfile.TemporaryDirectory(prefix="naspipe-ckpt-") as tmp:
-        return run(tmp)
+        return run_in(tmp)
 
 
 def _completion_order(result) -> List[int]:

@@ -28,6 +28,7 @@ from repro.service.scheduler import (
     format_service_report,
     run_service,
     service_report_json,
+    solo_verdict,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "JobSpec",
     "fair_share",
     "run_service",
+    "solo_verdict",
     "format_service_report",
     "service_report_json",
 ]

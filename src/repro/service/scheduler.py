@@ -65,11 +65,10 @@ runs), and the service timeline is itself a schema-validated
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.baselines import system_by_name
+from repro.baselines import resolve_target
 from repro.config import SystemConfig
 from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
@@ -78,16 +77,17 @@ from repro.ft.availability import failure_summary
 from repro.ft.faults import FaultEvent, FaultSchedule
 from repro.ft.recovery import (
     build_stream,
-    default_optimizer,
+    fresh_plane,
     rewarm_prefetch,
     run_uninterrupted,
 )
+from repro.payload import build, compact, indented, reject_unknown
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import ExecutionTrace
 from repro.supernet.sampler import SubnetStream
-from repro.supernet.search_space import SearchSpace, get_search_space
+from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
@@ -95,30 +95,11 @@ __all__ = [
     "JobSpec",
     "JobScheduler",
     "fair_share",
+    "solo_verdict",
     "run_service",
     "format_service_report",
     "service_report_json",
 ]
-
-_JOB_KEYS = frozenset(
-    {
-        "name",
-        "space",
-        "space_overrides",
-        "system",
-        "overrides",
-        "subnets",
-        "seed",
-        "priority",
-        "submit_ms",
-        "min_gpus",
-        "max_gpus",
-        "batch",
-        "functional_batch",
-        "stream_kind",
-    }
-)
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -160,13 +141,20 @@ class JobSpec:
             raise ServiceError(f"{self.name}: submit_ms must be >= 0")
 
     @classmethod
-    def from_payload(cls, payload: Mapping) -> "JobSpec":
-        """Build from a ``serve`` config entry; unknown keys are loud
-        errors (silent typos would silently change a tenant's run)."""
-        unknown = sorted(set(payload) - _JOB_KEYS)
-        if unknown:
-            raise ServiceError(f"unknown job config keys: {unknown}")
-        return cls(**payload)
+    def from_payload(cls, payload: Mapping, path: str = "job") -> "JobSpec":
+        """Build from a ``serve`` config entry; unknown keys, override
+        fields and systems are loud :class:`~repro.errors.ConfigError`s
+        naming ``path`` (silent typos would silently change a tenant's
+        run)."""
+        spec = build(cls, payload, path)
+        spec.resolve(path)
+        return spec
+
+    def resolve(self, path: str = "job") -> Tuple[SearchSpace, SystemConfig]:
+        """The search space and system config this job trains."""
+        return resolve_target(
+            self.space, self.space_overrides, self.system, self.overrides, path
+        )
 
 
 @dataclass
@@ -302,7 +290,6 @@ class JobScheduler:
         *,
         quantum: int = 8,
         resize_cost_ms: float = 50.0,
-        rewarm: bool = True,
         max_restarts: int = 3,
         requeue_backoff_ms: float = 25.0,
         slots_per_node: int = 4,
@@ -327,7 +314,6 @@ class JobScheduler:
         #: virtual downtime charged when a job changes shape at a cut
         #: (checkpoint hand-off + engine respawn, as in RecoverySpec)
         self.resize_cost_ms = resize_cost_ms
-        self.rewarm = rewarm
         #: restart budget for rigid jobs aborted by lease revocation
         self.max_restarts = max_restarts
         #: first re-queue backoff; doubles per consecutive restart
@@ -349,6 +335,20 @@ class JobScheduler:
         self._ran = False
         self.fleet_faults = 0
 
+    @classmethod
+    def from_payload(
+        cls, manager: ClusterManager, payload: Mapping, telemetry=None
+    ) -> "JobScheduler":
+        """The scheduler a service or fleet config describes: each of
+        :data:`SCHEDULER_KNOBS` the payload carries becomes a constructor
+        argument; the rest keep the constructor's defaults."""
+        knobs = {
+            key: cast(payload[key])
+            for key, cast in SCHEDULER_KNOBS.items()
+            if key in payload
+        }
+        return cls(manager, telemetry=telemetry, **knobs)
+
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
@@ -360,11 +360,8 @@ class JobScheduler:
         if spec.name in self._jobs:
             raise ServiceError(f"duplicate job name {spec.name!r}")
         state = _JobState(spec=spec, index=len(self._jobs))
-        space = get_search_space(spec.space)
-        if spec.space_overrides:
-            space = space.scaled(**dict(spec.space_overrides))
-        state.space = space
-        state.config = system_by_name(spec.system, **dict(spec.overrides or {}))
+        state.space, state.config = spec.resolve()
+        space = state.space
         state.gpus_cap = min(
             spec.max_gpus, self.manager.total_gpus, space.num_blocks
         )
@@ -386,12 +383,8 @@ class JobScheduler:
         state.status = "queued"
         # lazy build at arrival: the plane/stream exist only once the
         # job is actually in the system
-        state.supernet = Supernet(state.space)
-        state.plane = FunctionalPlane(
-            state.supernet,
-            _seed_tree(state.spec.seed),
-            functional_batch=state.spec.functional_batch,
-            optimizer=default_optimizer(),
+        state.supernet, state.plane = fresh_plane(
+            state.space, state.spec.seed, state.spec.functional_batch
         )
         state.subnets = list(
             build_stream(
@@ -516,7 +509,7 @@ class JobScheduler:
             batch=spec.batch,
             functional=state.plane,
         )
-        if delay > 0.0 and self.rewarm:
+        if delay > 0.0:
             rewarm_prefetch(engine, state.subnets[state.cursor])
         result = engine.run()
         start_ms = now + delay
@@ -651,12 +644,8 @@ class JobScheduler:
         state.restarts += 1
         # restart-from-scratch: fresh weights and plane (a rigid job
         # checkpoints nothing mid-stream)
-        state.supernet = Supernet(state.space)
-        state.plane = FunctionalPlane(
-            state.supernet,
-            _seed_tree(spec.seed),
-            functional_batch=spec.functional_batch,
-            optimizer=default_optimizer(),
+        state.supernet, state.plane = fresh_plane(
+            state.space, spec.seed, spec.functional_batch
         )
         if state.restarts > self.max_restarts:
             state.status = "failed"
@@ -806,29 +795,69 @@ class JobScheduler:
         }
 
 
-def _seed_tree(seed: int):
-    from repro.seeding import SeedSequenceTree
-
-    return SeedSequenceTree(seed)
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-_SERVICE_KEYS = frozenset(
-    {
-        "total_gpus",
-        "gpu_speed_factors",
-        "quantum",
-        "resize_cost_ms",
-        "verify_solo",
-        "jobs",
-        "max_restarts",
-        "requeue_backoff_ms",
-        "slots_per_node",
-        "faults",
+#: the :class:`JobScheduler` constructor knobs a service or fleet config
+#: may set, with the cast each value gets (defaults: the constructor's)
+SCHEDULER_KNOBS = {
+    "quantum": int,
+    "resize_cost_ms": float,
+    "max_restarts": int,
+    "requeue_backoff_ms": float,
+    "slots_per_node": int,
+}
+#: what else :func:`run_service` reads from a ``serve`` config
+_SERVICE_KEYS = ("total_gpus", "gpu_speed_factors", "verify_solo", "jobs", "faults")
+
+
+def solo_verdict(
+    spec: JobSpec, job: Mapping, fleet_gpus: int, cache: Optional[Dict] = None
+) -> Dict:
+    """Re-run ``spec`` alone and compare it bitwise with its report row.
+
+    The solo GPU count: a rigid job ran one segment at a fixed size, so
+    its baseline is that allocation; an elastic (CSP) job's digest is
+    allocation-independent, so it runs at its cap — ``min(max_gpus,
+    fleet, num_blocks)``.  ``cache`` memoises baselines across calls
+    (the fleet sweep checks the same jobs under every storm).  A job
+    that exhausted its restart budget has no final weights: every
+    verdict key is None.
+    """
+    if job["status"] == "failed":
+        return dict.fromkeys(
+            ("solo_gpus", "solo_digest", "digest_matches_solo", "losses_match_solo")
+        )
+    space, config = spec.resolve()
+    solo_gpus = (
+        job["segments"][0]["gpus"]
+        if not job["elastic"]
+        else min(spec.max_gpus, fleet_gpus, space.num_blocks)
+    )
+    cache = {} if cache is None else cache
+    key = (compact(asdict(spec)), solo_gpus)
+    if key not in cache:
+        solo = run_uninterrupted(
+            space,
+            config,
+            num_gpus=solo_gpus,
+            steps=spec.subnets,
+            seed=spec.seed,
+            batch=spec.batch,
+            functional_batch=spec.functional_batch,
+            stream_kind=spec.stream_kind,
+        )
+        cache[key] = (
+            solo.digest,
+            {str(sid): loss for sid, loss in sorted(solo.losses.items())},
+        )
+    digest, losses = cache[key]
+    return {
+        "solo_gpus": solo_gpus,
+        "solo_digest": digest,
+        "digest_matches_solo": digest == job["digest"],
+        "losses_match_solo": losses == job["losses"],
     }
-)
 
 
 def run_service(
@@ -845,9 +874,9 @@ def run_service(
     report's ``"ok"`` is False on any mismatch, which is the acceptance
     criterion the ``service-smoke`` CI job gates on.
     """
-    unknown = sorted(set(payload) - _SERVICE_KEYS)
-    if unknown:
-        raise ServiceError(f"unknown service config keys: {unknown}")
+    reject_unknown(
+        payload, (*_SERVICE_KEYS, *SCHEDULER_KNOBS), "service config"
+    )
     if not payload.get("jobs"):
         raise ServiceError('service config needs a non-empty "jobs" list')
     speeds = payload.get("gpu_speed_factors")
@@ -857,17 +886,13 @@ def run_service(
             gpu_speed_factors=tuple(speeds) if speeds else None,
         )
     )
-    scheduler = JobScheduler(
-        manager,
-        quantum=int(payload.get("quantum", 8)),
-        resize_cost_ms=float(payload.get("resize_cost_ms", 50.0)),
-        max_restarts=int(payload.get("max_restarts", 3)),
-        requeue_backoff_ms=float(payload.get("requeue_backoff_ms", 25.0)),
-        slots_per_node=int(payload.get("slots_per_node", 4)),
-        telemetry=telemetry,
-    )
-    for entry in payload["jobs"]:
-        scheduler.submit(JobSpec.from_payload(entry))
+    scheduler = JobScheduler.from_payload(manager, payload, telemetry)
+    specs = [
+        JobSpec.from_payload(entry, f"jobs[{index}]")
+        for index, entry in enumerate(payload["jobs"])
+    ]
+    for spec in specs:
+        scheduler.submit(spec)
     if payload.get("faults"):
         scheduler.inject_fleet_faults(
             FaultSchedule.from_payload(payload["faults"])
@@ -877,51 +902,19 @@ def run_service(
         verify_solo = bool(payload.get("verify_solo", False))
     report["verified"] = bool(verify_solo)
     if verify_solo:
-        ok = True
-        for entry, job in zip(payload["jobs"], report["jobs"]):
-            if job["status"] == "failed":
-                # a job that exhausted its restart budget produced no
-                # final weights; there is nothing to compare to solo
-                job["solo_gpus"] = None
-                job["solo_digest"] = None
-                job["digest_matches_solo"] = None
-                job["losses_match_solo"] = None
-                continue
-            spec = JobSpec.from_payload(entry)
-            space = get_search_space(spec.space)
-            if spec.space_overrides:
-                space = space.scaled(**dict(spec.space_overrides))
-            solo_gpus = (
-                job["segments"][0]["gpus"]
-                if not job["elastic"]
-                else min(spec.max_gpus, manager.total_gpus, space.num_blocks)
-            )
-            solo = run_uninterrupted(
-                space,
-                system_by_name(spec.system, **dict(spec.overrides or {})),
-                num_gpus=solo_gpus,
-                steps=spec.subnets,
-                seed=spec.seed,
-                batch=spec.batch,
-                functional_batch=spec.functional_batch,
-                stream_kind=spec.stream_kind,
-            )
-            job["solo_gpus"] = solo_gpus
-            job["solo_digest"] = solo.digest
-            job["digest_matches_solo"] = solo.digest == job["digest"]
-            job["losses_match_solo"] = {
-                str(sid): loss for sid, loss in sorted(solo.losses.items())
-            } == job["losses"]
-            ok = ok and job["digest_matches_solo"] and job["losses_match_solo"]
-        report["ok"] = ok
-    else:
-        report["ok"] = True
+        for spec, job in zip(specs, report["jobs"]):
+            job.update(solo_verdict(spec, job, manager.total_gpus))
+    report["ok"] = not verify_solo or all(
+        job["digest_matches_solo"] and job["losses_match_solo"]
+        for job in report["jobs"]
+        if job["status"] != "failed"
+    )
     return report
 
 
 def service_report_json(report: Mapping) -> str:
     """Canonical byte-deterministic serialisation of a service report."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return indented(report) + "\n"
 
 
 def format_service_report(report: Mapping) -> str:

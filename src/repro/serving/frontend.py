@@ -30,54 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigError, ServiceError
-from repro.core.context_manager import StageContextManager
+from repro.baselines import resolve_target
+from repro.errors import ServiceError
+from repro.core.context_manager import StageContextManager, stage_cache_bytes
 from repro.ft.faults import FaultEvent, FaultSchedule
 from repro.partition.static import static_partition_for_space
+from repro.payload import build
 from repro.serving.batcher import BatchPolicy, BoundedBatcher, FormedBatch
 from repro.serving.cache import LayerBlockCache, ResultCache, subnet_digest
-from repro.serving.metrics import (
-    latency_histogram,
-    latency_stats,
-    write_bench_json,
-)
+from repro.serving.metrics import latency_histogram, latency_stats
 from repro.serving.workload import EvalRequest, WorkloadSpec, generate_requests
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import ExecutionTrace
-from repro.supernet.search_space import get_search_space
 from repro.supernet.supernet import Supernet
 
 __all__ = ["RequestRecord", "ServingEngine", "ServingSpec", "run_bench"]
 
-_SERVING_KEYS = frozenset(
-    {
-        "space",
-        "space_overrides",
-        "num_gpus",
-        "total_gpus",
-        "eval_batch",
-        "slo_ms",
-        "result_entries",
-        "cache_subnets",
-        "result_hit_cost_ms",
-        "requests",
-        "arrival",
-        "rate_rps",
-        "burst_factor",
-        "burst_period_ms",
-        "skew",
-        "hot_prefixes",
-        "prefix_blocks",
-        "repeat_fraction",
-        "seed",
-        "max_batch",
-        "max_linger_ms",
-        "queue_bound",
-        "overload_rate_factor",
-    }
-)
+#: the one serving config key not spelled like its field
+_RENAME = (("requests", "num_requests"),)
 
 
 @dataclass(frozen=True)
@@ -99,42 +71,10 @@ class ServingSpec:
 
     @staticmethod
     def from_payload(payload: Dict) -> "ServingSpec":
-        unknown = sorted(set(payload) - _SERVING_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown serving config keys: {unknown}")
-        workload = WorkloadSpec(
-            num_requests=int(payload.get("requests", 200)),
-            arrival=payload.get("arrival", "poisson"),
-            rate_rps=float(payload.get("rate_rps", 50.0)),
-            burst_factor=float(payload.get("burst_factor", 4.0)),
-            burst_period_ms=float(payload.get("burst_period_ms", 200.0)),
-            skew=float(payload.get("skew", 0.6)),
-            hot_prefixes=int(payload.get("hot_prefixes", 4)),
-            prefix_blocks=int(payload.get("prefix_blocks", 8)),
-            repeat_fraction=float(payload.get("repeat_fraction", 0.25)),
-            seed=int(payload.get("seed", 2022)),
-        )
-        policy = BatchPolicy(
-            max_batch=int(payload.get("max_batch", 8)),
-            max_linger_ms=float(payload.get("max_linger_ms", 5.0)),
-            queue_bound=int(payload.get("queue_bound", 64)),
-        )
-        return ServingSpec(
-            space=payload.get("space", "NLP.c3"),
-            space_overrides=payload.get("space_overrides"),
-            num_gpus=int(payload.get("num_gpus", 4)),
-            total_gpus=int(payload.get("total_gpus", 8)),
-            eval_batch=int(payload.get("eval_batch", 32)),
-            slo_ms=float(payload.get("slo_ms", 250.0)),
-            result_entries=int(payload.get("result_entries", 256)),
-            cache_subnets=float(payload.get("cache_subnets", 3.0)),
-            result_hit_cost_ms=float(payload.get("result_hit_cost_ms", 0.05)),
-            workload=workload,
-            policy=policy,
-            overload_rate_factor=float(
-                payload.get("overload_rate_factor", 6.0)
-            ),
-        )
+        """Build from one flat ``bench-serving`` config: the spec's own
+        fields plus :class:`WorkloadSpec`'s and :class:`BatchPolicy`'s,
+        every default the dataclass's."""
+        return build(ServingSpec, payload, "serving", rename=_RENAME)
 
 
 @dataclass
@@ -173,11 +113,10 @@ class ServingEngine:
         telemetry=None,
     ) -> None:
         self.spec = spec
-        space = get_search_space(spec.space)
-        if spec.space_overrides:
-            space = space.scaled(**spec.space_overrides)
-        self.space = space
-        self.supernet = Supernet(space)
+        self.space, _system = resolve_target(
+            spec.space, spec.space_overrides, path="serving"
+        )
+        self.supernet = Supernet(self.space)
         self.manager = manager or ClusterManager(
             ClusterSpec(num_gpus=spec.total_gpus)
         )
@@ -229,10 +168,9 @@ class ServingEngine:
         cache starts **cold** (new devices hold nothing)."""
         self.lease = self.manager.acquire("serving", self.stages)
         self.cluster = self.lease.materialize()
-        # Same sizing rule as the training engine: ``cache_subnets``
-        # stage-shares of the expected subnet parameter footprint.
-        share = self.supernet.expected_subnet_param_count() * 4 / self.stages
-        capacity = int(self.spec.cache_subnets * share)
+        capacity = stage_cache_bytes(
+            self.supernet, self.spec.cache_subnets, self.stages
+        )
         contexts = [
             StageContextManager(
                 stage,
@@ -742,7 +680,3 @@ def run_bench(payload: Dict) -> Dict:
         "no_cache": no_cache.scenario_report(),
         "overload": overload.scenario_report(),
     }
-
-
-def write_bench(payload: Dict, path) -> str:
-    return str(write_bench_json(payload, path))

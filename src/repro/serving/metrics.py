@@ -20,6 +20,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.payload import indented
+
 __all__ = [
     "nearest_rank",
     "latency_stats",
@@ -118,7 +120,7 @@ def latency_histogram(
 
 def serving_report_json(report: Dict) -> str:
     """Canonical byte-stable encoding (the CI gate ``cmp``'s two)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return indented(report) + "\n"
 
 
 def _scenario_lines(name: str, scenario: Dict) -> List[str]:
@@ -171,13 +173,6 @@ def format_serving_report(report: Dict) -> str:
             f"hit rate {no_cache['hit_rate']:.1%} -> {primary['hit_rate']:.1%}"
         )
     return "\n".join(lines).rstrip()
-
-
-def write_bench_json(payload: Dict, path) -> Path:
-    """Write the serving payload (``BENCH_serving.json``)."""
-    target = Path(path)
-    target.write_text(serving_report_json(payload))
-    return target
 
 
 def check_regression(

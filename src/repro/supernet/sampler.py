@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence
 
-from repro.errors import SearchSpaceError
+from repro.errors import ConfigError, SearchSpaceError
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
@@ -26,8 +26,12 @@ __all__ = [
     "GenerationalSampler",
     "FairSampler",
     "SubnetStream",
+    "STREAM_KINDS",
     "interleave_streams",
 ]
+
+#: the ``stream_kind`` values :meth:`SubnetStream.sample_kind` accepts
+STREAM_KINDS = ("spos", "generational", "fair")
 
 
 class SposSampler:
@@ -194,6 +198,28 @@ class SubnetStream:
         sampler (diverse within each generation)."""
         sampler = GenerationalSampler(space, seeds, generation)
         return cls(sampler.sample_many(count))
+
+    @classmethod
+    def sample_kind(
+        cls,
+        kind: str,
+        space: SearchSpace,
+        seeds: SeedSequenceTree,
+        count: int,
+        generation: int = 8,
+    ) -> "SubnetStream":
+        """Draw ``count`` subnets from the sampler a config's
+        ``stream_kind`` names — the one place that string is read, so an
+        unknown kind is an error everywhere instead of a silent SPOS."""
+        if kind == "spos":
+            return cls.sample(space, seeds, count)
+        if kind == "generational":
+            return cls.sample_generational(space, seeds, count, generation)
+        if kind == "fair":
+            return cls(FairSampler(space, seeds).sample_many(count))
+        raise ConfigError(
+            f"stream_kind must be one of {list(STREAM_KINDS)}, got {kind!r}"
+        )
 
     def __len__(self) -> int:
         return len(self._subnets)

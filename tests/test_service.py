@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.errors import LeaseError, ServiceError
+from repro.errors import ConfigError, LeaseError, ServiceError
 from repro.ft import run_uninterrupted
 from repro.obs.events import validate_trace
 from repro.service import (
@@ -146,7 +146,7 @@ class TestFairShare:
 # ----------------------------------------------------------------------
 class TestJobSpec:
     def test_unknown_payload_keys_rejected(self):
-        with pytest.raises(ServiceError, match="unknown job config keys"):
+        with pytest.raises(ConfigError, match=r"job: unknown keys \['gpus'\]"):
             JobSpec.from_payload({"name": "a", "space": "NLP.c3", "gpus": 4})
 
     def test_invalid_gpu_range_rejected(self):
@@ -336,7 +336,7 @@ class TestJobScheduler:
         assert report["jobs"][0]["digest"] == direct.digest
 
     def test_unknown_service_keys_rejected(self):
-        with pytest.raises(ServiceError, match="unknown service config"):
+        with pytest.raises(ConfigError, match=r"service config: unknown keys \['gpus'\]"):
             run_service({"gpus": 8, "jobs": [{"name": "a", "space": "NLP.c3"}]})
 
     def test_empty_job_list_rejected(self):

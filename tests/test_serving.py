@@ -312,7 +312,7 @@ def test_shed_events_match_the_records(overload_result):
 # CLI + config validation
 # ----------------------------------------------------------------------
 def test_spec_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"serving: unknown keys \['spaec'\].*'space'"):
         ServingSpec.from_payload({"spaec": "NLP.c3"})
 
 

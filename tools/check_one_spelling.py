@@ -1,0 +1,40 @@
+#!/usr/bin/env python
+"""Fail when a decision ``src/repro`` makes once is spelled a second time.
+
+A rule is (regex, the files that may hold it, most hits in total, what to
+call instead).  Run by ``make docs-check`` and the CI ``docs`` job.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+KNOBS = "quantum|resize_cost_ms|max_restarts|requeue_backoff_ms|slots_per_node"
+CACHE_HOMES = ("core/context_manager.py", "memory_model.py")
+RULES = [
+    (r"sort_keys=True", ("payload.py",), 2, "payload.compact / payload.indented"),
+    (r"\.scaled\(\*\*", ("baselines/systems.py",), 1, "resolve_target"),
+    (r'== "generational"', ("supernet/sampler.py",), 1, "SubnetStream.sample_kind"),
+    (r"expected_subnet_param_count\(\) \* 4", CACHE_HOMES, 2, "stage_cache_bytes"),
+    (rf'payload\.get\("({KNOBS})"', (), 0, "JobScheduler.from_payload"),
+]
+
+
+def main() -> int:
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    errors = []
+    for pattern, homes, limit, instead in RULES:
+        hits = {name: len(re.findall(pattern, text)) for name, text in sources.items()}
+        strays = sorted(name for name, count in hits.items() if count and name not in homes)
+        if strays or sum(hits.values()) > limit:
+            errors.append(
+                f"{pattern!r}: {sum(hits.values())} hit(s); at most {limit}, in "
+                f"{list(homes)} only, but also in {strays} — use {instead}"
+            )
+    print("\n".join(errors) or f"one spelling each: {len(RULES)} rules hold")
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
