@@ -1,6 +1,6 @@
 # Convenience targets (see README for the underlying commands).
 
-.PHONY: install test bench docs-check ledger ledger-test ledger-pairs bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
+.PHONY: install test bench docs-check ledger ledger-test ledger-pairs gc-share bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -27,6 +27,11 @@ ledger-test:
 #   make ledger-pairs PARENT=<rev> WORKLOAD=csp_dense
 ledger-pairs:
 	python3 tools/ledger_pairs.py --parent $(PARENT) --workload $(WORKLOAD)
+
+# what the cyclic collector costs a workload (passes, seconds, census):
+#   make gc-share WORKLOAD=csp_dense
+gc-share:
+	python3 tools/gc_share.py --workload $(WORKLOAD)
 
 bench-serving:
 	python -m repro bench-serving examples/serving_demo.json \

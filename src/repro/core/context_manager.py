@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.nn.parameter_store import LayerId
 from repro.sim.devices import CopyEngine
-from repro.sim.trace import ExecutionTrace, TraceEvent
+from repro.sim.trace import ExecutionTrace
 from repro.supernet.supernet import Supernet
 
 __all__ = ["StageContextManager", "FetchPlan", "stage_cache_bytes"]
@@ -178,7 +178,7 @@ class StageContextManager:
                     facts.head + (("dirty", True), ("reason", reason)),
                 )
             self.trace.append_event(
-                TraceEvent("eviction", now, self.stage, -1, by_dirty[entry.dirty])
+                "eviction", now, self.stage, -1, by_dirty[entry.dirty]
             )
 
     def _fetch(
@@ -209,16 +209,14 @@ class StageContextManager:
             landed = facts.land[demand]
             block, choice, size, demanded = landed
             self.trace.append_event(
-                TraceEvent(
-                    "prefetch_issue",
-                    now,
-                    self.stage,
-                    -1,
-                    (block, choice, size, demanded, ("land", completion)),
-                )
+                "prefetch_issue",
+                now,
+                self.stage,
+                -1,
+                (block, choice, size, demanded, ("land", completion)),
             )
             self.trace.append_event(
-                TraceEvent("prefetch_land", completion, self.stage, -1, landed)
+                "prefetch_land", completion, self.stage, -1, landed
             )
         return completion, nbytes
 
@@ -307,13 +305,11 @@ class StageContextManager:
             self.trace.record_cache_access(True, hits)
             self.trace.record_cache_access(False, misses)
             self.trace.append_event(
-                TraceEvent(
-                    "cache_access",
-                    now,
-                    self.stage,
-                    -1,
-                    (("hits", hits), ("misses", misses)),
-                )
+                "cache_access",
+                now,
+                self.stage,
+                -1,
+                (("hits", hits), ("misses", misses)),
             )
         return FetchPlan(ready_time=ready, hits=hits, misses=misses, fetched_bytes=fetched)
 

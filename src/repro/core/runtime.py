@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import SchedulingError
-from repro.sim.trace import ExecutionTrace, TraceEvent
+from repro.sim.trace import ExecutionTrace
 from repro.supernet.subnet import Subnet
 
 __all__ = ["CspStageState"]
@@ -60,16 +60,14 @@ class CspStageState:
     def _sample_depth(self) -> None:
         if self.trace is not None and self.clock is not None:
             self.trace.append_event(
-                TraceEvent(
-                    "queue_depth",
-                    self.clock(),
-                    self.stage,
-                    -1,
-                    (
-                        ("fwd", len(self.queue)),
-                        ("bwd", len(self.backward_ready)),
-                    ),
-                )
+                "queue_depth",
+                self.clock(),
+                self.stage,
+                -1,
+                (
+                    ("fwd", len(self.queue)),
+                    ("bwd", len(self.backward_ready)),
+                ),
             )
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.partition.mirror import MirrorRegistry
 from repro.partition.static import static_partition_for_space
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.engine import SimulationEngine
-from repro.sim.trace import ExecutionTrace, TraceEvent
+from repro.sim.trace import ExecutionTrace
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
@@ -694,9 +694,7 @@ class PipelineEngine:
         kind = "bwd" if is_backward else "fwd"
         self.trace.record_interval(stage, start, start + duration, kind, subnet_id)
         attrs = (_DIRECTION[is_backward], ("start", start), ("end", start + duration))
-        self.trace.append_event(
-            TraceEvent("task_dispatch", now, stage, subnet_id, attrs)
-        )
+        self.trace.append_event("task_dispatch", now, stage, subnet_id, attrs)
         self.sim.schedule(
             start + duration,
             lambda: self._on_task_done(stage, subnet_id, is_backward),
@@ -709,9 +707,7 @@ class PipelineEngine:
     def _on_task_done(self, stage: int, subnet_id: int, is_backward: bool) -> None:
         self._stage_busy[stage] = False
         self.trace.append_event(
-            TraceEvent(
-                "task_done", self.sim.now, stage, subnet_id, _DONE_ATTRS[is_backward]
-            )
+            "task_done", self.sim.now, stage, subnet_id, _DONE_ATTRS[is_backward]
         )
         if is_backward:
             self._finish_backward(stage, subnet_id)
@@ -743,7 +739,7 @@ class PipelineEngine:
             _DIRECTION[is_backward],
         )
         self.trace.append_event(
-            TraceEvent("nic_transfer", self.sim.now, stage, subnet_id, attrs)
+            "nic_transfer", self.sim.now, stage, subnet_id, attrs
         )
 
     def _finish_forward(self, stage: int, subnet_id: int) -> None:

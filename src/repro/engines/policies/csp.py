@@ -20,7 +20,6 @@ from repro.core.predictor import ContextPredictor
 from repro.core.scheduler import CspScheduler
 from repro.engines.policies.base import SyncPolicy
 from repro.nn.parameter_store import LayerId
-from repro.sim.trace import TraceEvent
 
 __all__ = ["CspPolicy"]
 
@@ -164,9 +163,7 @@ class CspPolicy(SyncPolicy):
         size = self.tracker.ready_count(stage)
         if self._ready_size.get(stage) != size:
             self._ready_size[stage] = size
-            trace.append_event(
-                TraceEvent("ready_set", now, stage, -1, (("size", size),))
-            )
+            trace.append_event("ready_set", now, stage, -1, (("size", size),))
         if chosen is not None:
             since = self._wait_since.pop(stage, None)
             if since is not None:

@@ -82,10 +82,8 @@ def stall_cause_index(
     interval starting at that instant on that GPU (shared with
     :mod:`repro.obs.whatif`)."""
     causes: Dict[Tuple[int, float], str] = {}
-    for event in trace.events:
-        cause = _STALL_CLASS.get(event.kind)
-        if cause is None:
-            continue
+    for event in trace.events_of(*_STALL_CLASS):
+        cause = _STALL_CLASS[event.kind]
         if event.kind == "fetch_stall":
             # the stall interval starts at the (post-migration)
             # dispatch time, which is the event time

@@ -18,6 +18,7 @@ Conventions shared by all events:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -581,6 +582,13 @@ def validate_event(event: TraceEvent) -> List[str]:
     if schema is None:
         return [f"unknown event kind {event.kind!r}"]
     problems: List[str] = []
+    time = event.time
+    if (
+        isinstance(time, bool)
+        or not isinstance(time, _NUMBER)
+        or not math.isfinite(time)
+    ):
+        problems.append(f"{event.kind}: time must be a finite number, got {time!r}")
     if schema.stage_scoped and event.stage < 0:
         problems.append(f"{event.kind}: stage must be >= 0, got {event.stage}")
     if not schema.stage_scoped and event.stage != -1:

@@ -100,9 +100,9 @@ def to_perfetto(
     # -- typed events ---------------------------------------------------
     cache_hits: Dict[int, int] = {}
     cache_misses: Dict[int, int] = {}
-    for event in trace.events:
-        attrs = event.attrs_dict
-        if event.kind == "prefetch_issue":
+    for kind, time, stage, subnet_id, pairs in trace.events.rows():
+        attrs = dict(pairs)
+        if kind == "prefetch_issue":
             land = float(attrs["land"])  # type: ignore[arg-type]
             events.append(
                 {
@@ -116,16 +116,16 @@ def to_perfetto(
                     "cat": "copy",
                     "ph": "X",
                     "pid": _PID_COPY,
-                    "tid": event.stage,
-                    "ts": event.time,
-                    "dur": max(0.0, land - event.time),
+                    "tid": stage,
+                    "ts": time,
+                    "dur": max(0.0, land - time),
                     "args": {
                         "bytes": attrs["nbytes"],
                         "demand": attrs["demand"],
                     },
                 }
             )
-        elif event.kind == "eviction":
+        elif kind == "eviction":
             events.append(
                 {
                     "name": f"evict B{attrs['block']}.c{attrs['choice']}",
@@ -133,8 +133,8 @@ def to_perfetto(
                     "ph": "i",
                     "s": "t",
                     "pid": _PID_COPY,
-                    "tid": event.stage,
-                    "ts": event.time,
+                    "tid": stage,
+                    "ts": time,
                     "args": {
                         "bytes": attrs["nbytes"],
                         "dirty": attrs["dirty"],
@@ -142,21 +142,21 @@ def to_perfetto(
                     },
                 }
             )
-        elif event.kind == "cache_access":
-            hits = cache_hits.get(event.stage, 0) + int(attrs["hits"])  # type: ignore[arg-type]
-            misses = cache_misses.get(event.stage, 0) + int(attrs["misses"])  # type: ignore[arg-type]
-            cache_hits[event.stage] = hits
-            cache_misses[event.stage] = misses
+        elif kind == "cache_access":
+            hits = cache_hits.get(stage, 0) + int(attrs["hits"])  # type: ignore[arg-type]
+            misses = cache_misses.get(stage, 0) + int(attrs["misses"])  # type: ignore[arg-type]
+            cache_hits[stage] = hits
+            cache_misses[stage] = misses
             events.append(
                 {
-                    "name": f"cache P{event.stage}",
+                    "name": f"cache P{stage}",
                     "ph": "C",
                     "pid": _PID_COPY,
-                    "ts": event.time,
+                    "ts": time,
                     "args": {"hits": hits, "misses": misses},
                 }
             )
-        elif event.kind == "nic_transfer":
+        elif kind == "nic_transfer":
             src = int(attrs["src"])  # type: ignore[arg-type]
             fwd = attrs["direction"] == "fwd"
             tid = 2 * (src if fwd else src - 1) + (0 if fwd else 1)
@@ -164,82 +164,82 @@ def to_perfetto(
             events.append(
                 {
                     "name": "SN{} {}".format(
-                        event.subnet_id, "activation" if fwd else "gradient"
+                        subnet_id, "activation" if fwd else "gradient"
                     ),
                     "cat": "nic",
                     "ph": "X",
                     "pid": _PID_NIC,
                     "tid": tid,
-                    "ts": event.time,
-                    "dur": max(0.0, arrive - event.time),
+                    "ts": time,
+                    "dur": max(0.0, arrive - time),
                     "args": {
                         "bytes": attrs["nbytes"],
                         "src": attrs["src"],
                         "dst": attrs["dst"],
-                        "subnet": event.subnet_id,
+                        "subnet": subnet_id,
                     },
                 }
             )
-        elif event.kind == "ready_set":
+        elif kind == "ready_set":
             events.append(
                 {
-                    "name": f"ready set P{event.stage}",
+                    "name": f"ready set P{stage}",
                     "ph": "C",
                     "pid": _PID_SCHED,
-                    "ts": event.time,
+                    "ts": time,
                     "args": {"size": attrs["size"]},
                 }
             )
-        elif event.kind == "queue_depth":
+        elif kind == "queue_depth":
             events.append(
                 {
-                    "name": f"queues P{event.stage}",
+                    "name": f"queues P{stage}",
                     "ph": "C",
                     "pid": _PID_SCHED,
-                    "ts": event.time,
+                    "ts": time,
                     "args": {"fwd": attrs["fwd"], "bwd": attrs["bwd"]},
                 }
             )
-        elif event.kind in ("bulk_flush", "staleness_hold", "migration"):
+        elif kind in ("bulk_flush", "staleness_hold", "migration"):
             events.append(
                 {
-                    "name": event.kind,
+                    "name": kind,
                     "cat": "policy",
                     "ph": "i",
-                    "s": "p" if event.kind == "bulk_flush" else "t",
+                    "s": "p" if kind == "bulk_flush" else "t",
                     "pid": _PID_SCHED,
-                    "tid": max(0, event.stage),
-                    "ts": event.time,
+                    "tid": max(0, stage),
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "oom_retry":
+        elif kind == "oom_retry":
             events.append(
                 {
-                    "name": f"SN{event.subnet_id} OOM retry",
+                    "name": f"SN{subnet_id} OOM retry",
                     "cat": "oom",
                     "ph": "i",
                     "s": "t",
                     "pid": _PID_GPU,
-                    "tid": event.stage,
-                    "ts": event.time,
+                    "tid": stage,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "subnet_complete":
+        elif kind == "subnet_complete":
             events.append(
                 {
-                    "name": f"SN{event.subnet_id} complete",
+                    "name": f"SN{subnet_id} complete",
                     "cat": "completion",
                     "ph": "i",
                     "s": "g",
                     "pid": _PID_GPU,
                     "tid": 0,
-                    "ts": event.time,
-                    "args": {"subnet": event.subnet_id},
+                    "ts": time,
+                    "args": {"subnet": subnet_id},
                 }
             )
-        elif event.kind == "fault_inject":
+        elif kind == "fault_inject":
             events.append(
                 {
                     "name": f"fault {attrs['fault']}@{attrs['target']}",
@@ -248,37 +248,37 @@ def to_perfetto(
                     "s": "g",
                     "pid": _PID_GPU,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind in ("gpu_down", "gpu_up"):
+        elif kind in ("gpu_down", "gpu_up"):
             events.append(
                 {
-                    "name": f"{event.kind} P{event.stage}",
+                    "name": f"{kind} P{stage}",
                     "cat": "fault",
                     "ph": "i",
                     "s": "p",
                     "pid": _PID_GPU,
-                    "tid": event.stage,
-                    "ts": event.time,
+                    "tid": stage,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "task_retry":
+        elif kind == "task_retry":
             events.append(
                 {
-                    "name": f"SN{event.subnet_id} transient retry",
+                    "name": f"SN{subnet_id} transient retry",
                     "cat": "fault",
                     "ph": "i",
                     "s": "t",
                     "pid": _PID_GPU,
-                    "tid": event.stage,
-                    "ts": event.time,
+                    "tid": stage,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind in (
+        elif kind in (
             "checkpoint_begin",
             "checkpoint_commit",
             "recovery_begin",
@@ -286,17 +286,17 @@ def to_perfetto(
         ):
             events.append(
                 {
-                    "name": f"{event.kind} cut {attrs['cut']}",
+                    "name": f"{kind} cut {attrs['cut']}",
                     "cat": "checkpoint",
                     "ph": "i",
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "lease_revoke":
+        elif kind == "lease_revoke":
             events.append(
                 {
                     "name": (
@@ -308,11 +308,11 @@ def to_perfetto(
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind in (
+        elif kind in (
             "job_submit",
             "job_start",
             "job_resize",
@@ -323,17 +323,17 @@ def to_perfetto(
         ):
             events.append(
                 {
-                    "name": f"{event.kind} {attrs['job']}",
+                    "name": f"{kind} {attrs['job']}",
                     "cat": "service",
                     "ph": "i",
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind in (
+        elif kind in (
             "request_arrive",
             "request_admit",
             "request_shed",
@@ -343,17 +343,17 @@ def to_perfetto(
         ):
             events.append(
                 {
-                    "name": f"{event.kind} R{event.subnet_id}",
+                    "name": f"{kind} R{subnet_id}",
                     "cat": "serving",
                     "ph": "i",
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "batch_form":
+        elif kind == "batch_form":
             events.append(
                 {
                     "name": (
@@ -365,11 +365,11 @@ def to_perfetto(
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "health_report":
+        elif kind == "health_report":
             events.append(
                 {
                     "name": (
@@ -381,11 +381,11 @@ def to_perfetto(
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "mitigation_apply":
+        elif kind == "mitigation_apply":
             events.append(
                 {
                     "name": (
@@ -397,20 +397,20 @@ def to_perfetto(
                     "s": "g",
                     "pid": _PID_SCHED,
                     "tid": 0,
-                    "ts": event.time,
+                    "ts": time,
                     "args": attrs,
                 }
             )
-        elif event.kind == "rebalance":
+        elif kind == "rebalance":
             events.append(
                 {
-                    "name": f"rebalance P{event.stage} w={attrs['weight']}",
+                    "name": f"rebalance P{stage} w={attrs['weight']}",
                     "cat": "mitigation",
                     "ph": "i",
                     "s": "t",
                     "pid": _PID_SCHED,
-                    "tid": event.stage,
-                    "ts": event.time,
+                    "tid": stage,
+                    "ts": time,
                     "args": attrs,
                 }
             )

@@ -62,10 +62,10 @@ def csp_wait_windows(trace: ExecutionTrace) -> Dict[int, List[WaitWindow]]:
     ``trace.end_time``."""
     windows: Dict[int, List[WaitWindow]] = {}
     open_waits: Dict[int, object] = {}
-    for event in trace.events:
+    for event in trace.events_of("csp_wait_begin", "csp_wait_end"):
         if event.kind == "csp_wait_begin":
             open_waits[event.stage] = event
-        elif event.kind == "csp_wait_end":
+        else:
             begin = open_waits.pop(event.stage, None)
             if begin is None:
                 continue

@@ -449,7 +449,7 @@ def replay_telemetry(trace, rules=None) -> TelemetryHub:
     of the event stream); the scrape series contains only the final
     sample."""
     hub = TelemetryHub(rules=rules)
-    for event in trace.events:
+    for event in trace.events_of(*_HANDLERS):
         hub.on_event(event)
     hub.finalize(trace.end_time)
     return hub

@@ -59,9 +59,14 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labels: Tuple[str, ...] = tuple(labels)
+        self._sorted_labels = tuple(sorted(self.labels))
 
     def _key(self, label_values: Dict[str, object]) -> _LabelValues:
-        if tuple(sorted(label_values)) != tuple(sorted(self.labels)):
+        # labels given in declared order (the usual call) need no sort
+        if (
+            tuple(label_values) != self.labels
+            and tuple(sorted(label_values)) != self._sorted_labels
+        ):
             raise ConfigError(
                 f"{self.name}: labels {sorted(label_values)} != declared "
                 f"{sorted(self.labels)} (fixed label sets)"
@@ -226,10 +231,10 @@ class MetricsRegistry:
         self._instruments: Dict[str, _Instrument] = {}
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
-        return self._register(Counter(name, help, labels))
+        return self._instrument(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._register(Gauge(name, help, labels))
+        return self._instrument(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -238,7 +243,23 @@ class MetricsRegistry:
         buckets: Sequence[float] = (),
         labels: Sequence[str] = (),
     ) -> Histogram:
-        return self._register(Histogram(name, help, buckets, labels))
+        return self._instrument(Histogram, name, help, labels, buckets)
+
+    def _instrument(self, kind: type, name: str, help: str, labels, buckets=None):
+        """Look ``name`` up before building anything: emitters re-request
+        their instruments on every event, and a request that repeats the
+        registered type and shape is the hot path.  Anything else (first
+        registration, shape drift, a bad name or bounds) takes the
+        constructing path, which raises what it always did."""
+        existing = self._instruments.get(name)
+        if (
+            type(existing) is kind
+            and existing.labels == tuple(labels)
+            and (buckets is None or existing.buckets == tuple(buckets))
+        ):
+            return existing
+        shape = (labels,) if buckets is None else (buckets, labels)
+        return self._register(kind(name, help, *shape))
 
     def _register(self, instrument: _Instrument) -> "_Instrument":
         existing = self._instruments.get(instrument.name)

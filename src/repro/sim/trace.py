@@ -5,12 +5,12 @@ The trace stores two layers of data for one pipeline run:
 * **busy intervals** (:class:`BusyInterval`) — per-GPU occupancy spans
   tagged with the causing task, the minimal record the paper's headline
   metrics need;
-* **typed events** (:class:`TraceEvent`) — the structured observability
-  stream (task dispatches, CSP waits with their blocking edge, prefetch
-  issue/land, evictions, NIC transfers, counter samples) consumed by
-  :mod:`repro.obs` for Perfetto export and bubble attribution.  The full
-  event schema is documented in ``docs/TRACING.md`` and machine-checked
-  by :mod:`repro.obs.events`.
+* **typed events** (:class:`EventLog`, read as :class:`TraceEvent` rows)
+  — the structured observability stream (task dispatches, CSP waits
+  with their blocking edge, prefetch issue/land, evictions, NIC
+  transfers, counter samples) consumed by :mod:`repro.obs` for Perfetto
+  export and bubble attribution.  The full event schema is documented
+  in ``docs/TRACING.md`` and machine-checked by :mod:`repro.obs.events`.
 
 The paper's metrics map onto the interval layer directly:
 
@@ -28,10 +28,12 @@ byte quantities are plain bytes.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["BusyInterval", "TraceEvent", "ExecutionTrace"]
+__all__ = ["BusyInterval", "TraceEvent", "EventLog", "ExecutionTrace"]
 
 
 class BusyInterval(NamedTuple):
@@ -69,9 +71,11 @@ class TraceEvent(NamedTuple):
     is ``-1`` when the event is not tied to one subnet.  ``attrs`` holds
     the kind-specific payload as a tuple of ``(key, value)`` pairs so
     the event stays hashable and its serialisation deterministic.
-    ``time`` is in virtual ms.  A :class:`NamedTuple` for the same
-    reason as :class:`BusyInterval` — event emission is the hottest
-    allocation site in the whole simulator.
+    ``time`` is in virtual ms.
+
+    This is the row *view*: a trace stores its events as the five
+    columns of an :class:`EventLog` and builds a ``TraceEvent`` when one
+    is indexed, iterated or handed to a listener.
     """
 
     kind: str
@@ -91,13 +95,79 @@ class TraceEvent(NamedTuple):
         return dict(self.attrs)
 
 
+class EventLog(Sequence):
+    """Every typed event of one run, as five parallel plain lists.
+
+    Reads like a ``list`` of :class:`TraceEvent` — ``len``, iteration,
+    ``[i]``, ``[a:b]`` (a ``list`` of rows), ``in``, ``==`` against
+    another log or a ``list``, ``repr`` — but a row exists only while a
+    reader holds it.  A run keeps ~150k events, and a ``NamedTuple`` is
+    a tuple *subclass*, which CPython's collector never untracks: one
+    resident row per event made every full collection re-walk the whole
+    trace.  The columns hold the very objects they were given (``True``
+    stays ``True``, an ``int`` time stays an ``int``), so every export
+    is byte-identical to the row store's.
+
+    Whole-trace passes that need no row object read :meth:`rows` or a
+    column directly; :meth:`ExecutionTrace.events_of` builds rows for
+    the matching kinds only.
+    """
+
+    __slots__ = ("kind", "time", "stage", "subnet_id", "attrs")
+
+    def __init__(self) -> None:
+        self.kind: List[str] = []
+        self.time: List[float] = []
+        self.stage: List[int] = []
+        self.subnet_id: List[int] = []
+        self.attrs: List[Tuple[Tuple[str, object], ...]] = []
+
+    def _columns(self) -> Tuple[list, ...]:
+        return (self.kind, self.time, self.stage, self.subnet_id, self.attrs)
+
+    def rows(self) -> Iterator[tuple]:
+        """``(kind, time, stage, subnet_id, attrs)`` per event as plain
+        tuples, in emission order — no :class:`TraceEvent` is built."""
+        return zip(*self._columns())
+
+    def append(self, event: TraceEvent) -> None:
+        for column, value in zip(self._columns(), TraceEvent._make(event)):
+            column.append(value)
+
+    def clear(self) -> None:
+        for column in self._columns():
+            column.clear()
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(TraceEvent._make, self.rows())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = (column[index] for column in self._columns())
+            return list(map(TraceEvent._make, zip(*columns)))
+        return TraceEvent._make(column[index] for column in self._columns())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventLog):
+            return self._columns() == other._columns()
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class ExecutionTrace:
     """Accumulates intervals, typed events and counters for one run."""
 
     num_gpus: int
     intervals: List[BusyInterval] = field(default_factory=list)
-    events: List[TraceEvent] = field(default_factory=list)
+    events: EventLog = field(default_factory=EventLog)
     cache_hits: int = 0
     cache_misses: int = 0
     stall_time_total: float = 0.0
@@ -114,8 +184,11 @@ class ExecutionTrace:
     def record_interval(
         self, gpu_id: int, start: float, end: float, kind: str, subnet_id: int
     ) -> None:
-        if end < start:
-            raise ValueError(f"interval ends before it starts: {start}..{end}")
+        if not (end >= start and math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(
+                f"interval must be finite and end no earlier than it "
+                f"starts: {start}..{end}"
+            )
         self.intervals.append(BusyInterval(gpu_id, start, end, kind, subnet_id))
         if kind == "stall":
             self.stall_time_total += end - start
@@ -129,25 +202,34 @@ class ExecutionTrace:
         subnet_id: int = -1,
         **attrs: object,
     ) -> None:
-        """Append one typed event (see ``docs/TRACING.md`` for kinds)."""
-        event = TraceEvent(kind, time, stage, subnet_id, tuple(attrs.items()))
-        self.events.append(event)
-        if self.listeners:
-            for listener in self.listeners:
-                listener(event)
+        """Append one typed event (see ``docs/TRACING.md`` for kinds) —
+        the kwargs spelling of :meth:`append_event`."""
+        self.append_event(kind, time, stage, subnet_id, tuple(attrs.items()))
 
-    def append_event(self, event: TraceEvent) -> None:
-        """Append a pre-built event — the hot-path twin of
-        :meth:`record_event`.
+    def append_event(
+        self,
+        kind: str,
+        time: float,
+        stage: int,
+        subnet_id: int,
+        attrs: Tuple[Tuple[str, object], ...],
+    ) -> None:
+        """Store one event: the single write path.
 
-        The kwargs form pays a dict build plus ``items()`` per call; the
-        cache layer alone emits ~70% of a run's events, so its emitters
-        construct the :class:`TraceEvent` (attrs as a literal tuple, same
-        key order as the kwargs form) and hand it over whole.  Both paths
-        produce byte-identical event streams.
+        Hot emitters call this directly with ``attrs`` as a literal (or
+        memoised) tuple of pairs, skipping the kwargs dict.  A
+        :class:`TraceEvent` is built only when somebody listens — after
+        the row is stored, so an event a listener emits in turn lands
+        behind the one that caused it.
         """
-        self.events.append(event)
+        log = self.events
+        log.kind.append(kind)
+        log.time.append(time)
+        log.stage.append(stage)
+        log.subnet_id.append(subnet_id)
+        log.attrs.append(attrs)
         if self.listeners:
+            event = TraceEvent(kind, time, stage, subnet_id, attrs)
             for listener in self.listeners:
                 listener(event)
 
@@ -166,9 +248,16 @@ class ExecutionTrace:
     # event queries
     # ------------------------------------------------------------------
     def events_of(self, *kinds: str) -> Iterator[TraceEvent]:
-        """Events of the given kinds, in emission order."""
+        """Events of the given kinds, in emission order: a scan of the
+        ``kind`` column that builds the matching rows only."""
         wanted = set(kinds)
-        return (event for event in self.events if event.kind in wanted)
+        log = self.events
+        time, stage, subnet_id, attrs = log.time, log.stage, log.subnet_id, log.attrs
+        return (
+            TraceEvent(kind, time[i], stage[i], subnet_id[i], attrs[i])
+            for i, kind in enumerate(log.kind)
+            if kind in wanted
+        )
 
     def intervals_by_gpu(
         self, kinds: Tuple[str, ...] = ("fwd", "bwd", "stall")
@@ -189,13 +278,13 @@ class ExecutionTrace:
 
     def event_kinds(self) -> List[str]:
         """Sorted distinct event kinds present in this trace."""
-        return sorted({event.kind for event in self.events})
+        return sorted(set(self.events.kind))
 
     def event_counts(self) -> Dict[str, int]:
         """``{kind: occurrences}``, sorted by kind (deterministic)."""
         counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
+        for kind in self.events.kind:
+            counts[kind] = counts.get(kind, 0) + 1
         return {kind: counts[kind] for kind in sorted(counts)}
 
     # ------------------------------------------------------------------

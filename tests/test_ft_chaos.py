@@ -87,6 +87,20 @@ def test_invariants_catch_incomplete_and_divergent_runs(chaos_space, small_run):
     assert any("losses diverged" in v for v in crossed)
 
 
+def test_invariants_catch_a_non_finite_event_time(chaos_space, small_run):
+    """"Trace schema-valid" is one of the six invariants; an event at a
+    NaN instant sorts and subtracts to nonsense downstream and used to
+    pass it."""
+    tampered = run_uninterrupted(chaos_space, naspipe(), num_gpus=2, steps=10, seed=3)
+    assert chaos_invariants(tampered, small_run, steps=10) == []
+    tampered.trace.record_event(
+        "task_done", float("nan"), stage=0, subnet_id=0, direction="fwd"
+    )
+    (violation,) = chaos_invariants(tampered, small_run, steps=10)
+    assert violation.startswith("trace schema violations (1)")
+    assert "task_done: time must be a finite number, got nan" in violation
+
+
 def test_invariants_flag_cache_blowups(small_run):
     assert small_run.peak_cache_bytes  # cached system: the metric exists
     within = chaos_invariants(

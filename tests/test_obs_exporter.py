@@ -28,7 +28,7 @@ from repro.obs import (
 from repro.obs.summary import csp_wait_windows
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
-from repro.sim.trace import TraceEvent
+from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.supernet import Supernet
 
@@ -111,6 +111,22 @@ def test_validate_event_rejects_bad_shapes():
         kind="ready_set", time=1.0, stage=0, attrs=(("size", True),),
     )
     assert any("bool" in p for p in validate_event(booled))
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf"), True, "1.0", None])
+def test_validate_trace_rejects_a_time_that_is_not_a_finite_number(time):
+    """Three ``task_done`` events at nan, inf and -5.0 used to validate
+    clean.  A negative time stays legal — only finiteness is the rule
+    (no stage-range or sign rule: service traces number stages by lease
+    slot)."""
+    trace = ExecutionTrace(num_gpus=2)
+    trace.record_event("task_done", 1, stage=0, subnet_id=3, direction="fwd")
+    trace.record_event("task_done", -5.0, stage=1, subnet_id=3, direction="bwd")
+    assert validate_trace(trace) == []
+    trace.record_event("task_done", time, stage=0, subnet_id=4, direction="fwd")
+    assert validate_trace(trace) == [
+        f"task_done: time must be a finite number, got {time!r}"
+    ]
 
 
 def test_rare_event_kinds_also_validate(small_supernet):

@@ -1,6 +1,7 @@
 """Pipeline engine behaviour: completion, determinism, policy windows,
 stall accounting, per-system invariants."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from repro.engines.pipeline import PipelineEngine
 from repro.errors import DeadlockError, PartitionError
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
+from repro.sim.trace import TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.search_space import get_search_space
 from repro.supernet.subnet import Subnet
@@ -53,7 +55,8 @@ def test_historic_fingerprint_matches_committed_baseline():
     asked at most twice per task (the broadcast kick it replaced asked
     6.9 times: 10,623 calls for 1,536 tasks), so later work may lower
     the count but polling every stage on every completion cannot
-    silently come back."""
+    silently come back.  Likewise the run may leave few objects for the
+    cyclic collector to re-walk — far fewer than one per event."""
     baseline = Path(__file__).resolve().parent.parent / "benchmarks" / "scheduler_baseline.json"
     pinned = json.loads(baseline.read_text())["engine"]
     row = next(r for r in pinned["rows"] if r["workload"] == "pipeline")
@@ -65,7 +68,11 @@ def test_historic_fingerprint_matches_committed_baseline():
         ClusterSpec(num_gpus=pinned["num_gpus"]),
         batch=pinned["batch"],
     )
+    gc.collect()
+    tracked = len(gc.get_objects())
     result = engine.run()
+    gc.collect()
+    alive = gc.get_objects()
     observed = (result.makespan_ms, engine.sim.events_processed, len(engine.trace.events))
     committed = (row["makespan_ms"], row["events"], row["trace_events"])
     assert observed == committed == (19334.02542782906, 2976, 39019)
@@ -73,6 +80,10 @@ def test_historic_fingerprint_matches_committed_baseline():
     assert tasks == 2 * pinned["subnets"] * pinned["num_gpus"] == 1536
     assert result.scheduler_ready_pops == 768
     assert result.scheduler_calls <= 2 * tasks
+    # the trace is columns: no event is a resident object the collector
+    # re-walks (one row per event would add 39,019 tracked objects)
+    assert not any(type(obj) is TraceEvent for obj in alive)
+    assert len(alive) - tracked < 0.25 * len(engine.trace.events)
 
 
 @pytest.mark.parametrize(

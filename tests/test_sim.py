@@ -1,5 +1,7 @@
 """Simulator tests: event ordering, devices, cluster, traces."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,3 +221,24 @@ def test_trace_rejects_negative_interval():
     trace = ExecutionTrace(num_gpus=1)
     with pytest.raises(ValueError):
         trace.record_interval(0, 5.0, 4.0, "fwd", 0)
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        (float("nan"), 1.0),
+        (1.0, float("nan")),
+        (1.0, float("inf")),
+        (float("-inf"), 1.0),
+        (float("inf"), float("inf")),
+    ],
+)
+def test_trace_rejects_non_finite_interval(start, end):
+    """``end < start`` is False for NaN, so the old guard let it in and
+    left ``intervals_by_gpu``'s order and ``bubble_ratio`` undefined."""
+    trace = ExecutionTrace(num_gpus=2)
+    with pytest.raises(ValueError, match=re.escape(f"{start}..{end}")):
+        trace.record_interval(0, start, end, "fwd", 0)
+    assert trace.intervals == [] and trace.end_time == 0.0
+    trace.record_interval(0, 1.0, 1.0, "stall", 0)  # empty is not malformed
+    assert len(trace.intervals) == 1 and trace.bubble_ratio() == 1.0

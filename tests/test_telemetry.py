@@ -122,6 +122,58 @@ def test_instrument_registration_is_idempotent_but_shape_checked():
         registry.gauge("t_total", "same name, different type")
 
 
+def test_repeat_registration_builds_no_instrument(monkeypatch):
+    """Emitters re-request their instruments on every event; a repeat
+    must be a lookup, with every outcome of the constructing path kept
+    (same object back, same errors on drift, bad names and bad bounds)."""
+    from repro.obs.telemetry import registry as module
+
+    registry = MetricsRegistry()
+    first = {
+        "counter": registry.counter("t_total", "test", labels=("stage", "direction")),
+        "gauge": registry.gauge("t_depth", "test", labels=["stage"]),
+        "histogram": registry.histogram("t_ms", "test", buckets=(1, 10.0), labels=("stage",)),
+    }
+    built = []
+    real = module._Instrument.__init__
+    monkeypatch.setattr(
+        module._Instrument, "__init__",
+        lambda self, *args, **kwargs: (built.append(args[0]), real(self, *args, **kwargs))[1],
+    )
+    assert registry.counter("t_total", "other help", labels=("stage", "direction")) is first["counter"]
+    assert registry.gauge("t_depth", labels=("stage",)) is first["gauge"]
+    assert registry.histogram("t_ms", buckets=[1.0, 10], labels=("stage",)) is first["histogram"]
+    assert built == []
+    assert registry.counter("t2_total") is registry.counter("t2_total")
+    assert built == ["t2_total"]
+    # drift in type, label names, label order or bounds is still loud
+    for drifted in (
+        lambda: registry.gauge("t_total", labels=("stage", "direction")),
+        lambda: registry.counter("t_total", labels=("direction", "stage")),
+        lambda: registry.counter("t_total"),
+        lambda: registry.histogram("t_ms", buckets=(1.0, 20.0), labels=("stage",)),
+        lambda: registry.histogram("t_depth", buckets=(1.0,), labels=("stage",)),
+    ):
+        with pytest.raises(ConfigError, match="re-registered with a different type or shape"):
+            drifted()
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        registry.histogram("t_ms", buckets=(), labels=("stage",))
+    with pytest.raises(ConfigError, match="bad metric name 'no-dash'"):
+        registry.counter("no-dash")
+    assert registry.get("no-dash") is None and len(registry.instruments()) == 4
+
+
+def test_label_values_key_in_any_order():
+    counter = MetricsRegistry().counter("t_total", labels=("stage", "direction"))
+    counter.inc(1.0, stage=0, direction="fwd")
+    counter.inc(2.0, direction="fwd", stage=0)  # not the declared order
+    assert counter.value(stage="0", direction="fwd") == 3.0
+    assert counter.samples() == [("t_total", ("0", "fwd"), 3.0)]
+    for wrong in ({"stage": 0}, {"stage": 0, "gpu": 1}, {"stage": 0, "direction": "fwd", "gpu": 1}):
+        with pytest.raises(ConfigError, match="fixed label sets"):
+            counter.inc(1.0, **wrong)
+
+
 def test_label_set_is_closed():
     registry = MetricsRegistry()
     counter = registry.counter("t_total", "test", labels=("stage",))

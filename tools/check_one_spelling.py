@@ -18,6 +18,11 @@ RULES = [
     (r'== "generational"', ("supernet/sampler.py",), 1, "SubnetStream.sample_kind"),
     (r"expected_subnet_param_count\(\) \* 4", CACHE_HOMES, 2, "stage_cache_bytes"),
     (rf'payload\.get\("({KNOBS})"', (), 0, "JobScheduler.from_payload"),
+    # events are stored as columns: emitters pass fields; the class, the
+    # listeners' row and events_of's rows are all (docs/ARCHITECTURE.md §5)
+    (r"TraceEvent\(", ("sim/trace.py",), 3, "trace.append_event(kind, time, stage, subnet_id, attrs)"),
+    # a gain bought with gc.disable/freeze/set_threshold hides every leak
+    (r"\bgc\.", (), 0, "fewer tracked objects"),
 ]
 
 
