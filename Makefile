@@ -24,9 +24,10 @@ ledger-test:
 	python -m pytest ledger/tests -q
 
 # the claim protocol (ledger/README.md, "Claiming a gain later"):
-#   make ledger-pairs PARENT=<rev> WORKLOAD=csp_dense
+#   make ledger-pairs PARENT=<rev> WORKLOAD=csp_dense [GUARDS=1]
+# GUARDS=1 adds five pairs of every other workload, as one table
 ledger-pairs:
-	python3 tools/ledger_pairs.py --parent $(PARENT) --workload $(WORKLOAD)
+	python3 tools/ledger_pairs.py --parent $(PARENT) --workload $(WORKLOAD) $(if $(GUARDS),--guards)
 
 # what the cyclic collector costs a workload (passes, seconds, census):
 #   make gc-share WORKLOAD=csp_dense

@@ -21,8 +21,7 @@ are written back to CPU on eviction, consuming copy-engine bandwidth.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.nn.parameter_store import LayerId
 from repro.sim.devices import CopyEngine
@@ -43,8 +42,7 @@ def stage_cache_bytes(
     return int(cache_subnets * share)
 
 
-@dataclass(frozen=True)
-class FetchPlan:
+class FetchPlan(NamedTuple):
     """Outcome of requesting residency for a task's layer set."""
 
     ready_time: float  # when every layer will be resident
@@ -139,9 +137,6 @@ class StageContextManager:
         entry = self._entries.get(layer)
         return entry is not None and entry.ready_at <= now
 
-    def _touch(self, layer: LayerId) -> None:
-        self._entries.move_to_end(layer)
-
     def _evict_for(self, needed: int, now: float) -> None:
         """Evict LRU unpinned layers until ``needed`` bytes fit.
 
@@ -152,15 +147,25 @@ class StageContextManager:
         """
         if needed > self.capacity_bytes:
             return  # single working set larger than cache: run oversubscribed
-        for layer in list(self._entries):
-            if self.resident_bytes + needed <= self.capacity_bytes:
+        self._evict_lru(self.resident_bytes + needed - self.capacity_bytes, now, "lru")
+
+    def _evict_lru(self, excess: float, now: float, reason: str) -> None:
+        """Evict unpinned, landed entries in LRU order until ``excess``
+        bytes are freed (or none is left).  Victims are chosen on one pass
+        over the live ``OrderedDict`` — which may not change while it is
+        iterated — and dropped afterwards, in the order they were met."""
+        victims: List[Tuple[LayerId, _CacheEntry]] = []
+        for layer, entry in self._entries.items():
+            if excess <= 0:
                 break
-            entry = self._entries[layer]
             if entry.pins > 0 or entry.ready_at > now:
                 continue
-            self._entries.pop(layer)
+            victims.append((layer, entry))
+            excess -= entry.nbytes
+        for layer, entry in victims:
+            del self._entries[layer]
             self.resident_bytes -= entry.nbytes
-            self._record_eviction(layer, entry, now, reason="lru")
+            self._record_eviction(layer, entry, now, reason)
             if entry.dirty:
                 # Write the updated parameters back to pinned CPU memory.
                 self.copy_engine.enqueue(entry.nbytes, now)
@@ -183,8 +188,8 @@ class StageContextManager:
 
     def _fetch(
         self, layer: LayerId, now: float, demand: bool = False
-    ) -> Tuple[float, int]:
-        """Start an async copy of ``layer``; returns (completion, nbytes).
+    ) -> _CacheEntry:
+        """Start an async copy of ``layer``; returns its new cache entry.
 
         ``demand`` marks copies started by a task's own acquire (miss on
         the critical path) as opposed to predictor prefetches; the flag
@@ -200,7 +205,7 @@ class StageContextManager:
         if self.resident_bytes + nbytes > self.capacity_bytes:
             self._evict_for(nbytes, now)
         completion = self.copy_engine.enqueue(nbytes, now)
-        self._entries[layer] = _CacheEntry(nbytes, completion)
+        entry = self._entries[layer] = _CacheEntry(nbytes, completion)
         self.resident_bytes += nbytes
         if self.resident_bytes > self.peak_resident_bytes:
             self.peak_resident_bytes = self.resident_bytes
@@ -218,7 +223,7 @@ class StageContextManager:
             self.trace.append_event(
                 "prefetch_land", completion, self.stage, -1, landed
             )
-        return completion, nbytes
+        return entry
 
     # ------------------------------------------------------------------
     # public operations
@@ -251,19 +256,21 @@ class StageContextManager:
         """
         self.prefetch_requests += 1
         ready = now
+        entries = self._entries
         for layer in layers:
-            entry = self._entries.get(layer)
+            entry = entries.get(layer)
             if entry is not None:
-                self._touch(layer)
-                ready = max(ready, entry.ready_at)
+                entries.move_to_end(layer)
             elif self.throttled:
                 # Copy engine stalled: skip the speculative copy.  The
                 # layer will be demand-fetched by acquire_for_task, which
                 # then queues behind no prefetch traffic.
                 self.throttled_prefetches += 1
+                continue
             else:
-                completion, _ = self._fetch(layer, now)
-                ready = max(ready, completion)
+                entry = self._fetch(layer, now)
+            if entry.ready_at > ready:
+                ready = entry.ready_at
         return ready
 
     def acquire_for_task(
@@ -291,27 +298,27 @@ class StageContextManager:
             else:
                 misses += 1
                 if entry is None:
-                    completion, nbytes = self._fetch(layer, now, demand=True)
-                    fetched += nbytes
-                    entry = entries[layer]
+                    entry = self._fetch(layer, now, demand=True)
+                    fetched += entry.nbytes
                 else:
-                    completion = entry.ready_at
                     entries.move_to_end(layer)
-                ready = max(ready, completion)
+                if entry.ready_at > ready:
+                    ready = entry.ready_at
             entry.pins += 1
         self.hits += hits
         self.misses += misses
-        if self.trace is not None:
-            self.trace.record_cache_access(True, hits)
-            self.trace.record_cache_access(False, misses)
-            self.trace.append_event(
+        trace = self.trace
+        if trace is not None:
+            trace.cache_hits += hits
+            trace.cache_misses += misses
+            trace.append_event(
                 "cache_access",
                 now,
                 self.stage,
                 -1,
                 (("hits", hits), ("misses", misses)),
             )
-        return FetchPlan(ready_time=ready, hits=hits, misses=misses, fetched_bytes=fetched)
+        return FetchPlan(ready, hits, misses, fetched)
 
     def release_after_task(
         self, layers: Iterable[LayerId], now: float, dirty: bool
@@ -342,7 +349,7 @@ class StageContextManager:
                 continue
             self._entries.pop(layer)
             self.resident_bytes -= entry.nbytes
-            self._record_eviction(layer, entry, now, reason="evict")
+            self._record_eviction(layer, entry, now, "evict")
             if entry.dirty:
                 self.copy_engine.enqueue(entry.nbytes, now)
                 self.writeback_bytes += entry.nbytes
@@ -361,16 +368,7 @@ class StageContextManager:
         CUDA out-of-memory: drop everything droppable, then retry.
         """
         before = self.resident_bytes
-        for layer in list(self._entries):
-            entry = self._entries[layer]
-            if entry.pins > 0 or entry.ready_at > now:
-                continue
-            self._entries.pop(layer)
-            self.resident_bytes -= entry.nbytes
-            self._record_eviction(layer, entry, now, reason="reclaim")
-            if entry.dirty:
-                self.copy_engine.enqueue(entry.nbytes, now)
-                self.writeback_bytes += entry.nbytes
+        self._evict_lru(float("inf"), now, "reclaim")
         return before - self.resident_bytes
 
     def hit_rate(self) -> Optional[float]:

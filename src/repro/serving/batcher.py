@@ -27,6 +27,7 @@ timer whose request already left is simply stale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,9 +48,9 @@ class BatchPolicy:
     def validate(self) -> None:
         if self.max_batch <= 0:
             raise ConfigError(f"max_batch must be > 0, got {self.max_batch}")
-        if self.max_linger_ms < 0:
+        if not 0 <= self.max_linger_ms < math.inf:  # NaN fails both
             raise ConfigError(
-                f"max_linger_ms must be >= 0, got {self.max_linger_ms}"
+                f"max_linger_ms must be finite and >= 0, got {self.max_linger_ms}"
             )
         if self.queue_bound < self.max_batch:
             raise ConfigError(

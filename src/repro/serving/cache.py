@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.core.context_manager import FetchPlan, StageContextManager
+from repro.core.context_manager import StageContextManager
 from repro.nn.parameter_store import LayerId
-from repro.partition.balanced import Partition
 from repro.supernet.subnet import Subnet
 
 __all__ = ["LayerBlockCache", "ResultCache", "subnet_digest"]
@@ -91,47 +90,17 @@ class LayerBlockCache:
     """Per-stage parameter residency for read-mostly batch scoring."""
 
     def __init__(
-        self,
-        contexts: Sequence[StageContextManager],
-        partition: Partition,
-        enabled: bool = True,
+        self, contexts: Sequence[StageContextManager], enabled: bool = True
     ) -> None:
         self.contexts = list(contexts)
-        self.partition = list(partition)
         self.enabled = enabled
 
-    def stage_layers(self, subnet: Subnet, stage: int) -> Tuple[LayerId, ...]:
-        start, stop = self.partition[stage]
-        return subnet.layers_in_range(start, stop)
-
-    def resident_before(self, subnet: Subnet, now: float) -> int:
-        """Layers of ``subnet`` already resident across all stages —
-        side-effect-free, so a batch's locality can be recorded without
-        perturbing LRU order or hit counters."""
-        return sum(
-            context.peek_residency(self.stage_layers(subnet, stage), now)[0]
-            for stage, context in enumerate(self.contexts)
-        )
-
-    def acquire(self, subnet: Subnet, stage: int, now: float) -> FetchPlan:
-        context = self.contexts[stage]
-        return context.acquire_for_task(self.stage_layers(subnet, stage), now)
-
-    def release(self, subnet: Subnet, stage: int, now: float) -> None:
-        # Read-mostly: scoring never updates parameters, so nothing is
-        # ever dirty and eviction stays write-back-free.
-        self.contexts[stage].release_after_task(
-            self.stage_layers(subnet, stage), now, dirty=False
-        )
-
-    def prefetch(self, subnet: Subnet, now: float) -> float:
-        """Warm every stage's share of ``subnet``; returns ready time."""
-        ready = now
-        for stage, context in enumerate(self.contexts):
-            ready = max(
-                ready, context.prefetch(self.stage_layers(subnet, stage), now)
-            )
-        return ready
+    def prefetch(
+        self, stage_layers: Sequence[Sequence[LayerId]], now: float
+    ) -> None:
+        """Warm each stage with its share of one architecture's layers."""
+        for context, layers in zip(self.contexts, stage_layers):
+            context.prefetch(layers, now)
 
     def after_batch(self, now: float) -> None:
         """Post-batch hook: with the tier disabled, drop all residency

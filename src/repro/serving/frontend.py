@@ -27,13 +27,15 @@ carrying the six serving event kinds documented in ``docs/TRACING.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.baselines import resolve_target
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
 from repro.core.context_manager import StageContextManager, stage_cache_bytes
 from repro.ft.faults import FaultEvent, FaultSchedule
+from repro.nn.parameter_store import LayerId
 from repro.partition.static import static_partition_for_space
 from repro.payload import build
 from repro.serving.batcher import BatchPolicy, BoundedBatcher, FormedBatch
@@ -44,6 +46,7 @@ from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import ExecutionTrace
+from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
 __all__ = ["RequestRecord", "ServingEngine", "ServingSpec", "run_bench"]
@@ -68,6 +71,13 @@ class ServingSpec:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     policy: BatchPolicy = field(default_factory=BatchPolicy)
     overload_rate_factor: float = 6.0  # bench: rate multiplier for overload
+
+    def __post_init__(self) -> None:
+        if self.eval_batch < 1:
+            raise ConfigError(f"eval_batch must be >= 1, got {self.eval_batch}")
+        if not 0 < self.slo_ms < math.inf:  # NaN fails both
+            raise ConfigError(f"slo_ms must be finite and > 0, got {self.slo_ms}")
+        self.policy.validate()
 
     @staticmethod
     def from_payload(payload: Dict) -> "ServingSpec":
@@ -101,6 +111,14 @@ class RequestRecord:
         return self.done_ms - self.arrival_ms
 
 
+class _ArchPlan(NamedTuple):
+    """What every request for one architecture shares on one engine."""
+
+    digest: str
+    stage_layers: Tuple[Tuple[LayerId, ...], ...]  # static partition's shares
+    stage_ms: Tuple[float, ...]  # forward time of each share at eval_batch
+
+
 class ServingEngine:
     """Score one seeded workload on leased GPUs; fully deterministic."""
 
@@ -132,6 +150,10 @@ class ServingEngine:
             spec.result_entries if cache_enabled else 0
         )
         self.batcher = BoundedBatcher(spec.policy)
+        #: choice tuple -> plan.  Per engine (digest, partition and batch
+        #: are the engine's) and per architecture, so it outlives a lease
+        self._plans: Dict[Tuple[int, ...], _ArchPlan] = {}
+        self._layer_fwd_ms: Dict[LayerId, float] = {}
         self.records: List[RequestRecord] = []
         self._executor_queue: List[FormedBatch] = []
         self._executor_free = 0.0
@@ -181,9 +203,7 @@ class ServingEngine:
             )
             for stage in range(self.stages)
         ]
-        self.layer_cache = LayerBlockCache(
-            contexts, self._partition, enabled=self.cache_enabled
-        )
+        self.layer_cache = LayerBlockCache(contexts, enabled=self.cache_enabled)
 
     def _retire_layer_cache(self) -> None:
         """Fold the doomed incarnation's cache counters into the prior
@@ -218,14 +238,33 @@ class ServingEngine:
     def _record_request_event(
         self, kind: str, now: float, request_id: int, **attrs
     ) -> None:
-        self.trace.record_event(
-            kind, now, stage=-1, subnet_id=request_id, **attrs
-        )
+        self.trace.append_event(kind, now, -1, request_id, tuple(attrs.items()))
+
+    def _plan(self, subnet: Subnet) -> _ArchPlan:
+        """The plan of ``subnet``'s architecture, built on first sight."""
+        plan = self._plans.get(subnet.choices)
+        if plan is None:
+            layers = subnet.layer_ids()
+            fwd_ms = self._layer_fwd_ms
+            for layer in layers:
+                if layer not in fwd_ms:
+                    fwd_ms[layer] = self.supernet.layer_fwd_ms(
+                        layer, self.spec.eval_batch
+                    )
+            shares = tuple(layers[start:stop] for start, stop in self._partition)
+            plan = self._plans[subnet.choices] = _ArchPlan(
+                subnet_digest(self.space.name, subnet),
+                shares,
+                # builtin sum over the same floats in the same order as
+                # summing layer_fwd_ms() calls: done_ms is pinned bitwise
+                tuple(sum(map(fwd_ms.__getitem__, share)) for share in shares),
+            )
+        return plan
 
     def _on_arrival(self, request: EvalRequest) -> None:
         now = self.sim.now
         record = self.records[request.request_id]
-        digest = subnet_digest(self.space.name, request.subnet)
+        digest = self._plan(request.subnet).digest
         self._record_request_event(
             "request_arrive", now, request.request_id, digest=digest[:12]
         )
@@ -301,7 +340,9 @@ class ServingEngine:
             # Warm the stage caches while the executor finishes earlier
             # batches: copies overlap compute on the async copy engines.
             for request in batch.requests:
-                self.layer_cache.prefetch(request.subnet, now)
+                self.layer_cache.prefetch(
+                    self._plan(request.subnet).stage_layers, now
+                )
         self._executor_queue.append(batch)
         self._maybe_start_executor()
 
@@ -329,24 +370,24 @@ class ServingEngine:
     def _score_batch(self, batch: FormedBatch, start: float) -> float:
         stage_free = [start] * self.stages
         batch_done = start
+        contexts = self.layer_cache.contexts
         for request in batch.requests:
             record = self.records[request.request_id]
+            plan = self._plan(request.subnet)
             prev_done = start
             first_start: Optional[float] = None
-            for stage in range(self.stages):
+            for stage, context in enumerate(contexts):
+                layers = plan.stage_layers[stage]
                 t0 = max(prev_done, stage_free[stage])
-                plan = self.layer_cache.acquire(request.subnet, stage, t0)
-                compute_start = max(t0, plan.ready_time)
+                compute_start = max(
+                    t0, context.acquire_for_task(layers, t0).ready_time
+                )
                 if first_start is None:
                     first_start = compute_start
-                compute_ms = sum(
-                    self.supernet.layer_fwd_ms(layer, self.spec.eval_batch)
-                    for layer in self.layer_cache.stage_layers(
-                        request.subnet, stage
-                    )
-                )
-                end = compute_start + compute_ms
-                self.layer_cache.release(request.subnet, stage, end)
+                end = compute_start + plan.stage_ms[stage]
+                # Read-mostly: scoring never updates parameters, so nothing
+                # is ever dirty and eviction stays write-back-free.
+                context.release_after_task(layers, end, dirty=False)
                 stage_free[stage] = end
                 prev_done = end
             record.score_ms = first_start
@@ -359,7 +400,7 @@ class ServingEngine:
         now = self.sim.now
         self._backlog -= len(batch)
         for request in batch.requests:
-            digest = subnet_digest(self.space.name, request.subnet)
+            digest = self._plan(request.subnet).digest
             self.result_cache.put(digest, _score_of(digest))
             if self.telemetry is not None:
                 record = self.records[request.request_id]
@@ -503,6 +544,10 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> "ServingResult":
+        if self._ran:
+            raise ServiceError(
+                "serving engine already ran; build a fresh one to run again"
+            )
         self._ran = True
         # co-tenant deployments share the manager; re-install this
         # plane's clock in case another plane's construction moved it

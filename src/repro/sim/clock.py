@@ -6,10 +6,12 @@ identically — a precondition for the reproducibility experiments, where
 the *simulation itself* must be deterministic before CSP vs BSP/ASP
 differences mean anything.
 
-The store is one binary heap ordered by ``(time, priority, sequence)``.
-That order is unique, so any correct priority queue would pop the same
-events; the heap is the one kept because no benchmarked workload
-resolves a difference (docs/ARCHITECTURE.md, "Event-loop internals").
+The store is one binary heap of ``(time, priority, sequence, handle)``
+tuples.  The first three are the order and are unique, so any correct
+priority queue would pop the same events; the heap is the one kept
+because no benchmarked workload resolves a difference, and the key sits
+in the entry rather than on the handle so that ordering is a C tuple
+comparison (docs/ARCHITECTURE.md, "Event-loop internals").
 
 Accounting is O(1) throughout: a live-event counter is maintained on
 ``schedule``/``cancel``/``pop``, so ``len()`` and ``clear()`` never walk
@@ -21,31 +23,45 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["ScheduledEvent", "EventQueue"]
+
+_Entry = Tuple[float, int, int, "ScheduledEvent"]
 
 #: never compact below this many cancelled entries (tiny stores are fine).
 _COMPACT_MIN = 64
 
 
-@dataclass(order=True)
 class ScheduledEvent:
-    """One pending event; ordering is (time, priority, sequence)."""
+    """Handle to one pending event.  Unordered: the heap compares the
+    ``(time, priority, sequence)`` key stored beside it, never the handle."""
 
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: owning queue while the event is stored (detached on pop/clear) —
-    #: lets ``cancel()`` decrement the live counter in O(1).
-    _queue: Optional["EventQueue"] = field(compare=False, default=None, repr=False)
-    #: queue epoch at schedule time; a ``clear()`` bumps the epoch so
-    #: stale handles cancelled afterwards don't corrupt the counters.
-    _epoch: int = field(compare=False, default=0, repr=False)
+    __slots__ = (
+        "time", "priority", "sequence", "callback", "label", "cancelled",
+        "_queue", "_epoch",
+    )
+
+    def __init__(self, time, priority, sequence, callback, label, queue) -> None:
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+        #: owning queue while the event is stored (detached on pop) —
+        #: lets ``cancel()`` decrement the live counter in O(1).
+        self._queue = queue
+        #: queue epoch at schedule time; a ``clear()`` bumps the epoch so
+        #: stale handles cancelled afterwards don't corrupt the counters.
+        self._epoch = queue._epoch
+
+    def __repr__(self) -> str:
+        state = "cancelled" if self.cancelled else "pending"
+        return (
+            f"<ScheduledEvent {self.label!r} at {self.time!r} "
+            f"p{self.priority} #{self.sequence} {state}>"
+        )
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -60,7 +76,9 @@ class EventQueue:
     """A priority queue of :class:`ScheduledEvent` with a read-only clock."""
 
     def __init__(self) -> None:
-        self._heap: List[ScheduledEvent] = []
+        #: (time, priority, sequence, handle): ``sequence`` is unique, so
+        #: tuple comparison — in C — never reaches the handle
+        self._heap: List[_Entry] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._live = 0  # scheduled, not yet popped, not cancelled
@@ -94,11 +112,10 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule at {time}: must be >= now ({self._now})"
             )
-        event = ScheduledEvent(time, priority, next(self._sequence), callback, label)
-        event._queue = self
-        event._epoch = self._epoch
+        sequence = next(self._sequence)
+        event = ScheduledEvent(time, priority, sequence, callback, label, self)
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def schedule_after(
@@ -119,9 +136,9 @@ class EventQueue:
         queue is drained *or* the next event lies beyond ``until`` (the
         clock does not advance past a cut)."""
         heap = self._live_head()
-        if not heap or (until is not None and heap[0].time > until):
+        if not heap or (until is not None and heap[0][0] > until):
             return None
-        event = heapq.heappop(heap)
+        event = heapq.heappop(heap)[3]
         self._now = event.time
         self._live -= 1
         event._queue = None
@@ -129,12 +146,12 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         heap = self._live_head()
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
-    def _live_head(self) -> List[ScheduledEvent]:
+    def _live_head(self) -> List[_Entry]:
         """Drop cancelled entries off the top; return the heap."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
             self._stale -= 1
         return heap
@@ -162,6 +179,6 @@ class EventQueue:
         if self._stale >= _COMPACT_MIN and self._stale > self._live:
             # Cancelled entries outnumber live ones (e.g. a fault injector
             # cancelling a whole pre-scheduled timetable): drop them.
-            self._heap = [entry for entry in self._heap if not entry.cancelled]
+            self._heap = [entry for entry in self._heap if not entry[3].cancelled]
             heapq.heapify(self._heap)
             self._stale = 0

@@ -96,12 +96,11 @@ class CopyEngine:
 
     def enqueue(self, nbytes: int, now: float) -> float:
         """Enqueue a copy of ``nbytes``; returns its completion time."""
-        start = max(now, self.next_free)
-        duration = nbytes / self.bandwidth_bytes_per_ms
-        self.next_free = start + duration
+        start = now if now >= self.next_free else self.next_free
+        self.next_free = done = start + nbytes / self.bandwidth_bytes_per_ms
         self.total_bytes_copied += nbytes
         self.total_copies += 1
-        return self.next_free
+        return done
 
     def would_complete_at(self, nbytes: int, now: float) -> float:
         """Completion time a copy *would* get, without enqueuing it."""

@@ -55,6 +55,8 @@ class SimulationEngine:
         is checked *before* firing, so the raised error names the first
         over-budget event and the trace never contains its effects.
         """
+        if until is not None and until != until:
+            raise ValueError("cannot run until nan: the cut would never trip")
         queue = self.queue
         pop_until = queue.pop_until
         max_events = self.max_events

@@ -281,25 +281,16 @@ _LAYERS = [(block, choice) for block in range(4) for choice in range(3)]
 _OPS = ("prefetch", "acquire", "release_clean", "release_dirty", "evict", "reclaim", "throttle", "peek")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(_OPS),
-            st.lists(st.sampled_from(_LAYERS), max_size=4, unique=True),
-            st.sampled_from([0.0, 0.3, 2.0, 10.0]),
-        ),
-        max_size=40,
-    )
-)
-def test_op_streams_match_the_naive_cache(ops):
-    """Capacity of about three layers: LRU evictions of clean and dirty
-    entries, walks that skip pinned and still-in-flight ones, all occur;
-    every event, byte count and hit/miss figure must equal the memo-free
-    reference after each op."""
-    nbytes = _layer_bytes(_PROPERTY_SUPERNET, (0, 0))
-    manager, trace = _traced_manager(_PROPERTY_SUPERNET, 3 * nbytes)
-    naive = _NaiveCache(3, _PROPERTY_SUPERNET, CopyEngine(3, 1_000_000.0), 3 * nbytes)
+_NBYTES = _layer_bytes(_PROPERTY_SUPERNET, (0, 0))  # the streams' unit of size and time
+
+
+def _replay(ops, capacity):
+    """Drive the manager and the naive cache through ``ops``; every
+    event (by ``repr``), byte count and hit/miss figure must be equal
+    after each one."""
+    nbytes = _NBYTES
+    manager, trace = _traced_manager(_PROPERTY_SUPERNET, capacity)
+    naive = _NaiveCache(3, _PROPERTY_SUPERNET, CopyEngine(3, 1_000_000.0), capacity)
     now = 0.0
     for op, layers, copies in ops:
         now += copies * nbytes / 1_000_000.0
@@ -336,3 +327,101 @@ def test_op_streams_match_the_naive_cache(ops):
             naive.misses, naive.writeback, naive.fetched,
         )
         assert manager.copy_engine.next_free == naive.copy.next_free
+        assert list(manager._entries) == list(naive.entries)  # LRU order
+    return manager, trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_OPS),
+            st.lists(st.sampled_from(_LAYERS), max_size=4, unique=True),
+            st.sampled_from([0.0, 0.3, 2.0, 10.0]),
+        ),
+        max_size=40,
+    )
+)
+def test_op_streams_match_the_naive_cache(ops):
+    """Capacity of about three layers: LRU evictions of clean and dirty
+    entries, walks that skip pinned and still-in-flight ones, all occur;
+    every event, byte count and hit/miss figure must equal the memo-free
+    reference after each op."""
+    _replay(ops, 3 * _NBYTES)
+
+
+_WIDE_LAYERS = [(block, choice) for block in range(6) for choice in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_OPS + ("acquire", "release_dirty", "prefetch")),
+            st.lists(st.sampled_from(_WIDE_LAYERS), max_size=6, unique=True),
+            st.sampled_from([0.0, 0.0, 0.3, 1.0, 10.0]),
+        ),
+        max_size=70,
+    )
+)
+def test_wide_op_streams_interleave_pinned_in_flight_and_dirty(ops):
+    """24 layers whose sizes span 0.4-38 MB against 115 MB of room, and
+    longer streams: one eviction walk takes several victims and meets pinned, in-flight, dirty and clean entries *interleaved*
+    in LRU order, and ``reclaim`` runs over the same mix — the victims,
+    their order and the write-backs between them must be the naive
+    copy-then-skip loop's."""
+    _replay(ops, 4 * _NBYTES)
+
+
+def _mixed_lru_state():
+    """Seven mid-sized layers (8-11 MB) filling the cache exactly.  LRU
+    order, oldest first: clean A, pinned B, dirty C, pinned+dirty D,
+    clean E, dirty F, then G still in flight.  Ops are (name, layers,
+    copy-times to advance first)."""
+    layers = a, b, c, d, e, f, g = [(block, 1) for block in range(7)]
+    capacity = sum(_layer_bytes(_PROPERTY_SUPERNET, layer) for layer in layers)
+    return layers, capacity, [
+        ("acquire", [a, b, c, d, e, f], 0.0),
+        ("release_clean", [a, e], 20.0),
+        ("release_dirty", [c, f], 0.0),
+        ("acquire", [d], 0.0),  # a second pin
+        ("release_dirty", [d], 0.0),  # dirty, still pinned once
+        ("prefetch", [a, b, c, d, e, f], 0.0),  # touch: LRU order a..f again
+        ("prefetch", [g], 0.0),  # in flight at every ``now`` below
+    ]
+
+
+def _evictions(trace):
+    return [
+        (dict(event.attrs)["block"], dict(event.attrs)["dirty"])
+        for event in trace.events_of("eviction")
+    ]
+
+
+def test_one_lru_walk_skips_pinned_and_in_flight_between_victims():
+    (a, b, c, d, e, f, g), capacity, setup = _mixed_lru_state()
+    # (7, 0) is 24.2 MB: a + c + e (24.7 MB) cover it, so one walk takes a
+    # (clean), c (dirty: its write-back queues before e's eviction) and
+    # e, steps over pinned b and d between them, and stops before f
+    manager, trace = _replay(setup + [("acquire", [(7, 0)], 0.0)], capacity)
+    assert _evictions(trace) == [(0, False), (2, True), (4, False)]
+    assert list(manager._entries) == [b, d, f, g, (7, 0)]
+    assert manager.writeback_bytes == _layer_bytes(_PROPERTY_SUPERNET, c)
+    # (7, 3) is 40.5 MB: more than every droppable entry together, so the
+    # walk runs to the end of the LRU and the cache is left oversubscribed
+    manager, trace = _replay(setup + [("acquire", [(7, 3)], 0.0)], capacity)
+    assert _evictions(trace) == [(0, False), (2, True), (4, False), (5, True)]
+    assert list(manager._entries) == [b, d, g, (7, 3)]
+    assert manager.oversubscription() > 1.0
+
+
+def test_reclaim_over_the_same_mix_drops_exactly_the_droppable():
+    (a, b, c, d, e, f, g), capacity, setup = _mixed_lru_state()
+    manager, trace = _replay(setup + [("reclaim", [], 0.0)], capacity)
+    assert list(manager._entries) == [b, d, g]  # pinned, pinned, in flight
+    assert _evictions(trace) == [(0, False), (2, True), (4, False), (5, True)]
+    # once G has landed and B, D are released, nothing survives a reclaim
+    landed = manager.copy_engine.next_free
+    manager.release_after_task([b, d], landed, dirty=False)
+    assert manager.reclaim(landed) > 0
+    assert manager.resident_layer_count() == 0 and manager.resident_bytes == 0

@@ -7,12 +7,13 @@ the property the fuzz below checks on a random operation stream.
 """
 
 import math
+import sys
 from bisect import insort
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.clock import EventQueue
+from repro.sim.clock import EventQueue, ScheduledEvent
 
 
 def _drain(queue):
@@ -202,6 +203,14 @@ _OPS = st.lists(
         st.tuples(st.just("cancel"), st.integers(0, 40), st.none()),
         st.tuples(st.just("clear"), st.none(), st.none()),
         st.tuples(st.just("peek"), st.none(), st.none()),
+        # one instant spelled as an ``int`` and as a ``float``: a tie on
+        # time that priority, then sequence, must break
+        st.tuples(st.just("schedule_int"), st.integers(0, 3), st.integers(-2, 2)),
+        st.tuples(st.just("schedule_tie"), st.integers(0, 40), st.integers(-2, 2)),
+        # a timetable armed at once and a run of it cancelled at once:
+        # compaction rebuilds the heap from its surviving key tuples
+        st.tuples(st.just("burst"), st.integers(64, 90), st.integers(-1, 1)),
+        st.tuples(st.just("cancel_run"), st.integers(0, 200), st.integers(40, 120)),
     ),
     min_size=5,
     max_size=80,
@@ -212,18 +221,48 @@ def _popped(event):
     return None if event is None else (event.time, event.priority, event.label)
 
 
+def _other_spelling(time):
+    """The same instant as the other numeric type, where there is one."""
+    if isinstance(time, int):
+        return float(time)
+    return int(time) if time.is_integer() else time
+
+
 @settings(max_examples=250, deadline=None)
 @given(ops=_OPS)
+@example(ops=[  # compaction, then a clear(), then handles of both epochs cancelled
+    ("burst", 90, 0), ("cancel_run", 10, 70), ("schedule_tie", 3, -1), ("pop", None, None),
+    ("clear", None, None), ("burst", 70, 1), ("cancel_run", 0, 120), ("schedule_int", 0, 2),
+])
 def test_queue_matches_sorted_list_oracle(ops):
     queue, oracle = EventQueue(), _Oracle()
     handles = []  # (queue handle, oracle entry); kept across clear()
+
+    def schedule(time, priority):
+        label = f"e{len(handles)}"
+        handles.append((
+            queue.schedule(time, lambda: None, priority=priority, label=label),
+            oracle.schedule(time, priority, label),
+        ))
+
     for op, arg, extra in ops:
         if op == "schedule":
-            time, label = queue.now + arg, f"e{len(handles)}"
-            handles.append((
-                queue.schedule(time, lambda: None, priority=extra, label=label),
-                oracle.schedule(time, extra, label),
-            ))
+            schedule(queue.now + arg, extra)
+        elif op == "schedule_int":
+            schedule(math.ceil(queue.now) + arg, extra)
+        elif op == "schedule_tie" and handles:
+            time = handles[arg % len(handles)][0].time
+            schedule(_other_spelling(time) if time >= queue.now else queue.now, extra)
+        elif op == "burst":
+            for index in range(arg):
+                instant = math.ceil(queue.now) + 1 + index % 3
+                schedule(instant if index % 2 else float(instant), extra * (index % 2))
+        elif op == "cancel_run" and handles:
+            for handle, entry in handles[arg % len(handles):][:extra]:
+                handle.cancel()
+                oracle.cancel(entry)
+            stale = queue.physical_size() - len(queue)
+            assert stale < 64 or stale <= len(queue)  # else it compacted
         elif op == "pop":
             assert _popped(queue.pop()) == oracle.pop_until(None)
         elif op == "pop_until":
@@ -241,3 +280,73 @@ def test_queue_matches_sorted_list_oracle(ops):
     assert _drain(queue) == [
         (key[0], key[1], label) for key, label in oracle.entries
     ]
+
+
+# ----------------------------------------------------------------------
+# ordering lives in the heap's key tuples, not on the handle
+# ----------------------------------------------------------------------
+class _Unorderable:
+    """A payload that refuses every comparison."""
+
+    def _refuse(self, other):
+        raise TypeError("an event payload was compared")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __hash__ = object.__hash__
+
+    def __call__(self):
+        return None
+
+
+def test_payloads_are_never_compared():
+    queue = EventQueue()
+    payloads = [_Unorderable() for _ in range(50)]
+    for index, payload in enumerate(payloads):
+        # ties on (time, priority) in both numeric spellings of the time
+        queue.schedule(2 if index % 2 else 2.0, payload, priority=index % 2)
+    popped = [event.callback for event in iter(queue.pop, None)]
+    assert all(a is b for a, b in zip(popped, payloads[0::2] + payloads[1::2]))
+
+
+def test_scheduled_event_is_an_unordered_slotted_handle():
+    owned = vars(ScheduledEvent)
+    for method in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+        assert method not in owned  # identity equality, no order at all
+    assert "cancel" in owned  # the ledger patches it on the class by name
+    queue = EventQueue()
+    event = queue.schedule(1, print, priority=3, label="x")
+    assert not hasattr(event, "__dict__")
+    assert (event.time, event.priority, event.sequence, event.callback, event.label) == (
+        1, 3, 0, print, "x",
+    )
+    assert event.cancelled is False and event._queue is queue and event._epoch == 0
+    with pytest.raises(TypeError):
+        event < queue.schedule(1, print)
+    assert "x" in repr(event)
+
+
+def test_no_python_level_comparison_runs_while_ordering():
+    """Effort guard: 461,322 ``ScheduledEvent.__lt__`` calls per
+    ``serving_open`` iteration was the cost of ordering handles; the
+    profiler must see no Python comparison frame at all."""
+    compared = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name in (
+            "__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+        ):
+            compared.append(frame.f_code.co_name)
+
+    queue = EventQueue()
+    sys.setprofile(profiler)
+    try:
+        handles = [
+            queue.schedule(float((index * 7919) % 101), print, priority=index % 3)
+            for index in range(600)
+        ]
+        for handle in handles[::2]:
+            handle.cancel()  # enough to compact
+        drained = len(_drain(queue))
+    finally:
+        sys.setprofile(None)
+    assert drained == 300 and compared == []

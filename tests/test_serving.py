@@ -316,6 +316,45 @@ def test_spec_rejects_unknown_keys():
         ServingSpec.from_payload({"spaec": "NLP.c3"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_linger_ms", float("nan")),  # was: the queue's "cannot schedule at nan"
+        ("max_linger_ms", float("inf")),  # was: the virtual clock parked at +inf
+        ("max_linger_ms", -1.0),
+        ("eval_batch", 0),  # was: accepted, zero-sample requests scored
+        ("slo_ms", float("nan")),  # was: accepted, attainment silently 0.0
+        ("slo_ms", float("inf")),
+        ("slo_ms", 0.0),
+    ],
+)
+def test_spec_rejects_non_finite_and_empty_timing(key, value):
+    with pytest.raises(ConfigError, match=rf"serving: {key} must be"):
+        ServingSpec.from_payload({**SMALL_CONFIG, key: value})
+    if key == "max_linger_ms":
+        with pytest.raises(ConfigError, match="max_linger_ms"):
+            BatchPolicy(max_linger_ms=value).validate()
+
+
+def test_second_run_is_refused_before_it_touches_the_first(bench):
+    """Was: records overwritten with 'pending' ones, then the queue's bare
+    ``ValueError("cannot schedule at …: must be >= now")``."""
+    from repro.errors import ServiceError
+    from repro.serving.frontend import ServingResult
+
+    engine = ServingEngine(ServingSpec.from_payload(SMALL_CONFIG))
+    report = engine.run().scenario_report()
+    assert report == bench["primary"]
+    records, events, now = list(engine.records), len(engine.trace.events), engine.sim.now
+    with pytest.raises(ServiceError, match="already ran"):
+        engine.run()
+    assert engine.records == records and all(
+        record.outcome != "pending" for record in engine.records
+    )
+    assert (len(engine.trace.events), engine.sim.now, len(engine.sim.queue)) == (events, now, 0)
+    assert ServingResult(engine).scenario_report() == report
+
+
 def test_cli_bench_serving_writes_canonical_json(tmp_path, capsys):
     from repro.cli import main
 

@@ -86,6 +86,18 @@ def test_engine_until_budget():
     assert engine.run() == 10.0
 
 
+def test_engine_rejects_a_nan_cut():
+    """``time > nan`` is False: accepted, the cut would never trip and the
+    run would go to quiescence — the twin of ``schedule(nan)``."""
+    engine = SimulationEngine()
+    fired = []
+    engine.schedule(10.0, lambda: fired.append(engine.now))
+    with pytest.raises(ValueError, match="nan"):
+        engine.run(until=float("nan"))
+    assert fired == [] and engine.now == 0.0 and len(engine.queue) == 1
+    assert engine.run(until=float("inf")) == 10.0  # +inf is an honest "no cut"
+
+
 def test_engine_event_budget_guards_livelock():
     engine = SimulationEngine(max_events=10)
 

@@ -2,7 +2,7 @@
 """Referee a claimed gain: alternating parent/change ledger runs, judged.
 
     python tools/ledger_pairs.py --parent REV --workload W
-                                 [--pairs 10] [--seed N] [--seconds S]
+                                 [--pairs 10] [--seed N] [--seconds S] [--guards]
 
 ``ledger/README.md`` § "Claiming a gain later", steps 3-5, as one
 command.  Both sides run in new directories under one temporary root,
@@ -19,12 +19,15 @@ drift of the machine favours neither).
 Printed: every pair, each side's median and quartiles of ``iter_s_p50``,
 the pair wins, whether the medians differ by more than the parent's own
 inter-quartile spread, and ``ledger/compare.py``'s verdict on every
-metric of the workload.
+metric of the workload.  ``--guards`` then runs five pairs of every
+*other* ``BENCHMARK.json`` workload from the same two copies and prints
+one table of their end-to-end metrics — what a claim must not move.
 
 Exit 0 when the claim is met — the change wins at least nine tenths of
 the pairs (ties count for neither side), its median is better by more
 than the parent's inter-quartile spread, and ``compare.py`` finds no
-regression — else 1.  Uses no network; honours ``TMPDIR``.
+regression — else 1; the guards are for reading and leave the status
+the claim's.  Uses no network; honours ``TMPDIR``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import stats  # noqa: E402
 #: ``BENCHMARK.json``
 METRIC = "iter_s_p50"
 WIN_SHARE = 0.9
+GUARD_PAIRS = 5
 
 
 def export_parent(rev: str, into: Path) -> None:
@@ -73,11 +77,11 @@ def copy_checkout(into: Path) -> None:
             shutil.copy2(ROOT / name, into / name)
 
 
-def ledger_run(tree: Path, rows: Path, args: argparse.Namespace) -> float:
+def ledger_run(tree: Path, rows: Path, workload: str, args: argparse.Namespace) -> float:
     """One ``ledger/run.py`` in ``tree``; its row is appended to ``rows``."""
     argv = [
         sys.executable, str(tree / "ledger" / "run.py"),
-        "--workload", args.workload, "--seed", str(args.seed), "--row", str(rows),
+        "--workload", workload, "--seed", str(args.seed), "--row", str(rows),
     ]
     if args.seconds is not None:
         argv += ["--seconds", repr(args.seconds)]
@@ -85,44 +89,48 @@ def ledger_run(tree: Path, rows: Path, args: argparse.Namespace) -> float:
     if done.returncode not in (0, 1):  # 1 = a check failed: compare.py reports it
         raise SystemExit(f"ledger/run.py in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
     row = json.loads(rows.read_text().splitlines()[-1])
-    return row["workloads"][args.workload]["metrics"][METRIC]
+    return row["workloads"][workload]["metrics"][METRIC]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, metavar="REV", help="the commit the change is judged against")
-    parser.add_argument("--workload", required=True, help="the workload the claim is about")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("--seconds", type=float, help="passed to ledger/run.py (default: BENCHMARK.json run_seconds)")
-    args = parser.parse_args(argv)
-
-    if subprocess.run(
-        ["git", "diff", "--quiet", args.parent, "--", "ledger", "BENCHMARK.json"], cwd=ROOT
-    ).returncode:
-        print(f"ledger/ or BENCHMARK.json differ from {args.parent}: a claimant may not edit the benchmark")
-        return 1
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    lower = next(m for m in benchmark["end_to_end"] if m["name"] == METRIC)["better"] == "lower"
-    with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
-        sides = {side: (Path(scratch) / side, Path(scratch) / f"{side}.jsonl")
-                 for side in ("parent", "change")}
-        export_parent(args.parent, sides["parent"][0])
-        copy_checkout(sides["change"][0])
-        values: Dict[str, List[float]] = {"parent": [], "change": []}
-        print(f"{args.workload} seed {args.seed}: {METRIC}, parent {args.parent} vs this working tree")
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                values[side].append(ledger_run(*sides[side], args))
-            before, after = values["parent"][-1], values["change"][-1]
+def alternate(scratch: Path, workload: str, pairs: int, args: argparse.Namespace, echo: bool):
+    """``pairs`` alternating runs of ``workload``; each side's rows, as
+    ``ledger/compare.py`` loads them, in pair order."""
+    rows = {side: scratch / f"{side}-{workload}.jsonl" for side in ("parent", "change")}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        seen = {side: ledger_run(scratch / side, rows[side], workload, args) for side in order}
+        if echo:
+            before, after = seen["parent"], seen["change"]
             print(f"  pair {pair + 1:2d} ({order[0]} first)  parent {before:.6g}  change {after:.6g}  "
                   f"{(after - before) / before * 100:+.1f}%")
             sys.stdout.flush()
-        lines, regressions = compare.compare(
-            compare.load_rows(sides["parent"][1]), compare.load_rows(sides["change"][1]), benchmark
-        )
+    return {side: compare.load_rows(path) for side, path in rows.items()}
 
+
+def guard_table(scratch: Path, benchmark: Dict, args: argparse.Namespace) -> None:
+    """Every other workload's end-to-end metrics, parent vs change, printed
+    workload by workload as its pairs finish."""
+    print(f"guards, {GUARD_PAIRS} pairs each: medians, pairs the change won, compare.py's verdict")
+    print(f"  {'workload':<13s} {'metric':<12s} {'parent':>10s} {'change':>10s} {'':>8s}  wins  verdict")
+    for workload in (w["name"] for w in benchmark["workloads"] if w["name"] != args.workload):
+        rows = alternate(scratch, workload, GUARD_PAIRS, args, echo=False)
+        for metric in benchmark["end_to_end"]:
+            name, sign = metric["name"], -1.0 if metric["better"] == "lower" else 1.0
+            base, new = (compare._values(rows[side], workload, name) for side in ("parent", "change"))
+            spread = max(compare._own_spread(rows[side], workload, name) for side in rows)
+            verdict, _worse = compare.judge(metric, base, new, spread)
+            before, after = stats.median(base), stats.median(new)
+            wins = sum(sign * (b - a) > 0 for a, b in zip(base, new))
+            print(f"  {workload:<13s} {name:<12s} {before:>10.6g} {after:>10.6g} "
+                  f"{(after - before) / before * 100:+7.1f}%  {wins}/{len(base)}   {verdict}")
+        sys.stdout.flush()
+
+
+def judge_claim(rows: Dict[str, List[Dict]], benchmark: Dict, args: argparse.Namespace) -> int:
+    """Print the claim's verdict; 0 when it is met."""
+    lower = next(m for m in benchmark["end_to_end"] if m["name"] == METRIC)["better"] == "lower"
+    values = {side: compare._values(rows[side], args.workload, METRIC) for side in rows}
+    lines, regressions = compare.compare(rows["parent"], rows["change"], benchmark)
     sign = -1.0 if lower else 1.0  # of a change for the better
     deltas = [sign * (after - before) for before, after in zip(values["parent"], values["change"])]
     wins, losses = sum(d > 0 for d in deltas), sum(d < 0 for d in deltas)
@@ -139,7 +147,36 @@ def main(argv=None) -> int:
     print("\n".join("  " + line for line in lines))
     met = wins >= WIN_SHARE * args.pairs and resolved and not regressions
     print(f"claim on {METRIC} {'MET' if met else 'NOT MET'} ({regressions} regression(s) elsewhere)")
+    sys.stdout.flush()
     return 0 if met else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, metavar="REV", help="the commit the change is judged against")
+    parser.add_argument("--workload", required=True, help="the workload the claim is about")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--seconds", type=float, help="passed to ledger/run.py (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--guards", action="store_true",
+                        help=f"then {GUARD_PAIRS} pairs of every other workload, as one table")
+    args = parser.parse_args(argv)
+
+    if subprocess.run(
+        ["git", "diff", "--quiet", args.parent, "--", "ledger", "BENCHMARK.json"], cwd=ROOT
+    ).returncode:
+        print(f"ledger/ or BENCHMARK.json differ from {args.parent}: a claimant may not edit the benchmark")
+        return 1
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
+        export_parent(args.parent, Path(scratch) / "parent")
+        copy_checkout(Path(scratch) / "change")
+        print(f"{args.workload} seed {args.seed}: {METRIC}, parent {args.parent} vs this working tree")
+        rows = alternate(Path(scratch), args.workload, args.pairs, args, echo=True)
+        status = judge_claim(rows, benchmark, args)
+        if args.guards:
+            guard_table(Path(scratch), benchmark, args)
+    return status
 
 
 if __name__ == "__main__":
