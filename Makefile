@@ -16,6 +16,7 @@ docs-check:
 	python tools/check_cli_examples.py
 	python tools/check_one_spelling.py
 	python tools/config_keys.py --check docs/OPERATIONS.md
+	python tools/trace_kinds.py --check docs/TRACING.md
 
 ledger:
 	python3 ledger/run.py

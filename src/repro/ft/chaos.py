@@ -40,7 +40,7 @@ from repro.ft.faults import (
 from repro.ft.injector import FaultInjector
 from repro.ft.recovery import run_uninterrupted
 from repro.obs.events import validate_trace
-from repro.obs.summary import run_summary
+from repro.obs.summary import bubble_attribution, mean_attribution
 from repro.parallel import ordered_map
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
@@ -113,12 +113,14 @@ def chaos_invariants(
         violations.append(
             f"trace schema violations ({len(problems)}): {problems[:3]}"
         )
-    summary = run_summary(result)
-    attributed = sum(summary["bubble_attribution"].values())
-    if abs(attributed - summary["bubble_ratio"]) > ATTRIBUTION_TOLERANCE:
+    attributed = sum(
+        mean_attribution(bubble_attribution(result.trace)).values()
+    )
+    bubble_ratio = result.trace.bubble_ratio()
+    if abs(attributed - bubble_ratio) > ATTRIBUTION_TOLERANCE:
         violations.append(
             f"bubble attribution {attributed!r} != "
-            f"bubble ratio {summary['bubble_ratio']!r}"
+            f"bubble ratio {bubble_ratio!r}"
         )
     if capacity_bytes and result.peak_cache_bytes is not None:
         # a single subnet's working set may exceed the cache (the engine

@@ -10,6 +10,10 @@ into inspectable artifacts:
   in Perfetto / ``chrome://tracing``) with GPU, copy-engine, NIC and
   scheduler tracks plus cache/queue/ready-set counters.  Deterministic
   byte-for-byte across identical runs.
+* :mod:`repro.obs.model` — the run model: per-GPU activity chains,
+  boundary transfers, admissions, CSP wait windows and link parameters,
+  extracted from a trace in one place and read by the three analyses
+  below and the exporter's wait-window track.
 * :mod:`repro.obs.summary` — per-stage bubble attribution (startup vs
   CSP-wait vs fetch-stall vs drain) and a deterministic run summary; the
   attribution sums back to ``ExecutionTrace.bubble_ratio()`` exactly.
@@ -38,6 +42,7 @@ from repro.obs.exporter import (
     to_perfetto,
     validate_chrome_trace,
 )
+from repro.obs.model import WaitWindow, csp_wait_windows
 from repro.obs.summary import (
     StageBubbles,
     bubble_attribution,
@@ -72,6 +77,8 @@ __all__ = [
     "export_chrome_trace",
     "to_perfetto",
     "validate_chrome_trace",
+    "WaitWindow",
+    "csp_wait_windows",
     "StageBubbles",
     "bubble_attribution",
     "format_summary",

@@ -40,13 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.model import RunModel, _Activity, _complement, _merge
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
     "RESOURCE_CLASSES",
     "PathSegment",
     "CriticalPath",
-    "stall_cause_index",
     "critical_path",
     "critical_path_breakdown",
 ]
@@ -63,34 +63,6 @@ RESOURCE_CLASSES = (
 )
 
 _EPS = 1e-9
-
-#: stall-interval cause -> resource class (cause comes from the typed
-#: event recorded at the stall's (stage, start))
-_STALL_CLASS = {
-    "fetch_stall": "copy_fetch",
-    "migration": "nic_transfer",
-    "oom_retry": "other_stall",
-    "task_retry": "other_stall",
-}
-
-
-def stall_cause_index(
-    trace: ExecutionTrace,
-) -> Dict[Tuple[int, float], str]:
-    """``(stage, stall-interval start) -> resource class`` for every
-    stall the trace's typed events explain; the cause of the stall
-    interval starting at that instant on that GPU (shared with
-    :mod:`repro.obs.whatif`)."""
-    causes: Dict[Tuple[int, float], str] = {}
-    for event in trace.events_of(*_STALL_CLASS):
-        cause = _STALL_CLASS[event.kind]
-        if event.kind == "fetch_stall":
-            # the stall interval starts at the (post-migration)
-            # dispatch time, which is the event time
-            causes[(event.stage, event.time)] = cause
-        else:
-            causes.setdefault((event.stage, event.time), cause)
-    return causes
 
 
 @dataclass(frozen=True)
@@ -135,127 +107,18 @@ class CriticalPath:
 
 
 # ----------------------------------------------------------------------
-# activity model (internal)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Activity:
-    """One node of the reconstructed DAG."""
-
-    kind: str  # "compute" | "stall" | "transfer" | "inject"
-    start: float
-    end: float
-    stage: int
-    subnet: int
-    direction: str  # "fwd" / "bwd" / "" for stalls and injects
-    resource: str
-    label: str
-    gpu_index: int = -1  # position in the per-GPU activity list
-
-
 class _Dag:
-    """Indexes over one trace, built once per analysis."""
+    """The backwards walk's predecessor rules over one run model."""
 
-    def __init__(self, trace: ExecutionTrace) -> None:
-        self.trace = trace
-        self.last_stage = trace.num_gpus - 1
-
-        # stall causes keyed by (stage, start time)
-        stall_cause = stall_cause_index(trace)
-
-        # per-GPU activity chains (compute + stalls, observed order)
-        self.gpu_chain: Dict[int, List[_Activity]] = {}
-        # (stage, subnet, direction) -> compute activities, start order
-        self.compute_index: Dict[Tuple[int, int, str], List[_Activity]] = {}
-        for gpu, intervals in trace.intervals_by_gpu().items():
-            chain: List[_Activity] = []
-            for interval in intervals:
-                if interval.kind in ("fwd", "bwd"):
-                    activity = _Activity(
-                        kind="compute",
-                        start=interval.start,
-                        end=interval.end,
-                        stage=gpu,
-                        subnet=interval.subnet_id,
-                        direction=interval.kind,
-                        resource="alu_busy",
-                        label=f"SN{interval.subnet_id} {interval.kind}@P{gpu}",
-                        gpu_index=len(chain),
-                    )
-                    self.compute_index.setdefault(
-                        (gpu, interval.subnet_id, interval.kind), []
-                    ).append(activity)
-                else:
-                    resource = stall_cause.get(
-                        (gpu, interval.start), "other_stall"
-                    )
-                    activity = _Activity(
-                        kind="stall",
-                        start=interval.start,
-                        end=interval.end,
-                        stage=gpu,
-                        subnet=interval.subnet_id,
-                        direction="",
-                        resource=resource,
-                        label=f"SN{interval.subnet_id} {resource}@P{gpu}",
-                        gpu_index=len(chain),
-                    )
-                chain.append(activity)
-            self.gpu_chain[gpu] = chain
-
-        # transfers keyed by (direction, dst, subnet); a subnet crosses
-        # each boundary at most once per direction per attempt
-        self.transfers: Dict[Tuple[str, int, int], _Activity] = {}
-        for event in trace.events_of("nic_transfer"):
-            attrs = event.attrs_dict
-            direction = str(attrs["direction"])
-            dst = int(attrs["dst"])
-            self.transfers[(direction, dst, event.subnet_id)] = _Activity(
-                kind="transfer",
-                start=event.time,
-                end=float(attrs["arrive"]),
-                stage=int(attrs["src"]),
-                subnet=event.subnet_id,
-                direction=direction,
-                resource="nic_transfer",
-                label=(
-                    f"SN{event.subnet_id} "
-                    f"{'activation' if direction == 'fwd' else 'gradient'} "
-                    f"P{attrs['src']}->P{dst}"
-                ),
-            )
-
-        # injections (zero-length; charged to stage 0 where they admit)
-        self.injects: Dict[int, _Activity] = {}
-        for event in trace.events_of("subnet_inject"):
-            self.injects[event.subnet_id] = _Activity(
-                kind="inject",
-                start=event.time,
-                end=event.time,
-                stage=0,
-                subnet=event.subnet_id,
-                direction="",
-                resource="admission_hold",
-                label=f"SN{event.subnet_id} inject",
-            )
-
-        # completions in time order (admission-release edges)
-        self.completions: List[Tuple[float, int]] = sorted(
-            (time, sid) for sid, time in trace.subnet_completion_times.items()
-        )
-
-        # merged CSP wait windows per stage (gap classification)
-        from repro.obs.summary import csp_wait_windows, _merge
-
-        self.wait_segments: Dict[int, List[Tuple[float, float]]] = {
-            stage: _merge([(w.start, w.end) for w in windows])
-            for stage, windows in csp_wait_windows(trace).items()
-        }
+    def __init__(self, model: RunModel) -> None:
+        self.model = model
+        self.last_stage = model.trace.num_gpus - 1
 
     # ------------------------------------------------------------------
     def terminal(self) -> Optional[_Activity]:
         """The activity whose finish defines the end of the run."""
         best: Optional[_Activity] = None
-        for chain in self.gpu_chain.values():
+        for chain in self.model.gpu_chain.values():
             for activity in chain:
                 if activity.kind != "compute":
                     continue
@@ -271,7 +134,7 @@ class _Dag:
     def _last_compute(
         self, stage: int, subnet: int, direction: str, before: float
     ) -> Optional[_Activity]:
-        candidates = self.compute_index.get((stage, subnet, direction), ())
+        candidates = self.model.compute_index.get((stage, subnet, direction), ())
         best = None
         for activity in candidates:
             if activity.end <= before + _EPS:
@@ -279,7 +142,7 @@ class _Dag:
         return best
 
     def _gpu_pred(self, activity: _Activity) -> Optional[_Activity]:
-        chain = self.gpu_chain.get(activity.stage, ())
+        chain = self.model.gpu_chain.get(activity.stage, ())
         index = activity.gpu_index - 1
         while index >= 0:
             previous = chain[index]
@@ -294,13 +157,13 @@ class _Dag:
         """What delivered this task's input to this stage."""
         if direction == "fwd":
             if stage == 0:
-                return self.injects.get(subnet)
-            transfer = self.transfers.get(("fwd", stage, subnet))
+                return self.model.injects.get(subnet)
+            transfer = self.model.transfers.get(("fwd", stage, subnet))
         elif stage == self.last_stage:
             # the backward chain starts where the last forward finished
             return self._last_compute(stage, subnet, "fwd", before)
         else:
-            transfer = self.transfers.get(("bwd", stage, subnet))
+            transfer = self.model.transfers.get(("bwd", stage, subnet))
         if transfer is not None and transfer.end <= before + _EPS:
             return transfer
         return None
@@ -308,7 +171,7 @@ class _Dag:
     def _stall_direction(self, activity: _Activity) -> str:
         """Direction of the dispatch a stall belongs to: the next
         compute of the same subnet on the same GPU."""
-        chain = self.gpu_chain.get(activity.stage, ())
+        chain = self.model.gpu_chain.get(activity.stage, ())
         for following in chain[activity.gpu_index + 1:]:
             if following.kind == "compute" and following.subnet == activity.subnet:
                 return following.direction
@@ -351,12 +214,7 @@ class _Dag:
         elif activity.kind == "inject":
             # admission released by the most recent subnet completion
             # (its final backward at stage 0); none at stream start
-            released_by: Optional[int] = None
-            for time, sid in self.completions:
-                if time <= activity.start + _EPS:
-                    released_by = sid
-                else:
-                    break
+            released_by = self.model.releaser.get(activity.subnet)
             if released_by is not None:
                 consider(
                     self._last_compute(0, released_by, "bwd", activity.start), 1
@@ -371,10 +229,8 @@ def _gap_segments(
     dag: _Dag, activity: _Activity, lo: float, hi: float
 ) -> List[PathSegment]:
     """Classify idle ``[lo, hi]`` before ``activity`` (chronological)."""
-    from repro.obs.summary import _complement, _merge
-
     stage = activity.stage
-    waits = dag.wait_segments.get(stage, [])
+    waits = dag.model.wait_segments.get(stage, [])
     covered = _merge([w for w in waits if w[1] > lo and w[0] < hi])
     clipped = [(max(lo, s), min(hi, e)) for s, e in covered]
     clipped = [(s, e) for s, e in clipped if e - s > 0]
@@ -406,9 +262,14 @@ def critical_path(trace: ExecutionTrace) -> CriticalPath:
     exactly (adjacent segments share endpoints), so their lengths sum to
     the measured makespan to float precision.
     """
+    return _walk(RunModel(trace))
+
+
+def _walk(model: RunModel) -> CriticalPath:
+    trace = model.trace
     makespan = trace.makespan
     start_time = trace.start_time
-    dag = _Dag(trace)
+    dag = _Dag(model)
     node = dag.terminal()
     if node is None or makespan <= 0:
         segments = (
@@ -485,7 +346,11 @@ def critical_path_breakdown(trace: ExecutionTrace) -> Dict[str, object]:
     and sums to ``path_ms`` == ``makespan_ms`` (1e-9); ``per_stage_share``
     is each stage's fraction of the path (sums to 1 for non-empty runs).
     """
-    path = critical_path(trace)
+    return _breakdown(RunModel(trace))
+
+
+def _breakdown(model: RunModel) -> Dict[str, object]:
+    path = _walk(model)
     makespan = path.makespan_ms
     by_resource = path.by_resource()
     by_stage = path.by_stage()

@@ -100,7 +100,7 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             "repro.engines.policies.csp",
             "The stage has queued forwards but none is CSP-clear; the "
             "blocking (subnet, layer) edge names the unreleased "
-            "dependency stalling the queue head.",
+            "dependency stalling the queue head (Definition 2 at work).",
             EventField("blocking_subnet", _INT, "earlier subnet holding the layer"),
             EventField("block", _INT, "choice-block index of the blocking layer"),
             EventField("choice", _INT, "candidate index of the blocking layer"),
@@ -153,9 +153,9 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
         _schema(
             "eviction",
             "repro.core.context_manager",
-            "A layer left the stage's parameter cache (LRU pressure, the "
-            "paper's explicit EVICT call, or OOM reclaim); dirty entries "
-            "pay a write-back copy.",
+            "A layer left the stage's parameter cache (LRU pressure, "
+            "Algorithm 1's explicit EVICT call, or OOM reclaim); dirty "
+            "entries pay a write-back copy.",
             EventField("block", _INT, "choice-block index"),
             EventField("choice", _INT, "candidate index"),
             EventField("nbytes", _INT, "parameter bytes freed"),
@@ -249,7 +249,8 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             "repro.engines.pipeline",
             "Run-global configuration snapshot emitted once at engine "
             "construction: the static facts critical-path analysis and "
-            "what-if projection need that no later event carries.",
+            "what-if projection need that no later event carries, so a "
+            "bare trace is self-describing.",
             EventField("system", _STR, "system configuration name"),
             EventField("num_stages", _INT, "pipeline depth"),
             EventField("batch", _INT, "training batch size"),
@@ -403,7 +404,12 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             EventField("priority", _INT, "fair-share weight (>= 1)"),
             EventField("subnets", _INT, "stream length requested"),
             EventField("min_gpus", _INT, "smallest acceptable allocation"),
-            EventField("max_gpus", _INT, "allocation cap after clamping"),
+            EventField(
+                "max_gpus",
+                _INT,
+                "allocation cap after clamping to fleet size and "
+                "choice-block count",
+            ),
             stage_scoped=False,
         ),
         _schema(
@@ -494,7 +500,11 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             "repro.serving.frontend",
             "An open-loop subnet-evaluation request reached the serving "
             "front-end; subnet_id is the request id.",
-            EventField("digest", _STR, "subnet digest prefix (12 hex chars)"),
+            EventField(
+                "digest",
+                _STR,
+                "subnet digest prefix (12 hex chars), the result-cache key",
+            ),
             stage_scoped=False,
             subnet_scoped=True,
         ),
@@ -527,7 +537,12 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             "linger expiry, or end-of-workload drain).",
             EventField("batch", _INT, "0-based batch ordinal"),
             EventField("size", _INT, "requests in the batch"),
-            EventField("cause", _STR, '"full", "linger" or "drain"'),
+            EventField(
+                "cause",
+                _STR,
+                '"full" (hit max_batch), "linger" (oldest member waited '
+                'max_linger_ms) or "drain" (end of workload)',
+            ),
             EventField(
                 "oldest_wait_ms", _NUMBER, "oldest member's queueing time"
             ),

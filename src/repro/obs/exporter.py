@@ -26,9 +26,9 @@ golden-file test enforces this).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs.summary import csp_wait_windows
+from repro.obs.model import csp_wait_windows
 from repro.payload import compact
 from repro.sim.trace import ExecutionTrace
 
@@ -47,6 +47,167 @@ _PROCESS_NAMES = {
 }
 
 _INTERVAL_NAMES = {"fwd": "forward", "bwd": "backward", "stall": "stall"}
+
+#: kinds drawn as one instant (``ph: "i"``) whose ``args`` are the event's
+#: own attrs: kind -> (pid, category, scope, on the stage's thread (else
+#: thread 0), name format over ``kind`` / ``stage`` / ``subnet`` / attrs)
+_INSTANTS: Dict[str, Tuple[int, str, str, bool, str]] = {
+    "bulk_flush": (_PID_SCHED, "policy", "p", True, "{kind}"),
+    "staleness_hold": (_PID_SCHED, "policy", "t", True, "{kind}"),
+    "migration": (_PID_SCHED, "policy", "t", True, "{kind}"),
+    "oom_retry": (_PID_GPU, "oom", "t", True, "SN{subnet} OOM retry"),
+    "fault_inject": (_PID_GPU, "fault", "g", False, "fault {fault}@{target}"),
+    "gpu_down": (_PID_GPU, "fault", "p", True, "{kind} P{stage}"),
+    "gpu_up": (_PID_GPU, "fault", "p", True, "{kind} P{stage}"),
+    "task_retry": (_PID_GPU, "fault", "t", True, "SN{subnet} transient retry"),
+    "checkpoint_begin": (_PID_SCHED, "checkpoint", "g", False, "{kind} cut {cut}"),
+    "checkpoint_commit": (_PID_SCHED, "checkpoint", "g", False, "{kind} cut {cut}"),
+    "recovery_begin": (_PID_SCHED, "checkpoint", "g", False, "{kind} cut {cut}"),
+    "recovery_done": (_PID_SCHED, "checkpoint", "g", False, "{kind} cut {cut}"),
+    "lease_revoke": (
+        _PID_SCHED, "fault", "g", False, "{kind} {job} slot {slot} ({fault})",
+    ),
+    "job_submit": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "job_start": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "job_resize": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "job_preempt": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "job_done": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "job_requeue": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "job_failed": (_PID_SCHED, "service", "g", False, "{kind} {job}"),
+    "request_arrive": (_PID_SCHED, "serving", "g", False, "{kind} R{subnet}"),
+    "request_admit": (_PID_SCHED, "serving", "g", False, "{kind} R{subnet}"),
+    "request_shed": (_PID_SCHED, "serving", "g", False, "{kind} R{subnet}"),
+    "request_retry": (_PID_SCHED, "serving", "g", False, "{kind} R{subnet}"),
+    "cache_hit": (_PID_SCHED, "serving", "g", False, "{kind} R{subnet}"),
+    "cache_miss": (_PID_SCHED, "serving", "g", False, "{kind} R{subnet}"),
+    "batch_form": (
+        _PID_SCHED, "serving", "g", False, "batch {batch} ({size} req, {cause})",
+    ),
+    "health_report": (
+        _PID_SCHED, "health", "g", False, "{scope}{index} -> {status}",
+    ),
+    "rebalance": (
+        _PID_SCHED, "mitigation", "t", True, "rebalance P{stage} w={weight}",
+    ),
+}
+
+
+# The kinds that are not that shape: each renderer returns the event
+# minus ``ph`` / ``pid`` / ``ts``, which the table row supplies.
+def _prefetch_issue(time, stage, subnet_id, attrs, cache_totals):
+    land = float(attrs["land"])
+    return {
+        "name": "{}fetch B{}.c{}".format(
+            "demand " if attrs["demand"] else "pre",
+            attrs["block"],
+            attrs["choice"],
+        ),
+        "cat": "copy",
+        "tid": stage,
+        "dur": max(0.0, land - time),
+        "args": {"bytes": attrs["nbytes"], "demand": attrs["demand"]},
+    }
+
+
+def _eviction(time, stage, subnet_id, attrs, cache_totals):
+    return {
+        "name": f"evict B{attrs['block']}.c{attrs['choice']}",
+        "cat": "evict",
+        "s": "t",
+        "tid": stage,
+        "args": {
+            "bytes": attrs["nbytes"],
+            "dirty": attrs["dirty"],
+            "reason": attrs["reason"],
+        },
+    }
+
+
+def _cache_access(time, stage, subnet_id, attrs, cache_totals):
+    """Cumulative per-stage hit/miss counter."""
+    totals = cache_totals.setdefault(stage, [0, 0])
+    totals[0] += int(attrs["hits"])
+    totals[1] += int(attrs["misses"])
+    return {
+        "name": f"cache P{stage}",
+        "args": {"hits": totals[0], "misses": totals[1]},
+    }
+
+
+def _nic_transfer(time, stage, subnet_id, attrs, cache_totals):
+    src = int(attrs["src"])
+    fwd = attrs["direction"] == "fwd"
+    arrive = float(attrs["arrive"])
+    return {
+        "name": "SN{} {}".format(subnet_id, "activation" if fwd else "gradient"),
+        "cat": "nic",
+        "tid": 2 * (src if fwd else src - 1) + (0 if fwd else 1),
+        "dur": max(0.0, arrive - time),
+        "args": {
+            "bytes": attrs["nbytes"],
+            "src": attrs["src"],
+            "dst": attrs["dst"],
+            "subnet": subnet_id,
+        },
+    }
+
+
+def _ready_set(time, stage, subnet_id, attrs, cache_totals):
+    return {"name": f"ready set P{stage}", "args": {"size": attrs["size"]}}
+
+
+def _queue_depth(time, stage, subnet_id, attrs, cache_totals):
+    return {
+        "name": f"queues P{stage}",
+        "args": {"fwd": attrs["fwd"], "bwd": attrs["bwd"]},
+    }
+
+
+def _subnet_complete(time, stage, subnet_id, attrs, cache_totals):
+    return {
+        "name": f"SN{subnet_id} complete",
+        "cat": "completion",
+        "s": "g",
+        "tid": 0,
+        "args": {"subnet": subnet_id},
+    }
+
+
+def _mitigation_apply(time, stage, subnet_id, attrs, cache_totals):
+    return {
+        "name": f"{attrs['action']} {'on' if attrs['active'] else 'off'}",
+        "cat": "mitigation",
+        "s": "g",
+        "tid": 0,
+        "args": attrs,
+    }
+
+
+#: kind -> (pid, phase, renderer)
+_SPECIAL: Dict[str, Tuple[int, str, Callable[..., Dict[str, object]]]] = {
+    "prefetch_issue": (_PID_COPY, "X", _prefetch_issue),
+    "eviction": (_PID_COPY, "i", _eviction),
+    "cache_access": (_PID_COPY, "C", _cache_access),
+    "nic_transfer": (_PID_NIC, "X", _nic_transfer),
+    "ready_set": (_PID_SCHED, "C", _ready_set),
+    "queue_depth": (_PID_SCHED, "C", _queue_depth),
+    "subnet_complete": (_PID_GPU, "i", _subnet_complete),
+    "mitigation_apply": (_PID_SCHED, "i", _mitigation_apply),
+}
+
+#: kinds no event is drawn for, and why
+_NOT_RENDERED: Dict[str, str] = {
+    "task_dispatch": "shown as the fwd/bwd busy-interval span",
+    "task_done": "shown as the fwd/bwd busy-interval span",
+    "fetch_stall": "shown as the stall busy-interval span",
+    "subnet_inject": "read by the analyses (the admission edge)",
+    "csp_wait_begin": "shown as the paired CSP wait-window span",
+    "csp_wait_end": "shown as the paired CSP wait-window span",
+    "prefetch_land": "shown as the end of its prefetch_issue span",
+    "sim_quiescent": "counted in the run summary only",
+    "run_meta": "static facts for the analyses",
+    "link_meta": "static facts for the analyses",
+}
 
 
 def _meta(pid: int, tid: Optional[int], name: str) -> Dict[str, object]:
@@ -98,325 +259,33 @@ def to_perfetto(
         )
 
     # -- typed events ---------------------------------------------------
-    cache_hits: Dict[int, int] = {}
-    cache_misses: Dict[int, int] = {}
+    cache_totals: Dict[int, List[int]] = {}
     for kind, time, stage, subnet_id, pairs in trace.events.rows():
-        attrs = dict(pairs)
-        if kind == "prefetch_issue":
-            land = float(attrs["land"])  # type: ignore[arg-type]
+        special = _SPECIAL.get(kind)
+        if special is not None:
+            pid, phase, render = special
+            event = render(time, stage, subnet_id, dict(pairs), cache_totals)
+            event["ph"], event["pid"], event["ts"] = phase, pid, time
+            events.append(event)
+            continue
+        instant = _INSTANTS.get(kind)
+        if instant is not None:
+            pid, category, scope, on_stage_thread, name_format = instant
+            attrs = dict(pairs)
             events.append(
                 {
-                    "name": (
-                        "{}fetch B{}.c{}".format(
-                            "demand " if attrs["demand"] else "pre",
-                            attrs["block"],
-                            attrs["choice"],
-                        )
+                    "name": name_format.format(
+                        kind=kind, stage=stage, subnet=subnet_id, **attrs
                     ),
-                    "cat": "copy",
-                    "ph": "X",
-                    "pid": _PID_COPY,
-                    "tid": stage,
-                    "ts": time,
-                    "dur": max(0.0, land - time),
-                    "args": {
-                        "bytes": attrs["nbytes"],
-                        "demand": attrs["demand"],
-                    },
-                }
-            )
-        elif kind == "eviction":
-            events.append(
-                {
-                    "name": f"evict B{attrs['block']}.c{attrs['choice']}",
-                    "cat": "evict",
+                    "cat": category,
                     "ph": "i",
-                    "s": "t",
-                    "pid": _PID_COPY,
-                    "tid": stage,
-                    "ts": time,
-                    "args": {
-                        "bytes": attrs["nbytes"],
-                        "dirty": attrs["dirty"],
-                        "reason": attrs["reason"],
-                    },
-                }
-            )
-        elif kind == "cache_access":
-            hits = cache_hits.get(stage, 0) + int(attrs["hits"])  # type: ignore[arg-type]
-            misses = cache_misses.get(stage, 0) + int(attrs["misses"])  # type: ignore[arg-type]
-            cache_hits[stage] = hits
-            cache_misses[stage] = misses
-            events.append(
-                {
-                    "name": f"cache P{stage}",
-                    "ph": "C",
-                    "pid": _PID_COPY,
-                    "ts": time,
-                    "args": {"hits": hits, "misses": misses},
-                }
-            )
-        elif kind == "nic_transfer":
-            src = int(attrs["src"])  # type: ignore[arg-type]
-            fwd = attrs["direction"] == "fwd"
-            tid = 2 * (src if fwd else src - 1) + (0 if fwd else 1)
-            arrive = float(attrs["arrive"])  # type: ignore[arg-type]
-            events.append(
-                {
-                    "name": "SN{} {}".format(
-                        subnet_id, "activation" if fwd else "gradient"
-                    ),
-                    "cat": "nic",
-                    "ph": "X",
-                    "pid": _PID_NIC,
-                    "tid": tid,
-                    "ts": time,
-                    "dur": max(0.0, arrive - time),
-                    "args": {
-                        "bytes": attrs["nbytes"],
-                        "src": attrs["src"],
-                        "dst": attrs["dst"],
-                        "subnet": subnet_id,
-                    },
-                }
-            )
-        elif kind == "ready_set":
-            events.append(
-                {
-                    "name": f"ready set P{stage}",
-                    "ph": "C",
-                    "pid": _PID_SCHED,
-                    "ts": time,
-                    "args": {"size": attrs["size"]},
-                }
-            )
-        elif kind == "queue_depth":
-            events.append(
-                {
-                    "name": f"queues P{stage}",
-                    "ph": "C",
-                    "pid": _PID_SCHED,
-                    "ts": time,
-                    "args": {"fwd": attrs["fwd"], "bwd": attrs["bwd"]},
-                }
-            )
-        elif kind in ("bulk_flush", "staleness_hold", "migration"):
-            events.append(
-                {
-                    "name": kind,
-                    "cat": "policy",
-                    "ph": "i",
-                    "s": "p" if kind == "bulk_flush" else "t",
-                    "pid": _PID_SCHED,
-                    "tid": max(0, stage),
+                    "s": scope,
+                    "pid": pid,
+                    "tid": max(0, stage) if on_stage_thread else 0,
                     "ts": time,
                     "args": attrs,
                 }
             )
-        elif kind == "oom_retry":
-            events.append(
-                {
-                    "name": f"SN{subnet_id} OOM retry",
-                    "cat": "oom",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": _PID_GPU,
-                    "tid": stage,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "subnet_complete":
-            events.append(
-                {
-                    "name": f"SN{subnet_id} complete",
-                    "cat": "completion",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_GPU,
-                    "tid": 0,
-                    "ts": time,
-                    "args": {"subnet": subnet_id},
-                }
-            )
-        elif kind == "fault_inject":
-            events.append(
-                {
-                    "name": f"fault {attrs['fault']}@{attrs['target']}",
-                    "cat": "fault",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_GPU,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind in ("gpu_down", "gpu_up"):
-            events.append(
-                {
-                    "name": f"{kind} P{stage}",
-                    "cat": "fault",
-                    "ph": "i",
-                    "s": "p",
-                    "pid": _PID_GPU,
-                    "tid": stage,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "task_retry":
-            events.append(
-                {
-                    "name": f"SN{subnet_id} transient retry",
-                    "cat": "fault",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": _PID_GPU,
-                    "tid": stage,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind in (
-            "checkpoint_begin",
-            "checkpoint_commit",
-            "recovery_begin",
-            "recovery_done",
-        ):
-            events.append(
-                {
-                    "name": f"{kind} cut {attrs['cut']}",
-                    "cat": "checkpoint",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "lease_revoke":
-            events.append(
-                {
-                    "name": (
-                        f"lease_revoke {attrs['job']} "
-                        f"slot {attrs['slot']} ({attrs['fault']})"
-                    ),
-                    "cat": "fault",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind in (
-            "job_submit",
-            "job_start",
-            "job_resize",
-            "job_preempt",
-            "job_done",
-            "job_requeue",
-            "job_failed",
-        ):
-            events.append(
-                {
-                    "name": f"{kind} {attrs['job']}",
-                    "cat": "service",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind in (
-            "request_arrive",
-            "request_admit",
-            "request_shed",
-            "request_retry",
-            "cache_hit",
-            "cache_miss",
-        ):
-            events.append(
-                {
-                    "name": f"{kind} R{subnet_id}",
-                    "cat": "serving",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "batch_form":
-            events.append(
-                {
-                    "name": (
-                        f"batch {attrs['batch']} "
-                        f"({attrs['size']} req, {attrs['cause']})"
-                    ),
-                    "cat": "serving",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "health_report":
-            events.append(
-                {
-                    "name": (
-                        f"{attrs['scope']}{attrs['index']} "
-                        f"-> {attrs['status']}"
-                    ),
-                    "cat": "health",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "mitigation_apply":
-            events.append(
-                {
-                    "name": (
-                        f"{attrs['action']} "
-                        f"{'on' if attrs['active'] else 'off'}"
-                    ),
-                    "cat": "mitigation",
-                    "ph": "i",
-                    "s": "g",
-                    "pid": _PID_SCHED,
-                    "tid": 0,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        elif kind == "rebalance":
-            events.append(
-                {
-                    "name": f"rebalance P{stage} w={attrs['weight']}",
-                    "cat": "mitigation",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": _PID_SCHED,
-                    "tid": stage,
-                    "ts": time,
-                    "args": attrs,
-                }
-            )
-        # task_dispatch/task_done/fetch_stall/subnet_inject/csp_wait_*/
-        # sim_quiescent are covered by the interval, wait-window and
-        # summary renderings; prefetch_land by the issue span.
 
     # -- pid 3: CSP wait windows ---------------------------------------
     for stage, windows in sorted(csp_wait_windows(trace).items()):
@@ -477,8 +346,15 @@ def export_chrome_trace(
 ) -> str:
     """Serialise :func:`to_perfetto` deterministically; optionally write
     it to ``path``.  Returns the JSON text."""
-    payload = to_perfetto(trace, label=label, system=system, space=space, batch=batch)
-    text = compact(payload) + "\n"
+    # the payload is not bound to a name: it must be gone before the
+    # newline makes a second copy of a large export, or the two copies
+    # and the payload together are the run's peak memory
+    text = (
+        compact(
+            to_perfetto(trace, label=label, system=system, space=space, batch=batch)
+        )
+        + "\n"
+    )
     if path is not None:
         Path(path).write_text(text)
     return text

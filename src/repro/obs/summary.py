@@ -25,113 +25,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
+from repro.obs.critical_path import _breakdown
+from repro.obs.model import RunModel, _complement, _merge, _overlap
 from repro.payload import compact
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
-    "WaitWindow",
     "StageBubbles",
-    "csp_wait_windows",
     "bubble_attribution",
+    "mean_attribution",
     "run_summary",
     "summary_json",
     "format_summary",
 ]
-
-_Segment = Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class WaitWindow:
-    """One CSP wait: the stage's forward queue was dependency-blocked."""
-
-    stage: int
-    start: float
-    end: float
-    blocked: int  # queue-head subnet that could not run
-    blocking_subnet: int  # earlier subnet holding the layer
-    block: int  # choice-block index of the blocking layer
-    choice: int  # candidate index of the blocking layer
-
-
-def csp_wait_windows(trace: ExecutionTrace) -> Dict[int, List[WaitWindow]]:
-    """Pair ``csp_wait_begin``/``csp_wait_end`` events into windows per
-    stage; a wait still open at the end of the run closes at
-    ``trace.end_time``."""
-    windows: Dict[int, List[WaitWindow]] = {}
-    open_waits: Dict[int, object] = {}
-    for event in trace.events_of("csp_wait_begin", "csp_wait_end"):
-        if event.kind == "csp_wait_begin":
-            open_waits[event.stage] = event
-        else:
-            begin = open_waits.pop(event.stage, None)
-            if begin is None:
-                continue
-            windows.setdefault(event.stage, []).append(
-                _window_from(begin, event.time)
-            )
-    for stage, begin in sorted(open_waits.items()):
-        windows.setdefault(stage, []).append(_window_from(begin, trace.end_time))
-    return windows
-
-
-def _window_from(begin, end: float) -> WaitWindow:
-    attrs = begin.attrs_dict
-    return WaitWindow(
-        stage=begin.stage,
-        start=begin.time,
-        end=end,
-        blocked=begin.subnet_id,
-        blocking_subnet=int(attrs.get("blocking_subnet", -1)),
-        block=int(attrs.get("block", -1)),
-        choice=int(attrs.get("choice", -1)),
-    )
-
-
-# ----------------------------------------------------------------------
-# interval arithmetic
-# ----------------------------------------------------------------------
-def _merge(segments: List[_Segment]) -> List[_Segment]:
-    merged: List[_Segment] = []
-    for start, end in sorted(segments):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _complement(segments: List[_Segment], lo: float, hi: float) -> List[_Segment]:
-    """Gaps of merged ``segments`` inside ``[lo, hi]``."""
-    gaps: List[_Segment] = []
-    cursor = lo
-    for start, end in segments:
-        if start > cursor:
-            gaps.append((cursor, min(start, hi)))
-        cursor = max(cursor, end)
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        gaps.append((cursor, hi))
-    return [(s, e) for s, e in gaps if e > s]
-
-
-def _overlap(a: List[_Segment], b: List[_Segment]) -> float:
-    """Total overlap length between two merged segment lists."""
-    total = 0.0
-    j = 0
-    for start, end in a:
-        while j < len(b) and b[j][1] <= start:
-            j += 1
-        k = j
-        while k < len(b) and b[k][0] < end:
-            total += min(end, b[k][1]) - max(start, b[k][0])
-            k += 1
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -178,25 +86,17 @@ def bubble_attribution(trace: ExecutionTrace) -> List[StageBubbles]:
     ``other_idle`` balances exactly, so per stage
     ``startup + fetch_stall + csp_wait + drain + other_idle == idle``.
     """
+    return _attribution(RunModel(trace))
+
+
+def _attribution(model: RunModel) -> List[StageBubbles]:
+    trace = model.trace
     makespan = trace.makespan
-    waits = csp_wait_windows(trace)
     per_stage: List[StageBubbles] = []
-    for stage in range(trace.num_gpus):
-        compute = _merge(
-            [
-                (i.start, i.end)
-                for i in trace.intervals
-                if i.gpu_id == stage and i.kind in ("fwd", "bwd")
-            ]
-        )
-        stalls = _merge(
-            [
-                (i.start, i.end)
-                for i in trace.intervals
-                if i.gpu_id == stage and i.kind == "stall"
-            ]
-        )
-        wait_segments = _merge([(w.start, w.end) for w in waits.get(stage, [])])
+    for stage, chain in model.gpu_chain.items():
+        compute = _merge([(a.start, a.end) for a in chain if a.kind == "compute"])
+        stalls = _merge([(a.start, a.end) for a in chain if a.kind == "stall"])
+        wait_segments = model.wait_segments.get(stage, [])
         busy = trace.busy_time(stage, compute_only=True)
         idle = max(0.0, makespan - busy)
 
@@ -241,19 +141,9 @@ def bubble_attribution(trace: ExecutionTrace) -> List[StageBubbles]:
     return per_stage
 
 
-def run_summary(result) -> Dict[str, object]:
-    """Deterministic summary dict for one :class:`PipelineResult`.
-
-    ``bubble_attribution`` holds mean fractions across stages; their sum
-    equals ``bubble_ratio`` to float precision (tested at 1e-9).
-    """
-    # Lazy import: critical_path imports csp_wait_windows from this
-    # module, so a top-level import here would be a cycle.
-    from repro.obs.critical_path import critical_path_breakdown
-
-    trace: ExecutionTrace = result.trace
-    cp_share = critical_path_breakdown(trace)["per_stage_share"]
-    stages = bubble_attribution(trace)
+def mean_attribution(stages: List[StageBubbles]) -> Dict[str, float]:
+    """Mean of the stages' idle fractions per cause; the five values sum
+    to ``ExecutionTrace.bubble_ratio()`` to float precision."""
     mean: Dict[str, float] = {
         "startup": 0.0,
         "fetch_stall": 0.0,
@@ -267,6 +157,19 @@ def run_summary(result) -> Dict[str, object]:
     if stages:
         for key in mean:
             mean[key] /= len(stages)
+    return mean
+
+
+def run_summary(result) -> Dict[str, object]:
+    """Deterministic summary dict for one :class:`PipelineResult`.
+
+    ``bubble_attribution`` holds mean fractions across stages; their sum
+    equals ``bubble_ratio`` to float precision (tested at 1e-9).
+    """
+    trace: ExecutionTrace = result.trace
+    model = RunModel(trace)
+    cp_share = _breakdown(model)["per_stage_share"]
+    stages = _attribution(model)
     return {
         "schema": 1,
         "system": result.system,
@@ -277,7 +180,7 @@ def run_summary(result) -> Dict[str, object]:
         "subnets_completed": result.subnets_completed,
         "throughput_samples_per_sec": result.throughput_samples_per_sec,
         "bubble_ratio": trace.bubble_ratio(),
-        "bubble_attribution": mean,
+        "bubble_attribution": mean_attribution(stages),
         "per_stage": [
             {
                 "stage": stage.stage,

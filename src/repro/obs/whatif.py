@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.model import RunModel
+from repro.obs.summary import run_summary
 from repro.sim.trace import ExecutionTrace
-from repro.obs.critical_path import stall_cause_index
 
 __all__ = ["SCENARIOS", "project", "what_if_report", "rerun_projection"]
 
@@ -72,140 +72,36 @@ _DROPPED_STALLS = {
 
 
 # ----------------------------------------------------------------------
-# model extraction
-# ----------------------------------------------------------------------
-@dataclass
-class _Compute:
-    stage: int
-    subnet: int
-    direction: str
-    obs_start: float
-    duration: float
-    #: stall resource class -> ms of setup stall observed before this task
-    setup: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class _Transfer:
-    direction: str
-    src: int
-    dst: int
-    subnet: int
-    nbytes: float
-    obs_time: float
-
-
-@dataclass
-class _Model:
-    """Everything the projections need, extracted once per trace."""
-
-    num_stages: int
-    start_time: float
-    makespan: float
-    #: per-GPU compute chains in observed order
-    chains: Dict[int, List[_Compute]]
-    #: (direction, dst, subnet) -> transfer
-    transfers: Dict[Tuple[str, int, int], _Transfer]
-    #: subnet -> subnet whose stage-0 backward released its admission
-    #: (absent for the initial window)
-    inject_releaser: Dict[int, int]
-    #: subnet ids in injection (stream) order
-    inject_order: List[int]
-    #: (src, dst) -> (bandwidth bytes/ms, latency ms)
-    links: Dict[Tuple[int, int], Tuple[float, float]]
-    #: (stage, subnet, direction) -> compute duration ms
-    durations: Dict[Tuple[int, int, str], float]
-
-
-def _extract(trace: ExecutionTrace) -> _Model:
-    causes = stall_cause_index(trace)
-    chains: Dict[int, List[_Compute]] = {}
-    durations: Dict[Tuple[int, int, str], float] = {}
-    for gpu, intervals in trace.intervals_by_gpu().items():
-        chain: List[_Compute] = []
-        pending: Dict[str, float] = {}
-        for interval in intervals:
-            if interval.kind == "stall":
-                cause = causes.get((gpu, interval.start), "other_stall")
-                pending[cause] = pending.get(cause, 0.0) + interval.duration
-            else:
-                chain.append(
-                    _Compute(
-                        stage=gpu,
-                        subnet=interval.subnet_id,
-                        direction=interval.kind,
-                        obs_start=interval.start,
-                        duration=interval.duration,
-                        setup=pending,
-                    )
-                )
-                durations[(gpu, interval.subnet_id, interval.kind)] = (
-                    interval.duration
-                )
-                pending = {}
-        chains[gpu] = chain
-
-    transfers: Dict[Tuple[str, int, int], _Transfer] = {}
-    for event in trace.events_of("nic_transfer"):
-        attrs = event.attrs_dict
-        direction = str(attrs["direction"])
-        dst = int(attrs["dst"])
-        transfers[(direction, dst, event.subnet_id)] = _Transfer(
-            direction=direction,
-            src=int(attrs["src"]),
-            dst=dst,
-            subnet=event.subnet_id,
-            nbytes=float(attrs["nbytes"]),
-            obs_time=event.time,
-        )
-
-    completions = sorted(
-        (time, sid) for sid, time in trace.subnet_completion_times.items()
-    )
-    inject_releaser: Dict[int, int] = {}
-    inject_order: List[int] = []
-    eps = 1e-9
-    for event in trace.events_of("subnet_inject"):
-        inject_order.append(event.subnet_id)
-        released_by: Optional[int] = None
-        for time, sid in completions:
-            if time <= event.time + eps:
-                released_by = sid
-            else:
-                break
-        if released_by is not None:
-            inject_releaser[event.subnet_id] = released_by
-
-    links: Dict[Tuple[int, int], Tuple[float, float]] = {}
-    for event in trace.events_of("link_meta"):
-        attrs = event.attrs_dict
-        links[(int(attrs["src"]), int(attrs["dst"]))] = (
-            float(attrs["bandwidth"]),
-            float(attrs["latency"]),
-        )
-
-    num_stages = trace.num_gpus
-    for event in trace.events_of("run_meta"):
-        num_stages = int(event.attr("num_stages", num_stages))
-        break
-
-    return _Model(
-        num_stages=num_stages,
-        start_time=trace.start_time,
-        makespan=trace.makespan,
-        chains=chains,
-        transfers=transfers,
-        inject_releaser=inject_releaser,
-        inject_order=inject_order,
-        links=links,
-        durations=durations,
-    )
-
-
-# ----------------------------------------------------------------------
 # order-preserving replay (the relaxation scenarios)
 # ----------------------------------------------------------------------
-def _replay(model: _Model, dropped: frozenset, nic_zero: bool) -> float:
+_Work = List[Tuple[float, int, int, object, Optional[Dict[str, float]]]]
+
+
+def _observed_order(model: RunModel) -> _Work:
+    """Every compute and transfer as ``(observed time, computes first,
+    stage / dst, activity, setup)`` in observed order; ``setup`` is the
+    stall ms observed before a compute, per resource class."""
+    work: _Work = []
+    for chain in model.gpu_chain.values():
+        setup: Dict[str, float] = {}
+        for activity in chain:
+            if activity.kind == "stall":
+                setup[activity.resource] = (
+                    setup.get(activity.resource, 0.0) + activity.duration
+                )
+            else:
+                work.append((activity.start, 0, activity.stage, activity, setup))
+                setup = {}
+    for (_, dst, _), transfer in model.transfers.items():
+        work.append((transfer.start, 1, dst, transfer, None))
+    work.sort(key=lambda entry: (entry[0], entry[1], entry[2],
+                                 entry[3].subnet, entry[3].direction))
+    return work
+
+
+def _replay(
+    model: RunModel, work: _Work, dropped: frozenset, nic_zero: bool
+) -> float:
     """Earliest-start forward pass over the observed-order DAG.
 
     Processing in observed start-time order is valid: every dependency
@@ -218,46 +114,37 @@ def _replay(model: _Model, dropped: frozenset, nic_zero: bool) -> float:
     link_free: Dict[Tuple[int, int], float] = {}
     inject_time: Dict[int, float] = {}
     last_stage = model.num_stages - 1
-    t0 = model.start_time
+    t0 = model.trace.start_time
 
-    work: List[Tuple[float, int, int, object]] = []
-    for chain in model.chains.values():
-        for compute in chain:
-            work.append((compute.obs_start, 0, compute.stage, compute))
-    for transfer in model.transfers.values():
-        work.append((transfer.obs_time, 1, transfer.dst, transfer))
-    work.sort(key=lambda entry: (entry[0], entry[1], entry[2],
-                                 entry[3].subnet, entry[3].direction))
-
-    gpu_free = {gpu: t0 for gpu in model.chains}
+    gpu_free = {gpu: t0 for gpu in model.gpu_chain}
     end_max = t0
-    for obs_time, _, _, item in work:
-        if isinstance(item, _Compute):
+    for _, _, dst, item, setup in work:
+        if item.kind == "compute":
             deps = [gpu_free[item.stage]]
             if item.direction == "fwd":
                 if item.stage == 0:
                     sid = item.subnet
                     if sid not in inject_time:
-                        releaser = model.inject_releaser.get(sid)
+                        releaser = model.releaser.get(sid)
                         inject_time[sid] = done.get((0, releaser, "bwd"), t0) \
                             if releaser is not None else t0
                     deps.append(inject_time[sid])
                 else:
                     deps.append(
                         arrive.get(("fwd", item.stage, item.subnet),
-                                   item.obs_start)
+                                   item.start)
                     )
             elif item.stage == last_stage:
                 deps.append(
-                    done.get((item.stage, item.subnet, "fwd"), item.obs_start)
+                    done.get((item.stage, item.subnet, "fwd"), item.start)
                 )
             else:
                 deps.append(
                     arrive.get(("bwd", item.stage, item.subnet),
-                               item.obs_start)
+                               item.start)
                 )
             start = max(deps)
-            for cause, ms in item.setup.items():
+            for cause, ms in setup.items():
                 if cause not in dropped:
                     start += ms
             end = start + item.duration
@@ -265,22 +152,21 @@ def _replay(model: _Model, dropped: frozenset, nic_zero: bool) -> float:
             done[(item.stage, item.subnet, item.direction)] = end
             end_max = max(end_max, end)
         else:
-            ready = done.get(
-                (item.src, item.subnet, item.direction), item.obs_time
-            )
+            src = item.stage
+            ready = done.get((src, item.subnet, item.direction), item.start)
             key = ("fwd" if item.direction == "fwd" else "bwd",
-                   item.dst, item.subnet)
+                   dst, item.subnet)
             if nic_zero:
                 arrive[key] = ready
                 continue
             bandwidth, latency = model.links.get(
-                (item.src, item.dst), (float("inf"), 0.0)
+                (src, dst), (float("inf"), 0.0)
             )
-            wire_start = max(ready, link_free.get((item.src, item.dst), t0))
+            wire_start = max(ready, link_free.get((src, dst), t0))
             next_free = wire_start + (
                 item.nbytes / bandwidth if bandwidth > 0 else 0.0
             )
-            link_free[(item.src, item.dst)] = next_free
+            link_free[(src, dst)] = next_free
             arrive[key] = next_free + latency
     return end_max - t0
 
@@ -288,7 +174,7 @@ def _replay(model: _Model, dropped: frozenset, nic_zero: bool) -> float:
 # ----------------------------------------------------------------------
 # ASP emulator (the no-CSP bound)
 # ----------------------------------------------------------------------
-def _asp_bound(model: _Model) -> float:
+def _asp_bound(model: RunModel) -> float:
     """Re-schedule the observed tasks under the engine's ASP dispatch.
 
     Mirrors :meth:`PipelineEngine._kick` and friends exactly: 1B1F
@@ -300,7 +186,8 @@ def _asp_bound(model: _Model) -> float:
     """
     stages = model.num_stages
     window = stages  # AspPolicy's default_window
-    t0 = model.start_time
+    t0 = model.trace.start_time
+    inject_order = list(model.injects)
     last = stages - 1
 
     fwd_q: List[List[int]] = [[] for _ in range(stages)]
@@ -323,9 +210,9 @@ def _asp_bound(model: _Model) -> float:
     def try_inject(now: float) -> None:
         nonlocal next_inject
         while (
-            next_inject < len(model.inject_order) and len(inflight) < window
+            next_inject < len(inject_order) and len(inflight) < window
         ):
-            sid = model.inject_order[next_inject]
+            sid = inject_order[next_inject]
             next_inject += 1
             inflight.add(sid)
             push(now, "arrive_fwd", 0, sid)
@@ -347,10 +234,10 @@ def _asp_bound(model: _Model) -> float:
         nonlocal end_max
         busy[stage] = True
         last_was_bwd[stage] = is_bwd
-        duration = model.durations.get(
-            (stage, sid, "bwd" if is_bwd else "fwd"), 0.0
+        computes = model.compute_index.get(
+            (stage, sid, "bwd" if is_bwd else "fwd")
         )
-        end = now + duration
+        end = now + (computes[-1].duration if computes else 0.0)
         end_max = max(end_max, end)
         push(end, "done_bwd" if is_bwd else "done_fwd", stage, sid)
 
@@ -405,11 +292,15 @@ def project(trace: ExecutionTrace, scenario: str) -> float:
         raise KeyError(
             f"unknown scenario {scenario!r}; known: {list(SCENARIOS)}"
         )
-    model = _extract(trace)
+    model = RunModel(trace)
+    return _project(model, _observed_order(model), scenario)
+
+
+def _project(model: RunModel, work: _Work, scenario: str) -> float:
     if scenario == "no_csp_constraint":
         return _asp_bound(model)
     return _replay(
-        model, _DROPPED_STALLS[scenario], nic_zero=scenario == "infinite_nic"
+        model, work, _DROPPED_STALLS[scenario], nic_zero=scenario == "infinite_nic"
     )
 
 
@@ -421,15 +312,11 @@ def what_if_report(trace: ExecutionTrace) -> Dict[str, object]:
     this next" list; ties break on scenario name.
     """
     measured = trace.makespan
-    model = _extract(trace)
+    model = RunModel(trace)
+    work = _observed_order(model)
     scenarios: Dict[str, Dict[str, float]] = {}
     for name in SCENARIOS:
-        if name == "no_csp_constraint":
-            projected = _asp_bound(model)
-        else:
-            projected = _replay(
-                model, _DROPPED_STALLS[name], nic_zero=name == "infinite_nic"
-            )
+        projected = _project(model, work, name)
         savings = measured - projected
         scenarios[name] = {
             "projected_makespan_ms": projected,
@@ -467,7 +354,6 @@ def rerun_projection(
     ``changed - baseline`` for every shared numeric summary field.
     """
     from repro.experiments.common import run_system
-    from repro.obs.summary import run_summary
 
     baseline = run_system(
         space_name, system_name, scale, num_gpus=num_gpus, batch=batch

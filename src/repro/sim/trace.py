@@ -263,9 +263,10 @@ class ExecutionTrace:
         self, kinds: Tuple[str, ...] = ("fwd", "bwd", "stall")
     ) -> Dict[int, List[BusyInterval]]:
         """Per-GPU interval lists of the given kinds, sorted by
-        ``(start, end)`` — the layout :mod:`repro.obs.critical_path`
-        walks.  Every GPU in ``range(num_gpus)`` gets an entry (possibly
-        empty) so downstream code never special-cases silent stages."""
+        ``(start, end)`` — the layout :mod:`repro.obs.model` builds its
+        activity chains from.  Every GPU in ``range(num_gpus)`` gets an
+        entry (possibly empty) so downstream code never special-cases
+        silent stages."""
         per_gpu: Dict[int, List[BusyInterval]] = {
             gpu: [] for gpu in range(self.num_gpus)
         }

@@ -18,6 +18,7 @@ from repro.engines.pipeline import PipelineEngine
 from repro.obs import (
     EVENT_SCHEMAS,
     bubble_attribution,
+    csp_wait_windows,
     export_chrome_trace,
     run_summary,
     to_perfetto,
@@ -25,12 +26,14 @@ from repro.obs import (
     validate_event,
     validate_trace,
 )
-from repro.obs.summary import csp_wait_windows
+from repro.obs.exporter import _INSTANTS, _NOT_RENDERED, _SPECIAL
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.supernet import Supernet
+
+from obs_goldens import one_event_per_kind, rendered_by_kind
 
 TRACING_DOC = Path(__file__).resolve().parents[1] / "docs" / "TRACING.md"
 
@@ -169,6 +172,26 @@ def test_chrome_trace_has_gpu_copy_and_nic_tracks(tiny_supernet):
     name_to_pid = {v: k for k, v in process_names.items()}
     for track in ("GPU compute", "Copy engines", "NIC"):
         assert by_pid.get(name_to_pid[track], 0) > 0, f"no spans on {track}"
+
+
+def test_every_schema_kind_is_rendered_or_listed():
+    """A kind the exporter does not know must fail here, not vanish from
+    every export: the instant table, the special renderers and the
+    not-rendered list partition ``EVENT_SCHEMAS``."""
+    tables = (set(_INSTANTS), set(_SPECIAL), set(_NOT_RENDERED))
+    assert set.union(*tables) == set(EVENT_SCHEMAS)
+    assert sum(len(table) for table in tables) == len(EVENT_SCHEMAS)
+
+    trace = one_event_per_kind()
+    assert validate_trace(trace) == []
+    payload = to_perfetto(trace)
+    assert validate_chrome_trace(payload) == []
+    # exactly one drawn event per rendered kind, none per unrendered
+    # kind (rendered_by_kind raises on a second event of one kind) ...
+    assert set(rendered_by_kind(payload)) == set(_INSTANTS) | set(_SPECIAL)
+    # ... and the begin/end pair shows as its one wait-window span
+    spans = [e for e in payload["traceEvents"] if e.get("cat") == "csp-wait"]
+    assert len(spans) == 1
 
 
 def test_validate_chrome_trace_flags_malformed_events():

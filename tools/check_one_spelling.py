@@ -12,6 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 KNOBS = "quantum|resize_cost_ms|max_restarts|requeue_backoff_ms|slots_per_node"
 CACHE_HOMES = ("core/context_manager.py", "memory_model.py")
+READERS = tuple(f"obs/{name}.py" for name in ("summary", "critical_path", "whatif", "exporter"))
 RULES = [
     (r"sort_keys=True", ("payload.py",), 2, "payload.compact / payload.indented"),
     (r"\.scaled\(\*\*", ("baselines/systems.py",), 1, "resolve_target"),
@@ -28,6 +29,14 @@ RULES = [
     (r"order=True", (), 0, "the key tuple EventQueue.schedule pushes", "sim/"),
     # an architecture is hashed once per engine, by the plan builder
     (r"subnet_digest\(", ("serving/cache.py", "serving/frontend.py"), 2, "ServingEngine._plan(subnet).digest"),
+    # the trace readers import as a tree (model <- critical_path <- summary,
+    # model <- whatif, model <- exporter): no import hidden in a function
+    (r"(?m)^[ \t]+(?:from|import) repro\.obs", (), 0, "a top-level import", *READERS),
+    # one reading of a trace: transfers and admissions are extracted once,
+    # by RunModel's single scan of the event log
+    (r'events_of\([^)]*"(?:nic_transfer|subnet_inject)"', (), 0, "obs.model.RunModel", "obs/"),
+    # the exporter renders from its kind tables, not a chain of arms
+    (r"elif kind", (), 0, "a row in _INSTANTS / _SPECIAL", "obs/exporter.py"),
 ]
 
 

@@ -21,6 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from marked_block import sync  # noqa: E402
+
 from repro import SearchSpace, SystemConfig, cli  # noqa: E402
 from repro.ft import DegradationPolicy, FaultEvent, fleet  # noqa: E402
 from repro.obs.telemetry import alerts  # noqa: E402
@@ -72,23 +74,7 @@ def block() -> str:
 
 
 def main(argv) -> int:
-    if not argv:
-        print(block())
-        return 0
-    mode, path = argv[0], Path(argv[1])
-    text = path.read_text()
-    if BEGIN not in text or END not in text:
-        print(f"{path}: no {BEGIN} … {END} block")
-        return 1
-    current = text[text.index(BEGIN) : text.index(END) + len(END)]
-    if mode == "--write":
-        path.write_text(text.replace(current, block()))
-        return 0
-    if current != block():
-        print(f"{path}: accepted-config-keys tables are stale; run {__file__} --write {path}")
-        return 1
-    print(f"{path}: accepted-config-keys tables match the reader")
-    return 0
+    return sync(argv, __file__, BEGIN, END, block(), "accepted-config-keys tables")
 
 
 if __name__ == "__main__":
