@@ -17,6 +17,7 @@ docs-check:
 	python tools/check_one_spelling.py
 	python tools/config_keys.py --check docs/OPERATIONS.md
 	python tools/trace_kinds.py --check docs/TRACING.md
+	python tools/telemetry_catalog.py --check docs/TELEMETRY.md
 
 ledger:
 	python3 ledger/run.py

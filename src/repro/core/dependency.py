@@ -107,8 +107,6 @@ class DependencyTracker:
         #: layer -> indexed entries whose tracked slice contains it (used
         #: to add edges when an *earlier* subnet registers late)
         self._watchers: Dict[LayerId, Set[_Entry]] = {}
-        #: cumulative incremental edge updates (profiling counter)
-        self.index_edge_updates: int = 0
         #: scopes whose ready list changed since their owner last polled
         #: them (the owner discards; the CSP policy wakes exactly these)
         self.dirty_scopes: Set[Hashable] = set()
@@ -196,7 +194,6 @@ class DependencyTracker:
                 if edges is None:
                     continue
                 edges.discard(edge)
-                self.index_edge_updates += 1
                 if not edges:
                     insort(scope.ready, waiting)
                     self.dirty_scopes.add(scope_key)
@@ -234,7 +231,6 @@ class DependencyTracker:
             self.dirty_scopes.add(scope_key)
         edges.add((user, layer))
         self._await(user, layer, (scope_key, waiting))
-        self.index_edge_updates += 1
 
     def _await(self, user: int, layer: LayerId, entry: _Entry) -> None:
         by_layer = self._waiters.get(user)
@@ -270,7 +266,6 @@ class DependencyTracker:
                 edges.add((user, layer))
                 self._await(user, layer, entry)
         scope.blocked[subnet_id] = edges
-        self.index_edge_updates += len(edges)
         if not edges:
             insort(scope.ready, subnet_id)
             self.dirty_scopes.add(scope_key)

@@ -254,7 +254,7 @@ class PipelineEngine:
         #: no engine decision, so digests stay bitwise identical
         self.telemetry = telemetry
         if telemetry is not None:
-            telemetry.attach_engine(self)
+            telemetry.attach(self.trace, self.sim)
         self.functional = functional
         self.policy = make_policy(config, self.stages)
 

@@ -59,18 +59,14 @@ class SspPolicy(SyncPolicy):
         if candidate - oldest_unfinished > self.staleness:
             if self._last_hold.get(stage) != candidate:
                 self._last_hold[stage] = candidate
-                # getattr: policy unit tests drive a bare fake engine
-                trace = getattr(self.engine, "trace", None)
-                sim = getattr(self.engine, "sim", None)
-                if trace is not None and sim is not None:
-                    trace.record_event(
-                        "staleness_hold",
-                        sim.now,
-                        stage=stage,
-                        subnet_id=candidate,
-                        oldest_unfinished=oldest_unfinished,
-                        staleness=self.staleness,
-                    )
+                self.engine.trace.record_event(
+                    "staleness_hold",
+                    self.engine.sim.now,
+                    stage=stage,
+                    subnet_id=candidate,
+                    oldest_unfinished=oldest_unfinished,
+                    staleness=self.staleness,
+                )
             return None
         self._last_hold.pop(stage, None)
         return candidate

@@ -54,9 +54,8 @@ class SyncPolicy(ABC):
         (``PipelineEngine.admission_cap``).  Policies that manage their
         own admission barrier (BSP's bulk flush) must not consult this —
         shrinking a bulk below its flush size would deadlock the
-        barrier.  getattr: policy unit tests drive bare fake engines."""
-        clamp = getattr(self.engine, "effective_window", None)
-        return clamp(self.window) if clamp is not None else self.window
+        barrier."""
+        return self.engine.effective_window(self.window)
 
     def can_inject(self) -> bool:
         assert self.engine is not None

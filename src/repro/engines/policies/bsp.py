@@ -63,17 +63,12 @@ class BspPolicy(SyncPolicy):
         self._bulk_members.clear()
         self._completed_in_bulk.clear()
         self.flushes += 1
-        # getattr: policy unit tests drive a bare fake engine with no
-        # trace/sim attached
-        trace = getattr(self.engine, "trace", None)
-        sim = getattr(self.engine, "sim", None)
-        if trace is not None and sim is not None:
-            trace.record_event(
-                "bulk_flush",
-                sim.now,
-                bulk=len(flush_order),
-                flush_index=self.flushes,
-            )
+        self.engine.trace.record_event(
+            "bulk_flush",
+            self.engine.sim.now,
+            bulk=len(flush_order),
+            flush_index=self.flushes,
+        )
         return flush_order
 
     def finalize(self) -> List[int]:

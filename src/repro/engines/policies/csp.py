@@ -53,11 +53,8 @@ class CspPolicy(SyncPolicy):
         # Recovered runs consume a stream slice that keeps its original
         # sequence IDs; start elimination at the slice base so the
         # frontier's contiguity walk doesn't wait on pre-crash ids.
-        # getattr: policy unit tests drive a bare fake engine.
-        stream = getattr(engine, "stream", None)
-        base = getattr(stream, "base", 0)
-        if base:
-            self.tracker.reset_frontier(base)
+        if engine.stream.base:
+            self.tracker.reset_frontier(engine.stream.base)
         if self.config.predictor and self.config.context == "cached":
             self._predictors = [
                 ContextPredictor(stage, depth=self.config.predictor_depth)
@@ -152,13 +149,8 @@ class CspPolicy(SyncPolicy):
     # ------------------------------------------------------------------
     def _observe_selection(self, stage: int, chosen: Optional[int]) -> None:
         assert self.engine is not None
-        # getattr: policy unit tests drive a bare fake engine with no
-        # trace/sim attached
-        trace = getattr(self.engine, "trace", None)
-        sim = getattr(self.engine, "sim", None)
-        if trace is None or sim is None:
-            return
-        now = sim.now
+        trace = self.engine.trace
+        now = self.engine.sim.now
         state = self.engine.stage_states[stage]
         size = self.tracker.ready_count(stage)
         if self._ready_size.get(stage) != size:

@@ -295,8 +295,11 @@ def run_with_recovery(
     before; ``"record"`` returns a partial :class:`FaultedRunResult`
     whose ``failure`` field is a :func:`~repro.ft.availability.
     failure_summary` record (``digest`` is None — there are no final
-    weights).  Service runs use ``"record"`` so one doomed tenant fails
-    alone instead of aborting the whole fleet.
+    weights).  It is a library option: nothing under ``repro`` passes
+    it.  The service plane does not restart jobs through this function —
+    :class:`~repro.service.scheduler.JobScheduler` keeps its own
+    ``max_restarts`` budget and writes the same ``failure_summary``
+    record when a rigid tenant exhausts it.
     """
     if on_exhausted not in ("raise", "record"):
         raise FaultToleranceError(

@@ -24,7 +24,11 @@ See ``docs/TELEMETRY.md`` for the instrument catalog and semantics.
 
 from __future__ import annotations
 
+import collections
+import operator
 from typing import Dict, List, Optional
+
+from repro.errors import ConfigError
 
 from repro.obs.telemetry.alerts import (
     DEFAULT_RULES,
@@ -68,6 +72,239 @@ LATENCY_BUCKETS_MS = DEFAULT_LATENCY_BUCKETS_MS
 #: batch occupancy bounds (requests per formed batch)
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
+#: feed sources that are not trace kinds — what the hub derives or is
+#: told directly: the manager's slot pools at every usage callback, the
+#: head-count per status after a ``job_*`` transition, and the verdict
+#: on a request whose result is final (:meth:`on_serving_complete`)
+FLEET, JOBS = "fleet sample", "job population"
+SLO_GOOD, SLO_BAD = "slo good", "slo bad"
+
+
+def _busy_ms(attrs) -> float:
+    return attrs["end"] - attrs["start"]
+
+
+def _queued(attrs) -> int:
+    return attrs["fwd"] + attrs["bwd"]
+
+
+def _row(kind: str, labels: tuple, help: str, *feeds: tuple, buckets=None) -> tuple:
+    """One :data:`INSTRUMENTS` row, its feeds gathered into one field."""
+    return (kind, labels, help, feeds) + ((buckets,) if buckets else ())
+
+
+#: Every instrument the hub owns, declared once: name -> (type, label
+#: names, help, feeds[, histogram buckets]).  A feed is ``(source, op,
+#: amount)``: on a trace event of kind ``source`` (or one of the derived
+#: sources above) call the instrument's ``op`` with ``amount`` — an attr
+#: name, a function of the attrs, or a constant.  A label's value is the
+#: attr of the same name (``stage``: the event's stage, which no kind
+#: also carries as an attr).  ``docs/TELEMETRY.md``'s catalog is
+#: generated from this table (``tools/telemetry_catalog.py``).
+INSTRUMENTS: Dict[str, tuple] = {
+    # -- engine plane --------------------------------------------------
+    "engine_tasks_total": _row(
+        "counter", ("stage", "direction"), "tasks dispatched",
+        ("task_dispatch", "inc", 1.0),
+    ),
+    "engine_busy_ms_total": _row(
+        "counter", ("stage", "direction"), "compute ms",
+        ("task_dispatch", "inc", _busy_ms),
+    ),
+    "engine_stall_ms_total": _row(
+        "counter", ("stage",), "fetch-stall ms", ("fetch_stall", "inc", "wait_ms"),
+    ),
+    "engine_queue_depth": _row(
+        "gauge", ("stage",), "stage L_q + backward-ready depth",
+        ("queue_depth", "set", _queued),
+    ),
+    "engine_ready_set": _row(
+        "gauge", ("stage",), "CSP readiness-index size", ("ready_set", "set", "size"),
+    ),
+    "engine_cache_hits_total": _row(
+        "counter", ("stage",), "resident layer hits", ("cache_access", "inc", "hits"),
+    ),
+    "engine_cache_misses_total": _row(
+        "counter", ("stage",), "layer misses", ("cache_access", "inc", "misses"),
+    ),
+    "engine_prefetch_inflight": _row(
+        "gauge", ("stage",), "prefetches issued, not landed",
+        ("prefetch_issue", "add", 1.0), ("prefetch_land", "add", -1.0),
+    ),
+    "engine_subnets_completed_total": _row(
+        "counter", (), "subnets fully trained", ("subnet_complete", "inc", 1.0),
+    ),
+    # -- service plane -------------------------------------------------
+    "service_jobs_queued": _row(
+        "gauge", (), "tenants awaiting GPUs", (JOBS, "set", "queued"),
+    ),
+    "service_jobs_running": _row(
+        "gauge", (), "tenants on GPUs", (JOBS, "set", "running"),
+    ),
+    "service_jobs_failed": _row(
+        "gauge", (), "tenants failed closed", (JOBS, "set", "failed"),
+    ),
+    "service_allocated_gpus": _row(
+        "gauge", ("job",), "GPUs allocated",
+        ("job_start", "set", "gpus"),
+        ("job_resize", "set", "gpus_to"),
+        ("job_preempt", "set", 0),
+        ("job_requeue", "set", 0),
+        ("job_done", "set", 0),
+        ("job_failed", "set", 0),
+    ),
+    "service_preemptions_total": _row(
+        "counter", ("job",), "jobs squeezed out at a cut", ("job_preempt", "inc", 1.0),
+    ),
+    "service_requeues_total": _row(
+        "counter", ("job",), "rigid restarts after revocation",
+        ("job_requeue", "inc", 1.0),
+    ),
+    "service_queue_wait_ms_total": _row(
+        "counter", ("job",), "submit-to-first-start wait",
+        ("job_done", "inc", "wait_ms"),
+    ),
+    "plane_lease_revocations_total": _row(
+        "counter", ("job",), "revocations seen by the plane",
+        ("lease_revoke", "inc", 1.0),
+    ),
+    # -- the shared manager ---------------------------------------------
+    "fleet_free_slots": _row(
+        "gauge", (), "slots in the free pool", (FLEET, "set", "free"),
+    ),
+    "fleet_leased_slots": _row(
+        "gauge", (), "slots under live leases", (FLEET, "set", "leased"),
+    ),
+    "fleet_down_slots": _row(
+        "gauge", (), "slots out of service", (FLEET, "set", "down"),
+    ),
+    "fleet_leases_granted_total": _row(
+        "counter", (), "leases granted", (FLEET, "inc_to", "granted"),
+    ),
+    "fleet_revocations_total": _row(
+        "counter", (), "lease revocations", (FLEET, "inc_to", "revoked"),
+    ),
+    # -- serving plane -------------------------------------------------
+    "serving_requests_total": _row(
+        "counter", (), "requests arrived", ("request_arrive", "inc", 1.0),
+    ),
+    "serving_requests_admitted_total": _row(
+        "counter", (), "requests admitted", ("request_admit", "inc", 1.0),
+    ),
+    "serving_requests_shed_total": _row(
+        "counter", (), "requests shed at admission", ("request_shed", "inc", 1.0),
+    ),
+    "serving_retries_total": _row(
+        "counter", (), "requests re-queued by revocation",
+        ("request_retry", "inc", 1.0),
+    ),
+    "serving_queue_depth": _row(
+        "gauge", (), "batcher depth + in-flight backlog",
+        ("request_admit", "set", "queue_depth"), ("request_shed", "set", "queue_depth"),
+    ),
+    "serving_batches_total": _row(
+        "counter", (), "batches formed", ("batch_form", "inc", 1.0),
+    ),
+    "serving_batch_occupancy": _row(
+        "histogram", (), "requests per formed batch",
+        ("batch_form", "observe", "size"), buckets=BATCH_BUCKETS,
+    ),
+    "serving_cache_hits_total": _row(
+        "counter", ("tier",), "cache hits", ("cache_hit", "inc", 1.0),
+    ),
+    "serving_cache_misses_total": _row(
+        "counter", ("tier",), "cache misses", ("cache_miss", "inc", 1.0),
+    ),
+    "serving_latency_ms": _row(
+        "histogram", (), "request latency",
+        (SLO_GOOD, "observe", "latency_ms"),
+        (SLO_BAD, "observe", "latency_ms"),
+        buckets=LATENCY_BUCKETS_MS,
+    ),
+    "serving_slo_good_total": _row(
+        "counter", (), "fresh requests inside the SLO", (SLO_GOOD, "inc", 1.0),
+    ),
+    "serving_slo_bad_total": _row(
+        "counter", (), "SLO-relevant bad outcomes",
+        (SLO_BAD, "inc", 1.0),
+        ("request_shed", "inc", 1.0),
+        ("request_retry", "inc", 1.0),
+    ),
+}
+
+#: the status a job enters on each transition kind (``job_resize``
+#: changes an allocation, not a status)
+_JOB_STATUS = {
+    "job_submit": "queued",
+    "job_start": "running",
+    "job_preempt": "queued",
+    "job_requeue": "queued",
+    "job_done": "done",
+    "job_failed": "failed",
+}
+
+#: kind -> (usage counter, amount): the activity the meter bills beside
+#: slot time — to the event's ``job``, or to the serving tenant for the
+#: request kinds, which carry none
+_METERED = {
+    "job_preempt": ("preemptions", 1.0),
+    "job_requeue": ("requeues", 1.0),
+    "job_done": ("subnets_completed", "subnets"),
+    "request_admit": ("requests_admitted", 1.0),
+    "request_shed": ("requests_shed", 1.0),
+    "request_retry": ("requests_retried", 1.0),
+}
+
+
+def _read_table():
+    """:data:`INSTRUMENTS` the two ways the hub looks things up: the
+    kind table — source -> the ``(instrument, op, amount)`` updates one
+    event of it makes, an attr-name amount already the function that
+    reads it — and every series name a scrape can carry -> its labels."""
+    feeds: Dict[str, List[tuple]] = {kind: [] for kind in _JOB_STATUS}
+    series: Dict[str, tuple] = {}
+    for name, (kind, labels, _, declared, *_) in INSTRUMENTS.items():
+        for source, op, amount in declared:
+            if isinstance(amount, str):
+                amount = operator.itemgetter(amount)
+            feeds.setdefault(source, []).append((name, op, amount))
+        if kind == "histogram":
+            series[f"{name}_bucket"] = labels + ("le",)
+            series[f"{name}_sum"] = series[f"{name}_count"] = labels
+        else:
+            series[name] = labels
+    return feeds, series
+
+
+_FEEDS, _SERIES = _read_table()
+
+#: the trace kinds the hub listens to
+LISTENED_KINDS = tuple(
+    source for source in _FEEDS if source not in (FLEET, JOBS, SLO_GOOD, SLO_BAD)
+)
+
+
+def _check_rule(rule: AlertRule) -> None:
+    """A rule over a series no scrape carries would be accepted and
+    silently never fire (``AlertRule.active_at`` reads a missing key as
+    0.0): reject a name outside :data:`INSTRUMENTS`, and a labelled
+    series named without a ``{label="…"}`` selector (or the reverse)."""
+    watched = (rule.metric,) if rule.kind == "threshold" else (rule.good, rule.bad)
+    for series in watched:
+        name, selector, _ = series.partition("{")
+        labels = _SERIES.get(name)
+        if labels is None:
+            raise ConfigError(
+                f"alert rule {rule.name!r}: no telemetry instrument samples "
+                f"{series!r} (docs/TELEMETRY.md lists them; a histogram is "
+                f"sampled as its _bucket, _sum and _count series)"
+            )
+        if bool(selector) != bool(labels):
+            raise ConfigError(
+                f"alert rule {rule.name!r}: {series!r} can never match — "
+                f"{name} is sampled with labels {labels}, one series each"
+            )
+
 
 class TelemetryHub:
     """One hub observes one run (any mix of planes sharing it)."""
@@ -81,57 +318,56 @@ class TelemetryHub:
         self.scraper = Scraper(self.registry, scrape_interval_ms)
         self.meter = UsageMeter()
         self.alerts = AlertEngine(load_rules(rules))
+        for rule in self.alerts.rules:
+            _check_rule(rule)
         self._job_status: Dict[str, str] = {}
+        #: source -> [(bound instrument op, amount, label names)]
+        self._updates: Dict[str, List[tuple]] = {}
         self._slo_ms: Optional[float] = None
         #: the last-attached manager (metering reconciliation target)
         self.manager = None
 
-    # ------------------------------------------------------------------
-    # generic attach points
-    # ------------------------------------------------------------------
-    def attach_trace(self, trace) -> None:
-        """Subscribe to a plane's trace events (synchronous listener —
-        the zero-timing-impact hook every plane already exposes)."""
+    def attach(self, trace, sim, manager=None, slo_ms=None) -> None:
+        """Wire one plane, through hooks it already exposes: listen to
+        its trace (a synchronous listener — zero timing impact), scrape
+        on its simulation clock, and, when it leases from a ``manager``,
+        observe lease lifecycle + fleet slot-state transitions.  A
+        serving plane passes its ``slo_ms`` and also calls
+        :meth:`on_serving_complete` directly, where a latency exists
+        that no trace event carries."""
+        if slo_ms is not None:
+            self._slo_ms = slo_ms
         trace.listeners.append(self.on_event)
-
-    def attach_sim(self, sim) -> None:
-        """Arm the scrape loop on a plane's simulation engine."""
         self.scraper.attach(sim)
-
-    def attach_manager(self, manager) -> None:
-        """Observe lease lifecycle + fleet slot-state transitions."""
-        self.manager = manager
-        manager.usage_observer = self._on_manager_usage
-        self._sample_fleet(manager)
+        if manager is not None:
+            self.manager = manager
+            manager.usage_observer = self._on_manager_usage
+            self._sample_fleet(manager)
 
     # ------------------------------------------------------------------
-    # plane-specific wiring
+    # the four sources: manager callbacks, trace events, job
+    # transitions, serving completions
     # ------------------------------------------------------------------
-    def attach_engine(self, engine) -> None:
-        """Wire a :class:`~repro.engines.pipeline.PipelineEngine`."""
-        self.attach_trace(engine.trace)
-        self.attach_sim(engine.sim)
+    def _update(self, source: str, attrs) -> None:
+        """Apply every feed of ``source``.  Its instruments are
+        registered from :data:`INSTRUMENTS` the first time the source
+        fires and the bound updates kept, so an instrument no source
+        touched never reaches a snapshot or exposition."""
+        updates = self._updates.get(source)
+        if updates is None:
+            updates = self._updates[source] = []
+            for name, op, amount in _FEEDS[source]:
+                kind, labels, help, _, *buckets = INSTRUMENTS[name]
+                instrument = getattr(self.registry, kind)(
+                    name, help, *buckets, labels=labels
+                )
+                updates.append((getattr(instrument, op), amount, labels))
+        for update, amount, labels in updates:
+            update(
+                amount(attrs) if callable(amount) else amount,
+                **{label: attrs[label] for label in labels} if labels else {},
+            )
 
-    def attach_service(self, scheduler) -> None:
-        """Wire a :class:`~repro.service.scheduler.JobScheduler` (and
-        its manager)."""
-        self.attach_trace(scheduler.trace)
-        self.attach_sim(scheduler.sim)
-        self.attach_manager(scheduler.manager)
-
-    def attach_serving(self, serving) -> None:
-        """Wire a :class:`~repro.serving.frontend.ServingEngine` (and
-        its manager).  The engine also makes direct
-        :meth:`on_serving_complete` calls at completion points, where
-        the latency is not carried by any trace event."""
-        self._slo_ms = serving.spec.slo_ms
-        self.attach_trace(serving.trace)
-        self.attach_sim(serving.sim)
-        self.attach_manager(serving.manager)
-
-    # ------------------------------------------------------------------
-    # manager usage observer
-    # ------------------------------------------------------------------
     def _on_manager_usage(
         self, kind: str, job: str, lease_id: int, slot: int, now: float,
         cause: str, manager,
@@ -140,246 +376,49 @@ class TelemetryHub:
         self._sample_fleet(manager)
 
     def _sample_fleet(self, manager) -> None:
-        self.registry.gauge("fleet_free_slots", "slots in the free pool").set(
-            manager.available_gpus
-        )
-        self.registry.gauge("fleet_leased_slots", "slots under live leases").set(
-            manager.leased_gpus
-        )
-        self.registry.gauge("fleet_down_slots", "slots out of service").set(
-            len(manager.down_slots())
-        )
-        self.registry.counter(
-            "fleet_leases_granted_total", "leases granted"
-        ).inc(
-            max(
-                0.0,
-                manager.total_leases_granted
-                - self.registry.get("fleet_leases_granted_total").value(),
-            )
-        )
-        self.registry.counter(
-            "fleet_revocations_total", "lease revocations"
-        ).inc(
-            max(
-                0.0,
-                manager.total_revocations
-                - self.registry.get("fleet_revocations_total").value(),
-            )
+        self._update(
+            FLEET,
+            {
+                "free": manager.available_gpus,
+                "leased": manager.leased_gpus,
+                "down": len(manager.down_slots()),
+                "granted": manager.total_leases_granted,
+                "revoked": manager.total_revocations,
+            },
         )
 
-    # ------------------------------------------------------------------
-    # the trace-event listener (all planes)
-    # ------------------------------------------------------------------
     def on_event(self, event) -> None:
+        """The trace-event listener (all planes): a pure function of
+        the event stream."""
         kind = event.kind
-        handler = _HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, event)
-
-    # -- engine plane --------------------------------------------------
-    def _on_task_dispatch(self, event) -> None:
+        if kind not in _FEEDS:
+            return
         attrs = event.attrs_dict
-        direction = str(attrs.get("direction", "?"))
-        self.registry.counter(
-            "engine_tasks_total", "tasks dispatched", labels=("stage", "direction")
-        ).inc(1.0, stage=event.stage, direction=direction)
-        self.registry.counter(
-            "engine_busy_ms_total", "compute ms", labels=("stage", "direction")
-        ).inc(
-            float(attrs.get("end", 0.0)) - float(attrs.get("start", 0.0)),
-            stage=event.stage,
-            direction=direction,
-        )
+        attrs["stage"] = event.stage
+        self._update(kind, attrs)
+        status = _JOB_STATUS.get(kind)
+        if status is not None:
+            self._job_status[attrs["job"]] = status
+            self._update(JOBS, collections.Counter(self._job_status.values()))
+        metered = _METERED.get(kind)
+        if metered is not None:
+            field, amount = metered
+            self.meter.bump(
+                attrs.get("job", "serving"),
+                field,
+                attrs[amount] if isinstance(amount, str) else amount,
+            )
 
-    def _on_fetch_stall(self, event) -> None:
-        self.registry.counter(
-            "engine_stall_ms_total", "fetch-stall ms", labels=("stage",)
-        ).inc(float(event.attrs_dict.get("wait_ms", 0.0)), stage=event.stage)
-
-    def _on_queue_depth(self, event) -> None:
-        attrs = event.attrs_dict
-        self.registry.gauge(
-            "engine_queue_depth", "stage L_q + backward-ready depth",
-            labels=("stage",),
-        ).set(
-            int(attrs.get("fwd", 0)) + int(attrs.get("bwd", 0)),
-            stage=event.stage,
-        )
-
-    def _on_ready_set(self, event) -> None:
-        self.registry.gauge(
-            "engine_ready_set", "CSP readiness-index size", labels=("stage",)
-        ).set(int(event.attrs_dict.get("size", 0)), stage=event.stage)
-
-    def _on_cache_access(self, event) -> None:
-        attrs = event.attrs_dict
-        self.registry.counter(
-            "engine_cache_hits_total", "resident layer hits", labels=("stage",)
-        ).inc(int(attrs.get("hits", 0)), stage=event.stage)
-        self.registry.counter(
-            "engine_cache_misses_total", "layer misses", labels=("stage",)
-        ).inc(int(attrs.get("misses", 0)), stage=event.stage)
-
-    def _on_prefetch_issue(self, event) -> None:
-        self.registry.gauge(
-            "engine_prefetch_inflight", "prefetches issued, not landed",
-            labels=("stage",),
-        ).add(1.0, stage=event.stage)
-
-    def _on_prefetch_land(self, event) -> None:
-        self.registry.gauge(
-            "engine_prefetch_inflight", "prefetches issued, not landed",
-            labels=("stage",),
-        ).add(-1.0, stage=event.stage)
-
-    def _on_subnet_complete(self, event) -> None:
-        self.registry.counter(
-            "engine_subnets_completed_total", "subnets fully trained"
-        ).inc()
-
-    # -- service plane -------------------------------------------------
-    def _set_job_status(self, job: str, status: str) -> None:
-        self._job_status[job] = status
-        queued = sum(1 for s in self._job_status.values() if s == "queued")
-        running = sum(1 for s in self._job_status.values() if s == "running")
-        failed = sum(1 for s in self._job_status.values() if s == "failed")
-        self.registry.gauge("service_jobs_queued", "tenants awaiting GPUs").set(queued)
-        self.registry.gauge("service_jobs_running", "tenants on GPUs").set(running)
-        self.registry.gauge("service_jobs_failed", "tenants failed closed").set(failed)
-
-    def _alloc_gauge(self) -> Gauge:
-        return self.registry.gauge(
-            "service_allocated_gpus", "GPUs allocated", labels=("job",)
-        )
-
-    def _on_job_submit(self, event) -> None:
-        self._set_job_status(str(event.attrs_dict.get("job", "?")), "queued")
-
-    def _on_job_start(self, event) -> None:
-        attrs = event.attrs_dict
-        job = str(attrs.get("job", "?"))
-        self._set_job_status(job, "running")
-        self._alloc_gauge().set(int(attrs.get("gpus", 0)), job=job)
-
-    def _on_job_resize(self, event) -> None:
-        attrs = event.attrs_dict
-        self._alloc_gauge().set(
-            int(attrs.get("gpus_to", 0)), job=str(attrs.get("job", "?"))
-        )
-
-    def _on_job_preempt(self, event) -> None:
-        job = str(event.attrs_dict.get("job", "?"))
-        self._set_job_status(job, "queued")
-        self._alloc_gauge().set(0, job=job)
-        self.registry.counter(
-            "service_preemptions_total", "jobs squeezed out at a cut",
-            labels=("job",),
-        ).inc(1.0, job=job)
-        self.meter.bump(job, "preemptions")
-
-    def _on_job_requeue(self, event) -> None:
-        job = str(event.attrs_dict.get("job", "?"))
-        self._set_job_status(job, "queued")
-        self._alloc_gauge().set(0, job=job)
-        self.registry.counter(
-            "service_requeues_total", "rigid restarts after revocation",
-            labels=("job",),
-        ).inc(1.0, job=job)
-        self.meter.bump(job, "requeues")
-
-    def _on_job_done(self, event) -> None:
-        attrs = event.attrs_dict
-        job = str(attrs.get("job", "?"))
-        self._set_job_status(job, "done")
-        self._alloc_gauge().set(0, job=job)
-        self.registry.counter(
-            "service_queue_wait_ms_total", "submit-to-first-start wait",
-            labels=("job",),
-        ).inc(float(attrs.get("wait_ms", 0.0)), job=job)
-        self.meter.bump(job, "subnets_completed", float(attrs.get("subnets", 0)))
-
-    def _on_job_failed(self, event) -> None:
-        job = str(event.attrs_dict.get("job", "?"))
-        self._set_job_status(job, "failed")
-        self._alloc_gauge().set(0, job=job)
-
-    def _on_lease_revoke(self, event) -> None:
-        self.registry.counter(
-            "plane_lease_revocations_total", "revocations seen by the plane",
-            labels=("job",),
-        ).inc(1.0, job=str(event.attrs_dict.get("job", "?")))
-
-    # -- serving plane -------------------------------------------------
-    def _on_request_arrive(self, event) -> None:
-        self.registry.counter("serving_requests_total", "requests arrived").inc()
-
-    def _on_request_admit(self, event) -> None:
-        self.registry.counter(
-            "serving_requests_admitted_total", "requests admitted"
-        ).inc()
-        self.registry.gauge(
-            "serving_queue_depth", "batcher depth + in-flight backlog"
-        ).set(int(event.attrs_dict.get("queue_depth", 0)))
-        self.meter.bump("serving", "requests_admitted")
-
-    def _on_request_shed(self, event) -> None:
-        self.registry.counter(
-            "serving_requests_shed_total", "requests shed at admission"
-        ).inc()
-        self.registry.gauge(
-            "serving_queue_depth", "batcher depth + in-flight backlog"
-        ).set(int(event.attrs_dict.get("queue_depth", 0)))
-        self.registry.counter(
-            "serving_slo_bad_total", "SLO-relevant bad outcomes"
-        ).inc()
-        self.meter.bump("serving", "requests_shed")
-
-    def _on_request_retry(self, event) -> None:
-        self.registry.counter(
-            "serving_retries_total", "requests re-queued by revocation"
-        ).inc()
-        self.registry.counter(
-            "serving_slo_bad_total", "SLO-relevant bad outcomes"
-        ).inc()
-        self.meter.bump("serving", "requests_retried")
-
-    def _on_batch_form(self, event) -> None:
-        attrs = event.attrs_dict
-        self.registry.counter("serving_batches_total", "batches formed").inc()
-        self.registry.histogram(
-            "serving_batch_occupancy", "requests per formed batch",
-            buckets=BATCH_BUCKETS,
-        ).observe(int(attrs.get("size", 0)))
-
-    def _on_cache_hit(self, event) -> None:
-        self.registry.counter(
-            "serving_cache_hits_total", "cache hits", labels=("tier",)
-        ).inc(1.0, tier=str(event.attrs_dict.get("tier", "?")))
-
-    def _on_cache_miss(self, event) -> None:
-        self.registry.counter(
-            "serving_cache_misses_total", "cache misses", labels=("tier",)
-        ).inc(1.0, tier=str(event.attrs_dict.get("tier", "?")))
-
-    # -- direct serving completion hook --------------------------------
     def on_serving_complete(self, latency_ms: float, retries: int) -> None:
         """Called by the serving engine when a request's result is
         final (batch completion or cache hit) — the point where its
         latency exists.  Updates the latency histogram and the SLO
         good/bad counters the burn-rate rules watch."""
-        self.registry.histogram(
-            "serving_latency_ms", "request latency", buckets=LATENCY_BUCKETS_MS
-        ).observe(latency_ms)
         good = self._slo_ms is None or latency_ms <= self._slo_ms
-        if good and retries == 0:
-            self.registry.counter(
-                "serving_slo_good_total", "fresh requests inside the SLO"
-            ).inc()
-        else:
-            self.registry.counter(
-                "serving_slo_bad_total", "SLO-relevant bad outcomes"
-            ).inc()
+        self._update(
+            SLO_GOOD if good and retries == 0 else SLO_BAD,
+            {"latency_ms": latency_ms},
+        )
 
     # ------------------------------------------------------------------
     # reports
@@ -394,14 +433,17 @@ class TelemetryHub:
         return self.meter.report(manager if manager is not None else self.manager)
 
     def peak_queue_depth(self) -> float:
-        peak = 0.0
-        for name in ("engine_queue_depth", "serving_queue_depth"):
-            gauge = self.registry.get(name)
-            if gauge is not None:
-                peak = max(peak, gauge.peak())
-        return peak
+        """The deepest any plane's ``*_queue_depth`` gauge ever stood."""
+        return max(
+            (
+                gauge.peak()
+                for gauge in self.registry.instruments()
+                if gauge.name.endswith("_queue_depth")
+            ),
+            default=0.0,
+        )
 
-    def compact_block(self, manager=None) -> Dict:
+    def compact_block(self) -> Dict:
         """The ``telemetry`` block registry records carry: small, flat,
         diffable by ``naspipe compare``."""
         alert_log = self.alert_report()
@@ -414,33 +456,6 @@ class TelemetryHub:
         }
 
 
-_HANDLERS = {
-    "task_dispatch": TelemetryHub._on_task_dispatch,
-    "fetch_stall": TelemetryHub._on_fetch_stall,
-    "queue_depth": TelemetryHub._on_queue_depth,
-    "ready_set": TelemetryHub._on_ready_set,
-    "cache_access": TelemetryHub._on_cache_access,
-    "prefetch_issue": TelemetryHub._on_prefetch_issue,
-    "prefetch_land": TelemetryHub._on_prefetch_land,
-    "subnet_complete": TelemetryHub._on_subnet_complete,
-    "job_submit": TelemetryHub._on_job_submit,
-    "job_start": TelemetryHub._on_job_start,
-    "job_resize": TelemetryHub._on_job_resize,
-    "job_preempt": TelemetryHub._on_job_preempt,
-    "job_requeue": TelemetryHub._on_job_requeue,
-    "job_done": TelemetryHub._on_job_done,
-    "job_failed": TelemetryHub._on_job_failed,
-    "lease_revoke": TelemetryHub._on_lease_revoke,
-    "request_arrive": TelemetryHub._on_request_arrive,
-    "request_admit": TelemetryHub._on_request_admit,
-    "request_shed": TelemetryHub._on_request_shed,
-    "request_retry": TelemetryHub._on_request_retry,
-    "batch_form": TelemetryHub._on_batch_form,
-    "cache_hit": TelemetryHub._on_cache_hit,
-    "cache_miss": TelemetryHub._on_cache_miss,
-}
-
-
 def replay_telemetry(trace, rules=None) -> TelemetryHub:
     """Build a hub post-hoc by replaying a finished trace's events
     through the listener — how :meth:`PipelineResult.telemetry` derives
@@ -449,7 +464,7 @@ def replay_telemetry(trace, rules=None) -> TelemetryHub:
     of the event stream); the scrape series contains only the final
     sample."""
     hub = TelemetryHub(rules=rules)
-    for event in trace.events_of(*_HANDLERS):
+    for event in trace.events_of(*LISTENED_KINDS):
         hub.on_event(event)
     hub.finalize(trace.end_time)
     return hub

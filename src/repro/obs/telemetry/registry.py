@@ -20,7 +20,7 @@ bitwise identical with telemetry on (tested).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -73,6 +73,22 @@ class _Instrument:
             )
         return tuple(str(label_values[label]) for label in self.labels)
 
+    def series(self) -> Iterator[Tuple[str, float]]:
+        """``(name{label="v",...}, value)`` per sample, sorted by label
+        values — the one spelling of a series key, shared by snapshots
+        and the Prometheus exposition.  A ``_bucket`` sample's last
+        label value is its ``le`` bound."""
+        for name, key, value in self.samples():
+            if key:
+                names = self.labels
+                if name.endswith("_bucket"):
+                    names += ("le",)
+                rendered = ",".join(
+                    f'{label}="{val}"' for label, val in zip(names, key)
+                )
+                name = f"{name}{{{rendered}}}"
+            yield name, value
+
 
 class Counter(_Instrument):
     """Monotonic accumulator (``inc`` only)."""
@@ -88,6 +104,10 @@ class Counter(_Instrument):
             raise ConfigError(f"{self.name}: counters only go up ({amount})")
         key = self._key(label_values)
         self._series[key] = self._series.get(key, 0.0) + amount
+
+    def inc_to(self, total: float, **label_values) -> None:
+        """Follow a monotone total kept elsewhere (never steps back)."""
+        self.inc(max(0.0, total - self.value(**label_values)), **label_values)
 
     def value(self, **label_values) -> float:
         return self._series.get(self._key(label_values), 0.0)
@@ -111,15 +131,16 @@ class Gauge(_Instrument):
         self._peak: Dict[_LabelValues, float] = {}
 
     def set(self, value: float, **label_values) -> None:
-        key = self._key(label_values)
-        number = float(value)
-        self._series[key] = number
-        if number > self._peak.get(key, float("-inf")):
-            self._peak[key] = number
+        self._set(self._key(label_values), float(value))
 
     def add(self, delta: float, **label_values) -> None:
         key = self._key(label_values)
-        self.set(self._series.get(key, 0.0) + delta, **label_values)
+        self._set(key, self._series.get(key, 0.0) + delta)
+
+    def _set(self, key: _LabelValues, number: float) -> None:
+        self._series[key] = number
+        if number > self._peak.get(key, float("-inf")):
+            self._peak[key] = number
 
     def value(self, **label_values) -> float:
         return self._series.get(self._key(label_values), 0.0)
@@ -231,10 +252,10 @@ class MetricsRegistry:
         self._instruments: Dict[str, _Instrument] = {}
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
-        return self._instrument(Counter, name, help, labels)
+        return self._register(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._instrument(Gauge, name, help, labels)
+        return self._register(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -243,14 +264,13 @@ class MetricsRegistry:
         buckets: Sequence[float] = (),
         labels: Sequence[str] = (),
     ) -> Histogram:
-        return self._instrument(Histogram, name, help, labels, buckets)
+        return self._register(Histogram, name, help, labels, buckets)
 
-    def _instrument(self, kind: type, name: str, help: str, labels, buckets=None):
-        """Look ``name`` up before building anything: emitters re-request
-        their instruments on every event, and a request that repeats the
-        registered type and shape is the hot path.  Anything else (first
-        registration, shape drift, a bad name or bounds) takes the
-        constructing path, which raises what it always did."""
+    def _register(self, kind: type, name: str, help: str, labels, buckets=None):
+        """The one shape check: a request that repeats the registered
+        type and shape gets the existing object back without building
+        anything; a first request registers; a drifted one is loud,
+        after the constructor has had its say on a bad name or bounds."""
         existing = self._instruments.get(name)
         if (
             type(existing) is kind
@@ -259,24 +279,12 @@ class MetricsRegistry:
         ):
             return existing
         shape = (labels,) if buckets is None else (buckets, labels)
-        return self._register(kind(name, help, *shape))
-
-    def _register(self, instrument: _Instrument) -> "_Instrument":
-        existing = self._instruments.get(instrument.name)
+        instrument = kind(name, help, *shape)
         if existing is not None:
-            same = (
-                type(existing) is type(instrument)
-                and existing.labels == instrument.labels
-                and getattr(existing, "buckets", None)
-                == getattr(instrument, "buckets", None)
+            raise ConfigError(
+                f"metric {name!r} re-registered with a different type or shape"
             )
-            if not same:
-                raise ConfigError(
-                    f"metric {instrument.name!r} re-registered with a "
-                    f"different type or shape"
-                )
-            return existing
-        self._instruments[instrument.name] = instrument
+        self._instruments[name] = instrument
         return instrument
 
     def get(self, name: str) -> Optional[_Instrument]:
@@ -293,22 +301,11 @@ class MetricsRegistry:
         count, so a snapshot diff between two scrapes is well-defined
         for every instrument type.
         """
-        flat: Dict[str, float] = {}
-        for instrument in self.instruments():
-            label_names = instrument.labels
-            for name, key, value in instrument.samples():
-                if name.endswith("_bucket"):
-                    names: Tuple[str, ...] = label_names + ("le",)
-                else:
-                    names = label_names
-                if key:
-                    rendered = ",".join(
-                        f'{label}="{val}"' for label, val in zip(names, key)
-                    )
-                    flat[f"{name}{{{rendered}}}"] = value
-                else:
-                    flat[name] = value
-        return flat
+        return {
+            series: value
+            for instrument in self.instruments()
+            for series, value in instrument.series()
+        }
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:
@@ -323,16 +320,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     for instrument in registry.instruments():
         lines.append(f"# HELP {instrument.name} {instrument.help}")
         lines.append(f"# TYPE {instrument.name} {instrument.kind}")
-        label_names = instrument.labels
-        for name, key, value in instrument.samples():
-            names = (
-                label_names + ("le",) if name.endswith("_bucket") else label_names
-            )
-            if key:
-                rendered = ",".join(
-                    f'{label}="{val}"' for label, val in zip(names, key)
-                )
-                lines.append(f"{name}{{{rendered}}} {_fmt(value)}")
-            else:
-                lines.append(f"{name} {_fmt(value)}")
+        lines.extend(
+            f"{series} {_fmt(value)}" for series, value in instrument.series()
+        )
     return "\n".join(lines) + "\n"

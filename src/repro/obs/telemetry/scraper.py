@@ -16,6 +16,7 @@ and Prometheus text exposition of the final state.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -29,15 +30,14 @@ class Scraper:
     """Snapshot ``registry`` every ``interval_ms`` of virtual time."""
 
     def __init__(self, registry: MetricsRegistry, interval_ms: float = 100.0) -> None:
-        if interval_ms <= 0:
+        if not 0 < interval_ms < math.inf:  # NaN fails both
             raise ConfigError(
-                f"scrape_interval_ms must be > 0, got {interval_ms}"
+                f"scrape_interval_ms must be > 0 and finite, got {interval_ms}"
             )
         self.registry = registry
         self.interval_ms = float(interval_ms)
         #: append-only series: (virtual ms, flat snapshot)
         self.samples: List[Tuple[float, Dict[str, float]]] = []
-        self._armed_sims: List[object] = []
 
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
@@ -49,7 +49,6 @@ class Scraper:
         completions at 5), so a sample always reflects the post-decision
         state of its instant.
         """
-        self._armed_sims.append(sim)
         sim.schedule(sim.now, lambda: self._tick(sim), priority=50, label="scrape")
 
     def _tick(self, sim) -> None:

@@ -329,7 +329,7 @@ class JobScheduler:
         #: arming it changes no scheduling decision and no report byte
         self.telemetry = telemetry
         if telemetry is not None:
-            telemetry.attach_service(self)
+            telemetry.attach(self.trace, self.sim, manager)
         self._jobs: Dict[str, _JobState] = {}
         self._plan_pending = False
         self._ran = False

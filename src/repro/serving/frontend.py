@@ -179,7 +179,7 @@ class ServingEngine:
         #: the construction-time lease
         self.telemetry = telemetry
         if telemetry is not None:
-            telemetry.attach_serving(self)
+            telemetry.attach(self.trace, self.sim, self.manager, spec.slo_ms)
         self.lease = None
         self._acquire_data_plane()
 

@@ -299,6 +299,32 @@ def test_monitor_interval_zero_is_rejected_by_the_scraper():
         main(["monitor", str(config), "--interval", "0"])
 
 
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_monitor_refuses_a_non_finite_interval_before_running(interval):
+    from pathlib import Path
+
+    from repro.errors import ConfigError
+
+    config = Path(__file__).parent.parent / "examples" / "serve_demo.json"
+    with pytest.raises(ConfigError, match=f"must be > 0 and finite, got {interval}"):
+        main(["monitor", str(config), "--interval", interval])
+
+
+def test_monitor_refuses_a_rule_that_can_never_fire(tmp_path):
+    import json
+    from pathlib import Path
+
+    from repro.errors import ConfigError
+
+    config = Path(__file__).parent.parent / "examples" / "serve_demo.json"
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [
+        {"name": "deep", "metric": "engine_queue_depth", "op": ">", "threshold": 4}
+    ]}))
+    with pytest.raises(ConfigError, match="alert rule 'deep': 'engine_queue_depth' can never match"):
+        main(["monitor", str(config), "--rules", str(rules)])
+
+
 def test_chaos_jobs_zero_runs_serially(tmp_path, capsys):
     """``--jobs N`` with N <= 1 is the in-process sweep: same report."""
     import json

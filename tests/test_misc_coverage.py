@@ -9,6 +9,8 @@ from repro.baselines import gpipe, naspipe, pipedream
 from repro.config import SystemConfig
 from repro.engines.policies.asp import AspPolicy
 from repro.engines.policies.bsp import BspPolicy
+from repro.sim.engine import SimulationEngine
+from repro.sim.trace import ExecutionTrace
 
 
 # ----------------------------------------------------------------------
@@ -36,12 +38,20 @@ class _FakeState:
 
 
 class _FakeEngine:
+    """What a policy reads of its engine — with a real trace and clock,
+    so product code carries no "is this a test double" guard."""
+
     def __init__(self, queue, inflight=0):
         self.stage_states = [_FakeState(queue)]
         self.inflight = set(range(inflight))
+        self.trace = ExecutionTrace(num_gpus=1)
+        self.sim = SimulationEngine(trace=self.trace)
 
     def oldest_unfinished_subnet(self):
         return min(self.inflight) if self.inflight else 0
+
+    def effective_window(self, base):
+        return base
 
 
 def test_bsp_policy_bulk_accounting():
@@ -56,6 +66,7 @@ def test_bsp_policy_bulk_accounting():
     assert policy.on_subnet_complete(0) == []
     assert policy.on_subnet_complete(2) == [0, 1, 2]  # sorted flush
     assert policy.flushes == 1
+    assert [event.kind for event in policy.engine.trace.events] == ["bulk_flush"]
     assert policy.can_inject()
 
 
@@ -80,8 +91,6 @@ def test_asp_policy_fifo():
 # trace renderings
 # ----------------------------------------------------------------------
 def test_gantt_rows_sorted_by_gpu_then_time():
-    from repro.sim.trace import ExecutionTrace
-
     trace = ExecutionTrace(num_gpus=2)
     trace.record_interval(1, 0.0, 1.0, "fwd", 0)
     trace.record_interval(0, 2.0, 3.0, "bwd", 0)

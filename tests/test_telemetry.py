@@ -16,6 +16,8 @@ The tentpole claims (docs/TELEMETRY.md):
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +27,15 @@ from repro.errors import ConfigError
 from repro.ft import FaultEvent, FaultSchedule
 from repro.ft.fleet import _build_planes
 from repro.obs.registry import compare_records, format_compare, run_record
-from repro.obs.telemetry import TelemetryHub, replay_telemetry
-from repro.obs.telemetry.alerts import AlertEngine, AlertRule, load_rules
+from repro.obs import EVENT_SCHEMAS
+from repro.obs import telemetry as hub_module
+from repro.obs.telemetry import INSTRUMENTS, TelemetryHub, replay_telemetry
+from repro.obs.telemetry.alerts import (
+    DEFAULT_RULES,
+    AlertEngine,
+    AlertRule,
+    load_rules,
+)
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.seeding import SeedSequenceTree
 from repro.service import run_service
@@ -123,9 +132,9 @@ def test_instrument_registration_is_idempotent_but_shape_checked():
 
 
 def test_repeat_registration_builds_no_instrument(monkeypatch):
-    """Emitters re-request their instruments on every event; a repeat
-    must be a lookup, with every outcome of the constructing path kept
-    (same object back, same errors on drift, bad names and bad bounds)."""
+    """Registration is idempotent by name and a repeat is a lookup,
+    with every outcome of the constructing path kept (same object back,
+    same errors on drift, bad names and bad bounds)."""
     from repro.obs.telemetry import registry as module
 
     registry = MetricsRegistry()
@@ -224,8 +233,74 @@ def test_histogram_samples_are_cumulative_with_inf():
 
 
 # ----------------------------------------------------------------------
+# the hub's table: declared once, fed by kinds the trace really emits
+# ----------------------------------------------------------------------
+DERIVED = {
+    hub_module.FLEET: {"free", "leased", "down", "granted", "revoked"},
+    hub_module.JOBS: {"queued", "running", "failed"},
+    hub_module.SLO_GOOD: {"latency_ms"},
+    hub_module.SLO_BAD: {"latency_ms"},
+}
+
+
+def _fields(source):
+    """What a feed of ``source`` may read: the schema's declared fields
+    for a trace kind, the dict the hub itself builds for a derived one."""
+    if source in DERIVED:
+        return DERIVED[source], False
+    schema = EVENT_SCHEMAS[source]  # KeyError: the trace emits no such kind
+    return set(schema.field_names()), schema.stage_scoped
+
+
+def test_a_trace_rename_cannot_orphan_a_metric():
+    ops = {
+        "counter": {"inc", "inc_to"},
+        "gauge": {"set", "add"},
+        "histogram": {"observe"},
+    }
+    for name, (kind, labels, help, feeds, *buckets) in INSTRUMENTS.items():
+        assert help and feeds, f"{name} is fed by nothing"
+        assert bool(buckets) == (kind == "histogram"), name
+        for source, op, amount in feeds:
+            fields, stage_scoped = _fields(source)
+            assert op in ops[kind], (name, op)
+            if isinstance(amount, str):
+                assert amount in fields, f"{name}: {source} carries no {amount!r}"
+            elif callable(amount):
+                amount(dict.fromkeys(fields, 1))  # KeyError: undeclared attr
+            for label in labels:
+                assert label in fields or (label == "stage" and stage_scoped), (
+                    f"{name}: {source} cannot supply label {label!r}"
+                )
+    for kind in hub_module.LISTENED_KINDS:
+        assert kind in EVENT_SCHEMAS
+    for kind in hub_module._JOB_STATUS:
+        assert "job" in EVENT_SCHEMAS[kind].field_names()
+    for kind, (_, amount) in hub_module._METERED.items():
+        assert kind in hub_module.LISTENED_KINDS
+        assert not isinstance(amount, str) or amount in EVENT_SCHEMAS[kind].field_names()
+
+
+def test_an_untouched_instrument_is_never_exposed_and_wiring_is_one_call():
+    hub = TelemetryHub()
+    assert hub.registry.instruments() == [] and hub.scraper.prometheus_text() == "\n"
+    hub.on_serving_complete(10.0, retries=0)
+    assert [i.name for i in hub.registry.instruments()] == [
+        "serving_latency_ms",
+        "serving_slo_good_total",
+    ]
+    assert [n for n in dir(TelemetryHub) if n.startswith("attach")] == ["attach"]
+
+
+# ----------------------------------------------------------------------
 # scraper
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("interval", [0.0, -5.0, float("nan"), float("inf")])
+def test_scrape_interval_must_be_finite_and_positive(interval):
+    with pytest.raises(ConfigError, match="scrape_interval_ms must be > 0 and finite"):
+        TelemetryHub(scrape_interval_ms=interval)
+
+
 def test_scrape_series_never_duplicates_a_timestamp():
     hub = TelemetryHub()
     counter = hub.registry.counter("t_total", "test")
@@ -364,6 +439,48 @@ def test_load_rules_from_file_and_defaults(tmp_path):
     )
     loaded = load_rules(path)
     assert [rule.name for rule in loaded] == ["a"]
+
+
+def _threshold(metric):
+    return [{"name": "r", "metric": metric, "op": ">", "threshold": 1}]
+
+
+def test_the_hub_accepts_the_default_rules_and_the_documented_example():
+    assert len(TelemetryHub(rules=DEFAULT_RULES).alerts.rules) == 3
+    docs = (Path(__file__).parent.parent / "docs" / "TELEMETRY.md").read_text()
+    example = json.loads(re.search(r"```json\n(\{\"rules\".*?)```", docs, re.S).group(1))
+    assert len(TelemetryHub(rules=example["rules"]).alerts.rules) == 2
+    for series in (
+        'engine_queue_depth{stage="0"}',
+        "serving_latency_ms_count",
+        'serving_latency_ms_bucket{le="100"}',
+    ):
+        TelemetryHub(rules=_threshold(series))
+
+
+@pytest.mark.parametrize(
+    "series, complaint",
+    [
+        ("serving_queue_dept", "no telemetry instrument samples 'serving_queue_dept'"),
+        ("serving_latency_ms", "no telemetry instrument samples"),  # bare histogram
+        ("fleet_down_slots_count", "no telemetry instrument samples"),
+        # the docs-induced case: labelled, written without its selector
+        ("engine_queue_depth", r"can never match — engine_queue_depth is sampled with labels \('stage',\)"),
+        ("serving_latency_ms_bucket", "can never match"),
+        ('fleet_down_slots{slot="0"}', "can never match"),
+    ],
+)
+def test_a_rule_that_could_never_fire_is_refused_by_the_hub(series, complaint):
+    with pytest.raises(ConfigError, match=f"alert rule 'r': .*{complaint}"):
+        TelemetryHub(rules=_threshold(series))
+    burn = {"name": "r", "kind": "burn_rate", "good": "serving_slo_good_total",
+            "bad": series, "windows": [{"window_ms": 10.0}]}
+    with pytest.raises(ConfigError, match="alert rule 'r'"):
+        TelemetryHub(rules=[burn])
+    # the rule classes stay catalog-free: synthetic series evaluate
+    assert AlertEngine([AlertRule(_threshold(series)[0])]).evaluate(
+        _series((0, {series: 5}))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,16 @@ RULES = [
     (r'events_of\([^)]*"(?:nic_transfer|subnet_inject)"', (), 0, "obs.model.RunModel", "obs/"),
     # the exporter renders from its kind tables, not a chain of arms
     (r"elif kind", (), 0, "a row in _INSTANTS / _SPECIAL", "obs/exporter.py"),
+    # an instrument is requested from a registry at one site, by the hub,
+    # from its table — by type name there, so both spellings are counted
+    (
+        r"registry(\.(counter|gauge|histogram)|, kind\))\(",
+        ("obs/telemetry/__init__.py",),
+        1,
+        "a row in obs.telemetry.INSTRUMENTS",
+    ),
+    # a plane wires a hub with the one attach(trace, sim, manager, slo_ms)
+    (r"attach_(engine|service|serving)", (), 0, "TelemetryHub.attach"),
 ]
 
 

@@ -1,6 +1,7 @@
 """The write/check half of a generated doc block, shared by the tools
-that own one (``config_keys.py``, ``trace_kinds.py``): the text between
-two HTML-comment markers in a markdown file is a generator's output,
+that own one (``config_keys.py``, ``trace_kinds.py``,
+``telemetry_catalog.py``): the text between two HTML-comment markers
+in a markdown file is a generator's output,
 ``--write`` replaces it and ``--check`` fails when it is stale."""
 
 from __future__ import annotations
