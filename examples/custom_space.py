@@ -19,7 +19,7 @@ Usage::
 import sys
 from pathlib import Path
 
-from repro import ascii_gantt, execute_manifest, to_chrome_trace
+from repro import ascii_gantt, execute_manifest
 from repro.profiling import measurements_to_profiles, profile_families
 from repro.replay import RunManifest, record_run, verify_replay
 from repro.supernet.builder import SearchSpaceBuilder
@@ -69,7 +69,7 @@ def main(steps: int = 40) -> None:
     print("\nfirst slice of the schedule:")
     print(ascii_gantt(result.trace, width=90, end=result.trace.makespan / 4))
     out = Path("custom_space_trace.json")
-    out.write_text(to_chrome_trace(result.trace, label="my-space"))
+    result.trace_export(path=out, label="my-space")
     print(f"\nChrome trace written to {out} (open in chrome://tracing)")
 
     # replay demo with a registry space (manifests target the registry)

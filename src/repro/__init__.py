@@ -66,7 +66,7 @@ from repro.baselines import (
 )
 from repro.memory_model import max_feasible_batch
 from repro.replay import RunManifest, execute_manifest, record_run, verify_replay
-from repro.viz import ascii_gantt, to_chrome_trace, utilization_sparklines
+from repro.viz import ascii_gantt, utilization_sparklines
 from repro import errors
 
 __version__ = "1.0.0"
@@ -113,7 +113,6 @@ __all__ = [
     "record_run",
     "verify_replay",
     "ascii_gantt",
-    "to_chrome_trace",
     "utilization_sparklines",
     "errors",
     "__version__",

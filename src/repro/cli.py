@@ -882,7 +882,6 @@ def _monitor(args) -> str:
     reports are bitwise the same with telemetry on or off.
     """
     from repro.obs.telemetry import TelemetryHub
-    from repro.viz import utilization_sparklines
 
     config_path = Path(args.config)
     payload = json.loads(config_path.read_text())
@@ -893,14 +892,10 @@ def _monitor(args) -> str:
         from repro.service import run_service
 
         run_service(payload, telemetry=hub)
-        trace = None  # the service trace has no busy intervals to plot
     else:
         from repro.serving.frontend import ServingEngine, ServingSpec
 
-        result = ServingEngine(
-            ServingSpec.from_payload(payload), telemetry=hub
-        ).run()
-        trace = result.trace
+        ServingEngine(ServingSpec.from_payload(payload), telemetry=hub).run()
 
     alerts = hub.alert_report()
     metering = hub.metering_report()
@@ -910,9 +905,6 @@ def _monitor(args) -> str:
         "",
     ]
     lines.extend(hub.scraper.tail_lines())
-    if trace is not None and trace.intervals:
-        lines.append("")
-        lines.extend(utilization_sparklines(trace))
     lines.append("")
     if alerts["log"]:
         lines.append(f"alerts ({alerts['firings']} firing(s)):")

@@ -300,10 +300,6 @@ class DependencyTracker:
     def has_scope(self, scope_key: Hashable) -> bool:
         return scope_key in self._scopes
 
-    def is_indexed(self, scope_key: Hashable, subnet_id: int) -> bool:
-        scope = self._scopes.get(scope_key)
-        return scope is not None and subnet_id in scope.layers
-
     def indexed_ids(self, scope_key: Hashable) -> List[int]:
         scope = self._scopes.get(scope_key)
         return sorted(scope.layers) if scope is not None else []
@@ -333,12 +329,6 @@ class DependencyTracker:
             if subnet_id not in skip:
                 return subnet_id
         return None
-
-    def blocked_edge_count(self, scope_key: Hashable, subnet_id: int) -> int:
-        scope = self._scopes.get(scope_key)
-        if scope is None or subnet_id not in scope.blocked:
-            return 0
-        return len(scope.blocked[subnet_id])
 
     def overlay(self, scope_key: Hashable) -> "ReadinessOverlay":
         """A copy-on-write hypothetical view of one scope's readiness."""
@@ -387,9 +377,6 @@ class DependencyTracker:
 
     def layer_users(self, layer: LayerId) -> List[int]:
         return list(self._users.get(layer, ()))
-
-    def unreleased_users(self, layer: LayerId) -> List[int]:
-        return list(self._unreleased.get(layer, ()))
 
 
 class ReadinessOverlay:

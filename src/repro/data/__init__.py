@@ -8,17 +8,12 @@ structure, so training losses genuinely decrease and search scores can
 rank subnets.
 """
 
-from repro.data.synthetic import (
-    SyntheticTaskData,
-    batch_for_subnet,
-    evaluation_batches,
-)
+from repro.data.synthetic import SyntheticTaskData, batch_for_subnet
 from repro.data.vocab import Vocabulary, synthetic_vocabulary
 
 __all__ = [
     "SyntheticTaskData",
     "batch_for_subnet",
-    "evaluation_batches",
     "Vocabulary",
     "synthetic_vocabulary",
 ]

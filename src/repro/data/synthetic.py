@@ -25,7 +25,7 @@ from repro.nn import functional as F
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 
-__all__ = ["SyntheticTaskData", "batch_for_subnet", "evaluation_batches"]
+__all__ = ["SyntheticTaskData", "batch_for_subnet"]
 
 _VOCAB_SIZE = 512
 _SEQ_LEN = 12
@@ -106,12 +106,3 @@ def batch_for_subnet(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One-shot convenience wrapper around :class:`SyntheticTaskData`."""
     return SyntheticTaskData(space, seeds).batch(subnet_id, batch_size)
-
-
-def evaluation_batches(
-    space: SearchSpace,
-    seeds: SeedSequenceTree,
-    count: int,
-    batch_size: int,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    return SyntheticTaskData(space, seeds).eval_batches(count, batch_size)

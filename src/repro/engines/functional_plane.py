@@ -23,7 +23,12 @@ from repro.nn import functional as F
 from repro.nn.init import make_factory
 from repro.nn.layers import layer_forward
 from repro.nn.loss import cross_entropy_with_logits
-from repro.nn.parameter_store import LayerId, ParameterStore
+from repro.nn.parameter_store import (
+    LayerId,
+    ParameterStore,
+    load_members,
+    save_members,
+)
 from repro.nn.program import PendingUpdate, StageActivation, SubnetSegmentProgram
 from repro.nn.optim import SGD
 from repro.seeding import SeedSequenceTree
@@ -131,11 +136,7 @@ class FunctionalPlane:
         if optimizer_path is not None:
             velocity = getattr(self.optimizer, "_velocity", None)
             if velocity is not None:
-                arrays = {
-                    f"b{layer[0]}_c{layer[1]}/{name}": array
-                    for (layer, name), array in velocity.items()
-                }
-                np.savez_compressed(optimizer_path, **arrays)
+                save_members(optimizer_path, velocity)
 
     def load_checkpoint(self, params_path, optimizer_path=None) -> None:
         self.store.load(params_path)
@@ -145,14 +146,8 @@ class FunctionalPlane:
                 raise ValueError(
                     "optimizer has no velocity state to restore into"
                 )
-            with np.load(optimizer_path) as payload:
-                for key in payload.files:
-                    prefix, name = key.split("/", 1)
-                    block_str, choice_str = prefix[1:].split("_c")
-                    layer = (int(block_str), int(choice_str))
-                    velocity[(layer, name)] = payload[key].astype(
-                        np.float32, copy=False
-                    )
+            for key, array in load_members(optimizer_path).items():
+                velocity[key] = array.astype(np.float32, copy=False)
 
     def inference_forward(self, subnet: Subnet, features: np.ndarray) -> np.ndarray:
         """Un-logged forward of a whole subnet, returning logits.

@@ -131,6 +131,16 @@ class PipelineResult:
     #: part of a run's replayable identity, compared by verify_replay
     mitigation_actions: List[Dict] = field(default_factory=list)
 
+    #: one engine incarnation (a recovered run's
+    #: :class:`~repro.ft.recovery.FaultedRunResult` counts its restarts)
+    num_attempts = 1
+
+    @property
+    def completion_order(self) -> List[int]:
+        """Subnet ids in the order they completed."""
+        times = self.trace.subnet_completion_times
+        return sorted(times, key=times.__getitem__)
+
     def summary(self) -> str:
         hit = (
             f"{self.cache_hit_rate * 100:.1f}%"
@@ -834,8 +844,7 @@ class PipelineEngine:
             self._complete_subnet(subnet_id)
 
     def _tracker_frontier(self) -> int:
-        policy = self.policy
-        tracker = getattr(policy, "tracker", None)
+        tracker = self.policy.tracker
         return tracker.frontier if tracker is not None else 0
 
     def _complete_subnet(self, subnet_id: int) -> None:
@@ -942,7 +951,7 @@ class PipelineEngine:
         and ``runnable`` — the forward the policy would dispatch there
         right now.  Anything but ``None`` on an idle stage means the
         stage was never polled: a wake-set bug, not a causal wedge."""
-        tracker = getattr(self.policy, "tracker", None)
+        tracker = self.policy.tracker
         dump: Dict[int, Dict] = {}
         for state in self.stage_states:
             if not state.queue and not state.backward_ready:
@@ -982,7 +991,7 @@ class PipelineEngine:
         trace swallows the events the poll emits and the scheduler's
         effort counters are put back, so the dead run's record stays as
         quiescence left it."""
-        scheduler = getattr(self.policy, "scheduler", None)
+        scheduler = self.policy.scheduler
         counters = dict(vars(scheduler)) if scheduler is not None else {}
         trace, self.trace = self.trace, ExecutionTrace(num_gpus=self.stages)
         try:
@@ -1000,7 +1009,7 @@ class PipelineEngine:
             misses = sum(context.misses for context in self.contexts)
             if hits + misses:
                 cache_hit = hits / (hits + misses)
-        scheduler = getattr(self.policy, "scheduler", None)
+        scheduler = self.policy.scheduler
         return PipelineResult(
             system=self.config.name,
             space=self.space.name,

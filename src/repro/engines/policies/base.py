@@ -35,6 +35,10 @@ class SyncPolicy(ABC):
     #: updates commit at each backward completion (CSP/ASP); False means
     #: the engine buffers them until ``flush_ready`` returns subnet ids.
     commits_immediately: bool = True
+    #: the CSP policy's dependency tracker and Algorithm-2 scheduler; the
+    #: engine reads both for its frontier, stall dump and cost counters
+    tracker = None
+    scheduler = None
 
     def __init__(self, config: SystemConfig, stages: int) -> None:
         self.config = config

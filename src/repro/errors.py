@@ -58,14 +58,6 @@ class GpuOutOfMemoryError(ReproError):
         )
 
 
-class ContextNotResidentError(ReproError):
-    """A task started executing while its parameters were not on the GPU.
-
-    The context executor checks residency before running a task ("for
-    safety", paper section 3.1); this error is that check firing.
-    """
-
-
 class SimulationError(ReproError):
     """The discrete-event engine reached an invalid state (e.g. deadlock)."""
 

@@ -89,7 +89,9 @@ def run_system(
             supernet,
             stream,
             config,
-            ClusterSpec(num_gpus=num_gpus or scale.num_gpus),
+            ClusterSpec(
+                num_gpus=scale.num_gpus if num_gpus is None else num_gpus
+            ),
             batch=batch,
             functional=plane,
         )

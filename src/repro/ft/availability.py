@@ -51,12 +51,13 @@ def failure_summary(
 ) -> Dict[str, object]:
     """Structured record of one job's terminal failure.
 
-    Emitted when a restart budget is exhausted — by the service plane
-    for rigid jobs struck by lease revocations, and by
-    :func:`~repro.ft.recovery.run_with_recovery` when asked to record
-    rather than raise.  It is the machine-readable answer to "why did
-    this tenant fail while the fleet kept running": attempts made, the
-    budget they exceeded, virtual work discarded, and the last fault.
+    Emitted by the service plane when a rigid job struck by lease
+    revocations exhausts its restart budget
+    (:func:`~repro.ft.recovery.run_with_recovery` raises
+    :class:`~repro.errors.FaultToleranceError` instead).  It is the
+    machine-readable answer to "why did this tenant fail while the fleet
+    kept running": attempts made, the budget they exceeded, virtual work
+    discarded, and the last fault.
     """
     return {
         "job": job,

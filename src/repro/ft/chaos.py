@@ -26,11 +26,11 @@ scenario is a *repro case*, not a flake: re-running the same
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.context_manager import stage_cache_bytes
-from repro.errors import DeadlockError
+from repro.errors import ConfigError, DeadlockError
 from repro.ft.faults import (
     COPY_STALL,
     NIC_DEGRADE,
@@ -51,6 +51,7 @@ __all__ = [
     "BaselineSummary",
     "chaos_invariants",
     "run_chaos_scenario",
+    "sweep",
     "chaos_sweep",
     "format_chaos_report",
 ]
@@ -198,14 +199,11 @@ def run_chaos_scenario(
         stall_ms=stall_ms,
         stream_name=stream_name,
     )
-    kind_counts: Dict[str, int] = {}
-    for event in schedule:
-        kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
     scenario: Dict[str, object] = {
         "fault_seed": fault_seed,
         "num_gpus": num_gpus,
         "faults": len(schedule),
-        "fault_kinds": {kind: kind_counts[kind] for kind in sorted(kind_counts)},
+        "fault_kinds": schedule.kind_counts(),
     }
     try:
         result = run_uninterrupted(
@@ -246,14 +244,77 @@ def run_chaos_scenario(
     return scenario
 
 
-def _baseline_worker(run: Dict[str, object]) -> BaselineSummary:
-    """Sweep phase 1: one GPU count's unfaulted baseline."""
+def _apply(task):
+    """One sweep task — ``(function, keyword arguments)`` — in a worker."""
+    function, kwargs = task
+    return function(**kwargs)
+
+
+def sweep(
+    sizes: Sequence[int],
+    scenarios: int,
+    seed: int,
+    *,
+    baseline: Callable,
+    baseline_args: Callable[[int], Dict],
+    scenario: Callable,
+    scenario_args: Callable[[int, int, int, object], Dict],
+    tags: Tuple[str, str],
+    jobs: int,
+) -> Tuple[Dict[int, object], Dict[str, object]]:
+    """The sweep every chaos harness is a configuration of: one
+    fault-free baseline per cluster size, then ``scenarios`` seeded fault
+    scenarios against each, every row's violations gathered under a
+    ``[<size tag>=… <seed tag>=…]`` prefix.
+
+    ``baseline`` and ``scenario`` are module-level (picklable)
+    functions; ``baseline_args(size)`` and ``scenario_args(size, index,
+    scenario_seed, baselines[size])`` build, in the parent, the keyword
+    arguments of one call.  A scenario returns a JSON-stable row with a
+    ``"violations"`` list.  Returns the baselines by size and the report
+    keys both sweeps share; ``report["ok"]`` is the single gate a CI job
+    needs.
+
+    Both phases go through :func:`~repro.parallel.ordered_map` in
+    ``(size, index)`` order, so ``jobs > 1`` shards the sweep over a
+    process pool and the report is **byte-identical** to a ``jobs=1``
+    run (every run is virtual-clock deterministic; only wall-clock
+    completion order varies, and the map ignores it).  Scenario
+    ``index`` draws the same seed at every size.
+    """
+    if scenarios < 1 or not sizes:
+        # a sweep that ran nothing would report ok
+        raise ConfigError(
+            f"a sweep needs scenarios >= 1 and a non-empty {tags[0]} list, "
+            f"got scenarios={scenarios}, {tags[0]}={list(sizes)}"
+        )
+    baselines = dict(
+        zip(
+            sizes,
+            ordered_map(_apply, [(baseline, baseline_args(n)) for n in sizes], jobs),
+        )
+    )
+    draws = [(n, i, seed * 100_003 + i) for n in sizes for i in range(scenarios)]
+    rows = ordered_map(
+        _apply,
+        [(scenario, scenario_args(n, i, drawn, baselines[n])) for n, i, drawn in draws],
+        jobs,
+    )
+    violations = [
+        f"[{tags[0]}={n} {tags[1]}={drawn}] {violation}"
+        for (n, _i, drawn), row in zip(draws, rows)
+        for violation in row["violations"]
+    ]
+    return baselines, {
+        "total_scenarios": len(rows),
+        "scenarios": rows,
+        "violations": violations,
+        "ok": not violations,
+    }
+
+
+def _baseline_summary(**run) -> BaselineSummary:
     return BaselineSummary.from_result(run_uninterrupted(**run))
-
-
-def _scenario_worker(scenario: Dict[str, object]) -> Dict[str, object]:
-    """Sweep phase 2: one seeded fault scenario."""
-    return run_chaos_scenario(**scenario)
 
 
 def chaos_sweep(
@@ -274,20 +335,10 @@ def chaos_sweep(
     jobs: int = 1,
 ) -> Dict[str, object]:
     """``scenarios`` seeded fault schedules × every GPU count, each run
-    against that GPU count's unfaulted baseline.
-
-    Returns a JSON-stable report; ``report["ok"]`` is the single gate a
-    CI job needs.
-
-    Two :func:`~repro.parallel.ordered_map` phases — the per-GPU
-    baselines, then every ``(gpus, index)`` scenario — so ``jobs > 1``
-    shards the sweep over a process pool and the report is
-    **byte-identical** to a ``jobs=1`` run (every run is virtual-clock
-    deterministic; only wall-clock completion order varies, and the map
-    ignores it).  ``on_scenario`` fires in ``(gpus, index)`` order, in
-    the parent.
+    against that GPU count's unfaulted baseline — :func:`sweep` over
+    :func:`run_chaos_scenario`.  ``on_scenario`` fires in ``(gpus,
+    index)`` order, in the parent.
     """
-
     run = dict(
         space=space,
         config=config,
@@ -296,46 +347,31 @@ def chaos_sweep(
         batch=batch,
         functional_batch=functional_batch,
     )
-    baselines = dict(
-        zip(
-            gpus,
-            ordered_map(
-                _baseline_worker, [dict(run, num_gpus=g) for g in gpus], jobs
-            ),
-        )
-    )
-    pairs = [(g, i) for g in gpus for i in range(scenarios)]
-    scenario_tasks = [
-        dict(
+    _baselines, report = sweep(
+        gpus,
+        scenarios,
+        seed,
+        baseline=_baseline_summary,
+        baseline_args=lambda num_gpus: dict(run, num_gpus=num_gpus),
+        scenario=run_chaos_scenario,
+        scenario_args=lambda num_gpus, index, fault_seed, baseline: dict(
             run,
-            baseline=baselines[num_gpus],
+            baseline=baseline,
             num_gpus=num_gpus,
-            fault_seed=seed * 100_003 + index,
+            fault_seed=fault_seed,
             mtbf_fraction=mtbf_fraction,
             stall_ms=stall_ms,
             nic_slowdown=nic_slowdown,
             degradation=degradation,
             stream_name=f"chaos/{num_gpus}gpu/{index}",
-        )
-        for num_gpus, index in pairs
-    ]
-    ordered = ordered_map(_scenario_worker, scenario_tasks, jobs)
-
-    rows: List[Dict[str, object]] = []
-    violations: List[str] = []
-    total_faults = 0
-    total_mitigations = 0
-    for (num_gpus, index), scenario in zip(pairs, ordered):
-        rows.append(scenario)
-        total_faults += scenario["faults"]
-        total_mitigations += scenario["mitigations"]
-        for violation in scenario["violations"]:
-            violations.append(
-                f"[gpus={num_gpus} fault_seed={scenario['fault_seed']}] "
-                f"{violation}"
-            )
-        if on_scenario is not None:
-            on_scenario(scenario)
+        ),
+        tags=("gpus", "fault_seed"),
+        jobs=jobs,
+    )
+    rows = report["scenarios"]
+    if on_scenario is not None:
+        for row in rows:
+            on_scenario(row)
     return {
         "schema": 1,
         "system": config.name,
@@ -344,12 +380,9 @@ def chaos_sweep(
         "seed": seed,
         "scenarios_per_gpu": scenarios,
         "gpus": list(gpus),
-        "total_scenarios": len(rows),
-        "total_faults": total_faults,
-        "total_mitigations": total_mitigations,
-        "scenarios": rows,
-        "violations": violations,
-        "ok": not violations,
+        "total_faults": sum(row["faults"] for row in rows),
+        "total_mitigations": sum(row["mitigations"] for row in rows),
+        **report,
     }
 
 

@@ -16,8 +16,9 @@ recorded.  Under CSP, writes to any single layer occur in subnet order
 (that is the causal-order invariant), so the pre-image at the *first*
 write by any subnet ``>= x`` equals the post-``<x`` state exactly.  When
 the completion frontier reaches ``x``, the cut materialises: current
-store overlaid with the cut's undo entries, serialised in the same
-``.npz`` layout :meth:`ParameterStore.save` uses.
+store overlaid with the cut's undo entries, serialised by the one
+``.npz`` encoder (:func:`repro.nn.parameter_store.save_members`) that
+:meth:`ParameterStore.save` uses.
 
 Under ASP the same construction is **silently wrong** — per-layer writes
 are not subnet-ordered, so the first ``>= x`` write may land *between*
@@ -34,7 +35,6 @@ a restart rebuilds the complete mutable state of the functional plane.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.parameter_store import LayerId
+from repro.nn.parameter_store import LayerId, digest_params, save_members
 from repro.payload import indented
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,19 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Checkpoint", "CheckpointManager", "restore_checkpoint"]
 
 _Params = Dict[str, np.ndarray]
-
-
-def _snapshot_digest(params: Dict[LayerId, _Params]) -> str:
-    """SHA-256 over a parameter snapshot, canonical order — the same
-    construction as :meth:`ParameterStore.digest`, so a cut's digest is
-    directly comparable to a store restricted to the same layers."""
-    hasher = hashlib.sha256()
-    for layer in sorted(params):
-        hasher.update(repr(layer).encode())
-        for name in sorted(params[layer]):
-            hasher.update(name.encode())
-            hasher.update(np.ascontiguousarray(params[layer][name]).tobytes())
-    return hasher.hexdigest()
 
 
 @dataclass
@@ -198,10 +185,6 @@ class CheckpointManager:
     def bind(self, engine: "PipelineEngine") -> None:
         self.engine = engine
 
-    @property
-    def pending_cuts(self) -> List[int]:
-        return list(self._pending)
-
     def latest(self) -> Optional[Checkpoint]:
         return self.commits[-1] if self.commits else None
 
@@ -292,19 +275,13 @@ class CheckpointManager:
         directory = self.directory / f"ckpt_{cut:06d}"
         directory.mkdir(parents=True, exist_ok=True)
         arrays = {
-            f"b{layer[0]}_c{layer[1]}/{name}": array
+            (layer, name): array
             for layer, layer_params in params.items()
             for name, array in layer_params.items()
         }
-        np.savez_compressed(directory / "params.npz", **arrays)
+        save_members(directory / "params.npz", arrays)
         if velocity:
-            np.savez_compressed(
-                directory / "velocity.npz",
-                **{
-                    f"b{layer[0]}_c{layer[1]}/{name}": array
-                    for (layer, name), array in velocity.items()
-                },
-            )
+            save_members(directory / "velocity.npz", velocity)
         nbytes = sum(a.nbytes for a in arrays.values()) + sum(
             a.nbytes for a in velocity.values()
         )
@@ -312,7 +289,7 @@ class CheckpointManager:
             cut=cut,
             directory=directory,
             time_ms=now + self.time_offset,
-            digest=_snapshot_digest(params),
+            digest=digest_params(params),
             num_layers=len(params),
             nbytes=nbytes,
             rng_state=self.plane.seeds.snapshot_state(),

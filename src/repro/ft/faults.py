@@ -202,6 +202,12 @@ class FaultSchedule:
     def fatal_events(self) -> List[FaultEvent]:
         return [event for event in self.events if event.fatal]
 
+    def kind_counts(self) -> Dict[str, int]:
+        """Events per fault kind, keys ascending (the ``fault_kinds`` /
+        ``storm_kinds`` cell of a sweep row)."""
+        kinds = [event.kind for event in self.events]
+        return {kind: kinds.count(kind) for kind in sorted(set(kinds))}
+
     # ------------------------------------------------------------------
     # serialisation — schedules travel inside replay manifests
     # ------------------------------------------------------------------

@@ -47,6 +47,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, ServiceError
+from repro.ft.chaos import sweep
 from repro.ft.faults import FaultSchedule
 from repro.obs.events import validate_trace
 from repro.payload import indented, reject_unknown
@@ -243,9 +244,6 @@ def run_fleet_scenario(
         node_outage_ms=float(payload.get("node_outage_ms", 300.0)),
         stream_name=f"faults/fleet/{fleet_slots}",
     )
-    kind_counts: Dict[str, int] = {}
-    for event in storm:
-        kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
 
     serving_slots = frozenset(serving.lease.slots)
     training_slots = frozenset(range(fleet_slots)) - serving_slots
@@ -256,7 +254,7 @@ def run_fleet_scenario(
         "fleet_slots": fleet_slots,
         "storm_seed": storm_seed,
         "storm_events": len(storm),
-        "storm_kinds": {k: kind_counts[k] for k in sorted(kind_counts)},
+        "storm_kinds": storm.kind_counts(),
     }
     violations: List[str] = []
 
@@ -327,7 +325,8 @@ def run_fleet_scenario(
 
 def fleet_sweep(payload: Mapping) -> Dict:
     """``scenarios`` storm seeds × every fleet size in the config, each
-    with the full invariant suite; ``report["ok"]`` is the CI gate."""
+    with the full invariant suite — :func:`repro.ft.chaos.sweep` over
+    :func:`run_fleet_scenario`; ``report["ok"]`` is the CI gate."""
     from repro.service.scheduler import SCHEDULER_KNOBS
 
     reject_unknown(payload, (*_FLEET_KEYS, *SCHEDULER_KNOBS), "fleet config")
@@ -338,45 +337,38 @@ def fleet_sweep(payload: Mapping) -> Dict:
     fleets = [int(f) for f in payload.get("fleet_slots", [8])]
     scenarios = int(payload.get("scenarios", 3))
     seed = int(payload.get("seed", 2022))
-    if scenarios < 1:
-        raise ConfigError(f"scenarios must be >= 1, got {scenarios}")
 
     solo_cache: Dict = {}
-    horizons = {fleet: _unfaulted_horizon(payload, fleet) for fleet in fleets}
-    rows: List[Dict] = []
-    violations: List[str] = []
-    total_revocations = 0
-    total_storm_events = 0
-    for fleet in fleets:
-        for index in range(scenarios):
-            row = run_fleet_scenario(
-                payload,
-                fleet_slots=fleet,
-                storm_seed=seed * 100_003 + index,
-                horizon_ms=horizons[fleet],
-                solo_cache=solo_cache,
-            )
-            rows.append(row)
-            total_storm_events += row["storm_events"]
-            if row["revocations"] is not None:
-                total_revocations += row["revocations"]
-            for violation in row["violations"]:
-                violations.append(
-                    f"[fleet={fleet} storm_seed={row['storm_seed']}] "
-                    f"{violation}"
-                )
+    horizons, report = sweep(
+        fleets,
+        scenarios,
+        seed,
+        baseline=_unfaulted_horizon,
+        baseline_args=lambda fleet: dict(payload=payload, fleet_slots=fleet),
+        scenario=run_fleet_scenario,
+        scenario_args=lambda fleet, _index, storm_seed, horizon_ms: dict(
+            payload=payload,
+            fleet_slots=fleet,
+            storm_seed=storm_seed,
+            horizon_ms=horizon_ms,
+            solo_cache=solo_cache,
+        ),
+        tags=("fleet", "storm_seed"),
+        # scenarios share the in-process ``solo_cache``
+        jobs=1,
+    )
+    rows = report["scenarios"]
     return {
         "schema": 1,
         "seed": seed,
         "fleet_slots": fleets,
         "scenarios_per_fleet": scenarios,
-        "total_scenarios": len(rows),
-        "total_storm_events": total_storm_events,
-        "total_revocations": total_revocations,
+        "total_storm_events": sum(row["storm_events"] for row in rows),
+        "total_revocations": sum(
+            row["revocations"] for row in rows if row["revocations"] is not None
+        ),
         "horizons_ms": {str(f): horizons[f] for f in fleets},
-        "scenarios": rows,
-        "violations": violations,
-        "ok": not violations,
+        **report,
     }
 
 

@@ -101,40 +101,36 @@ class AttemptRecord:
     recovery_latency_ms: float = 0.0
 
 
+def _total(values) -> float:
+    """Left-to-right float sum — the order the totals were always
+    accumulated in (``sum`` compensates on Python >= 3.12 and could move
+    the last bit of a recorded figure)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class FaultedRunResult:
     """The merged outcome of a crash-restart history.
 
-    Duck-typed to stand in for :class:`PipelineResult` where replay
-    verification needs ``digest`` / ``losses`` / ``completion_order`` /
-    ``makespan_ms``; ``final`` is the last attempt's full result.
+    Stands in for :class:`PipelineResult` where replay verification
+    reads ``digest`` / ``losses`` / ``completion_order`` /
+    ``makespan_ms`` / ``num_attempts``.  Only what cannot be derived is
+    stored; every total is read off ``attempts`` / ``results`` (one
+    entry each per engine incarnation, in order).
     """
 
     system: str
     space: str
     num_gpus: int
-    final_gpus: int
     digest: Optional[str]
-    losses: Dict[int, float]
-    completion_order: List[int]
     makespan_ms: float  # global virtual time, downtime included
-    subnets_completed: int
-    attempts: List[AttemptRecord]
-    results: List[PipelineResult]
-    checkpoint_cuts: List[int]
-    lost_virtual_ms: float
-    recovery_latency_ms: float
-    fault_count: int
-    task_retries: int
-    #: concatenated mitigation logs of all attempts (chronological)
-    mitigation_actions: List[Dict] = field(default_factory=list)
-    #: structured failure record when the restart budget ran out and the
-    #: caller asked to record rather than raise (``digest`` is None then)
-    failure: Optional[Dict] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.failure is not None
+    losses: Dict[int, float] = field(default_factory=dict)
+    completion_order: List[int] = field(default_factory=list)
+    attempts: List[AttemptRecord] = field(default_factory=list)
+    results: List[PipelineResult] = field(default_factory=list)
 
     @property
     def final(self) -> PipelineResult:
@@ -144,14 +140,42 @@ class FaultedRunResult:
     def num_attempts(self) -> int:
         return len(self.attempts)
 
+    @property
+    def final_gpus(self) -> int:
+        return self.attempts[-1].num_gpus
 
-def _completions_in_order(result: PipelineResult) -> List[int]:
-    return [
-        sid
-        for sid, _t in sorted(
-            result.trace.subnet_completion_times.items(), key=lambda kv: kv[1]
-        )
-    ]
+    @property
+    def subnets_completed(self) -> int:
+        return len(self.completion_order)
+
+    @property
+    def checkpoint_cuts(self) -> List[int]:
+        return [cut for record in self.attempts for cut in record.checkpoints]
+
+    @property
+    def lost_virtual_ms(self) -> float:
+        return _total(record.lost_virtual_ms for record in self.attempts)
+
+    @property
+    def recovery_latency_ms(self) -> float:
+        return _total(record.recovery_latency_ms for record in self.attempts)
+
+    @property
+    def fault_count(self) -> int:
+        return sum(result.fault_count for result in self.results)
+
+    @property
+    def task_retries(self) -> int:
+        return sum(result.task_retries for result in self.results)
+
+    @property
+    def mitigation_actions(self) -> List[Dict]:
+        """Concatenated mitigation logs of all attempts (chronological)."""
+        return [
+            action
+            for result in self.results
+            for action in result.mitigation_actions
+        ]
 
 
 def default_optimizer() -> MomentumSGD:
@@ -281,7 +305,6 @@ def run_with_recovery(
     speed_factors=None,
     restart_speed_factors=None,
     degradation=None,
-    on_exhausted: str = "raise",
 ) -> FaultedRunResult:
     """Run ``steps`` subnets to completion despite ``schedule``.
 
@@ -290,79 +313,39 @@ def run_with_recovery(
     recover onto a slower, faster, or differently-sized replacement
     cluster — under CSP the digest is unchanged either way).
 
-    ``on_exhausted`` decides what an exhausted restart budget does:
-    ``"raise"`` (default) propagates :class:`FaultToleranceError` as
-    before; ``"record"`` returns a partial :class:`FaultedRunResult`
-    whose ``failure`` field is a :func:`~repro.ft.availability.
-    failure_summary` record (``digest`` is None — there are no final
-    weights).  It is a library option: nothing under ``repro`` passes
-    it.  The service plane does not restart jobs through this function —
+    An exhausted restart budget raises :class:`FaultToleranceError`.
+    The service plane does not restart jobs through this function —
     :class:`~repro.service.scheduler.JobScheduler` keeps its own
-    ``max_restarts`` budget and writes the same ``failure_summary``
-    record when a rigid tenant exhausts it.
+    ``max_restarts`` budget and writes a
+    :func:`~repro.ft.availability.failure_summary` record when a rigid
+    tenant exhausts it.
     """
-    if on_exhausted not in ("raise", "record"):
-        raise FaultToleranceError(
-            f'on_exhausted must be "raise" or "record", got {on_exhausted!r}'
-        )
     spec = spec or RecoverySpec()
     checkpoint_dir = Path(checkpoint_dir)
     optimizer_factory = optimizer_factory or default_optimizer
     degradation_policy = _degradation_policy(degradation)
     full_stream = list(build_stream(space, seed, steps, stream_kind))
 
+    # ``makespan_ms`` doubles as the global-clock offset of the next
+    # attempt: virtual time consumed by the attempts recorded so far
+    run = FaultedRunResult(
+        system=config.name,
+        space=space.name,
+        num_gpus=num_gpus,
+        digest=None,
+        makespan_ms=0.0,
+    )
     cursor = 0  # next subnet ID to train
-    offset = 0.0  # global virtual time consumed by earlier attempts
     restore_from: Optional[Checkpoint] = None
-    attempt = 0
-    attempts: List[AttemptRecord] = []
-    results: List[PipelineResult] = []
-    losses: Dict[int, float] = {}
-    completion_order: List[int] = []
-    checkpoint_cuts: List[int] = []
-    total_lost = 0.0
-    total_recovery_latency = 0.0
-    total_faults = 0
-    total_retries = 0
-    mitigation_actions: List[Dict] = []
 
     while True:
-        attempt += 1
-        if attempt - 1 > spec.max_restarts:
-            if on_exhausted == "record":
-                from repro.ft.availability import failure_summary
-
-                last_fault = attempts[-1].interrupt_kind if attempts else None
-                return FaultedRunResult(
-                    system=config.name,
-                    space=space.name,
-                    num_gpus=num_gpus,
-                    final_gpus=attempts[-1].num_gpus if attempts else num_gpus,
-                    digest=None,
-                    losses=losses,
-                    completion_order=completion_order,
-                    makespan_ms=offset,
-                    subnets_completed=len(completion_order),
-                    attempts=attempts,
-                    results=results,
-                    checkpoint_cuts=checkpoint_cuts,
-                    lost_virtual_ms=total_lost,
-                    recovery_latency_ms=total_recovery_latency,
-                    fault_count=total_faults,
-                    task_retries=total_retries,
-                    mitigation_actions=mitigation_actions,
-                    failure=failure_summary(
-                        f"{config.name}:{space.name}",
-                        attempts=attempt - 1,
-                        max_restarts=spec.max_restarts,
-                        lost_virtual_ms=total_lost,
-                        fault=last_fault or "unknown",
-                    ),
-                )
+        if len(run.attempts) > spec.max_restarts:
             raise FaultToleranceError(
                 f"restart budget exhausted: {spec.max_restarts} restarts, "
                 f"still at subnet {cursor}/{steps}"
             )
+        attempt = len(run.attempts) + 1
+        offset = run.makespan_ms
         gpus = num_gpus if attempt == 1 else (spec.restart_gpus or num_gpus)
         speeds = speed_factors if attempt == 1 else restart_speed_factors
 
@@ -415,7 +398,6 @@ def run_with_recovery(
                 default=0.0,
             )
             recovery_latency = spec.restart_delay_ms + copy_warm
-            total_recovery_latency += recovery_latency
             engine.trace.record_event(
                 "recovery_done",
                 0.0,
@@ -426,73 +408,42 @@ def run_with_recovery(
             )
 
         result = engine.run()
-        results.append(result)
-        total_faults += result.fault_count
-        total_retries += result.task_retries
-        mitigation_actions.extend(result.mitigation_actions)
-        record = AttemptRecord(
-            attempt=attempt,
-            num_gpus=gpus,
-            resumed_from=cursor,
-            interrupted=result.interrupted,
-            interrupt_kind=result.interrupt_kind,
-            makespan_ms=result.makespan_ms,
-            checkpoints=[c.cut for c in manager.commits],
-            recovery_latency_ms=recovery_latency,
-        )
-        checkpoint_cuts.extend(c.cut for c in manager.commits)
-
-        if not result.interrupted:
-            kept = _completions_in_order(result)
-            completion_order.extend(kept)
-            for sid in kept:
-                if sid in result.losses:
-                    losses[sid] = result.losses[sid]
-            record.completed_kept = len(kept)
-            attempts.append(record)
-            return FaultedRunResult(
-                system=config.name,
-                space=space.name,
-                num_gpus=num_gpus,
-                final_gpus=gpus,
-                digest=result.digest,
-                losses=losses,
-                completion_order=completion_order,
-                makespan_ms=offset + result.makespan_ms,
-                subnets_completed=len(completion_order),
-                attempts=attempts,
-                results=results,
-                checkpoint_cuts=checkpoint_cuts,
-                lost_virtual_ms=total_lost,
-                recovery_latency_ms=total_recovery_latency,
-                fault_count=total_faults,
-                task_retries=total_retries,
-                mitigation_actions=mitigation_actions,
-            )
-
-        # -- crashed: roll back to the latest consistent cut -----------
-        crash_local = result.interrupt_time_ms
         latest = manager.latest()
-        if latest is not None:
+        if not result.interrupted:
+            new_cursor, lost = steps, 0.0
+        elif latest is not None:
+            # crashed: roll back to the latest consistent cut
             restore_from = latest
             new_cursor = latest.cut
-            lost = crash_local - (latest.time_ms - offset)
+            lost = result.interrupt_time_ms - (latest.time_ms - offset)
         else:
             # no new checkpoint this attempt: resume from the previous
             # one (or from scratch) — the whole attempt's progress since
             # then is lost
-            new_cursor = cursor
-            lost = crash_local
-        record.lost_virtual_ms = lost
-        total_lost += lost
-        kept = [
-            sid for sid in _completions_in_order(result) if sid < new_cursor
-        ]
-        completion_order.extend(kept)
-        for sid in kept:
-            if sid in result.losses:
-                losses[sid] = result.losses[sid]
-        record.completed_kept = len(kept)
-        attempts.append(record)
+            new_cursor, lost = cursor, result.interrupt_time_ms
+        kept = [sid for sid in result.completion_order if sid < new_cursor]
+        run.completion_order.extend(kept)
+        run.losses.update(
+            (sid, result.losses[sid]) for sid in kept if sid in result.losses
+        )
+        run.results.append(result)
+        run.attempts.append(
+            AttemptRecord(
+                attempt=attempt,
+                num_gpus=gpus,
+                resumed_from=cursor,
+                interrupted=result.interrupted,
+                interrupt_kind=result.interrupt_kind,
+                makespan_ms=result.makespan_ms,
+                checkpoints=[c.cut for c in manager.commits],
+                completed_kept=len(kept),
+                lost_virtual_ms=lost,
+                recovery_latency_ms=recovery_latency,
+            )
+        )
+        if not result.interrupted:
+            run.digest = result.digest
+            run.makespan_ms += result.makespan_ms
+            return run
         cursor = new_cursor
-        offset += crash_local + spec.restart_delay_ms
+        run.makespan_ms += result.interrupt_time_ms + spec.restart_delay_ms

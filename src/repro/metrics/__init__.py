@@ -3,7 +3,6 @@
 from repro.metrics.bubbles import gpipe_theory_bubble, pipeline_theory_bubble
 from repro.metrics.reproducibility import (
     ReproducibilityReport,
-    access_order_for_layer,
     compare_digests,
     verify_csp_equivalence,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "gpipe_theory_bubble",
     "pipeline_theory_bubble",
     "ReproducibilityReport",
-    "access_order_for_layer",
     "compare_digests",
     "verify_csp_equivalence",
     "normalize_throughput",

@@ -5,7 +5,6 @@ Tools to compare training runs bit-for-bit:
 * :func:`compare_digests` — are two runs' final weights identical?
 * :func:`verify_csp_equivalence` — assert a pipeline run reproduced the
   sequential ground truth (digest *and* per-subnet losses);
-* :func:`access_order_for_layer` — Table 4's ``2F-2B-5F-5B`` strings;
 * :class:`ReproducibilityReport` — the cross-cluster-size matrix the
   paper's Table 3 reports.
 """
@@ -16,12 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproducibilityError
-from repro.nn.parameter_store import LayerId, ParameterStore
 
 __all__ = [
     "compare_digests",
     "verify_csp_equivalence",
-    "access_order_for_layer",
     "ReproducibilityReport",
 ]
 
@@ -56,17 +53,6 @@ def verify_csp_equivalence(sequential_result, pipeline_result) -> None:
                 f"loss mismatch for subnet {subnet_id}: "
                 f"sequential {loss!r} vs pipeline {pipeline_loss!r}"
             )
-
-
-def access_order_for_layer(store: ParameterStore, layer: LayerId) -> str:
-    """Table-4 style access/update order string for one layer.
-
-    Provenance: paper Table 4 (§5.2), which prints per-layer
-    forward/backward orders like ``"2F-2B-5F-5B"`` (subnet sequence ID +
-    F/B) to show CSP's order is cluster-size invariant while the
-    baselines' orders shift.
-    """
-    return store.access_order_string(layer)
 
 
 @dataclass

@@ -17,7 +17,7 @@ On the synthetic substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -84,6 +84,3 @@ class SubnetEvaluator:
         else:
             quality = 100.0 * self._accuracy(subnet)
         return EvaluatedSubnet(subnet=subnet, loss=loss, score=quality)
-
-    def score_many(self, subnets: Sequence[Subnet]) -> List[EvaluatedSubnet]:
-        return [self.score(subnet) for subnet in subnets]

@@ -17,7 +17,6 @@ from typing import Optional
 from repro.config import SystemConfig
 from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine, PipelineResult
-from repro.engines.sequential import SequentialEngine, SequentialResult
 from repro.nas.evaluator import SubnetEvaluator
 from repro.nas.evolution import EvolutionSearch, SearchOutcome
 from repro.seeding import SeedSequenceTree
@@ -156,12 +155,6 @@ class SupernetTrainer:
         result = engine.run()
         assert plane is None or result.digest is not None
         return TrainingRun(system=system, plane=plane, result=result)  # type: ignore[arg-type]
-
-    def train_sequential(self, steps: int = 100) -> SequentialResult:
-        """The ground-truth single-device run (reproducibility baseline)."""
-        stream = self.make_stream(steps)
-        plane = self.make_plane()
-        return SequentialEngine(self.supernet, stream, plane).run()
 
     # ------------------------------------------------------------------
     def search(

@@ -25,7 +25,18 @@ import numpy as np
 
 from repro.errors import SearchSpaceError
 
-__all__ = ["AccessKind", "AccessRecord", "ParameterStore", "LayerId", "intern_layer"]
+__all__ = [
+    "AccessKind",
+    "AccessRecord",
+    "ParameterStore",
+    "LayerId",
+    "intern_layer",
+    "member_name",
+    "parse_member",
+    "save_members",
+    "load_members",
+    "digest_params",
+]
 
 #: A layer is identified by (choice block index, candidate index) — the
 #: paper's l_x^i notation.
@@ -45,6 +56,58 @@ def intern_layer(layer: LayerId) -> LayerId:
     bounds tuple churn at the search space's (blocks × choices) size.
     """
     return _LAYER_INTERN.setdefault(layer, layer)
+
+
+# ----------------------------------------------------------------------
+# the on-disk format: every ``.npz`` this repo writes (a store's
+# parameters, an optimizer's velocity, both files of a checkpoint cut)
+# names its members here and nowhere else
+# ----------------------------------------------------------------------
+def member_name(layer: LayerId, name: str) -> str:
+    """``b<block>_c<choice>/<name>`` — layer identity and parameter name,
+    so a file is self-describing and restorable into a fresh store."""
+    return f"b{layer[0]}_c{layer[1]}/{name}"
+
+
+def parse_member(key: str) -> Tuple[LayerId, str]:
+    """Inverse of :func:`member_name`."""
+    prefix, name = key.split("/", 1)
+    block, choice = prefix[1:].split("_c")
+    return (int(block), int(choice)), name
+
+
+def save_members(path, arrays: Mapping[Tuple[LayerId, str], np.ndarray]) -> None:
+    """Write a ``(layer, name) -> array`` map as one compressed ``.npz``,
+    members in the map's order."""
+    np.savez_compressed(
+        path, **{member_name(*key): array for key, array in arrays.items()}
+    )
+
+
+def load_members(path) -> Dict[Tuple[LayerId, str], np.ndarray]:
+    """Read back what :func:`save_members` wrote, in file order."""
+    with np.load(path) as payload:
+        return {parse_member(key): payload[key] for key in payload.files}
+
+
+def digest_params(
+    params: Mapping[LayerId, Mapping[str, np.ndarray]],
+    layers: Optional[Iterable[LayerId]] = None,
+) -> str:
+    """SHA-256 hex digest over a ``{layer: {name: array}}`` map in
+    canonical (sorted) order, optionally restricted to ``layers`` (those
+    absent from ``params`` are skipped).  A live store and a checkpoint
+    cut digest through here, so the two are directly comparable."""
+    hasher = hashlib.sha256()
+    for layer in sorted(params if layers is None else layers):
+        layer_params = params.get(layer)
+        if layer_params is None:
+            continue
+        hasher.update(repr(layer).encode())
+        for name in sorted(layer_params):
+            hasher.update(name.encode())
+            hasher.update(np.ascontiguousarray(layer_params[name]).tobytes())
+    return hasher.hexdigest()
 
 
 class AccessKind(enum.Enum):
@@ -175,17 +238,7 @@ class ParameterStore:
         digests match.  Restricting ``layers`` lets tests compare only the
         layers a probe stream touched.
         """
-        hasher = hashlib.sha256()
-        selected = sorted(layers) if layers is not None else sorted(self._params)
-        for layer in selected:
-            params = self._params.get(layer)
-            if params is None:
-                continue
-            hasher.update(repr(layer).encode())
-            for name in sorted(params):
-                hasher.update(name.encode())
-                hasher.update(np.ascontiguousarray(params[name]).tobytes())
-        return hasher.hexdigest()
+        return digest_params(self._params, layers)
 
     def access_order(self, layer: LayerId) -> List[AccessRecord]:
         """The logged access sequence for one layer (Table 4 raw data)."""
@@ -195,24 +248,23 @@ class ParameterStore:
         """Table-4-style rendering, e.g. ``"2F-2B-5F-5B-7F-7B"``."""
         return "-".join(record.short() for record in self.access_order(layer))
 
-    def clear_log(self) -> None:
-        self.access_log.clear()
-
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def save(self, path) -> int:
         """Checkpoint all materialised parameters to an ``.npz`` file.
 
-        Returns the number of layers saved.  Keys encode layer identity
-        and parameter name (``b<block>_c<choice>/<name>``) so a checkpoint
-        is self-describing and restorable into a fresh store.
+        Returns the number of layers saved; members are named by
+        :func:`member_name`.
         """
-        arrays = {}
-        for (block, choice), params in self._params.items():
-            for name, array in params.items():
-                arrays[f"b{block}_c{choice}/{name}"] = array
-        np.savez_compressed(path, **arrays)
+        save_members(
+            path,
+            {
+                (layer, name): array
+                for layer, params in self._params.items()
+                for name, array in params.items()
+            },
+        )
         return len(self._params)
 
     def load(self, path) -> int:
@@ -223,13 +275,9 @@ class ParameterStore:
         bumped so downstream consumers see the weights changed.  Returns
         the number of layers restored.
         """
-        with np.load(path) as payload:
-            grouped: Dict[LayerId, Dict[str, np.ndarray]] = {}
-            for key in payload.files:
-                prefix, name = key.split("/", 1)
-                block_str, choice_str = prefix[1:].split("_c")
-                layer = (int(block_str), int(choice_str))
-                grouped.setdefault(layer, {})[name] = payload[key]
+        grouped: Dict[LayerId, Dict[str, np.ndarray]] = {}
+        for (layer, name), array in load_members(path).items():
+            grouped.setdefault(layer, {})[name] = array
         for layer, params in grouped.items():
             current = self.materialize(layer)
             if set(params) != set(current):

@@ -16,12 +16,11 @@ each subnet is stuck with the static partition's imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.nn.parameter_store import LayerId
 from repro.partition.balanced import Partition
 from repro.supernet.subnet import Subnet
-from repro.supernet.supernet import Supernet
 
 __all__ = ["MirrorEvent", "MirrorRegistry"]
 
@@ -121,22 +120,3 @@ class MirrorRegistry:
                 if stage != home:
                     counts[stage] = counts.get(stage, 0) + 1
         return {stage: counts[stage] for stage in sorted(counts)}
-
-
-def mirror_traffic_for_stream(
-    supernet: Supernet,
-    subnets: List[Subnet],
-    partitions: List[Partition],
-    home_partition: Partition,
-) -> Tuple[MirrorRegistry, int]:
-    """Replay a stream through a fresh registry; return it and total bytes.
-
-    Convenience for ablation benches that want mirroring cost without a
-    full pipeline simulation.
-    """
-    registry = MirrorRegistry(home_partition)
-    for subnet, partition in zip(subnets, partitions):
-        registry.register_subnet(subnet, partition)
-        for layer in subnet.layer_ids():
-            registry.record_update_push(layer, supernet.profile(layer).param_bytes)
-    return registry, registry.push_bytes_total

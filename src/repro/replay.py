@@ -258,33 +258,17 @@ def _execute_faulted(
         return run_in(tmp)
 
 
-def _completion_order(result) -> List[int]:
-    # FaultedRunResult carries a merged order; PipelineResult derives it
-    # from the trace.
-    order = getattr(result, "completion_order", None)
-    if order is not None:
-        return list(order)
-    return [
-        sid
-        for sid, _t in sorted(
-            result.trace.subnet_completion_times.items(), key=lambda kv: kv[1]
-        )
-    ]
-
-
 def record_run(space_name: str, system_name: str, **kwargs) -> RunManifest:
     """Execute a fresh run and return its manifest with outcomes filled."""
     manifest = _build_manifest(space_name, system_name, **kwargs)
     result = execute_manifest(manifest)
     manifest.digest = result.digest
     manifest.losses = {str(sid): loss for sid, loss in result.losses.items()}
-    manifest.completion_order = _completion_order(result)
+    manifest.completion_order = list(result.completion_order)
     manifest.makespan_ms = result.makespan_ms
-    manifest.checkpoint_cuts = list(getattr(result, "checkpoint_cuts", []))
-    manifest.attempts = getattr(result, "num_attempts", 1)
-    manifest.mitigation_actions = list(
-        getattr(result, "mitigation_actions", [])
-    )
+    manifest.checkpoint_cuts = list(result.checkpoint_cuts)
+    manifest.attempts = result.num_attempts
+    manifest.mitigation_actions = list(result.mitigation_actions)
     return manifest
 
 
@@ -304,7 +288,7 @@ def verify_replay(manifest: RunManifest):
         raise ReproducibilityError(
             f"replay digest {result.digest} != recorded {manifest.digest}"
         )
-    fresh_order = _completion_order(result)
+    fresh_order = list(result.completion_order)
     if len(fresh_order) != len(manifest.completion_order):
         raise ReproducibilityError(
             f"replay completed {len(fresh_order)} subnets, recorded run "
@@ -333,13 +317,13 @@ def verify_replay(manifest: RunManifest):
         raise ReproducibilityError(
             f"replay makespan {result.makespan_ms} != {manifest.makespan_ms}"
         )
-    fresh_cuts = list(getattr(result, "checkpoint_cuts", []))
+    fresh_cuts = list(result.checkpoint_cuts)
     if manifest.checkpoint_cuts and fresh_cuts != manifest.checkpoint_cuts:
         raise ReproducibilityError(
             f"replay checkpoint cuts {fresh_cuts} != recorded "
             f"{manifest.checkpoint_cuts}"
         )
-    fresh_actions = list(getattr(result, "mitigation_actions", []))
+    fresh_actions = list(result.mitigation_actions)
     if fresh_actions != manifest.mitigation_actions:
         raise ReproducibilityError(
             f"replay took {len(fresh_actions)} mitigation action(s), "

@@ -165,9 +165,6 @@ class Cluster:
     def num_stages(self) -> int:
         return self.spec.num_gpus
 
-    def usable_memory_per_gpu(self) -> int:
-        return self.spec.gpu_memory_bytes - self.spec.reserved_bytes
-
     def forward_link(self, from_stage: int) -> Link:
         return self.forward_links[from_stage]
 

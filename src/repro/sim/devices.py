@@ -10,7 +10,7 @@ before the compute that needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import GpuOutOfMemoryError
 
@@ -70,12 +70,6 @@ class GpuDevice:
         nbytes = self._resident.pop(key, 0)
         self.resident_bytes -= nbytes
         return nbytes
-
-    def holds(self, key: object) -> bool:
-        return key in self._resident
-
-    def resident_keys(self) -> List[object]:
-        return list(self._resident)
 
 
 @dataclass

@@ -54,10 +54,6 @@ class LayerProfile:
         return self.type_profile.impl
 
     @property
-    def type_name(self) -> str:
-        return self.type_profile.name
-
-    @property
     def fwd_ms_ref(self) -> float:
         return self.type_profile.fwd_ms * self.size_scale
 
@@ -190,9 +186,6 @@ class Supernet:
 
     def layer_fwd_ms(self, layer: LayerId, batch: int) -> float:
         return self.profile(layer).fwd_ms_ref * self.batch_time_scale(batch)
-
-    def layer_bwd_ms(self, layer: LayerId, batch: int) -> float:
-        return self.profile(layer).bwd_ms_ref * self.batch_time_scale(batch)
 
     def subnet_fwd_ms(self, subnet: Subnet, batch: int) -> float:
         scale = self.batch_time_scale(batch)

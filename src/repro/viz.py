@@ -1,23 +1,16 @@
-"""Trace visualisation and export: ASCII Gantt charts and Chrome traces.
-
-Two consumers:
-
-* terminal inspection — :func:`ascii_gantt` renders per-GPU timelines
-  with forward/backward/stall marks (used by the Figure 1 experiment);
-* offline tooling — :func:`to_chrome_trace` emits the Chrome tracing
-  JSON format (``chrome://tracing`` / Perfetto), one row per GPU plus
-  counter tracks for cache hits, so a full pipeline run can be inspected
-  interactively.
+"""Terminal trace visualisation: :func:`ascii_gantt` renders per-GPU
+timelines with forward/backward/stall marks (used by the Figure 1
+experiment) and :func:`utilization_sparklines` per-GPU busy fractions.
+The Chrome / Perfetto export is :func:`repro.obs.export_chrome_trace`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.sim.trace import ExecutionTrace
 
-__all__ = ["ascii_gantt", "to_chrome_trace", "utilization_sparklines"]
+__all__ = ["ascii_gantt", "utilization_sparklines"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
@@ -84,55 +77,3 @@ def utilization_sparklines(trace: ExecutionTrace, buckets: int = 60) -> str:
         )
         lines.append(f"GPU{gpu:<2d} {marks}")
     return "\n".join(lines)
-
-
-def to_chrome_trace(trace: ExecutionTrace, label: str = "naspipe") -> str:
-    """Chrome tracing JSON for ``chrome://tracing`` / Perfetto.
-
-    Durations are reported in microseconds with 1 virtual ms = 1 trace
-    microsecond (Chrome's native unit), preserving relative proportions.
-    """
-    events: List[Dict[str, object]] = []
-    for gpu in range(trace.num_gpus):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": gpu,
-                "args": {"name": f"GPU {gpu}"},
-            }
-        )
-    for interval in trace.intervals:
-        name = {
-            "fwd": f"SN{interval.subnet_id} forward",
-            "bwd": f"SN{interval.subnet_id} backward",
-            "stall": f"SN{interval.subnet_id} swap stall",
-        }[interval.kind]
-        events.append(
-            {
-                "name": name,
-                "cat": interval.kind,
-                "ph": "X",
-                "pid": 0,
-                "tid": interval.gpu_id,
-                "ts": interval.start,
-                "dur": interval.duration,
-                "args": {"subnet": interval.subnet_id},
-            }
-        )
-    for sid, time in sorted(trace.subnet_completion_times.items()):
-        events.append(
-            {
-                "name": f"SN{sid} complete",
-                "cat": "completion",
-                "ph": "i",
-                "pid": 0,
-                "tid": 0,
-                "ts": time,
-                "s": "g",
-            }
-        )
-    return json.dumps(
-        {"traceEvents": events, "displayTimeUnit": "ms", "otherData": {"label": label}}
-    )

@@ -125,6 +125,18 @@ def test_chaos_command(tmp_path, capsys):
     assert all(row["digest_ok"] for row in report["scenarios"])
 
 
+def test_chaos_seeds_zero_is_an_error_not_a_pass(tmp_path, capsys):
+    """A gate that ran no scenario must not print PASS and exit 0."""
+    from repro.errors import ConfigError
+
+    config = tmp_path / "chaos.json"
+    config.write_text('{"space": "NLP.c3", "gpus": [2], "subnets": 8}')
+    for seeds in ("0", "-3"):
+        with pytest.raises(ConfigError, match="scenarios"):
+            main(["chaos", str(config), "--seeds", seeds])
+    assert "PASS" not in capsys.readouterr().out
+
+
 def test_chaos_command_requires_config():
     with pytest.raises(SystemExit):
         main(["chaos"])

@@ -298,5 +298,7 @@ def test_fleet_sweep_validates_its_config():
         fleet_sweep({k: v for k, v in FLEET_CONFIG.items() if k != "jobs"})
     with pytest.raises(ConfigError):
         fleet_sweep({k: v for k, v in FLEET_CONFIG.items() if k != "serving"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="scenarios"):
         fleet_sweep({**FLEET_CONFIG, "scenarios": 0})
+    with pytest.raises(ConfigError, match="scenarios"):
+        fleet_sweep({**FLEET_CONFIG, "fleet_slots": []})

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.baselines import naspipe
+from repro.errors import ConfigError
 from repro.ft import (
     NONFATAL_KINDS,
     chaos_invariants,
@@ -159,6 +160,17 @@ def test_parallel_sweep_matches_serial_exactly(chaos_space, chaos_report):
         jobs=2,
     )
     assert parallel == chaos_report
+
+
+@pytest.mark.parametrize(
+    "scenarios,gpus", [(0, (2, 4)), (-1, (2,)), (2, ())]
+)
+def test_a_sweep_that_would_test_nothing_is_refused(chaos_space, scenarios, gpus):
+    """``ok`` over zero rows is vacuous: it must not read as a pass."""
+    with pytest.raises(ConfigError, match="scenarios"):
+        chaos_sweep(
+            chaos_space, naspipe(), scenarios=scenarios, gpus=gpus, steps=12, seed=11
+        )
 
 
 def test_parallel_sweep_preserves_scenario_callback_order(chaos_space):

@@ -16,6 +16,7 @@ from repro.baselines import naspipe, pipedream
 from repro.engines.functional_plane import FunctionalPlane
 from repro.errors import FaultToleranceError
 from repro.ft import (
+    Checkpoint,
     FaultEvent,
     FaultSchedule,
     RecoverySpec,
@@ -269,6 +270,54 @@ def test_committed_checkpoint_round_trips(rec_space, csp_baseline, tmp_path):
     assert plane.seeds.snapshot_state() == checkpoint.rng_state
 
 
+def test_store_files_and_cut_files_are_one_format(
+    rec_space, csp_baseline, tmp_path
+):
+    """A ``ParameterStore.save`` file restores through the checkpoint
+    path, and a cut's ``params.npz`` loads through ``ParameterStore.load``."""
+
+    def plane():
+        return FunctionalPlane(
+            Supernet(rec_space),
+            SeedSequenceTree(SEED),
+            functional_batch=8,
+            optimizer=MomentumSGD(0.3, 0.9, 5.0),
+        )
+
+    result = run_with_recovery(
+        rec_space,
+        naspipe(),
+        _crash(csp_baseline),
+        num_gpus=4,
+        steps=STEPS,
+        seed=SEED,
+        checkpoint_dir=tmp_path,
+        spec=RecoverySpec(checkpoint_interval=8),
+    )
+    cut = Checkpoint.load(tmp_path / f"ckpt_{result.checkpoint_cuts[0]:06d}")
+
+    from_cut = plane()
+    assert from_cut.store.load(cut.params_path) == cut.num_layers
+    assert from_cut.store.digest() == cut.digest
+
+    # the reverse: a store's own file, dressed as a checkpoint directory
+    directory = tmp_path / "from_store"
+    directory.mkdir()
+    from_cut.store.save(directory / "params.npz")
+    stored = Checkpoint(
+        cut=cut.cut,
+        directory=directory,
+        time_ms=0.0,
+        digest=cut.digest,
+        num_layers=cut.num_layers,
+        nbytes=cut.nbytes,
+    )
+    stored.save_meta()
+    restored = plane()
+    restore_checkpoint(directory, restored)
+    assert restored.store.digest() == cut.digest
+
+
 def test_rng_snapshot_restore_round_trip():
     seeds = SeedSequenceTree(42)
     gen = seeds.generator("data/batches")
@@ -308,6 +357,60 @@ def test_availability_summary_and_formatting(rec_space, csp_baseline, tmp_path):
     text = format_availability(summary)
     assert "IDENTICAL to fault-free run" in text
     assert "goodput" in text
+
+
+def test_every_total_is_the_sum_over_attempts(rec_space, csp_baseline, tmp_path):
+    """Two crashes, three attempts: each derived figure of the record
+    reads off ``attempts`` / ``results``."""
+    t1 = csp_baseline.makespan_ms * 0.3
+    schedule = FaultSchedule(
+        [
+            FaultEvent("gpu_crash", t1, target=1),
+            FaultEvent("task_error", t1 + 60.0, target=2, magnitude=2),
+            FaultEvent("gpu_crash", t1 + 200.0, target=1),
+        ]
+    )
+    run = run_with_recovery(
+        rec_space,
+        naspipe(),
+        schedule,
+        num_gpus=4,
+        steps=STEPS,
+        seed=SEED,
+        checkpoint_dir=tmp_path,
+        spec=RecoverySpec(checkpoint_interval=4, restart_gpus=8),
+        degradation=True,
+    )
+    assert run.num_attempts == len(run.attempts) == len(run.results) == 3
+    assert [a.interrupted for a in run.attempts] == [True, True, False]
+    assert run.final_gpus == 8 and run.num_gpus == 4
+    assert run.final is run.results[-1]
+    assert run.digest == csp_baseline.digest
+
+    lost = latency = 0.0
+    for record in run.attempts:
+        lost += record.lost_virtual_ms
+        latency += record.recovery_latency_ms
+    assert run.lost_virtual_ms == lost > 0
+    assert run.recovery_latency_ms == latency > 0
+    assert run.checkpoint_cuts == [
+        cut for record in run.attempts for cut in record.checkpoints
+    ]
+    assert run.checkpoint_cuts
+    assert run.fault_count == sum(r.fault_count for r in run.results) == 3
+    assert run.task_retries == sum(r.task_retries for r in run.results) > 0
+    assert run.mitigation_actions == [
+        action for r in run.results for action in r.mitigation_actions
+    ]
+    assert run.subnets_completed == len(run.completion_order) == STEPS
+    assert sum(a.completed_kept for a in run.attempts) == STEPS
+    assert sorted(run.completion_order) == list(range(STEPS))
+    # the global clock: every crashed attempt's local time plus one
+    # restart delay each, then the surviving attempt's makespan
+    clock = 0.0
+    for result in run.results[:-1]:
+        clock += result.interrupt_time_ms + 50.0
+    assert run.makespan_ms == clock + run.results[-1].makespan_ms
 
 
 def test_mtbf_sweep_rows_are_reproducible(rec_space, tmp_path):

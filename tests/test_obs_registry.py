@@ -16,6 +16,7 @@ import pytest
 from repro.baselines import naspipe
 from repro.cli import main
 from repro.engines.pipeline import PipelineEngine
+from repro.errors import ConfigError
 from repro.obs.registry import (
     append_run,
     check_regression,
@@ -145,6 +146,21 @@ def test_cli_analyze_writes_deterministic_json(tmp_path, capsys):
     assert abs(
         run["critical_path"]["path_ms"] - run["summary"]["makespan_ms"]
     ) < 1e-9
+
+
+@pytest.mark.parametrize("gpus", ["0", "-2"])
+def test_cli_analyze_refuses_a_gpu_count_below_one(tmp_path, capsys, gpus):
+    """``--sweep-gpus 0`` is not "unset": it must reach ``ClusterSpec``'s
+    own check instead of running at the config's count under a ``D=0``
+    label (and, with ``--register``, filing that identity)."""
+    registry = tmp_path / "runs.jsonl"
+    with pytest.raises(ConfigError, match="need at least 1 GPU"):
+        main(
+            ["analyze", str(_config(tmp_path)), "--sweep-gpus", gpus,
+             "--register", "--registry", str(registry)]
+        )
+    assert "D=0" not in capsys.readouterr().out
+    assert not registry.exists()
 
 
 def test_cli_analyze_register_then_compare_by_run_id(tmp_path, capsys):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SearchSpaceError
-from repro.nn.parameter_store import AccessKind, ParameterStore
+from repro.nn.parameter_store import (
+    AccessKind,
+    ParameterStore,
+    load_members,
+    member_name,
+    parse_member,
+    save_members,
+)
 
 
 def _factory(layer):
@@ -151,3 +158,33 @@ def test_checkpoint_name_mismatch_rejected(tmp_path):
     wrong = ParameterStore(other_factory)
     with pytest.raises(SearchSpaceError):
         wrong.load(path)
+
+
+# ----------------------------------------------------------------------
+# the .npz member name: one encoder, one parser
+# ----------------------------------------------------------------------
+def test_member_name_is_the_documented_literal():
+    assert member_name((3, 1), "w") == "b3_c1/w"
+    assert parse_member("b3_c1/w") == ((3, 1), "w")
+    # a parameter name may itself contain the separator
+    assert parse_member(member_name((10, 12), "attn/q_c1")) == ((10, 12), "attn/q_c1")
+
+
+def test_members_round_trip_every_key_of_a_store(tmp_path):
+    store = ParameterStore(_factory)
+    for layer in [(0, 0), (3, 2), (12, 11), (7, 0)]:
+        store.materialize(layer)
+    arrays = {
+        (layer, name): array
+        for layer in store.materialized_layers
+        for name, array in store.materialize(layer).items()
+    }
+    for key in arrays:
+        assert parse_member(member_name(*key)) == key
+    path = tmp_path / "members.npz"
+    save_members(path, arrays)
+    loaded = load_members(path)
+    assert list(loaded) == list(arrays)  # file order is map order
+    for key, array in arrays.items():
+        assert loaded[key].dtype == np.float32
+        assert (loaded[key] == array).all()

@@ -24,6 +24,14 @@ def test_record_fills_outcome(manifest):
     assert len(manifest.losses) == 16
     assert sorted(manifest.completion_order) == list(range(16))
     assert manifest.makespan_ms > 0
+    # one engine incarnation: the recovery fields hold their plain values
+    assert manifest.attempts == 1
+    assert manifest.checkpoint_cuts == []
+    assert manifest.mitigation_actions == []
+    result = execute_manifest(manifest)
+    assert manifest.completion_order == result.completion_order
+    times = result.trace.subnet_completion_times
+    assert [times[sid] for sid in result.completion_order] == sorted(times.values())
 
 
 def test_verify_replay_passes(manifest):
@@ -81,6 +89,20 @@ def test_different_seeds_give_different_digests():
     assert a.digest != b.digest
 
 
+def test_manifest_records_the_mitigation_sequence():
+    """A straggling cluster with mitigation armed: the actions the run
+    took are a recorded outcome, read straight off the result."""
+    manifest = record_run(
+        "NLP.c3",
+        "NASPipe",
+        speed_factors=[1.0, 2.5, 1.0, 1.0],
+        degradation=True,
+        **{**_KWARGS, "steps": 20},
+    )
+    assert any(a["action"] == "rebalance" for a in manifest.mitigation_actions)
+    assert verify_replay(manifest).mitigation_actions == manifest.mitigation_actions
+
+
 # ----------------------------------------------------------------------
 # faulted-run manifests (repro.ft)
 # ----------------------------------------------------------------------
@@ -111,7 +133,8 @@ def test_faulted_manifest_records_recovery_outcome(faulted_manifest):
     assert faulted_manifest.attempts == 2
     assert faulted_manifest.checkpoint_cuts == [8]
     assert faulted_manifest.digest is not None
-    assert len(faulted_manifest.completion_order) == 16
+    assert sorted(faulted_manifest.completion_order) == list(range(16))
+    assert faulted_manifest.mitigation_actions == []  # no policy armed
 
 
 def test_faulted_manifest_verifies_bitwise(faulted_manifest):

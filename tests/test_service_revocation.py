@@ -9,14 +9,8 @@ fleet-scoped fault schedule armed (docs/FAULT_TOLERANCE.md
 import pytest
 
 from repro.baselines import naspipe, pipedream
-from repro.errors import ConfigError, FaultToleranceError, ServiceError
-from repro.ft import (
-    FaultEvent,
-    FaultSchedule,
-    RecoverySpec,
-    run_uninterrupted,
-    run_with_recovery,
-)
+from repro.errors import ConfigError, ServiceError
+from repro.ft import FaultEvent, FaultSchedule, run_uninterrupted
 from repro.obs.events import validate_trace
 from repro.service import ClusterManager, JobScheduler, JobSpec, run_service
 from repro.sim.cluster import ClusterSpec
@@ -261,49 +255,4 @@ def test_inject_rejects_engine_kinds_and_post_run_arming():
     with pytest.raises(ServiceError):
         scheduler.inject_fleet_faults(
             FaultSchedule([_preempt(10.0, 0)])
-        )
-
-
-# ----------------------------------------------------------------------
-# run_with_recovery: fail closed instead of raising
-# ----------------------------------------------------------------------
-def test_run_with_recovery_on_exhausted_record(tmp_path):
-    space = _space()
-    baseline = run_uninterrupted(
-        space, naspipe(), num_gpus=4, steps=12, seed=11
-    )
-    t1 = baseline.makespan_ms * 0.3
-    schedule = FaultSchedule(
-        [
-            FaultEvent("gpu_crash", t1, target=1),
-            FaultEvent("gpu_crash", t1 + 200.0, target=1),
-        ]
-    )
-    result = run_with_recovery(
-        space,
-        naspipe(),
-        schedule,
-        num_gpus=4,
-        steps=12,
-        seed=11,
-        checkpoint_dir=tmp_path,
-        spec=RecoverySpec(checkpoint_interval=6, max_restarts=1),
-        on_exhausted="record",
-    )
-    assert result.failed
-    assert result.digest is None
-    failure = result.failure
-    assert failure["max_restarts"] == 1
-    assert failure["attempts"] == 2
-    assert failure["fault"] == "gpu_crash"
-    with pytest.raises(FaultToleranceError):
-        run_with_recovery(
-            space,
-            naspipe(),
-            schedule,
-            num_gpus=4,
-            steps=12,
-            seed=11,
-            checkpoint_dir=tmp_path / "bad",
-            on_exhausted="explode",
         )

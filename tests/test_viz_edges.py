@@ -1,15 +1,16 @@
 """Visualisation edge cases: empty traces, single buckets, and
 zero-duration intervals.
 
-``naspipe monitor`` renders sparklines for whatever trace the config
-produced — including a run that never dispatched a task — so the
-renderers must degrade gracefully instead of dividing by a zero span.
+A run that never dispatched a task still has a trace, so the renderers
+and the Chrome exporter must degrade gracefully instead of dividing by a
+zero span.
 """
 
 import json
 
+from repro.obs import export_chrome_trace, validate_chrome_trace
 from repro.sim.trace import ExecutionTrace
-from repro.viz import ascii_gantt, to_chrome_trace, utilization_sparklines
+from repro.viz import ascii_gantt, utilization_sparklines
 
 
 def _empty_trace(gpus=2):
@@ -46,11 +47,13 @@ def test_sparklines_of_empty_trace_are_flat():
 
 
 def test_chrome_trace_of_empty_trace_is_valid_json():
-    payload = json.loads(to_chrome_trace(_empty_trace(), label="empty"))
+    payload = json.loads(export_chrome_trace(_empty_trace(), label="empty"))
+    assert validate_chrome_trace(payload) == []
     events = payload["traceEvents"]
-    # only the thread-name metadata rows
+    # only the process/thread-name metadata rows, one GPU row per GPU
     assert all(event["ph"] == "M" for event in events)
-    assert len(events) == 2
+    gpu_rows = [e for e in events if e["pid"] == 0 and e["name"] == "thread_name"]
+    assert len(gpu_rows) == 2
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +80,8 @@ def test_sparklines_zero_duration_intervals_do_not_crash():
 
 
 def test_chrome_trace_zero_duration_intervals_keep_nonnegative_dur():
-    payload = json.loads(to_chrome_trace(_zero_duration_trace()))
+    payload = json.loads(export_chrome_trace(_zero_duration_trace()))
+    assert validate_chrome_trace(payload) == []
     durations = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
     assert durations
     assert all(e["dur"] >= 0 for e in durations)

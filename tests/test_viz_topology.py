@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs import export_chrome_trace, validate_chrome_trace
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.trace import ExecutionTrace
-from repro.viz import ascii_gantt, to_chrome_trace, utilization_sparklines
+from repro.viz import ascii_gantt, utilization_sparklines
 
 
 def _sample_trace():
@@ -45,12 +46,13 @@ def test_sparklines_shape():
 
 
 def test_chrome_trace_valid_json_and_complete():
-    payload = json.loads(to_chrome_trace(_sample_trace(), label="test"))
+    payload = json.loads(export_chrome_trace(_sample_trace(), label="test"))
+    assert validate_chrome_trace(payload) == []
     events = payload["traceEvents"]
     names = {event["name"] for event in events}
     assert "SN3 forward" in names
     assert "SN3 backward" in names
-    assert "SN4 swap stall" in names
+    assert "SN4 stall" in names
     assert "SN3 complete" in names
     duration_events = [e for e in events if e.get("ph") == "X"]
     assert all(e["dur"] >= 0 for e in duration_events)

@@ -47,6 +47,16 @@ RULES = [
     ),
     # a plane wires a hub with the one attach(trace, sim, manager, slo_ms)
     (r"attach_(engine|service|serving)", (), 0, "TelemetryHub.attach"),
+    # the .npz member name b<block>_c<choice>/<name>: one encoder, one parser
+    (r"_c\{", ("nn/parameter_store.py",), 1, "parameter_store.member_name / save_members"),
+    (r'split\("_c"\)', ("nn/parameter_store.py",), 1, "parameter_store.parse_member / load_members"),
+    # scenario seeds are drawn by the one sweep driver
+    (r"100_003", ("ft/chaos.py",), 1, "ft.chaos.sweep"),
+    # removed forks stay removed: the second Chrome exporter, the
+    # record-instead-of-raise switch, probing a policy for what it declares
+    (r"to_chrome_trace", (), 0, "repro.obs.export_chrome_trace"),
+    (r"on_exhausted", (), 0, "except FaultToleranceError"),
+    (r"getattr\(self\.policy", (), 0, "SyncPolicy.tracker / SyncPolicy.scheduler"),
 ]
 
 
