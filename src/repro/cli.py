@@ -32,6 +32,16 @@ from repro.payload import indented, reject_unknown
 
 __all__ = ["main", "build_parser"]
 
+
+def _output_path(path: str) -> str:
+    """A file-writing option's value: its directory must exist, so a
+    typo is a usage error (exit 2) before the run, not a traceback after."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(directory)!r} does not exist")
+    return path
+
+
 #: every option's ``add_argument`` spec, once; a command lists the ones it
 #: reads by name and says in its docstring what it does with them
 _OPTIONS = {
@@ -53,7 +63,11 @@ _OPTIONS = {
         action="store_true",
         help="add the Score column (scaled functional runs; slower)",
     ),
-    "--json": dict(metavar="PATH", help="also write the machine-readable report here"),
+    "--json": dict(
+        metavar="PATH",
+        type=_output_path,
+        help="also write the machine-readable report here",
+    ),
     "--seeds": dict(type=int, default=10, help="seeded fault schedules per GPU count"),
     "--baseline": dict(
         metavar="PATH",
@@ -61,6 +75,7 @@ _OPTIONS = {
     ),
     "--out": dict(
         metavar="PATH",
+        type=_output_path,
         help="trace: the Chrome trace JSON (default run.trace.json); "
         "monitor: the scrape series as canonical JSONL",
     ),
@@ -68,7 +83,9 @@ _OPTIONS = {
         action="store_true", help="also print the bubble-attribution run summary"
     ),
     "--summary-json": dict(
-        metavar="PATH", help="write the run summary as canonical JSON here"
+        metavar="PATH",
+        type=_output_path,
+        help="write the run summary as canonical JSON here",
     ),
     "--sweep-gpus": dict(
         type=int,
@@ -105,6 +122,7 @@ _OPTIONS = {
     ),
     "--prom": dict(
         metavar="PATH",
+        type=_output_path,
         help="write the final Prometheus text exposition here (byte-deterministic)",
     ),
     "--fail-on-regression": dict(

@@ -18,13 +18,18 @@ Chrome trace with four processes:
 
 Timestamps map 1 virtual ms → 1 trace microsecond (Chrome's native
 unit), preserving relative proportions.  Output is deterministic
-byte-for-byte: events are sorted on a total key and serialised with
-sorted object keys, so identical runs export identical files (the
-golden-file test enforces this).
+byte-for-byte: each event is written once, as canonical JSON text with
+sorted object keys, and the events are sorted on a total key, so
+identical runs export identical files (the golden-file test enforces
+this).
 """
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -92,99 +97,114 @@ _INSTANTS: Dict[str, Tuple[int, str, str, bool, str]] = {
 }
 
 
-# The kinds that are not that shape: each renderer returns the event
-# minus ``ph`` / ``pid`` / ``ts``, which the table row supplies.
-def _prefetch_issue(time, stage, subnet_id, attrs, cache_totals):
+def _json(value) -> str:
+    """One value spelled as :func:`~repro.payload.compact` spells it,
+    without an encoder per call: floats (``numpy.float64`` too) and ints
+    by their base type's ``__repr__``, ``NaN`` / ``Infinity`` /
+    ``-Infinity``, ``true`` / ``false``, strings by ``json``'s own
+    escaper; any other type through :func:`compact`."""
+    if isinstance(value, float):
+        if isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return compact(value)
+
+
+# The kinds that are not that shape.  A renderer returns what the sort
+# reads besides the row's pid/phase — ``tid`` (-1: the event has none)
+# and ``name`` — and the event's canonical JSON text, keys in sorted
+# order, with ``track`` (the row's ``"ph":…,"pid":…``) in its place.
+def _prefetch_issue(time, stage, subnet_id, attrs, cache_totals, track):
     land = float(attrs["land"])
-    return {
-        "name": "{}fetch B{}.c{}".format(
-            "demand " if attrs["demand"] else "pre",
-            attrs["block"],
-            attrs["choice"],
-        ),
-        "cat": "copy",
-        "tid": stage,
-        "dur": max(0.0, land - time),
-        "args": {"bytes": attrs["nbytes"], "demand": attrs["demand"]},
-    }
+    name = "{}fetch B{}.c{}".format(
+        "demand " if attrs["demand"] else "pre",
+        attrs["block"],
+        attrs["choice"],
+    )
+    return stage, name, (
+        f'{{"args":{{"bytes":{_json(attrs["nbytes"])},'
+        f'"demand":{_json(attrs["demand"])}}},"cat":"copy",'
+        f'"dur":{_json(max(0.0, land - time))},"name":{_quote(name)},{track},'
+        f'"tid":{_json(stage)},"ts":{_json(time)}}}'
+    )
 
 
-def _eviction(time, stage, subnet_id, attrs, cache_totals):
-    return {
-        "name": f"evict B{attrs['block']}.c{attrs['choice']}",
-        "cat": "evict",
-        "s": "t",
-        "tid": stage,
-        "args": {
-            "bytes": attrs["nbytes"],
-            "dirty": attrs["dirty"],
-            "reason": attrs["reason"],
-        },
-    }
+def _eviction(time, stage, subnet_id, attrs, cache_totals, track):
+    name = f"evict B{attrs['block']}.c{attrs['choice']}"
+    return stage, name, (
+        f'{{"args":{{"bytes":{_json(attrs["nbytes"])},'
+        f'"dirty":{_json(attrs["dirty"])},"reason":{_json(attrs["reason"])}}},'
+        f'"cat":"evict","name":{_quote(name)},{track},"s":"t",'
+        f'"tid":{_json(stage)},"ts":{_json(time)}}}'
+    )
 
 
-def _cache_access(time, stage, subnet_id, attrs, cache_totals):
+def _cache_access(time, stage, subnet_id, attrs, cache_totals, track):
     """Cumulative per-stage hit/miss counter."""
     totals = cache_totals.setdefault(stage, [0, 0])
     totals[0] += int(attrs["hits"])
     totals[1] += int(attrs["misses"])
-    return {
-        "name": f"cache P{stage}",
-        "args": {"hits": totals[0], "misses": totals[1]},
-    }
+    name = f"cache P{stage}"
+    return -1, name, (
+        f'{{"args":{{"hits":{totals[0]},"misses":{totals[1]}}},'
+        f'"name":{_quote(name)},{track},"ts":{_json(time)}}}'
+    )
 
 
-def _nic_transfer(time, stage, subnet_id, attrs, cache_totals):
+def _nic_transfer(time, stage, subnet_id, attrs, cache_totals, track):
     src = int(attrs["src"])
     fwd = attrs["direction"] == "fwd"
     arrive = float(attrs["arrive"])
-    return {
-        "name": "SN{} {}".format(subnet_id, "activation" if fwd else "gradient"),
-        "cat": "nic",
-        "tid": 2 * (src if fwd else src - 1) + (0 if fwd else 1),
-        "dur": max(0.0, arrive - time),
-        "args": {
-            "bytes": attrs["nbytes"],
-            "src": attrs["src"],
-            "dst": attrs["dst"],
-            "subnet": subnet_id,
-        },
-    }
+    name = "SN{} {}".format(subnet_id, "activation" if fwd else "gradient")
+    tid = 2 * (src if fwd else src - 1) + (0 if fwd else 1)
+    return tid, name, (
+        f'{{"args":{{"bytes":{_json(attrs["nbytes"])},"dst":{_json(attrs["dst"])},'
+        f'"src":{_json(attrs["src"])},"subnet":{_json(subnet_id)}}},"cat":"nic",'
+        f'"dur":{_json(max(0.0, arrive - time))},"name":{_quote(name)},{track},'
+        f'"tid":{tid},"ts":{_json(time)}}}'
+    )
 
 
-def _ready_set(time, stage, subnet_id, attrs, cache_totals):
-    return {"name": f"ready set P{stage}", "args": {"size": attrs["size"]}}
+def _ready_set(time, stage, subnet_id, attrs, cache_totals, track):
+    name = f"ready set P{stage}"
+    return -1, name, (
+        f'{{"args":{{"size":{_json(attrs["size"])}}},"name":{_quote(name)},'
+        f'{track},"ts":{_json(time)}}}'
+    )
 
 
-def _queue_depth(time, stage, subnet_id, attrs, cache_totals):
-    return {
-        "name": f"queues P{stage}",
-        "args": {"fwd": attrs["fwd"], "bwd": attrs["bwd"]},
-    }
+def _queue_depth(time, stage, subnet_id, attrs, cache_totals, track):
+    name = f"queues P{stage}"
+    return -1, name, (
+        f'{{"args":{{"bwd":{_json(attrs["bwd"])},"fwd":{_json(attrs["fwd"])}}},'
+        f'"name":{_quote(name)},{track},"ts":{_json(time)}}}'
+    )
 
 
-def _subnet_complete(time, stage, subnet_id, attrs, cache_totals):
-    return {
-        "name": f"SN{subnet_id} complete",
-        "cat": "completion",
-        "s": "g",
-        "tid": 0,
-        "args": {"subnet": subnet_id},
-    }
+def _subnet_complete(time, stage, subnet_id, attrs, cache_totals, track):
+    name = f"SN{subnet_id} complete"
+    return 0, name, (
+        f'{{"args":{{"subnet":{_json(subnet_id)}}},"cat":"completion",'
+        f'"name":{_quote(name)},{track},"s":"g","tid":0,"ts":{_json(time)}}}'
+    )
 
 
-def _mitigation_apply(time, stage, subnet_id, attrs, cache_totals):
-    return {
-        "name": f"{attrs['action']} {'on' if attrs['active'] else 'off'}",
-        "cat": "mitigation",
-        "s": "g",
-        "tid": 0,
-        "args": attrs,
-    }
+def _mitigation_apply(time, stage, subnet_id, attrs, cache_totals, track):
+    name = f"{attrs['action']} {'on' if attrs['active'] else 'off'}"
+    return 0, name, (
+        f'{{"args":{compact(attrs)},"cat":"mitigation","name":{_quote(name)},'
+        f'{track},"s":"g","tid":0,"ts":{_json(time)}}}'
+    )
 
 
 #: kind -> (pid, phase, renderer)
-_SPECIAL: Dict[str, Tuple[int, str, Callable[..., Dict[str, object]]]] = {
+_SPECIAL: Dict[str, Tuple[int, str, Callable[..., Tuple[int, str, str]]]] = {
     "prefetch_issue": (_PID_COPY, "X", _prefetch_issue),
     "eviction": (_PID_COPY, "i", _eviction),
     "cache_access": (_PID_COPY, "C", _cache_access),
@@ -210,16 +230,28 @@ _NOT_RENDERED: Dict[str, str] = {
 }
 
 
-def _meta(pid: int, tid: Optional[int], name: str) -> Dict[str, object]:
-    event: Dict[str, object] = {
-        "name": "process_name" if tid is None else "thread_name",
-        "ph": "M",
-        "pid": pid,
-        "args": {"name": name},
-    }
-    if tid is not None:
-        event["tid"] = tid
-    return event
+def _meta(pid: int, tid: Optional[int], name: str) -> Tuple[tuple, str]:
+    """A process (``tid`` None) or thread name: its sort key and text."""
+    if tid is None:
+        return (0, 0.0, pid, -1, "process_name", "M"), (
+            f'{{"args":{{"name":{_quote(name)}}},"name":"process_name",'
+            f'"ph":"M","pid":{pid}}}'
+        )
+    return (0, 0.0, pid, tid, "thread_name", "M"), (
+        f'{{"args":{{"name":{_quote(name)}}},"name":"thread_name",'
+        f'"ph":"M","pid":{pid},"tid":{tid}}}'
+    )
+
+
+def _instant(kind, time, stage, subnet_id, attrs, row):
+    """An :data:`_INSTANTS` event: ``(tid, name, text)`` like a renderer."""
+    pid, category, scope, on_stage_thread, name_format = row
+    name = name_format.format(kind=kind, stage=stage, subnet=subnet_id, **attrs)
+    tid = max(0, stage) if on_stage_thread else 0
+    return tid, name, (
+        f'{{"args":{compact(attrs)},"cat":"{category}","name":{_quote(name)},'
+        f'"ph":"i","pid":{pid},"s":"{scope}","tid":{_json(tid)},"ts":{_json(time)}}}'
+    )
 
 
 def to_perfetto(
@@ -229,8 +261,25 @@ def to_perfetto(
     space: str = "",
     batch: Optional[int] = None,
 ) -> Dict[str, object]:
-    """Build the Chrome trace payload (a JSON-serialisable dict)."""
-    events: List[Dict[str, object]] = []
+    """The Chrome trace payload: :func:`export_chrome_trace`'s text,
+    parsed (a JSON-serialisable dict whose objects are key-sorted)."""
+    return json.loads(
+        export_chrome_trace(trace, label=label, system=system, space=space, batch=batch)
+    )
+
+
+def export_chrome_trace(
+    trace: ExecutionTrace,
+    path: Optional[Union[str, Path]] = None,
+    label: str = "naspipe",
+    system: str = "",
+    space: str = "",
+    batch: Optional[int] = None,
+) -> str:
+    """The Chrome trace as canonical JSON (sorted keys, no whitespace,
+    one trailing newline); optionally written to ``path``.  Returns the
+    text.  Each event is written as text once, beside its sort key."""
+    events: List[Tuple[tuple, str]] = []
 
     # -- metadata: processes and threads -------------------------------
     for pid, name in _PROCESS_NAMES.items():
@@ -245,83 +294,61 @@ def to_perfetto(
 
     # -- pid 0: GPU busy intervals --------------------------------------
     for interval in trace.intervals:
-        events.append(
-            {
-                "name": f"SN{interval.subnet_id} {_INTERVAL_NAMES[interval.kind]}",
-                "cat": interval.kind,
-                "ph": "X",
-                "pid": _PID_GPU,
-                "tid": interval.gpu_id,
-                "ts": interval.start,
-                "dur": interval.duration,
-                "args": {"subnet": interval.subnet_id, "kind": interval.kind},
-            }
-        )
+        kind, subnet_id, gpu = interval.kind, interval.subnet_id, interval.gpu_id
+        name = f"SN{subnet_id} {_INTERVAL_NAMES[kind]}"
+        events.append((
+            (1, interval.start, _PID_GPU, gpu, name, "X"),
+            f'{{"args":{{"kind":{_json(kind)},"subnet":{_json(subnet_id)}}},'
+            f'"cat":{_json(kind)},"dur":{_json(interval.duration)},'
+            f'"name":{_quote(name)},"ph":"X","pid":{_PID_GPU},"tid":{_json(gpu)},'
+            f'"ts":{_json(interval.start)}}}',
+        ))
 
     # -- typed events ---------------------------------------------------
+    specials = {
+        kind: (pid, phase, render, f'"ph":"{phase}","pid":{pid}')
+        for kind, (pid, phase, render) in _SPECIAL.items()
+    }
     cache_totals: Dict[int, List[int]] = {}
     for kind, time, stage, subnet_id, pairs in trace.events.rows():
-        special = _SPECIAL.get(kind)
+        special = specials.get(kind)
         if special is not None:
-            pid, phase, render = special
-            event = render(time, stage, subnet_id, dict(pairs), cache_totals)
-            event["ph"], event["pid"], event["ts"] = phase, pid, time
-            events.append(event)
+            pid, phase, render, track = special
+            tid, name, text = render(
+                time, stage, subnet_id, dict(pairs), cache_totals, track
+            )
+            events.append(((1, time, pid, tid, name, phase), text))
             continue
         instant = _INSTANTS.get(kind)
         if instant is not None:
-            pid, category, scope, on_stage_thread, name_format = instant
-            attrs = dict(pairs)
-            events.append(
-                {
-                    "name": name_format.format(
-                        kind=kind, stage=stage, subnet=subnet_id, **attrs
-                    ),
-                    "cat": category,
-                    "ph": "i",
-                    "s": scope,
-                    "pid": pid,
-                    "tid": max(0, stage) if on_stage_thread else 0,
-                    "ts": time,
-                    "args": attrs,
-                }
+            tid, name, text = _instant(
+                kind, time, stage, subnet_id, dict(pairs), instant
             )
+            events.append(((1, time, instant[0], tid, name, "i"), text))
 
     # -- pid 3: CSP wait windows ---------------------------------------
     for stage, windows in sorted(csp_wait_windows(trace).items()):
         for window in windows:
-            events.append(
-                {
-                    "name": (
-                        f"wait SN{window.blocked} on SN{window.blocking_subnet}"
-                        f" B{window.block}.c{window.choice}"
-                    ),
-                    "cat": "csp-wait",
-                    "ph": "X",
-                    "pid": _PID_SCHED,
-                    "tid": stage,
-                    "ts": window.start,
-                    "dur": window.end - window.start,
-                    "args": {
-                        "blocked": window.blocked,
-                        "blocking_subnet": window.blocking_subnet,
-                        "block": window.block,
-                        "choice": window.choice,
-                    },
-                }
+            name = (
+                f"wait SN{window.blocked} on SN{window.blocking_subnet}"
+                f" B{window.block}.c{window.choice}"
             )
+            events.append((
+                (1, window.start, _PID_SCHED, stage, name, "X"),
+                f'{{"args":{{"block":{_json(window.block)},'
+                f'"blocked":{_json(window.blocked)},'
+                f'"blocking_subnet":{_json(window.blocking_subnet)},'
+                f'"choice":{_json(window.choice)}}},"cat":"csp-wait",'
+                f'"dur":{_json(window.end - window.start)},"name":{_quote(name)},'
+                f'"ph":"X","pid":{_PID_SCHED},"tid":{_json(stage)},'
+                f'"ts":{_json(window.start)}}}',
+            ))
 
-    # Total deterministic order: metadata first, then by time/track/name.
-    events.sort(
-        key=lambda e: (
-            0 if e["ph"] == "M" else 1,
-            e.get("ts", 0.0),
-            e["pid"],
-            e.get("tid", -1),
-            e["name"],
-            e["ph"],
-        )
-    )
+    # Total deterministic order: metadata first, then by time/track/name
+    # (ts, pid, tid, name, ph); the sort is stable, so ties keep the
+    # order above.  One join writes the envelope, every event and the
+    # trailing newline (the last event's comma becomes the close).
+    events.sort(key=itemgetter(0))
     other: Dict[str, object] = {"label": label}
     if system:
         other["system"] = system
@@ -329,35 +356,23 @@ def to_perfetto(
         other["space"] = space
     if batch is not None:
         other["batch"] = batch
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
-def export_chrome_trace(
-    trace: ExecutionTrace,
-    path: Optional[Union[str, Path]] = None,
-    label: str = "naspipe",
-    system: str = "",
-    space: str = "",
-    batch: Optional[int] = None,
-) -> str:
-    """Serialise :func:`to_perfetto` deterministically; optionally write
-    it to ``path``.  Returns the JSON text."""
-    # the payload is not bound to a name: it must be gone before the
-    # newline makes a second copy of a large export, or the two copies
-    # and the payload together are the run's peak memory
-    text = (
-        compact(
-            to_perfetto(trace, label=label, system=system, space=space, batch=batch)
-        )
-        + "\n"
-    )
+    parts = [f'{{"displayTimeUnit":"ms","otherData":{compact(other)},"traceEvents":[']
+    for _, event in events:
+        parts += (event, ",")
+    parts[-1] = "]}\n"
+    text = "".join(parts)
     if path is not None:
         Path(path).write_text(text)
     return text
+
+
+def _finite(value) -> bool:
+    """A number every JSON parser reads: not a bool, not NaN or ±inf."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and isfinite(value)
+    )
 
 
 def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
@@ -366,7 +381,11 @@ def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
     Verifies the envelope and, per event, the fields each phase (``ph``)
     requires: ``X`` needs ``ts``/``dur``/``tid``; ``C`` needs numeric
     ``args``; ``i`` needs ``ts`` and scope ``s``; ``M`` needs a name arg.
+    A ``ts``, ``dur`` or counter series value must be a finite number
+    that is not a bool (NaN and ±inf are not JSON).
     """
+    if not isinstance(payload, dict):
+        return [f"payload is a {type(payload).__name__}, not an object"]
     problems: List[str] = []
     events = payload.get("traceEvents")
     if not isinstance(events, list):
@@ -381,21 +400,21 @@ def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
                 problems.append(f"{where}: missing {key!r}")
         phase = event.get("ph")
         if phase == "X":
-            if not isinstance(event.get("ts"), (int, float)):
-                problems.append(f"{where}: X event without numeric ts")
-            if not isinstance(event.get("dur"), (int, float)) or event["dur"] < 0:
-                problems.append(f"{where}: X event without dur >= 0")
+            if not _finite(event.get("ts")):
+                problems.append(f"{where}: X event without finite numeric ts")
+            if not _finite(event.get("dur")) or event["dur"] < 0:
+                problems.append(f"{where}: X event without finite dur >= 0")
             if "tid" not in event:
                 problems.append(f"{where}: X event without tid")
         elif phase == "C":
             args = event.get("args")
             if not isinstance(args, dict) or not args:
                 problems.append(f"{where}: C event without args")
-            elif not all(isinstance(v, (int, float)) for v in args.values()):
-                problems.append(f"{where}: C event with non-numeric series")
+            elif not all(_finite(v) for v in args.values()):
+                problems.append(f"{where}: C event with a non-finite series")
         elif phase == "i":
-            if not isinstance(event.get("ts"), (int, float)):
-                problems.append(f"{where}: i event without numeric ts")
+            if not _finite(event.get("ts")):
+                problems.append(f"{where}: i event without finite numeric ts")
             if event.get("s") not in ("g", "p", "t"):
                 problems.append(f"{where}: i event with bad scope {event.get('s')!r}")
         elif phase == "M":

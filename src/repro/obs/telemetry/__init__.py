@@ -321,7 +321,7 @@ class TelemetryHub:
         for rule in self.alerts.rules:
             _check_rule(rule)
         self._job_status: Dict[str, str] = {}
-        #: source -> [(bound instrument op, amount, label names)]
+        #: source -> [(bound key-taking instrument op, amount, label names)]
         self._updates: Dict[str, List[tuple]] = {}
         self._slo_ms: Optional[float] = None
         #: the last-attached manager (metering reconciliation target)
@@ -351,8 +351,10 @@ class TelemetryHub:
     def _update(self, source: str, attrs) -> None:
         """Apply every feed of ``source``.  Its instruments are
         registered from :data:`INSTRUMENTS` the first time the source
-        fires and the bound updates kept, so an instrument no source
-        touched never reaches a snapshot or exposition."""
+        fires and their key-taking ops (``_inc``, ``_set``, …) bound, so
+        an instrument no source touched never reaches a snapshot or
+        exposition.  A series key is the attrs named by the row's labels
+        — the labels the instrument was registered with."""
         updates = self._updates.get(source)
         if updates is None:
             updates = self._updates[source] = []
@@ -361,11 +363,11 @@ class TelemetryHub:
                 instrument = getattr(self.registry, kind)(
                     name, help, *buckets, labels=labels
                 )
-                updates.append((getattr(instrument, op), amount, labels))
+                updates.append((getattr(instrument, f"_{op}"), amount, labels))
         for update, amount, labels in updates:
             update(
+                tuple([str(attrs[label]) for label in labels]),
                 amount(attrs) if callable(amount) else amount,
-                **{label: attrs[label] for label in labels} if labels else {},
             )
 
     def _on_manager_usage(
@@ -390,11 +392,14 @@ class TelemetryHub:
     def on_event(self, event) -> None:
         """The trace-event listener (all planes): a pure function of
         the event stream."""
-        kind = event.kind
+        self._on_row(event.kind, event.stage, event.attrs)
+
+    def _on_row(self, kind: str, stage: int, pairs) -> None:
+        """One trace event, as the columns hold it."""
         if kind not in _FEEDS:
             return
-        attrs = event.attrs_dict
-        attrs["stage"] = event.stage
+        attrs = dict(pairs)
+        attrs["stage"] = stage
         self._update(kind, attrs)
         status = _JOB_STATUS.get(kind)
         if status is not None:
@@ -457,14 +462,16 @@ class TelemetryHub:
 
 
 def replay_telemetry(trace, rules=None) -> TelemetryHub:
-    """Build a hub post-hoc by replaying a finished trace's events
-    through the listener — how :meth:`PipelineResult.telemetry` derives
-    the compact block without having armed live scraping.  Identical
+    """Build a hub post-hoc by replaying a finished trace's event
+    columns through the listener's row function (no ``TraceEvent`` is
+    built) — how :meth:`PipelineResult.telemetry` derives the compact
+    block without having armed live scraping.  Identical
     instrument state to a live listener (the listener is a pure function
     of the event stream); the scrape series contains only the final
     sample."""
     hub = TelemetryHub(rules=rules)
-    for event in trace.events_of(*LISTENED_KINDS):
-        hub.on_event(event)
+    on_row = hub._on_row
+    for kind, _, stage, _, pairs in trace.events.rows():
+        on_row(kind, stage, pairs)
     hub.finalize(trace.end_time)
     return hub

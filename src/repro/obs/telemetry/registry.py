@@ -100,14 +100,19 @@ class Counter(_Instrument):
         self._series: Dict[_LabelValues, float] = {}
 
     def inc(self, amount: float = 1.0, **label_values) -> None:
-        if amount < 0:
-            raise ConfigError(f"{self.name}: counters only go up ({amount})")
-        key = self._key(label_values)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        self._inc(self._key(label_values), amount)
 
     def inc_to(self, total: float, **label_values) -> None:
         """Follow a monotone total kept elsewhere (never steps back)."""
-        self.inc(max(0.0, total - self.value(**label_values)), **label_values)
+        self._inc_to(self._key(label_values), total)
+
+    def _inc(self, key: _LabelValues, amount: float) -> None:
+        if amount < 0:
+            raise ConfigError(f"{self.name}: counters only go up ({amount})")
+        self._series[key] = self._series.get(key, 0.0) + amount
+
+    def _inc_to(self, key: _LabelValues, total: float) -> None:
+        self._inc(key, max(0.0, total - self._series.get(key, 0.0)))
 
     def value(self, **label_values) -> float:
         return self._series.get(self._key(label_values), 0.0)
@@ -131,16 +136,18 @@ class Gauge(_Instrument):
         self._peak: Dict[_LabelValues, float] = {}
 
     def set(self, value: float, **label_values) -> None:
-        self._set(self._key(label_values), float(value))
+        self._set(self._key(label_values), value)
 
     def add(self, delta: float, **label_values) -> None:
-        key = self._key(label_values)
-        self._set(key, self._series.get(key, 0.0) + delta)
+        self._add(self._key(label_values), delta)
 
-    def _set(self, key: _LabelValues, number: float) -> None:
-        self._series[key] = number
+    def _set(self, key: _LabelValues, value: float) -> None:
+        self._series[key] = number = float(value)
         if number > self._peak.get(key, float("-inf")):
             self._peak[key] = number
+
+    def _add(self, key: _LabelValues, delta: float) -> None:
+        self._set(key, self._series.get(key, 0.0) + delta)
 
     def value(self, **label_values) -> float:
         return self._series.get(self._key(label_values), 0.0)
@@ -205,7 +212,9 @@ class Histogram(_Instrument):
         self._count: Dict[_LabelValues, int] = {}
 
     def observe(self, value: float, **label_values) -> None:
-        key = self._key(label_values)
+        self._observe(self._key(label_values), value)
+
+    def _observe(self, key: _LabelValues, value: float) -> None:
         counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
         number = float(value)
         counts[bucket_index(self.buckets, number)] += 1

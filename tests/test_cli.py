@@ -394,3 +394,30 @@ def test_experiments_table_matches_the_modules():
         if experiment.rows:
             fed.add("--csv")
         assert fed == _FLAGS[name]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "trace_demo.json", "--out"],
+        ["trace", "trace_demo.json", "--summary-json"],
+        ["serve", "serve_demo.json", "--json"],
+        ["monitor", "serve_demo.json", "--prom"],
+    ],
+)
+def test_an_output_path_in_a_missing_directory_is_refused_before_the_run(
+    argv, tmp_path, capsys
+):
+    """Used to run the whole simulation, then die with a
+    ``FileNotFoundError`` traceback (exit 1); now the parser refuses it
+    (exit 2), and a handler only runs once parsing is done."""
+    from pathlib import Path
+
+    command, example, option = argv
+    config = Path(__file__).resolve().parent.parent / "examples" / example
+    missing = tmp_path / "no-such-dir" / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, str(config), option, str(missing)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: directory {str(missing.parent)!r} does not exist" in err

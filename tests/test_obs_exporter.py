@@ -209,6 +209,45 @@ def test_validate_chrome_trace_flags_malformed_events():
     assert len(problems) >= 6
 
 
+_SPAN = {"name": "x", "ph": "X", "pid": 0, "tid": 0, "ts": 1.0, "dur": 2.0}
+_INSTANT = {"name": "i", "ph": "i", "pid": 0, "ts": 1.0, "s": "g"}
+_COUNTER = {"name": "c", "ph": "C", "pid": 0, "ts": 1.0, "args": {"v": 3}}
+
+
+@pytest.mark.parametrize(
+    "event, complaint",
+    [
+        (dict(_SPAN, ts=float("nan")), "X event without finite numeric ts"),
+        (dict(_SPAN, ts=float("-inf")), "X event without finite numeric ts"),
+        (dict(_SPAN, ts=True), "X event without finite numeric ts"),
+        (dict(_SPAN, dur=float("inf")), "X event without finite dur >= 0"),
+        (dict(_SPAN, dur=float("nan")), "X event without finite dur >= 0"),
+        (dict(_SPAN, dur=False), "X event without finite dur >= 0"),
+        (dict(_INSTANT, ts=True), "i event without finite numeric ts"),
+        (dict(_INSTANT, ts=float("nan")), "i event without finite numeric ts"),
+        (dict(_COUNTER, args={"v": float("nan")}), "C event with a non-finite series"),
+        (dict(_COUNTER, args={"v": float("inf")}), "C event with a non-finite series"),
+        (dict(_COUNTER, args={"v": True}), "C event with a non-finite series"),
+    ],
+)
+def test_validate_chrome_trace_wants_finite_non_bool_numbers(event, complaint):
+    """What no JSON parser reads (NaN, ±inf) and a bool posing as a
+    number used to validate clean — the rule ``validate_event`` applies
+    to an event's time."""
+    for ok in (_SPAN, _INSTANT, _COUNTER):
+        assert validate_chrome_trace({"traceEvents": [ok]}) == []
+    assert validate_chrome_trace({"traceEvents": [event]}) == [
+        f"traceEvents[0]: {complaint}"
+    ]
+
+
+@pytest.mark.parametrize("payload", [[], "trace", None, 3])
+def test_validate_chrome_trace_reports_a_non_object_payload(payload):
+    assert validate_chrome_trace(payload) == [
+        f"payload is a {type(payload).__name__}, not an object"
+    ]
+
+
 # ----------------------------------------------------------------------
 # bubble attribution: a decomposition, not an estimate
 # ----------------------------------------------------------------------

@@ -36,13 +36,16 @@ from repro.obs.telemetry.alerts import (
     AlertRule,
     load_rules,
 )
-from repro.obs.telemetry.registry import MetricsRegistry
+from repro.obs.telemetry.registry import MetricsRegistry, _Instrument
 from repro.seeding import SeedSequenceTree
 from repro.service import run_service
 from repro.service.scheduler import service_report_json
 from repro.serving import ServingEngine, ServingSpec
 from repro.sim.cluster import ClusterSpec
+from repro.sim.trace import TraceEvent
 from repro.supernet.sampler import SubnetStream
+from repro.supernet.search_space import get_search_space
+from repro.supernet.supernet import Supernet
 
 OVERRIDES = {"num_blocks": 8, "functional_width": 16}
 
@@ -646,6 +649,47 @@ def test_result_telemetry_replays_the_trace(tiny_supernet):
         result.telemetry().registry.snapshot()
         == replay_telemetry(result.trace).registry.snapshot()
     )
+
+
+def test_replay_reads_the_columns_and_updates_by_series_key(monkeypatch):
+    """A replay builds no ``TraceEvent`` row and never re-validates a
+    label set: the hub keys a series from its ``INSTRUMENTS`` row.  The
+    historic point (NLP.c2 x 96 subnets x 8 GPUs) has ~39k events."""
+    space = get_search_space("NLP.c2")
+    trace = PipelineEngine(
+        Supernet(space),
+        SubnetStream.sample(space, SeedSequenceTree(2022), 96),
+        naspipe(),
+        ClusterSpec(num_gpus=8),
+        batch=32,
+    ).run().trace
+    assert len(trace.events) == 39019
+    rows, keys = [], []
+    new, make, key = TraceEvent.__new__, TraceEvent._make, _Instrument._key
+    monkeypatch.setattr(
+        TraceEvent, "__new__", lambda cls, *a, **k: rows.append(1) or new(cls, *a, **k)
+    )
+    monkeypatch.setattr(
+        TraceEvent, "_make", classmethod(lambda cls, it: rows.append(1) or make(it))
+    )
+    monkeypatch.setattr(
+        _Instrument, "_key", lambda self, labels: keys.append(1) or key(self, labels)
+    )
+    assert list(trace.events[:1]) and rows == [1]  # the counters count
+    del rows[:]
+    snapshot = replay_telemetry(trace).registry.snapshot()
+    assert snapshot["engine_subnets_completed_total"] == 96.0
+    assert rows == [] and keys == []
+
+
+def test_a_negative_attr_amount_still_raises_through_the_hub():
+    hub = TelemetryHub()
+    hub.on_event(TraceEvent("cache_access", 1.0, 0, -1, (("hits", 2), ("misses", 0))))
+    with pytest.raises(ConfigError, match="engine_cache_hits_total: counters only go up"):
+        hub.on_event(
+            TraceEvent("cache_access", 2.0, 0, -1, (("hits", -1), ("misses", 0)))
+        )
+    assert hub.registry.snapshot()['engine_cache_hits_total{stage="0"}'] == 2.0
 
 
 def test_run_record_carries_telemetry_but_not_in_run_id(tiny_supernet):

@@ -57,6 +57,14 @@ RULES = [
     (r"to_chrome_trace", (), 0, "repro.obs.export_chrome_trace"),
     (r"on_exhausted", (), 0, "except FaultToleranceError"),
     (r"getattr\(self\.policy", (), 0, "SyncPolicy.tracker / SyncPolicy.scheduler"),
+    # the Chrome export writes each event's text once, from its kind's
+    # renderer: no payload dict re-serialised, no key re-sorted
+    (r"json\.dumps|sort_keys", (), 0, "a renderer's text / payload.compact", "obs/exporter.py"),
+    # a series key is validated by the public kwargs API only; the hub
+    # keys a series from its INSTRUMENTS row and calls the key-taking op
+    (r"\b_key\(", ("obs/telemetry/registry.py",), 11, "instrument._inc/_set/_add/_observe(key, …)"),
+    # a replay reads the event columns; it builds no TraceEvent row
+    (r"events_of\(\*LISTENED_KINDS", (), 0, "trace.events.rows() into TelemetryHub._on_row"),
 ]
 
 
