@@ -369,7 +369,7 @@ _FAULTS_KEYS = (
 )
 _CHAOS_KEYS = (
     *_TARGET_KEYS, "gpus", "num_gpus", "subnets", "seed", "batch",
-    "mtbf_fraction", "stall_ms", "nic_slowdown", "degradation",
+    "mtbf_fraction", "stall_ms", "nic_slowdown",
 )
 
 
@@ -730,7 +730,6 @@ def _chaos(args) -> str:
         mtbf_fraction=float(config.get("mtbf_fraction", 0.1)),
         stall_ms=float(config.get("stall_ms", 20.0)),
         nic_slowdown=float(config.get("nic_slowdown", 4.0)),
-        degradation=config.get("degradation", True),
         batch=config.get("batch"),
         jobs=args.jobs,
     )

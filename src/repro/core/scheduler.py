@@ -34,6 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Set
 
+from repro.config import SCHEDULER_MODES
 from repro.core.dependency import DependencyTracker
 from repro.errors import SchedulingError
 from repro.nn.parameter_store import LayerId
@@ -60,15 +61,13 @@ class ScheduleDecision:
 
 _NO_TASK = ScheduleDecision(-1, -1)
 
-_MODES = ("index", "conservative")
-
 
 class CspScheduler:
     """Stage-local scheduling policy with dependency preservation."""
 
     def __init__(self, mode: str = "index") -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if mode not in SCHEDULER_MODES:
+            raise ValueError(f"mode must be one of {SCHEDULER_MODES}, got {mode!r}")
         self.mode = mode
         self.calls = 0
         #: queue entries examined by the conservative scan

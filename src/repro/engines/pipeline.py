@@ -228,7 +228,7 @@ class PipelineEngine:
         functional: Optional[FunctionalPlane] = None,
         faults=None,
         checkpoints=None,
-        degradation=None,
+        degradation: bool = False,
         telemetry=None,
     ) -> None:
         self.supernet = supernet
@@ -355,10 +355,12 @@ class PipelineEngine:
         # weights — all consulted at safe decision points.
         #: in-flight cap imposed by active mitigation (None = no cap)
         self.admission_cap: Optional[int] = None
-        from repro.ft.degradation import as_manager  # lazy: import cycle
+        self.degradation = None
+        if degradation:
+            # lazy: import cycle, and an unarmed run never loads repro.ft
+            from repro.ft.degradation import DegradationManager
 
-        self.degradation = as_manager(degradation)
-        if self.degradation is not None:
+            self.degradation = DegradationManager()
             self.degradation.bind(self)
 
     @staticmethod

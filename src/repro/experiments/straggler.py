@@ -67,7 +67,7 @@ def _run_once(
         system,
         ClusterSpec(num_gpus=num_gpus, gpu_speed_factors=speed_factors),
         functional=plane,
-        degradation=True if mitigated else None,
+        degradation=mitigated,
     )
     result = engine.run()
     replicas = (

@@ -46,12 +46,7 @@ from repro.ft.chaos import (
     run_chaos_scenario,
 )
 from repro.ft.checkpoint import Checkpoint, CheckpointManager, restore_checkpoint
-from repro.ft.degradation import (
-    DegradationManager,
-    DegradationPolicy,
-    HealthMonitor,
-    as_manager,
-)
+from repro.ft.degradation import DegradationManager, HealthMonitor
 from repro.ft.faults import (
     ALL_KINDS,
     FATAL_KINDS,
@@ -106,10 +101,8 @@ __all__ = [
     "fleet_sweep",
     "fleet_report_json",
     "format_fleet_report",
-    "DegradationPolicy",
     "DegradationManager",
     "HealthMonitor",
-    "as_manager",
     "chaos_invariants",
     "run_chaos_scenario",
     "chaos_sweep",

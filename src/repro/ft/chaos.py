@@ -154,15 +154,6 @@ class BaselineSummary(NamedTuple):
     makespan_ms: float
     peak_cache_bytes: Optional[int]
 
-    @classmethod
-    def from_result(cls, result) -> "BaselineSummary":
-        return cls(
-            digest=result.digest,
-            losses=result.losses,
-            makespan_ms=result.makespan_ms,
-            peak_cache_bytes=result.peak_cache_bytes,
-        )
-
 
 def run_chaos_scenario(
     space: SearchSpace,
@@ -176,9 +167,7 @@ def run_chaos_scenario(
     mtbf_fraction: float = 0.1,
     stall_ms: float = 20.0,
     nic_slowdown: float = 4.0,
-    degradation=True,
     batch: Optional[int] = None,
-    functional_batch: int = 8,
     stream_name: str = "chaos",
 ) -> Dict[str, object]:
     """One seeded scenario: draw non-fatal faults over the baseline's
@@ -213,9 +202,8 @@ def run_chaos_scenario(
             steps=steps,
             seed=seed,
             batch=batch,
-            functional_batch=functional_batch,
             faults=FaultInjector(schedule),
-            degradation=degradation,
+            degradation=True,
         )
     except DeadlockError as exc:
         scenario.update(
@@ -314,7 +302,13 @@ def sweep(
 
 
 def _baseline_summary(**run) -> BaselineSummary:
-    return BaselineSummary.from_result(run_uninterrupted(**run))
+    result = run_uninterrupted(**run)
+    return BaselineSummary(
+        digest=result.digest,
+        losses=result.losses,
+        makespan_ms=result.makespan_ms,
+        peak_cache_bytes=result.peak_cache_bytes,
+    )
 
 
 def chaos_sweep(
@@ -328,16 +322,12 @@ def chaos_sweep(
     mtbf_fraction: float = 0.1,
     stall_ms: float = 20.0,
     nic_slowdown: float = 4.0,
-    degradation=True,
     batch: Optional[int] = None,
-    functional_batch: int = 8,
-    on_scenario: Optional[Callable[[Dict[str, object]], None]] = None,
     jobs: int = 1,
 ) -> Dict[str, object]:
     """``scenarios`` seeded fault schedules × every GPU count, each run
     against that GPU count's unfaulted baseline — :func:`sweep` over
-    :func:`run_chaos_scenario`.  ``on_scenario`` fires in ``(gpus,
-    index)`` order, in the parent.
+    :func:`run_chaos_scenario`.  Rows come in ``(gpus, index)`` order.
     """
     run = dict(
         space=space,
@@ -345,7 +335,6 @@ def chaos_sweep(
         steps=steps,
         seed=seed,
         batch=batch,
-        functional_batch=functional_batch,
     )
     _baselines, report = sweep(
         gpus,
@@ -362,16 +351,12 @@ def chaos_sweep(
             mtbf_fraction=mtbf_fraction,
             stall_ms=stall_ms,
             nic_slowdown=nic_slowdown,
-            degradation=degradation,
             stream_name=f"chaos/{num_gpus}gpu/{index}",
         ),
         tags=("gpus", "fault_seed"),
         jobs=jobs,
     )
     rows = report["scenarios"]
-    if on_scenario is not None:
-        for row in rows:
-            on_scenario(row)
     return {
         "schema": 1,
         "system": config.name,

@@ -35,94 +35,53 @@ bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
-from repro.payload import build
 
-__all__ = [
-    "DegradationPolicy",
-    "HealthMonitor",
-    "DegradationManager",
-    "as_manager",
-]
+__all__ = ["HealthMonitor", "DegradationManager"]
 
 #: status labels, per scope
 STAGE_HEALTHY, STAGE_STRAGGLER = "healthy", "straggler"
 LINK_NOMINAL, LINK_DEGRADED = "nominal", "degraded"
 COPY_NOMINAL, COPY_STALLED = "nominal", "stalled"
 
+# Detection thresholds and mitigation constants.  Every mitigation is
+# timing-only (see above), so none of them is a caller's choice.
+#
+# Ratios are relative to the profiled nominal: a stage's *speed ratio*
+# is observed task duration over the slice's reference cost (so it
+# estimates the stage's effective speed factor and is invariant under
+# repartitioning — rebalancing away from a straggler must not make the
+# straggler *look* healthy).  A link's *bandwidth ratio* is effective
+# transfer bandwidth over the link's nominal bandwidth.  Hysteresis: a
+# scope enters the unhealthy status at ``*_ENTER_*`` and only exits at
+# the (stricter) ``*_EXIT_*`` threshold.
 
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Detection thresholds and mitigation knobs (all deterministic).
-
-    Ratios are relative to the profiled nominal: a stage's *speed ratio*
-    is observed task duration over the slice's reference cost (so it
-    estimates the stage's effective speed factor and is invariant under
-    repartitioning — rebalancing away from a straggler must not make the
-    straggler *look* healthy).  A link's *bandwidth ratio* is effective
-    transfer bandwidth over the link's nominal bandwidth.  Hysteresis:
-    a scope enters the unhealthy status at ``*_enter_*`` and only exits
-    at the (stricter) ``*_exit_*`` threshold.
-    """
-
-    # -- detection -----------------------------------------------------
-    ewma_alpha: float = 0.25
-    min_samples: int = 4
-    straggler_enter_ratio: float = 1.6
-    straggler_exit_ratio: float = 1.25
-    #: link thresholds leave headroom below healthy queueing noise: the
-    #: effective-bandwidth estimate charges FIFO queueing to the link, so
-    #: healthy bursty traffic sits well under ratio 1.0 (measured EWMA
-    #: floor ~0.45 at 8 GPUs) while a 4x NIC degrade drives it to ~0.25
-    link_enter_ratio: float = 0.3
-    link_exit_ratio: float = 0.6
-    #: stall thresholds are stall-per-task *relative to the task's
-    #: nominal cost* — scale-invariant across GPU counts (absolute ms
-    #: thresholds cannot separate a healthy 2-GPU run, whose tasks and
-    #: stalls are both big, from a faulted 8-GPU run)
-    stall_enter_ratio: float = 0.5
-    stall_exit_ratio: float = 0.25
-    # -- mitigation ----------------------------------------------------
-    admission_control: bool = True
-    min_window: int = 2
-    window_shrink: int = 2
-    prefetch_throttle: bool = True
-    rebalance: bool = True
-    #: straggler weights snap to multiples of this (stability: tiny EWMA
-    #: drift must not produce a new partition every subnet)
-    weight_quantum: float = 0.25
-    max_weight: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.min_samples < 1:
-            raise ConfigError("min_samples must be >= 1")
-        if self.straggler_exit_ratio > self.straggler_enter_ratio:
-            raise ConfigError("straggler exit ratio must not exceed enter ratio")
-        if self.link_exit_ratio < self.link_enter_ratio:
-            raise ConfigError("link exit ratio must not undercut enter ratio")
-        if self.stall_exit_ratio > self.stall_enter_ratio:
-            raise ConfigError("stall exit ratio must not exceed enter ratio")
-        if self.min_window < 1:
-            raise ConfigError("min_window must be >= 1")
-        if self.window_shrink < 0:
-            raise ConfigError("window_shrink must be >= 0")
-        if self.weight_quantum <= 0:
-            raise ConfigError("weight_quantum must be positive")
-        if self.max_weight < 1.0:
-            raise ConfigError("max_weight must be >= 1")
-
-    # -- serialisation (travels inside replay manifests) ---------------
-    def to_payload(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "DegradationPolicy":
-        return build(cls, payload, "degradation")
+# -- detection ---------------------------------------------------------
+EWMA_ALPHA = 0.25
+MIN_SAMPLES = 4
+STRAGGLER_ENTER_RATIO = 1.6
+STRAGGLER_EXIT_RATIO = 1.25
+#: link thresholds leave headroom below healthy queueing noise: the
+#: effective-bandwidth estimate charges FIFO queueing to the link, so
+#: healthy bursty traffic sits well under ratio 1.0 (measured EWMA
+#: floor ~0.45 at 8 GPUs) while a 4x NIC degrade drives it to ~0.25
+LINK_ENTER_RATIO = 0.3
+LINK_EXIT_RATIO = 0.6
+#: stall thresholds are stall-per-task *relative to the task's nominal
+#: cost* — scale-invariant across GPU counts (absolute ms thresholds
+#: cannot separate a healthy 2-GPU run, whose tasks and stalls are both
+#: big, from a faulted 8-GPU run)
+STALL_ENTER_RATIO = 0.5
+STALL_EXIT_RATIO = 0.25
+# -- mitigation --------------------------------------------------------
+MIN_WINDOW = 2
+WINDOW_SHRINK = 2
+#: straggler weights snap to multiples of this (stability: tiny EWMA
+#: drift must not produce a new partition every subnet)
+WEIGHT_QUANTUM = 0.25
+MAX_WEIGHT = 4.0
 
 
 class HealthMonitor:
@@ -142,7 +101,7 @@ class HealthMonitor:
       stalls decay instead of pinning the estimate high.
 
     ``on_transition(scope, index, status, metric, reference)`` fires
-    exactly on status changes (after ``min_samples`` observations).
+    exactly on status changes (after :data:`MIN_SAMPLES` observations).
     """
 
     #: kinds the monitor itself (indirectly) emits — skipped to keep the
@@ -151,13 +110,11 @@ class HealthMonitor:
 
     def __init__(
         self,
-        policy: DegradationPolicy,
         *,
         slice_cost_fn: Callable[[int, int, str], float],
         link_params_fn: Callable[[int], Tuple[float, float]],
         on_transition: Callable[[str, int, str, float, float], None],
     ) -> None:
-        self.policy = policy
         self._slice_cost = slice_cost_fn
         self._link_params = link_params_fn
         self._notify = on_transition
@@ -190,9 +147,11 @@ class HealthMonitor:
         stall = self._pending_stall.pop(stage, 0.0)
         if nominal > 0.0:
             self._update("stage", stage, duration / nominal)
-            alpha = self.policy.ewma_alpha
             mean = self._mean_cost.get(stage)
-            mean = nominal if mean is None else alpha * nominal + (1.0 - alpha) * mean
+            if mean is None:
+                mean = nominal
+            else:
+                mean = EWMA_ALPHA * nominal + (1.0 - EWMA_ALPHA) * mean
             self._mean_cost[stage] = mean
             # one (possibly zero) stall sample per dispatch on this stage
             self._update("copy", stage, stall / mean)
@@ -211,10 +170,9 @@ class HealthMonitor:
     def _update(self, scope: str, index: int, sample: float) -> None:
         key = (scope, index)
         ewma, count = self._ewma.get(key, (0.0, 0))
-        alpha = self.policy.ewma_alpha
-        ewma = sample if count == 0 else alpha * sample + (1.0 - alpha) * ewma
+        ewma = sample if count == 0 else EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * ewma
         self._ewma[key] = (ewma, count + 1)
-        if count + 1 >= self.policy.min_samples:
+        if count + 1 >= MIN_SAMPLES:
             self._classify(scope, index, ewma)
 
     def estimate(self, scope: str, index: int) -> Optional[float]:
@@ -222,22 +180,21 @@ class HealthMonitor:
         return entry[0] if entry is not None else None
 
     def _classify(self, scope: str, index: int, metric: float) -> None:
-        policy = self.policy
         if scope == "stage":
             healthy, unhealthy = STAGE_HEALTHY, STAGE_STRAGGLER
-            enters = metric >= policy.straggler_enter_ratio
-            exits = metric <= policy.straggler_exit_ratio
+            enters = metric >= STRAGGLER_ENTER_RATIO
+            exits = metric <= STRAGGLER_EXIT_RATIO
             reference = 1.0
         elif scope == "link":
             healthy, unhealthy = LINK_NOMINAL, LINK_DEGRADED
-            enters = metric <= policy.link_enter_ratio
-            exits = metric >= policy.link_exit_ratio
+            enters = metric <= LINK_ENTER_RATIO
+            exits = metric >= LINK_EXIT_RATIO
             reference = 1.0
         else:  # copy
             healthy, unhealthy = COPY_NOMINAL, COPY_STALLED
-            enters = metric >= policy.stall_enter_ratio
-            exits = metric <= policy.stall_exit_ratio
-            reference = policy.stall_enter_ratio
+            enters = metric >= STALL_ENTER_RATIO
+            exits = metric <= STALL_EXIT_RATIO
+            reference = STALL_ENTER_RATIO
         key = (scope, index)
         current = self.status.get(key, healthy)
         if current != unhealthy and enters:
@@ -253,12 +210,10 @@ class DegradationManager:
     mitigations on its transitions.
 
     One manager serves one engine run (it accumulates that run's
-    ``actions``); recovery drivers build a fresh manager per attempt
-    from the same :class:`DegradationPolicy`.
+    ``actions``); recovery drivers build a fresh manager per attempt.
     """
 
-    def __init__(self, policy: Optional[DegradationPolicy] = None) -> None:
-        self.policy = policy or DegradationPolicy()
+    def __init__(self) -> None:
         self.engine = None
         self.monitor: Optional[HealthMonitor] = None
         #: chronological mitigation log — scalar-only dicts, JSON-stable,
@@ -273,11 +228,10 @@ class DegradationManager:
         if self.engine is not None:
             raise ConfigError(
                 "a DegradationManager serves one engine run; build a fresh "
-                "one (same policy) per attempt"
+                "one per attempt"
             )
         self.engine = engine
         self.monitor = HealthMonitor(
-            self.policy,
             slice_cost_fn=self._nominal_slice_ms,
             link_params_fn=lambda link: engine.cluster.spec.link_parameters(
                 link, link + 1
@@ -337,11 +291,10 @@ class DegradationManager:
             self._unhealthy.add(key)
         else:
             self._unhealthy.discard(key)
-        if self.policy.admission_control:
-            self._update_admission(now)
-        if self.policy.prefetch_throttle and scope == "copy":
+        self._update_admission(now)
+        if scope == "copy":
             self._set_throttle(index, status == COPY_STALLED, now)
-        if self.policy.rebalance and scope == "stage":
+        if scope == "stage":
             self._set_weight(
                 index, metric if status == STAGE_STRAGGLER else 1.0, now
             )
@@ -379,7 +332,7 @@ class DegradationManager:
         want = any(scope != "stage" for scope, _ in self._unhealthy)
         if want and not self._cap_active:
             base = engine.policy.window
-            cap = max(self.policy.min_window, base - self.policy.window_shrink)
+            cap = max(MIN_WINDOW, base - WINDOW_SHRINK)
             engine.admission_cap = cap
             self._cap_active = True
             self._record("admission_cap", -1, float(cap), True, now)
@@ -402,9 +355,8 @@ class DegradationManager:
 
     # -- (c) deterministic straggler rebalancing -----------------------
     def _set_weight(self, stage: int, weight: float, now: float) -> None:
-        quantum = self.policy.weight_quantum
-        snapped = round(weight / quantum) * quantum
-        snapped = min(self.policy.max_weight, max(1.0, snapped))
+        snapped = round(weight / WEIGHT_QUANTUM) * WEIGHT_QUANTUM
+        snapped = min(MAX_WEIGHT, max(1.0, snapped))
         if self.stage_weights.get(stage, 1.0) == snapped:
             return
         self.stage_weights[stage] = snapped
@@ -412,22 +364,3 @@ class DegradationManager:
             "rebalance", now, stage=stage, weight=snapped
         )
         self._record("rebalance", stage, snapped, snapped != 1.0, now)
-
-
-def as_manager(value) -> Optional[DegradationManager]:
-    """Coerce the engine/driver ``degradation=`` argument.
-
-    Accepts None (disabled), a manager, a policy, ``True`` (defaults) or
-    a policy payload dict (replay manifests).
-    """
-    if value is None:
-        return None
-    if isinstance(value, DegradationManager):
-        return value
-    if isinstance(value, DegradationPolicy):
-        return DegradationManager(value)
-    if value is True:
-        return DegradationManager()
-    if isinstance(value, Mapping):
-        return DegradationManager(DegradationPolicy.from_payload(value))
-    raise ConfigError(f"cannot build a DegradationManager from {value!r}")

@@ -41,11 +41,6 @@ from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.errors import FaultToleranceError
 from repro.ft.checkpoint import Checkpoint, CheckpointManager
-from repro.ft.degradation import (
-    DegradationManager,
-    DegradationPolicy,
-    as_manager,
-)
 from repro.ft.faults import FaultSchedule
 from repro.ft.injector import FaultInjector
 from repro.nn.optim import MomentumSGD
@@ -67,6 +62,11 @@ __all__ = [
     "rewarm_prefetch",
 ]
 
+#: give up after this many restarts (a restart budget, not attempts)
+MAX_RESTARTS = 8
+#: virtual downtime charged per restart (detection + respawn + load)
+RESTART_DELAY_MS = 50.0
+
 
 @dataclass(frozen=True)
 class RecoverySpec:
@@ -74,15 +74,9 @@ class RecoverySpec:
 
     #: take a consistent checkpoint every this many subnets
     checkpoint_interval: int = 8
-    #: give up after this many restarts (a restart budget, not attempts)
-    max_restarts: int = 8
     #: GPU count for restarted attempts (None = same as the original);
     #: elastic rescale when it differs
     restart_gpus: Optional[int] = None
-    #: virtual downtime charged per restart (detection + respawn + load)
-    restart_delay_ms: float = 50.0
-    #: re-warm each recovered stage's prefetch cache before resuming
-    rewarm: bool = True
 
 
 @dataclass
@@ -224,18 +218,6 @@ def rewarm_prefetch(engine: PipelineEngine, first) -> int:
     return rewarmed
 
 
-def _degradation_policy(value) -> Optional[DegradationPolicy]:
-    """Normalise a ``degradation=`` argument to a policy, so recovery
-    can build one *fresh* manager per attempt (a manager is single-use)."""
-    if value is None:
-        return None
-    if isinstance(value, DegradationPolicy):
-        return value
-    if isinstance(value, DegradationManager):
-        return value.policy
-    return as_manager(value).policy
-
-
 def build_stream(
     space: SearchSpace, seed: int, steps: int, stream_kind: str
 ) -> SubnetStream:
@@ -260,14 +242,14 @@ def run_uninterrupted(
     stream_kind: str = "spos",
     speed_factors=None,
     faults=None,
-    degradation=None,
+    degradation: bool = False,
 ) -> PipelineResult:
     """The fault-free baseline a recovered run is compared against.
 
     ``faults`` (a :class:`FaultSchedule` or bound-ready injector) and
-    ``degradation`` (policy / manager / True / payload dict) extend the
-    same entry point to single-attempt *non-fatal* fault runs — the
-    chaos harness's workhorse.
+    ``degradation`` (arm adaptive mitigation) extend the same entry
+    point to single-attempt *non-fatal* fault runs — the chaos harness's
+    workhorse.
     """
     supernet, plane = fresh_plane(
         space, seed, functional_batch, (optimizer_factory or default_optimizer)()
@@ -304,7 +286,7 @@ def run_with_recovery(
     stream_kind: str = "spos",
     speed_factors=None,
     restart_speed_factors=None,
-    degradation=None,
+    degradation: bool = False,
 ) -> FaultedRunResult:
     """Run ``steps`` subnets to completion despite ``schedule``.
 
@@ -323,7 +305,6 @@ def run_with_recovery(
     spec = spec or RecoverySpec()
     checkpoint_dir = Path(checkpoint_dir)
     optimizer_factory = optimizer_factory or default_optimizer
-    degradation_policy = _degradation_policy(degradation)
     full_stream = list(build_stream(space, seed, steps, stream_kind))
 
     # ``makespan_ms`` doubles as the global-clock offset of the next
@@ -339,9 +320,9 @@ def run_with_recovery(
     restore_from: Optional[Checkpoint] = None
 
     while True:
-        if len(run.attempts) > spec.max_restarts:
+        if len(run.attempts) > MAX_RESTARTS:
             raise FaultToleranceError(
-                f"restart budget exhausted: {spec.max_restarts} restarts, "
+                f"restart budget exhausted: {MAX_RESTARTS} restarts, "
                 f"still at subnet {cursor}/{steps}"
             )
         attempt = len(run.attempts) + 1
@@ -374,11 +355,7 @@ def run_with_recovery(
             functional=plane,
             faults=injector,
             checkpoints=manager,
-            degradation=(
-                DegradationManager(degradation_policy)
-                if degradation_policy is not None
-                else None
-            ),
+            degradation=degradation,
         )
 
         recovery_latency = 0.0
@@ -391,13 +368,13 @@ def run_with_recovery(
                 "recovery_begin", 0.0, cut=cursor, attempt=attempt, gpus=gpus
             )
             rewarmed = 0
-            if spec.rewarm and stream.remaining:
+            if stream.remaining:
                 rewarmed = rewarm_prefetch(engine, full_stream[cursor])
             copy_warm = max(
                 (ce.next_free for ce in engine.cluster.copy_engines),
                 default=0.0,
             )
-            recovery_latency = spec.restart_delay_ms + copy_warm
+            recovery_latency = RESTART_DELAY_MS + copy_warm
             engine.trace.record_event(
                 "recovery_done",
                 0.0,
@@ -446,4 +423,4 @@ def run_with_recovery(
             run.makespan_ms += result.makespan_ms
             return run
         cursor = new_cursor
-        run.makespan_ms += result.interrupt_time_ms + spec.restart_delay_ms
+        run.makespan_ms += result.interrupt_time_ms + RESTART_DELAY_MS

@@ -148,7 +148,7 @@ class SupernetTrainer:
             self.supernet,
             stream,
             system,
-            ClusterSpec(num_gpus=num_gpus or self.num_gpus),
+            ClusterSpec(num_gpus=self.num_gpus if num_gpus is None else num_gpus),
             batch=batch,
             functional=plane,
         )

@@ -429,13 +429,14 @@ class TelemetryHub:
     # reports
     # ------------------------------------------------------------------
     def finalize(self, now: float) -> None:
-        self.scraper.finalize(now)
+        """Record the closing state after a plane quiesced."""
+        self.scraper.scrape(now)
 
     def alert_report(self) -> Dict:
         return self.alerts.report(self.scraper.samples)
 
-    def metering_report(self, manager=None) -> Dict:
-        return self.meter.report(manager if manager is not None else self.manager)
+    def metering_report(self) -> Dict:
+        return self.meter.report(self.manager)
 
     def peak_queue_depth(self) -> float:
         """The deepest any plane's ``*_queue_depth`` gauge ever stood."""

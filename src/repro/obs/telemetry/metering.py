@@ -107,10 +107,10 @@ class UsageMeter:
             }
         return report
 
-    def format_report(self, report: Optional[Dict] = None, manager=None) -> str:
+    def format_report(self, report: Optional[Dict] = None) -> str:
         """Stable human-readable rendering of :meth:`report`."""
         if report is None:
-            report = self.report(manager)
+            report = self.report()
         lines: List[str] = [
             f"{'tenant':<14s} {'gpu_slot_ms':>12s} {'leases':>6s} "
             f"{'revoked':>7s} {'subnets':>7s} {'preempt':>7s} "

@@ -90,14 +90,27 @@ class _Instrument:
             yield name, value
 
 
-class Counter(_Instrument):
-    """Monotonic accumulator (``inc`` only)."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """One float per label-values series: what counters and gauges share."""
 
     def __init__(self, name: str, help: str, labels: Sequence[str] = ()) -> None:
         super().__init__(name, help, labels)
         self._series: Dict[_LabelValues, float] = {}
+
+    def value(self, **label_values) -> float:
+        return self._series.get(self._key(label_values), 0.0)
+
+    def samples(self) -> List[Tuple[str, _LabelValues, float]]:
+        return [
+            (self.name, key, self._series[key])
+            for key in sorted(self._series)
+        ]
+
+
+class Counter(_Scalar):
+    """Monotonic accumulator (``inc`` only)."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **label_values) -> None:
         self._inc(self._key(label_values), amount)
@@ -114,17 +127,8 @@ class Counter(_Instrument):
     def _inc_to(self, key: _LabelValues, total: float) -> None:
         self._inc(key, max(0.0, total - self._series.get(key, 0.0)))
 
-    def value(self, **label_values) -> float:
-        return self._series.get(self._key(label_values), 0.0)
 
-    def samples(self) -> List[Tuple[str, _LabelValues, float]]:
-        return [
-            (self.name, key, self._series[key])
-            for key in sorted(self._series)
-        ]
-
-
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """Set-to-current-value instrument; tracks the peak ever set, which
     the compact telemetry block and capacity planning read."""
 
@@ -132,7 +136,6 @@ class Gauge(_Instrument):
 
     def __init__(self, name: str, help: str, labels: Sequence[str] = ()) -> None:
         super().__init__(name, help, labels)
-        self._series: Dict[_LabelValues, float] = {}
         self._peak: Dict[_LabelValues, float] = {}
 
     def set(self, value: float, **label_values) -> None:
@@ -149,19 +152,10 @@ class Gauge(_Instrument):
     def _add(self, key: _LabelValues, delta: float) -> None:
         self._set(key, self._series.get(key, 0.0) + delta)
 
-    def value(self, **label_values) -> float:
-        return self._series.get(self._key(label_values), 0.0)
-
     def peak(self) -> float:
         """Highest value ever set across every labelled series (0.0
         when never set)."""
         return max(self._peak.values(), default=0.0)
-
-    def samples(self) -> List[Tuple[str, _LabelValues, float]]:
-        return [
-            (self.name, key, self._series[key])
-            for key in sorted(self._series)
-        ]
 
 
 BOUNDS_RULE = "histogram buckets must be non-empty and strictly ascending"

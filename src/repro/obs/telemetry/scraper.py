@@ -70,10 +70,6 @@ class Scraper:
             return
         self.samples.append((now, self.registry.snapshot()))
 
-    def finalize(self, now: float) -> None:
-        """Record the closing state after a plane quiesced."""
-        self.scrape(now)
-
     # ------------------------------------------------------------------
     # exports
     # ------------------------------------------------------------------

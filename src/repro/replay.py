@@ -62,12 +62,12 @@ class RunManifest:
     checkpoint_interval: Optional[int] = None
     recovery_gpus: Optional[int] = None
     # graceful degradation (repro.ft.degradation): per-GPU speed factors
-    # model a heterogeneous/straggling cluster, and the policy payload
-    # arms adaptive mitigation — both are part of the run's identity, and
+    # model a heterogeneous/straggling cluster, and ``degradation`` arms
+    # adaptive mitigation — both are part of the run's identity, and
     # the mitigation sequence the run took is a recorded outcome that
     # replay must reproduce action-for-action
     speed_factors: Optional[List[float]] = None
-    degradation: Optional[Dict[str, object]] = None
+    degradation: bool = False
     # recorded outcome
     digest: Optional[str] = None
     losses: Dict[str, float] = field(default_factory=dict)
@@ -156,7 +156,7 @@ def _build_manifest(
     checkpoint_interval: Optional[int] = None,
     recovery_gpus: Optional[int] = None,
     speed_factors: Optional[List[float]] = None,
-    degradation=None,
+    degradation: bool = False,
 ) -> RunManifest:
     return RunManifest(
         version=_MANIFEST_VERSION,
@@ -177,18 +177,8 @@ def _build_manifest(
         checkpoint_interval=checkpoint_interval,
         recovery_gpus=recovery_gpus,
         speed_factors=list(speed_factors) if speed_factors else None,
-        degradation=_degradation_payload(degradation),
+        degradation=degradation,
     )
-
-
-def _degradation_payload(value) -> Optional[Dict[str, object]]:
-    """Normalise a ``degradation=`` argument (None / True / policy /
-    manager / payload dict) to the JSON payload a manifest stores."""
-    if value is None:
-        return None
-    from repro.ft.degradation import as_manager
-
-    return as_manager(value).policy.to_payload()
 
 
 def execute_manifest(
@@ -222,9 +212,9 @@ def execute_manifest(
         speed_factors=(
             tuple(manifest.speed_factors) if manifest.speed_factors else None
         ),
-        degradation=(
-            dict(manifest.degradation) if manifest.degradation else None
-        ),
+        # older manifests hold the thresholds dict here; any non-empty
+        # one arms mitigation
+        degradation=bool(manifest.degradation),
     )
     if manifest.fault_events:
         return _execute_faulted(manifest, space, system, run, checkpoint_dir)

@@ -421,3 +421,34 @@ def test_an_output_path_in_a_missing_directory_is_refused_before_the_run(
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: directory {str(missing.parent)!r} does not exist" in err
+
+
+def test_trace_never_imports_the_fault_tolerance_plane(tmp_path):
+    """An unarmed engine builds no degradation manager, so a fresh
+    ``python -m repro trace`` keeps ``repro.ft`` off its import path."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [
+            sys.executable, "-X", "importtime", "-m", "repro", "trace",
+            str(root / "examples" / "trace_demo.json"),
+            "--out", str(tmp_path / "trace.json"),
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "repro.cli" in imported
+    assert [name for name in imported if name.startswith("repro.ft")] == []

@@ -174,20 +174,16 @@ def test_a_sweep_that_would_test_nothing_is_refused(chaos_space, scenarios, gpus
 
 
 def test_parallel_sweep_preserves_scenario_callback_order(chaos_space):
-    seen = []
-    chaos_sweep(
+    report = chaos_sweep(
         chaos_space,
         naspipe(),
         scenarios=2,
-        gpus=(2,),
+        gpus=(4, 2),
         steps=10,
         seed=5,
         jobs=2,
-        on_scenario=lambda row: seen.append(
-            (row["num_gpus"], row["fault_seed"])
-        ),
     )
+    seen = [(row["num_gpus"], row["fault_seed"]) for row in report["scenarios"]]
     # merged in deterministic (gpu, scenario-index) order, not completion order
-    assert seen == sorted(seen, key=lambda item: item[0])
-    assert len(seen) == 2
+    assert seen == [(gpus, 5 * 100_003 + index) for gpus in (4, 2) for index in range(2)]
 

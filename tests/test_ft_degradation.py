@@ -9,11 +9,9 @@ from repro.engines.pipeline import PipelineEngine
 from repro.errors import ConfigError, PartitionError
 from repro.ft import (
     DegradationManager,
-    DegradationPolicy,
     FaultEvent,
     FaultSchedule,
     HealthMonitor,
-    as_manager,
     run_uninterrupted,
 )
 from repro.obs import validate_trace
@@ -22,8 +20,12 @@ from repro.partition.balanced import (
     balanced_partition,
     weighted_balanced_partition,
 )
+from repro.seeding import SeedSequenceTree
+from repro.sim.cluster import ClusterSpec
 from repro.sim.trace import ExecutionTrace, TraceEvent
+from repro.supernet.sampler import SubnetStream
 from repro.supernet.search_space import get_search_space
+from repro.supernet.supernet import Supernet
 
 
 @pytest.fixture(scope="module")
@@ -39,61 +41,35 @@ def deg_baseline(deg_space):
 
 
 # ----------------------------------------------------------------------
-# policy model
+# the on/off flag
 # ----------------------------------------------------------------------
-def test_policy_validation():
-    DegradationPolicy()  # defaults are self-consistent
-    with pytest.raises(ConfigError):
-        DegradationPolicy(ewma_alpha=0.0)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(ewma_alpha=1.5)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(min_samples=0)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(straggler_enter_ratio=1.2, straggler_exit_ratio=1.4)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(link_enter_ratio=0.7, link_exit_ratio=0.5)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(stall_enter_ratio=0.2, stall_exit_ratio=0.4)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(min_window=0)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(window_shrink=-1)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(weight_quantum=0.0)
-    with pytest.raises(ConfigError):
-        DegradationPolicy(max_weight=0.5)
+def test_as_manager_coercions(deg_space):
+    """``degradation`` is a bool: off builds no manager, on builds a
+    fresh one bound to the engine."""
 
+    def engine(**kwargs):
+        return PipelineEngine(
+            Supernet(deg_space),
+            SubnetStream.sample(deg_space, SeedSequenceTree(1), 2),
+            naspipe(),
+            ClusterSpec(num_gpus=2),
+            **kwargs,
+        )
 
-def test_policy_payload_round_trip():
-    policy = DegradationPolicy(straggler_enter_ratio=2.0, min_window=3)
-    assert DegradationPolicy.from_payload(policy.to_payload()) == policy
-    with pytest.raises(ConfigError) as exc:
-        DegradationPolicy.from_payload({"no_such_knob": 1})
-    assert "no_such_knob" in str(exc.value)
-
-
-def test_as_manager_coercions():
-    assert as_manager(None) is None
-    default = as_manager(True)
-    assert isinstance(default, DegradationManager)
-    assert default.policy == DegradationPolicy()
-    policy = DegradationPolicy(min_window=3)
-    assert as_manager(policy).policy is policy
-    manager = DegradationManager(policy)
-    assert as_manager(manager) is manager
-    assert as_manager(policy.to_payload()).policy == policy
-    with pytest.raises(ConfigError):
-        as_manager("yes please")
+    assert engine().degradation is None
+    assert engine(degradation=False).degradation is None
+    first, second = engine(degradation=True), engine(degradation=True)
+    assert isinstance(first.degradation, DegradationManager)
+    assert first.degradation.engine is first
+    assert first.degradation is not second.degradation
 
 
 # ----------------------------------------------------------------------
 # the monitor, fed synthetic events
 # ----------------------------------------------------------------------
-def _monitor(policy=None, slice_ms=10.0):
+def _monitor(slice_ms=10.0):
     transitions = []
     monitor = HealthMonitor(
-        policy or DegradationPolicy(),
         slice_cost_fn=lambda stage, subnet_id, direction: slice_ms,
         link_params_fn=lambda link: (100.0, 0.5),
         on_transition=lambda *args: transitions.append(args),

@@ -27,6 +27,7 @@ from repro.ft import (
     run_uninterrupted,
     run_with_recovery,
 )
+from repro.ft.recovery import MAX_RESTARTS
 from repro.nn.optim import MomentumSGD
 from repro.seeding import SeedSequenceTree
 from repro.supernet.sampler import SubnetStream
@@ -162,25 +163,30 @@ def test_crash_before_first_checkpoint_redoes_everything(
 
 
 def test_restart_budget_exhaustion_raises(rec_space, csp_baseline, tmp_path):
-    # two crashes spaced so the second fires during the restarted attempt
+    # crashes spaced so each fires during the attempt the previous one
+    # restarted: MAX_RESTARTS of them still finish, one more does not
     t1 = csp_baseline.makespan_ms * 0.3
-    schedule = FaultSchedule(
-        [
-            FaultEvent("gpu_crash", t1, target=1),
-            FaultEvent("gpu_crash", t1 + 200.0, target=1),
-        ]
-    )
-    with pytest.raises(FaultToleranceError):
-        run_with_recovery(
+
+    def run(crashes):
+        return run_with_recovery(
             rec_space,
             naspipe(),
-            schedule,
+            FaultSchedule(
+                [
+                    FaultEvent("gpu_crash", t1 + 200.0 * crash, target=1)
+                    for crash in range(crashes)
+                ]
+            ),
             num_gpus=4,
             steps=STEPS,
             seed=SEED,
-            checkpoint_dir=tmp_path,
-            spec=RecoverySpec(checkpoint_interval=8, max_restarts=1),
+            checkpoint_dir=tmp_path / str(crashes),
         )
+
+    assert MAX_RESTARTS == 8
+    assert run(MAX_RESTARTS).num_attempts == MAX_RESTARTS + 1
+    with pytest.raises(FaultToleranceError, match="budget exhausted: 8 restarts"):
+        run(MAX_RESTARTS + 1)
 
 
 def test_host_crash_takes_down_all_its_stages(rec_space, csp_baseline, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import naspipe
 from repro.engines.functional_plane import FunctionalPlane
-from repro.errors import SearchSpaceError
+from repro.errors import ConfigError, SearchSpaceError
 from repro.nas.evaluator import SubnetEvaluator, proxy_bleu, top_k_accuracy
 from repro.nas.evolution import EvolutionSearch
 from repro.nas.hybrid import HybridSupernet, hybrid_space, hybrid_stream
@@ -123,6 +123,19 @@ def test_trainer_accepts_space_name():
     assert trainer.space.name == "NLP.c3"
     with pytest.raises(ValueError):
         SupernetTrainer("NLP.c3", stream_kind="chaotic")
+
+
+def test_trainer_num_gpus_none_means_the_constructors_and_zero_is_an_error(
+    small_space,
+):
+    trainer = SupernetTrainer(small_space, seed=4, num_gpus=4)
+    run = trainer.train(naspipe(), steps=4, with_functional=False, num_gpus=None)
+    assert run.result.num_gpus == 4
+    run = trainer.train(naspipe(), steps=4, with_functional=False, num_gpus=2)
+    assert run.result.num_gpus == 2
+    # 0 used to fall back to the constructor's 4 GPUs and train quietly
+    with pytest.raises(ConfigError, match="need at least 1 GPU, got 0"):
+        trainer.train(naspipe(), steps=4, with_functional=False, num_gpus=0)
 
 
 def test_trainer_streams_identical_across_systems(small_space):

@@ -18,7 +18,7 @@ from repro import payload
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.common import ExperimentScale, make_stream
-from repro.ft import DegradationPolicy, FaultSchedule, fleet_sweep
+from repro.ft import FaultSchedule, fleet_sweep
 from repro.nas import SupernetTrainer
 from repro.obs.telemetry.alerts import AlertRule
 from repro.replay import record_run
@@ -43,6 +43,14 @@ JOB = {
 }
 SERVING = {"space": "NLP.c3", "space_overrides": TINY, "num_gpus": 2, "requests": 8}
 RUN = {"space": "NLP.c3", "space_overrides": TINY, "subnets": 4, "num_gpus": 2}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Switch:
+    """A bool-defaulted field for the reader's cast rule (no plane's
+    config has one)."""
+
+    on: bool = True
 
 
 def _service(job):
@@ -101,7 +109,6 @@ def _manifest(system_name="NASPipe", space_overrides=TINY, **kwargs):
 UNKNOWN_KEY = {
     "job": (lambda x, _: JobSpec.from_payload({**JOB, **x}, "jobs[3]"), "jobs[3]", "stream_kind"),
     "serving": (lambda x, _: ServingSpec.from_payload(x), "serving", "rate_rps"),
-    "degradation": (lambda x, _: DegradationPolicy.from_payload(x), "degradation", "ewma_alpha"),
     "fault": (
         lambda x, _: FaultSchedule.from_payload(
             [{"kind": "copy_stall", "time_ms": 1.0}, {"kind": "copy_stall", "time_ms": 2.0, **x}]
@@ -133,6 +140,16 @@ def test_trace_config_typo_is_rejected_not_defaulted(tmp_path):
     # at the parent {"subnet": 100} quietly ran the default 24 subnets
     with pytest.raises(ConfigError, match=r"run config: unknown keys \['subnet'\].*'subnets'"):
         _cli("trace")({"subnet": 100}, tmp_path)
+
+
+def test_chaos_config_has_no_degradation_switch(tmp_path):
+    # a chaos sweep always arms mitigation; the key that could not turn
+    # it off is gone, so a config still carrying it is refused
+    with pytest.raises(ConfigError) as exc:
+        _cli("chaos")({"degradation": True}, tmp_path)
+    message = str(exc.value)
+    assert message.startswith("chaos config: unknown keys ['degradation']; expected a subset of [")
+    assert "'nic_slowdown'" in message
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +249,7 @@ def test_ints_given_for_float_fields_arrive_as_floats():
     spec = JobSpec.from_payload({**JOB, "submit_ms": 5, "subnets": 4.0})
     assert type(spec.submit_ms) is float and type(spec.subnets) is int
     # a bool default is not an int default
-    assert DegradationPolicy.from_payload({"rebalance": False}).rebalance is False
+    assert payload.build(_Switch, {"on": False}, "switch").on is False
     with pytest.raises(ConfigError, match="serving: rate_rps must be float, got 'fast'"):
         ServingSpec.from_payload({"rate_rps": "fast"})
 

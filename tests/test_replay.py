@@ -103,6 +103,124 @@ def test_manifest_records_the_mitigation_sequence():
     assert verify_replay(manifest).mitigation_actions == manifest.mitigation_actions
 
 
+#: ``record_run("NLP.c3", "NASPipe", space_overrides={"num_blocks": 8,
+#: "functional_width": 16}, num_gpus=4, seed=11, steps=12, batch=32,
+#: speed_factors=[1.0, 2.5, 1.0, 1.0], degradation=True).to_json()`` as
+#: written while ``degradation`` still held the thresholds dict
+_THRESHOLDS_MANIFEST = """\
+{
+  "attempts": 1,
+  "batch": 32,
+  "checkpoint_cuts": [],
+  "checkpoint_interval": null,
+  "completion_order": [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5,
+    6,
+    8,
+    7,
+    11,
+    9,
+    10
+  ],
+  "degradation": {
+    "admission_control": true,
+    "ewma_alpha": 0.25,
+    "link_enter_ratio": 0.3,
+    "link_exit_ratio": 0.6,
+    "max_weight": 4.0,
+    "min_samples": 4,
+    "min_window": 2,
+    "prefetch_throttle": true,
+    "rebalance": true,
+    "stall_enter_ratio": 0.5,
+    "stall_exit_ratio": 0.25,
+    "straggler_enter_ratio": 1.6,
+    "straggler_exit_ratio": 1.25,
+    "weight_quantum": 0.25,
+    "window_shrink": 2
+  },
+  "digest": "9d867ea6d83ebeca15cbfad01bb1edffaa2de951a80f6cdcda9d65c0b8fc5c90",
+  "fault_events": [],
+  "functional_batch": 8,
+  "learning_rate": 0.3,
+  "losses": {
+    "0": 2.817624568939209,
+    "1": 2.6542134284973145,
+    "10": 2.729926586151123,
+    "11": 2.6234230995178223,
+    "2": 2.9393274784088135,
+    "3": 2.5529799461364746,
+    "4": 2.7187561988830566,
+    "5": 2.9770889282226562,
+    "6": 1.394237995147705,
+    "7": 2.5362589359283447,
+    "8": 2.4030284881591797,
+    "9": 2.272911548614502
+  },
+  "makespan_ms": 583.6682956518553,
+  "max_grad_norm": 5.0,
+  "mitigation_actions": [
+    {
+      "action": "rebalance",
+      "active": true,
+      "target": 1,
+      "time_ms": 52.760309197599504,
+      "value": 2.5
+    }
+  ],
+  "momentum": 0.9,
+  "num_gpus": 4,
+  "recovery_gpus": null,
+  "seed": 11,
+  "space_name": "NLP.c3",
+  "space_overrides": {
+    "functional_width": 16,
+    "num_blocks": 8
+  },
+  "speed_factors": [
+    1.0,
+    2.5,
+    1.0,
+    1.0
+  ],
+  "steps": 12,
+  "stream_kind": "spos",
+  "system_name": "NASPipe",
+  "system_overrides": {},
+  "version": 1
+}
+"""
+
+
+def test_a_manifest_holding_the_thresholds_dict_replays_armed():
+    manifest = RunManifest.from_json(_THRESHOLDS_MANIFEST)
+    assert manifest.degradation["min_window"] == 2
+    assert [a["action"] for a in manifest.mitigation_actions] == ["rebalance"]
+    result = verify_replay(manifest)
+    assert result.mitigation_actions == manifest.mitigation_actions
+    assert result.digest == manifest.digest
+    # the same run recorded now stores the flag, and the same outcome
+    fresh = record_run(
+        "NLP.c3",
+        "NASPipe",
+        space_overrides={"num_blocks": 8, "functional_width": 16},
+        num_gpus=4,
+        seed=11,
+        steps=12,
+        batch=32,
+        speed_factors=[1.0, 2.5, 1.0, 1.0],
+        degradation=True,
+    )
+    assert fresh.degradation is True
+    assert fresh.digest == manifest.digest
+    assert fresh.mitigation_actions == manifest.mitigation_actions
+
+
 # ----------------------------------------------------------------------
 # faulted-run manifests (repro.ft)
 # ----------------------------------------------------------------------

@@ -310,7 +310,7 @@ def test_scrape_series_never_duplicates_a_timestamp():
     counter.inc()
     hub.scraper.scrape(100.0)
     counter.inc()
-    hub.scraper.finalize(100.0)  # quiescence flush at a sampled instant
+    hub.scraper.scrape(100.0)  # quiescence flush at a sampled instant
     assert len(hub.scraper.samples) == 1
     # the flush overwrote the sample with the post-increment state
     assert hub.scraper.samples[0][1]["t_total"] == 2.0

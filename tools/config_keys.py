@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from marked_block import sync  # noqa: E402
 
 from repro import SearchSpace, SystemConfig, cli  # noqa: E402
-from repro.ft import DegradationPolicy, FaultEvent, fleet  # noqa: E402
+from repro.ft import FaultEvent, fleet  # noqa: E402
 from repro.obs.telemetry import alerts  # noqa: E402
 from repro.payload import accepted  # noqa: E402
 from repro.service import JobScheduler, JobSpec, scheduler  # noqa: E402
@@ -63,7 +63,6 @@ def block() -> str:
             _fields(ServingSpec, frontend._RENAME),
         ),
         ("`faults`, `serve`", "each of `faults`", _fields(FaultEvent)),
-        ("`chaos`", "`degradation` (or `true`)", _fields(DegradationPolicy)),
         ("`monitor --rules`", "each rule", _keys(sorted(alerts._RULE_KEYS))),
         ("any", "`space_overrides`", _keys(accepted(SearchSpace))),
         ("any", "`overrides`", _keys(accepted(SystemConfig))),
