@@ -1,6 +1,6 @@
 # Convenience targets (see README for the underlying commands).
 
-.PHONY: install test bench docs-check ledger ledger-test ledger-pairs gc-share bench-obs bench-serving obs-baseline experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
+.PHONY: install test bench docs-check ledger ledger-test ledger-pairs gc-share bench-obs bench-serving experiments repro-check demo trace-demo analyze-demo faults-demo chaos-smoke chaos-fleet serve-demo serving-demo monitor-demo clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -38,15 +38,11 @@ gc-share:
 
 bench-serving:
 	python -m repro bench-serving examples/serving_demo.json \
-		--json BENCH_serving.json \
-		--baseline benchmarks/serving_baseline.json
+		--json BENCH_serving.json
 
 bench-obs:
 	python -m repro analyze examples/trace_demo.json \
 		--sweep-gpus 2 4 8 --json BENCH_obs.json
-
-obs-baseline:
-	python tools/record_obs_baseline.py benchmarks/obs_baseline.json
 
 experiments:
 	python -m repro all --scale small

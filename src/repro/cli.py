@@ -69,10 +69,6 @@ _OPTIONS = {
         help="also write the machine-readable report here",
     ),
     "--seeds": dict(type=int, default=10, help="seeded fault schedules per GPU count"),
-    "--baseline": dict(
-        metavar="PATH",
-        help="fail (exit 1) on a >2x regression against this committed baseline JSON",
-    ),
     "--out": dict(
         metavar="PATH",
         type=_output_path,
@@ -129,7 +125,7 @@ _OPTIONS = {
         type=float,
         metavar="PCT",
         help="exit non-zero when run B's makespan or bubble ratio is worse "
-        "than run A's by more than PCT percent (100 = the 2x CI gate)",
+        "than run A's by more than PCT percent (100 = twice as bad)",
     ),
 }
 #: name → (handler, the _OPTIONS it reads, --help text), in ``naspipe list`` order
@@ -297,7 +293,11 @@ def _repro_check(args) -> str:
         if replay.digest == manifest.digest
         else "FAIL: replay diverged"
     )
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    if "FAIL" in text:
+        print(text)
+        raise SystemExit("reproducibility self-check failed")
+    return text
 
 
 @_command("demo", "--seed", paper=True)
@@ -584,7 +584,7 @@ def _compare(args) -> str:
     ``run_id`` prefix resolved against ``--registry``.  With
     ``--fail-on-regression PCT`` the command exits non-zero when run B's
     makespan or bubble ratio is worse than run A's by more than PCT
-    percent (``100`` = the 2x CI gate).  Output is byte-deterministic.
+    percent (``100`` = twice as bad).  Output is byte-deterministic.
     """
     from repro.obs.registry import (
         check_regression,
@@ -765,8 +765,8 @@ def _chaos_fleet(args) -> str:
          "serving": {...}, "jobs": [...]}
 
     ``--json PATH`` writes the canonical machine-readable sweep report
-    (byte-identical across identical runs; the ``chaos-fleet-smoke``
-    CI gate ``cmp``'s two of them).  See ``docs/FAULT_TOLERANCE.md``.
+    (byte-identical across identical runs; ``tests/goldens.json`` pins
+    the demo's).  See ``docs/FAULT_TOLERANCE.md``.
     """
     from repro.ft import fleet_report_json, fleet_sweep, format_fleet_report
 
@@ -805,8 +805,8 @@ def _serve(args) -> str:
     With ``"verify_solo": true`` (or ``--verify``) every job is re-run
     alone and its digest compared bitwise — any mismatch exits non-zero.
     ``--json PATH`` writes the canonical machine-readable report
-    (byte-identical across identical runs; the ``service-smoke`` CI
-    gate ``cmp``'s two of them).  See ``docs/OPERATIONS.md``.
+    (byte-identical across identical runs; ``tests/goldens.json`` pins
+    the demo's).  See ``docs/OPERATIONS.md``.
     """
     from repro.service import (
         format_service_report,
@@ -832,7 +832,7 @@ def _serve(args) -> str:
     return text
 
 
-@_command("bench-serving", "config", "--json", "--baseline")
+@_command("bench-serving", "config", "--json")
 def _bench_serving(args) -> str:
     """``naspipe bench-serving <config>``: run the subnet-evaluation
     serving benchmark (cache on / cache off / overload) and report
@@ -848,19 +848,10 @@ def _bench_serving(args) -> str:
          "slo_ms": 250.0}
 
     ``--json PATH`` writes the canonical ``BENCH_serving.json`` payload
-    (byte-identical across identical runs — the ``serving-smoke`` CI
-    job ``cmp``'s two of them); ``--baseline PATH`` gates p99 latency
-    and throughput against a committed baseline and exits non-zero on
-    regression, determinism violation, or a broken structural claim
-    (cache must strictly help; admitted overload requests must meet the
-    SLO).  See ``docs/SERVING.md``.
+    (byte-identical across identical runs; ``tests/goldens.json`` pins
+    the demo's).  See ``docs/SERVING.md``.
     """
-    from repro.serving import (
-        check_regression,
-        format_serving_report,
-        run_bench,
-        serving_report_json,
-    )
+    from repro.serving import format_serving_report, run_bench, serving_report_json
 
     config_path = Path(args.config)
     payload = run_bench(json.loads(config_path.read_text()))
@@ -868,14 +859,6 @@ def _bench_serving(args) -> str:
     if args.json:
         target = _write(args.json, serving_report_json(payload))
         out.append(f"[serving bench written to {target}]")
-    if args.baseline:
-        failures = check_regression(payload, args.baseline)
-        if failures:
-            print("\n".join(out))
-            raise SystemExit(
-                "serving regression:\n  " + "\n  ".join(failures)
-            )
-        out.append(f"[no regression vs {args.baseline}]")
     return "\n".join(out)
 
 
@@ -893,8 +876,8 @@ def _monitor(args) -> str:
     replaces the built-in alert rules (see ``docs/TELEMETRY.md``) and
     ``--json`` writes the monitor report (alerts + metering).
 
-    Every output is byte-identical across identical runs — the
-    ``monitor-smoke`` CI job runs this twice and ``cmp``'s the files —
+    Every output is byte-identical across identical runs —
+    ``tests/goldens.json`` pins the three files of the service demo —
     and arming the hub changes nothing: engine decisions, digests and
     reports are bitwise the same with telemetry on or off.
     """

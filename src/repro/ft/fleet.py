@@ -38,8 +38,8 @@ The **invariant suite** per scenario:
 6. both planes' traces validate against the event-schema registry.
 
 Storm draws, arrival processes and both virtual clocks are seeded, so
-``fleet_sweep`` over the same config is byte-deterministic — the CI
-``chaos-fleet-smoke`` job runs it twice and ``cmp``'s the reports.
+``fleet_sweep`` over the same config is byte-deterministic —
+``tests/goldens.json`` pins the demo's report.
 """
 
 from __future__ import annotations

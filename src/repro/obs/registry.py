@@ -11,9 +11,9 @@ byte-identical lines.
 
 ``compare_records`` diffs two records field by field (shared numeric
 summary fields plus the per-resource critical-path split) and
-``check_regression`` turns the diff into a CI verdict: the chaos-smoke
-gate records a baseline record in-repo and fails the build when
-makespan or bubble ratio regresses past the threshold.
+``check_regression`` turns the diff into a verdict: ``naspipe compare
+--fail-on-regression`` fails when makespan or bubble ratio regresses
+past the threshold.
 
 Record schema (see ``docs/ANALYSIS.md``):
 
@@ -168,17 +168,23 @@ def load_runs(path: Union[str, Path, None] = None) -> List[Dict[str, object]]:
 def resolve_run(
     ref: str, registry: Union[str, Path, None] = None
 ) -> Dict[str, object]:
-    """A record from a reference: a JSON/JSONL file path (last record
-    wins) or a ``run_id`` prefix looked up in the registry (latest
-    match wins — the registry is append-only, so "latest" is the most
-    recent run of that id)."""
+    """A record from a reference: a record file — one JSON document, or
+    JSONL whose last record wins — or a ``run_id`` prefix looked up in
+    the registry.  A prefix matching two different run_ids is an error
+    naming them; one run_id filed twice resolves to its latest record
+    (the registry is append-only, so "latest" is the most recent run of
+    that id)."""
+    if not ref:
+        raise ValueError("empty run reference: give a record file or a run_id prefix")
     path = Path(ref)
-    if path.exists() and path.is_file():
+    if path.is_file():
         text = path.read_text(encoding="utf-8").strip()
         if not text:
             raise ValueError(f"empty run record file: {ref}")
-        last_line = text.splitlines()[-1].strip()
-        return json.loads(last_line)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            return json.loads(text.splitlines()[-1])
     matches = [
         record
         for record in load_runs(registry)
@@ -189,6 +195,9 @@ def resolve_run(
             f"no run {ref!r}: not a file and no run_id prefix match in "
             f"{Path(registry) if registry is not None else DEFAULT_REGISTRY}"
         )
+    run_ids = sorted({str(record["run_id"]) for record in matches})
+    if len(run_ids) > 1:
+        raise ValueError(f"run_id prefix {ref!r} is ambiguous: {', '.join(run_ids)}")
     return matches[-1]
 
 
@@ -300,7 +309,7 @@ def check_regression(
 
 def format_compare(comparison: Dict[str, object]) -> str:
     """Human-readable rendering of :func:`compare_records` (also
-    byte-deterministic — the CI gate logs it)."""
+    byte-deterministic)."""
     lines = [
         f"run A: {comparison['run_a']['run_id']}  "
         f"config {str(comparison['run_a']['config_digest'])[:12]}",

@@ -17,7 +17,8 @@ scrape timestamp and is bit-reproducible:
 Rules come from JSON (``naspipe monitor --rules rules.json``) or from
 :data:`DEFAULT_RULES`, which are chosen to stay silent on healthy runs:
 they key off down slots, failed jobs, and serving SLO burn — all zero
-without faults (the ``monitor-smoke`` CI gate asserts exactly that).
+without faults (the pinned monitor report of the service demo holds
+zero firings).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ dataclass from only the keys a payload carries — so **the dataclass
 default is the only default** — casting to ``int``/``float`` where the
 field's default is one (``"rate_rps": 30`` arrives as ``30.0``).
 
-**Writer.**  Every report, digest and registry line that is ``cmp``'d or
+**Writer.**  Every report, digest and registry line that is pinned or
 hashed goes through :func:`compact`, :func:`indented` or :func:`sha256`.
 
 ``repro.cli`` imports this module: standard library and ``repro.errors``

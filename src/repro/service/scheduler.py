@@ -57,8 +57,7 @@ revoke` and the scheduler reacts *at the next consistent cut* —
   ``duration_ms``, then return and trigger a replan.
 
 Everything is deterministic: identical service configs produce
-byte-identical reports (the CI ``service-smoke`` gate ``cmp``'s two
-runs), and the service timeline is itself a schema-validated
+byte-identical reports (``tests/goldens.json`` pins the demo's), and the service timeline is itself a schema-validated
 :class:`~repro.sim.trace.ExecutionTrace` carrying the ``job_*`` and
 ``lease_revoke`` event kinds documented in ``docs/TRACING.md``.
 """
@@ -871,8 +870,8 @@ def run_service(
     every job *alone* — elastic (CSP) jobs at their capped maximum GPU
     count, rigid jobs at the exact allocation the service gave them —
     and records whether digest and per-subnet losses match bitwise.  The
-    report's ``"ok"`` is False on any mismatch, which is the acceptance
-    criterion the ``service-smoke`` CI job gates on.
+    report's ``"ok"`` is False on any mismatch, and ``naspipe serve``
+    then exits non-zero.
     """
     reject_unknown(
         payload, (*_SERVICE_KEYS, *SCHEDULER_KNOBS), "service config"

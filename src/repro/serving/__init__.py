@@ -17,11 +17,11 @@ latency-SLO workload on the simulated fleet:
   a :class:`~repro.service.manager.ClusterManager`, scores batches on
   the simulated pipeline, records per-request timestamps;
 * :mod:`repro.serving.metrics` — nearest-rank latency percentiles,
-  throughput / hit / shed / SLO stats, the canonical ``BENCH_serving``
-  report, and its CI regression gate.
+  throughput / hit / shed / SLO stats and the canonical ``BENCH_serving``
+  report.
 
 Everything is deterministic: identical configs produce byte-identical
-reports (the ``serving-smoke`` CI job ``cmp``'s two runs).  See
+reports (``tests/goldens.json`` pins the demo's).  See
 ``docs/SERVING.md``.
 """
 
@@ -29,7 +29,6 @@ from repro.serving.batcher import BatchPolicy, BoundedBatcher
 from repro.serving.cache import LayerBlockCache, ResultCache, subnet_digest
 from repro.serving.frontend import ServingEngine, ServingSpec, run_bench
 from repro.serving.metrics import (
-    check_regression,
     format_serving_report,
     nearest_rank,
     serving_report_json,
@@ -45,7 +44,6 @@ __all__ = [
     "ServingEngine",
     "ServingSpec",
     "WorkloadSpec",
-    "check_regression",
     "format_serving_report",
     "generate_requests",
     "nearest_rank",

@@ -6,18 +6,15 @@ samples, the p-th percentile is the value at 1-based rank
 interpolation.  Interpolated percentiles mix two samples into a number
 nobody observed and whose low bits depend on the platform's float
 rounding; nearest-rank always returns an actual measured latency and is
-bit-stable, which is what lets the CI gate ``cmp`` two reports.
+bit-stable, which is what lets ``tests/goldens.json`` pin a report's
+bytes.
 
 The report is canonical JSON (sorted keys, two-space indent, trailing
-newline — the repo-wide convention), and :func:`check_regression` is
-the committed-baseline gate: perf fields fail on a factor, fingerprint
-fields fail on any bitwise difference.
+newline — the repo-wide convention).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.payload import indented
@@ -28,7 +25,6 @@ __all__ = [
     "latency_histogram",
     "serving_report_json",
     "format_serving_report",
-    "check_regression",
     "DEFAULT_LATENCY_BUCKETS_MS",
 ]
 
@@ -119,7 +115,7 @@ def latency_histogram(
 
 
 def serving_report_json(report: Dict) -> str:
-    """Canonical byte-stable encoding (the CI gate ``cmp``'s two)."""
+    """Canonical byte-stable encoding (its bytes are pinned)."""
     return indented(report) + "\n"
 
 
@@ -173,76 +169,3 @@ def format_serving_report(report: Dict) -> str:
             f"hit rate {no_cache['hit_rate']:.1%} -> {primary['hit_rate']:.1%}"
         )
     return "\n".join(lines).rstrip()
-
-
-def check_regression(
-    payload: Dict, baseline_path, factor: float = 2.0
-) -> List[str]:
-    """Gate a serving payload against a committed baseline.
-
-    Per scenario: p99 latency regresses when it exceeds ``factor`` × the
-    baseline's; throughput regresses when ``rate × factor`` falls below
-    the baseline's.  When the two configs are identical the scenario's
-    p99, completed and shed counts are additionally compared *bitwise* —
-    any difference there is a determinism violation, not a perf delta.
-    Structural claims (cache strictly helps; overload sheds; admitted
-    requests meet the SLO) are checked unconditionally.
-    """
-    failures: List[str] = []
-    baseline = json.loads(Path(baseline_path).read_text())
-    same_config = payload.get("config") == baseline.get("config")
-    for name in ("primary", "no_cache", "overload"):
-        scenario = payload.get(name)
-        base = baseline.get(name)
-        if scenario is None or base is None:
-            continue
-        p99 = scenario["latency_ms"]["p99"]
-        base_p99 = base["latency_ms"]["p99"]
-        if base_p99 > 0 and p99 > factor * base_p99:
-            failures.append(
-                f"{name}: p99 {p99:.3f} ms vs baseline {base_p99:.3f} ms "
-                f"(>{factor:.1f}x)"
-            )
-        rate = scenario["throughput_rps"]
-        base_rate = base["throughput_rps"]
-        if rate * factor < base_rate:
-            failures.append(
-                f"{name}: {rate:.1f} req/s vs baseline {base_rate:.1f} "
-                f"(<1/{factor:.1f}x)"
-            )
-        if same_config:
-            for field in ("completed", "shed"):
-                if scenario[field] != base[field]:
-                    failures.append(
-                        f"{name}: {field} {scenario[field]!r} != baseline "
-                        f"{base[field]!r} — determinism violation, not a "
-                        f"perf delta"
-                    )
-            if p99 != base_p99:
-                failures.append(
-                    f"{name}: p99 {p99!r} != baseline {base_p99!r} — "
-                    f"determinism violation, not a perf delta"
-                )
-    primary = payload.get("primary")
-    no_cache = payload.get("no_cache")
-    if primary and no_cache:
-        if not primary["hit_rate"] > no_cache["hit_rate"]:
-            failures.append(
-                f"cache did not raise hit rate: {primary['hit_rate']:.3f} "
-                f"vs {no_cache['hit_rate']:.3f} uncached"
-            )
-        if not primary["latency_ms"]["p99"] < no_cache["latency_ms"]["p99"]:
-            failures.append(
-                f"cache did not lower p99: {primary['latency_ms']['p99']:.3f}"
-                f" vs {no_cache['latency_ms']['p99']:.3f} uncached"
-            )
-    overload = payload.get("overload")
-    if overload:
-        if overload["shed"] <= 0:
-            failures.append("overload scenario shed nothing — not overloaded")
-        if overload["slo_attainment"] < 1.0:
-            failures.append(
-                f"admitted overload requests missed the SLO: attainment "
-                f"{overload['slo_attainment']:.3f} < 1.0"
-            )
-    return failures

@@ -54,6 +54,25 @@ def test_repro_check_command(capsys):
     assert "FAIL" not in out
 
 
+def test_repro_check_exits_nonzero_when_it_prints_fail(monkeypatch, capsys):
+    """Was: the report said ``FAIL: … != …`` and the command exited 0,
+    so a CI step running it could never fail."""
+    import repro.replay
+
+    record_run = repro.replay.record_run
+
+    def one_gpu_diverges(*args, **kwargs):
+        manifest = record_run(*args, **kwargs)
+        if kwargs["num_gpus"] == 1:
+            manifest.digest = "0" * 64
+        return manifest
+
+    monkeypatch.setattr(repro.replay, "record_run", one_gpu_diverges)
+    with pytest.raises(SystemExit, match="reproducibility self-check failed"):
+        main(["repro-check"])
+    assert "FAIL: " in capsys.readouterr().out
+
+
 def test_demo_command(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out
@@ -214,7 +233,7 @@ def test_chaos_fleet_command_requires_config():
 # ----------------------------------------------------------------------
 # one front door: each command accepts exactly the options it reads
 # ----------------------------------------------------------------------
-#: the whole CLI surface: 26 commands, 61 accepted flag×command pairs
+#: the whole CLI surface: 26 commands, 60 accepted flag×command pairs
 _FLAGS = {
     "figure1": {"--seed"},
     "figure4": {"--spaces", "--seed"},
@@ -240,7 +259,7 @@ _FLAGS = {
     "chaos": {"--seed", "--seeds", "--jobs", "--json"},
     "chaos-fleet": {"--json"},
     "serve": {"--verify", "--json"},
-    "bench-serving": {"--json", "--baseline"},
+    "bench-serving": {"--json"},
     "monitor": {"--rules", "--interval", "--out", "--prom", "--json"},
     "all": {"--scale", "--spaces", "--seed", "--csv", "--scores"},
     "list": set(),
@@ -260,7 +279,7 @@ def test_list_prints_the_24_names_in_order(capsys):
         "compare", "faults", "chaos", "chaos-fleet", "serve", "bench-serving",
         "monitor",
     ]
-    assert sum(len(flags) for flags in _FLAGS.values()) == 61
+    assert sum(len(flags) for flags in _FLAGS.values()) == 60
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))

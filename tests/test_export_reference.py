@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.ft.fleet as fleet
 from export_reference import reference_export
-from obs_goldens import READER_RUNS, one_event_per_kind
+from goldens import READER_RUNS, one_event_per_kind
 from repro.baselines import naspipe
 from repro.engines.pipeline import PipelineEngine
 from repro.ft import run_fleet_scenario

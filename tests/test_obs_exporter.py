@@ -33,7 +33,7 @@ from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.supernet import Supernet
 
-from obs_goldens import one_event_per_kind, rendered_by_kind
+from goldens import one_event_per_kind, rendered_by_kind
 
 TRACING_DOC = Path(__file__).resolve().parents[1] / "docs" / "TRACING.md"
 

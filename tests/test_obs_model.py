@@ -1,6 +1,6 @@
 """The run model (``repro.obs.model``): what one reading of a trace holds.
 
-The readers' bytes are pinned elsewhere (``test_obs_goldens.py``, the
+The readers' bytes are pinned elsewhere (``goldens.json``, the
 ledger); here the model's own facts are checked against a hand-built
 trace, the ``bisect`` admission-releaser rule against the linear scan it
 replaced, and "one model per public entry point" against a counter.

@@ -1,11 +1,10 @@
-"""Registry + compare: byte-stable records and the CI regression gate.
+"""Registry + compare: byte-stable records and the regression gate.
 
 Two identical runs must serialise to byte-identical registry records
 (the whole point of a cross-run registry over a reproducible simulator),
 ``resolve_run`` must accept both file paths and ``run_id`` prefixes,
 and the ``naspipe compare --fail-on-regression`` path must exit non-zero
-on an injected 2x makespan regression — exactly what the chaos-smoke CI
-job runs against the committed baseline.
+on an injected 2x makespan regression.
 """
 
 import copy
@@ -17,6 +16,7 @@ from repro.baselines import naspipe
 from repro.cli import main
 from repro.engines.pipeline import PipelineEngine
 from repro.errors import ConfigError
+from repro.payload import indented
 from repro.obs.registry import (
     append_run,
     check_regression,
@@ -102,6 +102,29 @@ def test_append_load_resolve_roundtrip(tiny_supernet, tmp_path):
     assert resolve_run(str(registry)) == record
     with pytest.raises(KeyError):
         resolve_run("ffffffffffffffff", registry)
+
+
+def test_a_prefix_of_two_run_ids_or_none_at_all_is_refused(tiny_supernet, tmp_path):
+    """Was: ``compare f …`` silently took the later of ``f68ce847…`` and
+    ``fe7f46df…``, and ``compare "" …`` matched every record."""
+    registry = tmp_path / "runs.jsonl"
+    record = run_record(_run(tiny_supernet), git_sha=None)
+    for run_id, git_sha in (("f68ce847", None), ("fe7f46df", None), ("fe7f46df", "later")):
+        append_run(dict(record, run_id=run_id, git_sha=git_sha), registry)
+    with pytest.raises(ValueError, match="'f' is ambiguous: f68ce847, fe7f46df"):
+        resolve_run("f", registry)
+    with pytest.raises(ValueError, match="empty run reference"):
+        resolve_run("", registry)
+    # one run_id filed twice is not ambiguous: its latest record wins
+    assert resolve_run("fe", registry)["git_sha"] == "later"
+
+
+def test_an_indented_json_record_file_resolves(tiny_supernet, tmp_path):
+    """Was: only the last line, ``}``, was parsed — a ``JSONDecodeError``."""
+    record = run_record(_run(tiny_supernet), git_sha=None)
+    path = tmp_path / "record.json"
+    path.write_text(indented(record) + "\n")
+    assert resolve_run(str(path)) == record
 
 
 # ----------------------------------------------------------------------

@@ -80,6 +80,9 @@ RULES = [
         0,
         "ft.recovery.MAX_RESTARTS / RESTART_DELAY_MS",
     ),
+    # one regression gate, across runs; a byte that must not move is an
+    # entry of tests/goldens.json, not a committed baseline behind a band
+    (r"def check_regression", ("obs/registry.py",), 1, "obs.registry.check_regression / a tests/goldens.json entry"),
 ]
 
 
