@@ -250,6 +250,8 @@ class PipelineEngine:
                 raise GpuOutOfMemoryError(
                     0, breakdown.total, breakdown.usable_bytes
                 )
+        elif isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+            raise ConfigError(f"batch must be an integer >= 1, got {batch!r}")
         self.batch = batch
         #: batch-dependent compute scaling, constant for the whole run
         self._batch_scale = supernet.batch_time_scale(batch)

@@ -46,7 +46,7 @@ _PARAM_OVERHEAD_FACTOR = 1.25
 #: ASP (PipeDream) additionally keeps stashed weight versions for
 #: in-flight minibatches; its effective parameter overhead is higher.
 _ASP_PARAM_OVERHEAD_FACTOR = 1.26
-#: Batch sizes are searched over multiples of this granularity.
+#: Batch sizes are multiples of this granularity.
 _BATCH_GRANULARITY = 4
 
 
@@ -83,10 +83,6 @@ def resident_param_bytes_per_stage(
     return int(base * factor)
 
 
-def _layers_per_stage(supernet: Supernet, stages: int) -> float:
-    return supernet.space.num_blocks / stages
-
-
 def activation_bytes_per_sample(
     supernet: Supernet, config: SystemConfig, stages: int
 ) -> int:
@@ -95,9 +91,8 @@ def activation_bytes_per_sample(
     if config.recompute:
         stash = _STASH_BYTES[domain]
     else:
-        stash = int(
-            _layers_per_stage(supernet, stages) * _NO_RECOMPUTE_LAYER_BYTES[domain]
-        )
+        layers_per_stage = supernet.space.num_blocks / stages
+        stash = int(layers_per_stage * _NO_RECOMPUTE_LAYER_BYTES[domain])
     window = _stash_window(config, stages)
     return window * stash + _WORKING_BYTES[domain]
 
@@ -120,22 +115,16 @@ def memory_breakdown(
     cluster: ClusterSpec,
     batch: int,
 ) -> MemoryBreakdown:
+    """The budget at ``batch``: its ``total`` is exactly ``params + batch
+    × activation_bytes_per_sample`` (every term an ``int``)."""
     stages = cluster.num_gpus
-    params = resident_param_bytes_per_stage(supernet, config, stages)
-    domain = supernet.space.domain
-    if config.recompute:
-        stash_unit = _STASH_BYTES[domain]
-    else:
-        stash_unit = int(
-            _layers_per_stage(supernet, stages) * _NO_RECOMPUTE_LAYER_BYTES[domain]
-        )
-    stash = _stash_window(config, stages) * stash_unit * batch
-    working = _WORKING_BYTES[domain] * batch
+    working = _WORKING_BYTES[supernet.space.domain]
+    per_sample = activation_bytes_per_sample(supernet, config, stages)
     return MemoryBreakdown(
         usable_bytes=cluster.gpu_memory_bytes - cluster.reserved_bytes,
-        param_bytes=params,
-        stash_bytes=stash,
-        working_bytes=working,
+        param_bytes=resident_param_bytes_per_stage(supernet, config, stages),
+        stash_bytes=(per_sample - working) * batch,
+        working_bytes=working * batch,
     )
 
 
@@ -175,13 +164,17 @@ def max_feasible_batch(
 ) -> Optional[int]:
     """Largest supported batch (multiple of 4, capped by the space's
     ``max_batch``), or None when even the minimum batch overflows — the
-    system OOMs on this search space (GPipe/PipeDream on NLP.c0)."""
-    best: Optional[int] = None
-    batch = _BATCH_GRANULARITY
-    while batch <= supernet.space.max_batch:
-        if memory_breakdown(supernet, config, cluster, batch).fits:
-            best = batch
-        else:
-            break
-        batch += _BATCH_GRANULARITY
-    return best
+    system OOMs on this search space (GPipe/PipeDream on NLP.c0).
+
+    Memory grows by the same whole number of bytes per sample, so the
+    budget is solved once instead of searched batch by batch."""
+    stages = cluster.num_gpus
+    spare = (
+        cluster.gpu_memory_bytes
+        - cluster.reserved_bytes
+        - resident_param_bytes_per_stage(supernet, config, stages)
+    )
+    per_sample = activation_bytes_per_sample(supernet, config, stages)
+    cap = min(supernet.space.max_batch, spare // per_sample)
+    batch = int(cap) // _BATCH_GRANULARITY * _BATCH_GRANULARITY
+    return batch if batch >= _BATCH_GRANULARITY else None

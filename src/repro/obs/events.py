@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.sim.trace import ExecutionTrace, TraceEvent
@@ -36,6 +37,8 @@ _NUMBER = (int, float)
 _BOOL = (bool,)
 _INT = (int,)
 _STR = (str,)
+_TIME_CLASSES = frozenset(_NUMBER)
+_name = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -590,56 +593,107 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
 }
 
 
-def validate_event(event: TraceEvent) -> List[str]:
-    """Schema-check one event; returns human-readable problems (empty =
-    valid)."""
-    schema = EVENT_SCHEMAS.get(event.kind)
+def _problems(
+    kind: str,
+    time: float,
+    stage: int,
+    subnet_id: int,
+    attrs: Tuple[Tuple[str, object], ...],
+) -> List[str]:
+    """Every problem of the event with these five fields, in a fixed
+    order (empty = valid)."""
+    schema = EVENT_SCHEMAS.get(kind)
     if schema is None:
-        return [f"unknown event kind {event.kind!r}"]
+        return [f"unknown event kind {kind!r}"]
     problems: List[str] = []
-    time = event.time
     if (
         isinstance(time, bool)
         or not isinstance(time, _NUMBER)
         or not math.isfinite(time)
     ):
-        problems.append(f"{event.kind}: time must be a finite number, got {time!r}")
-    if schema.stage_scoped and event.stage < 0:
-        problems.append(f"{event.kind}: stage must be >= 0, got {event.stage}")
-    if not schema.stage_scoped and event.stage != -1:
-        problems.append(f"{event.kind}: run-global event carries stage {event.stage}")
-    if schema.subnet_scoped and event.subnet_id < 0:
-        problems.append(
-            f"{event.kind}: subnet_id must be >= 0, got {event.subnet_id}"
-        )
-    attrs = event.attrs_dict
+        problems.append(f"{kind}: time must be a finite number, got {time!r}")
+    if schema.stage_scoped and stage < 0:
+        problems.append(f"{kind}: stage must be >= 0, got {stage}")
+    if not schema.stage_scoped and stage != -1:
+        problems.append(f"{kind}: run-global event carries stage {stage}")
+    if schema.subnet_scoped and subnet_id < 0:
+        problems.append(f"{kind}: subnet_id must be >= 0, got {subnet_id}")
+    values = dict(attrs)
     declared = schema.field_names()
-    missing = [name for name in declared if name not in attrs]
-    extra = [name for name in attrs if name not in declared]
+    missing = [name for name in declared if name not in values]
+    extra = [name for name in values if name not in declared]
     if missing:
-        problems.append(f"{event.kind}: missing attrs {missing}")
+        problems.append(f"{kind}: missing attrs {missing}")
     if extra:
-        problems.append(f"{event.kind}: undeclared attrs {extra}")
+        problems.append(f"{kind}: undeclared attrs {extra}")
     for spec in schema.fields:
-        if spec.name not in attrs:
+        if spec.name not in values:
             continue
-        value = attrs[spec.name]
+        value = values[spec.name]
         # bool is an int subclass; only accept it where declared.
         if isinstance(value, bool) and bool not in spec.types:
-            problems.append(
-                f"{event.kind}.{spec.name}: bool where {spec.types} expected"
-            )
+            problems.append(f"{kind}.{spec.name}: bool where {spec.types} expected")
         elif not isinstance(value, spec.types):
             problems.append(
-                f"{event.kind}.{spec.name}: {type(value).__name__} "
+                f"{kind}.{spec.name}: {type(value).__name__} "
                 f"where {spec.types} expected"
             )
     return problems
 
 
+def validate_event(event: TraceEvent) -> List[str]:
+    """Schema-check one event; returns human-readable problems (empty =
+    valid)."""
+    return _problems(*event)
+
+
+def _shape(schema: EventSchema, keys: Tuple[str, ...]):
+    """How a row of ``schema``'s kind whose attrs carry ``keys`` is
+    checked: its scoping and, per key in order, the declared classes —
+    or None unless ``keys`` names every declared field exactly once."""
+    declared = {spec.name: frozenset(spec.types) for spec in schema.fields}
+    if len(keys) != len(declared) or set(keys) != declared.keys():
+        return None
+    classes = tuple(declared[key] for key in keys)
+    return schema.stage_scoped, schema.subnet_scoped, classes
+
+
+def _passes(shape, time, stage, subnet_id, attrs) -> bool:
+    """True when the row's time is a finite ``int`` or ``float``, its
+    scoping holds and each value's class is one its field declares (so a
+    bool passes only where declared) — then :func:`_problems` finds
+    nothing.  False sends the row to :func:`_problems`, which also
+    accepts subclasses such as ``numpy.float64``."""
+    stage_scoped, subnet_scoped, classes = shape
+    if time.__class__ not in _TIME_CLASSES or not math.isfinite(time):
+        return False
+    if (stage < 0) if stage_scoped else (stage != -1):
+        return False
+    if subnet_scoped and subnet_id < 0:
+        return False
+    for (_, value), exact in zip(attrs, classes):
+        if value.__class__ not in exact:
+            return False
+    return True
+
+
 def validate_trace(trace: ExecutionTrace) -> List[str]:
-    """Schema-check every event of a trace (empty list = all valid)."""
+    """Schema-check every event of a trace (empty list = all valid).
+
+    Reads the event columns and builds no row object.  Each (kind, attr
+    keys) pair is resolved to its checks once per call; a row that
+    passes them adds nothing, and any other row gets the problem list
+    :func:`validate_event` would give it."""
+    shapes: Dict[str, dict] = {kind: {} for kind in EVENT_SCHEMAS}
     problems: List[str] = []
-    for event in trace.events:
-        problems.extend(validate_event(event))
+    for kind, time, stage, subnet_id, attrs in trace.events.rows():
+        by_keys = shapes.get(kind)
+        if by_keys is not None:
+            keys = tuple(map(_name, attrs))
+            if keys not in by_keys:
+                by_keys[keys] = _shape(EVENT_SCHEMAS[kind], keys)
+            shape = by_keys[keys]
+            if shape is not None and _passes(shape, time, stage, subnet_id, attrs):
+                continue
+        problems.extend(_problems(kind, time, stage, subnet_id, attrs))
     return problems

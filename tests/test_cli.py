@@ -442,6 +442,23 @@ def test_an_output_path_in_a_missing_directory_is_refused_before_the_run(
     assert f"argument {option}: directory {str(missing.parent)!r} does not exist" in err
 
 
+@pytest.mark.parametrize("batch", [0, -8, 2.5, True])
+def test_trace_rejects_a_batch_that_is_not_a_positive_integer(tmp_path, capsys, batch):
+    """``"batch": 0`` used to print a full summary of a 0.0 samples/s run."""
+    import json
+
+    from repro.errors import ConfigError
+
+    config = tmp_path / "trace.json"
+    config.write_text(
+        json.dumps({"space": "NLP.c3", "num_gpus": 4, "subnets": 8, "batch": batch})
+    )
+    out = tmp_path / "run.trace.json"
+    with pytest.raises(ConfigError, match="batch"):
+        main(["trace", str(config), "--out", str(out), "--summary"])
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
 def test_trace_never_imports_the_fault_tolerance_plane(tmp_path):
     """An unarmed engine builds no degradation manager, so a fresh
     ``python -m repro trace`` keeps ``repro.ft`` off its import path."""

@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines import gpipe, naspipe, pipedream, ssp, vpipe
 from repro.engines.pipeline import PipelineEngine
-from repro.errors import DeadlockError, PartitionError
+from repro.errors import ConfigError, DeadlockError, PartitionError
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.sim.trace import TraceEvent
@@ -37,6 +37,18 @@ def test_all_systems_complete_the_stream(tiny_supernet, config_factory):
     assert result.subnets_completed == 24
     assert result.makespan_ms > 0
     assert 0.0 <= result.bubble_ratio <= 1.0
+
+
+@pytest.mark.parametrize("batch", [0, -8, 2.5, 32.0, True, False, "32"])
+def test_a_batch_that_is_not_a_positive_integer_is_a_config_error(batch):
+    """``batch=0`` used to run at 0.0 samples/s, ``-8`` died in the clock
+    with a ``ValueError``, and ``2.5`` and ``True`` ran."""
+    space = get_search_space("NLP.c3")
+    stream = SubnetStream.sample(space, SeedSequenceTree(2022), 8)
+    with pytest.raises(ConfigError, match="batch"):
+        PipelineEngine(
+            Supernet(space), stream, naspipe(), ClusterSpec(num_gpus=4), batch=batch
+        )
 
 
 def test_timing_runs_are_deterministic(tiny_supernet):

@@ -83,6 +83,11 @@ RULES = [
     # one regression gate, across runs; a byte that must not move is an
     # entry of tests/goldens.json, not a committed baseline behind a band
     (r"def check_regression", ("obs/registry.py",), 1, "obs.registry.check_regression / a tests/goldens.json entry"),
+    # a whole-trace pass reads the event columns; it builds no row per event
+    (r"for event in trace\.events\b", (), 0, "trace.events.rows()", "obs/"),
+    # the per-sample activation term is spelled once; the batch budget is
+    # solved from it, not searched
+    (r"_STASH_BYTES\[", ("memory_model.py",), 1, "memory_model.activation_bytes_per_sample"),
 ]
 
 
