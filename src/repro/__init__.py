@@ -23,97 +23,63 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.seeding import SeedSequenceTree
-from repro.config import SystemConfig
-from repro.supernet import (
-    SearchSpace,
-    Subnet,
-    SubnetStream,
-    Supernet,
-    SposSampler,
-    get_search_space,
-    list_search_spaces,
-)
-from repro.partition import balanced_partition, static_partition_for_space
-from repro.sim import Cluster, ClusterSpec
-from repro.core import (
-    ContextPredictor,
-    CspScheduler,
-    DependencyTracker,
-    StageContextManager,
-    Task,
-    TaskKind,
-)
-from repro.engines import (
-    FunctionalPlane,
-    IntraSubnetEngine,
-    PipelineEngine,
-    PipelineResult,
-    SequentialEngine,
-)
-from repro.baselines import (
-    ALL_SYSTEMS,
-    ABLATIONS,
-    gpipe,
-    naspipe,
-    naspipe_wo_mirroring,
-    naspipe_wo_predictor,
-    naspipe_wo_scheduler,
-    pipedream,
-    ssp,
-    system_by_name,
-    vpipe,
-)
-from repro.memory_model import max_feasible_batch
-from repro.replay import RunManifest, execute_manifest, record_run, verify_replay
-from repro.viz import ascii_gantt, utilization_sparklines
-from repro import errors
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SeedSequenceTree",
-    "SystemConfig",
-    "SearchSpace",
-    "Subnet",
-    "SubnetStream",
-    "Supernet",
-    "SposSampler",
-    "get_search_space",
-    "list_search_spaces",
-    "balanced_partition",
-    "static_partition_for_space",
-    "Cluster",
-    "ClusterSpec",
-    "ContextPredictor",
-    "CspScheduler",
-    "DependencyTracker",
-    "StageContextManager",
-    "Task",
-    "TaskKind",
-    "FunctionalPlane",
-    "IntraSubnetEngine",
-    "PipelineEngine",
-    "PipelineResult",
-    "SequentialEngine",
-    "ALL_SYSTEMS",
-    "ABLATIONS",
-    "naspipe",
-    "gpipe",
-    "pipedream",
-    "vpipe",
-    "ssp",
-    "naspipe_wo_scheduler",
-    "naspipe_wo_predictor",
-    "naspipe_wo_mirroring",
-    "system_by_name",
-    "max_feasible_batch",
-    "RunManifest",
-    "execute_manifest",
-    "record_run",
-    "verify_replay",
-    "ascii_gantt",
-    "utilization_sparklines",
-    "errors",
-    "__version__",
-]
+
+def _exports(namespace: dict, table: dict):
+    """PEP 562 lazy re-exports for the package whose globals are
+    ``namespace``: ``table`` maps each defining module to the names it
+    exports (the package's own name maps to exported submodules).
+    Returns ``(__getattr__, __dir__, __all__)``; a name's module is
+    imported on the name's first use, and the value is then bound into
+    ``namespace`` so later reads are plain attribute reads."""
+    package = namespace["__name__"]
+    owner = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        if module == package:
+            value = importlib.import_module(f"{package}.{name}")
+        else:
+            value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *owner})
+
+    return __getattr__, __dir__, list(owner)
+
+
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.seeding": ("SeedSequenceTree",),
+    "repro.config": ("SystemConfig",),
+    "repro.supernet": (
+        "SearchSpace", "Subnet", "SubnetStream", "Supernet", "SposSampler",
+        "get_search_space", "list_search_spaces",
+    ),
+    "repro.partition": ("balanced_partition", "static_partition_for_space"),
+    "repro.sim": ("Cluster", "ClusterSpec"),
+    "repro.core": (
+        "ContextPredictor", "CspScheduler", "DependencyTracker",
+        "StageContextManager", "Task", "TaskKind",
+    ),
+    "repro.engines": (
+        "FunctionalPlane", "IntraSubnetEngine", "PipelineEngine", "PipelineResult",
+        "SequentialEngine",
+    ),
+    "repro.baselines": (
+        "ALL_SYSTEMS", "ABLATIONS", "naspipe", "gpipe", "pipedream", "vpipe", "ssp",
+        "naspipe_wo_scheduler", "naspipe_wo_predictor", "naspipe_wo_mirroring",
+        "system_by_name",
+    ),
+    "repro.memory_model": ("max_feasible_batch",),
+    "repro.replay": ("RunManifest", "execute_manifest", "record_run", "verify_replay"),
+    "repro.viz": ("ascii_gantt", "utilization_sparklines"),
+    "repro": ("errors",),
+})
+__all__.append("__version__")

@@ -22,12 +22,12 @@ import argparse
 import importlib
 import inspect
 import json
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.baselines import resolve_target
-from repro.experiments.common import ExperimentScale
+from repro.errors import ConfigError
 from repro.payload import indented, reject_unknown
 
 __all__ = ["main", "build_parser"]
@@ -166,13 +166,33 @@ def _indented(payload) -> str:
     return indented(payload) + "\n"
 
 
+def _load_json(path: str):
+    """A config file's parsed JSON.  A missing, unreadable or malformed
+    file is a usage error: one line naming it (and, for bad JSON, where
+    it breaks), exit 2, before anything runs."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as error:
+        problem = f"{path}: {error.strerror}"
+    except json.JSONDecodeError as error:
+        problem = f"{path}:{error.lineno}:{error.colno}: {error.msg}"
+    print(f"naspipe: error: cannot read config {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 # ----------------------------------------------------------------------
 # paper tables and figures: one table drives both the flags and the call
 # ----------------------------------------------------------------------
+def _scale(args):
+    from repro.experiments.common import ExperimentScale
+
+    return getattr(ExperimentScale, args.scale)()
+
+
 #: ``run()`` keyword → (the option that feeds it, parsed args → the argument)
 _RUN_INPUTS = {
     "seed": ("--seed", lambda args: args.seed),
-    "scale": ("--scale", lambda args: getattr(ExperimentScale, args.scale)()),
+    "scale": ("--scale", _scale),
     "spaces": ("--spaces", lambda args: args.spaces or None),
     "space_names": ("--spaces", lambda args: args.spaces or None),
     "with_scores": ("--scores", lambda args: args.scores),
@@ -388,9 +408,25 @@ def _read_config(config_path, keys, path):
     """Parse a JSON run config that may hold ``keys`` only; returns it
     with its target resolved: ``(config, search space, system config)``.
     ``path`` is what a :class:`~repro.errors.ConfigError` calls it."""
-    config = json.loads(config_path.read_text())
+    from repro.baselines import resolve_target
+
+    config = _load_json(config_path)
     reject_unknown(config, keys, path)
     return (config, *resolve_target(**_run_target(config), path=path))
+
+
+def _integer(config, key, default, minimum=None) -> int:
+    """A run config's ``key`` (``default`` when absent), refused unless
+    it is an int (not a bool) ``>= minimum``."""
+    value = config.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"run config: {key} must be an integer{floor}, got {value!r}")
+    return value
 
 
 def _load_run_config(config_path, default_seed=2022):
@@ -399,11 +435,13 @@ def _load_run_config(config_path, default_seed=2022):
     Shared by ``trace`` and ``analyze``: the same config file drives
     both.  Returns ``(config_dict, scale, run_kwargs)``.
     """
+    from repro.experiments.common import ExperimentScale
+
     config, _space, _system = _read_config(config_path, _RUN_KEYS, "run config")
     scale = ExperimentScale(
-        subnets=int(config.get("subnets", 24)),
-        num_gpus=int(config.get("num_gpus", 4)),
-        seed=int(config.get("seed", default_seed)),
+        subnets=_integer(config, "subnets", 24, minimum=1),
+        num_gpus=_integer(config, "num_gpus", 4, minimum=1),
+        seed=_integer(config, "seed", default_seed),
         stream_kind=config.get("stream_kind", "generational"),
     )
     target = _run_target(config)
@@ -771,7 +809,7 @@ def _chaos_fleet(args) -> str:
     from repro.ft import fleet_report_json, fleet_sweep, format_fleet_report
 
     config_path = Path(args.config)
-    payload = json.loads(config_path.read_text())
+    payload = _load_json(config_path)
     report = fleet_sweep(payload)
     text = format_fleet_report(report)
     if args.json:
@@ -815,7 +853,7 @@ def _serve(args) -> str:
     )
 
     config_path = Path(args.config)
-    payload = json.loads(config_path.read_text())
+    payload = _load_json(config_path)
     report = run_service(
         payload, verify_solo=True if args.verify else None
     )
@@ -854,7 +892,7 @@ def _bench_serving(args) -> str:
     from repro.serving import format_serving_report, run_bench, serving_report_json
 
     config_path = Path(args.config)
-    payload = run_bench(json.loads(config_path.read_text()))
+    payload = run_bench(_load_json(config_path))
     out = [format_serving_report(payload)]
     if args.json:
         target = _write(args.json, serving_report_json(payload))
@@ -884,7 +922,7 @@ def _monitor(args) -> str:
     from repro.obs.telemetry import TelemetryHub
 
     config_path = Path(args.config)
-    payload = json.loads(config_path.read_text())
+    payload = _load_json(config_path)
     interval = args.interval
     hub = TelemetryHub(scrape_interval_ms=interval, rules=args.rules)
 

@@ -19,21 +19,13 @@ Causal Synchronous Parallelism (Definition 2) requires that when subnets
   (queue list, finished list, subnet list).
 """
 
-from repro.core.task import Task, TaskKind
-from repro.core.dependency import DependencyTracker
-from repro.core.scheduler import CspScheduler, ScheduleDecision
-from repro.core.predictor import ContextPredictor, Prediction
-from repro.core.context_manager import StageContextManager
-from repro.core.runtime import CspStageState
+from repro import _exports
 
-__all__ = [
-    "Task",
-    "TaskKind",
-    "DependencyTracker",
-    "CspScheduler",
-    "ScheduleDecision",
-    "ContextPredictor",
-    "Prediction",
-    "StageContextManager",
-    "CspStageState",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.core.task": ("Task", "TaskKind"),
+    "repro.core.dependency": ("DependencyTracker",),
+    "repro.core.scheduler": ("CspScheduler", "ScheduleDecision"),
+    "repro.core.predictor": ("ContextPredictor", "Prediction"),
+    "repro.core.context_manager": ("StageContextManager",),
+    "repro.core.runtime": ("CspStageState",),
+})

@@ -8,12 +8,9 @@ structure, so training losses genuinely decrease and search scores can
 rank subnets.
 """
 
-from repro.data.synthetic import SyntheticTaskData, batch_for_subnet
-from repro.data.vocab import Vocabulary, synthetic_vocabulary
+from repro import _exports
 
-__all__ = [
-    "SyntheticTaskData",
-    "batch_for_subnet",
-    "Vocabulary",
-    "synthetic_vocabulary",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.data.synthetic": ("SyntheticTaskData", "batch_for_subnet"),
+    "repro.data.vocab": ("Vocabulary", "synthetic_vocabulary"),
+})

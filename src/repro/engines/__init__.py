@@ -8,17 +8,11 @@
   sequence-ID order, the semantics CSP must be bitwise equivalent to.
 """
 
-from repro.engines.functional_plane import FunctionalPlane
-from repro.engines.intra import IntraSubnetEngine, IntraSubnetResult
-from repro.engines.pipeline import PipelineEngine, PipelineResult
-from repro.engines.sequential import SequentialEngine, SequentialResult
+from repro import _exports
 
-__all__ = [
-    "FunctionalPlane",
-    "IntraSubnetEngine",
-    "IntraSubnetResult",
-    "PipelineEngine",
-    "PipelineResult",
-    "SequentialEngine",
-    "SequentialResult",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.engines.functional_plane": ("FunctionalPlane",),
+    "repro.engines.intra": ("IntraSubnetEngine", "IntraSubnetResult"),
+    "repro.engines.pipeline": ("PipelineEngine", "PipelineResult"),
+    "repro.engines.sequential": ("SequentialEngine", "SequentialResult"),
+})

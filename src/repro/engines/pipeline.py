@@ -20,14 +20,13 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.context_manager import StageContextManager, stage_cache_bytes
 from repro.core.runtime import CspStageState
-from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.policies import make_policy
 from repro.errors import (
     ConfigError,
@@ -37,7 +36,6 @@ from repro.errors import (
 )
 from repro.memory_model import max_feasible_batch, memory_breakdown
 from repro.nn.parameter_store import LayerId
-from repro.nn.program import PendingUpdate, StageActivation
 from repro.partition.balanced import (
     Partition,
     balanced_partition,
@@ -51,6 +49,10 @@ from repro.sim.trace import ExecutionTrace
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
+
+if TYPE_CHECKING:
+    from repro.engines.functional_plane import FunctionalPlane
+    from repro.nn.program import PendingUpdate, StageActivation
 
 __all__ = ["PipelineEngine", "PipelineResult"]
 

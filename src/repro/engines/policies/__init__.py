@@ -1,22 +1,22 @@
 """Synchronisation policies: CSP (NASPipe), BSP (GPipe/VPipe), ASP
 (PipeDream), SSP (stale-synchronous extension)."""
 
-from repro.engines.policies.base import SyncPolicy
-from repro.engines.policies.csp import CspPolicy
-from repro.engines.policies.bsp import BspPolicy
-from repro.engines.policies.asp import AspPolicy, SspPolicy
+from repro import _exports
 
-__all__ = ["SyncPolicy", "CspPolicy", "BspPolicy", "AspPolicy", "SspPolicy"]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.engines.policies.base": ("SyncPolicy",),
+    "repro.engines.policies.csp": ("CspPolicy",),
+    "repro.engines.policies.bsp": ("BspPolicy",),
+    "repro.engines.policies.asp": ("AspPolicy", "SspPolicy"),
+})
 
 
-def make_policy(config, stages: int) -> SyncPolicy:
+#: ``config.sync`` → the exported policy class that implements it
+_BY_SYNC = {"csp": "CspPolicy", "bsp": "BspPolicy", "asp": "AspPolicy", "ssp": "SspPolicy"}
+
+
+def make_policy(config, stages: int) -> "SyncPolicy":
     """Instantiate the policy named by ``config.sync``."""
-    if config.sync == "csp":
-        return CspPolicy(config, stages)
-    if config.sync == "bsp":
-        return BspPolicy(config, stages)
-    if config.sync == "asp":
-        return AspPolicy(config, stages)
-    if config.sync == "ssp":
-        return SspPolicy(config, stages)
-    raise ValueError(f"unknown sync mode {config.sync!r}")
+    if config.sync not in _BY_SYNC:
+        raise ValueError(f"unknown sync mode {config.sync!r}")
+    return __getattr__(_BY_SYNC[config.sync])(config, stages)

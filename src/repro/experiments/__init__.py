@@ -7,6 +7,8 @@ stream lengths / GPU counts for CI while keeping the full-paper settings
 one flag away.
 """
 
-from repro.experiments.common import ExperimentScale, run_system
+from repro import _exports
 
-__all__ = ["ExperimentScale", "run_system"]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.experiments.common": ("ExperimentScale", "run_system"),
+})

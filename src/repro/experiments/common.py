@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines import resolve_target
-from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.errors import GpuOutOfMemoryError
 from repro.seeding import SeedSequenceTree
@@ -83,6 +82,8 @@ def run_system(
     )
     plane = None
     if with_functional:
+        from repro.engines.functional_plane import FunctionalPlane
+
         plane = FunctionalPlane(supernet, SeedSequenceTree(scale.seed))
     try:
         engine = PipelineEngine(

@@ -32,79 +32,28 @@ take consistent-cut checkpoints, recover, and measure the cost:
   requeue/fail, serving retry) with their own invariant suite.
 """
 
-from repro.ft.availability import (
-    availability_summary,
-    failure_summary,
-    format_availability,
-    mtbf_sweep,
-)
-from repro.ft.chaos import (
-    NONFATAL_KINDS,
-    chaos_invariants,
-    chaos_sweep,
-    format_chaos_report,
-    run_chaos_scenario,
-)
-from repro.ft.checkpoint import Checkpoint, CheckpointManager, restore_checkpoint
-from repro.ft.degradation import DegradationManager, HealthMonitor
-from repro.ft.faults import (
-    ALL_KINDS,
-    FATAL_KINDS,
-    FAULT_KINDS,
-    FLEET_KINDS,
-    FaultEvent,
-    FaultSchedule,
-)
-from repro.ft.fleet import (
-    fleet_report_json,
-    fleet_sweep,
-    format_fleet_report,
-    run_fleet_scenario,
-)
-from repro.ft.injector import FaultInjector
-from repro.ft.recovery import (
-    FaultedRunResult,
-    RecoverySpec,
-    build_stream,
-    default_optimizer,
-    fresh_plane,
-    rewarm_prefetch,
-    run_uninterrupted,
-    run_with_recovery,
-)
+from repro import _exports
 
-__all__ = [
-    "ALL_KINDS",
-    "FAULT_KINDS",
-    "FATAL_KINDS",
-    "FLEET_KINDS",
-    "NONFATAL_KINDS",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultInjector",
-    "Checkpoint",
-    "CheckpointManager",
-    "restore_checkpoint",
-    "RecoverySpec",
-    "FaultedRunResult",
-    "run_uninterrupted",
-    "run_with_recovery",
-    "build_stream",
-    "default_optimizer",
-    "fresh_plane",
-    "rewarm_prefetch",
-    "availability_summary",
-    "failure_summary",
-    "format_availability",
-    "mtbf_sweep",
-    "run_fleet_scenario",
-    "fleet_sweep",
-    "fleet_report_json",
-    "format_fleet_report",
-    "DegradationManager",
-    "HealthMonitor",
-    "chaos_invariants",
-    "run_chaos_scenario",
-    "chaos_sweep",
-    "format_chaos_report",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.ft.availability": (
+        "availability_summary", "failure_summary", "format_availability", "mtbf_sweep",
+    ),
+    "repro.ft.chaos": (
+        "NONFATAL_KINDS", "chaos_invariants", "chaos_sweep", "format_chaos_report",
+        "run_chaos_scenario",
+    ),
+    "repro.ft.checkpoint": ("Checkpoint", "CheckpointManager", "restore_checkpoint"),
+    "repro.ft.degradation": ("DegradationManager", "HealthMonitor"),
+    "repro.ft.faults": (
+        "ALL_KINDS", "FATAL_KINDS", "FAULT_KINDS", "FLEET_KINDS", "FaultEvent",
+        "FaultSchedule",
+    ),
+    "repro.ft.fleet": (
+        "fleet_report_json", "fleet_sweep", "format_fleet_report", "run_fleet_scenario",
+    ),
+    "repro.ft.injector": ("FaultInjector",),
+    "repro.ft.recovery": (
+        "FaultedRunResult", "RecoverySpec", "build_stream", "default_optimizer",
+        "fresh_plane", "rewarm_prefetch", "run_uninterrupted", "run_with_recovery",
+    ),
+})

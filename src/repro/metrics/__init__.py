@@ -1,19 +1,11 @@
 """Metric computation and reproducibility verification utilities."""
 
-from repro.metrics.bubbles import gpipe_theory_bubble, pipeline_theory_bubble
-from repro.metrics.reproducibility import (
-    ReproducibilityReport,
-    compare_digests,
-    verify_csp_equivalence,
-)
-from repro.metrics.throughput import normalize_throughput, speedup_table
+from repro import _exports
 
-__all__ = [
-    "gpipe_theory_bubble",
-    "pipeline_theory_bubble",
-    "ReproducibilityReport",
-    "compare_digests",
-    "verify_csp_equivalence",
-    "normalize_throughput",
-    "speedup_table",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.metrics.bubbles": ("gpipe_theory_bubble", "pipeline_theory_bubble"),
+    "repro.metrics.reproducibility": (
+        "ReproducibilityReport", "compare_digests", "verify_csp_equivalence",
+    ),
+    "repro.metrics.throughput": ("normalize_throughput", "speedup_table"),
+})

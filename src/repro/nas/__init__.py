@@ -2,22 +2,12 @@
 trainer API that ties supernet training and architecture search together
 (the role Retiarii plays in front of NASPipe in the paper)."""
 
-from repro.nas.evaluator import SubnetEvaluator, proxy_bleu, top_k_accuracy
-from repro.nas.evolution import EvolutionSearch, SearchOutcome
-from repro.nas.random_search import RandomSearch
-from repro.nas.trainer import SupernetTrainer, TrainingRun
-from repro.nas.hybrid import HybridSupernet, hybrid_space, hybrid_stream
+from repro import _exports
 
-__all__ = [
-    "SubnetEvaluator",
-    "proxy_bleu",
-    "top_k_accuracy",
-    "EvolutionSearch",
-    "SearchOutcome",
-    "RandomSearch",
-    "SupernetTrainer",
-    "TrainingRun",
-    "HybridSupernet",
-    "hybrid_space",
-    "hybrid_stream",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.nas.evaluator": ("SubnetEvaluator", "proxy_bleu", "top_k_accuracy"),
+    "repro.nas.evolution": ("EvolutionSearch", "SearchOutcome"),
+    "repro.nas.random_search": ("RandomSearch",),
+    "repro.nas.trainer": ("SupernetTrainer", "TrainingRun"),
+    "repro.nas.hybrid": ("HybridSupernet", "hybrid_space", "hybrid_stream"),
+})

@@ -18,31 +18,15 @@ Public surface:
 * :mod:`repro.nn.loss` — cross entropy with logits.
 """
 
-from repro.nn.parameter_store import AccessKind, AccessRecord, ParameterStore
-from repro.nn.layers import (
-    LAYER_IMPLEMENTATIONS,
-    LayerImplementation,
-    build_parameters,
-    layer_forward,
-    layer_backward,
-)
-from repro.nn.program import SubnetSegmentProgram, StageActivation
-from repro.nn.loss import cross_entropy_with_logits, softmax
-from repro.nn.optim import SGD, MomentumSGD
+from repro import _exports
 
-__all__ = [
-    "AccessKind",
-    "AccessRecord",
-    "ParameterStore",
-    "LAYER_IMPLEMENTATIONS",
-    "LayerImplementation",
-    "build_parameters",
-    "layer_forward",
-    "layer_backward",
-    "SubnetSegmentProgram",
-    "StageActivation",
-    "cross_entropy_with_logits",
-    "softmax",
-    "SGD",
-    "MomentumSGD",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.nn.parameter_store": ("AccessKind", "AccessRecord", "ParameterStore"),
+    "repro.nn.layers": (
+        "LAYER_IMPLEMENTATIONS", "LayerImplementation", "build_parameters",
+        "layer_forward", "layer_backward",
+    ),
+    "repro.nn.program": ("SubnetSegmentProgram", "StageActivation"),
+    "repro.nn.loss": ("cross_entropy_with_logits", "softmax"),
+    "repro.nn.optim": ("SGD", "MomentumSGD"),
+})

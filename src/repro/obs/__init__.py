@@ -30,74 +30,32 @@ Entry points: ``PipelineResult.trace_export()`` / ``.trace_summary()`` /
 See ``docs/ANALYSIS.md`` for the analysis semantics.
 """
 
-from repro.obs.events import (
-    EVENT_SCHEMAS,
-    EventField,
-    EventSchema,
-    validate_event,
-    validate_trace,
-)
-from repro.obs.exporter import (
-    export_chrome_trace,
-    to_perfetto,
-    validate_chrome_trace,
-)
-from repro.obs.model import WaitWindow, csp_wait_windows
-from repro.obs.summary import (
-    StageBubbles,
-    bubble_attribution,
-    format_summary,
-    run_summary,
-    summary_json,
-)
-from repro.obs.critical_path import (
-    RESOURCE_CLASSES,
-    CriticalPath,
-    PathSegment,
-    critical_path,
-    critical_path_breakdown,
-)
-from repro.obs.whatif import SCENARIOS, project, rerun_projection, what_if_report
-from repro.obs.registry import (
-    append_run,
-    check_regression,
-    compare_records,
-    format_compare,
-    load_runs,
-    resolve_run,
-    run_record,
-)
+from repro import _exports
 
-__all__ = [
-    "EVENT_SCHEMAS",
-    "EventField",
-    "EventSchema",
-    "validate_event",
-    "validate_trace",
-    "export_chrome_trace",
-    "to_perfetto",
-    "validate_chrome_trace",
-    "WaitWindow",
-    "csp_wait_windows",
-    "StageBubbles",
-    "bubble_attribution",
-    "format_summary",
-    "run_summary",
-    "summary_json",
-    "RESOURCE_CLASSES",
-    "CriticalPath",
-    "PathSegment",
-    "critical_path",
-    "critical_path_breakdown",
-    "SCENARIOS",
-    "project",
-    "what_if_report",
-    "rerun_projection",
-    "run_record",
-    "append_run",
-    "load_runs",
-    "resolve_run",
-    "compare_records",
-    "check_regression",
-    "format_compare",
-]
+# ``critical_path`` is also a submodule, whose first import would set the
+# package attribute to the module: bind the function now, so it wins
+from repro.obs.critical_path import critical_path
+
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.obs.events": (
+        "EVENT_SCHEMAS", "EventField", "EventSchema", "validate_event",
+        "validate_trace",
+    ),
+    "repro.obs.exporter": (
+        "export_chrome_trace", "to_perfetto", "validate_chrome_trace",
+    ),
+    "repro.obs.model": ("WaitWindow", "csp_wait_windows"),
+    "repro.obs.summary": (
+        "StageBubbles", "bubble_attribution", "format_summary", "run_summary",
+        "summary_json",
+    ),
+    "repro.obs.critical_path": (
+        "RESOURCE_CLASSES", "CriticalPath", "PathSegment", "critical_path",
+        "critical_path_breakdown",
+    ),
+    "repro.obs.whatif": ("SCENARIOS", "project", "rerun_projection", "what_if_report"),
+    "repro.obs.registry": (
+        "append_run", "check_regression", "compare_records", "format_compare",
+        "load_runs", "resolve_run", "run_record",
+    ),
+})

@@ -6,20 +6,12 @@ static block-range partition of the supernet.  The difference is one of
 the paper's three performance levers (§5.3's "w/o mirroring" ablation).
 """
 
-from repro.partition.balanced import (
-    Partition,
-    balanced_partition,
-    partition_cost,
-    partition_imbalance,
-)
-from repro.partition.static import static_partition_for_space
-from repro.partition.mirror import MirrorRegistry
+from repro import _exports
 
-__all__ = [
-    "Partition",
-    "balanced_partition",
-    "partition_cost",
-    "partition_imbalance",
-    "static_partition_for_space",
-    "MirrorRegistry",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.partition.balanced": (
+        "Partition", "balanced_partition", "partition_cost", "partition_imbalance",
+    ),
+    "repro.partition.static": ("static_partition_for_space",),
+    "repro.partition.mirror": ("MirrorRegistry",),
+})

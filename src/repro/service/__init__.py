@@ -19,26 +19,13 @@ Entry points: ``naspipe serve jobs.json`` on the command line,
 :func:`run_service` programmatically.
 """
 
-from repro.service.lease import DeviceLease
-from repro.service.manager import ClusterManager
-from repro.service.scheduler import (
-    JobScheduler,
-    JobSpec,
-    fair_share,
-    format_service_report,
-    run_service,
-    service_report_json,
-    solo_verdict,
-)
+from repro import _exports
 
-__all__ = [
-    "ClusterManager",
-    "DeviceLease",
-    "JobScheduler",
-    "JobSpec",
-    "fair_share",
-    "run_service",
-    "solo_verdict",
-    "format_service_report",
-    "service_report_json",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.service.lease": ("DeviceLease",),
+    "repro.service.manager": ("ClusterManager",),
+    "repro.service.scheduler": (
+        "JobScheduler", "JobSpec", "fair_share", "format_service_report", "run_service",
+        "service_report_json", "solo_verdict",
+    ),
+})

@@ -25,29 +25,14 @@ reports (``tests/goldens.json`` pins the demo's).  See
 ``docs/SERVING.md``.
 """
 
-from repro.serving.batcher import BatchPolicy, BoundedBatcher
-from repro.serving.cache import LayerBlockCache, ResultCache, subnet_digest
-from repro.serving.frontend import ServingEngine, ServingSpec, run_bench
-from repro.serving.metrics import (
-    format_serving_report,
-    nearest_rank,
-    serving_report_json,
-)
-from repro.serving.workload import EvalRequest, WorkloadSpec, generate_requests
+from repro import _exports
 
-__all__ = [
-    "BatchPolicy",
-    "BoundedBatcher",
-    "EvalRequest",
-    "LayerBlockCache",
-    "ResultCache",
-    "ServingEngine",
-    "ServingSpec",
-    "WorkloadSpec",
-    "format_serving_report",
-    "generate_requests",
-    "nearest_rank",
-    "run_bench",
-    "serving_report_json",
-    "subnet_digest",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.serving.batcher": ("BatchPolicy", "BoundedBatcher"),
+    "repro.serving.cache": ("LayerBlockCache", "ResultCache", "subnet_digest"),
+    "repro.serving.frontend": ("ServingEngine", "ServingSpec", "run_bench"),
+    "repro.serving.metrics": (
+        "format_serving_report", "nearest_rank", "serving_report_json",
+    ),
+    "repro.serving.workload": ("EvalRequest", "WorkloadSpec", "generate_requests"),
+})

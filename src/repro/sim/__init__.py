@@ -14,21 +14,12 @@ depend on:
   pure function of its inputs.
 """
 
-from repro.sim.clock import EventQueue, ScheduledEvent
-from repro.sim.engine import SimulationEngine
-from repro.sim.devices import CopyEngine, GpuDevice, Link
-from repro.sim.cluster import Cluster, ClusterSpec
-from repro.sim.trace import BusyInterval, ExecutionTrace
+from repro import _exports
 
-__all__ = [
-    "EventQueue",
-    "ScheduledEvent",
-    "SimulationEngine",
-    "CopyEngine",
-    "GpuDevice",
-    "Link",
-    "Cluster",
-    "ClusterSpec",
-    "BusyInterval",
-    "ExecutionTrace",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.sim.clock": ("EventQueue", "ScheduledEvent"),
+    "repro.sim.engine": ("SimulationEngine",),
+    "repro.sim.devices": ("CopyEngine", "GpuDevice", "Link"),
+    "repro.sim.cluster": ("Cluster", "ClusterSpec"),
+    "repro.sim.trace": ("BusyInterval", "ExecutionTrace"),
+})

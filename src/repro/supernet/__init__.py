@@ -13,34 +13,16 @@ block.  This package provides:
   producer the runtime consumes.
 """
 
-from repro.supernet.catalog import (
-    LayerTypeProfile,
-    NLP_LAYER_TYPES,
-    CV_LAYER_TYPES,
-    catalog_for_domain,
-)
-from repro.supernet.search_space import (
-    SearchSpace,
-    SEARCH_SPACES,
-    get_search_space,
-    list_search_spaces,
-)
-from repro.supernet.subnet import Subnet
-from repro.supernet.supernet import LayerProfile, Supernet
-from repro.supernet.sampler import SposSampler, SubnetStream
+from repro import _exports
 
-__all__ = [
-    "LayerTypeProfile",
-    "NLP_LAYER_TYPES",
-    "CV_LAYER_TYPES",
-    "catalog_for_domain",
-    "SearchSpace",
-    "SEARCH_SPACES",
-    "get_search_space",
-    "list_search_spaces",
-    "Subnet",
-    "LayerProfile",
-    "Supernet",
-    "SposSampler",
-    "SubnetStream",
-]
+__getattr__, __dir__, __all__ = _exports(globals(), {
+    "repro.supernet.catalog": (
+        "LayerTypeProfile", "NLP_LAYER_TYPES", "CV_LAYER_TYPES", "catalog_for_domain",
+    ),
+    "repro.supernet.search_space": (
+        "SearchSpace", "SEARCH_SPACES", "get_search_space", "list_search_spaces",
+    ),
+    "repro.supernet.subnet": ("Subnet",),
+    "repro.supernet.supernet": ("LayerProfile", "Supernet"),
+    "repro.supernet.sampler": ("SposSampler", "SubnetStream"),
+})

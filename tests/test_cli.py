@@ -459,9 +459,52 @@ def test_trace_rejects_a_batch_that_is_not_a_positive_integer(tmp_path, capsys, 
     assert capsys.readouterr().out == "" and not out.exists()
 
 
-def test_trace_never_imports_the_fault_tolerance_plane(tmp_path):
-    """An unarmed engine builds no degradation manager, so a fresh
-    ``python -m repro trace`` keeps ``repro.ft`` off its import path."""
+#: the command surface and the modules it needs to parse and dispatch
+_FRONT_DOOR = {"repro", "repro.cli", "repro.payload", "repro.errors"}
+#: the functional plane, replay, drawing, the registry and the fault
+#: plane: nothing a timing-plane ``trace`` runs
+_NOT_ON_THE_TRACE_PATH = (
+    "repro.nn.layers", "repro.nn.program", "repro.data",
+    "repro.engines.functional_plane", "repro.engines.intra",
+    "repro.engines.sequential", "repro.baselines.retiarii_ps", "repro.replay",
+    "repro.viz", "repro.obs.registry", "repro.obs.whatif", "repro.obs.events",
+    "repro.ft",
+)
+#: name → (what a fresh interpreter runs: a module to import, or ``-m`` and
+#: ``python -m repro``'s arguments; the repro modules it may load, or None
+#: for any; the packages and modules it must not load)
+_IMPORT_CONTRACT = {
+    "import repro": (["repro"], {"repro"}, ()),
+    "import repro.cli": (["repro.cli"], _FRONT_DOOR, ()),
+    "help": (["-m", "--help"], _FRONT_DOOR, ()),
+    "trace": (
+        ["-m", "trace", "examples/trace_demo.json", "--out", "{tmp}/trace.json"],
+        None,
+        _NOT_ON_THE_TRACE_PATH,
+    ),
+}
+#: prints, as its last stdout line, the repro modules loaded by the time
+#: the import or the ``python -m repro`` run is over
+_PROBE = """
+import json, runpy, sys
+target, *args = sys.argv[1:]
+try:
+    if target == "-m":
+        sys.argv = ["naspipe", *args]
+        runpy.run_module("repro", run_name="__main__", alter_sys=True)
+    else:
+        __import__(target)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(_IMPORT_CONTRACT))
+def test_the_import_contract(case, tmp_path):
+    """``import repro`` loads only ``repro``; the front door loads only
+    what parses a command line; ``trace`` (the timing plane) never loads
+    the functional plane or the fault-tolerance plane."""
+    import json
     import os
     import subprocess
     import sys
@@ -469,22 +512,73 @@ def test_trace_never_imports_the_fault_tolerance_plane(tmp_path):
 
     import repro
 
+    argv, allowed, forbidden = _IMPORT_CONTRACT[case]
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
-        [
-            sys.executable, "-X", "importtime", "-m", "repro", "trace",
-            str(root / "examples" / "trace_demo.json"),
-            "--out", str(tmp_path / "trace.json"),
-        ],
+        [sys.executable, "-c", _PROBE, *(arg.format(tmp=tmp_path) for arg in argv)],
         capture_output=True,
         text=True,
         check=True,
+        cwd=root,
         env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
     )
-    imported = [
-        line.rsplit("|", 1)[-1].strip()
-        for line in done.stderr.splitlines()
-        if line.startswith("import time:")
-    ]
-    assert "repro.cli" in imported
-    assert [name for name in imported if name.startswith("repro.ft")] == []
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "repro" in loaded
+    if allowed is not None:
+        assert loaded <= allowed, sorted(loaded - allowed)
+    assert not sorted(
+        name for name in loaded for prefix in forbidden
+        if name == prefix or name.startswith(prefix + ".")
+    )
+
+
+_BAD_RUN_CONFIG = [
+    ("subnets", 0), ("subnets", 2.7), ("subnets", True), ("num_gpus", 0),
+    ("num_gpus", True), ("num_gpus", "4"), ("seed", 7.9), ("seed", "7"),
+    ("seed", False),
+]
+
+
+@pytest.mark.parametrize("command", ["trace", "analyze"])
+@pytest.mark.parametrize("key,value", _BAD_RUN_CONFIG)
+def test_run_config_integers_are_checked_not_coerced(
+    command, key, value, tmp_path, monkeypatch, capsys
+):
+    """``"subnets": 0`` used to print a summary of an empty run and
+    ``"subnets": 2.7`` ran 2 subnets; now the key is named before any run."""
+    import json
+
+    from repro.errors import ConfigError
+
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"space": "NLP.c3", "num_gpus": 4, "subnets": 8, key: value})
+    )
+    with pytest.raises(ConfigError, match=f"run config: {key} must be an integer"):
+        main([command, str(config)])
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == [config]
+
+
+_READS_A_CONFIG_FILE = sorted(_CONFIG_COMMANDS - {"compare"})
+
+
+@pytest.mark.parametrize("command", _READS_A_CONFIG_FILE)
+def test_a_missing_or_malformed_config_file_is_one_line_and_exit_2(
+    command, tmp_path, capsys
+):
+    """Used to end in a ``FileNotFoundError`` / ``JSONDecodeError``
+    traceback (exit 1)."""
+    missing = tmp_path / "missing.json"
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"space": "NLP.c3",\n')
+    for path, problem in (
+        (missing, f"{missing}: No such file or directory"),
+        (broken, f"{broken}:2:1: Expecting property name enclosed in double quotes"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, str(path)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"naspipe: error: cannot read config {problem}"]

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Fail when a decision ``src/repro`` makes once is spelled a second time.
 
-A rule is (regex, the files that may hold it, most hits in total, what to
-call instead[, the directory it is confined to]).  Run by ``make docs-check`` and the CI ``docs`` job.
+A rule is (regex, the files that may hold it, its exact number of hits in
+total, what to call instead[, the directory it is confined to]): a
+spelling that outlived its home or lost it both fail.  Run by ``make docs-check`` and the CI ``docs`` job.
 """
 
 import re
@@ -88,6 +89,9 @@ RULES = [
     # the per-sample activation term is spelled once; the batch budget is
     # solved from it, not searched
     (r"_STASH_BYTES\[", ("memory_model.py",), 1, "memory_model.activation_bytes_per_sample"),
+    # a package re-exports through its {module: names} table; the PEP 562
+    # hook is written once, in the helper every package __init__ calls
+    (r"def __getattr__\(", ("__init__.py",), 1, "repro._exports(globals(), {module: names})"),
 ]
 
 
@@ -101,9 +105,9 @@ def main() -> int:
             if name.startswith(tuple(under) or "")
         }
         strays = sorted(name for name, count in hits.items() if count and name not in homes)
-        if strays or sum(hits.values()) > limit:
+        if strays or sum(hits.values()) != limit:
             errors.append(
-                f"{pattern!r}: {sum(hits.values())} hit(s); at most {limit}, in "
+                f"{pattern!r}: {sum(hits.values())} hit(s); exactly {limit}, in "
                 f"{list(homes)} only, but also in {strays} — use {instead}"
             )
     print("\n".join(errors) or f"one spelling each: {len(RULES)} rules hold")

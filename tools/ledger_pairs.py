@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Referee a claimed gain: alternating parent/change ledger runs, judged.
 
-    python tools/ledger_pairs.py --parent REV --workload W
+    python tools/ledger_pairs.py --parent REV --workload W [--metric M]
                                  [--pairs 10] [--seed N] [--seconds S] [--guards]
 
 ``ledger/README.md`` § "Claiming a gain later", steps 3-5, as one
@@ -16,7 +16,9 @@ would hand ``setup_s`` and ``cli_cold`` to whichever side stays at home.
 ``ledger/run.py --workload W --row …`` then alternates between the two
 (``A B B A A B …``: whichever side goes first changes every pair, so
 drift of the machine favours neither).
-Printed: every pair, each side's median and quartiles of ``iter_s_p50``,
+Printed: every pair, each side's median and quartiles of the claimed
+metric (``--metric``, one of ``BENCHMARK.json``'s end-to-end names,
+default ``iter_s_p50``; its direction is that entry's ``better``),
 the pair wins, whether the medians differ by more than the parent's own
 inter-quartile spread, and ``ledger/compare.py``'s verdict on every
 metric of the workload.  ``--guards`` then runs five pairs of every
@@ -49,8 +51,8 @@ sys.path.insert(0, str(ROOT / "ledger"))
 import compare  # noqa: E402
 import stats  # noqa: E402
 
-#: the end-to-end metric a claim is about; its direction comes from
-#: ``BENCHMARK.json``
+#: the end-to-end metric a claim is about unless ``--metric`` names another;
+#: its direction comes from ``BENCHMARK.json``
 METRIC = "iter_s_p50"
 WIN_SHARE = 0.9
 GUARD_PAIRS = 5
@@ -89,7 +91,7 @@ def ledger_run(tree: Path, rows: Path, workload: str, args: argparse.Namespace) 
     if done.returncode not in (0, 1):  # 1 = a check failed: compare.py reports it
         raise SystemExit(f"ledger/run.py in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
     row = json.loads(rows.read_text().splitlines()[-1])
-    return row["workloads"][workload]["metrics"][METRIC]
+    return row["workloads"][workload]["metrics"][args.metric]
 
 
 def alternate(scratch: Path, workload: str, pairs: int, args: argparse.Namespace, echo: bool):
@@ -128,8 +130,8 @@ def guard_table(scratch: Path, benchmark: Dict, args: argparse.Namespace) -> Non
 
 def judge_claim(rows: Dict[str, List[Dict]], benchmark: Dict, args: argparse.Namespace) -> int:
     """Print the claim's verdict; 0 when it is met."""
-    lower = next(m for m in benchmark["end_to_end"] if m["name"] == METRIC)["better"] == "lower"
-    values = {side: compare._values(rows[side], args.workload, METRIC) for side in rows}
+    lower = next(m for m in benchmark["end_to_end"] if m["name"] == args.metric)["better"] == "lower"
+    values = {side: compare._values(rows[side], args.workload, args.metric) for side in rows}
     lines, regressions = compare.compare(rows["parent"], rows["change"], benchmark)
     sign = -1.0 if lower else 1.0  # of a change for the better
     deltas = [sign * (after - before) for before, after in zip(values["parent"], values["change"])]
@@ -146,15 +148,18 @@ def judge_claim(rows: Dict[str, List[Dict]], benchmark: Dict, args: argparse.Nam
     print("ledger/compare.py, parent -> change:")
     print("\n".join("  " + line for line in lines))
     met = wins >= WIN_SHARE * args.pairs and resolved and not regressions
-    print(f"claim on {METRIC} {'MET' if met else 'NOT MET'} ({regressions} regression(s) elsewhere)")
+    print(f"claim on {args.metric} {'MET' if met else 'NOT MET'} ({regressions} regression(s) elsewhere)")
     sys.stdout.flush()
     return 0 if met else 1
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV", help="the commit the change is judged against")
     parser.add_argument("--workload", required=True, help="the workload the claim is about")
+    parser.add_argument("--metric", default=METRIC, choices=[m["name"] for m in benchmark["end_to_end"]],
+                        help=f"the end-to-end metric the claim is about (default {METRIC})")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument("--seconds", type=float, help="passed to ledger/run.py (default: BENCHMARK.json run_seconds)")
@@ -167,11 +172,10 @@ def main(argv=None) -> int:
     ).returncode:
         print(f"ledger/ or BENCHMARK.json differ from {args.parent}: a claimant may not edit the benchmark")
         return 1
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
         export_parent(args.parent, Path(scratch) / "parent")
         copy_checkout(Path(scratch) / "change")
-        print(f"{args.workload} seed {args.seed}: {METRIC}, parent {args.parent} vs this working tree")
+        print(f"{args.workload} seed {args.seed}: {args.metric}, parent {args.parent} vs this working tree")
         rows = alternate(Path(scratch), args.workload, args.pairs, args, echo=True)
         status = judge_claim(rows, benchmark, args)
         if args.guards:
