@@ -530,15 +530,19 @@ def _analyze_one_gpu_count(task):
     """
     config, scale, run_kwargs, gpus, register = task
 
-    from repro.obs import what_if_report
+    from repro.obs.model import RunModel
     from repro.obs.registry import run_record
+    from repro.obs.summary import _readings
+    from repro.obs.whatif import _report
 
     result = _run_config(config, scale, dict(run_kwargs, num_gpus=gpus))
-    breakdown = result.critical_path()
-    whatif = what_if_report(result.trace)
+    # one model and one walk serve all three readings
+    model = RunModel(result.trace)
+    summary, breakdown = _readings(result, model)
+    whatif = _report(model)
     entry = {
         "num_gpus": gpus,
-        "summary": result.trace_summary(),
+        "summary": summary,
         "critical_path": breakdown,
         "what_if": whatif,
     }

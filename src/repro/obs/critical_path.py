@@ -37,10 +37,11 @@ See ``docs/ANALYSIS.md`` for the DAG construction rules in prose.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.model import RunModel, _Activity, _complement, _merge
+from repro.obs.model import RunModel, _Activity, _complement
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -113,6 +114,12 @@ class _Dag:
     def __init__(self, model: RunModel) -> None:
         self.model = model
         self.last_stage = model.trace.num_gpus - 1
+        # per stage: its merged wait windows with their starts and ends,
+        # both increasing, for the gap classifier to bisect
+        self.waits = {
+            stage: (segments, [s for s, _ in segments], [e for _, e in segments])
+            for stage, segments in model.wait_segments.items()
+        }
 
     # ------------------------------------------------------------------
     def terminal(self) -> Optional[_Activity]:
@@ -225,13 +232,19 @@ class _Dag:
 
 
 # ----------------------------------------------------------------------
+_NO_WAITS: Tuple[list, list, list] = ([], [], [])
+
+
 def _gap_segments(
     dag: _Dag, activity: _Activity, lo: float, hi: float
 ) -> List[PathSegment]:
     """Classify idle ``[lo, hi]`` before ``activity`` (chronological)."""
     stage = activity.stage
-    waits = dag.model.wait_segments.get(stage, [])
-    covered = _merge([w for w in waits if w[1] > lo and w[0] < hi])
+    # the stage's windows are merged, so both their starts and their
+    # ends increase: the ones that reach into (lo, hi) are one slice
+    waits, starts, ends = dag.waits.get(stage, _NO_WAITS)
+    first = bisect_right(ends, lo)
+    covered = waits[first:bisect_left(starts, hi, first)]
     clipped = [(max(lo, s), min(hi, e)) for s, e in covered]
     clipped = [(s, e) for s, e in clipped if e - s > 0]
     if activity.kind == "inject" or (

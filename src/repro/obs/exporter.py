@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 from math import isfinite
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -116,12 +116,45 @@ def _json(value) -> str:
     return compact(value)
 
 
+_VALUE = itemgetter(1)
+
+
+def _repeated(kind, stage, pairs, memo, track, head):
+    """``head(stage, attrs, track)`` — a ``kind`` event's ``(tid, name,
+    text up to "ts":)``, which depend on ``(stage, attrs)`` only —
+    rendered once per call for each distinct pair and read from the
+    call's ``memo`` after that.
+
+    Equal is not enough to reuse text (``1 == 1.0 == True``, ``0.0 ==
+    -0.0``): a hit also needs the attrs tuple the entry was rendered
+    from, or one whose values are the very same objects, and an int
+    stage.  The emitters hand out shared attrs tuples, so that is the
+    common case; any other row is rendered and replaces the entry."""
+    if type(stage) is not int:
+        return head(stage, dict(pairs), track)
+    key = (kind, stage, pairs)
+    try:
+        hit = memo.get(key)
+    except TypeError:  # an unhashable attr value
+        return head(stage, dict(pairs), track)
+    if hit is None or (
+        hit[0] is not pairs
+        and not all(map(is_, map(_VALUE, hit[0]), map(_VALUE, pairs)))
+    ):
+        hit = memo[key] = (pairs, head(stage, dict(pairs), track))
+    return hit[1]
+
+
 # The kinds that are not that shape.  A renderer returns what the sort
 # reads besides the row's pid/phase — ``tid`` (-1: the event has none)
 # and ``name`` — and the event's canonical JSON text, keys in sorted
-# order, with ``track`` (the row's ``"ph":…,"pid":…``) in its place.
-def _prefetch_issue(time, stage, subnet_id, attrs, cache_totals, track):
-    land = float(attrs["land"])
+# order, with ``track`` (the row's ``"ph":…,"pid":…``) in its place, up
+# to the ``"ts":`` every event's text ends with (the export writes the
+# timestamp).  ``memo`` is the call's own dict: the cache counters'
+# running totals and the text already rendered for a repeated event
+# (:func:`_repeated`).
+def _prefetch_head(stage, attrs, track):
+    """The text around ``dur``; the rest depends on ``(stage, attrs)``."""
     name = "{}fetch B{}.c{}".format(
         "demand " if attrs["demand"] else "pre",
         attrs["block"],
@@ -129,35 +162,52 @@ def _prefetch_issue(time, stage, subnet_id, attrs, cache_totals, track):
     )
     return stage, name, (
         f'{{"args":{{"bytes":{_json(attrs["nbytes"])},'
-        f'"demand":{_json(attrs["demand"])}}},"cat":"copy",'
-        f'"dur":{_json(max(0.0, land - time))},"name":{_quote(name)},{track},'
-        f'"tid":{_json(stage)},"ts":{_json(time)}}}'
+        f'"demand":{_json(attrs["demand"])}}},"cat":"copy","dur":',
+        f',"name":{_quote(name)},{track},"tid":{_json(stage)},"ts":',
     )
 
 
-def _eviction(time, stage, subnet_id, attrs, cache_totals, track):
+def _prefetch_issue(time, stage, subnet_id, pairs, memo, track):
+    # issues of one layer differ in ``land`` (last, as emitted) and time
+    if pairs and pairs[-1][0] == "land":
+        rest, land = pairs[:-1], pairs[-1][1]
+    else:
+        rest, land = pairs, dict(pairs)["land"]
+    tid, name, (before, after) = _repeated(
+        "prefetch_issue", stage, rest, memo, track, _prefetch_head
+    )
+    return tid, name, f"{before}{_json(max(0.0, float(land) - time))}{after}"
+
+
+def _eviction_head(stage, attrs, track):
     name = f"evict B{attrs['block']}.c{attrs['choice']}"
     return stage, name, (
         f'{{"args":{{"bytes":{_json(attrs["nbytes"])},'
         f'"dirty":{_json(attrs["dirty"])},"reason":{_json(attrs["reason"])}}},'
         f'"cat":"evict","name":{_quote(name)},{track},"s":"t",'
-        f'"tid":{_json(stage)},"ts":{_json(time)}}}'
+        f'"tid":{_json(stage)},"ts":'
     )
 
 
-def _cache_access(time, stage, subnet_id, attrs, cache_totals, track):
+def _eviction(time, stage, subnet_id, pairs, memo, track):
+    return _repeated("eviction", stage, pairs, memo, track, _eviction_head)
+
+
+def _cache_access(time, stage, subnet_id, pairs, memo, track):
     """Cumulative per-stage hit/miss counter."""
-    totals = cache_totals.setdefault(stage, [0, 0])
+    attrs = dict(pairs)
+    totals = memo.setdefault(("cache_access", stage), [0, 0])
     totals[0] += int(attrs["hits"])
     totals[1] += int(attrs["misses"])
     name = f"cache P{stage}"
     return -1, name, (
         f'{{"args":{{"hits":{totals[0]},"misses":{totals[1]}}},'
-        f'"name":{_quote(name)},{track},"ts":{_json(time)}}}'
+        f'"name":{_quote(name)},{track},"ts":'
     )
 
 
-def _nic_transfer(time, stage, subnet_id, attrs, cache_totals, track):
+def _nic_transfer(time, stage, subnet_id, pairs, memo, track):
+    attrs = dict(pairs)
     src = int(attrs["src"])
     fwd = attrs["direction"] == "fwd"
     arrive = float(attrs["arrive"])
@@ -167,39 +217,48 @@ def _nic_transfer(time, stage, subnet_id, attrs, cache_totals, track):
         f'{{"args":{{"bytes":{_json(attrs["nbytes"])},"dst":{_json(attrs["dst"])},'
         f'"src":{_json(attrs["src"])},"subnet":{_json(subnet_id)}}},"cat":"nic",'
         f'"dur":{_json(max(0.0, arrive - time))},"name":{_quote(name)},{track},'
-        f'"tid":{tid},"ts":{_json(time)}}}'
+        f'"tid":{tid},"ts":'
     )
 
 
-def _ready_set(time, stage, subnet_id, attrs, cache_totals, track):
+def _ready_set_head(stage, attrs, track):
     name = f"ready set P{stage}"
     return -1, name, (
         f'{{"args":{{"size":{_json(attrs["size"])}}},"name":{_quote(name)},'
-        f'{track},"ts":{_json(time)}}}'
+        f'{track},"ts":'
     )
 
 
-def _queue_depth(time, stage, subnet_id, attrs, cache_totals, track):
+def _ready_set(time, stage, subnet_id, pairs, memo, track):
+    return _repeated("ready_set", stage, pairs, memo, track, _ready_set_head)
+
+
+def _queue_depth_head(stage, attrs, track):
     name = f"queues P{stage}"
     return -1, name, (
         f'{{"args":{{"bwd":{_json(attrs["bwd"])},"fwd":{_json(attrs["fwd"])}}},'
-        f'"name":{_quote(name)},{track},"ts":{_json(time)}}}'
+        f'"name":{_quote(name)},{track},"ts":'
     )
 
 
-def _subnet_complete(time, stage, subnet_id, attrs, cache_totals, track):
+def _queue_depth(time, stage, subnet_id, pairs, memo, track):
+    return _repeated("queue_depth", stage, pairs, memo, track, _queue_depth_head)
+
+
+def _subnet_complete(time, stage, subnet_id, pairs, memo, track):
     name = f"SN{subnet_id} complete"
     return 0, name, (
         f'{{"args":{{"subnet":{_json(subnet_id)}}},"cat":"completion",'
-        f'"name":{_quote(name)},{track},"s":"g","tid":0,"ts":{_json(time)}}}'
+        f'"name":{_quote(name)},{track},"s":"g","tid":0,"ts":'
     )
 
 
-def _mitigation_apply(time, stage, subnet_id, attrs, cache_totals, track):
+def _mitigation_apply(time, stage, subnet_id, pairs, memo, track):
+    attrs = dict(pairs)
     name = f"{attrs['action']} {'on' if attrs['active'] else 'off'}"
     return 0, name, (
         f'{{"args":{compact(attrs)},"cat":"mitigation","name":{_quote(name)},'
-        f'{track},"s":"g","tid":0,"ts":{_json(time)}}}'
+        f'{track},"s":"g","tid":0,"ts":'
     )
 
 
@@ -243,14 +302,15 @@ def _meta(pid: int, tid: Optional[int], name: str) -> Tuple[tuple, str]:
     )
 
 
-def _instant(kind, time, stage, subnet_id, attrs, row):
-    """An :data:`_INSTANTS` event: ``(tid, name, text)`` like a renderer."""
+def _instant(kind, stage, subnet_id, attrs, row):
+    """An :data:`_INSTANTS` event: ``(tid, name, text up to "ts":)`` like
+    a renderer."""
     pid, category, scope, on_stage_thread, name_format = row
     name = name_format.format(kind=kind, stage=stage, subnet=subnet_id, **attrs)
     tid = max(0, stage) if on_stage_thread else 0
     return tid, name, (
         f'{{"args":{compact(attrs)},"cat":"{category}","name":{_quote(name)},'
-        f'"ph":"i","pid":{pid},"s":"{scope}","tid":{_json(tid)},"ts":{_json(time)}}}'
+        f'"ph":"i","pid":{pid},"s":"{scope}","tid":{_json(tid)},"ts":'
     )
 
 
@@ -280,6 +340,17 @@ def export_chrome_trace(
     one trailing newline); optionally written to ``path``.  Returns the
     text.  Each event is written as text once, beside its sort key."""
     events: List[Tuple[tuple, str]] = []
+    stamps: Dict[float, str] = {}
+
+    def stamp(time) -> str:
+        """``time``'s JSON text, spelled once per call for each nonzero
+        float (``0.0 == -0.0`` and ``1 == 1.0`` are spelled apart)."""
+        if type(time) is not float or not time:
+            return _json(time)
+        text = stamps.get(time)
+        if text is None:
+            text = stamps[time] = _json(time)
+        return text
 
     # -- metadata: processes and threads -------------------------------
     for pid, name in _PROCESS_NAMES.items():
@@ -301,7 +372,7 @@ def export_chrome_trace(
             f'{{"args":{{"kind":{_json(kind)},"subnet":{_json(subnet_id)}}},'
             f'"cat":{_json(kind)},"dur":{_json(interval.duration)},'
             f'"name":{_quote(name)},"ph":"X","pid":{_PID_GPU},"tid":{_json(gpu)},'
-            f'"ts":{_json(interval.start)}}}',
+            f'"ts":{stamp(interval.start)}}}',
         ))
 
     # -- typed events ---------------------------------------------------
@@ -309,22 +380,20 @@ def export_chrome_trace(
         kind: (pid, phase, render, f'"ph":"{phase}","pid":{pid}')
         for kind, (pid, phase, render) in _SPECIAL.items()
     }
-    cache_totals: Dict[int, List[int]] = {}
+    memo: Dict[tuple, object] = {}  # this call's only: see _repeated
     for kind, time, stage, subnet_id, pairs in trace.events.rows():
         special = specials.get(kind)
         if special is not None:
             pid, phase, render, track = special
-            tid, name, text = render(
-                time, stage, subnet_id, dict(pairs), cache_totals, track
-            )
-            events.append(((1, time, pid, tid, name, phase), text))
+            tid, name, head = render(time, stage, subnet_id, pairs, memo, track)
+            events.append(((1, time, pid, tid, name, phase), f"{head}{stamp(time)}}}"))
             continue
         instant = _INSTANTS.get(kind)
         if instant is not None:
-            tid, name, text = _instant(
-                kind, time, stage, subnet_id, dict(pairs), instant
+            tid, name, head = _instant(kind, stage, subnet_id, dict(pairs), instant)
+            events.append(
+                ((1, time, instant[0], tid, name, "i"), f"{head}{stamp(time)}}}")
             )
-            events.append(((1, time, instant[0], tid, name, "i"), text))
 
     # -- pid 3: CSP wait windows ---------------------------------------
     for stage, windows in sorted(csp_wait_windows(trace).items()):
@@ -341,7 +410,7 @@ def export_chrome_trace(
                 f'"choice":{_json(window.choice)}}},"cat":"csp-wait",'
                 f'"dur":{_json(window.end - window.start)},"name":{_quote(name)},'
                 f'"ph":"X","pid":{_PID_SCHED},"tid":{_json(stage)},'
-                f'"ts":{_json(window.start)}}}',
+                f'"ts":{stamp(window.start)}}}',
             ))
 
     # Total deterministic order: metadata first, then by time/track/name

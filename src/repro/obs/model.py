@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.sim.trace import ExecutionTrace
 
@@ -57,39 +58,63 @@ class WaitWindow:
 
 _WAIT_KINDS = ("csp_wait_begin", "csp_wait_end")
 
+#: ``(kind, time, stage, subnet_id, attrs)`` of one event, read from the
+#: trace's columns
+_Row = Tuple[str, float, int, int, Tuple[Tuple[str, object], ...]]
+
+
+def _select(trace: ExecutionTrace, kinds: Iterable[str]) -> List[_Row]:
+    """The rows of the given kinds, in emission order: one C-level pass
+    over the ``kind`` column picks their indices, and only those rows
+    are read from the other four columns."""
+    log = trace.events
+    kind, time, stage, subnet_id, attrs = (
+        log.kind, log.time, log.stage, log.subnet_id, log.attrs
+    )
+    picked = compress(range(len(kind)), map(frozenset(kinds).__contains__, kind))
+    return [(kind[i], time[i], stage[i], subnet_id[i], attrs[i]) for i in picked]
+
 
 def csp_wait_windows(trace: ExecutionTrace) -> Dict[int, List[WaitWindow]]:
     """Pair ``csp_wait_begin``/``csp_wait_end`` events into windows per
     stage; a wait still open at the end of the run closes at
     ``trace.end_time``."""
-    return _pair_waits(trace.events_of(*_WAIT_KINDS), trace.end_time)
+    return {
+        stage: [_window_from(begin, end) for begin, end in pairs]
+        for stage, pairs in _pair_waits(
+            _select(trace, _WAIT_KINDS), trace.end_time
+        ).items()
+    }
 
 
-def _pair_waits(events, end_time: float) -> Dict[int, List[WaitWindow]]:
-    windows: Dict[int, List[WaitWindow]] = {}
-    open_waits: Dict[int, object] = {}
-    for event in events:
-        if event.kind == "csp_wait_begin":
-            open_waits[event.stage] = event
+def _pair_waits(
+    rows: List[_Row], end_time: float
+) -> Dict[int, List[Tuple[_Row, float]]]:
+    """Per stage, ``(begin row, end time)`` of every wait, in close order."""
+    windows: Dict[int, List[Tuple[_Row, float]]] = {}
+    open_waits: Dict[int, _Row] = {}
+    for row in rows:
+        kind, time, stage = row[0], row[1], row[2]
+        if kind == "csp_wait_begin":
+            open_waits[stage] = row
         else:
-            begin = open_waits.pop(event.stage, None)
+            begin = open_waits.pop(stage, None)
             if begin is None:
                 continue
-            windows.setdefault(event.stage, []).append(
-                _window_from(begin, event.time)
-            )
+            windows.setdefault(stage, []).append((begin, time))
     for stage, begin in sorted(open_waits.items()):
-        windows.setdefault(stage, []).append(_window_from(begin, end_time))
+        windows.setdefault(stage, []).append((begin, end_time))
     return windows
 
 
-def _window_from(begin, end: float) -> WaitWindow:
-    attrs = begin.attrs_dict
+def _window_from(begin: _Row, end: float) -> WaitWindow:
+    _, start, stage, blocked, pairs = begin
+    attrs = dict(pairs)
     return WaitWindow(
-        stage=begin.stage,
-        start=begin.time,
+        stage=stage,
+        start=start,
         end=end,
-        blocked=begin.subnet_id,
+        blocked=blocked,
         blocking_subnet=int(attrs.get("blocking_subnet", -1)),
         block=int(attrs.get("block", -1)),
         choice=int(attrs.get("choice", -1)),
@@ -126,18 +151,31 @@ def _complement(segments: List[_Segment], lo: float, hi: float) -> List[_Segment
     return [(s, e) for s, e in gaps if e > s]
 
 
-def _overlap(a: List[_Segment], b: List[_Segment]) -> float:
-    """Total overlap length between two merged segment lists."""
-    total = 0.0
-    j = 0
-    for start, end in a:
-        while j < len(b) and b[j][1] <= start:
+class _Sweep:
+    """Overlap lengths of one merged segment list with windows asked for
+    in increasing, disjoint order.  The cursor only moves forward: a
+    segment that ends at or before one window's start ends before every
+    later one's, so each window adds the same terms in the same order a
+    scan from the first segment would, and the same float comes out."""
+
+    __slots__ = ("segments", "cursor")
+
+    def __init__(self, segments: List[_Segment]) -> None:
+        self.segments = segments
+        self.cursor = 0
+
+    def overlap(self, start: float, end: float) -> float:
+        segments = self.segments
+        count = len(segments)
+        j = self.cursor
+        while j < count and segments[j][1] <= start:
             j += 1
-        k = j
-        while k < len(b) and b[k][0] < end:
-            total += min(end, b[k][1]) - max(start, b[k][0])
-            k += 1
-    return total
+        self.cursor = j
+        total = 0.0
+        while j < count and segments[j][0] < end:
+            total += min(end, segments[j][1]) - max(start, segments[j][0])
+            j += 1
+        return total
 
 
 # ----------------------------------------------------------------------
@@ -153,29 +191,29 @@ _STALL_CLASS = {
 }
 
 
-def stall_cause_index(events) -> Dict[Tuple[int, float], str]:
+def stall_cause_index(rows: Iterable[_Row]) -> Dict[Tuple[int, float], str]:
     """``(stage, stall-interval start) -> resource class`` for every
-    stall the typed ``events`` (the :data:`_STALL_CLASS` kinds, in
+    stall the typed event ``rows`` (the :data:`_STALL_CLASS` kinds, in
     emission order) explain; the cause of the stall interval starting
     at that instant on that GPU."""
     causes: Dict[Tuple[int, float], str] = {}
-    for event in events:
-        cause = _STALL_CLASS[event.kind]
-        if event.kind == "fetch_stall":
+    for kind, time, stage, _, _ in rows:
+        cause = _STALL_CLASS[kind]
+        if kind == "fetch_stall":
             # the stall interval starts at the (post-migration)
             # dispatch time, which is the event time
-            causes[(event.stage, event.time)] = cause
+            causes[(stage, time)] = cause
         else:
-            causes.setdefault((event.stage, event.time), cause)
+            causes.setdefault((stage, time), cause)
     return causes
 
 
 # ----------------------------------------------------------------------
 # the model
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Activity:
-    """One node of the reconstructed DAG."""
+class _Activity(NamedTuple):
+    """One node of the reconstructed DAG (built positionally: a run
+    reads ~12k of them)."""
 
     kind: str  # "compute" | "stall" | "transfer" | "inject"
     start: float
@@ -201,7 +239,8 @@ class RunModel:
     def __init__(self, trace: ExecutionTrace) -> None:
         self.trace = trace
 
-        # one scan of the event log for every kind the model reads
+        # one selection from the event columns for every kind the model
+        # reads, as plain row tuples
         stalls, transfers, injects, waits, links, metas = ([] for _ in range(6))
         sink = {
             **dict.fromkeys(_STALL_CLASS, stalls),
@@ -211,8 +250,8 @@ class RunModel:
             "link_meta": links,
             "run_meta": metas,
         }
-        for event in trace.events_of(*sink):
-            sink[event.kind].append(event)
+        for row in _select(trace, sink):
+            sink[row[0]].append(row)
 
         # stall causes keyed by (stage, start time)
         stall_cause = stall_cause_index(stalls)
@@ -221,38 +260,26 @@ class RunModel:
         self.gpu_chain: Dict[int, List[_Activity]] = {}
         # (stage, subnet, direction) -> compute activities, start order
         self.compute_index: Dict[Tuple[int, int, str], List[_Activity]] = {}
+        compute_index = self.compute_index
         for gpu, intervals in trace.intervals_by_gpu().items():
             chain: List[_Activity] = []
-            for interval in intervals:
-                if interval.kind in ("fwd", "bwd"):
+            for _, start, end, kind, subnet in intervals:
+                if kind in ("fwd", "bwd"):
                     activity = _Activity(
-                        kind="compute",
-                        start=interval.start,
-                        end=interval.end,
-                        stage=gpu,
-                        subnet=interval.subnet_id,
-                        direction=interval.kind,
-                        resource="alu_busy",
-                        label=f"SN{interval.subnet_id} {interval.kind}@P{gpu}",
-                        gpu_index=len(chain),
+                        "compute", start, end, gpu, subnet, kind, "alu_busy",
+                        f"SN{subnet} {kind}@P{gpu}", len(chain),
                     )
-                    self.compute_index.setdefault(
-                        (gpu, interval.subnet_id, interval.kind), []
-                    ).append(activity)
+                    key = (gpu, subnet, kind)
+                    found = compute_index.get(key)
+                    if found is None:
+                        compute_index[key] = [activity]
+                    else:
+                        found.append(activity)
                 else:
-                    resource = stall_cause.get(
-                        (gpu, interval.start), "other_stall"
-                    )
+                    resource = stall_cause.get((gpu, start), "other_stall")
                     activity = _Activity(
-                        kind="stall",
-                        start=interval.start,
-                        end=interval.end,
-                        stage=gpu,
-                        subnet=interval.subnet_id,
-                        direction="",
-                        resource=resource,
-                        label=f"SN{interval.subnet_id} {resource}@P{gpu}",
-                        gpu_index=len(chain),
+                        "stall", start, end, gpu, subnet, "", resource,
+                        f"SN{subnet} {resource}@P{gpu}", len(chain),
                     )
                 chain.append(activity)
             self.gpu_chain[gpu] = chain
@@ -260,24 +287,23 @@ class RunModel:
         # transfers keyed by (direction, dst, subnet); a subnet crosses
         # each boundary at most once per direction per attempt
         self.transfers: Dict[Tuple[str, int, int], _Activity] = {}
-        for event in transfers:
-            attrs = event.attrs_dict
+        for _, time, _, subnet, pairs in transfers:
+            attrs = dict(pairs)
             direction = str(attrs["direction"])
             dst = int(attrs["dst"])
-            self.transfers[(direction, dst, event.subnet_id)] = _Activity(
-                kind="transfer",
-                start=event.time,
-                end=float(attrs["arrive"]),
-                stage=int(attrs["src"]),
-                subnet=event.subnet_id,
-                direction=direction,
-                resource="nic_transfer",
-                label=(
-                    f"SN{event.subnet_id} "
-                    f"{'activation' if direction == 'fwd' else 'gradient'} "
-                    f"P{attrs['src']}->P{dst}"
-                ),
-                nbytes=float(attrs["nbytes"]),
+            self.transfers[(direction, dst, subnet)] = _Activity(
+                "transfer",
+                time,
+                float(attrs["arrive"]),
+                int(attrs["src"]),
+                subnet,
+                direction,
+                "nic_transfer",
+                f"SN{subnet} "
+                f"{'activation' if direction == 'fwd' else 'gradient'} "
+                f"P{attrs['src']}->P{dst}",
+                -1,
+                float(attrs["nbytes"]),
             )
 
         # injections in stream order (zero-length; charged to stage 0
@@ -290,31 +316,25 @@ class RunModel:
         completion_times = [time for time, _ in completions]
         self.injects: Dict[int, _Activity] = {}
         self.releaser: Dict[int, int] = {}
-        for event in injects:
-            self.injects[event.subnet_id] = _Activity(
-                kind="inject",
-                start=event.time,
-                end=event.time,
-                stage=0,
-                subnet=event.subnet_id,
-                direction="",
-                resource="admission_hold",
-                label=f"SN{event.subnet_id} inject",
+        for _, time, _, subnet, _ in injects:
+            self.injects[subnet] = _Activity(
+                "inject", time, time, 0, subnet, "", "admission_hold",
+                f"SN{subnet} inject",
             )
-            released = bisect_right(completion_times, event.time + _EPS)
+            released = bisect_right(completion_times, time + _EPS)
             if released:
-                self.releaser[event.subnet_id] = completions[released - 1][1]
+                self.releaser[subnet] = completions[released - 1][1]
 
         # merged CSP wait windows per stage (gap classification)
         self.wait_segments: Dict[int, List[_Segment]] = {
-            stage: _merge([(w.start, w.end) for w in windows])
-            for stage, windows in _pair_waits(waits, trace.end_time).items()
+            stage: _merge([(begin[1], end) for begin, end in pairs])
+            for stage, pairs in _pair_waits(waits, trace.end_time).items()
         }
 
         # (src, dst) -> (bandwidth bytes/ms, latency ms)
         self.links: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        for event in links:
-            attrs = event.attrs_dict
+        for row in links:
+            attrs = dict(row[4])
             self.links[(int(attrs["src"]), int(attrs["dst"]))] = (
                 float(attrs["bandwidth"]),
                 float(attrs["latency"]),
@@ -322,5 +342,7 @@ class RunModel:
 
         # pipeline depth as the engine recorded it
         self.num_stages = trace.num_gpus
-        if metas:
-            self.num_stages = int(metas[0].attr("num_stages", self.num_stages))
+        for name, value in metas[0][4] if metas else ():
+            if name == "num_stages":
+                self.num_stages = int(value)
+                break

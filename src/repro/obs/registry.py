@@ -102,11 +102,10 @@ def run_record(
     default digests the result's own identity fields.  ``git_sha=True``
     probes git; pass a string to pin it or ``None``/``False`` to omit.
     """
-    from repro.obs.critical_path import critical_path_breakdown
-    from repro.obs.summary import run_summary
+    from repro.obs.model import RunModel
+    from repro.obs.summary import _readings
 
-    summary = run_summary(result)
-    breakdown = critical_path_breakdown(result.trace)
+    summary, breakdown = _readings(result, RunModel(result.trace))
     if identity is None:
         identity = {
             "system": result.system,

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.obs.critical_path import _breakdown
-from repro.obs.model import RunModel, _complement, _merge, _overlap
+from repro.obs.model import RunModel, _complement, _merge, _Sweep
 from repro.payload import compact
 from repro.sim.trace import ExecutionTrace
 
@@ -109,20 +109,22 @@ def _attribution(model: RunModel) -> List[StageBubbles]:
         first_compute = compute[0][0] if compute else trace.end_time
         last_compute = compute[-1][1] if compute else trace.end_time
         startup = fetch_stall = csp_wait = drain = 0.0
-        for gap in _complement(compute, trace.start_time, trace.end_time):
-            stalled = _overlap([gap], stalls)
+        # the gaps come in time order: one forward sweep per merged list
+        stalls, waits = _Sweep(stalls), _Sweep(wait_segments)
+        for start, end in _complement(compute, trace.start_time, trace.end_time):
+            stalled = stalls.overlap(start, end)
             fetch_stall += stalled
-            remainder = (gap[1] - gap[0]) - stalled
+            remainder = (end - start) - stalled
             if remainder <= 0:
                 continue
-            if gap[1] <= first_compute:
+            if end <= first_compute:
                 # Fill phase: idle before the stage's first task (minus
                 # any stall already attributed above).
                 startup += remainder
-            elif gap[0] >= last_compute:
+            elif start >= last_compute:
                 drain += remainder
             else:
-                waited = min(remainder, _overlap([gap], wait_segments))
+                waited = min(remainder, waits.overlap(start, end))
                 csp_wait += waited
         other = idle - startup - fetch_stall - csp_wait - drain
         per_stage.append(
@@ -166,11 +168,20 @@ def run_summary(result) -> Dict[str, object]:
     ``bubble_attribution`` holds mean fractions across stages; their sum
     equals ``bubble_ratio`` to float precision (tested at 1e-9).
     """
+    return _readings(result, RunModel(result.trace))[0]
+
+
+def _readings(
+    result, model: RunModel
+) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """:func:`run_summary` and ``critical_path_breakdown`` of one run
+    from one model: the path is walked once, and the summary's
+    ``cp_share`` is read from that walk."""
     trace: ExecutionTrace = result.trace
-    model = RunModel(trace)
-    cp_share = _breakdown(model)["per_stage_share"]
+    breakdown = _breakdown(model)
+    cp_share = breakdown["per_stage_share"]
     stages = _attribution(model)
-    return {
+    summary = {
         "schema": 1,
         "system": result.system,
         "space": result.space,
@@ -207,6 +218,7 @@ def run_summary(result) -> Dict[str, object]:
         "mean_exec_ms": result.mean_exec_ms,
         "event_counts": trace.event_counts(),
     }
+    return summary, breakdown
 
 
 def summary_json(summary: Dict[str, object]) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.payload import reject_unknown
@@ -59,7 +59,10 @@ class AlertRule:
     """One validated rule (threshold or burn_rate)."""
 
     def __init__(self, payload: Dict) -> None:
-        reject_unknown(payload, _RULE_KEYS, f"alert rule {payload.get('name')!r}")
+        where = "alert rule"
+        if isinstance(payload, Mapping):
+            where = f"alert rule {payload.get('name')!r}"
+        reject_unknown(payload, _RULE_KEYS, where)
         self.name = str(payload.get("name", ""))
         if not self.name:
             raise ConfigError("alert rule needs a name")
@@ -245,4 +248,4 @@ def load_rules(source=None) -> List[AlertRule]:
         payloads = loaded
     else:
         payloads = source
-    return [AlertRule(dict(payload)) for payload in payloads]
+    return [AlertRule(payload) for payload in payloads]

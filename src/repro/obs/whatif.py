@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.model import RunModel
@@ -74,14 +75,26 @@ _DROPPED_STALLS = {
 # ----------------------------------------------------------------------
 # order-preserving replay (the relaxation scenarios)
 # ----------------------------------------------------------------------
-_Work = List[Tuple[float, int, int, object, Optional[Dict[str, float]]]]
+#: a step's gate: what delivered a compute's input
+_ADMISSION, _ARRIVAL, _FINISH = range(3)
+
+#: One replay step, with every key it reads or writes computed once by
+#: :func:`_observed_order`.  A compute is ``(False, stage, its done key,
+#: gate, gate key, fallback, setup, duration)``: the gate is
+#: :data:`_ADMISSION` (key: the subnet; fallback: the releasing
+#: backward's done key, or None), :data:`_ARRIVAL` (an arrival key) or
+#: :data:`_FINISH` (a done key), with the observed start as fallback;
+#: ``setup`` is the ``(resource class, ms)`` stalls observed before it.
+#: A transfer is ``(True, link, the sender's done key, observed start,
+#: arrival key, wire ms, latency)``.
+_Work = List[tuple]
 
 
 def _observed_order(model: RunModel) -> _Work:
-    """Every compute and transfer as ``(observed time, computes first,
-    stage / dst, activity, setup)`` in observed order; ``setup`` is the
-    stall ms observed before a compute, per resource class."""
-    work: _Work = []
+    """Every compute and transfer as a replay step, in observed order
+    (observed time, computes first, stage / dst, subnet, direction)."""
+    order: List[Tuple[tuple, tuple]] = []
+    last_stage = model.num_stages - 1
     for chain in model.gpu_chain.values():
         setup: Dict[str, float] = {}
         for activity in chain:
@@ -89,14 +102,45 @@ def _observed_order(model: RunModel) -> _Work:
                 setup[activity.resource] = (
                     setup.get(activity.resource, 0.0) + activity.duration
                 )
+                continue
+            stage, subnet = activity.stage, activity.subnet
+            direction = activity.direction
+            if direction == "fwd" and stage == 0:
+                releaser = model.releaser.get(subnet)
+                gate = (
+                    _ADMISSION,
+                    subnet,
+                    (0, releaser, "bwd") if releaser is not None else None,
+                )
+            elif direction == "fwd":
+                gate = (_ARRIVAL, ("fwd", stage, subnet), activity.start)
+            elif stage == last_stage:
+                gate = (_FINISH, (stage, subnet, "fwd"), activity.start)
             else:
-                work.append((activity.start, 0, activity.stage, activity, setup))
-                setup = {}
+                gate = (_ARRIVAL, ("bwd", stage, subnet), activity.start)
+            order.append((
+                (activity.start, 0, stage, subnet, direction),
+                (False, stage, (stage, subnet, direction), *gate,
+                 tuple(setup.items()), activity.duration),
+            ))
+            setup = {}
     for (_, dst, _), transfer in model.transfers.items():
-        work.append((transfer.start, 1, dst, transfer, None))
-    work.sort(key=lambda entry: (entry[0], entry[1], entry[2],
-                                 entry[3].subnet, entry[3].direction))
-    return work
+        src, subnet, direction = transfer.stage, transfer.subnet, transfer.direction
+        bandwidth, latency = model.links.get((src, dst), (float("inf"), 0.0))
+        order.append((
+            (transfer.start, 1, dst, subnet, direction),
+            (
+                True,
+                (src, dst),
+                (src, subnet, direction),
+                transfer.start,
+                ("fwd" if direction == "fwd" else "bwd", dst, subnet),
+                transfer.nbytes / bandwidth if bandwidth > 0 else 0.0,
+                latency,
+            ),
+        ))
+    order.sort(key=itemgetter(0))
+    return [step for _, step in order]
 
 
 def _replay(
@@ -111,63 +155,41 @@ def _replay(
     """
     done: Dict[Tuple[int, int, str], float] = {}  # compute -> projected end
     arrive: Dict[Tuple[str, int, int], float] = {}  # transfer -> arrival
+    gates = {_ARRIVAL: arrive, _FINISH: done}
     link_free: Dict[Tuple[int, int], float] = {}
     inject_time: Dict[int, float] = {}
-    last_stage = model.num_stages - 1
     t0 = model.trace.start_time
 
     gpu_free = {gpu: t0 for gpu in model.gpu_chain}
     end_max = t0
-    for _, _, dst, item, setup in work:
-        if item.kind == "compute":
-            deps = [gpu_free[item.stage]]
-            if item.direction == "fwd":
-                if item.stage == 0:
-                    sid = item.subnet
-                    if sid not in inject_time:
-                        releaser = model.releaser.get(sid)
-                        inject_time[sid] = done.get((0, releaser, "bwd"), t0) \
-                            if releaser is not None else t0
-                    deps.append(inject_time[sid])
-                else:
-                    deps.append(
-                        arrive.get(("fwd", item.stage, item.subnet),
-                                   item.start)
-                    )
-            elif item.stage == last_stage:
-                deps.append(
-                    done.get((item.stage, item.subnet, "fwd"), item.start)
-                )
-            else:
-                deps.append(
-                    arrive.get(("bwd", item.stage, item.subnet),
-                               item.start)
-                )
-            start = max(deps)
-            for cause, ms in setup.items():
-                if cause not in dropped:
-                    start += ms
-            end = start + item.duration
-            gpu_free[item.stage] = end
-            done[(item.stage, item.subnet, item.direction)] = end
-            end_max = max(end_max, end)
-        else:
-            src = item.stage
-            ready = done.get((src, item.subnet, item.direction), item.start)
-            key = ("fwd" if item.direction == "fwd" else "bwd",
-                   dst, item.subnet)
+    for step in work:
+        if step[0]:
+            _, link, sent, observed, key, wire, latency = step
+            ready = done.get(sent, observed)
             if nic_zero:
                 arrive[key] = ready
                 continue
-            bandwidth, latency = model.links.get(
-                (src, dst), (float("inf"), 0.0)
-            )
-            wire_start = max(ready, link_free.get((src, dst), t0))
-            next_free = wire_start + (
-                item.nbytes / bandwidth if bandwidth > 0 else 0.0
-            )
-            link_free[(src, dst)] = next_free
+            next_free = max(ready, link_free.get(link, t0)) + wire
+            link_free[link] = next_free
             arrive[key] = next_free + latency
+            continue
+        _, stage, key, gate, gate_key, fallback, setup, duration = step
+        if gate == _ADMISSION:
+            if gate_key not in inject_time:
+                inject_time[gate_key] = (
+                    done.get(fallback, t0) if fallback is not None else t0
+                )
+            ready = inject_time[gate_key]
+        else:
+            ready = gates[gate].get(gate_key, fallback)
+        start = max(gpu_free[stage], ready)
+        for cause, ms in setup:
+            if cause not in dropped:
+                start += ms
+        end = start + duration
+        gpu_free[stage] = end
+        done[key] = end
+        end_max = max(end_max, end)
     return end_max - t0
 
 
@@ -311,8 +333,12 @@ def what_if_report(trace: ExecutionTrace) -> Dict[str, object]:
     ``as_scheduled`` baseline) by descending savings — the "optimise
     this next" list; ties break on scenario name.
     """
-    measured = trace.makespan
-    model = RunModel(trace)
+    return _report(RunModel(trace))
+
+
+def _report(model: RunModel) -> Dict[str, object]:
+    """:func:`what_if_report` over a model already built."""
+    measured = model.trace.makespan
     work = _observed_order(model)
     scenarios: Dict[str, Dict[str, float]] = {}
     for name in SCENARIOS:

@@ -30,7 +30,12 @@ __all__ = ["reject_unknown", "accepted", "build", "compact", "indented", "sha256
 # reader
 # ----------------------------------------------------------------------
 def reject_unknown(payload: Mapping, known: Iterable[str], path: str) -> None:
-    """Raise unless every key of ``payload`` is in ``known``."""
+    """Raise unless ``payload`` is an object and every key of it is in
+    ``known``."""
+    if not isinstance(payload, Mapping):
+        raise ConfigError(
+            f"{path} must be an object, got {type(payload).__name__}"
+        )
     known = set(known)
     unknown = sorted(set(payload) - known)
     if unknown:

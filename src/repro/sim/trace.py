@@ -29,6 +29,7 @@ byte quantities are plain bytes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -283,9 +284,7 @@ class ExecutionTrace:
 
     def event_counts(self) -> Dict[str, int]:
         """``{kind: occurrences}``, sorted by kind (deterministic)."""
-        counts: Dict[str, int] = {}
-        for kind in self.events.kind:
-            counts[kind] = counts.get(kind, 0) + 1
+        counts = Counter(self.events.kind)
         return {kind: counts[kind] for kind in sorted(counts)}
 
     # ------------------------------------------------------------------

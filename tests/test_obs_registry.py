@@ -8,6 +8,7 @@ on an injected 2x makespan regression.
 """
 
 import copy
+import importlib
 import json
 
 import pytest
@@ -169,6 +170,36 @@ def test_cli_analyze_writes_deterministic_json(tmp_path, capsys):
     assert abs(
         run["critical_path"]["path_ms"] - run["summary"]["makespan_ms"]
     ) < 1e-9
+
+
+@pytest.mark.parametrize("register, most", [(False, 1), (True, 2)])
+def test_cli_analyze_builds_one_model_per_gpu_count(tmp_path, monkeypatch, register, most):
+    """``analyze`` hands one run model to the summary, the critical path
+    and the what-if, and walks the path once for the summary's stage
+    shares and the breakdown; ``--register`` adds the record's one
+    reading.  (At the parent: 3 builds and 2 walks, 5 and 4.)"""
+    from repro.obs.model import RunModel
+
+    # the module, not the function the package exports under its name
+    critical_path = importlib.import_module("repro.obs.critical_path")
+
+    counts = {"builds": 0, "walks": 0}
+    build, walk = RunModel.__init__, critical_path._walk
+
+    def counted_build(self, trace):
+        counts["builds"] += 1
+        build(self, trace)
+
+    def counted_walk(model):
+        counts["walks"] += 1
+        return walk(model)
+
+    monkeypatch.setattr(RunModel, "__init__", counted_build)
+    monkeypatch.setattr(critical_path, "_walk", counted_walk)
+    flags = ["--register", "--registry", str(tmp_path / "runs.jsonl")] if register else []
+    gpu_counts = ["2", "4"]
+    assert main(["analyze", str(_config(tmp_path)), "--sweep-gpus", *gpu_counts, *flags]) == 0
+    assert counts == {"builds": most * len(gpu_counts), "walks": most * len(gpu_counts)}
 
 
 @pytest.mark.parametrize("gpus", ["0", "-2"])

@@ -153,6 +153,52 @@ def test_chaos_config_has_no_degradation_switch(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# a payload that is not an object
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "value, type_name",
+    [("abc", "str"), (5, "int"), (["a"], "list"), (None, "NoneType"), (True, "bool")],
+)
+def test_a_payload_that_is_not_an_object_is_named_as_such(value, type_name):
+    # at the parent "abc" read as the keys a, b, c and ["a"] passed
+    with pytest.raises(ConfigError) as exc:
+        payload.reject_unknown(value, ("a",), "jobs[0]")
+    assert str(exc.value) == f"jobs[0] must be an object, got {type_name}"
+
+
+#: every reader that takes an object from a config → (read it, its path)
+NOT_AN_OBJECT = {
+    "run config": (lambda value, tmp: _config_file(value, tmp), "run config"),
+    "overrides": (lambda value, tmp: _cli("trace")({"overrides": value}, tmp), "run config.overrides"),
+    "space_overrides": (
+        lambda value, tmp: _cli("trace")({"space_overrides": value}, tmp),
+        "run config.space_overrides",
+    ),
+    "fleet": (lambda value, _: fleet_sweep(value), "fleet config"),
+    "service": (lambda value, _: run_service(value), "service config"),
+    "job": (lambda value, _: JobSpec.from_payload(value, "jobs[3]"), "jobs[3]"),
+    "alert rule": (lambda value, _: AlertRule(value), "alert rule"),
+}
+
+
+def _config_file(value, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(value))
+    return main(["trace", str(path), "--out", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("reader", NOT_AN_OBJECT)
+@pytest.mark.parametrize("value, type_name", [("ab", "str"), (5, "int")])
+def test_every_reader_refuses_a_payload_that_is_not_an_object(reader, value, type_name, tmp_path):
+    # at the parent "ab" failed as "unknown keys ['a', 'b']" and 5 as an
+    # untyped TypeError
+    read, path = NOT_AN_OBJECT[reader]
+    with pytest.raises(ConfigError) as exc:
+        read(value, tmp_path)
+    assert str(exc.value) == f"{path} must be an object, got {type_name}"
+
+
+# ----------------------------------------------------------------------
 # what a config trains: override fields, system, stream kind
 # ----------------------------------------------------------------------
 #: config → (reader of {key: value}, the path prefix its errors carry)

@@ -36,6 +36,12 @@ RULES = [
     # one reading of a trace: transfers and admissions are extracted once,
     # by RunModel's single scan of the event log
     (r'events_of\([^)]*"(?:nic_transfer|subnet_inject)"', (), 0, "obs.model.RunModel", "obs/"),
+    # a reader selects its rows from the event columns, in one C-level
+    # pass over the kind column; it builds no TraceEvent row
+    (r"events_of\(", (), 0, "obs.model._select", "obs/"),
+    # idle gaps come in time order: one forward cursor per merged list,
+    # not a scan restarted from the first segment on every gap
+    (r"_overlap\(\[", (), 0, "obs.model._Sweep"),
     # the exporter renders from its kind tables, not a chain of arms
     (r"elif kind", (), 0, "a row in _INSTANTS / _SPECIAL", "obs/exporter.py"),
     # an instrument is requested from a registry at one site, by the hub,
