@@ -11,6 +11,6 @@ rank subnets.
 from repro import _exports
 
 __getattr__, __dir__, __all__ = _exports(globals(), {
-    "repro.data.synthetic": ("SyntheticTaskData", "batch_for_subnet"),
+    "repro.data.synthetic": ("SyntheticTaskData",),
     "repro.data.vocab": ("Vocabulary", "synthetic_vocabulary"),
 })

@@ -25,7 +25,7 @@ from repro.nn import functional as F
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 
-__all__ = ["SyntheticTaskData", "batch_for_subnet"]
+__all__ = ["SyntheticTaskData"]
 
 _VOCAB_SIZE = 512
 _SEQ_LEN = 12
@@ -56,6 +56,9 @@ class SyntheticTaskData:
             embedding=(embedding / np.sqrt(width)).astype(np.float32),
             teacher=teacher.astype(np.float32),
         )
+        # frozen in fact, not only by name: planes of one job share them
+        self._encoders.embedding.flags.writeable = False
+        self._encoders.teacher.flags.writeable = False
 
     @property
     def teacher(self) -> np.ndarray:
@@ -97,12 +100,3 @@ class SyntheticTaskData:
             for index in range(count)
         ]
 
-
-def batch_for_subnet(
-    space: SearchSpace,
-    seeds: SeedSequenceTree,
-    subnet_id: int,
-    batch_size: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience wrapper around :class:`SyntheticTaskData`."""
-    return SyntheticTaskData(space, seeds).batch(subnet_id, batch_size)

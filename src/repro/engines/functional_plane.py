@@ -14,14 +14,15 @@ keeps thousand-subnet experiments fast on a laptop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.synthetic import SyntheticTaskData
+from repro.errors import ConfigError
 from repro.nn import functional as F
-from repro.nn.init import make_factory
-from repro.nn.layers import layer_forward
+from repro.nn.init import layer_init_generator
+from repro.nn.layers import build_parameters, layer_forward
 from repro.nn.loss import cross_entropy_with_logits
 from repro.nn.parameter_store import (
     LayerId,
@@ -32,14 +33,76 @@ from repro.nn.parameter_store import (
 from repro.nn.program import PendingUpdate, StageActivation, SubnetSegmentProgram
 from repro.nn.optim import SGD
 from repro.seeding import SeedSequenceTree
+from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
-__all__ = ["FunctionalPlane"]
+__all__ = ["FunctionalPlane", "SeededInputs", "check_functional_batch"]
+
+
+def check_functional_batch(value) -> int:
+    """``value`` if it is an int (not a bool) >= 1, else a
+    :class:`~repro.errors.ConfigError` — an empty batch trains nothing
+    and a negative one is no shape at all."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"functional_batch must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class SeededInputs:
+    """What one job starts from, derived from its seed once.
+
+    A layer's initial weights are a pure function of (root seed, layer,
+    impl, width) and a subnet's training batch of (root seed, space,
+    subnet id, functional batch), so every plane of one job — each
+    attempt, segment, restart and its solo baseline — can start from one
+    source.  Everything handed out is read-only: a plane's store trains
+    private copies of the weights, and a batch is only ever read, so an
+    accidental in-place write raises instead of leaking into another
+    plane.
+    """
+
+    def __init__(
+        self, space: SearchSpace, seeds: SeedSequenceTree, functional_batch: int
+    ) -> None:
+        self.space = space
+        self.seeds = seeds
+        self.functional_batch = check_functional_batch(functional_batch)
+        #: the frozen data encoders and teacher head, drawn once
+        self.data = SyntheticTaskData(space, seeds)
+        self._weights: Dict[LayerId, Dict[str, np.ndarray]] = {}
+        self._batches: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def weights(self, layer: LayerId, impl: str) -> Dict[str, np.ndarray]:
+        """The pristine (read-only) initial parameters of ``layer``."""
+        params = self._weights.get(layer)
+        if params is None:
+            rng = layer_init_generator(self.seeds, layer)
+            built = build_parameters(impl, self.space.functional_width, rng)
+            params = {name: _frozen(array) for name, array in built.items()}
+            self._weights[layer] = params
+        return params
+
+    def batch(self, subnet_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The read-only ``(features, targets)`` training batch of a subnet."""
+        found = self._batches.get(subnet_id)
+        if found is None:
+            features, targets = self.data.batch(subnet_id, self.functional_batch)
+            found = self._batches[subnet_id] = (_frozen(features), _frozen(targets))
+        return found
 
 
 class FunctionalPlane:
-    """Owns the parameter store, data source, head, and optimizer."""
+    """Owns the parameter store, data source, head, and optimizer.
+
+    ``inputs`` is the job's :class:`SeededInputs`; without one the plane
+    derives its own, as a lone run does.
+    """
 
     def __init__(
         self,
@@ -49,18 +112,34 @@ class FunctionalPlane:
         optimizer=None,
         recompute: bool = False,
         record_accesses: bool = True,
+        inputs: Optional[SeededInputs] = None,
     ) -> None:
+        check_functional_batch(functional_batch)
+        if inputs is None:
+            inputs = SeededInputs(supernet.space, seeds, functional_batch)
+        elif (inputs.space, inputs.seeds.root_seed, inputs.functional_batch) != (
+            supernet.space,
+            seeds.root_seed,
+            functional_batch,
+        ):
+            raise ValueError(
+                "seeded inputs derived for another job: space, root seed and "
+                "functional batch must match the plane's"
+            )
         self.supernet = supernet
         self.space = supernet.space
         self.seeds = seeds
         self.functional_batch = functional_batch
+        self.inputs = inputs
         self.optimizer = optimizer if optimizer is not None else SGD()
-        factory = make_factory(
-            seeds, lambda layer: supernet.impl_for(layer), self.space.functional_width
-        )
+
+        def factory(layer: LayerId) -> Dict[str, np.ndarray]:
+            pristine = inputs.weights(layer, supernet.impl_for(layer))
+            return {name: array.copy() for name, array in pristine.items()}
+
         self.store = ParameterStore(factory, record_accesses=record_accesses)
         self.program = SubnetSegmentProgram(self.store, recompute=recompute)
-        self.data = SyntheticTaskData(self.space, seeds)
+        self.data = inputs.data
         # The classification head is frozen: it is shared by *every*
         # subnet, so making it trainable would causally chain all subnets
         # and serialise the pipeline; real supernet systems keep shared
@@ -81,7 +160,7 @@ class FunctionalPlane:
         ]
 
     def input_for(self, subnet: Subnet) -> np.ndarray:
-        features, targets = self.data.batch(subnet.subnet_id, self.functional_batch)
+        features, targets = self.inputs.batch(subnet.subnet_id)
         self._targets[subnet.subnet_id] = targets
         return features
 

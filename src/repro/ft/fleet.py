@@ -49,6 +49,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.errors import ConfigError, ServiceError
 from repro.ft.chaos import sweep
 from repro.ft.faults import FaultSchedule
+from repro.ft.recovery import JobMemo
 from repro.obs.events import validate_trace
 from repro.payload import indented, reject_unknown
 from repro.seeding import SeedSequenceTree
@@ -83,10 +84,14 @@ _FLEET_KEYS = (
 
 
 def _build_planes(
-    payload: Mapping, fleet_slots: int, serving_telemetry=None
+    payload: Mapping,
+    fleet_slots: int,
+    serving_telemetry=None,
+    memo: Optional[JobMemo] = None,
 ) -> Tuple[ClusterManager, "ServingEngine", JobScheduler]:
     """One co-tenant deployment: shared manager, serving tenant leasing
-    the lowest slots, training scheduler over the rest.
+    the lowest slots, training scheduler over the rest (its jobs start
+    from the seeded inputs in ``memo``).
 
     ``serving_telemetry`` optionally arms a
     :class:`~repro.obs.telemetry.TelemetryHub` on the **serving** plane
@@ -99,7 +104,7 @@ def _build_planes(
     from repro.serving.frontend import ServingEngine, ServingSpec
 
     manager = ClusterManager(ClusterSpec(num_gpus=fleet_slots))
-    scheduler = JobScheduler.from_payload(manager, payload)
+    scheduler = JobScheduler.from_payload(manager, payload, memo=memo)
     serving = ServingEngine(
         ServingSpec.from_payload(
             {**payload["serving"], "total_gpus": fleet_slots}
@@ -113,10 +118,10 @@ def _build_planes(
     return manager, serving, scheduler
 
 
-def _unfaulted_horizon(payload: Mapping, fleet_slots: int) -> float:
+def _unfaulted_horizon(payload: Mapping, fleet_slots: int, memo: JobMemo) -> float:
     """The storm horizon: the slower of the two planes' fault-free
     makespans at this fleet size."""
-    _manager, serving, scheduler = _build_planes(payload, fleet_slots)
+    _manager, serving, scheduler = _build_planes(payload, fleet_slots, memo=memo)
     training = scheduler.run()
     result = serving.run()
     return max(training["makespan_ms"], result.makespan_ms)
@@ -126,10 +131,10 @@ def _check_training(
     payload: Mapping,
     report: Dict,
     fleet_slots: int,
-    solo_cache: Dict,
+    memo: JobMemo,
 ) -> Tuple[List[Dict], List[str]]:
     """Invariant 2: every finished job bitwise-matches its solo run
-    (baselines memoised in ``solo_cache`` across scenarios and fleets)."""
+    (baselines memoised in ``memo`` across scenarios and fleets)."""
     from repro.service.scheduler import JobSpec, solo_verdict
 
     job_rows: List[Dict] = []
@@ -160,7 +165,7 @@ def _check_training(
             job_rows.append(row)
             continue
         verdict = solo_verdict(
-            JobSpec.from_payload(entry), job, fleet_slots, solo_cache
+            JobSpec.from_payload(entry), job, fleet_slots, memo
         )
         row["digest_ok"] = (
             verdict["digest_matches_solo"] and verdict["losses_match_solo"]
@@ -222,14 +227,15 @@ def run_fleet_scenario(
     fleet_slots: int,
     storm_seed: int,
     horizon_ms: float,
-    solo_cache: Optional[Dict] = None,
+    memo: Optional[JobMemo] = None,
     serving_telemetry=None,
 ) -> Dict:
     """One storm seed against one fleet size; returns a JSON-stable row
-    with the invariant verdicts."""
-    solo_cache = solo_cache if solo_cache is not None else {}
+    with the invariant verdicts.  ``memo`` (a sweep's) carries the jobs'
+    seeded inputs and solo verdicts from scenario to scenario."""
+    memo = memo if memo is not None else JobMemo()
     manager, serving, scheduler = _build_planes(
-        payload, fleet_slots, serving_telemetry=serving_telemetry
+        payload, fleet_slots, serving_telemetry, memo
     )
     storm = FaultSchedule.fleet_from_mtbf(
         SeedSequenceTree(storm_seed),
@@ -274,7 +280,7 @@ def run_fleet_scenario(
 
     # -- invariant 2: finished jobs bitwise-match solo -----------------
     job_rows, job_violations = _check_training(
-        payload, training, fleet_slots, solo_cache
+        payload, training, fleet_slots, memo
     )
     violations.extend(job_violations)
 
@@ -338,23 +344,27 @@ def fleet_sweep(payload: Mapping) -> Dict:
     scenarios = int(payload.get("scenarios", 3))
     seed = int(payload.get("seed", 2022))
 
-    solo_cache: Dict = {}
+    # the horizon runs and every scenario share one memo: each job's
+    # seeded inputs are derived once per sweep, each solo verdict once
+    memo = JobMemo()
     horizons, report = sweep(
         fleets,
         scenarios,
         seed,
         baseline=_unfaulted_horizon,
-        baseline_args=lambda fleet: dict(payload=payload, fleet_slots=fleet),
+        baseline_args=lambda fleet: dict(
+            payload=payload, fleet_slots=fleet, memo=memo
+        ),
         scenario=run_fleet_scenario,
         scenario_args=lambda fleet, _index, storm_seed, horizon_ms: dict(
             payload=payload,
             fleet_slots=fleet,
             storm_seed=storm_seed,
             horizon_ms=horizon_ms,
-            solo_cache=solo_cache,
+            memo=memo,
         ),
         tags=("fleet", "storm_seed"),
-        # scenarios share the in-process ``solo_cache``
+        # scenarios share the in-process ``memo``
         jobs=1,
     )
     rows = report["scenarios"]

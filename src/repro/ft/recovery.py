@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import SystemConfig
-from repro.engines.functional_plane import FunctionalPlane
+from repro.engines.functional_plane import FunctionalPlane, SeededInputs
 from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.errors import FaultToleranceError
 from repro.ft.checkpoint import Checkpoint, CheckpointManager
@@ -54,6 +54,7 @@ __all__ = [
     "RecoverySpec",
     "AttemptRecord",
     "FaultedRunResult",
+    "JobMemo",
     "run_with_recovery",
     "run_uninterrupted",
     "build_stream",
@@ -179,22 +180,51 @@ def default_optimizer() -> MomentumSGD:
     return MomentumSGD(0.3, 0.9, 5.0)
 
 
+class JobMemo:
+    """What a sweep, a scheduler or a recovered run derives once per job.
+
+    ``solo`` memoises fault-free solo verdicts (see
+    :func:`~repro.service.scheduler.solo_verdict`); :meth:`inputs` hands
+    every plane of one job the same :class:`SeededInputs`.  A memo is
+    passed, never global: it lives as long as the call that built it, so
+    no later run can find (or time) an earlier run's work in it.
+    """
+
+    def __init__(self) -> None:
+        self.solo: Dict = {}
+        self._inputs: Dict[Tuple[int, SearchSpace, int], SeededInputs] = {}
+
+    def inputs(
+        self, space: SearchSpace, seed: int, functional_batch: int
+    ) -> SeededInputs:
+        """The seeded inputs of the job ``(seed, space, functional_batch)``."""
+        key = (seed, space, functional_batch)
+        found = self._inputs.get(key)
+        if found is None:
+            found = SeededInputs(space, SeedSequenceTree(seed), functional_batch)
+            self._inputs[key] = found
+        return found
+
+
 def fresh_plane(
     space: SearchSpace,
     seed: int,
     functional_batch: int,
     optimizer: Optional[MomentumSGD] = None,
+    memo: Optional[JobMemo] = None,
 ) -> Tuple[Supernet, FunctionalPlane]:
     """A job's state before subnet 0: a new supernet and a functional
     plane initialised from ``seed`` — what every attempt, segment-0 and
     rigid restart of one logical job must start from to stay
-    digest-comparable."""
+    digest-comparable.  With a ``memo`` the plane starts from the job's
+    shared seeded inputs instead of deriving its own."""
     supernet = Supernet(space)
     plane = FunctionalPlane(
         supernet,
         SeedSequenceTree(seed),
         functional_batch=functional_batch,
         optimizer=default_optimizer() if optimizer is None else optimizer,
+        inputs=None if memo is None else memo.inputs(space, seed, functional_batch),
     )
     return supernet, plane
 
@@ -243,16 +273,21 @@ def run_uninterrupted(
     speed_factors=None,
     faults=None,
     degradation: bool = False,
+    memo: Optional[JobMemo] = None,
 ) -> PipelineResult:
     """The fault-free baseline a recovered run is compared against.
 
     ``faults`` (a :class:`FaultSchedule` or bound-ready injector) and
     ``degradation`` (arm adaptive mitigation) extend the same entry
     point to single-attempt *non-fatal* fault runs — the chaos harness's
-    workhorse.
+    workhorse.  ``memo`` lends the run its job's seeded inputs.
     """
     supernet, plane = fresh_plane(
-        space, seed, functional_batch, (optimizer_factory or default_optimizer)()
+        space,
+        seed,
+        functional_batch,
+        (optimizer_factory or default_optimizer)(),
+        memo,
     )
     stream = build_stream(space, seed, steps, stream_kind)
     if isinstance(faults, FaultSchedule):
@@ -305,6 +340,7 @@ def run_with_recovery(
     spec = spec or RecoverySpec()
     checkpoint_dir = Path(checkpoint_dir)
     optimizer_factory = optimizer_factory or default_optimizer
+    memo = JobMemo()  # every attempt starts from the same seeded inputs
     full_stream = list(build_stream(space, seed, steps, stream_kind))
 
     # ``makespan_ms`` doubles as the global-clock offset of the next
@@ -331,7 +367,7 @@ def run_with_recovery(
         speeds = speed_factors if attempt == 1 else restart_speed_factors
 
         supernet, plane = fresh_plane(
-            space, seed, functional_batch, optimizer_factory()
+            space, seed, functional_batch, optimizer_factory(), memo
         )
         if restore_from is not None:
             restore_from.restore(plane)

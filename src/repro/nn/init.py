@@ -8,7 +8,7 @@ order yields identical weights.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -38,18 +38,3 @@ def zeros(*shape: int) -> np.ndarray:
 def ones_like_scale(rng: np.random.Generator, size: int) -> np.ndarray:
     """A near-one multiplicative scale vector (for depthwise components)."""
     return (1.0 + 0.1 * rng.standard_normal(size)).astype(np.float32)
-
-
-def make_factory(seeds: SeedSequenceTree, spec_for_layer, width: int):
-    """Build a :class:`ParameterStore` factory closure.
-
-    ``spec_for_layer`` maps a layer id to its implementation name (see
-    :mod:`repro.nn.layers`); ``width`` is the functional hidden width.
-    """
-    from repro.nn.layers import build_parameters
-
-    def factory(layer: Tuple[int, int]) -> Dict[str, np.ndarray]:
-        rng = layer_init_generator(seeds, layer)
-        return build_parameters(spec_for_layer(layer), width, rng)
-
-    return factory

@@ -31,6 +31,7 @@ against numerical differentiation in the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
@@ -92,11 +93,15 @@ def _linear_backward(
 _BAND_HALF_WIDTH = 2
 
 
+@functools.lru_cache(maxsize=None)
 def _band_mask(width: int) -> np.ndarray:
+    """The conv band of ``width`` — a constant, built once and read-only."""
     index = np.arange(width)
-    return (np.abs(index[:, None] - index[None, :]) <= _BAND_HALF_WIDTH).astype(
+    mask = (np.abs(index[:, None] - index[None, :]) <= _BAND_HALF_WIDTH).astype(
         np.float32
     )
+    mask.flags.writeable = False
+    return mask
 
 
 def _conv_build(width: int, rng: np.random.Generator) -> Params:

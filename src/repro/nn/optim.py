@@ -11,6 +11,7 @@ experiments measure.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -29,16 +30,25 @@ def clip_gradients(
     """Scale a layer's gradients so their global L2 norm ≤ ``max_norm``.
 
     The clip factor is computed in float32 so clipping is itself
-    deterministic and reorder-insensitive per layer.
+    deterministic and reorder-insensitive per layer.  Each square is
+    ``g * g`` (what numpy evaluates ``g ** 2`` as) reduced by
+    ``np.add.reduce`` (what ``np.sum`` dispatches to), so the bits are
+    those of the plain spelling without its copies and wrappers.
     """
     total = np.float32(0.0)
     for array in grads.values():
-        total += np.float32(np.sum(array.astype(np.float32) ** 2))
+        array = array.astype(np.float32, copy=False)
+        total += np.add.reduce(array * array, axis=None)
     norm = np.sqrt(total, dtype=np.float32)
     if norm <= max_norm:
         return {name: F.f32(array) for name, array in grads.items()}
     scale = np.float32(max_norm) / norm
     return {name: F.f32(array * scale) for name, array in grads.items()}
+
+
+def _positive_finite(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class SGD:
@@ -52,10 +62,9 @@ class SGD:
     def __init__(
         self, learning_rate: float = 0.05, max_grad_norm: float = None
     ) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive when set")
+        _positive_finite("learning rate", learning_rate)
+        if max_grad_norm is not None:
+            _positive_finite("max_grad_norm", max_grad_norm)
         self.learning_rate = np.float32(learning_rate)
         self.max_grad_norm = max_grad_norm
 
@@ -65,10 +74,11 @@ class SGD:
         """Return updated parameter arrays (inputs are not mutated)."""
         if self.max_grad_norm is not None:
             grads = clip_gradients(grads, self.max_grad_norm)
-        return {
-            name: F.f32(params[name] - self.learning_rate * grads[name])
-            for name in params
-        }
+        updated = {}
+        for name in params:
+            step = np.multiply(self.learning_rate, grads[name])
+            updated[name] = F.f32(np.subtract(params[name], step, out=step))
+        return updated
 
 
 class MomentumSGD:
@@ -86,10 +96,11 @@ class MomentumSGD:
         momentum: float = 0.9,
         max_grad_norm: float = None,
     ) -> None:
+        _positive_finite("learning rate", learning_rate)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive when set")
+        if max_grad_norm is not None:
+            _positive_finite("max_grad_norm", max_grad_norm)
         self.learning_rate = np.float32(learning_rate)
         self.momentum = np.float32(momentum)
         self.max_grad_norm = max_grad_norm
@@ -103,10 +114,17 @@ class MomentumSGD:
         updated = {}
         for name in params:
             key = (layer, name)
+            # v' = momentum * v + g, then w - lr * v', each operation once:
+            # the velocity is updated in its own buffer (checkpoints copy
+            # it), the step is written into the product's buffer
             velocity = self._velocity.get(key)
             if velocity is None:
+                # momentum * 0 is +0 for every momentum in [0, 1)
                 velocity = np.zeros_like(params[name])
-            velocity = F.f32(self.momentum * velocity + grads[name])
+            else:
+                np.multiply(self.momentum, velocity, out=velocity)
+            velocity = F.f32(np.add(velocity, grads[name], out=velocity))
             self._velocity[key] = velocity
-            updated[name] = F.f32(params[name] - self.learning_rate * velocity)
+            step = np.multiply(self.learning_rate, velocity)
+            updated[name] = np.subtract(params[name], step, out=step)
         return updated

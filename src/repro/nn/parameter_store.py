@@ -217,7 +217,7 @@ class ParameterStore:
                 f"{sorted(new_values)} != {sorted(params)}"
             )
         for name, array in new_values.items():
-            params[name][...] = array.astype(np.float32, copy=False)
+            params[name][...] = array  # assignment casts to float32
         self._versions[layer] += 1
         if self.record_accesses:
             self.access_log.append(

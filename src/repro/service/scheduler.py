@@ -69,12 +69,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines import resolve_target
 from repro.config import SystemConfig
-from repro.engines.functional_plane import FunctionalPlane
+from repro.engines.functional_plane import FunctionalPlane, check_functional_batch
 from repro.engines.pipeline import PipelineEngine
 from repro.errors import ServiceError
 from repro.ft.availability import failure_summary
 from repro.ft.faults import FaultEvent, FaultSchedule
 from repro.ft.recovery import (
+    JobMemo,
     build_stream,
     fresh_plane,
     rewarm_prefetch,
@@ -138,6 +139,7 @@ class JobSpec:
             )
         if self.submit_ms < 0:
             raise ServiceError(f"{self.name}: submit_ms must be >= 0")
+        check_functional_batch(self.functional_batch)
 
     @classmethod
     def from_payload(cls, payload: Mapping, path: str = "job") -> "JobSpec":
@@ -293,6 +295,7 @@ class JobScheduler:
         requeue_backoff_ms: float = 25.0,
         slots_per_node: int = 4,
         telemetry=None,
+        memo: Optional[JobMemo] = None,
     ) -> None:
         if quantum < 1:
             raise ServiceError(f"quantum must be >= 1, got {quantum}")
@@ -329,6 +332,9 @@ class JobScheduler:
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.attach(self.trace, self.sim, manager)
+        #: each job's seeded inputs (every segment, restart and solo run
+        #: of a job starts from them) and the solo verdicts
+        self.memo = memo if memo is not None else JobMemo()
         self._jobs: Dict[str, _JobState] = {}
         self._plan_pending = False
         self._ran = False
@@ -336,7 +342,11 @@ class JobScheduler:
 
     @classmethod
     def from_payload(
-        cls, manager: ClusterManager, payload: Mapping, telemetry=None
+        cls,
+        manager: ClusterManager,
+        payload: Mapping,
+        telemetry=None,
+        memo: Optional[JobMemo] = None,
     ) -> "JobScheduler":
         """The scheduler a service or fleet config describes: each of
         :data:`SCHEDULER_KNOBS` the payload carries becomes a constructor
@@ -346,7 +356,7 @@ class JobScheduler:
             for key, cast in SCHEDULER_KNOBS.items()
             if key in payload
         }
-        return cls(manager, telemetry=telemetry, **knobs)
+        return cls(manager, telemetry=telemetry, memo=memo, **knobs)
 
     # ------------------------------------------------------------------
     # submission
@@ -383,7 +393,7 @@ class JobScheduler:
         # lazy build at arrival: the plane/stream exist only once the
         # job is actually in the system
         state.supernet, state.plane = fresh_plane(
-            state.space, state.spec.seed, state.spec.functional_batch
+            state.space, state.spec.seed, state.spec.functional_batch, memo=self.memo
         )
         state.subnets = list(
             build_stream(
@@ -644,7 +654,7 @@ class JobScheduler:
         # restart-from-scratch: fresh weights and plane (a rigid job
         # checkpoints nothing mid-stream)
         state.supernet, state.plane = fresh_plane(
-            state.space, spec.seed, spec.functional_batch
+            state.space, spec.seed, spec.functional_batch, memo=self.memo
         )
         if state.restarts > self.max_restarts:
             state.status = "failed"
@@ -811,15 +821,16 @@ _SERVICE_KEYS = ("total_gpus", "gpu_speed_factors", "verify_solo", "jobs", "faul
 
 
 def solo_verdict(
-    spec: JobSpec, job: Mapping, fleet_gpus: int, cache: Optional[Dict] = None
+    spec: JobSpec, job: Mapping, fleet_gpus: int, memo: Optional[JobMemo] = None
 ) -> Dict:
     """Re-run ``spec`` alone and compare it bitwise with its report row.
 
     The solo GPU count: a rigid job ran one segment at a fixed size, so
     its baseline is that allocation; an elastic (CSP) job's digest is
     allocation-independent, so it runs at its cap — ``min(max_gpus,
-    fleet, num_blocks)``.  ``cache`` memoises baselines across calls
-    (the fleet sweep checks the same jobs under every storm).  A job
+    fleet, num_blocks)``.  ``memo.solo`` memoises baselines across calls
+    (the fleet sweep checks the same jobs under every storm), and the
+    solo run starts from the job's seeded inputs in ``memo``.  A job
     that exhausted its restart budget has no final weights: every
     verdict key is None.
     """
@@ -833,9 +844,9 @@ def solo_verdict(
         if not job["elastic"]
         else min(spec.max_gpus, fleet_gpus, space.num_blocks)
     )
-    cache = {} if cache is None else cache
+    memo = JobMemo() if memo is None else memo
     key = (compact(asdict(spec)), solo_gpus)
-    if key not in cache:
+    if key not in memo.solo:
         solo = run_uninterrupted(
             space,
             config,
@@ -845,12 +856,13 @@ def solo_verdict(
             batch=spec.batch,
             functional_batch=spec.functional_batch,
             stream_kind=spec.stream_kind,
+            memo=memo,
         )
-        cache[key] = (
+        memo.solo[key] = (
             solo.digest,
             {str(sid): loss for sid, loss in sorted(solo.losses.items())},
         )
-    digest, losses = cache[key]
+    digest, losses = memo.solo[key]
     return {
         "solo_gpus": solo_gpus,
         "solo_digest": digest,
@@ -902,7 +914,7 @@ def run_service(
     report["verified"] = bool(verify_solo)
     if verify_solo:
         for spec, job in zip(specs, report["jobs"]):
-            job.update(solo_verdict(spec, job, manager.total_gpus))
+            job.update(solo_verdict(spec, job, manager.total_gpus, scheduler.memo))
     report["ok"] = not verify_solo or all(
         job["digest_matches_solo"] and job["losses_match_solo"]
         for job in report["jobs"]

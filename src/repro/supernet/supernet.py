@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.nn.parameter_store import LayerId
 from repro.supernet.catalog import (
@@ -102,6 +102,7 @@ class Supernet:
         self.space = space
         self._catalog = catalog_for_domain(space.domain)
         self._profiles: Dict[LayerId, LayerProfile] = {}
+        self._expected_param_count: Optional[int] = None
 
     # ------------------------------------------------------------------
     def profile(self, layer: LayerId) -> LayerProfile:
@@ -162,15 +163,18 @@ class Supernet:
         return self.subnet_param_count(subnet) * BYTES_PER_PARAM
 
     def expected_subnet_param_count(self) -> int:
-        """Expected parameters of a uniformly sampled subnet."""
-        total = 0
-        for block in range(self.space.num_blocks):
-            block_total = sum(
-                self.profile((block, choice)).param_count
-                for choice in range(self.space.choices_per_block)
-            )
-            total += block_total // self.space.choices_per_block
-        return total
+        """Expected parameters of a uniformly sampled subnet (summed
+        once: the space is immutable)."""
+        if self._expected_param_count is None:
+            total = 0
+            for block in range(self.space.num_blocks):
+                block_total = sum(
+                    self.profile((block, choice)).param_count
+                    for choice in range(self.space.choices_per_block)
+                )
+                total += block_total // self.space.choices_per_block
+            self._expected_param_count = total
+        return self._expected_param_count
 
     # ------------------------------------------------------------------
     # timing helpers

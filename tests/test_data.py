@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import SyntheticTaskData, batch_for_subnet
+from repro.data.synthetic import SyntheticTaskData
+from repro.engines.functional_plane import SeededInputs
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import get_search_space
 
@@ -56,6 +57,15 @@ def test_labels_are_learnable_signal(space):
     assert accuracy > 0.75  # label noise keeps it below 1.0
 
 
-def test_convenience_wrapper(space):
-    features, targets = batch_for_subnet(space, SeedSequenceTree(1), 0, 4)
+def test_seeded_inputs_batch(space):
+    """A job's training batch comes from its seeded inputs: the same
+    bytes the data source draws, drawn once, read-only."""
+    inputs = SeededInputs(space, SeedSequenceTree(1), 4)
+    features, targets = inputs.batch(0)
     assert features.shape[0] == 4
+    expected = SyntheticTaskData(space, SeedSequenceTree(1)).batch(0, 4)
+    assert features.tobytes() == expected[0].tobytes()
+    assert targets.tobytes() == expected[1].tobytes()
+    assert inputs.batch(0)[0] is features
+    with pytest.raises(ValueError):
+        features[0, 0] = 1.0

@@ -7,6 +7,9 @@ classes cannot change a surviving CSP tenant's bits, leak a lease, or
 deadlock either plane — and the whole sweep report is byte-stable.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError, LeaseError
@@ -20,6 +23,7 @@ from repro.ft import (
     fleet_sweep,
     run_fleet_scenario,
 )
+from repro.nn.optim import MomentumSGD
 from repro.seeding import SeedSequenceTree
 from repro.service import ClusterManager
 from repro.sim.cluster import ClusterSpec
@@ -302,3 +306,35 @@ def test_fleet_sweep_validates_its_config():
         fleet_sweep({**FLEET_CONFIG, "scenarios": 0})
     with pytest.raises(ConfigError, match="scenarios"):
         fleet_sweep({**FLEET_CONFIG, "fleet_slots": []})
+
+
+DEMO = Path(__file__).resolve().parent.parent / "examples" / "chaos_fleet_demo.json"
+
+
+def test_a_sweep_derives_each_seeded_input_once(monkeypatch):
+    """One sweep of the demo draws each job's initial weights, batches and
+    encoders once, however many planes the job builds (horizon run,
+    scenarios, rigid restarts, solo baselines) — and still takes every
+    optimizer step.  Before the jobs' seeded inputs were shared the same
+    sweep made 1,022 draws, 877 of them for the weights of 181 layers."""
+    draws, steps = [], []
+    fresh_generator, apply = SeedSequenceTree.fresh_generator, MomentumSGD.apply
+
+    def counted_draw(self, name):
+        draws.append((self.root_seed, name))
+        return fresh_generator(self, name)
+
+    def counted_step(self, layer, params, grads):
+        steps.append(layer)
+        return apply(self, layer, params, grads)
+
+    monkeypatch.setattr(SeedSequenceTree, "fresh_generator", counted_draw)
+    monkeypatch.setattr(MomentumSGD, "apply", counted_step)
+    assert fleet_sweep(json.loads(DEMO.read_text()))["ok"]
+    for stream in ("init/", "data/"):
+        drawn = [draw for draw in draws if draw[1].startswith(stream)]
+        assert drawn and len(drawn) == len(set(drawn)), stream
+    assert len([draw for draw in draws if draw[1].startswith("init/")]) == 181
+    assert len(draws) <= 240
+    # the shared inputs skipped no work: the parent's step count
+    assert len(steps) == 1120

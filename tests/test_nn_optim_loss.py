@@ -160,3 +160,35 @@ def test_clip_validation():
         SGD(0.1, max_grad_norm=0.0)
     with pytest.raises(ValueError):
         MomentumSGD(0.1, 0.9, max_grad_norm=-1.0)
+
+
+@pytest.mark.parametrize("make", [SGD, lambda lr: MomentumSGD(lr, 0.9)])
+@pytest.mark.parametrize("rate", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_learning_rate_must_be_positive_and_finite(make, rate):
+    # at the parent MomentumSGD(-1.0, 0.9) trained by gradient ascent and
+    # both optimizers took NaN / inf
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        make(rate)
+
+
+@pytest.mark.parametrize("make", [SGD, lambda lr, max_grad_norm: MomentumSGD(lr, 0.9, max_grad_norm)])
+@pytest.mark.parametrize("norm", [-1.0, 0.0, float("nan"), float("inf")])
+def test_max_grad_norm_must_be_positive_and_finite(make, norm):
+    # at the parent a NaN bound passed (nan <= 0 is False) and turned
+    # every clipped weight into NaN
+    with pytest.raises(ValueError, match="max_grad_norm must be positive and finite"):
+        make(0.1, max_grad_norm=norm)
+
+
+@pytest.mark.parametrize(
+    "knob", [{"learning_rate": -1.0}, {"learning_rate": float("nan")}, {"max_grad_norm": float("nan")}]
+)
+def test_a_manifest_with_a_bad_step_is_refused(knob):
+    from repro.replay import _build_manifest, execute_manifest
+
+    manifest = _build_manifest(
+        "NLP.c3", "NASPipe", space_overrides={"num_blocks": 4, "functional_width": 8},
+        num_gpus=2, steps=2, **knob,
+    )
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        execute_manifest(manifest)

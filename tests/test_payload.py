@@ -18,7 +18,7 @@ from repro import payload
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.common import ExperimentScale, make_stream
-from repro.ft import FaultSchedule, fleet_sweep
+from repro.ft import FaultSchedule, JobMemo, fleet_sweep
 from repro.nas import SupernetTrainer
 from repro.obs.telemetry.alerts import AlertRule
 from repro.replay import record_run
@@ -326,21 +326,21 @@ def test_scheduler_defaults_are_the_constructor_defaults():
 def test_solo_gpu_rule_and_memo():
     spec = JobSpec.from_payload({**JOB, "max_gpus": 3})
     row = dict(status="done", elastic=True, segments=[{"gpus": 1}], digest=None, losses={})
-    cache = {}
+    memo = JobMemo()
     # elastic: the cap — min(max_gpus, fleet, num_blocks) — whatever it ran on
-    assert solo_verdict(spec, row, 8, cache)["solo_gpus"] == 3
-    assert solo_verdict(spec, row, 2, cache)["solo_gpus"] == 2
-    assert solo_verdict(spec, dict(row, elastic=False), 8, cache)["solo_gpus"] == 1
-    assert len(cache) == 3
+    assert solo_verdict(spec, row, 8, memo)["solo_gpus"] == 3
+    assert solo_verdict(spec, row, 2, memo)["solo_gpus"] == 2
+    assert solo_verdict(spec, dict(row, elastic=False), 8, memo)["solo_gpus"] == 1
+    assert len(memo.solo) == 3
     wide = dataclasses.replace(spec, max_gpus=8)
-    assert solo_verdict(wide, row, 8, cache)["solo_gpus"] == TINY["num_blocks"]
+    assert solo_verdict(wide, row, 8, memo)["solo_gpus"] == TINY["num_blocks"]
     # the memo is keyed by job and GPU count: asking again runs nothing
-    before = dict(cache)
-    verdict = solo_verdict(spec, row, 8, cache)
-    assert cache == before and verdict["digest_matches_solo"] is False
+    before = dict(memo.solo)
+    verdict = solo_verdict(spec, row, 8, memo)
+    assert memo.solo == before and verdict["digest_matches_solo"] is False
     # CSP: the solo digest does not depend on the GPU count
-    assert len({digest for digest, _losses in cache.values()}) == 1
-    failed = solo_verdict(spec, dict(row, status="failed"), 8, cache)
+    assert len({digest for digest, _losses in memo.solo.values()}) == 1
+    failed = solo_verdict(spec, dict(row, status="failed"), 8, memo)
     assert set(failed.values()) == {None} and len(failed) == 4
 
 
@@ -365,3 +365,36 @@ def test_canonical_writer():
     assert payload.indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
     assert not payload.indented(obj).endswith("\n")
     assert payload.sha256(obj) == payload.sha256(json.loads(payload.indented(obj)))
+
+
+# ----------------------------------------------------------------------
+# the functional batch
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("value", [0, -2])
+def test_a_job_refuses_a_functional_batch_below_one(value):
+    # at the parent 0 trained empty batches (a false isolation alarm) and
+    # -2 died in numpy ("negative dimensions are not allowed")
+    with pytest.raises(ConfigError, match=rf"jobs\[1\]: functional_batch must be an integer >= 1, got {value}"):
+        JobSpec.from_payload({**JOB, "functional_batch": value}, "jobs[1]")
+
+
+@pytest.mark.parametrize("value", [0, -2, True, 2.0, None])
+def test_a_plane_refuses_a_functional_batch_that_is_no_count(value):
+    from repro.engines.functional_plane import FunctionalPlane
+    from repro.seeding import SeedSequenceTree
+    from repro.supernet.search_space import get_search_space
+    from repro.supernet.supernet import Supernet
+
+    supernet = Supernet(get_search_space("NLP.c3").scaled(**TINY))
+    with pytest.raises(ConfigError, match="functional_batch must be an integer >= 1"):
+        FunctionalPlane(supernet, SeedSequenceTree(1), functional_batch=value)
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_serve_refuses_a_functional_batch_below_one_before_running(value, tmp_path):
+    path = tmp_path / "serve.json"
+    path.write_text(json.dumps({"total_gpus": 2, "verify_solo": True, "jobs": [{**JOB, "functional_batch": value}]}))
+    out = tmp_path / "out.json"
+    with pytest.raises(ConfigError, match=r"jobs\[0\]: functional_batch"):
+        main(["serve", str(path), "--json", str(out)])
+    assert not out.exists()

@@ -98,6 +98,11 @@ RULES = [
     # a package re-exports through its {module: names} table; the PEP 562
     # hook is written once, in the helper every package __init__ calls
     (r"def __getattr__\(", ("__init__.py",), 1, "repro._exports(globals(), {module: names})"),
+    # a job's seeded inputs are derived by its one SeededInputs, which every
+    # plane of the job shares: a layer's initial weights are drawn from a
+    # seed at one site, and a training batch at one site
+    (r"(?<!def )layer_init_generator\(", ("engines/functional_plane.py",), 1, "SeededInputs.weights"),
+    (r"\.batch\([^,()]+,", ("engines/functional_plane.py",), 1, "SeededInputs.batch"),
 ]
 
 
