@@ -2,6 +2,6 @@
 
 import sys
 
-from repro.cli import main
+from repro.cli import run
 
-sys.exit(main())
+sys.exit(run())

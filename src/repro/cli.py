@@ -22,15 +22,16 @@ import argparse
 import importlib
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproducibilityError
 from repro.payload import indented, reject_unknown
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 def _output_path(path: str) -> str:
@@ -166,6 +167,15 @@ def _indented(payload) -> str:
     return indented(payload) + "\n"
 
 
+def _verdict(held: bool, text: str, failure: str) -> str:
+    """A verdict command's output: ``text`` if the run ``held``, else
+    ``text`` printed and exit 1 with ``failure`` — so CI can gate on it."""
+    if not held:
+        print(text)
+        raise SystemExit(failure)
+    return text
+
+
 def _load_json(path: str):
     """A config file's parsed JSON.  A missing, unreadable or malformed
     file is a usage error: one line naming it (and, for bad JSON, where
@@ -290,7 +300,8 @@ for _name, _experiment in _EXPERIMENTS.items():
 def _repro_check(args) -> str:
     """Quick bitwise-reproducibility self-check (the artifact's core
     experiment): CSP on 1 vs 4 GPUs must match sequential exactly."""
-    from repro.replay import execute_manifest, record_run
+    from repro.invariants import same_training
+    from repro.replay import record_run, verify_replay
 
     lines = ["Reproducibility self-check (CSP vs sequential, 1 vs 4 GPUs)"]
     run = dict(
@@ -301,23 +312,17 @@ def _repro_check(args) -> str:
     )
     manifest = record_run("NLP.c2", "NASPipe", num_gpus=4, **run)
     single = record_run("NLP.c2", "NASPipe", num_gpus=1, **run)
-    if manifest.digest == single.digest:
-        lines.append(f"PASS: digests match ({manifest.digest[:16]}…)")
-    else:
-        lines.append(
-            f"FAIL: {manifest.digest[:16]}… != {single.digest[:16]}…"
-        )
-    replay = execute_manifest(manifest)
-    lines.append(
-        "PASS: replay reproduced the 4-GPU run bitwise"
-        if replay.digest == manifest.digest
-        else "FAIL: replay diverged"
-    )
-    text = "\n".join(lines)
-    if "FAIL" in text:
-        print(text)
-        raise SystemExit("reproducibility self-check failed")
-    return text
+    failures = same_training(single, manifest)
+    lines += [f"FAIL: {failure}" for failure in failures] or [
+        f"PASS: digests match ({manifest.digest[:16]}…)"
+    ]
+    try:
+        verify_replay(manifest)
+        lines.append("PASS: replay reproduced the 4-GPU run bitwise")
+    except ReproducibilityError as error:
+        failures.append(str(error))
+        lines.append(f"FAIL: {error}")
+    return _verdict(not failures, "\n".join(lines), "reproducibility self-check failed")
 
 
 @_command("demo", "--seed", paper=True)
@@ -415,18 +420,28 @@ def _read_config(config_path, keys, path):
     return (config, *resolve_target(**_run_target(config), path=path))
 
 
-def _integer(config, key, default, minimum=None) -> int:
-    """A run config's ``key`` (``default`` when absent), refused unless
-    it is an int (not a bool) ``>= minimum``."""
-    value = config.get(key, default)
+def _integer(path, key, value, minimum=None) -> int:
+    """The ``key`` of the config ``path`` names, refused unless ``value``
+    is an int (not a bool) ``>= minimum``."""
     if (
         isinstance(value, bool)
         or not isinstance(value, int)
         or (minimum is not None and value < minimum)
     ):
         floor = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"run config: {key} must be an integer{floor}, got {value!r}")
+        raise ConfigError(f"{path}: {key} must be an integer{floor}, got {value!r}")
     return value
+
+
+def _positive(path, key, value) -> float:
+    """Likewise, refused unless ``value`` is a finite number ``> 0``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise ConfigError(f"{path}: {key} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _load_run_config(config_path, default_seed=2022):
@@ -439,9 +454,9 @@ def _load_run_config(config_path, default_seed=2022):
 
     config, _space, _system = _read_config(config_path, _RUN_KEYS, "run config")
     scale = ExperimentScale(
-        subnets=_integer(config, "subnets", 24, minimum=1),
-        num_gpus=_integer(config, "num_gpus", 4, minimum=1),
-        seed=_integer(config, "seed", default_seed),
+        subnets=_integer("run config", "subnets", config.get("subnets", 24), 1),
+        num_gpus=_integer("run config", "num_gpus", config.get("num_gpus", 4), 1),
+        seed=_integer("run config", "seed", config.get("seed", default_seed)),
         stream_kind=config.get("stream_kind", "generational"),
     )
     target = _run_target(config)
@@ -641,11 +656,9 @@ def _compare(args) -> str:
     text = format_compare(comparison).rstrip()
     if args.fail_on_regression is not None:
         failures = check_regression(comparison, args.fail_on_regression)
-        if failures:
-            print(text)
-            raise SystemExit(
-                "regression vs baseline:\n  " + "\n  ".join(failures)
-            )
+        _verdict(
+            not failures, text, "regression vs baseline:\n  " + "\n  ".join(failures)
+        )
         text += (
             f"\n[no regression beyond {args.fail_on_regression:g}% threshold]"
         )
@@ -667,8 +680,9 @@ def _faults(args) -> str:
     Instead of an explicit ``"faults"`` list, ``"mtbf_ms"`` draws a
     seeded schedule over the baseline's makespan.  ``"recovery_gpus"``
     restarts on a different GPU count (elastic rescale); under CSP the
-    digest still matches the fault-free run bitwise.  ``--json PATH``
-    also writes the machine-readable availability summary.
+    digest still matches the fault-free run bitwise, and the command
+    exits 1 when it does not.  ``--json PATH`` also writes the
+    machine-readable availability summary.
     """
     import tempfile
 
@@ -682,14 +696,19 @@ def _faults(args) -> str:
     )
     from repro.seeding import SeedSequenceTree
 
-    config, space, system = _read_config(
-        Path(args.config), _FAULTS_KEYS, "faults config"
-    )
-    num_gpus = int(config.get("num_gpus", 4))
-    steps = int(config.get("subnets", 24))
-    seed = int(config.get("seed", args.seed))
-    batch = config.get("batch")
-    common = dict(num_gpus=num_gpus, steps=steps, seed=seed, batch=batch)
+    path = "faults config"
+    config, space, system = _read_config(Path(args.config), _FAULTS_KEYS, path)
+    num_gpus = _integer(path, "num_gpus", config.get("num_gpus", 4), 1)
+    steps = _integer(path, "subnets", config.get("subnets", 24), 1)
+    seed = _integer(path, "seed", config.get("seed", args.seed))
+    common = dict(num_gpus=num_gpus, steps=steps, seed=seed, batch=config.get("batch"))
+    interval = _integer(path, "checkpoint_interval", config.get("checkpoint_interval", 8), 1)
+    restart_gpus, mtbf_ms = config.get("recovery_gpus"), config.get("mtbf_ms")
+    if restart_gpus is not None:
+        restart_gpus = _integer(path, "recovery_gpus", restart_gpus, 1)
+    if mtbf_ms is not None:
+        mtbf_ms = _positive(path, "mtbf_ms", mtbf_ms)
+    spec = RecoverySpec(checkpoint_interval=interval, restart_gpus=restart_gpus)
 
     baseline = run_uninterrupted(space, system, **common)
     if "faults" in config:
@@ -697,14 +716,10 @@ def _faults(args) -> str:
     else:
         schedule = FaultSchedule.from_mtbf(
             SeedSequenceTree(seed),
-            mtbf_ms=float(config.get("mtbf_ms", baseline.makespan_ms / 2)),
+            mtbf_ms=baseline.makespan_ms / 2 if mtbf_ms is None else mtbf_ms,
             horizon_ms=baseline.makespan_ms,
             num_gpus=num_gpus,
         )
-    spec = RecoverySpec(
-        checkpoint_interval=int(config.get("checkpoint_interval", 8)),
-        restart_gpus=config.get("recovery_gpus"),
-    )
 
     def run(directory):
         return run_with_recovery(
@@ -735,7 +750,11 @@ def _faults(args) -> str:
     if args.json:
         out = _write(args.json, _indented(summary))
         lines.append(f"[availability summary written to {out}]")
-    return "\n".join(lines)
+    return _verdict(
+        summary["digest_matches_baseline"],
+        "\n".join(lines),
+        "fault recovery diverged from the fault-free run",
+    )
 
 
 @_command("chaos", "config", "--seed", "--seeds", "--jobs", "--json")
@@ -743,10 +762,9 @@ def _chaos(args) -> str:
     """``naspipe chaos <config>``: seeded randomized robustness sweep.
 
     Draws ``--seeds`` non-fatal fault schedules per GPU count, runs each
-    with the degradation manager armed, and checks the invariant suite
-    (completion, bitwise digest vs the unfaulted baseline, trace
-    validity, memory cap, bubble accounting).  Exits non-zero on any
-    violation, so the sweep is CI-gateable (``make chaos-smoke``).
+    with the degradation manager armed and checks it against the
+    unfaulted baseline (docs/FAULT_TOLERANCE.md § Invariants).  Exits 1
+    on any violation, so the sweep is CI-gateable (``make chaos-smoke``).
 
     The config is a small JSON object, e.g. ``examples/chaos_demo.json``::
 
@@ -758,18 +776,20 @@ def _chaos(args) -> str:
     """
     from repro.ft import chaos_sweep, format_chaos_report
 
-    config, space, system = _read_config(
-        Path(args.config), _CHAOS_KEYS, "chaos config"
-    )
-    gpus = config.get("gpus") or [int(config.get("num_gpus", 4))]
+    path = "chaos config"
+    config, space, system = _read_config(Path(args.config), _CHAOS_KEYS, path)
+    if config.get("gpus"):
+        gpus = [_integer(path, f"gpus[{i}]", n, 1) for i, n in enumerate(config["gpus"])]
+    else:
+        gpus = [_integer(path, "num_gpus", config.get("num_gpus", 4), 1)]
     report = chaos_sweep(
         space,
         system,
         scenarios=args.seeds,
-        gpus=[int(g) for g in gpus],
-        steps=int(config.get("subnets", 12)),
-        seed=int(config.get("seed", args.seed)),
-        mtbf_fraction=float(config.get("mtbf_fraction", 0.1)),
+        gpus=gpus,
+        steps=_integer(path, "subnets", config.get("subnets", 12), 1),
+        seed=_integer(path, "seed", config.get("seed", args.seed)),
+        mtbf_fraction=_positive(path, "mtbf_fraction", config.get("mtbf_fraction", 0.1)),
         stall_ms=float(config.get("stall_ms", 20.0)),
         nic_slowdown=float(config.get("nic_slowdown", 4.0)),
         batch=config.get("batch"),
@@ -778,13 +798,11 @@ def _chaos(args) -> str:
     text = format_chaos_report(report)
     if args.json:
         text += f"\n[chaos report written to {_write(args.json, _indented(report))}]"
-    if not report["ok"]:
-        print(text)
-        raise SystemExit(
-            f"chaos sweep failed: {len(report['violations'])} invariant "
-            "violation(s)"
-        )
-    return text
+    return _verdict(
+        report["ok"],
+        text,
+        f"chaos sweep failed: {len(report['violations'])} invariant violation(s)",
+    )
 
 
 @_command("chaos-fleet", "config", "--json")
@@ -793,12 +811,10 @@ def _chaos_fleet(args) -> str:
 
     Runs a multi-tenant mix (elastic CSP + rigid + serving) on shared
     fleets while seeded preemption storms (``slot_preempt`` /
-    ``node_down``) revoke leases mid-run, then checks the fleet
-    invariant suite: every surviving CSP tenant's digest is bitwise
-    identical to its fault-free solo run, no lease leaks, the scheduler
-    quiesces, and admitted non-retried serving requests outside outage
-    windows meet the SLO.  Exits non-zero on any violation, so the
-    sweep is CI-gateable (``make chaos-fleet``).
+    ``node_down``) revoke leases mid-run, then checks every tenant
+    against its fault-free solo run and the fleet for leaks and lost
+    requests (docs/FAULT_TOLERANCE.md § Invariants).  Exits 1 on any
+    violation, so the sweep is CI-gateable (``make chaos-fleet``).
 
     The config is a JSON object, e.g. ``examples/chaos_fleet_demo.json``::
 
@@ -819,13 +835,12 @@ def _chaos_fleet(args) -> str:
     if args.json:
         out = _write(args.json, fleet_report_json(report))
         text += f"\n[fleet chaos report written to {out}]"
-    if not report["ok"]:
-        print(text)
-        raise SystemExit(
-            f"fleet chaos sweep failed: {len(report['violations'])} "
-            "invariant violation(s)"
-        )
-    return text
+    return _verdict(
+        report["ok"],
+        text,
+        f"fleet chaos sweep failed: {len(report['violations'])} "
+        "invariant violation(s)",
+    )
 
 
 @_command("serve", "config", "--verify", "--json")
@@ -865,13 +880,12 @@ def _serve(args) -> str:
     if args.json:
         out = _write(args.json, service_report_json(report))
         text += f"\n[service report written to {out}]"
-    if not report["ok"]:
-        print(text)
-        raise SystemExit(
-            "per-tenant determinism violated: at least one job's digest "
-            "diverged from its solo run"
-        )
-    return text
+    return _verdict(
+        report["ok"],
+        text,
+        "per-tenant determinism violated: at least one job's digest "
+        "diverged from its solo run",
+    )
 
 
 @_command("bench-serving", "config", "--json")
@@ -921,8 +935,10 @@ def _monitor(args) -> str:
     Every output is byte-identical across identical runs —
     ``tests/goldens.json`` pins the three files of the service demo —
     and arming the hub changes nothing: engine decisions, digests and
-    reports are bitwise the same with telemetry on or off.
+    reports are bitwise the same with telemetry on or off.  Exits 1 when
+    the metering does not reconcile with the lease ledger.
     """
+    from repro.invariants import metering_reconciled
     from repro.obs.telemetry import TelemetryHub
 
     config_path = Path(args.config)
@@ -981,7 +997,11 @@ def _monitor(args) -> str:
             "peak_queue_depth": hub.peak_queue_depth(),
         }
         lines.append(f"[monitor report written to {_write(args.json, _indented(report))}]")
-    return "\n".join(lines)
+    return _verdict(
+        not metering_reconciled(metering.get("reconciliation")),
+        "\n".join(lines),
+        "metering does not reconcile with the lease ledger",
+    )
 
 
 _LISTED = tuple(_COMMANDS)  # ``all`` and ``list`` are about the commands above
@@ -1023,3 +1043,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     print(args.handler(args))
     return 0
+
+
+def run(argv: Optional[List[str]] = None) -> int:
+    """The ``naspipe`` program: :func:`main`, a bad config value (a
+    ``ConfigError``) a usage error like a bad flag — one line, exit 2."""
+    try:
+        return main(argv)
+    except ConfigError as error:
+        print(f"naspipe: error: {error}", file=sys.stderr)
+        return 2

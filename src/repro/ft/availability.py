@@ -30,6 +30,7 @@ from repro.ft.recovery import (
     run_uninterrupted,
     run_with_recovery,
 )
+from repro.invariants import same_training
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 
@@ -97,7 +98,7 @@ def availability_summary(
             if faulted.makespan_ms
             else 1.0
         )
-        summary["digest_matches_baseline"] = faulted.digest == baseline.digest
+        summary["digest_matches_baseline"] = not same_training(baseline, faulted)
     return summary
 
 

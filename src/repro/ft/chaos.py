@@ -2,22 +2,10 @@
 
 A chaos scenario draws a seeded schedule of **non-fatal** faults
 (``nic_degrade``, ``copy_stall``, ``task_error``) over a run's horizon,
-executes the run with the degradation manager active, and checks an
-invariant suite against the unfaulted CSP baseline:
-
-1. the run completes — no deadlock, every subnet trained;
-2. the loss digest is **bitwise identical** to the unfaulted baseline
-   (the paper's reproducibility claim extended to adaptive mitigation:
-   timing perturbations, admission changes, prefetch throttling and
-   repartitioning must not change a single bit);
-3. per-stage losses match the baseline exactly;
-4. the trace passes :func:`repro.obs.events.validate_trace` (no event
-   emitted under fault pressure may violate its schema);
-5. bubble attribution still sums to the bubble ratio (1e-9);
-6. the per-GPU parameter cache never grows past the oversubscription
-   margin over its capacity *or the unfaulted run's own peak* —
-   whichever is larger (block granularity floors the working set, so at
-   high GPU counts even a fault-free run lives above raw capacity).
+executes the run with the degradation manager active, and checks it
+against the unfaulted CSP baseline with :func:`chaos_invariants`:
+timing perturbations, admission changes, prefetch throttling and
+repartitioning must not change a single bit.
 
 Everything is seeded and driven by the virtual clock, so a failing
 scenario is a *repro case*, not a flake: re-running the same
@@ -39,8 +27,14 @@ from repro.ft.faults import (
 )
 from repro.ft.injector import FaultInjector
 from repro.ft.recovery import run_uninterrupted
-from repro.obs.events import validate_trace
-from repro.obs.summary import bubble_attribution, mean_attribution
+from repro.invariants import (
+    attribution_sums,
+    cache_within_cap,
+    completed,
+    diverged,
+    same_training,
+    trace_valid,
+)
 from repro.parallel import ordered_map
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
@@ -59,15 +53,6 @@ __all__ = [
 #: the degraded-mode fault kinds a chaos sweep draws from
 NONFATAL_KINDS = (NIC_DEGRADE, COPY_STALL, TASK_ERROR)
 
-#: oversubscription margin on the cache-capacity invariant: the engine
-#: tolerates transient oversubscription up to its OOM threshold (1.5)
-#: and a single working set may legitimately exceed the cache, so the
-#: invariant flags only runaway growth beyond this factor.
-MEM_CAP_FACTOR = 2.0
-
-#: bubble attribution must reproduce the bubble ratio to this tolerance
-ATTRIBUTION_TOLERANCE = 1e-9
-
 
 def _cache_capacity(
     space: SearchSpace, config: SystemConfig, num_gpus: int
@@ -80,63 +65,16 @@ def _cache_capacity(
 
 
 def chaos_invariants(
-    result,
-    baseline,
-    *,
-    steps: int,
-    capacity_bytes: Optional[int] = None,
+    result, baseline, *, steps: int, capacity_bytes: Optional[int] = None
 ) -> List[str]:
-    """The invariant suite; returns human-readable violations (empty =
-    the scenario holds)."""
-    violations: List[str] = []
-    if result.interrupted:
-        violations.append(
-            f"run interrupted by {result.interrupt_kind!r} — non-fatal "
-            f"schedules must never halt the run"
-        )
-    if result.subnets_completed != steps:
-        violations.append(
-            f"completed {result.subnets_completed}/{steps} subnets"
-        )
-    if result.digest != baseline.digest:
-        violations.append(
-            f"digest diverged: {result.digest} != baseline {baseline.digest}"
-        )
-    if result.losses != baseline.losses:
-        diverged = sorted(
-            sid
-            for sid in set(result.losses) | set(baseline.losses)
-            if result.losses.get(sid) != baseline.losses.get(sid)
-        )
-        violations.append(f"losses diverged at subnets {diverged[:8]}")
-    problems = validate_trace(result.trace)
-    if problems:
-        violations.append(
-            f"trace schema violations ({len(problems)}): {problems[:3]}"
-        )
-    attributed = sum(
-        mean_attribution(bubble_attribution(result.trace)).values()
-    )
-    bubble_ratio = result.trace.bubble_ratio()
-    if abs(attributed - bubble_ratio) > ATTRIBUTION_TOLERANCE:
-        violations.append(
-            f"bubble attribution {attributed!r} != "
-            f"bubble ratio {bubble_ratio!r}"
-        )
-    if capacity_bytes and result.peak_cache_bytes is not None:
-        # a single subnet's working set may exceed the cache (the engine
-        # runs oversubscribed rather than deadlock), and with few blocks
-        # per stage the unfaulted run itself can sit above raw capacity
-        # — so the allowance anchors on whichever is larger
-        baseline_peak = getattr(baseline, "peak_cache_bytes", None) or 0
-        allowance = max(capacity_bytes, baseline_peak) * MEM_CAP_FACTOR
-        if result.peak_cache_bytes > allowance:
-            violations.append(
-                f"peak cache {result.peak_cache_bytes} bytes exceeds "
-                f"{MEM_CAP_FACTOR}x max(capacity {capacity_bytes}, "
-                f"baseline peak {baseline_peak}) bytes"
-            )
-    return violations
+    """The chaos suite of :mod:`repro.invariants` checks; ``[]`` = it holds."""
+    return [
+        *completed(result, steps),
+        *same_training(baseline, result),
+        *trace_valid(result.trace),
+        *attribution_sums(result.trace),
+        *cache_within_cap(result, baseline, capacity_bytes),
+    ]
 
 
 class BaselineSummary(NamedTuple):
@@ -223,7 +161,7 @@ def run_chaos_scenario(
     )
     scenario.update(
         completed=result.subnets_completed,
-        digest_ok=result.digest == baseline.digest,
+        digest_ok=not diverged(violations, "digest"),
         mitigations=len(result.mitigation_actions),
         task_retries=result.task_retries,
         makespan_ms=result.makespan_ms,
@@ -329,6 +267,9 @@ def chaos_sweep(
     against that GPU count's unfaulted baseline — :func:`sweep` over
     :func:`run_chaos_scenario`.  Rows come in ``(gpus, index)`` order.
     """
+    if steps < 1:
+        # every run would train nothing, and every comparison would hold
+        raise ConfigError(f"a chaos sweep needs steps >= 1, got {steps}")
     run = dict(
         space=space,
         config=config,

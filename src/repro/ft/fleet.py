@@ -20,22 +20,12 @@ their own virtual clocks over the same physical manager state, the
 training plane first (its co-tenancy is resolved by the shared lease
 ledger, not by clock interleaving).
 
-The **invariant suite** per scenario:
-
-1. the training plane quiesces — every job ends ``done`` or ``failed``
-   (a failed job is a *bounded* outcome: restart budget spent, failure
-   record in the report, fleet still running);
-2. every finished job's digest is **bitwise identical** to a fault-free
-   solo run (elastic jobs regardless of how often they were revoked and
-   reshaped — the CSP claim under fleet unreliability);
-3. **zero leaked leases**: after both planes finish, every physical
-   slot is free, no lease is live, no revoked residual is held, no slot
-   is still down;
-4. no serving request is lost: every record ends ``hit``, ``completed``
-   or ``shed`` — never ``pending``;
-5. every *admitted, non-shed, never-retried* serving request whose
-   lifetime avoids the revocation outage windows meets the latency SLO;
-6. both planes' traces validate against the event-schema registry.
+Each scenario checks that the training plane quiesces (every job ends
+``done``, or ``failed`` with a failure record), then composes
+:mod:`repro.invariants`: each finished job matches its fault-free solo
+run (through :func:`~repro.service.scheduler.solo_verdict`), no slot
+leaks, no request is lost, the SLO holds outside outage windows, and
+both planes' traces are schema-valid.
 
 Storm draws, arrival processes and both virtual clocks are seeded, so
 ``fleet_sweep`` over the same config is byte-deterministic —
@@ -50,7 +40,7 @@ from repro.errors import ConfigError, ServiceError
 from repro.ft.chaos import sweep
 from repro.ft.faults import FaultSchedule
 from repro.ft.recovery import JobMemo
-from repro.obs.events import validate_trace
+from repro.invariants import requests_served, slots_released, trace_valid
 from repro.payload import indented, reject_unknown
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
@@ -81,6 +71,8 @@ _FLEET_KEYS = (
     "serving",
     "jobs",
 )
+#: the service report's job cells a scenario row carries as they are
+_JOB_CELLS = ("name", "sync", "elastic", "status", "restarts", "resizes", "preemptions")
 
 
 def _build_planes(
@@ -128,97 +120,49 @@ def _unfaulted_horizon(payload: Mapping, fleet_slots: int, memo: JobMemo) -> flo
 
 
 def _check_training(
-    payload: Mapping,
-    report: Dict,
-    fleet_slots: int,
-    memo: JobMemo,
+    payload: Mapping, report: Dict, fleet_slots: int, memo: JobMemo
 ) -> Tuple[List[Dict], List[str]]:
-    """Invariant 2: every finished job bitwise-matches its solo run
-    (baselines memoised in ``memo`` across scenarios and fleets)."""
+    """Every job quiesced, and every finished one bitwise-matches its
+    solo run (baselines memoised in ``memo`` across scenarios and
+    fleets)."""
     from repro.service.scheduler import JobSpec, solo_verdict
 
     job_rows: List[Dict] = []
     violations: List[str] = []
     for entry, job in zip(payload["jobs"], report["jobs"]):
-        row = {
-            "name": job["name"],
-            "sync": job["sync"],
-            "elastic": job["elastic"],
-            "status": job["status"],
-            "restarts": job["restarts"],
-            "resizes": job["resizes"],
-            "preemptions": job["preemptions"],
-            "segments": len(job["segments"]),
-            "digest_ok": None,
-        }
-        if job["status"] == "failed":
-            if job["failure"] is None:
+        row = {key: job[key] for key in _JOB_CELLS}
+        row.update(segments=len(job["segments"]), digest_ok=None)
+        name, status = job["name"], job["status"]
+        if status == "done":
+            verdict = solo_verdict(JobSpec.from_payload(entry), job, fleet_slots, memo)
+            row["digest_ok"] = verdict["digest_matches_solo"] and verdict["losses_match_solo"]
+            if not row["digest_ok"]:
                 violations.append(
-                    f"job {job['name']} failed without a failure record"
+                    f"job {name} diverged from its fault-free solo run "
+                    f"({job['restarts']} restart(s), {job['resizes']} resize(s))"
                 )
-            job_rows.append(row)
-            continue
-        if job["status"] != "done":
-            violations.append(
-                f"job {job['name']} ended {job['status']!r} (not done/failed)"
-            )
-            job_rows.append(row)
-            continue
-        verdict = solo_verdict(
-            JobSpec.from_payload(entry), job, fleet_slots, memo
-        )
-        row["digest_ok"] = (
-            verdict["digest_matches_solo"] and verdict["losses_match_solo"]
-        )
-        if not row["digest_ok"]:
-            violations.append(
-                f"job {job['name']} diverged from its fault-free solo run "
-                f"({job['restarts']} restart(s), {job['resizes']} resize(s))"
-            )
+        elif status != "failed":
+            violations.append(f"job {name} ended {status!r} (not done/failed)")
+        elif job["failure"] is None:
+            violations.append(f"job {name} failed without a failure record")
         job_rows.append(row)
     return job_rows, violations
 
 
-def _check_serving(result, slo_ms: float) -> Tuple[Dict, List[str]]:
-    """Invariants 4 and 5: no lost requests; admitted non-shed
-    never-retried requests outside outage windows meet the SLO."""
-    violations: List[str] = []
-    lost = [r.request_id for r in result.records if r.outcome == "pending"]
-    if lost:
-        violations.append(
-            f"{len(lost)} serving request(s) lost (still pending at "
-            f"quiescence): {lost[:8]}"
-        )
-    windows = result.outage_windows
-    slo_misses = []
-    for record in result.records:
-        if record.outcome != "completed" or record.retries > 0:
-            continue
-        if any(
-            record.arrival_ms <= end and start <= record.done_ms
-            for start, end in windows
-        ):
-            continue  # latency inflated by a revocation outage
-        if record.latency_ms > slo_ms:
-            slo_misses.append(record.request_id)
-    if slo_misses:
-        violations.append(
-            f"{len(slo_misses)} admitted request(s) outside outage windows "
-            f"missed the {slo_ms:g} ms SLO: {slo_misses[:8]}"
-        )
+def _serving_row(result) -> Dict:
+    """The serving plane's cells of a scenario row."""
     scenario = result.scenario_report()
-    serving_row = {
+    return {
         "requests": scenario["requests"],
         "completed": scenario["completed"],
         "shed": scenario["shed"],
         "retries": scenario["retries"],
         "retried_completed": scenario["retried"]["completed"],
         "revocations": scenario["revocations"],
-        "outage_windows": len(windows),
+        "outage_windows": len(result.outage_windows),
         "slo_attainment": scenario["slo_attainment"],
         "p99_ms": scenario["latency_ms"]["p99"],
     }
-    return serving_row, violations
 
 
 def run_fleet_scenario(
@@ -262,9 +206,6 @@ def run_fleet_scenario(
         "storm_events": len(storm),
         "storm_kinds": storm.kind_counts(),
     }
-    violations: List[str] = []
-
-    # -- invariant 1: the training plane quiesces ----------------------
     try:
         training = scheduler.run()
     except ServiceError as exc:
@@ -277,51 +218,16 @@ def run_fleet_scenario(
         )
         return row
     result = serving.run()
-
-    # -- invariant 2: finished jobs bitwise-match solo -----------------
-    job_rows, job_violations = _check_training(
-        payload, training, fleet_slots, memo
-    )
-    violations.extend(job_violations)
-
-    # -- invariant 3: zero leaked leases -------------------------------
-    if manager.leased_gpus:
-        violations.append(
-            f"{manager.leased_gpus} GPU(s) still leased at quiescence"
-        )
-    if manager.residual_slots():
-        violations.append(
-            f"revoked residual slots never released: "
-            f"{list(manager.residual_slots())}"
-        )
-    if manager.down_slots():
-        violations.append(
-            f"slots still down at quiescence: {list(manager.down_slots())}"
-        )
-    if manager.free_slots() != tuple(range(fleet_slots)):
-        violations.append(
-            f"free pool {list(manager.free_slots())} != all "
-            f"{fleet_slots} slots"
-        )
-
-    # -- invariants 4 + 5: serving requests ----------------------------
-    serving_row, serving_violations = _check_serving(
-        result, serving.spec.slo_ms
-    )
-    violations.extend(serving_violations)
-
-    # -- invariant 6: both traces schema-valid -------------------------
-    for plane, trace in (("training", scheduler.trace), ("serving", result.trace)):
-        problems = validate_trace(trace)
-        if problems:
-            violations.append(
-                f"{plane} trace schema violations ({len(problems)}): "
-                f"{problems[:3]}"
-            )
-
+    job_rows, violations = _check_training(payload, training, fleet_slots, memo)
+    violations += [
+        *slots_released(manager),
+        *requests_served(result, serving.spec.slo_ms),
+        *trace_valid(scheduler.trace, "training"),
+        *trace_valid(result.trace, "serving"),
+    ]
     row.update(
         jobs=job_rows,
-        serving=serving_row,
+        serving=_serving_row(result),
         revocations=manager.total_revocations + serving.revocations,
         failed_jobs=training["failed_jobs"],
         violations=violations,

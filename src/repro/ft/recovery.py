@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.config import SystemConfig
 from repro.engines.functional_plane import FunctionalPlane, SeededInputs
 from repro.engines.pipeline import PipelineEngine, PipelineResult
-from repro.errors import FaultToleranceError
+from repro.errors import ConfigError, FaultToleranceError
 from repro.ft.checkpoint import Checkpoint, CheckpointManager
 from repro.ft.faults import FaultSchedule
 from repro.ft.injector import FaultInjector
@@ -337,6 +337,9 @@ def run_with_recovery(
     :func:`~repro.ft.availability.failure_summary` record when a rigid
     tenant exhausts it.
     """
+    if steps < 1:
+        # a run that trained nothing would match its baseline trivially
+        raise ConfigError(f"a recovered run needs steps >= 1, got {steps}")
     spec = spec or RecoverySpec()
     checkpoint_dir = Path(checkpoint_dir)
     optimizer_factory = optimizer_factory or default_optimizer

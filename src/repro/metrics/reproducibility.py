@@ -1,58 +1,15 @@
-"""Reproducibility verification (paper Definition 1, Tables 3 & 4).
+"""The paper's Table 3 matrix: training outcomes per (system, GPU count).
 
-Tools to compare training runs bit-for-bit:
-
-* :func:`compare_digests` — are two runs' final weights identical?
-* :func:`verify_csp_equivalence` — assert a pipeline run reproduced the
-  sequential ground truth (digest *and* per-subnet losses);
-* :class:`ReproducibilityReport` — the cross-cluster-size matrix the
-  paper's Table 3 reports.
+:class:`ReproducibilityReport` holds the cells of Table 3 (§5.2); the
+Definition-1 comparison of two runs is :func:`repro.invariants.same_training`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import ReproducibilityError
-
-__all__ = [
-    "compare_digests",
-    "verify_csp_equivalence",
-    "ReproducibilityReport",
-]
-
-
-def compare_digests(digest_a: Optional[str], digest_b: Optional[str]) -> bool:
-    """True iff both digests exist and are identical.
-
-    Provenance: paper Definition 1 ("bitwise equal final weights").
-    Digests are SHA-256 over the parameter store in canonical layer
-    order, so equality means equal to the last float32 mantissa bit.
-    """
-    return digest_a is not None and digest_a == digest_b
-
-
-def verify_csp_equivalence(sequential_result, pipeline_result) -> None:
-    """Raise :class:`ReproducibilityError` unless the pipeline run is
-    bitwise equivalent to the sequential ground truth.
-
-    Provenance: Definition 1 plus Theorem 1's consequence that a CSP
-    schedule reproduces sequential execution exactly — checked on both
-    the final-weight digest and every per-subnet float32 loss.
-    """
-    if not compare_digests(sequential_result.digest, pipeline_result.digest):
-        raise ReproducibilityError(
-            f"digest mismatch: sequential {sequential_result.digest} vs "
-            f"pipeline {pipeline_result.digest}"
-        )
-    for subnet_id, loss in sequential_result.losses.items():
-        pipeline_loss = pipeline_result.losses.get(subnet_id)
-        if pipeline_loss != loss:
-            raise ReproducibilityError(
-                f"loss mismatch for subnet {subnet_id}: "
-                f"sequential {loss!r} vs pipeline {pipeline_loss!r}"
-            )
+__all__ = ["ReproducibilityReport"]
 
 
 @dataclass

@@ -8,7 +8,8 @@ virtual clock.  Trace-event listeners add the activity counters:
 subnets completed, preemptions, requeues, serving requests admitted /
 shed / retried.
 
-**Reconciliation rule** (tested at 1e-9): the per-tenant
+**Reconciliation rule** (:func:`repro.invariants.metering_reconciled`,
+1e-9): the per-tenant
 ``gpu_slot_ms`` totals the meter accumulated from observer callbacks
 must sum to the slot-time total the manager computes independently from
 its own ledger — including across revocations, where a struck slot's
@@ -21,6 +22,8 @@ equality.
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+from repro.invariants import metering_reconciled
 
 __all__ = ["UsageMeter"]
 
@@ -98,13 +101,12 @@ class UsageMeter:
         if manager is not None:
             tenant_total = sum(t["gpu_slot_ms"] for t in tenants.values())
             ledger_total = manager.leased_slot_ms_total()
-            residual = abs(tenant_total - ledger_total)
-            report["reconciliation"] = {
+            report["reconciliation"] = reconciliation = {
                 "tenant_total_ms": tenant_total,
                 "ledger_total_ms": ledger_total,
-                "residual_ms": residual,
-                "ok": residual <= 1e-9,
+                "residual_ms": abs(tenant_total - ledger_total),
             }
+            reconciliation["ok"] = not metering_reconciled(reconciliation)
         return report
 
     def format_report(self, report: Optional[Dict] = None) -> str:

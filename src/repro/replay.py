@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.baselines import resolve_target
 from repro.config import SystemConfig
 from repro.errors import ReproducibilityError
+from repro.invariants import same_training
 from repro.nn.optim import MomentumSGD
 from repro.payload import indented, sha256
 from repro.supernet.search_space import SearchSpace
@@ -266,41 +267,18 @@ def verify_replay(manifest: RunManifest):
     """Re-execute ``manifest`` and check every recorded fingerprint.
 
     Raises :class:`ReproducibilityError` on the first mismatch; returns
-    the fresh result when everything matches.  Length mismatches fail
-    loudly *before* elementwise comparison: a replay that completed a
-    different number of subnets than the recorded run is reported as
-    such, not as the first element that happens to differ.
+    the fresh result when everything matches.  Digest and losses come
+    first (:func:`~repro.invariants.same_training`, which reports a
+    replay of a different length as such, not as the first loss that
+    happens to differ), then order, makespan, cuts and mitigations.
     """
     if manifest.digest is None:
         raise ReproducibilityError("manifest has no recorded outcome to verify")
     result = execute_manifest(manifest)
-    if result.digest != manifest.digest:
-        raise ReproducibilityError(
-            f"replay digest {result.digest} != recorded {manifest.digest}"
-        )
+    diverged = same_training(manifest, result)
+    if diverged:
+        raise ReproducibilityError("replay " + "; ".join(diverged))
     fresh_order = list(result.completion_order)
-    if len(fresh_order) != len(manifest.completion_order):
-        raise ReproducibilityError(
-            f"replay completed {len(fresh_order)} subnets, recorded run "
-            f"completed {len(manifest.completion_order)} — the runs are "
-            "not the same length"
-        )
-    recorded_loss_ids = {int(sid) for sid in manifest.losses}
-    fresh_loss_ids = set(result.losses)
-    if recorded_loss_ids != fresh_loss_ids:
-        missing = sorted(recorded_loss_ids - fresh_loss_ids)
-        extra = sorted(fresh_loss_ids - recorded_loss_ids)
-        raise ReproducibilityError(
-            f"replay loss set differs from recorded: missing {missing}, "
-            f"unexpected {extra}"
-        )
-    for sid_str, recorded_loss in manifest.losses.items():
-        fresh = result.losses.get(int(sid_str))
-        if fresh != recorded_loss:
-            raise ReproducibilityError(
-                f"replay loss for subnet {sid_str}: {fresh!r} != "
-                f"recorded {recorded_loss!r}"
-            )
     if fresh_order != manifest.completion_order:
         raise ReproducibilityError("replay completion order differs")
     if result.makespan_ms != manifest.makespan_ms:

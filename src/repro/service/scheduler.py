@@ -81,6 +81,7 @@ from repro.ft.recovery import (
     rewarm_prefetch,
     run_uninterrupted,
 )
+from repro.invariants import diverged, same_training
 from repro.payload import build, compact, indented, reject_unknown
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
@@ -858,16 +859,14 @@ def solo_verdict(
             stream_kind=spec.stream_kind,
             memo=memo,
         )
-        memo.solo[key] = (
-            solo.digest,
-            {str(sid): loss for sid, loss in sorted(solo.losses.items())},
-        )
+        memo.solo[key] = (solo.digest, solo.losses)
     digest, losses = memo.solo[key]
+    violations = same_training({"digest": digest, "losses": losses}, job)
     return {
         "solo_gpus": solo_gpus,
         "solo_digest": digest,
-        "digest_matches_solo": digest == job["digest"],
-        "losses_match_solo": losses == job["losses"],
+        "digest_matches_solo": not diverged(violations, "digest"),
+        "losses_match_solo": not diverged(violations, "losses"),
     }
 
 

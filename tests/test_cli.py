@@ -1,5 +1,7 @@
 """CLI tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -582,3 +584,101 @@ def test_a_missing_or_malformed_config_file_is_one_line_and_exit_2(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"naspipe: error: cannot read config {problem}"]
+
+
+# ----------------------------------------------------------------------
+# a command that prints a verdict exits on it
+# ----------------------------------------------------------------------
+_EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def test_faults_exits_nonzero_when_it_prints_diverged(monkeypatch, capsys):
+    """Was: "parameter digest DIVERGED from fault-free run" and exit 0."""
+    import repro.ft
+
+    run_with_recovery = repro.ft.run_with_recovery
+
+    def digest_diverges(*args, **kwargs):
+        faulted = run_with_recovery(*args, **kwargs)
+        faulted.digest = "0" * 64
+        return faulted
+
+    monkeypatch.setattr(repro.ft, "run_with_recovery", digest_diverges)
+    with pytest.raises(SystemExit, match="diverged from the fault-free run"):
+        main(["faults", str(_EXAMPLES / "faults_demo.json")])
+    assert "parameter digest    DIVERGED from fault-free run" in capsys.readouterr().out
+
+
+def test_monitor_exits_nonzero_when_metering_does_not_reconcile(monkeypatch, capsys):
+    """Was: "reconciliation: … MISMATCH" and exit 0."""
+    from repro.service.manager import ClusterManager
+
+    ledger = ClusterManager.leased_slot_ms_total
+    monkeypatch.setattr(
+        ClusterManager, "leased_slot_ms_total", lambda self: ledger(self) + 5.0
+    )
+    with pytest.raises(SystemExit, match="metering does not reconcile"):
+        main(["monitor", str(_EXAMPLES / "serve_demo.json")])
+    assert ") MISMATCH" in capsys.readouterr().out
+
+
+_DEMO_RUN = {"space": "NLP.c3", "space_overrides": {"num_blocks": 8, "functional_width": 16}}
+#: (command, config, bad value, the refusal) — each used to run: a sweep
+#: of untrained runs printed PASS, a bool or a string became a count, a
+#: zero restart size or a negative MTBF was silently replaced, and a
+#: zero checkpoint interval ended in a ValueError traceback
+_BAD_VALUES = [
+    ("chaos", {"gpus": [2], "subnets": 0}, "subnets must be an integer >= 1, got 0"),
+    ("chaos", {"gpus": [2], "subnets": True}, "subnets must be an integer >= 1, got True"),
+    ("chaos", {"gpus": [2], "subnets": "5"}, "subnets must be an integer >= 1, got '5'"),
+    ("chaos", {"gpus": [2, 0], "subnets": 4}, r"gpus\[1\] must be an integer >= 1, got 0"),
+    ("chaos", {"num_gpus": 2.5, "subnets": 4}, "num_gpus must be an integer >= 1, got 2.5"),
+    (
+        "chaos",
+        {"gpus": [2], "subnets": 4, "mtbf_fraction": -1},
+        "mtbf_fraction must be a finite number > 0, got -1",
+    ),
+    ("faults", {"subnets": 0}, "subnets must be an integer >= 1, got 0"),
+    ("faults", {"subnets": 4, "num_gpus": "4"}, "num_gpus must be an integer >= 1, got '4'"),
+    ("faults", {"subnets": 4, "recovery_gpus": 0}, "recovery_gpus must be an integer >= 1, got 0"),
+    (
+        "faults",
+        {"subnets": 4, "checkpoint_interval": 0},
+        "checkpoint_interval must be an integer >= 1, got 0",
+    ),
+    ("faults", {"subnets": 4, "mtbf_ms": -1}, "mtbf_ms must be a finite number > 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("command,values,refusal", _BAD_VALUES)
+def test_chaos_and_faults_numbers_are_checked_not_coerced(
+    command, values, refusal, tmp_path, monkeypatch, capsys
+):
+    import json
+
+    from repro.errors import ConfigError
+
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**_DEMO_RUN, **values}))
+    argv = [command, str(config), *(["--seeds", "1"] if command == "chaos" else [])]
+    with pytest.raises(ConfigError, match=f"^{command} config: {refusal}$"):
+        main(argv)
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == [config]
+
+
+def test_a_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys):
+    """The ``naspipe`` program turns a refused value into a usage error,
+    like a bad flag or an unreadable file — not a traceback."""
+    import json
+
+    from repro.cli import run
+
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**_DEMO_RUN, "subnets": 0}))
+    assert run(["chaos", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "naspipe: error: chaos config: subnets must be an integer >= 1, got 0"
+    ]

@@ -16,7 +16,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.ft.fleet as fleet
+import repro.invariants as invariants
 from export_reference import reference_export
 from goldens import READER_RUNS, one_event_per_kind
 from repro.baselines import naspipe
@@ -91,9 +91,9 @@ def test_a_fleet_storm_exports_the_reference_bytes(monkeypatch):
     """Both planes' traces of one storm, caught where the scenario
     schema-checks them."""
     traces = []
-    check = fleet.validate_trace
+    check = invariants.validate_trace
     monkeypatch.setattr(
-        fleet, "validate_trace", lambda trace: traces.append(trace) or check(trace)
+        invariants, "validate_trace", lambda trace: traces.append(trace) or check(trace)
     )
     row = run_fleet_scenario(
         json.loads((EXAMPLES / "chaos_fleet_demo.json").read_text()),

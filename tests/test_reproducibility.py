@@ -16,8 +16,7 @@ from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
 from repro.engines.sequential import SequentialEngine
 from repro.experiments.figure1 import count_violations
-from repro.metrics.reproducibility import compare_digests, verify_csp_equivalence
-from repro.errors import ReproducibilityError
+from repro.invariants import diverged, same_training
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.supernet.sampler import SubnetStream
@@ -61,7 +60,7 @@ def sequential_truth(repro_space):
 @pytest.mark.parametrize("gpus", [1, 2, 4, 6])
 def test_csp_bitwise_equals_sequential(repro_space, sequential_truth, gpus):
     result, _plane = _functional_run(repro_space, naspipe(), gpus)
-    verify_csp_equivalence(sequential_truth, result)
+    assert same_training(sequential_truth, result) == []
 
 
 def test_csp_identical_across_gpu_counts(repro_space):
@@ -129,18 +128,12 @@ def test_bsp_and_asp_do_violate(repro_space):
     assert count_violations(plane_asp.store) > 0
 
 
-def test_verify_csp_equivalence_raises_on_mismatch(
+def test_same_training_flags_an_asp_run_against_sequential(
     repro_space, sequential_truth
 ):
     bad, _ = _functional_run(repro_space, pipedream(), 4)
-    with pytest.raises(ReproducibilityError):
-        verify_csp_equivalence(sequential_truth, bad)
-
-
-def test_compare_digests_none_handling():
-    assert not compare_digests(None, None)
-    assert not compare_digests("a", None)
-    assert compare_digests("a", "a")
+    violations = same_training(sequential_truth, bad)
+    assert diverged(violations, "digest") and diverged(violations, "losses")
 
 
 @given(seed=st.integers(0, 10_000), gpus=st.sampled_from([2, 3, 4]))
@@ -154,5 +147,5 @@ def test_property_csp_equivalence_over_random_streams(seed, gpus):
     pipelined, plane = _functional_run(
         space, naspipe(), gpus, steps=12, seed=seed
     )
-    verify_csp_equivalence(sequential, pipelined)
+    assert same_training(sequential, pipelined) == []
     assert count_violations(plane.store) == 0

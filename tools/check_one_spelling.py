@@ -103,6 +103,16 @@ RULES = [
     # seed at one site, and a training batch at one site
     (r"(?<!def )layer_init_generator\(", ("engines/functional_plane.py",), 1, "SeededInputs.weights"),
     (r"\.batch\([^,()]+,", ("engines/functional_plane.py",), 1, "SeededInputs.batch"),
+    # "did this run reproduce that one?" (Definition 1) is asked at one
+    # site; the straggler study's table cells compare digests as data
+    (
+        r"digest\s*[!=]=",
+        ("invariants.py", "experiments/straggler.py"),
+        3,
+        "repro.invariants.same_training",
+    ),
+    # a trace is schema-checked by the one invariant every harness composes
+    (r"validate_trace\(", ("invariants.py", "obs/events.py"), 2, "repro.invariants.trace_valid"),
 ]
 
 
