@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.payload import accepted, reject_unknown
+from repro.payload import checked
 from repro.supernet.search_space import SearchSpace, get_search_space
 
 __all__ = [
@@ -123,26 +123,21 @@ def naspipe_wo_scheduler(**overrides) -> SystemConfig:
     """CSP without aggressive reordering: only the head of each stage
     queue may run, so a blocked subnet stalls everything behind it —
     "finish the execution of a pipeline before injecting the next"."""
-    return naspipe(name="NASPipe w/o scheduler", in_order_only=True, **overrides)
+    return naspipe(**{"name": "NASPipe w/o scheduler", "in_order_only": True, **overrides})
 
 
 def naspipe_wo_predictor(**overrides) -> SystemConfig:
     """No context prediction: the whole supernet is stored in GPU memory,
     shrinking the supported batch to GPipe's."""
-    return naspipe(
-        name="NASPipe w/o predictor", predictor=False, context="full", **overrides
-    )
+    fixed = {"name": "NASPipe w/o predictor", "predictor": False, "context": "full"}
+    return naspipe(**{**fixed, **overrides})
 
 
 def naspipe_wo_mirroring(**overrides) -> SystemConfig:
     """No mirroring: every subnet is stuck with the static partition's
     imbalance (the slowest stage bottlenecks each subnet)."""
-    return naspipe(
-        name="NASPipe w/o mirroring",
-        mirroring=False,
-        partitioning="static",
-        **overrides,
-    )
+    fixed = {"name": "NASPipe w/o mirroring", "mirroring": False, "partitioning": "static"}
+    return naspipe(**{**fixed, **overrides})
 
 
 _FACTORIES: Dict[str, Callable[..., SystemConfig]] = {
@@ -188,12 +183,10 @@ def resolve_target(
     and ``system`` (+ ``overrides``) keys as objects.  Every plane's
     config goes through here, so an unknown override field or system is
     a :class:`ConfigError` naming ``path`` rather than a ``TypeError``
-    from a dataclass constructor."""
-    space_overrides, overrides = space_overrides or {}, overrides or {}
-    reject_unknown(
-        space_overrides, accepted(SearchSpace), f"{path}.space_overrides"
-    )
-    reject_unknown(overrides, accepted(SystemConfig), f"{path}.overrides")
+    from a dataclass constructor, and so is an override value that is not
+    of its field's type."""
+    space_overrides = checked(SearchSpace, space_overrides or {}, f"{path}.space_overrides")
+    overrides = checked(SystemConfig, overrides or {}, f"{path}.overrides")
     if system not in _FACTORIES:
         raise ConfigError(
             f"{path}.system: unknown system {system!r}; "

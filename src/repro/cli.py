@@ -22,14 +22,13 @@ import argparse
 import importlib
 import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError, ReproducibilityError
-from repro.payload import indented, reject_unknown
+from repro.payload import indented, integer, number, reject_unknown
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -420,30 +419,6 @@ def _read_config(config_path, keys, path):
     return (config, *resolve_target(**_run_target(config), path=path))
 
 
-def _integer(path, key, value, minimum=None) -> int:
-    """The ``key`` of the config ``path`` names, refused unless ``value``
-    is an int (not a bool) ``>= minimum``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or (minimum is not None and value < minimum)
-    ):
-        floor = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{path}: {key} must be an integer{floor}, got {value!r}")
-    return value
-
-
-def _positive(path, key, value) -> float:
-    """Likewise, refused unless ``value`` is a finite number ``> 0``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not (math.isfinite(value) and value > 0)
-    ):
-        raise ConfigError(f"{path}: {key} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
 def _load_run_config(config_path, default_seed=2022):
     """Parse a JSON run config and resolve it to run_system kwargs.
 
@@ -454,9 +429,9 @@ def _load_run_config(config_path, default_seed=2022):
 
     config, _space, _system = _read_config(config_path, _RUN_KEYS, "run config")
     scale = ExperimentScale(
-        subnets=_integer("run config", "subnets", config.get("subnets", 24), 1),
-        num_gpus=_integer("run config", "num_gpus", config.get("num_gpus", 4), 1),
-        seed=_integer("run config", "seed", config.get("seed", default_seed)),
+        subnets=integer("run config", "subnets", config.get("subnets", 24), 1),
+        num_gpus=integer("run config", "num_gpus", config.get("num_gpus", 4), 1),
+        seed=integer("run config", "seed", config.get("seed", default_seed)),
         stream_kind=config.get("stream_kind", "generational"),
     )
     target = _run_target(config)
@@ -609,7 +584,7 @@ def _analyze(args) -> str:
     config, scale, run_kwargs = _load_run_config(
         config_path, default_seed=args.seed
     )
-    gpu_counts = [int(g) for g in (args.sweep_gpus or [scale.num_gpus])]
+    gpu_counts = args.sweep_gpus or [scale.num_gpus]
     tasks = [
         (config, scale, run_kwargs, gpus, args.register)
         for gpus in gpu_counts
@@ -698,22 +673,21 @@ def _faults(args) -> str:
 
     path = "faults config"
     config, space, system = _read_config(Path(args.config), _FAULTS_KEYS, path)
-    num_gpus = _integer(path, "num_gpus", config.get("num_gpus", 4), 1)
-    steps = _integer(path, "subnets", config.get("subnets", 24), 1)
-    seed = _integer(path, "seed", config.get("seed", args.seed))
+    num_gpus = integer(path, "num_gpus", config.get("num_gpus", 4), 1)
+    steps = integer(path, "subnets", config.get("subnets", 24), 1)
+    seed = integer(path, "seed", config.get("seed", args.seed))
     common = dict(num_gpus=num_gpus, steps=steps, seed=seed, batch=config.get("batch"))
-    interval = _integer(path, "checkpoint_interval", config.get("checkpoint_interval", 8), 1)
+    interval = integer(path, "checkpoint_interval", config.get("checkpoint_interval", 8), 1)
     restart_gpus, mtbf_ms = config.get("recovery_gpus"), config.get("mtbf_ms")
     if restart_gpus is not None:
-        restart_gpus = _integer(path, "recovery_gpus", restart_gpus, 1)
+        restart_gpus = integer(path, "recovery_gpus", restart_gpus, 1)
     if mtbf_ms is not None:
-        mtbf_ms = _positive(path, "mtbf_ms", mtbf_ms)
+        mtbf_ms = number(path, "mtbf_ms", mtbf_ms, positive=True)
     spec = RecoverySpec(checkpoint_interval=interval, restart_gpus=restart_gpus)
 
+    schedule = FaultSchedule.from_payload(config["faults"]) if "faults" in config else None
     baseline = run_uninterrupted(space, system, **common)
-    if "faults" in config:
-        schedule = FaultSchedule.from_payload(config["faults"])
-    else:
+    if schedule is None:
         schedule = FaultSchedule.from_mtbf(
             SeedSequenceTree(seed),
             mtbf_ms=baseline.makespan_ms / 2 if mtbf_ms is None else mtbf_ms,
@@ -779,19 +753,19 @@ def _chaos(args) -> str:
     path = "chaos config"
     config, space, system = _read_config(Path(args.config), _CHAOS_KEYS, path)
     if config.get("gpus"):
-        gpus = [_integer(path, f"gpus[{i}]", n, 1) for i, n in enumerate(config["gpus"])]
+        gpus = [integer(path, f"gpus[{i}]", n, 1) for i, n in enumerate(config["gpus"])]
     else:
-        gpus = [_integer(path, "num_gpus", config.get("num_gpus", 4), 1)]
+        gpus = [integer(path, "num_gpus", config.get("num_gpus", 4), 1)]
     report = chaos_sweep(
         space,
         system,
         scenarios=args.seeds,
         gpus=gpus,
-        steps=_integer(path, "subnets", config.get("subnets", 12), 1),
-        seed=_integer(path, "seed", config.get("seed", args.seed)),
-        mtbf_fraction=_positive(path, "mtbf_fraction", config.get("mtbf_fraction", 0.1)),
-        stall_ms=float(config.get("stall_ms", 20.0)),
-        nic_slowdown=float(config.get("nic_slowdown", 4.0)),
+        steps=integer(path, "subnets", config.get("subnets", 12), 1),
+        seed=integer(path, "seed", config.get("seed", args.seed)),
+        mtbf_fraction=number(path, "mtbf_fraction", config.get("mtbf_fraction", 0.1), True),
+        stall_ms=number(path, "stall_ms", config.get("stall_ms", 20.0), True),
+        nic_slowdown=number(path, "nic_slowdown", config.get("nic_slowdown", 4.0), True),
         batch=config.get("batch"),
         jobs=args.jobs,
     )

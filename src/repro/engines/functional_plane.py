@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.synthetic import SyntheticTaskData
-from repro.errors import ConfigError
 from repro.nn import functional as F
 from repro.nn.init import layer_init_generator
 from repro.nn.layers import build_parameters, layer_forward
@@ -32,21 +31,13 @@ from repro.nn.parameter_store import (
 )
 from repro.nn.program import PendingUpdate, StageActivation, SubnetSegmentProgram
 from repro.nn.optim import SGD
+from repro.payload import integer
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
-__all__ = ["FunctionalPlane", "SeededInputs", "check_functional_batch"]
-
-
-def check_functional_batch(value) -> int:
-    """``value`` if it is an int (not a bool) >= 1, else a
-    :class:`~repro.errors.ConfigError` — an empty batch trains nothing
-    and a negative one is no shape at all."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"functional_batch must be an integer >= 1, got {value!r}")
-    return value
+__all__ = ["FunctionalPlane", "SeededInputs"]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -72,7 +63,10 @@ class SeededInputs:
     ) -> None:
         self.space = space
         self.seeds = seeds
-        self.functional_batch = check_functional_batch(functional_batch)
+        # an empty batch trains nothing and a negative one is no shape at all
+        self.functional_batch = integer(
+            "functional plane", "functional_batch", functional_batch, 1
+        )
         #: the frozen data encoders and teacher head, drawn once
         self.data = SyntheticTaskData(space, seeds)
         self._weights: Dict[LayerId, Dict[str, np.ndarray]] = {}
@@ -114,7 +108,6 @@ class FunctionalPlane:
         record_accesses: bool = True,
         inputs: Optional[SeededInputs] = None,
     ) -> None:
-        check_functional_batch(functional_batch)
         if inputs is None:
             inputs = SeededInputs(supernet.space, seeds, functional_batch)
         elif (inputs.space, inputs.seeds.root_seed, inputs.functional_batch) != (

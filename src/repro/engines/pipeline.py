@@ -43,6 +43,7 @@ from repro.partition.balanced import (
 )
 from repro.partition.mirror import MirrorRegistry
 from repro.partition.static import static_partition_for_space
+from repro.payload import integer
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import ExecutionTrace
@@ -252,9 +253,7 @@ class PipelineEngine:
                 raise GpuOutOfMemoryError(
                     0, breakdown.total, breakdown.usable_bytes
                 )
-        elif isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
-            raise ConfigError(f"batch must be an integer >= 1, got {batch!r}")
-        self.batch = batch
+        self.batch = integer("engine", "batch", batch, 1)
         #: batch-dependent compute scaling, constant for the whole run
         self._batch_scale = supernet.batch_time_scale(batch)
         #: per-layer ``fwd + bwd`` reference cost, what ``_partition_for``

@@ -45,7 +45,7 @@ def _param_footprint(supernet: Supernet, system: str) -> int:
     config = system_by_name(system)
     if config.context == "full":
         return supernet.total_param_count()
-    return int(config.cache_subnets * supernet.expected_subnet_param_count())
+    return int(supernet.expected_subnet_param_count() * config.cache_subnets)
 
 
 def _cpu_pinned_gb(supernet: Supernet, system: str) -> float:

@@ -41,7 +41,7 @@ from repro.ft.chaos import sweep
 from repro.ft.faults import FaultSchedule
 from repro.ft.recovery import JobMemo
 from repro.invariants import requests_served, slots_released, trace_valid
-from repro.payload import indented, reject_unknown
+from repro.payload import indented, integer, number, reject_unknown
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 
@@ -58,19 +58,16 @@ __all__ = [
     "format_fleet_report",
 ]
 
+#: the storm knobs of a ``chaos-fleet`` config → (default, must it be > 0)
+_STORM_KNOBS = {
+    "storm_mtbf_fraction": (0.2, True),
+    "node_down_weight": (0.2, False),
+    "preempt_outage_ms": (120.0, False),
+    "node_outage_ms": (300.0, False),
+}
 #: what a ``chaos-fleet`` config holds besides the scheduler's
 #: :data:`~repro.service.scheduler.SCHEDULER_KNOBS`
-_FLEET_KEYS = (
-    "fleet_slots",
-    "scenarios",
-    "seed",
-    "storm_mtbf_fraction",
-    "node_down_weight",
-    "preempt_outage_ms",
-    "node_outage_ms",
-    "serving",
-    "jobs",
-)
+_FLEET_KEYS = ("fleet_slots", "scenarios", "seed", *_STORM_KNOBS, "serving", "jobs")
 #: the service report's job cells a scenario row carries as they are
 _JOB_CELLS = ("name", "sync", "elastic", "status", "restarts", "resizes", "preemptions")
 
@@ -96,7 +93,7 @@ def _build_planes(
     from repro.serving.frontend import ServingEngine, ServingSpec
 
     manager = ClusterManager(ClusterSpec(num_gpus=fleet_slots))
-    scheduler = JobScheduler.from_payload(manager, payload, memo=memo)
+    scheduler = JobScheduler.from_payload(manager, payload, memo=memo, path="fleet config")
     serving = ServingEngine(
         ServingSpec.from_payload(
             {**payload["serving"], "total_gpus": fleet_slots}
@@ -165,6 +162,14 @@ def _serving_row(result) -> Dict:
     }
 
 
+def _storm_knobs(payload: Mapping) -> Dict[str, float]:
+    """The config's storm knobs, each checked, by key."""
+    return {
+        key: number("fleet config", key, payload.get(key, default), positive)
+        for key, (default, positive) in _STORM_KNOBS.items()
+    }
+
+
 def run_fleet_scenario(
     payload: Mapping,
     *,
@@ -181,18 +186,15 @@ def run_fleet_scenario(
     manager, serving, scheduler = _build_planes(
         payload, fleet_slots, serving_telemetry, memo
     )
+    knobs = _storm_knobs(payload)
     storm = FaultSchedule.fleet_from_mtbf(
         SeedSequenceTree(storm_seed),
-        mtbf_ms=max(
-            1.0, horizon_ms * float(payload.get("storm_mtbf_fraction", 0.2))
-        ),
+        mtbf_ms=max(1.0, horizon_ms * knobs.pop("storm_mtbf_fraction")),
         horizon_ms=horizon_ms,
         fleet_slots=fleet_slots,
         slots_per_node=scheduler.slots_per_node,
-        node_down_weight=float(payload.get("node_down_weight", 0.2)),
-        preempt_outage_ms=float(payload.get("preempt_outage_ms", 120.0)),
-        node_outage_ms=float(payload.get("node_outage_ms", 300.0)),
         stream_name=f"faults/fleet/{fleet_slots}",
+        **knobs,
     )
 
     serving_slots = frozenset(serving.lease.slots)
@@ -246,9 +248,12 @@ def fleet_sweep(payload: Mapping) -> Dict:
         raise ConfigError('fleet config needs a non-empty "jobs" list')
     if not payload.get("serving"):
         raise ConfigError('fleet config needs a "serving" tenant entry')
-    fleets = [int(f) for f in payload.get("fleet_slots", [8])]
-    scenarios = int(payload.get("scenarios", 3))
-    seed = int(payload.get("seed", 2022))
+    path = "fleet config"
+    slots = payload.get("fleet_slots", [8])
+    fleets = [integer(path, f"fleet_slots[{i}]", n, 1) for i, n in enumerate(slots)]
+    scenarios = integer(path, "scenarios", payload.get("scenarios", 3), 1)
+    seed = integer(path, "seed", payload.get("seed", 2022))
+    _storm_knobs(payload)  # a bad storm knob is refused before any run
 
     # the horizon runs and every scenario share one memo: each job's
     # seeded inputs are derived once per sweep, each solo verdict once

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.payload import reject_unknown
+from repro.payload import check, number, reject_unknown
 
 __all__ = ["AlertRule", "AlertEngine", "load_rules", "DEFAULT_RULES"]
 
@@ -63,30 +63,30 @@ class AlertRule:
         if isinstance(payload, Mapping):
             where = f"alert rule {payload.get('name')!r}"
         reject_unknown(payload, _RULE_KEYS, where)
-        self.name = str(payload.get("name", ""))
+        self.name = check(where, "name", payload.get("name", ""), str)
         if not self.name:
             raise ConfigError("alert rule needs a name")
-        self.kind = str(payload.get("kind", "threshold"))
+        self.kind = check(where, "kind", payload.get("kind", "threshold"), str)
         if self.kind == "threshold":
-            self.metric = payload.get("metric")
+            self.metric = check(where, "metric", payload.get("metric", ""), str)
             if not self.metric:
                 raise ConfigError(f"{self.name}: threshold rule needs a metric")
-            self.op = str(payload.get("op", ">"))
+            self.op = check(where, "op", payload.get("op", ">"), str)
             if self.op not in _OPS:
                 raise ConfigError(
                     f"{self.name}: op must be one of {sorted(_OPS)}, "
                     f"got {self.op!r}"
                 )
-            self.threshold = float(payload.get("threshold", 0.0))
-            self.for_ms = float(payload.get("for_ms", 0.0))
+            self.threshold = number(where, "threshold", payload.get("threshold", 0.0))
+            self.for_ms = number(where, "for_ms", payload.get("for_ms", 0.0))
         elif self.kind == "burn_rate":
-            self.good = payload.get("good")
-            self.bad = payload.get("bad")
+            self.good = check(where, "good", payload.get("good", ""), str)
+            self.bad = check(where, "bad", payload.get("bad", ""), str)
             if not self.good or not self.bad:
                 raise ConfigError(
                     f"{self.name}: burn_rate rule needs good/bad metrics"
                 )
-            self.objective = float(payload.get("objective", 0.99))
+            self.objective = number(where, "objective", payload.get("objective", 0.99))
             if not 0.0 < self.objective < 1.0:
                 raise ConfigError(
                     f"{self.name}: objective must be in (0, 1), "
@@ -96,8 +96,11 @@ class AlertRule:
             if not windows:
                 raise ConfigError(f"{self.name}: burn_rate rule needs windows")
             self.windows: List[Tuple[float, float]] = [
-                (float(w["window_ms"]), float(w.get("factor", 1.0)))
-                for w in windows
+                (
+                    number(f"{where}.windows[{i}]", "window_ms", w.get("window_ms"), True),
+                    number(f"{where}.windows[{i}]", "factor", w.get("factor", 1.0), True),
+                )
+                for i, w in enumerate(windows)
             ]
         else:
             raise ConfigError(

@@ -4,8 +4,10 @@
 :class:`~repro.errors.ConfigError` naming *where* (``jobs[0].overrides``),
 the offending keys and the accepted set; :func:`build` constructs a
 dataclass from only the keys a payload carries — so **the dataclass
-default is the only default** — casting to ``int``/``float`` where the
-field's default is one (``"rate_rps": 30`` arrives as ``30.0``).
+default is the only default** — and :func:`checked` reads a partial one
+(``overrides``).  :func:`check` checks, never casts, each value against its
+field's declared type: ``2.5``, ``"3"`` and ``true`` are not integers, and
+a number is finite and arrives as a float (``"rate_rps": 30`` as ``30.0``).
 
 **Writer.**  Every report, digest and registry line that is pinned or
 hashed goes through :func:`compact`, :func:`indented` or :func:`sha256`.
@@ -17,13 +19,17 @@ only.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+import typing
 from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["reject_unknown", "accepted", "build", "compact", "indented", "sha256"]
+__all__ = ["reject_unknown", "accepted", "checked", "build", "check", "integer", "number",
+           "compact", "indented", "sha256"]
 
 
 # ----------------------------------------------------------------------
@@ -45,75 +51,109 @@ def reject_unknown(payload: Mapping, known: Iterable[str], path: str) -> None:
         )
 
 
-#: (dataclass, rename) → its :func:`_field_table`
-_FIELD_TABLES: Dict[tuple, tuple] = {}
+def integer(path: str, key: str, value, minimum=None) -> int:
+    """``value`` if it is an int (not a bool) ``>= minimum``, else a
+    :class:`ConfigError` naming the ``key`` of the config ``path``."""
+    floor = "" if minimum is None else f" >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, int) or (floor and value < minimum):
+        raise ConfigError(f"{path}: {key} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def number(path: str, key: str, value, positive: bool = False) -> float:
+    """Likewise, ``value`` as a float if it is a finite int or float (not
+    a bool), ``> 0`` when ``positive``."""
+    floor = " > 0" if positive else ""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and (value > 0 or not positive)
+    ):
+        raise ConfigError(f"{path}: {key} must be a finite number{floor}, got {value!r}")
+    return float(value)
+
+
+#: a declared type → its name in docs/OPERATIONS.md, what a value must be
+_KINDS = {
+    int: ("int", "an integer"),
+    float: ("number", "a finite number"),
+    bool: ("bool", "true or false"),
+    str: ("str", "a string"),
+    Mapping: ("object", "an object"),
+}
+
+
+def check(path: str, key: str, value, declared: type, nullable: bool = False):
+    """``value`` if it is JSON of the ``declared`` type, a key of
+    :data:`_KINDS` (or ``null`` when ``nullable``)."""
+    if value is None and nullable:
+        return None
+    if declared in (int, float):
+        return (integer if declared is int else number)(path, key, value)
+    if not isinstance(value, declared):
+        raise ConfigError(f"{path}: {key} must be {_KINDS[declared][1]}, got {value!r}")
+    return value
+
+
 _Rename = Tuple[Tuple[str, str], ...]
 
 
+@functools.lru_cache(maxsize=None)
 def _field_table(cls: type, rename: _Rename) -> tuple:
-    """What the reader needs to know about ``cls``, computed once: per
-    init field its payload key, the field, the cast its default's type
-    asks for, and — for a field whose ``default_factory`` is itself a
-    dataclass — that class, whose fields are read from the *same* flat
-    payload."""
-    table = _FIELD_TABLES.get((cls, rename))
-    if table is None:
-        spelled = {name: key for key, name in rename}
-        table = _FIELD_TABLES[cls, rename] = tuple(
-            (
-                spelled.get(f.name, f.name),
-                f,
-                type(f.default) if type(f.default) in (int, float) else None,
-                f.default_factory
-                if dataclasses.is_dataclass(f.default_factory)
-                else None,
-            )
-            for f in dataclasses.fields(cls)
-            if f.init
-        )
-    return table
+    """Per init field of ``cls``: its payload key, the field, its declared
+    type (``Optional[X]`` is a nullable ``X``, any mapping ``Mapping``, a
+    dataclass is read from the *same* flat payload) and if it is nullable."""
+    spelled = {name: key for key, name in rename}
+    hints, rows = typing.get_type_hints(cls), []
+    for f in (f for f in dataclasses.fields(cls) if f.init):
+        hint = hints[f.name]
+        nullable = type(None) in typing.get_args(hint)
+        if nullable:  # Optional[X] is Union[X, None]
+            hint = typing.get_args(hint)[0]
+        declared = typing.get_origin(hint) or hint
+        declared = Mapping if issubclass(declared, Mapping) else declared
+        rows.append((spelled.get(f.name, f.name), f, declared, nullable))
+    return tuple(rows)
 
 
-def accepted(cls: type, rename: _Rename = ()) -> Dict[str, dataclasses.Field]:
+def accepted(cls: type, rename: _Rename = ()) -> Dict[str, Tuple[dataclasses.Field, str]]:
     """The payload keys ``build(cls, …, rename=rename)`` reads, in field
-    order, each with the field it fills; ``rename`` is ``(payload key,
-    field name)`` pairs."""
-    keys: Dict[str, dataclasses.Field] = {}
-    for key, f, _cast, part in _field_table(cls, rename):
-        if part is None:
-            keys[key] = f
+    order, each with the field it fills and the JSON type it takes (such
+    as ``int|null``); ``rename`` is ``(payload key, field name)`` pairs."""
+    keys = {}
+    for key, f, declared, nullable in _field_table(cls, rename):
+        if dataclasses.is_dataclass(declared):
+            keys.update(accepted(declared, rename))
         else:
-            keys.update(accepted(part, rename))
+            keys[key] = (f, _KINDS[declared][0] + "|null" * nullable)
     return keys
 
 
-def _build(cls: type, payload: Mapping, rename: _Rename):
+def _values(cls: type, payload: Mapping, path: str, rename: _Rename) -> dict:
     kwargs = {}
-    for key, f, cast, part in _field_table(cls, rename):
-        if part is not None:
-            kwargs[f.name] = _build(part, payload, rename)
+    for key, f, declared, nullable in _field_table(cls, rename):
+        if dataclasses.is_dataclass(declared):
+            kwargs[f.name] = declared(**_values(declared, payload, path, rename))
         elif key in payload:
-            value = payload[key]
-            if cast is not None:
-                try:
-                    value = cast(value)
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"{key} must be {cast.__name__}, got {value!r}"
-                    ) from None
-            kwargs[f.name] = value
-    return cls(**kwargs)
+            kwargs[f.name] = check(path, key, payload[key], declared, nullable)
+    return kwargs
+
+
+def checked(cls: type, payload: Mapping, path: str, rename: _Rename = ()) -> dict:
+    """The fields of dataclass ``cls`` that ``payload`` sets, by name,
+    each value checked; unknown keys are rejected."""
+    reject_unknown(payload, accepted(cls, rename), path)
+    return _values(cls, payload, path, rename)
 
 
 def build(cls: type, payload: Mapping, path: str, rename: _Rename = ()):
     """Construct dataclass ``cls`` from the keys ``payload`` carries.
 
-    Unknown keys are rejected; a :class:`ConfigError` from a cast or from
-    the class's own validation is re-raised with ``path`` in front.
+    Unknown keys and values of the wrong type are rejected; a
+    :class:`ConfigError` from the class's own validation is re-raised
+    with ``path`` in front.
     """
-    reject_unknown(payload, accepted(cls, rename), path)
+    kwargs = checked(cls, payload, path, rename)
     try:
-        return _build(cls, payload, rename)
+        return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

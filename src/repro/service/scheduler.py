@@ -65,11 +65,11 @@ byte-identical reports (``tests/goldens.json`` pins the demo's), and the service
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
 
 from repro.baselines import resolve_target
 from repro.config import SystemConfig
-from repro.engines.functional_plane import FunctionalPlane, check_functional_batch
+from repro.engines.functional_plane import FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
 from repro.errors import ServiceError
 from repro.ft.availability import failure_summary
@@ -82,7 +82,7 @@ from repro.ft.recovery import (
     run_uninterrupted,
 )
 from repro.invariants import diverged, same_training
-from repro.payload import build, compact, indented, reject_unknown
+from repro.payload import build, check, compact, indented, integer, reject_unknown
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
@@ -140,7 +140,6 @@ class JobSpec:
             )
         if self.submit_ms < 0:
             raise ServiceError(f"{self.name}: submit_ms must be >= 0")
-        check_functional_batch(self.functional_batch)
 
     @classmethod
     def from_payload(cls, payload: Mapping, path: str = "job") -> "JobSpec":
@@ -149,6 +148,7 @@ class JobSpec:
         naming ``path`` (silent typos would silently change a tenant's
         run)."""
         spec = build(cls, payload, path)
+        integer(path, "functional_batch", spec.functional_batch, 1)
         spec.resolve(path)
         return spec
 
@@ -348,13 +348,16 @@ class JobScheduler:
         payload: Mapping,
         telemetry=None,
         memo: Optional[JobMemo] = None,
+        path: str = "service config",
     ) -> "JobScheduler":
         """The scheduler a service or fleet config describes: each of
         :data:`SCHEDULER_KNOBS` the payload carries becomes a constructor
-        argument; the rest keep the constructor's defaults."""
+        argument, checked against its declared type; the rest keep the
+        constructor's defaults."""
+        declared = get_type_hints(cls.__init__)
         knobs = {
-            key: cast(payload[key])
-            for key, cast in SCHEDULER_KNOBS.items()
+            key: check(path, key, payload[key], declared[key])
+            for key in SCHEDULER_KNOBS
             if key in payload
         }
         return cls(manager, telemetry=telemetry, memo=memo, **knobs)
@@ -809,14 +812,10 @@ class JobScheduler:
 # entry points
 # ----------------------------------------------------------------------
 #: the :class:`JobScheduler` constructor knobs a service or fleet config
-#: may set, with the cast each value gets (defaults: the constructor's)
-SCHEDULER_KNOBS = {
-    "quantum": int,
-    "resize_cost_ms": float,
-    "max_restarts": int,
-    "requeue_backoff_ms": float,
-    "slots_per_node": int,
-}
+#: may set (types and defaults: the constructor's)
+SCHEDULER_KNOBS = (
+    "quantum", "resize_cost_ms", "max_restarts", "requeue_backoff_ms", "slots_per_node"
+)
 #: what else :func:`run_service` reads from a ``serve`` config
 _SERVICE_KEYS = ("total_gpus", "gpu_speed_factors", "verify_solo", "jobs", "faults")
 
@@ -884,15 +883,16 @@ def run_service(
     report's ``"ok"`` is False on any mismatch, and ``naspipe serve``
     then exits non-zero.
     """
-    reject_unknown(
-        payload, (*_SERVICE_KEYS, *SCHEDULER_KNOBS), "service config"
-    )
+    path = "service config"
+    reject_unknown(payload, (*_SERVICE_KEYS, *SCHEDULER_KNOBS), path)
     if not payload.get("jobs"):
         raise ServiceError('service config needs a non-empty "jobs" list')
+    configured = check(path, "verify_solo", payload.get("verify_solo", False), bool)
+    verify_solo = configured if verify_solo is None else verify_solo
     speeds = payload.get("gpu_speed_factors")
     manager = ClusterManager(
         ClusterSpec(
-            num_gpus=int(payload.get("total_gpus", 8)),
+            num_gpus=integer(path, "total_gpus", payload.get("total_gpus", 8), 1),
             gpu_speed_factors=tuple(speeds) if speeds else None,
         )
     )
@@ -908,9 +908,7 @@ def run_service(
             FaultSchedule.from_payload(payload["faults"])
         )
     report = scheduler.run()
-    if verify_solo is None:
-        verify_solo = bool(payload.get("verify_solo", False))
-    report["verified"] = bool(verify_solo)
+    report["verified"] = verify_solo
     if verify_solo:
         for spec, job in zip(specs, report["jobs"]):
             job.update(solo_verdict(spec, job, manager.total_gpus, scheduler.memo))

@@ -647,6 +647,12 @@ _BAD_VALUES = [
         "checkpoint_interval must be an integer >= 1, got 0",
     ),
     ("faults", {"subnets": 4, "mtbf_ms": -1}, "mtbf_ms must be a finite number > 0, got -1"),
+    ("chaos", {"gpus": [2], "subnets": 4, "stall_ms": "20"}, "stall_ms must be a finite number > 0, got '20'"),
+    (
+        "chaos",
+        {"gpus": [2], "subnets": 4, "nic_slowdown": True},
+        "nic_slowdown must be a finite number > 0, got True",
+    ),
 ]
 
 
@@ -682,3 +688,79 @@ def test_a_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "naspipe: error: chaos config: subnets must be an integer >= 1, got 0"
     ]
+
+
+#: command → (example config, keys set in it, flags that write a file —
+#: ``{out}`` and ``{rules}`` are filled in —, the one stderr line); each
+#: ran at the parent: a 2.7-GPU tenant leased 2, a bool scenario count
+#: swept one storm and printed PASS, ``"no"`` turned the predictor on,
+#: ``"3"`` ended in a TypeError traceback
+_REFUSED = {
+    "trace": (
+        "trace_demo.json",
+        {"overrides": {"predictor": "no"}},
+        ["--out", "{out}"],
+        "run config.overrides: predictor must be true or false, got 'no'",
+    ),
+    "analyze": (
+        "trace_demo.json",
+        {"overrides": {"inject_window": "3"}},
+        ["--json", "{out}"],
+        "run config.overrides: inject_window must be an integer, got '3'",
+    ),
+    "faults": (
+        "faults_demo.json",
+        {"faults": [{"kind": "gpu_crash", "time_ms": "700", "target": 1}]},
+        ["--json", "{out}"],
+        "fault event 0: time_ms must be a finite number, got '700'",
+    ),
+    "chaos": (
+        "chaos_demo.json",
+        {"stall_ms": "20"},
+        ["--json", "{out}", "--seeds", "1"],
+        "chaos config: stall_ms must be a finite number > 0, got '20'",
+    ),
+    "chaos-fleet": (
+        "chaos_fleet_demo.json",
+        {"scenarios": True},
+        ["--json", "{out}"],
+        "fleet config: scenarios must be an integer >= 1, got True",
+    ),
+    "serve": (
+        "serve_demo.json",
+        {"quantum": 6.9},
+        ["--json", "{out}"],
+        "service config: quantum must be an integer, got 6.9",
+    ),
+    "monitor": (
+        "serving_demo.json",
+        {},
+        ["--rules", "{rules}", "--json", "{out}"],
+        "alert rule 'r': threshold must be a finite number, got '5'",
+    ),
+    "bench-serving": (
+        "serving_demo.json",
+        {"num_gpus": 2.7},
+        ["--json", "{out}"],
+        "serving: num_gpus must be an integer, got 2.7",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REFUSED))
+def test_a_value_of_the_wrong_type_is_one_line_and_exit_2(command, tmp_path, capsys):
+    import json
+
+    from repro.cli import run
+
+    example, values, flags, line = _REFUSED[command]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads((_EXAMPLES / example).read_text()), **values}))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"name": "r", "metric": "fleet_down_slots", "threshold": "5"}]))
+    out = tmp_path / "out.json"
+    argv = [command, str(config), *(f.format(out=out, rules=rules) for f in flags)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"naspipe: error: {line}"]
+    assert not out.exists()

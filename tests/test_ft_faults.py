@@ -50,7 +50,7 @@ def test_fault_event_rejects_non_finite_numbers(field, value):
     every ``< 0`` range check, so a config file can deliver them."""
     entry = {"kind": "nic_degrade", "time_ms": 10.0, "target": 0,
              "duration_ms": 5.0, "magnitude": 2.0, field: value}
-    with pytest.raises(ConfigError, match="fault event 0: fault " + field):
+    with pytest.raises(ConfigError, match=f"fault event 0: {field} must be a finite number"):
         FaultSchedule.from_json(json.dumps([entry]))
 
 

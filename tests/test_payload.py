@@ -5,20 +5,25 @@ Each plane's config goes through the same reader, so the same mistakes
 unknown stream kind — end in the same :class:`ConfigError`, with the
 path of the offending entry and the accepted values, wherever they are
 made.  The second half pins what the reader replaced: every default is
-the dataclass's or the constructor's, and the solo-baseline rule is one
+the dataclass's or the constructor's, every value is checked against its
+field's declared type and never cast, and the solo-baseline rule is one
 function.
 """
 
 import dataclasses
 import json
+import math
+import typing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import payload
+from repro import SearchSpace, SystemConfig, payload
+from repro.baselines.systems import _FACTORIES, resolve_target
 from repro.cli import main
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SearchSpaceError, ServiceError
 from repro.experiments.common import ExperimentScale, make_stream
-from repro.ft import FaultSchedule, JobMemo, fleet_sweep
+from repro.ft import FaultEvent, FaultSchedule, JobMemo, fleet_sweep
 from repro.nas import SupernetTrainer
 from repro.obs.telemetry.alerts import AlertRule
 from repro.replay import record_run
@@ -31,6 +36,7 @@ from repro.service import (
 )
 from repro.service.scheduler import SCHEDULER_KNOBS
 from repro.serving import BatchPolicy, ServingEngine, ServingSpec, WorkloadSpec
+from repro.serving.frontend import _RENAME
 from repro.sim.cluster import ClusterSpec
 
 TINY = {"num_blocks": 4, "functional_width": 8}
@@ -292,12 +298,177 @@ def test_ints_given_for_float_fields_arrive_as_floats():
     # run_bench echoes the spec into a report whose sha256 is a golden
     rate = ServingSpec.from_payload({"rate_rps": 30}).workload.rate_rps
     assert rate == 30.0 and type(rate) is float
-    spec = JobSpec.from_payload({**JOB, "submit_ms": 5, "subnets": 4.0})
+    spec = JobSpec.from_payload({**JOB, "submit_ms": 5, "subnets": 4})
     assert type(spec.submit_ms) is float and type(spec.subnets) is int
+    # a float is not an int, however integral
+    with pytest.raises(ConfigError, match=r"job: subnets must be an integer, got 4\.0"):
+        JobSpec.from_payload({**JOB, "subnets": 4.0})
     # a bool default is not an int default
     assert payload.build(_Switch, {"on": False}, "switch").on is False
-    with pytest.raises(ConfigError, match="serving: rate_rps must be float, got 'fast'"):
+    with pytest.raises(ConfigError, match="serving: rate_rps must be a finite number, got 'fast'"):
         ServingSpec.from_payload({"rate_rps": "fast"})
+
+
+# ----------------------------------------------------------------------
+# a value is checked against its field's declared type, never cast
+# ----------------------------------------------------------------------
+#: a reader of one class's fields → (the class, its rename, read({key:
+#: value}) with the system an ``overrides`` entry applies to, the path)
+_TYPED_READERS = {
+    "serving": (ServingSpec, _RENAME, lambda x, _: ServingSpec.from_payload(x), "serving"),
+    "job": (JobSpec, (), lambda x, _: JobSpec.from_payload({**JOB, **x}, "jobs[0]"), "jobs[0]"),
+    "fault": (
+        FaultEvent,
+        (),
+        lambda x, _: FaultSchedule.from_payload([{"kind": "copy_stall", "time_ms": 1.0, **x}]),
+        "fault event 0",
+    ),
+    "space_overrides": (
+        SearchSpace,
+        (),
+        lambda x, _: resolve_target("NLP.c3", x, path="config"),
+        "config.space_overrides",
+    ),
+    "overrides": (
+        SystemConfig,
+        (),
+        lambda x, system: resolve_target("NLP.c3", None, system, x, path="config"),
+        "config.overrides",
+    ),
+}
+_NUMERIC_TEXT = st.integers(-9, 99).map(str) | st.floats(-9, 99).map(repr)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: a JSON type → values of another type (``null`` is drawn separately)
+_WRONG = {
+    "int": st.booleans() | st.floats() | st.integers(-9, 99).map(float) | _NUMERIC_TEXT,
+    "number": st.booleans() | _NON_FINITE | _NUMERIC_TEXT | st.just([1.0]),
+    "bool": st.integers(0, 1) | st.floats(0, 1) | st.sampled_from(["true", "false", "no"]),
+    "str": st.integers() | st.booleans() | st.floats() | st.just(["NLP.c3"]),
+    "object": st.integers() | st.booleans() | _NUMERIC_TEXT | st.just([]),
+}
+#: a JSON type → values of it
+_RIGHT = {
+    "int": st.integers(-3, 64),
+    "number": st.integers(-3, 64) | st.floats(-1e3, 1e3),
+    "bool": st.booleans(),
+    "str": st.text(max_size=6) | st.sampled_from(["NLP.c1", "NASPipe", "csp", "copy_stall"]),
+    "object": st.just({}),
+}
+
+
+def _json_types(cls, rename=()):
+    """Payload key → (JSON type, may it be null), read here from the
+    annotations of ``cls`` and of the dataclasses it nests."""
+    spelled = {name: key for key, name in rename}
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        nullable = type(None) in typing.get_args(hint)
+        hint = typing.get_args(hint)[0] if nullable else hint
+        if dataclasses.is_dataclass(hint):
+            types.update(_json_types(hint, rename))
+        else:
+            kind = {int: "int", float: "number", bool: "bool", str: "str"}.get(hint, "object")
+            types[spelled.get(name, name)] = (kind, nullable)
+    return types
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    reader=st.sampled_from(sorted(_TYPED_READERS)),
+    system=st.sampled_from(sorted(_FACTORIES)),
+    right=st.booleans(),
+    data=st.data(),
+)
+def test_every_config_value_is_checked_against_its_field_type(reader, system, right, data):
+    # at the parent ``2.5`` read as 2, ``"4"`` as 4 and ``true`` as 1 for
+    # an int field; overrides were not checked at all, so ``"no"`` turned
+    # the predictor on and ``"3"`` ended in a TypeError mid-run
+    cls, rename, read, path = _TYPED_READERS[reader]
+    types = _json_types(cls, rename)
+    assert set(types) == set(payload.accepted(cls, rename))
+    key = data.draw(st.sampled_from(sorted(types)), label="key")
+    kind, nullable = types[key]
+    if right:
+        value = data.draw(_RIGHT[kind] | (st.none() if nullable else st.nothing()), label="value")
+        try:
+            read({key: value}, system)
+        except (ConfigError, ServiceError, SearchSpaceError):
+            pass  # a range or cross-field rule of the class, or a name lookup
+        return
+    value = data.draw(_WRONG[kind] | (st.nothing() if nullable else st.none()), label="value")
+    with pytest.raises(ConfigError) as exc:
+        read({key: value}, system)
+    assert str(exc.value).startswith(f"{path}: {key} must be "), str(exc.value)
+
+
+def test_an_int_is_read_as_a_float_only_where_the_field_is_one():
+    fields = payload.checked(SystemConfig, {"cache_subnets": 2, "staleness": 2}, "overrides")
+    assert fields == {"cache_subnets": 2.0, "staleness": 2}
+    assert type(fields["cache_subnets"]) is float and type(fields["staleness"]) is int
+    assert payload.checked(SystemConfig, {"inject_window": None}, "o") == {"inject_window": None}
+    assert payload.accepted(SystemConfig)["inject_window"][1] == "int|null"
+
+
+def _alert(**rule):
+    return AlertRule({"name": "r", "metric": "fleet_down_slots", **rule})
+
+
+def _burn(**rule):
+    return AlertRule(
+        {"name": "r", "kind": "burn_rate", "good": "g", "bad": "b", "windows": [{"window_ms": 10}], **rule}
+    )
+
+
+#: (read a config holding the bad value, the path, the key) — each ran at
+#: the parent: ``"scenarios": true`` swept one storm and printed PASS,
+#: ``"verify_solo": "false"`` ran the verification, a threshold of
+#: ``"5"`` was 5.0 and a window of -5 ms was -5.0
+_BARE_READS = {
+    "fleet_slots entry": (lambda: _fleet({"fleet_slots": [4, 0]}), "fleet config", "fleet_slots[1]"),
+    "fleet_slots float": (lambda: _fleet({"fleet_slots": [2.5]}), "fleet config", "fleet_slots[0]"),
+    "scenarios bool": (lambda: _fleet({"scenarios": True}), "fleet config", "scenarios"),
+    "scenarios zero": (lambda: _fleet({"scenarios": 0}), "fleet config", "scenarios"),
+    "seed": (lambda: _fleet({"seed": 7.5}), "fleet config", "seed"),
+    "storm_mtbf_fraction": (
+        lambda: _fleet({"storm_mtbf_fraction": 0}),
+        "fleet config",
+        "storm_mtbf_fraction",
+    ),
+    "node_down_weight": (lambda: _fleet({"node_down_weight": "0.2"}), "fleet config", "node_down_weight"),
+    "preempt_outage_ms": (
+        lambda: _fleet({"preempt_outage_ms": math.nan}),
+        "fleet config",
+        "preempt_outage_ms",
+    ),
+    "node_outage_ms": (lambda: _fleet({"node_outage_ms": True}), "fleet config", "node_outage_ms"),
+    "fleet knob": (lambda: _fleet({"quantum": 6.9}), "fleet config", "quantum"),
+    "total_gpus": (lambda: _service_config({"total_gpus": 2.5}), "service config", "total_gpus"),
+    "total_gpus zero": (lambda: _service_config({"total_gpus": 0}), "service config", "total_gpus"),
+    "verify_solo": (lambda: _service_config({"verify_solo": "false"}), "service config", "verify_solo"),
+    "max_restarts": (lambda: _service_config({"max_restarts": True}), "service config", "max_restarts"),
+    "threshold": (lambda: _alert(threshold="5"), "alert rule 'r'", "threshold"),
+    "for_ms bool": (lambda: _alert(for_ms=True), "alert rule 'r'", "for_ms"),
+    "for_ms nan": (lambda: _alert(for_ms=math.nan), "alert rule 'r'", "for_ms"),
+    "objective": (lambda: _burn(objective="0.9"), "alert rule 'r'", "objective"),
+    "window_ms": (lambda: _burn(windows=[{"window_ms": -5}]), "alert rule 'r'.windows[0]", "window_ms"),
+    "factor": (
+        lambda: _burn(windows=[{"window_ms": 10, "factor": True}]),
+        "alert rule 'r'.windows[0]",
+        "factor",
+    ),
+}
+
+
+def _service_config(extra):
+    return run_service({"total_gpus": 2, "jobs": [JOB], **extra})
+
+
+@pytest.mark.parametrize("case", sorted(_BARE_READS))
+def test_a_reader_outside_the_dataclasses_checks_before_it_runs(case):
+    read, path, key = _BARE_READS[case]
+    with pytest.raises(ConfigError) as exc:
+        read()
+    assert str(exc.value).startswith(f"{path}: {key} must be ")
 
 
 def test_job_spec_keys_are_its_fields():
@@ -311,13 +482,15 @@ def test_scheduler_defaults_are_the_constructor_defaults():
     for knob in SCHEDULER_KNOBS:
         assert getattr(built, knob) == getattr(default, knob), knob
     # other keys of the config are not the scheduler's to read, and
-    # values get the constructor's types
+    # values are checked against the constructor's types
     tuned = JobScheduler.from_payload(
-        manager, {"quantum": 3.0, "resize_cost_ms": 10, "jobs": [], "total_gpus": 4}
+        manager, {"quantum": 3, "resize_cost_ms": 10, "jobs": [], "total_gpus": 4}
     )
     assert (tuned.quantum, type(tuned.quantum)) == (3, int)
     assert (tuned.resize_cost_ms, type(tuned.resize_cost_ms)) == (10.0, float)
     assert tuned.slots_per_node == default.slots_per_node
+    with pytest.raises(ConfigError, match=r"service config: quantum must be an integer, got 3\.0"):
+        JobScheduler.from_payload(manager, {"quantum": 3.0})
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,16 @@ RULES = [
     ),
     # a trace is schema-checked by the one invariant every harness composes
     (r"validate_trace\(", ("invariants.py", "obs/events.py"), 2, "repro.invariants.trace_valid"),
+    # a config value is checked against its type once, by the payload
+    # reader, and never cast; the trace validators check trace fields
+    (
+        r"isinstance\([^)]*bool\)",
+        ("payload.py", "obs/events.py", "obs/exporter.py"),
+        5,
+        "payload.integer / payload.number / payload.check",
+    ),
+    (r"(int|float|bool)\((payload|config)\b", (), 0, "payload.integer / payload.number / payload.check"),
+    (r"check_functional_batch|_positive\(|_integer\(", (), 0, "payload.integer / payload.number"),
 ]
 
 

@@ -3,8 +3,9 @@
 
 Every list below is the tuple or the dataclass field table the payload
 reader (``repro.payload``) itself checks a config against, so the tables
-cannot name a key the code rejects or miss one it accepts.  Regenerate
-instead of editing by hand::
+cannot name a key the code rejects or miss one it accepts, and a key's
+type is the one its value is checked against.  Regenerate instead of
+editing by hand::
 
     python tools/config_keys.py                  # print the block
     python tools/config_keys.py --write docs/OPERATIONS.md
@@ -17,6 +18,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import typing
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -26,18 +28,27 @@ from marked_block import sync  # noqa: E402
 from repro import SearchSpace, SystemConfig, cli  # noqa: E402
 from repro.ft import FaultEvent, fleet  # noqa: E402
 from repro.obs.telemetry import alerts  # noqa: E402
-from repro.payload import accepted  # noqa: E402
+from repro.payload import _KINDS, accepted  # noqa: E402
 from repro.service import JobScheduler, JobSpec, scheduler  # noqa: E402
 from repro.serving import ServingSpec, frontend  # noqa: E402
 
 BEGIN, END = "<!-- config-keys:begin -->", "<!-- config-keys:end -->"
 
 
-def _fields(cls, rename=()):
-    """``key`` (required) or ``key``=default (as JSON), per accepted key."""
+def _typed(key, kind, default=dataclasses.MISSING):
+    """``key``:type (required) or ``key``:type=default (as JSON); the
+    ``|`` of ``int|null`` escaped for the table."""
+    kind = kind.replace("|", "\\|")
+    cell = f"`{key}`:{kind}"
+    return cell if default is dataclasses.MISSING else f"{cell}={json.dumps(default)}"
+
+
+def _fields(cls, rename=(), defaults=True):
+    """Every accepted key with its type, and its default unless the
+    object overrides another's values (``overrides``)."""
     return ", ".join(
-        f"`{key}`" if f.default is dataclasses.MISSING else f"`{key}`={json.dumps(f.default)}"
-        for key, f in accepted(cls, rename).items()
+        _typed(key, kind, f.default if defaults else dataclasses.MISSING)
+        for key, (f, kind) in accepted(cls, rename).items()
     )
 
 
@@ -47,8 +58,9 @@ def _keys(keys):
 
 def block() -> str:
     knobs = inspect.signature(JobScheduler.__init__).parameters
+    types = typing.get_type_hints(JobScheduler.__init__)
     knob_cells = ", ".join(
-        f"`{k}`={json.dumps(knobs[k].default)}" for k in scheduler.SCHEDULER_KNOBS
+        _typed(k, _KINDS[types[k]][0], knobs[k].default) for k in scheduler.SCHEDULER_KNOBS
     )
     rows = [
         ("`trace`, `analyze`", "the config", _keys(cli._RUN_KEYS)),
@@ -64,10 +76,11 @@ def block() -> str:
         ),
         ("`faults`, `serve`", "each of `faults`", _fields(FaultEvent)),
         ("`monitor --rules`", "each rule", _keys(sorted(alerts._RULE_KEYS))),
-        ("any", "`space_overrides`", _keys(accepted(SearchSpace))),
-        ("any", "`overrides`", _keys(accepted(SystemConfig))),
+        ("any", "`space_overrides`", _fields(SearchSpace, defaults=False)),
+        ("any", "`overrides`", _fields(SystemConfig, defaults=False)),
     ]
-    lines = [BEGIN, "| command | object | accepted keys (`key`=default) |", "|---|---|---|"]
+    header = "| command | object | accepted keys (`key`:type=default) |"
+    lines = [BEGIN, header, "|---|---|---|"]
     lines += [f"| {command} | {where} | {keys} |" for command, where, keys in rows]
     return "\n".join(lines + [END])
 
