@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import SystemConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SearchSpaceError
 from repro.payload import checked
 from repro.supernet.search_space import SearchSpace, get_search_space
 
@@ -184,7 +184,8 @@ def resolve_target(
     config goes through here, so an unknown override field or system is
     a :class:`ConfigError` naming ``path`` rather than a ``TypeError``
     from a dataclass constructor, and so is an override value that is not
-    of its field's type."""
+    of its field's type, an unknown space and a space the overrides make
+    malformed."""
     space_overrides = checked(SearchSpace, space_overrides or {}, f"{path}.space_overrides")
     overrides = checked(SystemConfig, overrides or {}, f"{path}.overrides")
     if system not in _FACTORIES:
@@ -192,7 +193,13 @@ def resolve_target(
             f"{path}.system: unknown system {system!r}; "
             f"known: {sorted(_FACTORIES)}"
         )
-    resolved = get_search_space(space)
+    try:
+        resolved = get_search_space(space)
+    except SearchSpaceError as error:
+        raise ConfigError(f"{path}.space: {error}") from None
     if space_overrides:
-        resolved = resolved.scaled(**space_overrides)
+        try:
+            resolved = resolved.scaled(**space_overrides)
+        except SearchSpaceError as error:
+            raise ConfigError(f"{path}.space_overrides: {error}") from None
     return resolved, _FACTORIES[system](**overrides)

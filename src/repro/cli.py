@@ -659,57 +659,43 @@ def _faults(args) -> str:
     exits 1 when it does not.  ``--json PATH`` also writes the
     machine-readable availability summary.
     """
-    import tempfile
-
-    from repro.ft import (
-        FaultSchedule,
-        RecoverySpec,
-        availability_summary,
-        format_availability,
-        run_uninterrupted,
-        run_with_recovery,
-    )
+    from repro.ft import FaultSchedule, availability_summary, format_availability
+    from repro.replay import RunManifest, execute_manifest
     from repro.seeding import SeedSequenceTree
 
     path = "faults config"
-    config, space, system = _read_config(Path(args.config), _FAULTS_KEYS, path)
-    num_gpus = integer(path, "num_gpus", config.get("num_gpus", 4), 1)
-    steps = integer(path, "subnets", config.get("subnets", 24), 1)
-    seed = integer(path, "seed", config.get("seed", args.seed))
-    common = dict(num_gpus=num_gpus, steps=steps, seed=seed, batch=config.get("batch"))
-    interval = integer(path, "checkpoint_interval", config.get("checkpoint_interval", 8), 1)
-    restart_gpus, mtbf_ms = config.get("recovery_gpus"), config.get("mtbf_ms")
-    if restart_gpus is not None:
-        restart_gpus = integer(path, "recovery_gpus", restart_gpus, 1)
+    config, _space, _system = _read_config(Path(args.config), _FAULTS_KEYS, path)
+    target = _run_target(config)
+    recovery = {
+        key: integer(path, key, config[key], 1)
+        for key in ("checkpoint_interval", "recovery_gpus") if config.get(key) is not None
+    }
+    manifest = RunManifest(
+        target["space"],
+        target["system"],
+        space_overrides=target["space_overrides"],
+        system_overrides=target["overrides"],
+        num_gpus=integer(path, "num_gpus", config.get("num_gpus", 4), 1),
+        steps=integer(path, "subnets", config.get("subnets", 24), 1),
+        seed=integer(path, "seed", config.get("seed", args.seed)),
+        batch=config.get("batch"),
+        **recovery,
+    )
+    mtbf_ms = config.get("mtbf_ms")
     if mtbf_ms is not None:
         mtbf_ms = number(path, "mtbf_ms", mtbf_ms, positive=True)
-    spec = RecoverySpec(checkpoint_interval=interval, restart_gpus=restart_gpus)
-
     schedule = FaultSchedule.from_payload(config["faults"]) if "faults" in config else None
-    baseline = run_uninterrupted(space, system, **common)
+
+    baseline = execute_manifest(manifest)
     if schedule is None:
         schedule = FaultSchedule.from_mtbf(
-            SeedSequenceTree(seed),
+            SeedSequenceTree(manifest.seed),
             mtbf_ms=baseline.makespan_ms / 2 if mtbf_ms is None else mtbf_ms,
             horizon_ms=baseline.makespan_ms,
-            num_gpus=num_gpus,
+            num_gpus=manifest.num_gpus,
         )
-
-    def run(directory):
-        return run_with_recovery(
-            space,
-            system,
-            schedule,
-            checkpoint_dir=directory,
-            spec=spec,
-            **common,
-        )
-
-    if config.get("checkpoint_dir"):
-        faulted = run(config["checkpoint_dir"])
-    else:
-        with tempfile.TemporaryDirectory(prefix="naspipe-faults-") as tmp:
-            faulted = run(tmp)
+    manifest.fault_events = schedule.to_payload()
+    faulted = execute_manifest(manifest, config.get("checkpoint_dir") or None)
 
     summary = availability_summary(faulted, baseline)
     lines = [

@@ -30,14 +30,31 @@ from repro.nn.parameter_store import (
     save_members,
 )
 from repro.nn.program import PendingUpdate, StageActivation, SubnetSegmentProgram
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, MomentumSGD
 from repro.payload import integer
 from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
-__all__ = ["FunctionalPlane", "SeededInputs"]
+__all__ = [
+    "FunctionalPlane", "SeededInputs", "FUNCTIONAL_BATCH", "STREAM_KIND", "LEARNING_RATE",
+    "MOMENTUM", "MAX_GRAD_NORM", "default_optimizer",
+]
+
+#: The recorded-run recipe, written once: what a manifest, a recovered
+#: run, a service job and a trainer train unless told otherwise, so their
+#: digests are directly comparable.
+FUNCTIONAL_BATCH = 8
+STREAM_KIND = "spos"
+LEARNING_RATE, MOMENTUM, MAX_GRAD_NORM = 0.3, 0.9, 5.0
+
+
+def default_optimizer() -> MomentumSGD:
+    """Momentum at a brisk learning rate makes update-order effects
+    (BSP's staleness, ASP's inconsistency) visible in final loss, as the
+    paper's Table 3 shows at production scale."""
+    return MomentumSGD(LEARNING_RATE, MOMENTUM, MAX_GRAD_NORM)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -102,7 +119,7 @@ class FunctionalPlane:
         self,
         supernet: Supernet,
         seeds: SeedSequenceTree,
-        functional_batch: int = 8,
+        functional_batch: int = FUNCTIONAL_BATCH,
         optimizer=None,
         recompute: bool = False,
         record_accesses: bool = True,

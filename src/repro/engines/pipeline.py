@@ -137,6 +137,11 @@ class PipelineResult:
     #: one engine incarnation (a recovered run's
     #: :class:`~repro.ft.recovery.FaultedRunResult` counts its restarts)
     num_attempts = 1
+    lost_virtual_ms = recovery_latency_ms = 0.0
+
+    @property
+    def final_gpus(self) -> int:
+        return self.num_gpus
 
     @property
     def completion_order(self) -> List[int]:

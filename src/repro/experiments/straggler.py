@@ -59,7 +59,7 @@ def _run_once(
 ) -> Tuple[object, Optional[Dict[int, int]]]:
     supernet = Supernet(space)
     seeds = SeedSequenceTree(seed)
-    plane = FunctionalPlane(supernet, seeds, functional_batch=8)
+    plane = FunctionalPlane(supernet, seeds)
     stream = SubnetStream.sample(space, seeds, steps)
     engine = PipelineEngine(
         supernet,

@@ -53,7 +53,7 @@ __getattr__, __dir__, __all__ = _exports(globals(), {
     ),
     "repro.ft.injector": ("FaultInjector",),
     "repro.ft.recovery": (
-        "FaultedRunResult", "JobMemo", "RecoverySpec", "build_stream", "default_optimizer",
-        "fresh_plane", "rewarm_prefetch", "run_uninterrupted", "run_with_recovery",
+        "FaultedRunResult", "JobMemo", "RecoverySpec", "build_stream", "fresh_plane",
+        "rewarm_prefetch", "run_uninterrupted", "run_with_recovery",
     ),
 })

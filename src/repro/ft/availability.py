@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.config import SystemConfig
+from repro.engines.functional_plane import FUNCTIONAL_BATCH
 from repro.engines.pipeline import PipelineResult
 from repro.ft.faults import FaultSchedule
 from repro.ft.recovery import (
@@ -149,7 +150,7 @@ def mtbf_sweep(
     checkpoint_dir: Union[str, Path],
     spec: Optional[RecoverySpec] = None,
     batch: Optional[int] = None,
-    functional_batch: int = 8,
+    functional_batch: int = FUNCTIONAL_BATCH,
 ) -> List[Dict[str, object]]:
     """Goodput vs MTBF: one seeded schedule and recovered run per row."""
     baseline = run_uninterrupted(

@@ -41,7 +41,7 @@ from repro.ft.chaos import sweep
 from repro.ft.faults import FaultSchedule
 from repro.ft.recovery import JobMemo
 from repro.invariants import requests_served, slots_released, trace_valid
-from repro.payload import indented, integer, number, reject_unknown
+from repro.payload import check, indented, integer, number, reject_unknown
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 
@@ -249,7 +249,7 @@ def fleet_sweep(payload: Mapping) -> Dict:
     if not payload.get("serving"):
         raise ConfigError('fleet config needs a "serving" tenant entry')
     path = "fleet config"
-    slots = payload.get("fleet_slots", [8])
+    slots = check(path, "fleet_slots", payload.get("fleet_slots", [8]), list)
     fleets = [integer(path, f"fleet_slots[{i}]", n, 1) for i, n in enumerate(slots)]
     scenarios = integer(path, "scenarios", payload.get("scenarios", 3), 1)
     seed = integer(path, "seed", payload.get("seed", 2022))

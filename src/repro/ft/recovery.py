@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import SystemConfig
+from repro.engines.functional_plane import FUNCTIONAL_BATCH, STREAM_KIND, default_optimizer
 from repro.engines.functional_plane import FunctionalPlane, SeededInputs
 from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.errors import ConfigError, FaultToleranceError
@@ -58,7 +59,6 @@ __all__ = [
     "run_with_recovery",
     "run_uninterrupted",
     "build_stream",
-    "default_optimizer",
     "fresh_plane",
     "rewarm_prefetch",
 ]
@@ -173,13 +173,6 @@ class FaultedRunResult:
         ]
 
 
-def default_optimizer() -> MomentumSGD:
-    """The recorded-run optimizer defaults (mirrors replay.py), so a
-    faulted or service-scheduled run and its uninterrupted baseline are
-    directly digest-comparable."""
-    return MomentumSGD(0.3, 0.9, 5.0)
-
-
 class JobMemo:
     """What a sweep, a scheduler or a recovered run derives once per job.
 
@@ -267,9 +260,9 @@ def run_uninterrupted(
     steps: int,
     seed: int,
     batch: Optional[int] = None,
-    functional_batch: int = 8,
+    functional_batch: int = FUNCTIONAL_BATCH,
     optimizer_factory=None,
-    stream_kind: str = "spos",
+    stream_kind: str = STREAM_KIND,
     speed_factors=None,
     faults=None,
     degradation: bool = False,
@@ -316,9 +309,9 @@ def run_with_recovery(
     checkpoint_dir: Union[str, Path],
     spec: Optional[RecoverySpec] = None,
     batch: Optional[int] = None,
-    functional_batch: int = 8,
+    functional_batch: int = FUNCTIONAL_BATCH,
     optimizer_factory=None,
-    stream_kind: str = "spos",
+    stream_kind: str = STREAM_KIND,
     speed_factors=None,
     restart_speed_factors=None,
     degradation: bool = False,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import SystemConfig
-from repro.engines.functional_plane import FunctionalPlane
+from repro.engines.functional_plane import FUNCTIONAL_BATCH, STREAM_KIND, FunctionalPlane
+from repro.engines.functional_plane import LEARNING_RATE, MAX_GRAD_NORM, MOMENTUM
 from repro.engines.pipeline import PipelineEngine, PipelineResult
 from repro.nas.evaluator import SubnetEvaluator
 from repro.nas.evolution import EvolutionSearch, SearchOutcome
@@ -74,12 +75,12 @@ class SupernetTrainer:
         space: "SearchSpace | str",
         seed: int = 2022,
         num_gpus: int = 8,
-        functional_batch: int = 8,
-        stream_kind: str = "spos",
+        functional_batch: int = FUNCTIONAL_BATCH,
+        stream_kind: str = STREAM_KIND,
         generation: int = 8,
-        learning_rate: float = 0.3,
-        momentum: float = 0.9,
-        max_grad_norm: float = 5.0,
+        learning_rate: float = LEARNING_RATE,
+        momentum: float = MOMENTUM,
+        max_grad_norm: float = MAX_GRAD_NORM,
     ) -> None:
         self.space = get_search_space(space) if isinstance(space, str) else space
         self.seed = seed
@@ -89,9 +90,6 @@ class SupernetTrainer:
             raise ValueError(f"unknown stream kind {stream_kind!r}")
         self.stream_kind = stream_kind
         self.generation = generation
-        # Momentum at a brisk learning rate makes update-order effects
-        # (BSP's staleness, ASP's inconsistency) visible in final loss,
-        # as the paper's Table 3 shows at production scale.
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.max_grad_norm = max_grad_norm

@@ -25,8 +25,9 @@ See ``docs/TELEMETRY.md`` for the instrument catalog and semantics.
 from __future__ import annotations
 
 import collections
+import heapq
 import operator
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -74,10 +75,12 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 #: feed sources that are not trace kinds — what the hub derives or is
 #: told directly: the manager's slot pools at every usage callback, the
-#: head-count per status after a ``job_*`` transition, and the verdict
-#: on a request whose result is final (:meth:`on_serving_complete`)
+#: head-count per status after a ``job_*`` transition, the verdict on a
+#: request whose result is final (:meth:`on_serving_complete`), and each
+#: copy a ``prefetch_issue`` started whose ``land`` time a scrape passed
 FLEET, JOBS = "fleet sample", "job population"
 SLO_GOOD, SLO_BAD = "slo good", "slo bad"
+LANDED = "copy landed"
 
 
 def _busy_ms(attrs) -> float:
@@ -129,7 +132,7 @@ INSTRUMENTS: Dict[str, tuple] = {
     ),
     "engine_prefetch_inflight": _row(
         "gauge", ("stage",), "prefetches issued, not landed",
-        ("prefetch_issue", "add", 1.0), ("prefetch_land", "add", -1.0),
+        ("prefetch_issue", "add", 1.0), (LANDED, "add", -1.0),
     ),
     "engine_subnets_completed_total": _row(
         "counter", (), "subnets fully trained", ("subnet_complete", "inc", 1.0),
@@ -280,7 +283,7 @@ _FEEDS, _SERIES = _read_table()
 
 #: the trace kinds the hub listens to
 LISTENED_KINDS = tuple(
-    source for source in _FEEDS if source not in (FLEET, JOBS, SLO_GOOD, SLO_BAD)
+    source for source in _FEEDS if source not in (FLEET, JOBS, SLO_GOOD, SLO_BAD, LANDED)
 )
 
 
@@ -315,7 +318,7 @@ class TelemetryHub:
         rules=None,
     ) -> None:
         self.registry = MetricsRegistry()
-        self.scraper = Scraper(self.registry, scrape_interval_ms)
+        self.scraper = Scraper(self.registry, scrape_interval_ms, settle=self._land)
         self.meter = UsageMeter()
         self.alerts = AlertEngine(load_rules(rules))
         for rule in self.alerts.rules:
@@ -324,6 +327,8 @@ class TelemetryHub:
         #: source -> [(bound key-taking instrument op, amount, label names)]
         self._updates: Dict[str, List[tuple]] = {}
         self._slo_ms: Optional[float] = None
+        #: (land time, stage) of every copy issued and not yet retired
+        self._landing: List[Tuple[float, int]] = []
         #: the last-attached manager (metering reconciliation target)
         self.manager = None
 
@@ -401,6 +406,8 @@ class TelemetryHub:
         attrs = dict(pairs)
         attrs["stage"] = stage
         self._update(kind, attrs)
+        if kind == "prefetch_issue":
+            heapq.heappush(self._landing, (attrs["land"], stage))
         status = _JOB_STATUS.get(kind)
         if status is not None:
             self._job_status[attrs["job"]] = status
@@ -413,6 +420,13 @@ class TelemetryHub:
                 field,
                 attrs[amount] if isinstance(amount, str) else amount,
             )
+
+    def _land(self, now: float) -> None:
+        """Retire every copy that has landed by ``now``, a scrape's time:
+        a sample counts the copies in flight at its instant."""
+        landing = self._landing
+        while landing and landing[0][0] <= now:
+            self._update(LANDED, {"stage": heapq.heappop(landing)[1]})
 
     def on_serving_complete(self, latency_ms: float, retries: int) -> None:
         """Called by the serving engine when a request's result is

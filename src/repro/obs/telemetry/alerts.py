@@ -92,16 +92,17 @@ class AlertRule:
                     f"{self.name}: objective must be in (0, 1), "
                     f"got {self.objective}"
                 )
-            windows = payload.get("windows") or []
+            windows = check(where, "windows", payload.get("windows", []), list)
             if not windows:
                 raise ConfigError(f"{self.name}: burn_rate rule needs windows")
-            self.windows: List[Tuple[float, float]] = [
-                (
-                    number(f"{where}.windows[{i}]", "window_ms", w.get("window_ms"), True),
-                    number(f"{where}.windows[{i}]", "factor", w.get("factor", 1.0), True),
-                )
-                for i, w in enumerate(windows)
-            ]
+            self.windows: List[Tuple[float, float]] = []
+            for i, window in enumerate(windows):
+                at = f"{where}.windows[{i}]"
+                reject_unknown(window, ("window_ms", "factor"), at)
+                self.windows.append((
+                    number(at, "window_ms", window.get("window_ms"), True),
+                    number(at, "factor", window.get("factor", 1.0), True),
+                ))
         else:
             raise ConfigError(
                 f"{self.name}: kind must be 'threshold' or 'burn_rate', "

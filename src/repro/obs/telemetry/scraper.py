@@ -27,15 +27,17 @@ __all__ = ["Scraper"]
 
 
 class Scraper:
-    """Snapshot ``registry`` every ``interval_ms`` of virtual time."""
+    """Snapshot ``registry`` every ``interval_ms`` of virtual time;
+    ``settle(now)``, when given, brings the registry up to ``now`` first."""
 
-    def __init__(self, registry: MetricsRegistry, interval_ms: float = 100.0) -> None:
+    def __init__(self, registry: MetricsRegistry, interval_ms: float = 100.0, settle=None) -> None:
         if not 0 < interval_ms < math.inf:  # NaN fails both
             raise ConfigError(
                 f"scrape_interval_ms must be > 0 and finite, got {interval_ms}"
             )
         self.registry = registry
         self.interval_ms = float(interval_ms)
+        self.settle = settle
         #: append-only series: (virtual ms, flat snapshot)
         self.samples: List[Tuple[float, Dict[str, float]]] = []
 
@@ -65,6 +67,8 @@ class Scraper:
         """Take one sample at virtual time ``now`` (idempotent per
         instant: a quiescence flush at an already-sampled time is
         skipped, so series never carry duplicate timestamps)."""
+        if self.settle is not None:
+            self.settle(now)
         if self.samples and self.samples[-1][0] == now:
             self.samples[-1] = (now, self.registry.snapshot())
             return

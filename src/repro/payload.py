@@ -28,8 +28,8 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["reject_unknown", "accepted", "checked", "build", "check", "integer", "number",
-           "compact", "indented", "sha256"]
+__all__ = ["reject_unknown", "require", "accepted", "checked", "build", "check", "integer",
+           "number", "compact", "indented", "sha256"]
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +49,13 @@ def reject_unknown(payload: Mapping, known: Iterable[str], path: str) -> None:
             f"{path}: unknown keys {unknown}; "
             f"expected a subset of {sorted(known)}"
         )
+
+
+def require(payload: Mapping, keys: Iterable[str], path: str) -> None:
+    """Raise unless ``payload`` carries every one of ``keys``."""
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ConfigError(f"{path}: missing keys {missing}")
 
 
 def integer(path: str, key: str, value, minimum=None) -> int:
@@ -78,6 +85,7 @@ _KINDS = {
     bool: ("bool", "true or false"),
     str: ("str", "a string"),
     Mapping: ("object", "an object"),
+    list: ("array", "an array"),
 }
 
 
@@ -100,7 +108,8 @@ _Rename = Tuple[Tuple[str, str], ...]
 def _field_table(cls: type, rename: _Rename) -> tuple:
     """Per init field of ``cls``: its payload key, the field, its declared
     type (``Optional[X]`` is a nullable ``X``, any mapping ``Mapping``, a
-    dataclass is read from the *same* flat payload) and if it is nullable."""
+    ``List[X]`` a ``list``, a dataclass is read from the *same* flat
+    payload) and if it is nullable."""
     spelled = {name: key for key, name in rename}
     hints, rows = typing.get_type_hints(cls), []
     for f in (f for f in dataclasses.fields(cls) if f.init):
@@ -147,11 +156,14 @@ def checked(cls: type, payload: Mapping, path: str, rename: _Rename = ()) -> dic
 def build(cls: type, payload: Mapping, path: str, rename: _Rename = ()):
     """Construct dataclass ``cls`` from the keys ``payload`` carries.
 
-    Unknown keys and values of the wrong type are rejected; a
-    :class:`ConfigError` from the class's own validation is re-raised
-    with ``path`` in front.
+    Unknown keys, values of the wrong type and a missing key of a field
+    with no default are rejected; a :class:`ConfigError` from the class's
+    own validation is re-raised with ``path`` in front.
     """
     kwargs = checked(cls, payload, path, rename)
+    fields = accepted(cls, rename).items()
+    # a field with no default has both default and factory MISSING
+    require(payload, [key for key, (f, _) in fields if f.default is f.default_factory], path)
     try:
         return cls(**kwargs)
     except ConfigError as exc:

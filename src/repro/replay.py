@@ -19,19 +19,22 @@ in library form.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro import payload
 from repro.baselines import resolve_target
 from repro.config import SystemConfig
+from repro.engines.functional_plane import FUNCTIONAL_BATCH, STREAM_KIND
+from repro.engines.functional_plane import LEARNING_RATE, MAX_GRAD_NORM, MOMENTUM
 from repro.errors import ReproducibilityError
 from repro.invariants import same_training
 from repro.nn.optim import MomentumSGD
-from repro.payload import indented, sha256
 from repro.supernet.search_space import SearchSpace
 
 __all__ = ["RunManifest", "execute_manifest", "record_run", "verify_replay"]
@@ -41,22 +44,24 @@ _MANIFEST_VERSION = 1
 
 @dataclass
 class RunManifest:
-    """A replayable description of one training run."""
+    """A replayable description of one training run.  Only the space
+    and the system are required; the training fields default to the
+    recorded-run recipe (:mod:`repro.engines.functional_plane`)."""
 
-    version: int
     space_name: str
-    space_overrides: Dict[str, object]
     system_name: str
-    system_overrides: Dict[str, object]
-    num_gpus: int
-    seed: int
-    steps: int
-    batch: Optional[int]
-    stream_kind: str
-    functional_batch: int
-    learning_rate: float
-    momentum: float
-    max_grad_norm: Optional[float]
+    version: int = _MANIFEST_VERSION
+    space_overrides: Dict[str, object] = field(default_factory=dict)
+    system_overrides: Dict[str, object] = field(default_factory=dict)
+    num_gpus: int = 8
+    seed: int = 2022
+    steps: int = 100
+    batch: Optional[int] = None
+    stream_kind: str = STREAM_KIND
+    functional_batch: int = FUNCTIONAL_BATCH
+    learning_rate: float = LEARNING_RATE
+    momentum: float = MOMENTUM
+    max_grad_norm: Optional[float] = MAX_GRAD_NORM
     # fault tolerance (repro.ft): a faulted run is replayable too — the
     # fault schedule and recovery policy are part of the run's identity
     fault_events: List[Dict[str, object]] = field(default_factory=list)
@@ -95,23 +100,36 @@ class RunManifest:
         """SHA-256 over the manifest's identity fields (canonical JSON,
         outcomes excluded) — the key the run registry
         (:mod:`repro.obs.registry`) files runs under."""
-        payload = dataclasses.asdict(self)
+        identity = dataclasses.asdict(self)
         for field_name in self.OUTCOME_FIELDS:
-            payload.pop(field_name, None)
-        return sha256(payload)
+            identity.pop(field_name, None)
+        return payload.sha256(identity)
 
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return indented(dataclasses.asdict(self))
+        return payload.indented(dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        payload = json.loads(text)
-        if payload.get("version") != _MANIFEST_VERSION:
-            raise ReproducibilityError(
-                f"manifest version {payload.get('version')} not supported"
-            )
-        return cls(**payload)
+        """Read a manifest :meth:`to_json` wrote.  A record, not a
+        config: every field is required, and a key of the wrong type, an
+        unknown or a missing one is a :class:`~repro.errors.ConfigError`
+        naming ``manifest`` and the key."""
+        record = json.loads(text)
+        # version 1 once wrote the mitigation thresholds under
+        # ``degradation``: an object there means armed, and is kept as it
+        # was so the manifest keeps its config digest
+        thresholds = None
+        if isinstance(record, Mapping) and isinstance(record.get("degradation"), Mapping):
+            thresholds = record["degradation"]
+            record = {**record, "degradation": bool(thresholds)}
+        manifest = payload.build(cls, record, "manifest")
+        payload.require(record, payload.accepted(cls), "manifest")
+        if manifest.version != _MANIFEST_VERSION:
+            raise ReproducibilityError(f"manifest version {manifest.version} not supported")
+        if thresholds is not None:
+            manifest.degradation = thresholds
+        return manifest
 
     def save(self, path: "Path | str") -> None:
         Path(path).write_text(self.to_json())
@@ -131,56 +149,6 @@ class RunManifest:
             path="manifest",
         )
 
-    def resolve_space(self) -> SearchSpace:
-        return self.resolve()[0]
-
-    def resolve_system(self) -> SystemConfig:
-        return self.resolve()[1]
-
-
-def _build_manifest(
-    space_name: str,
-    system_name: str,
-    *,
-    space_overrides: Optional[Dict[str, object]] = None,
-    system_overrides: Optional[Dict[str, object]] = None,
-    num_gpus: int = 8,
-    seed: int = 2022,
-    steps: int = 100,
-    batch: Optional[int] = None,
-    stream_kind: str = "spos",
-    functional_batch: int = 8,
-    learning_rate: float = 0.3,
-    momentum: float = 0.9,
-    max_grad_norm: Optional[float] = 5.0,
-    fault_events: Optional[List[Dict[str, object]]] = None,
-    checkpoint_interval: Optional[int] = None,
-    recovery_gpus: Optional[int] = None,
-    speed_factors: Optional[List[float]] = None,
-    degradation: bool = False,
-) -> RunManifest:
-    return RunManifest(
-        version=_MANIFEST_VERSION,
-        space_name=space_name,
-        space_overrides=dict(space_overrides or {}),
-        system_name=system_name,
-        system_overrides=dict(system_overrides or {}),
-        num_gpus=num_gpus,
-        seed=seed,
-        steps=steps,
-        batch=batch,
-        stream_kind=stream_kind,
-        functional_batch=functional_batch,
-        learning_rate=learning_rate,
-        momentum=momentum,
-        max_grad_norm=max_grad_norm,
-        fault_events=list(fault_events or []),
-        checkpoint_interval=checkpoint_interval,
-        recovery_gpus=recovery_gpus,
-        speed_factors=list(speed_factors) if speed_factors else None,
-        degradation=degradation,
-    )
-
 
 def execute_manifest(
     manifest: RunManifest,
@@ -197,7 +165,7 @@ def execute_manifest(
     :func:`~repro.ft.recovery.run_uninterrupted`.
     """
     # repro.ft stays off ``import repro``'s path (the CLI's cold start)
-    from repro.ft.recovery import run_uninterrupted
+    from repro.ft import FaultSchedule, RecoverySpec, run_uninterrupted, run_with_recovery
 
     space, system = manifest.resolve()
     run = dict(
@@ -217,41 +185,27 @@ def execute_manifest(
         # one arms mitigation
         degradation=bool(manifest.degradation),
     )
-    if manifest.fault_events:
-        return _execute_faulted(manifest, space, system, run, checkpoint_dir)
-    return run_uninterrupted(space, system, **run)
-
-
-def _execute_faulted(
-    manifest: RunManifest,
-    space: SearchSpace,
-    system: SystemConfig,
-    run: Dict[str, object],
-    checkpoint_dir: Optional[Union[str, Path]],
-):
-    from repro.ft.faults import FaultSchedule
-    from repro.ft.recovery import RecoverySpec, run_with_recovery
-
+    if not manifest.fault_events:
+        return run_uninterrupted(space, system, **run)
     schedule = FaultSchedule.from_payload(manifest.fault_events)
     spec = RecoverySpec(
-        checkpoint_interval=manifest.checkpoint_interval or 8,
+        checkpoint_interval=manifest.checkpoint_interval or RecoverySpec.checkpoint_interval,
         restart_gpus=manifest.recovery_gpus,
     )
-
-    def run_in(directory: Union[str, Path]):
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="naspipe-ckpt-")
+        if checkpoint_dir is None
+        else contextlib.nullcontext(checkpoint_dir)
+    )
+    with scratch as directory:
         return run_with_recovery(
             space, system, schedule, checkpoint_dir=directory, spec=spec, **run
         )
 
-    if checkpoint_dir is not None:
-        return run_in(checkpoint_dir)
-    with tempfile.TemporaryDirectory(prefix="naspipe-ckpt-") as tmp:
-        return run_in(tmp)
-
 
 def record_run(space_name: str, system_name: str, **kwargs) -> RunManifest:
     """Execute a fresh run and return its manifest with outcomes filled."""
-    manifest = _build_manifest(space_name, system_name, **kwargs)
+    manifest = RunManifest(space_name, system_name, **kwargs)
     result = execute_manifest(manifest)
     manifest.digest = result.digest
     manifest.losses = {str(sid): loss for sid, loss in result.losses.items()}

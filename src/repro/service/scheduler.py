@@ -69,7 +69,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hint
 
 from repro.baselines import resolve_target
 from repro.config import SystemConfig
-from repro.engines.functional_plane import FunctionalPlane
+from repro.engines.functional_plane import FUNCTIONAL_BATCH, STREAM_KIND, FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
 from repro.errors import ServiceError
 from repro.ft.availability import failure_summary
@@ -120,8 +120,8 @@ class JobSpec:
     #: largest allocation the job can use
     max_gpus: int = 8
     batch: Optional[int] = None
-    functional_batch: int = 8
-    stream_kind: str = "spos"
+    functional_batch: int = FUNCTIONAL_BATCH
+    stream_kind: str = STREAM_KIND
     space_overrides: Optional[Mapping] = None
     #: system-config overrides forwarded to :func:`system_by_name`
     overrides: Optional[Mapping] = None

@@ -54,11 +54,9 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if self.domain not in ("NLP", "CV"):
             raise SearchSpaceError(f"domain must be NLP or CV, got {self.domain!r}")
-        if self.num_blocks <= 0 or self.choices_per_block <= 0:
-            raise SearchSpaceError(
-                f"{self.name}: blocks and choices must be positive "
-                f"({self.num_blocks}, {self.choices_per_block})"
-            )
+        for key in ("num_blocks", "choices_per_block"):
+            if getattr(self, key) <= 0:
+                raise SearchSpaceError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def num_candidate_layers(self) -> int:

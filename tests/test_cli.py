@@ -114,6 +114,21 @@ def test_faults_command(tmp_path, capsys):
     assert summary["final_gpus"] == 8
 
 
+def test_a_faults_schedule_with_no_events_runs_as_its_baseline(tmp_path, capsys):
+    # nothing to recover from: the manifest has no fault events, so it
+    # runs uninterrupted, and the report is its baseline's
+    import json
+
+    config = tmp_path / "faults.json"
+    config.write_text(json.dumps({**_DEMO_RUN, "subnets": 8, "faults": []}))
+    out_json = tmp_path / "availability.json"
+    assert main(["faults", str(config), "--json", str(out_json)]) == 0
+    assert "fault schedule: 0 event(s)" in capsys.readouterr().out
+    summary = json.loads(out_json.read_text())
+    assert (summary["attempts"], summary["checkpoint_cuts"], summary["final_gpus"]) == (1, [], 4)
+    assert summary["makespan_ms"] == summary["baseline_makespan_ms"]
+
+
 def test_faults_command_requires_config():
     with pytest.raises(SystemExit):
         main(["faults"])
@@ -690,17 +705,25 @@ def test_a_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys):
     ]
 
 
-#: command → (example config, keys set in it, flags that write a file —
-#: ``{out}`` and ``{rules}`` are filled in —, the one stderr line); each
-#: ran at the parent: a 2.7-GPU tenant leased 2, a bool scenario count
-#: swept one storm and printed PASS, ``"no"`` turned the predictor on,
-#: ``"3"`` ended in a TypeError traceback
+#: command[/case] → (example config, keys set in it, flags that write a
+#: file — ``{out}`` and ``{rules}`` are filled in —, the one stderr
+#: line); each ran at the parent: a 2.7-GPU tenant leased 2, a bool
+#: scenario count swept one storm and printed PASS, ``"no"`` turned the
+#: predictor on, ``"3"`` ended in a TypeError traceback, and a zero-block
+#: space, a job with no space, a bare slot count and a window that is no
+#: object each ended in a traceback
 _REFUSED = {
     "trace": (
         "trace_demo.json",
         {"overrides": {"predictor": "no"}},
         ["--out", "{out}"],
         "run config.overrides: predictor must be true or false, got 'no'",
+    ),
+    "trace/num_blocks": (
+        "trace_demo.json",
+        {"space_overrides": {"num_blocks": 0}},
+        ["--out", "{out}"],
+        "run config.space_overrides: num_blocks must be >= 1, got 0",
     ),
     "analyze": (
         "trace_demo.json",
@@ -726,11 +749,23 @@ _REFUSED = {
         ["--json", "{out}"],
         "fleet config: scenarios must be an integer >= 1, got True",
     ),
+    "chaos-fleet/fleet_slots": (
+        "chaos_fleet_demo.json",
+        {"fleet_slots": 8},
+        ["--json", "{out}"],
+        "fleet config: fleet_slots must be an array, got 8",
+    ),
     "serve": (
         "serve_demo.json",
         {"quantum": 6.9},
         ["--json", "{out}"],
         "service config: quantum must be an integer, got 6.9",
+    ),
+    "serve/space": (
+        "serve_demo.json",
+        {"jobs": [{"name": "a", "subnets": 4}]},
+        ["--json", "{out}"],
+        "jobs[0]: missing keys ['space']",
     ),
     "monitor": (
         "serving_demo.json",
@@ -738,12 +773,28 @@ _REFUSED = {
         ["--rules", "{rules}", "--json", "{out}"],
         "alert rule 'r': threshold must be a finite number, got '5'",
     ),
+    "monitor/windows": (
+        "serving_demo.json",
+        {},
+        ["--rules", "{rules}", "--json", "{out}"],
+        "alert rule 'r'.windows[0] must be an object, got int",
+    ),
     "bench-serving": (
         "serving_demo.json",
         {"num_gpus": 2.7},
         ["--json", "{out}"],
         "serving: num_gpus must be an integer, got 2.7",
     ),
+}
+
+
+#: the ``--rules`` file of each monitor case
+_RULES = {
+    "monitor": [{"name": "r", "metric": "fleet_down_slots", "threshold": "5"}],
+    "monitor/windows": [
+        {"name": "r", "kind": "burn_rate", "good": "serving_slo_good_total",
+         "bad": "serving_slo_bad_total", "windows": [5]}
+    ],
 }
 
 
@@ -757,9 +808,9 @@ def test_a_value_of_the_wrong_type_is_one_line_and_exit_2(command, tmp_path, cap
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**json.loads((_EXAMPLES / example).read_text()), **values}))
     rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps([{"name": "r", "metric": "fleet_down_slots", "threshold": "5"}]))
+    rules.write_text(json.dumps(_RULES.get(command, [])))
     out = tmp_path / "out.json"
-    argv = [command, str(config), *(f.format(out=out, rules=rules) for f in flags)]
+    argv = [command.split("/")[0], str(config), *(f.format(out=out, rules=rules) for f in flags)]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [f"naspipe: error: {line}"]

@@ -107,17 +107,16 @@ def test_gantt_rows_sorted_by_gpu_then_time():
 # manifest resolution
 # ----------------------------------------------------------------------
 def test_manifest_resolution_and_overrides():
-    from repro.replay import _build_manifest
+    from repro.replay import RunManifest
 
-    manifest = _build_manifest(
+    manifest = RunManifest(
         "NLP.c3",
         "GPipe",
         space_overrides={"num_blocks": 10},
         system_overrides={"bulk_size": 7},
     )
-    space = manifest.resolve_space()
+    space, system = manifest.resolve()
     assert space.num_blocks == 10
-    system = manifest.resolve_system()
     assert isinstance(system, SystemConfig)
     assert system.bulk_size == 7
 

@@ -184,9 +184,9 @@ def test_max_grad_norm_must_be_positive_and_finite(make, norm):
     "knob", [{"learning_rate": -1.0}, {"learning_rate": float("nan")}, {"max_grad_norm": float("nan")}]
 )
 def test_a_manifest_with_a_bad_step_is_refused(knob):
-    from repro.replay import _build_manifest, execute_manifest
+    from repro.replay import RunManifest, execute_manifest
 
-    manifest = _build_manifest(
+    manifest = RunManifest(
         "NLP.c3", "NASPipe", space_overrides={"num_blocks": 4, "functional_width": 8},
         num_gpus=2, steps=2, **knob,
     )

@@ -21,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 from repro import SearchSpace, SystemConfig, payload
 from repro.baselines.systems import _FACTORIES, resolve_target
 from repro.cli import main
-from repro.errors import ConfigError, SearchSpaceError, ServiceError
+from repro.errors import ConfigError, ReproducibilityError, SearchSpaceError, ServiceError
 from repro.experiments.common import ExperimentScale, make_stream
 from repro.ft import FaultEvent, FaultSchedule, JobMemo, fleet_sweep
 from repro.nas import SupernetTrainer
 from repro.obs.telemetry.alerts import AlertRule
-from repro.replay import record_run
+from repro.replay import RunManifest, record_run
 from repro.service import (
     ClusterManager,
     JobScheduler,
@@ -312,6 +312,8 @@ def test_ints_given_for_float_fields_arrive_as_floats():
 # ----------------------------------------------------------------------
 # a value is checked against its field's declared type, never cast
 # ----------------------------------------------------------------------
+#: a manifest as ``to_json`` writes it: a record, every key present
+_MANIFEST = json.loads(RunManifest("NLP.c3", "NASPipe").to_json())
 #: a reader of one class's fields → (the class, its rename, read({key:
 #: value}) with the system an ``overrides`` entry applies to, the path)
 _TYPED_READERS = {
@@ -335,6 +337,12 @@ _TYPED_READERS = {
         lambda x, system: resolve_target("NLP.c3", None, system, x, path="config"),
         "config.overrides",
     ),
+    "manifest": (
+        RunManifest,
+        (),
+        lambda x, _: RunManifest.from_json(json.dumps({**_MANIFEST, **x})),
+        "manifest",
+    ),
 }
 _NUMERIC_TEXT = st.integers(-9, 99).map(str) | st.floats(-9, 99).map(repr)
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -345,6 +353,7 @@ _WRONG = {
     "bool": st.integers(0, 1) | st.floats(0, 1) | st.sampled_from(["true", "false", "no"]),
     "str": st.integers() | st.booleans() | st.floats() | st.just(["NLP.c3"]),
     "object": st.integers() | st.booleans() | _NUMERIC_TEXT | st.just([]),
+    "array": st.integers() | st.booleans() | _NUMERIC_TEXT | st.just({}),
 }
 #: a JSON type → values of it
 _RIGHT = {
@@ -353,6 +362,7 @@ _RIGHT = {
     "bool": st.booleans(),
     "str": st.text(max_size=6) | st.sampled_from(["NLP.c1", "NASPipe", "csp", "copy_stall"]),
     "object": st.just({}),
+    "array": st.just([]),
 }
 
 
@@ -367,7 +377,8 @@ def _json_types(cls, rename=()):
         if dataclasses.is_dataclass(hint):
             types.update(_json_types(hint, rename))
         else:
-            kind = {int: "int", float: "number", bool: "bool", str: "str"}.get(hint, "object")
+            kinds = {int: "int", float: "number", bool: "bool", str: "str", list: "array"}
+            kind = kinds.get(typing.get_origin(hint) or hint, "object")
             types[spelled.get(name, name)] = (kind, nullable)
     return types
 
@@ -392,8 +403,8 @@ def test_every_config_value_is_checked_against_its_field_type(reader, system, ri
         value = data.draw(_RIGHT[kind] | (st.none() if nullable else st.nothing()), label="value")
         try:
             read({key: value}, system)
-        except (ConfigError, ServiceError, SearchSpaceError):
-            pass  # a range or cross-field rule of the class, or a name lookup
+        except (ConfigError, ServiceError, SearchSpaceError, ReproducibilityError):
+            pass  # a range or cross-field rule of the class, a name lookup, a version
         return
     value = data.draw(_WRONG[kind] | (st.nothing() if nullable else st.none()), label="value")
     with pytest.raises(ConfigError) as exc:

@@ -75,6 +75,71 @@ def test_version_gate(manifest):
         RunManifest.from_json(payload)
 
 
+_DROP = object()  # the key is left out
+
+
+@pytest.mark.parametrize(
+    "edit, refusal",
+    [
+        # at the parent a manifest claiming seed ``true`` replayed seed 1
+        # and passed verify_replay under another config digest
+        ({"seed": True}, "manifest: seed must be an integer, got True"),
+        ({"num_gpus": "2"}, "manifest: num_gpus must be an integer, got '2'"),
+        ({"bogus": 1}, r"manifest: unknown keys \['bogus'\]; expected a subset of \["),
+        ({"seed": _DROP}, r"manifest: missing keys \['seed'\]"),
+    ],
+    ids=["bool seed", "string num_gpus", "unknown key", "missing key"],
+)
+def test_a_manifest_is_read_by_the_typed_reader(manifest, edit, refusal):
+    import json
+
+    from repro.errors import ConfigError
+
+    record = {**json.loads(manifest.to_json()), **edit}
+    record = {key: value for key, value in record.items() if value is not _DROP}
+    with pytest.raises(ConfigError, match=f"^{refusal}"):
+        RunManifest.from_json(json.dumps(record))
+
+
+#: ``RunManifest(space_name="NLP.c3", system_name="NASPipe").to_json()``:
+#: every default of the description, pinned so none can drift silently
+_DEFAULT_MANIFEST = """\
+{
+  "attempts": null,
+  "batch": null,
+  "checkpoint_cuts": [],
+  "checkpoint_interval": null,
+  "completion_order": [],
+  "degradation": false,
+  "digest": null,
+  "fault_events": [],
+  "functional_batch": 8,
+  "learning_rate": 0.3,
+  "losses": {},
+  "makespan_ms": null,
+  "max_grad_norm": 5.0,
+  "mitigation_actions": [],
+  "momentum": 0.9,
+  "num_gpus": 8,
+  "recovery_gpus": null,
+  "seed": 2022,
+  "space_name": "NLP.c3",
+  "space_overrides": {},
+  "speed_factors": null,
+  "steps": 100,
+  "stream_kind": "spos",
+  "system_name": "NASPipe",
+  "system_overrides": {},
+  "version": 1
+}"""
+
+
+def test_the_manifest_defaults_are_pinned():
+    blank = RunManifest(space_name="NLP.c3", system_name="NASPipe")
+    assert blank.to_json() == _DEFAULT_MANIFEST
+    assert RunManifest.from_json(_DEFAULT_MANIFEST) == blank
+
+
 def test_non_csp_manifest_still_replays_deterministically():
     """BSP is not reproducible *across cluster sizes*, but any single
     configuration replays bitwise — determinism and causal reproducibility

@@ -243,6 +243,7 @@ DERIVED = {
     hub_module.JOBS: {"queued", "running", "failed"},
     hub_module.SLO_GOOD: {"latency_ms"},
     hub_module.SLO_BAD: {"latency_ms"},
+    hub_module.LANDED: {"stage"},
 }
 
 
@@ -598,6 +599,19 @@ def test_serving_telemetry_counts_match_the_scenario_report():
         sum(r.latency_ms for r in result.records if r.done_ms is not None)
     )
     assert hub.alert_report()["firings"] == 0  # healthy serving demo
+
+
+def test_a_live_scrape_counts_the_copies_in_flight_at_its_instant():
+    # at the parent the gauge took each copy's -1 when it was issued, so
+    # every scrape of the serving demo read 0 on every stage
+    hub = TelemetryHub(scrape_interval_ms=10.0)
+    _serving_run(telemetry=hub)
+    inflight = [
+        [value for name, value in sample.items() if name.startswith("engine_prefetch_inflight")]
+        for _, sample in hub.scraper.samples
+    ]
+    assert max(max(values, default=0.0) for values in inflight) > 0
+    assert inflight[-1] and set(inflight[-1]) == {0.0}  # every copy landed
 
 
 def test_serving_metering_reconciles():

@@ -123,6 +123,21 @@ RULES = [
     ),
     (r"(int|float|bool)\((payload|config)\b", (), 0, "payload.integer / payload.number / payload.check"),
     (r"check_functional_batch|_positive\(|_integer\(", (), 0, "payload.integer / payload.number"),
+    # the recorded-run recipe is written once, beside the functional
+    # plane; every other default refers to that one spelling
+    (r"0\.3, 0\.9, 5\.0", ("engines/functional_plane.py",), 1, "functional_plane.default_optimizer"),
+    # (MomentumSGD's own momentum default happens to be the recipe's)
+    (
+        r"(learning_rate|momentum|max_grad_norm)(: \w+)? ?= ?(0\.3|0\.9|5\.0)\b",
+        ("nn/optim.py",),
+        1,
+        "functional_plane.LEARNING_RATE / MOMENTUM / MAX_GRAD_NORM",
+    ),
+    (r"(?i)functional_batch(: int)? ?= ?8\b", ("engines/functional_plane.py",), 1, "functional_plane.FUNCTIONAL_BATCH"),
+    (r'(?i)stream_kind(: str)? ?= ?"spos"', ("engines/functional_plane.py",), 1, "functional_plane.STREAM_KIND"),
+    (r'checkpoint_interval(: int = | or |", )8\b', ("ft/recovery.py",), 1, "RecoverySpec.checkpoint_interval"),
+    # a manifest is read by the typed reader, like every other payload
+    (r"cls\(\*\*payload\)", (), 0, "payload.build(RunManifest, payload, \"manifest\")"),
 ]
 
 

@@ -44,8 +44,10 @@ def _typed(key, kind, default=dataclasses.MISSING):
 
 
 def _fields(cls, rename=(), defaults=True):
-    """Every accepted key with its type, and its default unless the
-    object overrides another's values (``overrides``)."""
+    """Every accepted key with its type (``int``, ``number``, ``bool``,
+    ``str``, ``object`` or ``array``, ``|null`` when it may be null), and
+    its default unless the object overrides another's values
+    (``overrides``)."""
     return ", ".join(
         _typed(key, kind, f.default if defaults else dataclasses.MISSING)
         for key, (f, kind) in accepted(cls, rename).items()
