@@ -79,8 +79,8 @@ def _build_planes(
     memo: Optional[JobMemo] = None,
 ) -> Tuple[ClusterManager, "ServingEngine", JobScheduler]:
     """One co-tenant deployment: shared manager, serving tenant leasing
-    the lowest slots, training scheduler over the rest (its jobs start
-    from the seeded inputs in ``memo``).
+    the lowest slots, training scheduler over the rest (its jobs, and
+    the serving tenant, start from the seeded inputs in ``memo``).
 
     ``serving_telemetry`` optionally arms a
     :class:`~repro.obs.telemetry.TelemetryHub` on the **serving** plane
@@ -90,17 +90,19 @@ def _build_planes(
     """
     from repro.service.manager import ClusterManager
     from repro.service.scheduler import JobScheduler, JobSpec
-    from repro.serving.frontend import ServingEngine, ServingSpec
+    from repro.serving.frontend import ServingEngine, ServingInputs, ServingSpec
 
     manager = ClusterManager(ClusterSpec(num_gpus=fleet_slots))
     scheduler = JobScheduler.from_payload(manager, payload, memo=memo, path="fleet config")
+    spec = ServingSpec.from_payload({**payload["serving"], "total_gpus": fleet_slots})
+    if memo is not None and memo.serving is None:
+        memo.serving = ServingInputs(spec)
     serving = ServingEngine(
-        ServingSpec.from_payload(
-            {**payload["serving"], "total_gpus": fleet_slots}
-        ),
+        spec,
         manager=manager,
         slots_per_node=scheduler.slots_per_node,
         telemetry=serving_telemetry,
+        inputs=memo.serving if memo is not None else None,
     )
     for index, entry in enumerate(payload["jobs"]):
         scheduler.submit(JobSpec.from_payload(entry, f"jobs[{index}]"))

@@ -178,13 +178,17 @@ class JobMemo:
 
     ``solo`` memoises fault-free solo verdicts (see
     :func:`~repro.service.scheduler.solo_verdict`); :meth:`inputs` hands
-    every plane of one job the same :class:`SeededInputs`.  A memo is
-    passed, never global: it lives as long as the call that built it, so
-    no later run can find (or time) an earlier run's work in it.
+    every plane of one job the same :class:`SeededInputs`; ``serving``
+    holds a fleet sweep's one
+    :class:`~repro.serving.frontend.ServingInputs`, which every serving
+    co-tenant of the sweep reads.  A memo is passed, never global: it
+    lives as long as the call that built it, so no later run can find
+    (or time) an earlier run's work in it.
     """
 
     def __init__(self) -> None:
         self.solo: Dict = {}
+        self.serving = None
         self._inputs: Dict[Tuple[int, SearchSpace, int], SeededInputs] = {}
 
     def inputs(

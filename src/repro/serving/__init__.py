@@ -7,7 +7,7 @@ latency-SLO workload on the simulated fleet:
 
 * :mod:`repro.serving.workload` — seeded open-loop load generator
   (Poisson / bursty arrivals, shared-prefix skew, popular-subnet
-  repeats);
+  repeats), each stream drawn once per deployment;
 * :mod:`repro.serving.batcher` — bounded batching with a linger window
   and deterministic load shedding once the queue passes a bound;
 * :mod:`repro.serving.cache` — a result cache keyed by subnet digest
@@ -30,9 +30,11 @@ from repro import _exports
 __getattr__, __dir__, __all__ = _exports(globals(), {
     "repro.serving.batcher": ("BatchPolicy", "BoundedBatcher"),
     "repro.serving.cache": ("LayerBlockCache", "ResultCache", "subnet_digest"),
-    "repro.serving.frontend": ("ServingEngine", "ServingSpec", "run_bench"),
+    "repro.serving.frontend": ("ServingEngine", "ServingInputs", "ServingSpec", "run_bench"),
     "repro.serving.metrics": (
         "format_serving_report", "nearest_rank", "serving_report_json",
     ),
-    "repro.serving.workload": ("EvalRequest", "WorkloadSpec", "generate_requests"),
+    "repro.serving.workload": (
+        "EvalRequest", "RequestDraws", "WorkloadSpec", "generate_requests",
+    ),
 })

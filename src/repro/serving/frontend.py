@@ -41,15 +41,16 @@ from repro.payload import build
 from repro.serving.batcher import BatchPolicy, BoundedBatcher, FormedBatch
 from repro.serving.cache import LayerBlockCache, ResultCache, subnet_digest
 from repro.serving.metrics import latency_histogram, latency_stats
-from repro.serving.workload import EvalRequest, WorkloadSpec, generate_requests
+from repro.serving.workload import EvalRequest, RequestDraws, WorkloadSpec, path_key
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import ExecutionTrace
+from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
-__all__ = ["RequestRecord", "ServingEngine", "ServingSpec", "run_bench"]
+__all__ = ["RequestRecord", "ServingEngine", "ServingInputs", "ServingSpec", "run_bench"]
 
 #: the one serving config key not spelled like its field
 _RENAME = (("requests", "num_requests"),)
@@ -112,15 +113,75 @@ class RequestRecord:
 
 
 class _ArchPlan(NamedTuple):
-    """What every request for one architecture shares on one engine."""
+    """What every request for one architecture shares on one deployment."""
 
     digest: str
     stage_layers: Tuple[Tuple[LayerId, ...], ...]  # static partition's shares
     stage_ms: Tuple[float, ...]  # forward time of each share at eval_batch
 
 
+def _inputs_key(spec: ServingSpec, space: SearchSpace) -> Tuple:
+    """What a :class:`ServingInputs` is valid for: the space, the request
+    paths' fields, the stage count (static partition) and ``eval_batch``."""
+    return (space, path_key(spec.workload), spec.num_gpus, spec.eval_batch)
+
+
+class ServingInputs:
+    """What every engine of one deployment reads, derived once.
+
+    The request paths are drawn once and the arrival times when the
+    arrival process changes (:class:`~repro.serving.workload.
+    RequestDraws`); an architecture's plan — digest, stage shares,
+    per-stage forward ms — is built once, the first time any engine asks
+    for it.  A bench's three
+    scenarios, or a fleet sweep's serving co-tenants, share one source.
+    What it hands out is frozen (requests, subnets, tuple plans) or an
+    idempotent memo (the supernet's profiles), so no engine can change
+    what another reads.  A source is passed, never global: it lives as
+    long as the call that built it.
+    """
+
+    def __init__(self, spec: ServingSpec, space: Optional[SearchSpace] = None) -> None:
+        if space is None:
+            space, _system = resolve_target(
+                spec.space, spec.space_overrides, path="serving"
+            )
+        self.key = _inputs_key(spec, space)
+        self.space = space
+        self.supernet = Supernet(space)
+        self.eval_batch = spec.eval_batch
+        self.partition = static_partition_for_space(self.supernet, spec.num_gpus)
+        self.draws = RequestDraws(spec.workload, space)
+        #: choice tuple -> plan, per architecture
+        self._plans: Dict[Tuple[int, ...], _ArchPlan] = {}
+        self._layer_fwd_ms: Dict[LayerId, float] = {}
+
+    def plan(self, subnet: Subnet) -> _ArchPlan:
+        """The plan of ``subnet``'s architecture, built on first sight."""
+        plan = self._plans.get(subnet.choices)
+        if plan is None:
+            layers = subnet.layer_ids()
+            fwd_ms = self._layer_fwd_ms
+            for layer in layers:
+                if layer not in fwd_ms:
+                    fwd_ms[layer] = self.supernet.layer_fwd_ms(layer, self.eval_batch)
+            shares = tuple(layers[start:stop] for start, stop in self.partition)
+            plan = self._plans[subnet.choices] = _ArchPlan(
+                subnet_digest(self.space.name, subnet),
+                shares,
+                # builtin sum over the same floats in the same order as
+                # summing layer_fwd_ms() calls: done_ms is pinned bitwise
+                tuple(sum(map(fwd_ms.__getitem__, share)) for share in shares),
+            )
+        return plan
+
+
 class ServingEngine:
-    """Score one seeded workload on leased GPUs; fully deterministic."""
+    """Score one seeded workload on leased GPUs; fully deterministic.
+
+    ``inputs`` is the deployment's :class:`ServingInputs`; without one the
+    engine derives its own, as a lone run does.
+    """
 
     def __init__(
         self,
@@ -129,12 +190,21 @@ class ServingEngine:
         cache_enabled: bool = True,
         slots_per_node: int = 4,
         telemetry=None,
+        inputs: Optional[ServingInputs] = None,
     ) -> None:
         self.spec = spec
         self.space, _system = resolve_target(
             spec.space, spec.space_overrides, path="serving"
         )
-        self.supernet = Supernet(self.space)
+        if inputs is None:
+            inputs = ServingInputs(spec, self.space)
+        elif inputs.key != _inputs_key(spec, self.space):
+            raise ValueError(
+                "serving inputs derived for another deployment: space, seed, "
+                "request-path fields, num_gpus and eval_batch must match the engine's"
+            )
+        self.inputs = inputs
+        self.supernet = inputs.supernet
         self.manager = manager or ClusterManager(
             ClusterSpec(num_gpus=spec.total_gpus)
         )
@@ -143,17 +213,10 @@ class ServingEngine:
         self.trace = ExecutionTrace(num_gpus=self.stages)
         self.sim = SimulationEngine(trace=self.trace)
         self.cache_enabled = cache_enabled
-        self._partition = static_partition_for_space(
-            self.supernet, self.stages
-        )
         self.result_cache = ResultCache(
             spec.result_entries if cache_enabled else 0
         )
         self.batcher = BoundedBatcher(spec.policy)
-        #: choice tuple -> plan.  Per engine (digest, partition and batch
-        #: are the engine's) and per architecture, so it outlives a lease
-        self._plans: Dict[Tuple[int, ...], _ArchPlan] = {}
-        self._layer_fwd_ms: Dict[LayerId, float] = {}
         self.records: List[RequestRecord] = []
         self._executor_queue: List[FormedBatch] = []
         self._executor_free = 0.0
@@ -240,31 +303,10 @@ class ServingEngine:
     ) -> None:
         self.trace.append_event(kind, now, -1, request_id, tuple(attrs.items()))
 
-    def _plan(self, subnet: Subnet) -> _ArchPlan:
-        """The plan of ``subnet``'s architecture, built on first sight."""
-        plan = self._plans.get(subnet.choices)
-        if plan is None:
-            layers = subnet.layer_ids()
-            fwd_ms = self._layer_fwd_ms
-            for layer in layers:
-                if layer not in fwd_ms:
-                    fwd_ms[layer] = self.supernet.layer_fwd_ms(
-                        layer, self.spec.eval_batch
-                    )
-            shares = tuple(layers[start:stop] for start, stop in self._partition)
-            plan = self._plans[subnet.choices] = _ArchPlan(
-                subnet_digest(self.space.name, subnet),
-                shares,
-                # builtin sum over the same floats in the same order as
-                # summing layer_fwd_ms() calls: done_ms is pinned bitwise
-                tuple(sum(map(fwd_ms.__getitem__, share)) for share in shares),
-            )
-        return plan
-
     def _on_arrival(self, request: EvalRequest) -> None:
         now = self.sim.now
         record = self.records[request.request_id]
-        digest = self._plan(request.subnet).digest
+        digest = self.inputs.plan(request.subnet).digest
         self._record_request_event(
             "request_arrive", now, request.request_id, digest=digest[:12]
         )
@@ -341,7 +383,7 @@ class ServingEngine:
             # batches: copies overlap compute on the async copy engines.
             for request in batch.requests:
                 self.layer_cache.prefetch(
-                    self._plan(request.subnet).stage_layers, now
+                    self.inputs.plan(request.subnet).stage_layers, now
                 )
         self._executor_queue.append(batch)
         self._maybe_start_executor()
@@ -373,7 +415,7 @@ class ServingEngine:
         contexts = self.layer_cache.contexts
         for request in batch.requests:
             record = self.records[request.request_id]
-            plan = self._plan(request.subnet)
+            plan = self.inputs.plan(request.subnet)
             prev_done = start
             first_start: Optional[float] = None
             for stage, context in enumerate(contexts):
@@ -400,7 +442,7 @@ class ServingEngine:
         now = self.sim.now
         self._backlog -= len(batch)
         for request in batch.requests:
-            digest = self._plan(request.subnet).digest
+            digest = self.inputs.plan(request.subnet).digest
             self.result_cache.put(digest, _score_of(digest))
             if self.telemetry is not None:
                 record = self.records[request.request_id]
@@ -552,7 +594,7 @@ class ServingEngine:
         # co-tenant deployments share the manager; re-install this
         # plane's clock in case another plane's construction moved it
         self.manager.clock = lambda: self.sim.now
-        requests = generate_requests(self.spec.workload, self.space)
+        requests = self.inputs.draws.requests(self.spec.workload)
         self.records = [
             RequestRecord(request_id=r.request_id, arrival_ms=r.arrival_ms)
             for r in requests
@@ -686,8 +728,11 @@ def run_bench(payload: Dict) -> Dict:
     shedding while admitted requests stay inside the SLO.
     """
     spec = ServingSpec.from_payload(payload)
-    primary = ServingEngine(spec, cache_enabled=True).run()
-    no_cache = ServingEngine(spec, cache_enabled=False).run()
+    # one source: the scenarios share every request path and plan, and
+    # primary and no_cache the arrival times too
+    inputs = ServingInputs(spec)
+    primary = ServingEngine(spec, cache_enabled=True, inputs=inputs).run()
+    no_cache = ServingEngine(spec, cache_enabled=False, inputs=inputs).run()
     overload_workload = WorkloadSpec(
         **{
             **spec.workload.__dict__,
@@ -697,7 +742,7 @@ def run_bench(payload: Dict) -> Dict:
     overload_spec = ServingSpec(
         **{**spec.__dict__, "workload": overload_workload}
     )
-    overload = ServingEngine(overload_spec, cache_enabled=True).run()
+    overload = ServingEngine(overload_spec, cache_enabled=True, inputs=inputs).run()
     return {
         "benchmark": "serving",
         "config": {

@@ -33,7 +33,7 @@ from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 
-__all__ = ["EvalRequest", "WorkloadSpec", "generate_requests"]
+__all__ = ["EvalRequest", "RequestDraws", "WorkloadSpec", "generate_requests", "path_key"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,19 @@ class WorkloadSpec:
             raise ConfigError("skew > 0 requires hot_prefixes >= 1")
 
 
+#: what the request paths read, with the space; the arrival times read
+#: ``seed`` and ``num_requests`` (both here) and ``_ARRIVAL_FIELDS``
+_PATH_FIELDS = (
+    "seed", "num_requests", "skew", "hot_prefixes", "prefix_blocks", "repeat_fraction",
+)
+_ARRIVAL_FIELDS = ("arrival", "rate_rps", "burst_factor", "burst_period_ms")
+
+
+def path_key(spec: WorkloadSpec) -> Tuple:
+    """The fields of ``spec`` its request paths depend on (with the space)."""
+    return tuple(getattr(spec, name) for name in _PATH_FIELDS)
+
+
 def _arrival_times(spec: WorkloadSpec, seeds: SeedSequenceTree) -> List[float]:
     """Open-loop arrival instants (virtual ms), strictly increasing."""
     rng = seeds.fresh_generator("serving-arrivals")
@@ -119,23 +132,20 @@ def _hot_prefix_pool(
     ]
 
 
-def generate_requests(
-    spec: WorkloadSpec, space: SearchSpace
-) -> List[EvalRequest]:
-    """Materialise the full request sequence for ``spec`` over ``space``.
+def _request_paths(
+    spec: WorkloadSpec, space: SearchSpace, seeds: SeedSequenceTree
+) -> List[Subnet]:
+    """Request ``i``'s architecture, as ``Subnet(i, choices)``.
 
-    Deterministic: every draw comes from a named seed stream, so two
-    calls with equal spec and space yield identical request lists
-    (ids, times, and choice tuples all bitwise equal).
+    Reads no arrival field: the choice, mix and prefix streams never see
+    the arrival stream, so workloads that differ only in their arrival
+    process ask for the same paths.
     """
-    spec.validate(space)
-    seeds = SeedSequenceTree(spec.seed)
-    times = _arrival_times(spec, seeds)
     prefixes = _hot_prefix_pool(spec, space, seeds)
     choices_rng = seeds.fresh_generator("serving-choices")
     mix_rng = seeds.fresh_generator("serving-mix")
 
-    requests: List[EvalRequest] = []
+    subnets: List[Subnet] = []
     history: List[Tuple[int, ...]] = []
     for request_id in range(spec.num_requests):
         repeat = (
@@ -155,11 +165,61 @@ def generate_requests(
             )
             choices = prefix + tail
         history.append(choices)
-        requests.append(
-            EvalRequest(
-                request_id=request_id,
-                arrival_ms=times[request_id],
-                subnet=Subnet(request_id, choices),
+        subnets.append(Subnet(request_id, choices))
+    return subnets
+
+
+class RequestDraws:
+    """One workload's requests over one space: the paths drawn once, the
+    arrival times once per run of callers asking for one arrival process.
+
+    The paths are drawn on the first :meth:`requests` call, the arrival
+    times when a caller asks for another arrival process than the last
+    one.  Every workload asked for must share the paths' fields
+    (:func:`path_key`), so it differs from the first only in how its
+    requests arrive, and it is handed the same frozen
+    :class:`~repro.supernet.subnet.Subnet` objects.  Only the last
+    process's list is kept: callers ask in runs (a bench's primary and
+    no_cache, then overload), and a superseded list would only hold
+    memory.
+    """
+
+    def __init__(self, spec: WorkloadSpec, space: SearchSpace) -> None:
+        self.space = space
+        self.path_key = path_key(spec)
+        self._seeds = SeedSequenceTree(spec.seed)
+        self._subnets: List[Subnet] = []
+        self._arrival: Tuple = ()
+        self._requests: List[EvalRequest] = []
+
+    def requests(self, spec: WorkloadSpec) -> List[EvalRequest]:
+        """The request sequence of ``spec`` (handed to every caller of the
+        same arrival process: read it, do not change it)."""
+        if path_key(spec) != self.path_key:
+            raise ValueError(
+                "request draws derived for another workload: "
+                f"{', '.join(_PATH_FIELDS)} must match"
             )
-        )
-    return requests
+        spec.validate(self.space)
+        arrival = tuple(getattr(spec, name) for name in _ARRIVAL_FIELDS)
+        if arrival != self._arrival:
+            if not self._subnets:
+                self._subnets = _request_paths(spec, self.space, self._seeds)
+            times = _arrival_times(spec, self._seeds)
+            self._arrival, self._requests = arrival, [
+                EvalRequest(subnet.subnet_id, arrival_ms, subnet)
+                for subnet, arrival_ms in zip(self._subnets, times)
+            ]
+        return self._requests
+
+
+def generate_requests(
+    spec: WorkloadSpec, space: SearchSpace
+) -> List[EvalRequest]:
+    """Materialise the full request sequence for ``spec`` over ``space``.
+
+    Deterministic: every draw comes from a named seed stream, so two
+    calls with equal spec and space yield identical request lists
+    (ids, times, and choice tuples all bitwise equal).
+    """
+    return RequestDraws(spec, space).requests(spec)

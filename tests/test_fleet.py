@@ -316,7 +316,8 @@ def test_a_sweep_derives_each_seeded_input_once(monkeypatch):
     encoders once, however many planes the job builds (horizon run,
     scenarios, rigid restarts, solo baselines) — and still takes every
     optimizer step.  Before the jobs' seeded inputs were shared the same
-    sweep made 1,022 draws, 877 of them for the weights of 181 layers."""
+    sweep made 1,022 draws, 877 of them for the weights of 181 layers;
+    before the serving co-tenants shared theirs, 12 serving draws."""
     draws, steps = [], []
     fresh_generator, apply = SeedSequenceTree.fresh_generator, MomentumSGD.apply
 
@@ -335,6 +336,10 @@ def test_a_sweep_derives_each_seeded_input_once(monkeypatch):
         drawn = [draw for draw in draws if draw[1].startswith(stream)]
         assert drawn and len(drawn) == len(set(drawn)), stream
     assert len([draw for draw in draws if draw[1].startswith("init/")]) == 181
+    # the serving co-tenants (horizon run and both scenarios) share one
+    # source: each serving stream is drawn once, not once per co-tenant
+    serving = sorted(name for _seed, name in draws if name.startswith("serving-"))
+    assert serving == ["serving-arrivals", "serving-choices", "serving-mix", "serving-prefixes"]
     assert len(draws) <= 240
     # the shared inputs skipped no work: the parent's step count
     assert len(steps) == 1120

@@ -14,12 +14,14 @@ import pytest
 from repro.core.context_manager import StageContextManager
 from repro.errors import ConfigError
 from repro.obs.events import validate_trace
+from repro.seeding import SeedSequenceTree
 from repro.serving import (
     BatchPolicy,
     BoundedBatcher,
     EvalRequest,
     ResultCache,
     ServingEngine,
+    ServingInputs,
     ServingSpec,
     WorkloadSpec,
     generate_requests,
@@ -27,6 +29,7 @@ from repro.serving import (
     serving_report_json,
     subnet_digest,
 )
+from repro.serving import frontend
 from repro.sim.devices import CopyEngine
 from repro.supernet.search_space import get_search_space
 
@@ -207,6 +210,60 @@ def test_result_cache_lru_evicts_least_recently_hit():
 def test_bench_double_run_is_byte_identical(bench):
     again = run_bench(SMALL_CONFIG)
     assert serving_report_json(again) == serving_report_json(bench)
+
+
+def test_a_serving_bench_draws_each_input_once(monkeypatch):
+    """The three scenarios read one source: every request-path stream is
+    drawn once, the arrival stream once per arrival process (primary and
+    no_cache share one, overload has its own), and each distinct
+    architecture is hashed once.  Each engine drawing and planning for
+    itself made 3 draws of every stream and one digest per architecture
+    per engine."""
+    draws, digests = [], []
+    fresh_generator = SeedSequenceTree.fresh_generator
+
+    def counted_draw(self, name):
+        draws.append(name)
+        return fresh_generator(self, name)
+
+    def counted_digest(space_name, subnet):
+        digests.append(subnet.choices)
+        return subnet_digest(space_name, subnet)
+
+    monkeypatch.setattr(SeedSequenceTree, "fresh_generator", counted_draw)
+    monkeypatch.setattr(frontend, "subnet_digest", counted_digest)
+    run_bench(SMALL_CONFIG)
+    for stream in ("serving-choices", "serving-mix", "serving-prefixes"):
+        assert draws.count(stream) == 1, stream
+    assert draws.count("serving-arrivals") == 2
+    spec = ServingSpec.from_payload(SMALL_CONFIG)
+    space = ServingEngine(spec).space
+    distinct = {r.subnet.choices for r in generate_requests(spec.workload, space)}
+    assert sorted(digests) == sorted(distinct)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"space_overrides": {"num_blocks": 5, "functional_width": 8}},
+        {"seed": 7},
+        {"requests": 61},
+        {"skew": 0.5},
+        {"hot_prefixes": 2},
+        {"prefix_blocks": 2},
+        {"repeat_fraction": 0.5},
+        {"num_gpus": 1},
+        {"eval_batch": 8},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_an_engine_refuses_a_source_for_another_deployment(change):
+    inputs = ServingInputs(ServingSpec.from_payload(SMALL_CONFIG))
+    with pytest.raises(ValueError, match="another deployment"):
+        ServingEngine(ServingSpec.from_payload({**SMALL_CONFIG, **change}), inputs=inputs)
+    # what the source does not depend on may differ: arrivals, policy, caches
+    other = {"rate_rps": 7.0, "arrival": "bursty", "max_batch": 2, "result_entries": 0}
+    ServingEngine(ServingSpec.from_payload({**SMALL_CONFIG, **other}), inputs=inputs)
 
 
 def test_accounting_tiles_the_workload(bench):

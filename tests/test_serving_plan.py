@@ -1,8 +1,8 @@
 """The per-architecture plan against a fresh derivation, and what it saves.
 
-``ServingEngine`` interns one plan per distinct choice tuple — digest,
+``ServingInputs`` interns one plan per distinct choice tuple — digest,
 per-stage layer tuples, per-stage forward ms — and every request path
-reads it.  The reference below is what the engine computed *per request*
+of every engine reading it reads it.  The reference below is what the engine computed *per request*
 before the plan existed, kept verbatim (as ``dispatch_reference.py``
 keeps the broadcast dispatch): the plan must equal it bit for bit,
 because ``stage_ms`` feeds ``done_ms``, every latency and the pinned
@@ -43,7 +43,7 @@ def _reference(engine, subnet):
     """The three per-request derivations the plan replaced."""
     digest = subnet_digest(engine.space.name, subnet)
     stage_layers = tuple(
-        subnet.layers_in_range(start, stop) for start, stop in engine._partition
+        subnet.layers_in_range(start, stop) for start, stop in engine.inputs.partition
     )
     stage_ms = tuple(
         sum(
@@ -74,15 +74,16 @@ def test_plan_equals_a_fresh_derivation(space, stages, data):
     # every architecture twice, under different subnet ids
     subnets = [Subnet(index, choices) for index, choices in enumerate(drawn + drawn)]
     for subnet in subnets:
-        plan = engine._plan(subnet)
+        plan = engine.inputs.plan(subnet)
         digest, stage_layers, stage_ms = _reference(engine, subnet)
         assert plan.digest == digest
         assert plan.stage_layers == stage_layers
         assert plan.stage_ms == stage_ms  # ``==`` on floats: bitwise, not approx
         assert sum(map(len, plan.stage_layers)) == engine.space.num_blocks
     for first, again in zip(subnets, subnets[len(drawn):]):
-        assert engine._plan(first) is engine._plan(again)  # interned by choices
-    assert len(engine._plans) == len({tuple(plan) for plan in engine._plans.values()})
+        assert engine.inputs.plan(first) is engine.inputs.plan(again)  # interned by choices
+    plans = engine.inputs._plans
+    assert len(plans) == len({tuple(plan) for plan in plans.values()})
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_digest_once_per_architecture_and_no_python_ordering(digest_calls):
     distinct = _distinct_architectures(spec, engine.space)
     assert len(result.records) == 300 and len(distinct) < 300  # repeats exist
     assert sorted(digest_calls) == sorted(distinct)  # each exactly once
-    assert set(engine._plans) == distinct
+    assert set(engine.inputs._plans) == distinct
 
 
 def test_plans_survive_a_revocation_and_the_cold_cache_behind_it(digest_calls):
@@ -165,12 +166,13 @@ def test_plans_survive_a_revocation_and_the_cold_cache_behind_it(digest_calls):
             [FaultEvent("slot_preempt", makespan * 0.4, target=0, duration_ms=120.0)]
         )
     )
-    plans, first_cache = engine._plans, engine.layer_cache
+    plans, first_cache = engine.inputs._plans, engine.layer_cache
     result = engine.run()
     assert engine.revocations == 1 and sum(r.retries for r in result.records) > 0
     assert engine.layer_cache is not first_cache  # rebuilt cold on re-acquire
-    assert engine._plans is plans  # ... the plans were not
+    assert engine.inputs._plans is plans  # ... the plans were not
     assert sorted(digest_calls) == sorted(_distinct_architectures(spec, engine.space))
     for request in generate_requests(spec.workload, engine.space):
-        assert tuple(engine._plan(request.subnet)) == _reference(engine, request.subnet)
+        plan = engine.inputs.plan(request.subnet)
+        assert tuple(plan) == _reference(engine, request.subnet)
     assert all(record.outcome != "pending" for record in result.records)

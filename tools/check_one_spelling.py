@@ -28,8 +28,13 @@ RULES = [
     # the event heap orders (time, priority, sequence, handle) tuples in
     # C; an ordered handle would put a Python __lt__ back under every sift
     (r"order=True", (), 0, "the key tuple EventQueue.schedule pushes", "sim/"),
-    # an architecture is hashed once per engine, by the plan builder
-    (r"subnet_digest\(", ("serving/cache.py", "serving/frontend.py"), 2, "ServingEngine._plan(subnet).digest"),
+    # an architecture is hashed once per deployment, by the plan builder
+    # of the ServingInputs every engine of a bench or a sweep shares
+    (r"subnet_digest\(", ("serving/cache.py", "serving/frontend.py"), 2, "ServingInputs.plan(subnet).digest"),
+    # a workload's request paths are drawn at one site, its arrival times
+    # at one site, both by the RequestDraws a ServingInputs holds
+    (r"(?<!def )_request_paths\(", ("serving/workload.py",), 1, "RequestDraws.requests"),
+    (r"(?<!def )_arrival_times\(", ("serving/workload.py",), 1, "RequestDraws.requests"),
     # the trace readers import as a tree (model <- critical_path <- summary,
     # model <- whatif, model <- exporter): no import hidden in a function
     (r"(?m)^[ \t]+(?:from|import) repro\.obs", (), 0, "a top-level import", *READERS),
