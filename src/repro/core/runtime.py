@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import SchedulingError
@@ -27,6 +28,12 @@ from repro.sim.trace import ExecutionTrace
 from repro.supernet.subnet import Subnet
 
 __all__ = ["CspStageState"]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _depth_attrs(fwd: int, bwd: int) -> tuple:
+    """``queue_depth`` attrs: one shared tuple per distinct depth pair."""
+    return (("fwd", fwd), ("bwd", bwd))
 
 
 @dataclass
@@ -64,10 +71,7 @@ class CspStageState:
                 self.clock(),
                 self.stage,
                 -1,
-                (
-                    ("fwd", len(self.queue)),
-                    ("bwd", len(self.backward_ready)),
-                ),
+                _depth_attrs(len(self.queue), len(self.backward_ready)),
             )
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ its predictions into context-manager prefetches.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.config import SystemConfig
@@ -22,6 +23,12 @@ from repro.engines.policies.base import SyncPolicy
 from repro.nn.parameter_store import LayerId
 
 __all__ = ["CspPolicy"]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _ready_set_attrs(size: int) -> tuple:
+    """``ready_set`` attrs: one shared tuple per distinct size."""
+    return (("size", size),)
 
 
 class CspPolicy(SyncPolicy):
@@ -155,7 +162,7 @@ class CspPolicy(SyncPolicy):
         size = self.tracker.ready_count(stage)
         if self._ready_size.get(stage) != size:
             self._ready_size[stage] = size
-            trace.append_event("ready_set", now, stage, -1, (("size", size),))
+            trace.append_event("ready_set", now, stage, -1, _ready_set_attrs(size))
         if chosen is not None:
             since = self._wait_since.pop(stage, None)
             if since is not None:

@@ -62,7 +62,7 @@ class ClusterManager:
         self.total_leases_granted = 0
         self.total_revocations = 0
         #: virtual-clock source for the usage ledger.  The owning plane's
-        #: ``run()`` installs ``lambda: sim.now``; the default keeps
+        #: ``run()`` installs its simulator's ``clock``; the default keeps
         #: construction-time acquires (the serving engine leases in its
         #: ``__init__``, before any event fires) at t=0.
         self.clock = lambda: 0.0

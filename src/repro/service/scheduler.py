@@ -326,7 +326,7 @@ class JobScheduler:
         self.trace = ExecutionTrace(num_gpus=manager.total_gpus)
         self.sim = SimulationEngine(trace=self.trace)
         #: the manager meters slot holdings on this plane's virtual clock
-        manager.clock = lambda: self.sim.now
+        manager.clock = self.sim.clock
         #: optional :class:`~repro.obs.telemetry.TelemetryHub` — pure
         #: observer (trace listener + scrape events + usage observer);
         #: arming it changes no scheduling decision and no report byte
@@ -708,7 +708,7 @@ class JobScheduler:
         # co-tenant deployments share the manager across planes that run
         # sequentially; each plane's run (re-)installs its own clock so
         # the usage ledger meters holdings on the clock they live on
-        self.manager.clock = lambda: self.sim.now
+        self.manager.clock = self.sim.clock
         self.sim.run()
         if self.telemetry is not None:
             self.telemetry.finalize(self.sim.now)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.baselines import resolve_target
@@ -54,6 +55,21 @@ __all__ = ["RequestRecord", "ServingEngine", "ServingInputs", "ServingSpec", "ru
 
 #: the one serving config key not spelled like its field
 _RENAME = (("requests", "num_requests"),)
+#: ``cache_hit`` / ``cache_miss`` attrs: a request-level lookup only
+#: ever hits or misses the result tier
+_RESULT_TIER = (("tier", "result"),)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _queue_depth_attrs(depth: int) -> tuple:
+    """``request_admit`` / ``request_shed`` attrs, shared per depth."""
+    return (("queue_depth", depth),)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _pair(key: str, value) -> tuple:
+    """One shared ``(key, value)`` pair (``batch_form``'s size, cause)."""
+    return (key, value)
 
 
 @dataclass(frozen=True)
@@ -155,6 +171,8 @@ class ServingInputs:
         #: choice tuple -> plan, per architecture
         self._plans: Dict[Tuple[int, ...], _ArchPlan] = {}
         self._layer_fwd_ms: Dict[LayerId, float] = {}
+        #: plan digest -> ``request_arrive`` attrs, one per architecture
+        self.arrive_attrs: Dict[str, Tuple[Tuple[str, str]]] = {}
 
     def plan(self, subnet: Subnet) -> _ArchPlan:
         """The plan of ``subnet``'s architecture, built on first sight."""
@@ -173,6 +191,7 @@ class ServingInputs:
                 # summing layer_fwd_ms() calls: done_ms is pinned bitwise
                 tuple(sum(map(fwd_ms.__getitem__, share)) for share in shares),
             )
+            self.arrive_attrs[plan.digest] = (("digest", plan.digest[:12]),)
         return plan
 
 
@@ -235,8 +254,9 @@ class ServingEngine:
         self._prior_fetch_bytes = 0
         self._prior_peak_resident = 0
         #: the manager meters slot holdings on this plane's virtual clock
-        #: (the construction-time acquire below lands at sim.now == 0)
-        self.manager.clock = lambda: self.sim.now
+        #: (the construction-time acquire below lands at sim.now == 0);
+        #: it holds the simulator's, so a finished engine is no cycle
+        self.manager.clock = self.sim.clock
         #: optional :class:`~repro.obs.telemetry.TelemetryHub` — pure
         #: observer; attached before the first acquire so metering sees
         #: the construction-time lease
@@ -298,26 +318,24 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # request lifecycle
     # ------------------------------------------------------------------
-    def _record_request_event(
-        self, kind: str, now: float, request_id: int, **attrs
-    ) -> None:
-        self.trace.append_event(kind, now, -1, request_id, tuple(attrs.items()))
-
     def _on_arrival(self, request: EvalRequest) -> None:
         now = self.sim.now
         record = self.records[request.request_id]
         digest = self.inputs.plan(request.subnet).digest
-        self._record_request_event(
-            "request_arrive", now, request.request_id, digest=digest[:12]
+        trace = self.trace
+        trace.append_event(
+            "request_arrive",
+            now,
+            -1,
+            request.request_id,
+            self.inputs.arrive_attrs[digest],
         )
         if self.result_cache.enabled:
             score = self.result_cache.get(digest)
             if score is not None:
                 record.outcome = "hit"
                 record.done_ms = now + self.spec.result_hit_cost_ms
-                self._record_request_event(
-                    "cache_hit", now, request.request_id, tier="result"
-                )
+                trace.append_event("cache_hit", now, -1, request.request_id, _RESULT_TIER)
                 if self.telemetry is not None:
                     # the one completion no trace event carries a
                     # latency for — report it to the hub directly
@@ -325,26 +343,15 @@ class ServingEngine:
                         record.latency_ms, record.retries
                     )
                 return
-            self._record_request_event(
-                "cache_miss", now, request.request_id, tier="result"
-            )
+            trace.append_event("cache_miss", now, -1, request.request_id, _RESULT_TIER)
         admitted = self.batcher.offer(request, now, self._backlog)
+        depth = _queue_depth_attrs(self.batcher.depth() + self._backlog)
         if not admitted:
             record.outcome = "shed"
-            self._record_request_event(
-                "request_shed",
-                now,
-                request.request_id,
-                queue_depth=self.batcher.depth() + self._backlog,
-            )
+            trace.append_event("request_shed", now, -1, request.request_id, depth)
             return
         record.admit_ms = now
-        self._record_request_event(
-            "request_admit",
-            now,
-            request.request_id,
-            queue_depth=self.batcher.depth() + self._backlog,
-        )
+        trace.append_event("request_admit", now, -1, request.request_id, depth)
         batch = self.batcher.flush_full(now)
         if batch is not None:
             self._on_batch(batch)
@@ -364,15 +371,17 @@ class ServingEngine:
     def _on_batch(self, batch: FormedBatch) -> None:
         now = self.sim.now
         self._backlog += len(batch)
-        self.trace.record_event(
+        self.trace.append_event(
             "batch_form",
             now,
-            stage=-1,
-            subnet_id=-1,
-            batch=batch.index,
-            size=len(batch),
-            cause=batch.cause,
-            oldest_wait_ms=batch.oldest_wait_ms,
+            -1,
+            -1,
+            (
+                ("batch", batch.index),
+                _pair("size", len(batch)),
+                _pair("cause", batch.cause),
+                ("oldest_wait_ms", batch.oldest_wait_ms),
+            ),
         )
         for request in batch.requests:
             record = self.records[request.request_id]
@@ -522,10 +531,10 @@ class ServingEngine:
                 record.done_ms = None
                 record.batch_index = None
                 record.retries += 1
-                self._record_request_event(
+                self.trace.record_event(
                     "request_retry",
                     now,
-                    request.request_id,
+                    subnet_id=request.request_id,
                     retries=record.retries,
                     batch=batch.index,
                 )
@@ -541,11 +550,12 @@ class ServingEngine:
         for request in shed:
             record = self.records[request.request_id]
             record.outcome = "shed"
-            self._record_request_event(
+            self.trace.append_event(
                 "request_shed",
                 now,
+                -1,
                 request.request_id,
-                queue_depth=self.batcher.depth() + self._backlog,
+                _queue_depth_attrs(self.batcher.depth() + self._backlog),
             )
         for request in requeued:
             self.sim.schedule(
@@ -593,7 +603,7 @@ class ServingEngine:
         self._ran = True
         # co-tenant deployments share the manager; re-install this
         # plane's clock in case another plane's construction moved it
-        self.manager.clock = lambda: self.sim.now
+        self.manager.clock = self.sim.clock
         requests = self.inputs.draws.requests(self.spec.workload)
         self.records = [
             RequestRecord(request_id=r.request_id, arrival_ms=r.arrival_ms)
@@ -731,8 +741,14 @@ def run_bench(payload: Dict) -> Dict:
     # one source: the scenarios share every request path and plan, and
     # primary and no_cache the arrival times too
     inputs = ServingInputs(spec)
-    primary = ServingEngine(spec, cache_enabled=True, inputs=inputs).run()
-    no_cache = ServingEngine(spec, cache_enabled=False, inputs=inputs).run()
+    # each scenario's report is built as soon as it ran and only the
+    # report is kept, so at most one scenario's trace is resident
+    primary = ServingEngine(
+        spec, cache_enabled=True, inputs=inputs
+    ).run().scenario_report()
+    no_cache = ServingEngine(
+        spec, cache_enabled=False, inputs=inputs
+    ).run().scenario_report()
     overload_workload = WorkloadSpec(
         **{
             **spec.workload.__dict__,
@@ -742,7 +758,9 @@ def run_bench(payload: Dict) -> Dict:
     overload_spec = ServingSpec(
         **{**spec.__dict__, "workload": overload_workload}
     )
-    overload = ServingEngine(overload_spec, cache_enabled=True, inputs=inputs).run()
+    overload = ServingEngine(
+        overload_spec, cache_enabled=True, inputs=inputs
+    ).run().scenario_report()
     return {
         "benchmark": "serving",
         "config": {
@@ -766,7 +784,7 @@ def run_bench(payload: Dict) -> Dict:
             "slo_ms": spec.slo_ms,
             "overload_rate_factor": spec.overload_rate_factor,
         },
-        "primary": primary.scenario_report(),
-        "no_cache": no_cache.scenario_report(),
-        "overload": overload.scenario_report(),
+        "primary": primary,
+        "no_cache": no_cache,
+        "overload": overload,
     }

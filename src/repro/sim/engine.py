@@ -41,6 +41,12 @@ class SimulationEngine:
     def now(self) -> float:
         return self.queue.now
 
+    def clock(self) -> float:
+        """``now`` as a callable.  A clock consumer (the cluster
+        manager's usage ledger) holds this bound method, which refers
+        to the simulator alone and not to the plane that owns both."""
+        return self.queue.now
+
     def schedule(self, time: float, callback, priority: int = 0, label: str = ""):
         return self.queue.schedule(time, callback, priority, label)
 

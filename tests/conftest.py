@@ -10,6 +10,22 @@ from repro.supernet.supernet import Supernet
 
 
 @pytest.fixture
+def attrs_census():
+    """``census(trace, kind)``: the ``kind`` rows' count, their distinct
+    attrs objects and their distinct attrs values (by ``repr``)."""
+
+    def census(trace, kind):
+        rows = [
+            attrs
+            for each, attrs in zip(trace.events.kind, trace.events.attrs)
+            if each == kind
+        ]
+        return len(rows), len({id(attrs) for attrs in rows}), len(set(map(repr, rows)))
+
+    return census
+
+
+@pytest.fixture
 def seeds() -> SeedSequenceTree:
     return SeedSequenceTree(1234)
 

@@ -58,7 +58,7 @@ def test_timing_runs_are_deterministic(tiny_supernet):
     assert a.trace.gantt_rows() == b.trace.gantt_rows()
 
 
-def test_historic_fingerprint_matches_committed_baseline():
+def test_historic_fingerprint_matches_committed_baseline(attrs_census):
     """The one end-to-end point with a recorded history (NLP.c2 x 96
     subnets x 8 GPUs, seed 2022): makespan, simulator events and trace
     events must equal ``benchmarks/scheduler_baseline.json`` bitwise —
@@ -68,7 +68,8 @@ def test_historic_fingerprint_matches_committed_baseline():
     6.9 times: 10,623 calls for 1,536 tasks), so later work may lower
     the count but polling every stage on every completion cannot
     silently come back.  Likewise the run may leave few objects for the
-    cyclic collector to re-walk — far fewer than one per event."""
+    cyclic collector to re-walk — far fewer than one per event, and the
+    counter kinds hold one attrs tuple per distinct value, not per row."""
     baseline = Path(__file__).resolve().parent.parent / "benchmarks" / "scheduler_baseline.json"
     pinned = json.loads(baseline.read_text())["engine"]
     row = next(r for r in pinned["rows"] if r["workload"] == "pipeline")
@@ -96,6 +97,9 @@ def test_historic_fingerprint_matches_committed_baseline():
     # re-walks (one row per event would add 39,019 tracked objects)
     assert not any(type(obj) is TraceEvent for obj in alive)
     assert len(alive) - tracked < 0.25 * len(engine.trace.events)
+    for kind in ("queue_depth", "ready_set", "cache_access"):
+        rows, objects, values = attrs_census(engine.trace, kind)
+        assert objects <= values < rows, kind
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ the hit rate and lowers p99, and overload sheds deterministically while
 every admitted request stays inside the SLO.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -425,3 +427,30 @@ def test_peek_residency_has_no_side_effects(tiny_supernet):
     )
     assert after == before
     assert not manager.is_resident((1, 0), now=ready)  # no fetch started
+
+
+def test_repeated_request_payloads_share_one_attrs_object(attrs_census):
+    """On the primary scenario, each kind whose payload repeats holds
+    one attrs tuple per distinct value: a tuple per row made the trace's
+    footprint grow with requests rather than with distinct facts."""
+    engine = ServingEngine(ServingSpec.from_payload(SMALL_CONFIG))
+    engine.run()
+    for kind in ("cache_access", "request_arrive", "cache_miss", "request_admit"):
+        rows, objects, values = attrs_census(engine.trace, kind)
+        assert objects <= values < rows, kind
+
+
+def test_a_finished_engine_is_freed_by_reference_counting():
+    """No cycle holds a finished engine: its manager's clock refers to
+    the simulator, not to the engine, so a bench that keeps only each
+    scenario's report frees that scenario's trace at once."""
+    gc.collect()
+    gc.disable()
+    try:
+        engine = ServingEngine(ServingSpec.from_payload(SMALL_CONFIG))
+        engine.run()
+        trace = weakref.ref(engine.trace)
+        del engine
+        assert trace() is None
+    finally:
+        gc.enable()

@@ -103,6 +103,10 @@ RULES = [
     # a package re-exports through its {module: names} table; the PEP 562
     # hook is written once, in the helper every package __init__ calls
     (r"def __getattr__\(", ("__init__.py",), 1, "repro._exports(globals(), {module: names})"),
+    # a plane hands the cluster manager its simulator's bound clock; a
+    # closure over the plane would make every finished plane (and its
+    # trace) a cycle that only a full collection frees
+    (r"clock = lambda: self", (), 0, "manager.clock = self.sim.clock"),
     # a job's seeded inputs are derived by its one SeededInputs, which every
     # plane of the job shares: a layer's initial weights are drawn from a
     # seed at one site, and a training batch at one site

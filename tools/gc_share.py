@@ -7,14 +7,17 @@ Runs the workload's program as ``ledger/child.py`` does (one warm-up,
 ``gc.collect()`` between iterations, the collector enabled inside them)
 under a ``gc.callbacks`` stopwatch.  Per iteration: passes and seconds of
 each generation, the collector's share, the GC-tracked objects the run
-added while its outcome is alive; at the end the five most common tracked
-types.  Counts repeat exactly, seconds are at the machine's speed.
+added while its outcome is alive, and the peak RSS so far (``ru_maxrss``
+of the process or of a child it waited for, as ``ledger/child.py`` reads
+it); at the end the five most common tracked types.  Counts repeat
+exactly; seconds and megabytes depend on the machine.
 ``--tree`` measures another checkout (a clone of the parent, say).
 """
 
 import argparse
 import gc
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -58,8 +61,11 @@ def main(argv=None) -> int:
             added = len(gc.get_objects()) - tracked
             spent = sum(seconds.values())
             per_gen = "  ".join(f"gen-{g} {passes[g]:4d} / {seconds[g]:.3f} s" for g in range(3))
+            peak_mb = max(  # as ledger/child.py reads it: KiB on Linux, children too (cli_cold)
+                resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+            ) / 1024
             print(f"iter {iteration + 1}: {wall:.3f} s  collector {spent:.3f} s ({spent / wall:.1%})  "
-                  f"{per_gen}  tracked objects added {added:,}")
+                  f"{per_gen}  tracked objects added {added:,}  peak RSS {peak_mb:.1f} MB")
         census = Counter(type(obj).__name__ for obj in gc.get_objects())
     print(f"{sum(census.values()):,} tracked objects alive; top 5: "
           + ", ".join(f"{name} {count:,}" for name, count in census.most_common(5)))

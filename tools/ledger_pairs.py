@@ -24,6 +24,11 @@ inter-quartile spread, and ``ledger/compare.py``'s verdict on every
 metric of the workload.  ``--guards`` then runs five pairs of every
 *other* ``BENCHMARK.json`` workload from the same two copies and prints
 one table of their end-to-end metrics — what a claim must not move.
+Five pairs cannot blame ``setup_s``: a parent-against-parent run of
+this tool saw one side win it 5 of 5 times on two workloads, in
+opposite directions, and ten pairs each on ``cli_cold`` and
+``fleet_storm`` split 4 to 6 (EXPERIMENTS.md, "Trace rows share the
+attrs they repeat").
 
 Exit 0 when the claim is met — the change wins at least nine tenths of
 the pairs (ties count for neither side), its median is better by more
