@@ -24,11 +24,12 @@ import inspect
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError, ReproducibilityError
-from repro.payload import indented, integer, number, reject_unknown
+from repro.payload import at_least, build, checked, indented, positive
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -380,92 +381,85 @@ def _demo(args) -> str:
 # ----------------------------------------------------------------------
 # run-config commands
 # ----------------------------------------------------------------------
-#: the keys every run config shares; a command accepts these plus its own
-_TARGET_KEYS = ("space", "space_overrides", "system", "overrides")
-#: ``trace`` and ``analyze`` share config files, so ``analyze`` accepts
-#: ``label`` too
-_RUN_KEYS = (
-    *_TARGET_KEYS, "subnets", "num_gpus", "seed", "stream_kind", "batch", "label",
-)
-_FAULTS_KEYS = (
-    *_TARGET_KEYS, "num_gpus", "subnets", "seed", "batch", "faults", "mtbf_ms",
-    "checkpoint_interval", "recovery_gpus", "checkpoint_dir",
-)
-_CHAOS_KEYS = (
-    *_TARGET_KEYS, "gpus", "num_gpus", "subnets", "seed", "batch",
-    "mtbf_fraction", "stall_ms", "nic_slowdown",
-)
+@dataclass(frozen=True)
+class RunConfig:
+    """The keys the ``trace``/``analyze``, ``faults`` and ``chaos``
+    configs share: what a run trains, on how many GPUs, for how long."""
+
+    PATH = "run config"  # what a ConfigError calls the config
+
+    space: str = "NLP.c3"
+    space_overrides: Optional[Mapping] = None
+    system: str = "NASPipe"
+    #: system-config fields, forwarded to the system
+    overrides: Optional[Mapping] = None
+    num_gpus: int = at_least(1, default=4)
+    subnets: int = at_least(1, default=24)
+    seed: int = 2022
+    batch: Optional[int] = None
+
+    @classmethod
+    def read(cls, args):
+        """The config file ``args.config`` as a ``cls`` and its target
+        resolved: ``(config, search space, system config)``.  ``--seed``
+        is the seed of a config that sets none."""
+        from repro.baselines import resolve_target
+        from repro.config import SystemConfig
+        from repro.supernet.search_space import SearchSpace
+
+        config = _load_json(args.config)
+        if isinstance(config, dict):
+            config = {"seed": args.seed, **config}
+            # the override objects are read first, as the resolver reads
+            # them, so one that is no object is named as an object of its
+            # own (``run config.overrides must be an object, got str``)
+            for key, fields in (("space_overrides", SearchSpace), ("overrides", SystemConfig)):
+                checked(fields, config.get(key) or {}, f"{cls.PATH}.{key}")
+        run = build(cls, config, cls.PATH)
+        target = (run.space, run.space_overrides, run.system, run.overrides)
+        return (run, *resolve_target(*target, path=cls.PATH))
 
 
-def _run_target(config) -> Dict[str, object]:
-    """What a run config runs, defaults applied — the four keys every
-    run-config command and the registry's config digest share."""
-    return {
-        "space": config.get("space", "NLP.c3"),
-        "space_overrides": config.get("space_overrides") or {},
-        "system": config.get("system", "NASPipe"),
-        "overrides": config.get("overrides") or {},
-    }
+@dataclass(frozen=True)
+class TraceConfig(RunConfig):
+    """A ``trace`` or ``analyze`` config: one file drives both."""
+
+    stream_kind: str = "generational"
+    #: the trace's label (default: the config file's stem)
+    label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        from repro.supernet.sampler import check_stream_kind
+
+        check_stream_kind(self.stream_kind)
+
+    def identity(self, num_gpus: int) -> Dict[str, object]:
+        """The registry's config-digest payload of the run on ``num_gpus``."""
+        identity = {**vars(self), "space_overrides": self.space_overrides or {},
+                    "overrides": self.overrides or {}, "num_gpus": num_gpus}
+        del identity["label"]
+        return identity
 
 
-def _read_config(config_path, keys, path):
-    """Parse a JSON run config that may hold ``keys`` only; returns it
-    with its target resolved: ``(config, search space, system config)``.
-    ``path`` is what a :class:`~repro.errors.ConfigError` calls it."""
-    from repro.baselines import resolve_target
+def _run_config(run: TraceConfig, num_gpus: int):
+    from repro.experiments.common import ExperimentScale, run_system
 
-    config = _load_json(config_path)
-    reject_unknown(config, keys, path)
-    return (config, *resolve_target(**_run_target(config), path=path))
-
-
-def _load_run_config(config_path, default_seed=2022):
-    """Parse a JSON run config and resolve it to run_system kwargs.
-
-    Shared by ``trace`` and ``analyze``: the same config file drives
-    both.  Returns ``(config_dict, scale, run_kwargs)``.
-    """
-    from repro.experiments.common import ExperimentScale
-
-    config, _space, _system = _read_config(config_path, _RUN_KEYS, "run config")
-    scale = ExperimentScale(
-        subnets=integer("run config", "subnets", config.get("subnets", 24), 1),
-        num_gpus=integer("run config", "num_gpus", config.get("num_gpus", 4), 1),
-        seed=integer("run config", "seed", config.get("seed", default_seed)),
-        stream_kind=config.get("stream_kind", "generational"),
+    scale = ExperimentScale(run.subnets, run.num_gpus, run.seed, run.stream_kind)
+    result = run_system(
+        run.space,
+        run.system,
+        scale,
+        num_gpus=num_gpus,
+        batch=run.batch,
+        space_overrides=run.space_overrides,
+        **(run.overrides or {}),
     )
-    target = _run_target(config)
-    run_kwargs = dict(
-        batch=config.get("batch"),
-        space_overrides=target["space_overrides"],
-        **target["overrides"],
-    )
-    return config, scale, run_kwargs
-
-
-def _run_config(config, scale, run_kwargs):
-    from repro.experiments.common import run_system
-
-    target = _run_target(config)
-    result = run_system(target["space"], target["system"], scale, **run_kwargs)
     if result is None:
         raise SystemExit(
-            f"{target['system']} ran out of memory on "
-            f"{target['space']} — no schedule to trace or analyze"
+            f"{run.system} ran out of memory on "
+            f"{run.space} — no schedule to trace or analyze"
         )
     return result
-
-
-def _config_identity(config, num_gpus, scale):
-    """The registry's config-digest payload for a CLI-config run."""
-    return {
-        **_run_target(config),
-        "num_gpus": num_gpus,
-        "subnets": scale.subnets,
-        "batch": config.get("batch"),
-        "seed": scale.seed,
-        "stream_kind": scale.stream_kind,
-    }
 
 
 @_command("trace", "config", "--seed", "--out", "--summary", "--summary-json")
@@ -487,13 +481,11 @@ def _trace(args) -> str:
     """
     from repro.obs import format_summary, run_summary, summary_json
 
-    config_path = Path(args.config)
-    config, scale, run_kwargs = _load_run_config(
-        config_path, default_seed=args.seed
-    )
-    result = _run_config(config, scale, run_kwargs)
+    run, _space, _system = TraceConfig.read(args)
+    result = _run_config(run, run.num_gpus)
     out = Path(args.out or "run.trace.json")
-    result.trace_export(path=out, label=config.get("label", config_path.stem))
+    label = Path(args.config).stem if run.label is None else run.label
+    result.trace_export(path=out, label=label)
     lines = [
         f"wrote {out} ({out.stat().st_size} bytes, "
         f"{len(result.trace.events)} typed events) — "
@@ -518,14 +510,14 @@ def _analyze_one_gpu_count(task):
     ``record`` is the registry record (or None), appended by the
     *parent* in sweep order so the registry stays deterministic.
     """
-    config, scale, run_kwargs, gpus, register = task
+    run, gpus, register = task
 
     from repro.obs.model import RunModel
     from repro.obs.registry import run_record
     from repro.obs.summary import _readings
     from repro.obs.whatif import _report
 
-    result = _run_config(config, scale, dict(run_kwargs, num_gpus=gpus))
+    result = _run_config(run, gpus)
     # one model and one walk serve all three readings
     model = RunModel(result.trace)
     summary, breakdown = _readings(result, model)
@@ -557,9 +549,7 @@ def _analyze_one_gpu_count(task):
         )
     record = None
     if register:
-        record = run_record(
-            result, identity=_config_identity(config, gpus, scale)
-        )
+        record = run_record(result, identity=run.identity(gpus))
     return entry, lines, record
 
 
@@ -580,19 +570,13 @@ def _analyze(args) -> str:
     from repro.obs.registry import append_run
     from repro.parallel import ordered_map
 
-    config_path = Path(args.config)
-    config, scale, run_kwargs = _load_run_config(
-        config_path, default_seed=args.seed
-    )
-    gpu_counts = args.sweep_gpus or [scale.num_gpus]
-    tasks = [
-        (config, scale, run_kwargs, gpus, args.register)
-        for gpus in gpu_counts
-    ]
+    run, _space, _system = TraceConfig.read(args)
+    gpu_counts = args.sweep_gpus or [run.num_gpus]
+    tasks = [(run, gpus, args.register) for gpus in gpu_counts]
     outcomes = ordered_map(_analyze_one_gpu_count, tasks, args.jobs)
 
     lines = []
-    payload = {"schema": 1, "config": str(config_path), "runs": []}
+    payload = {"schema": 1, "config": str(Path(args.config)), "runs": []}
     for entry, gpu_lines, record in outcomes:
         payload["runs"].append(entry)
         lines.extend(gpu_lines)
@@ -640,6 +624,23 @@ def _compare(args) -> str:
     return text
 
 
+@dataclass(frozen=True)
+class FaultsConfig(RunConfig):
+    """A ``faults`` config: a run, its faults and how it recovers."""
+
+    PATH = "faults config"
+
+    #: the fault events; without them a schedule is drawn at ``mtbf_ms``
+    faults: Optional[list] = None
+    #: the drawn schedule's MTBF (default: half the baseline's makespan)
+    mtbf_ms: Optional[float] = positive(default=None)
+    #: subnets between checkpoints (``None``: the manifest's default)
+    checkpoint_interval: Optional[int] = at_least(1, default=None)
+    #: the GPU count a restart runs on (``None``: the same)
+    recovery_gpus: Optional[int] = at_least(1, default=None)
+    checkpoint_dir: Optional[str] = None
+
+
 @_command("faults", "config", "--seed", "--json")
 def _faults(args) -> str:
     """``naspipe faults <config>``: run one fault-injection scenario and
@@ -663,39 +664,31 @@ def _faults(args) -> str:
     from repro.replay import RunManifest, execute_manifest
     from repro.seeding import SeedSequenceTree
 
-    path = "faults config"
-    config, _space, _system = _read_config(Path(args.config), _FAULTS_KEYS, path)
-    target = _run_target(config)
-    recovery = {
-        key: integer(path, key, config[key], 1)
-        for key in ("checkpoint_interval", "recovery_gpus") if config.get(key) is not None
-    }
+    run, _space, _system = FaultsConfig.read(args)
     manifest = RunManifest(
-        target["space"],
-        target["system"],
-        space_overrides=target["space_overrides"],
-        system_overrides=target["overrides"],
-        num_gpus=integer(path, "num_gpus", config.get("num_gpus", 4), 1),
-        steps=integer(path, "subnets", config.get("subnets", 24), 1),
-        seed=integer(path, "seed", config.get("seed", args.seed)),
-        batch=config.get("batch"),
-        **recovery,
+        run.space,
+        run.system,
+        space_overrides=run.space_overrides or {},
+        system_overrides=run.overrides or {},
+        num_gpus=run.num_gpus,
+        steps=run.subnets,
+        seed=run.seed,
+        batch=run.batch,
+        checkpoint_interval=run.checkpoint_interval,
+        recovery_gpus=run.recovery_gpus,
     )
-    mtbf_ms = config.get("mtbf_ms")
-    if mtbf_ms is not None:
-        mtbf_ms = number(path, "mtbf_ms", mtbf_ms, positive=True)
-    schedule = FaultSchedule.from_payload(config["faults"]) if "faults" in config else None
+    schedule = None if run.faults is None else FaultSchedule.from_payload(run.faults)
 
     baseline = execute_manifest(manifest)
     if schedule is None:
         schedule = FaultSchedule.from_mtbf(
             SeedSequenceTree(manifest.seed),
-            mtbf_ms=baseline.makespan_ms / 2 if mtbf_ms is None else mtbf_ms,
+            mtbf_ms=baseline.makespan_ms / 2 if run.mtbf_ms is None else run.mtbf_ms,
             horizon_ms=baseline.makespan_ms,
             num_gpus=manifest.num_gpus,
         )
     manifest.fault_events = schedule.to_payload()
-    faulted = execute_manifest(manifest, config.get("checkpoint_dir") or None)
+    faulted = execute_manifest(manifest, run.checkpoint_dir or None)
 
     summary = availability_summary(faulted, baseline)
     lines = [
@@ -717,6 +710,21 @@ def _faults(args) -> str:
     )
 
 
+@dataclass(frozen=True)
+class ChaosConfig(RunConfig):
+    """A ``chaos`` config: a run, the GPU counts to sweep and the faults
+    the sweep draws."""
+
+    PATH = "chaos config"
+
+    subnets: int = at_least(1, default=12)
+    #: the GPU counts to sweep (default: ``[num_gpus]``)
+    gpus: Optional[List[int]] = at_least(1, default=None)
+    mtbf_fraction: float = positive(default=0.1)
+    stall_ms: float = positive(default=20.0)
+    nic_slowdown: float = positive(default=4.0)
+
+
 @_command("chaos", "config", "--seed", "--seeds", "--jobs", "--json")
 def _chaos(args) -> str:
     """``naspipe chaos <config>``: seeded randomized robustness sweep.
@@ -736,23 +744,18 @@ def _chaos(args) -> str:
     """
     from repro.ft import chaos_sweep, format_chaos_report
 
-    path = "chaos config"
-    config, space, system = _read_config(Path(args.config), _CHAOS_KEYS, path)
-    if config.get("gpus"):
-        gpus = [integer(path, f"gpus[{i}]", n, 1) for i, n in enumerate(config["gpus"])]
-    else:
-        gpus = [integer(path, "num_gpus", config.get("num_gpus", 4), 1)]
+    run, space, system = ChaosConfig.read(args)
     report = chaos_sweep(
         space,
         system,
         scenarios=args.seeds,
-        gpus=gpus,
-        steps=integer(path, "subnets", config.get("subnets", 12), 1),
-        seed=integer(path, "seed", config.get("seed", args.seed)),
-        mtbf_fraction=number(path, "mtbf_fraction", config.get("mtbf_fraction", 0.1), True),
-        stall_ms=number(path, "stall_ms", config.get("stall_ms", 20.0), True),
-        nic_slowdown=number(path, "nic_slowdown", config.get("nic_slowdown", 4.0), True),
-        batch=config.get("batch"),
+        gpus=run.gpus or [run.num_gpus],
+        steps=run.subnets,
+        seed=run.seed,
+        mtbf_fraction=run.mtbf_fraction,
+        stall_ms=run.stall_ms,
+        nic_slowdown=run.nic_slowdown,
+        batch=run.batch,
         jobs=args.jobs,
     )
     text = format_chaos_report(report)
@@ -900,13 +903,16 @@ def _monitor(args) -> str:
     """
     from repro.invariants import metering_reconciled
     from repro.obs.telemetry import TelemetryHub
+    from repro.obs.telemetry.alerts import rule_objects
 
     config_path = Path(args.config)
     payload = _load_json(config_path)
     interval = args.interval
-    hub = TelemetryHub(scrape_interval_ms=interval, rules=args.rules)
+    # the file's content is rules, never a path or "use the defaults"
+    rules = rule_objects(_load_json(args.rules)) if args.rules else None
+    hub = TelemetryHub(scrape_interval_ms=interval, rules=rules)
 
-    if "jobs" in payload:
+    if isinstance(payload, dict) and "jobs" in payload:
         from repro.service import run_service
 
         run_service(payload, telemetry=hub)

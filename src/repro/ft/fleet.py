@@ -34,6 +34,7 @@ Storm draws, arrival processes and both virtual clocks are seeded, so
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, ServiceError
@@ -41,15 +42,12 @@ from repro.ft.chaos import sweep
 from repro.ft.faults import FaultSchedule
 from repro.ft.recovery import JobMemo
 from repro.invariants import requests_served, slots_released, trace_valid
-from repro.payload import check, indented, integer, number, reject_unknown
+from repro.payload import at_least, build, indented, positive
 from repro.seeding import SeedSequenceTree
+from repro.service.manager import ClusterManager
+from repro.service.scheduler import JobScheduler, JobSpec, SchedulerKnobs
+from repro.serving.frontend import ServingEngine, ServingInputs, ServingSpec
 from repro.sim.cluster import ClusterSpec
-
-# NOTE: repro.service and repro.serving import repro.ft.faults at module
-# level, and this module is imported by repro.ft.__init__ — so both
-# planes are imported lazily inside the functions that build them, or
-# whichever of the three packages is imported first would close an
-# import cycle.
 
 __all__ = [
     "run_fleet_scenario",
@@ -58,16 +56,40 @@ __all__ = [
     "format_fleet_report",
 ]
 
-#: the storm knobs of a ``chaos-fleet`` config → (default, must it be > 0)
-_STORM_KNOBS = {
-    "storm_mtbf_fraction": (0.2, True),
-    "node_down_weight": (0.2, False),
-    "preempt_outage_ms": (120.0, False),
-    "node_outage_ms": (300.0, False),
-}
-#: what a ``chaos-fleet`` config holds besides the scheduler's
-#: :data:`~repro.service.scheduler.SCHEDULER_KNOBS`
-_FLEET_KEYS = ("fleet_slots", "scenarios", "seed", *_STORM_KNOBS, "serving", "jobs")
+
+@dataclass(frozen=True)
+class FleetConfig:
+    """A ``chaos-fleet`` config: the fleet sizes and storms to sweep, the
+    scheduler, the serving tenant (a :class:`ServingSpec` payload) and
+    the training jobs (each a :class:`JobSpec` payload)."""
+
+    serving: Mapping
+    jobs: list
+    fleet_slots: List[int] = at_least(1, default_factory=lambda: [8])
+    scenarios: int = at_least(1, default=3)
+    seed: int = 2022
+    #: the storm's MTBF as a fraction of the unfaulted horizon
+    storm_mtbf_fraction: float = positive(default=0.2)
+    node_down_weight: float = 0.2
+    preempt_outage_ms: float = 120.0
+    node_outage_ms: float = 300.0
+    scheduler: SchedulerKnobs = field(default_factory=SchedulerKnobs)
+
+    def __post_init__(self) -> None:
+        if not self.jobs:
+            raise ConfigError('needs a non-empty "jobs" list')
+        if not self.serving:
+            raise ConfigError('needs a "serving" tenant entry')
+
+
+def _read(payload) -> FleetConfig:
+    """A ``chaos-fleet`` config payload as its :class:`FleetConfig` (one
+    already read passes through)."""
+    if isinstance(payload, FleetConfig):
+        return payload
+    return build(FleetConfig, payload, "fleet config")
+
+
 #: the service report's job cells a scenario row carries as they are
 _JOB_CELLS = ("name", "sync", "elastic", "status", "restarts", "resizes", "preemptions")
 
@@ -88,13 +110,10 @@ def _build_planes(
     shared manager's usage observer still shows it every fleet slot
     transition, including strikes routed to the training plane).
     """
-    from repro.service.manager import ClusterManager
-    from repro.service.scheduler import JobScheduler, JobSpec
-    from repro.serving.frontend import ServingEngine, ServingInputs, ServingSpec
-
+    config = _read(payload)
     manager = ClusterManager(ClusterSpec(num_gpus=fleet_slots))
-    scheduler = JobScheduler.from_payload(manager, payload, memo=memo, path="fleet config")
-    spec = ServingSpec.from_payload({**payload["serving"], "total_gpus": fleet_slots})
+    scheduler = JobScheduler(manager, memo=memo, **vars(config.scheduler))
+    spec = ServingSpec.from_payload({**config.serving, "total_gpus": fleet_slots})
     if memo is not None and memo.serving is None:
         memo.serving = ServingInputs(spec)
     serving = ServingEngine(
@@ -104,22 +123,22 @@ def _build_planes(
         telemetry=serving_telemetry,
         inputs=memo.serving if memo is not None else None,
     )
-    for index, entry in enumerate(payload["jobs"]):
+    for index, entry in enumerate(config.jobs):
         scheduler.submit(JobSpec.from_payload(entry, f"jobs[{index}]"))
     return manager, serving, scheduler
 
 
-def _unfaulted_horizon(payload: Mapping, fleet_slots: int, memo: JobMemo) -> float:
+def _unfaulted_horizon(config: FleetConfig, fleet_slots: int, memo: JobMemo) -> float:
     """The storm horizon: the slower of the two planes' fault-free
     makespans at this fleet size."""
-    _manager, serving, scheduler = _build_planes(payload, fleet_slots, memo=memo)
+    _manager, serving, scheduler = _build_planes(config, fleet_slots, memo=memo)
     training = scheduler.run()
     result = serving.run()
     return max(training["makespan_ms"], result.makespan_ms)
 
 
 def _check_training(
-    payload: Mapping, report: Dict, fleet_slots: int, memo: JobMemo
+    jobs: list, report: Dict, fleet_slots: int, memo: JobMemo
 ) -> Tuple[List[Dict], List[str]]:
     """Every job quiesced, and every finished one bitwise-matches its
     solo run (baselines memoised in ``memo`` across scenarios and
@@ -128,7 +147,7 @@ def _check_training(
 
     job_rows: List[Dict] = []
     violations: List[str] = []
-    for entry, job in zip(payload["jobs"], report["jobs"]):
+    for entry, job in zip(jobs, report["jobs"]):
         row = {key: job[key] for key in _JOB_CELLS}
         row.update(segments=len(job["segments"]), digest_ok=None)
         name, status = job["name"], job["status"]
@@ -164,14 +183,6 @@ def _serving_row(result) -> Dict:
     }
 
 
-def _storm_knobs(payload: Mapping) -> Dict[str, float]:
-    """The config's storm knobs, each checked, by key."""
-    return {
-        key: number("fleet config", key, payload.get(key, default), positive)
-        for key, (default, positive) in _STORM_KNOBS.items()
-    }
-
-
 def run_fleet_scenario(
     payload: Mapping,
     *,
@@ -185,18 +196,20 @@ def run_fleet_scenario(
     with the invariant verdicts.  ``memo`` (a sweep's) carries the jobs'
     seeded inputs and solo verdicts from scenario to scenario."""
     memo = memo if memo is not None else JobMemo()
+    config = _read(payload)
     manager, serving, scheduler = _build_planes(
-        payload, fleet_slots, serving_telemetry, memo
+        config, fleet_slots, serving_telemetry, memo
     )
-    knobs = _storm_knobs(payload)
     storm = FaultSchedule.fleet_from_mtbf(
         SeedSequenceTree(storm_seed),
-        mtbf_ms=max(1.0, horizon_ms * knobs.pop("storm_mtbf_fraction")),
+        mtbf_ms=max(1.0, horizon_ms * config.storm_mtbf_fraction),
         horizon_ms=horizon_ms,
         fleet_slots=fleet_slots,
         slots_per_node=scheduler.slots_per_node,
         stream_name=f"faults/fleet/{fleet_slots}",
-        **knobs,
+        node_down_weight=config.node_down_weight,
+        preempt_outage_ms=config.preempt_outage_ms,
+        node_outage_ms=config.node_outage_ms,
     )
 
     serving_slots = frozenset(serving.lease.slots)
@@ -222,7 +235,7 @@ def run_fleet_scenario(
         )
         return row
     result = serving.run()
-    job_rows, violations = _check_training(payload, training, fleet_slots, memo)
+    job_rows, violations = _check_training(config.jobs, training, fleet_slots, memo)
     violations += [
         *slots_released(manager),
         *requests_served(result, serving.spec.slo_ms),
@@ -243,34 +256,21 @@ def fleet_sweep(payload: Mapping) -> Dict:
     """``scenarios`` storm seeds × every fleet size in the config, each
     with the full invariant suite — :func:`repro.ft.chaos.sweep` over
     :func:`run_fleet_scenario`; ``report["ok"]`` is the CI gate."""
-    from repro.service.scheduler import SCHEDULER_KNOBS
-
-    reject_unknown(payload, (*_FLEET_KEYS, *SCHEDULER_KNOBS), "fleet config")
-    if not payload.get("jobs"):
-        raise ConfigError('fleet config needs a non-empty "jobs" list')
-    if not payload.get("serving"):
-        raise ConfigError('fleet config needs a "serving" tenant entry')
-    path = "fleet config"
-    slots = check(path, "fleet_slots", payload.get("fleet_slots", [8]), list)
-    fleets = [integer(path, f"fleet_slots[{i}]", n, 1) for i, n in enumerate(slots)]
-    scenarios = integer(path, "scenarios", payload.get("scenarios", 3), 1)
-    seed = integer(path, "seed", payload.get("seed", 2022))
-    _storm_knobs(payload)  # a bad storm knob is refused before any run
-
+    config = _read(payload)  # a bad value is refused before any run
     # the horizon runs and every scenario share one memo: each job's
     # seeded inputs are derived once per sweep, each solo verdict once
     memo = JobMemo()
     horizons, report = sweep(
-        fleets,
-        scenarios,
-        seed,
+        config.fleet_slots,
+        config.scenarios,
+        config.seed,
         baseline=_unfaulted_horizon,
         baseline_args=lambda fleet: dict(
-            payload=payload, fleet_slots=fleet, memo=memo
+            config=config, fleet_slots=fleet, memo=memo
         ),
         scenario=run_fleet_scenario,
         scenario_args=lambda fleet, _index, storm_seed, horizon_ms: dict(
-            payload=payload,
+            payload=config,
             fleet_slots=fleet,
             storm_seed=storm_seed,
             horizon_ms=horizon_ms,
@@ -283,14 +283,14 @@ def fleet_sweep(payload: Mapping) -> Dict:
     rows = report["scenarios"]
     return {
         "schema": 1,
-        "seed": seed,
-        "fleet_slots": fleets,
-        "scenarios_per_fleet": scenarios,
+        "seed": config.seed,
+        "fleet_slots": config.fleet_slots,
+        "scenarios_per_fleet": config.scenarios,
         "total_storm_events": sum(row["storm_events"] for row in rows),
         "total_revocations": sum(
             row["revocations"] for row in rows if row["revocations"] is not None
         ),
-        "horizons_ms": {str(f): horizons[f] for f in fleets},
+        "horizons_ms": {str(f): horizons[f] for f in config.fleet_slots},
         **report,
     }
 

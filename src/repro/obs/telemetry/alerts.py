@@ -24,13 +24,14 @@ zero firings).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.payload import check, number, reject_unknown
+from repro.payload import build, positive
 
-__all__ = ["AlertRule", "AlertEngine", "load_rules", "DEFAULT_RULES"]
+__all__ = ["AlertRule", "AlertEngine", "load_rules", "rule_objects", "DEFAULT_RULES"]
 
 _OPS = {
     ">": lambda a, b: a > b,
@@ -39,75 +40,64 @@ _OPS = {
     "<=": lambda a, b: a <= b,
 }
 
-_RULE_KEYS = frozenset(
-    {
-        "name",
-        "kind",
-        "metric",
-        "op",
-        "threshold",
-        "for_ms",
-        "good",
-        "bad",
-        "objective",
-        "windows",
-    }
-)
+
+@dataclass(frozen=True)
+class BurnWindow:
+    """One window of a burn-rate rule: it burns when its trailing bad
+    fraction reaches ``factor`` × the error budget."""
+
+    window_ms: float = positive()
+    factor: float = positive(default=1.0)
 
 
+@dataclass(frozen=True)
 class AlertRule:
-    """One validated rule (threshold or burn_rate)."""
+    """One validated rule (threshold or burn_rate); a threshold rule
+    reads ``metric``/``op``/``threshold``/``for_ms``, a burn-rate rule
+    ``good``/``bad``/``objective``/``windows``."""
 
-    def __init__(self, payload: Dict) -> None:
-        where = "alert rule"
-        if isinstance(payload, Mapping):
-            where = f"alert rule {payload.get('name')!r}"
-        reject_unknown(payload, _RULE_KEYS, where)
-        self.name = check(where, "name", payload.get("name", ""), str)
+    name: str
+    kind: str = "threshold"
+    metric: str = ""
+    op: str = ">"
+    threshold: float = 0.0
+    for_ms: float = 0.0
+    good: str = ""
+    bad: str = ""
+    objective: float = 0.99
+    windows: List[BurnWindow] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
         if not self.name:
-            raise ConfigError("alert rule needs a name")
-        self.kind = check(where, "kind", payload.get("kind", "threshold"), str)
+            raise ConfigError("needs a name")
         if self.kind == "threshold":
-            self.metric = check(where, "metric", payload.get("metric", ""), str)
             if not self.metric:
-                raise ConfigError(f"{self.name}: threshold rule needs a metric")
-            self.op = check(where, "op", payload.get("op", ">"), str)
+                raise ConfigError("threshold rule needs a metric")
             if self.op not in _OPS:
                 raise ConfigError(
-                    f"{self.name}: op must be one of {sorted(_OPS)}, "
-                    f"got {self.op!r}"
+                    f"op must be one of {sorted(_OPS)}, got {self.op!r}"
                 )
-            self.threshold = number(where, "threshold", payload.get("threshold", 0.0))
-            self.for_ms = number(where, "for_ms", payload.get("for_ms", 0.0))
         elif self.kind == "burn_rate":
-            self.good = check(where, "good", payload.get("good", ""), str)
-            self.bad = check(where, "bad", payload.get("bad", ""), str)
             if not self.good or not self.bad:
                 raise ConfigError(
-                    f"{self.name}: burn_rate rule needs good/bad metrics"
+                    "burn_rate rule needs good/bad metrics"
                 )
-            self.objective = number(where, "objective", payload.get("objective", 0.99))
             if not 0.0 < self.objective < 1.0:
                 raise ConfigError(
-                    f"{self.name}: objective must be in (0, 1), "
-                    f"got {self.objective}"
+                    f"objective must be in (0, 1), got {self.objective}"
                 )
-            windows = check(where, "windows", payload.get("windows", []), list)
-            if not windows:
-                raise ConfigError(f"{self.name}: burn_rate rule needs windows")
-            self.windows: List[Tuple[float, float]] = []
-            for i, window in enumerate(windows):
-                at = f"{where}.windows[{i}]"
-                reject_unknown(window, ("window_ms", "factor"), at)
-                self.windows.append((
-                    number(at, "window_ms", window.get("window_ms"), True),
-                    number(at, "factor", window.get("factor", 1.0), True),
-                ))
+            if not self.windows:
+                raise ConfigError("burn_rate rule needs windows")
         else:
             raise ConfigError(
-                f"{self.name}: kind must be 'threshold' or 'burn_rate', "
-                f"got {self.kind!r}"
+                f"kind must be 'threshold' or 'burn_rate', got {self.kind!r}"
             )
+
+    @classmethod
+    def from_payload(cls, payload) -> "AlertRule":
+        """Read one rule object, named ``alert rule '<name>'`` in errors."""
+        named = isinstance(payload, Mapping) and "name" in payload
+        return build(cls, payload, f"alert rule {payload['name']!r}" if named else "alert rule")
 
     # ------------------------------------------------------------------
     def active_at(
@@ -120,13 +110,13 @@ class AlertRule:
             value = sample.get(self.metric, 0.0)
             return _OPS[self.op](value, self.threshold)
         budget = 1.0 - self.objective
-        for window_ms, factor in self.windows:
-            base = _sample_at_or_before(series, index, t - window_ms)
+        for window in self.windows:
+            base = _sample_at_or_before(series, index, t - window.window_ms)
             d_bad = sample.get(self.bad, 0.0) - base.get(self.bad, 0.0)
             d_good = sample.get(self.good, 0.0) - base.get(self.good, 0.0)
             total = d_bad + d_good
             rate = d_bad / total if total > 0 else 0.0
-            if rate < factor * budget:
+            if rate < window.factor * budget:
                 return False
         return True
 
@@ -166,7 +156,8 @@ class AlertEngine:
                 active = rule.active_at(index, series)
                 if active:
                     if fired_at is None:
-                        hold = getattr(rule, "for_ms", 0.0)
+                        # a burn-rate rule's windows are its hold
+                        hold = rule.for_ms if rule.kind == "threshold" else 0.0
                         if pending_since is None:
                             pending_since = t
                         if t - pending_since >= hold:
@@ -212,19 +203,15 @@ class AlertEngine:
 DEFAULT_RULES: Tuple[Dict, ...] = (
     {
         "name": "fleet_slots_down",
-        "kind": "threshold",
         "metric": "fleet_down_slots",
         "op": ">",
         "threshold": 0.0,
-        "for_ms": 0.0,
     },
     {
         "name": "service_job_failed",
-        "kind": "threshold",
         "metric": "service_jobs_failed",
         "op": ">",
         "threshold": 0.0,
-        "for_ms": 0.0,
     },
     {
         "name": "serving_slo_burn",
@@ -240,16 +227,26 @@ DEFAULT_RULES: Tuple[Dict, ...] = (
 )
 
 
+@dataclass(frozen=True)
+class _RulesFile:
+    """A rules file that is an object: its only key is ``rules``."""
+
+    rules: list
+
+
+def rule_objects(content) -> list:
+    """The rule objects a rules file holds: it is a list of them, or an
+    object whose only key is ``rules`` (anything else is refused)."""
+    if isinstance(content, (list, tuple)):
+        return content
+    return build(_RulesFile, content, "alert rules").rules
+
+
 def load_rules(source=None) -> List[AlertRule]:
-    """Build rules from a JSON file path, a list of dicts, or None
-    (:data:`DEFAULT_RULES`)."""
+    """Build rules from a JSON file path, what a rules file holds (see
+    :func:`rule_objects`), or None (:data:`DEFAULT_RULES`)."""
     if source is None:
-        payloads: Sequence[Dict] = DEFAULT_RULES
+        source = DEFAULT_RULES
     elif isinstance(source, (str, Path)):
-        loaded = json.loads(Path(source).read_text())
-        if isinstance(loaded, dict):
-            loaded = loaded.get("rules", [])
-        payloads = loaded
-    else:
-        payloads = source
-    return [AlertRule(payload) for payload in payloads]
+        source = json.loads(Path(source).read_text())
+    return [AlertRule.from_payload(payload) for payload in rule_objects(source)]

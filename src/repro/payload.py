@@ -8,6 +8,8 @@ default is the only default** — and :func:`checked` reads a partial one
 (``overrides``).  :func:`check` checks, never casts, each value against its
 field's declared type: ``2.5``, ``"3"`` and ``true`` are not integers, and
 a number is finite and arrives as a float (``"rate_rps": 30`` as ``30.0``).
+A field declared with :func:`at_least` or :func:`positive` is range-checked
+too, and a list's items are checked one by one.
 
 **Writer.**  Every report, digest and registry line that is pinned or
 hashed goes through :func:`compact`, :func:`indented` or :func:`sha256`.
@@ -29,7 +31,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 from repro.errors import ConfigError
 
 __all__ = ["reject_unknown", "require", "accepted", "checked", "build", "check", "integer",
-           "number", "compact", "indented", "sha256"]
+           "number", "at_least", "positive", "compact", "indented", "sha256"]
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +80,17 @@ def number(path: str, key: str, value, positive: bool = False) -> float:
     return float(value)
 
 
+def at_least(minimum: int, **field):
+    """A dataclass field whose int (or each int of its list) the reader
+    checks is ``>= minimum``; ``field`` is :func:`dataclasses.field`'s."""
+    return dataclasses.field(metadata={"minimum": minimum}, **field)
+
+
+def positive(**field):
+    """Likewise, a number field (or list of numbers) checked ``> 0``."""
+    return dataclasses.field(metadata={"positive": True}, **field)
+
+
 #: a declared type → its name in docs/OPERATIONS.md, what a value must be
 _KINDS = {
     int: ("int", "an integer"),
@@ -89,27 +102,46 @@ _KINDS = {
 }
 
 
-def check(path: str, key: str, value, declared: type, nullable: bool = False):
+def check(path: str, key: str, value, declared: type, nullable: bool = False,
+          element=None, minimum=None, positive: bool = False):
     """``value`` if it is JSON of the ``declared`` type, a key of
-    :data:`_KINDS` (or ``null`` when ``nullable``)."""
+    :data:`_KINDS` (or ``null`` when ``nullable``), in its field's range;
+    a list's items are ``element``s, checked under ``key[i]`` (a
+    dataclass item is built under ``path.key[i]``)."""
     if value is None and nullable:
         return None
-    if declared in (int, float):
-        return (integer if declared is int else number)(path, key, value)
+    if declared is int:
+        return integer(path, key, value, minimum)
+    if declared is float:
+        return number(path, key, value, positive)
     if not isinstance(value, declared):
         raise ConfigError(f"{path}: {key} must be {_KINDS[declared][1]}, got {value!r}")
+    if dataclasses.is_dataclass(element):
+        return [build(element, item, f"{path}.{key}[{i}]") for i, item in enumerate(value)]
+    if element is not None:
+        return [
+            check(path, f"{key}[{i}]", item, element, minimum=minimum, positive=positive)
+            for i, item in enumerate(value)
+        ]
     return value
 
 
 _Rename = Tuple[Tuple[str, str], ...]
 
 
+def _kind(hint) -> type:
+    """The :data:`_KINDS` key (or dataclass) a non-``Optional`` hint
+    declares: any mapping is ``Mapping``, ``List[X]`` a ``list``."""
+    declared = typing.get_origin(hint) or hint
+    return Mapping if issubclass(declared, Mapping) else declared
+
+
 @functools.lru_cache(maxsize=None)
 def _field_table(cls: type, rename: _Rename) -> tuple:
     """Per init field of ``cls``: its payload key, the field, its declared
-    type (``Optional[X]`` is a nullable ``X``, any mapping ``Mapping``, a
-    ``List[X]`` a ``list``, a dataclass is read from the *same* flat
-    payload) and if it is nullable."""
+    type (``Optional[X]`` is a nullable ``X``; a dataclass is read from
+    the *same* flat payload), if it is nullable and, of a ``List[X]``,
+    ``X``."""
     spelled = {name: key for key, name in rename}
     hints, rows = typing.get_type_hints(cls), []
     for f in (f for f in dataclasses.fields(cls) if f.init):
@@ -117,9 +149,9 @@ def _field_table(cls: type, rename: _Rename) -> tuple:
         nullable = type(None) in typing.get_args(hint)
         if nullable:  # Optional[X] is Union[X, None]
             hint = typing.get_args(hint)[0]
-        declared = typing.get_origin(hint) or hint
-        declared = Mapping if issubclass(declared, Mapping) else declared
-        rows.append((spelled.get(f.name, f.name), f, declared, nullable))
+        declared, args = _kind(hint), typing.get_args(hint)
+        element = _kind(args[0]) if declared is list and args else None
+        rows.append((spelled.get(f.name, f.name), f, declared, nullable, element))
     return tuple(rows)
 
 
@@ -128,7 +160,7 @@ def accepted(cls: type, rename: _Rename = ()) -> Dict[str, Tuple[dataclasses.Fie
     order, each with the field it fills and the JSON type it takes (such
     as ``int|null``); ``rename`` is ``(payload key, field name)`` pairs."""
     keys = {}
-    for key, f, declared, nullable in _field_table(cls, rename):
+    for key, f, declared, nullable, _element in _field_table(cls, rename):
         if dataclasses.is_dataclass(declared):
             keys.update(accepted(declared, rename))
         else:
@@ -138,11 +170,11 @@ def accepted(cls: type, rename: _Rename = ()) -> Dict[str, Tuple[dataclasses.Fie
 
 def _values(cls: type, payload: Mapping, path: str, rename: _Rename) -> dict:
     kwargs = {}
-    for key, f, declared, nullable in _field_table(cls, rename):
+    for key, f, declared, nullable, element in _field_table(cls, rename):
         if dataclasses.is_dataclass(declared):
             kwargs[f.name] = declared(**_values(declared, payload, path, rename))
         elif key in payload:
-            kwargs[f.name] = check(path, key, payload[key], declared, nullable)
+            kwargs[f.name] = check(path, key, payload[key], declared, nullable, element, **f.metadata)
     return kwargs
 
 

@@ -65,7 +65,7 @@ byte-identical reports (``tests/goldens.json`` pins the demo's), and the service
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines import resolve_target
 from repro.config import SystemConfig
@@ -82,12 +82,12 @@ from repro.ft.recovery import (
     run_uninterrupted,
 )
 from repro.invariants import diverged, same_training
-from repro.payload import build, check, compact, indented, integer, reject_unknown
+from repro.payload import at_least, build, compact, indented
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import ExecutionTrace
-from repro.supernet.sampler import SubnetStream
+from repro.supernet.sampler import SubnetStream, check_stream_kind
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
@@ -95,6 +95,8 @@ from repro.supernet.supernet import Supernet
 __all__ = [
     "JobSpec",
     "JobScheduler",
+    "SchedulerKnobs",
+    "ServiceConfig",
     "fair_share",
     "solo_verdict",
     "run_service",
@@ -120,7 +122,7 @@ class JobSpec:
     #: largest allocation the job can use
     max_gpus: int = 8
     batch: Optional[int] = None
-    functional_batch: int = FUNCTIONAL_BATCH
+    functional_batch: int = at_least(1, default=FUNCTIONAL_BATCH)
     stream_kind: str = STREAM_KIND
     space_overrides: Optional[Mapping] = None
     #: system-config overrides forwarded to :func:`system_by_name`
@@ -140,6 +142,7 @@ class JobSpec:
             )
         if self.submit_ms < 0:
             raise ServiceError(f"{self.name}: submit_ms must be >= 0")
+        check_stream_kind(self.stream_kind)
 
     @classmethod
     def from_payload(cls, payload: Mapping, path: str = "job") -> "JobSpec":
@@ -148,7 +151,6 @@ class JobSpec:
         naming ``path`` (silent typos would silently change a tenant's
         run)."""
         spec = build(cls, payload, path)
-        integer(path, "functional_batch", spec.functional_batch, 1)
         spec.resolve(path)
         return spec
 
@@ -283,6 +285,39 @@ def fair_share(
     return alloc
 
 
+@dataclass(frozen=True)
+class SchedulerKnobs:
+    """The :class:`JobScheduler` knobs a service or fleet config may set."""
+
+    #: subnets a segment trains between two consistent cuts
+    quantum: int = 8
+    #: virtual downtime charged when a job changes shape at a cut
+    #: (checkpoint hand-off + engine respawn, as in RecoverySpec)
+    resize_cost_ms: float = 50.0
+    #: restart budget for rigid jobs aborted by lease revocation
+    max_restarts: int = 3
+    #: first re-queue backoff; doubles per consecutive restart
+    requeue_backoff_ms: float = 25.0
+    #: contiguous slot-group size a ``node_down`` takes out
+    slots_per_node: int = 4
+
+    def __post_init__(self) -> None:
+        if self.quantum < 1:
+            raise ServiceError(f"quantum must be >= 1, got {self.quantum}")
+        if self.max_restarts < 0:
+            raise ServiceError(
+                f"max_restarts must be >= 0, got {self.max_restarts}"
+            )
+        if self.requeue_backoff_ms <= 0:
+            raise ServiceError(
+                f"requeue_backoff_ms must be > 0, got {self.requeue_backoff_ms}"
+            )
+        if self.slots_per_node < 1:
+            raise ServiceError(
+                f"slots_per_node must be >= 1, got {self.slots_per_node}"
+            )
+
+
 class JobScheduler:
     """Admission queue + fair-share allocator + elastic segment driver."""
 
@@ -290,39 +325,14 @@ class JobScheduler:
         self,
         manager: ClusterManager,
         *,
-        quantum: int = 8,
-        resize_cost_ms: float = 50.0,
-        max_restarts: int = 3,
-        requeue_backoff_ms: float = 25.0,
-        slots_per_node: int = 4,
         telemetry=None,
         memo: Optional[JobMemo] = None,
+        **knobs,
     ) -> None:
-        if quantum < 1:
-            raise ServiceError(f"quantum must be >= 1, got {quantum}")
-        if max_restarts < 0:
-            raise ServiceError(
-                f"max_restarts must be >= 0, got {max_restarts}"
-            )
-        if requeue_backoff_ms <= 0:
-            raise ServiceError(
-                f"requeue_backoff_ms must be > 0, got {requeue_backoff_ms}"
-            )
-        if slots_per_node < 1:
-            raise ServiceError(
-                f"slots_per_node must be >= 1, got {slots_per_node}"
-            )
         self.manager = manager
-        self.quantum = quantum
-        #: virtual downtime charged when a job changes shape at a cut
-        #: (checkpoint hand-off + engine respawn, as in RecoverySpec)
-        self.resize_cost_ms = resize_cost_ms
-        #: restart budget for rigid jobs aborted by lease revocation
-        self.max_restarts = max_restarts
-        #: first re-queue backoff; doubles per consecutive restart
-        self.requeue_backoff_ms = requeue_backoff_ms
-        #: contiguous slot-group size a ``node_down`` takes out
-        self.slots_per_node = slots_per_node
+        #: ``knobs`` are :class:`SchedulerKnobs` fields (the rest keep its
+        #: defaults), each an attribute of the scheduler
+        vars(self).update(vars(SchedulerKnobs(**knobs)))
         self.trace = ExecutionTrace(num_gpus=manager.total_gpus)
         self.sim = SimulationEngine(trace=self.trace)
         #: the manager meters slot holdings on this plane's virtual clock
@@ -340,27 +350,6 @@ class JobScheduler:
         self._plan_pending = False
         self._ran = False
         self.fleet_faults = 0
-
-    @classmethod
-    def from_payload(
-        cls,
-        manager: ClusterManager,
-        payload: Mapping,
-        telemetry=None,
-        memo: Optional[JobMemo] = None,
-        path: str = "service config",
-    ) -> "JobScheduler":
-        """The scheduler a service or fleet config describes: each of
-        :data:`SCHEDULER_KNOBS` the payload carries becomes a constructor
-        argument, checked against its declared type; the rest keep the
-        constructor's defaults."""
-        declared = get_type_hints(cls.__init__)
-        knobs = {
-            key: check(path, key, payload[key], declared[key])
-            for key in SCHEDULER_KNOBS
-            if key in payload
-        }
-        return cls(manager, telemetry=telemetry, memo=memo, **knobs)
 
     # ------------------------------------------------------------------
     # submission
@@ -811,13 +800,22 @@ class JobScheduler:
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-#: the :class:`JobScheduler` constructor knobs a service or fleet config
-#: may set (types and defaults: the constructor's)
-SCHEDULER_KNOBS = (
-    "quantum", "resize_cost_ms", "max_restarts", "requeue_backoff_ms", "slots_per_node"
-)
-#: what else :func:`run_service` reads from a ``serve`` config
-_SERVICE_KEYS = ("total_gpus", "gpu_speed_factors", "verify_solo", "jobs", "faults")
+@dataclass(frozen=True)
+class ServiceConfig:
+    """A ``serve`` config: the fleet, its scheduler and the jobs, each
+    read by :meth:`JobSpec.from_payload`."""
+
+    jobs: list
+    total_gpus: int = at_least(1, default=8)
+    gpu_speed_factors: Optional[List[float]] = None
+    verify_solo: bool = False
+    #: a fleet fault schedule, each event read as a :class:`FaultEvent`
+    faults: Optional[list] = None
+    scheduler: SchedulerKnobs = field(default_factory=SchedulerKnobs)
+
+    def __post_init__(self) -> None:
+        if not self.jobs:
+            raise ServiceError('service config needs a non-empty "jobs" list')
 
 
 def solo_verdict(
@@ -883,29 +881,25 @@ def run_service(
     report's ``"ok"`` is False on any mismatch, and ``naspipe serve``
     then exits non-zero.
     """
-    path = "service config"
-    reject_unknown(payload, (*_SERVICE_KEYS, *SCHEDULER_KNOBS), path)
-    if not payload.get("jobs"):
-        raise ServiceError('service config needs a non-empty "jobs" list')
-    configured = check(path, "verify_solo", payload.get("verify_solo", False), bool)
-    verify_solo = configured if verify_solo is None else verify_solo
-    speeds = payload.get("gpu_speed_factors")
+    config = build(ServiceConfig, payload, "service config")
+    verify_solo = config.verify_solo if verify_solo is None else verify_solo
+    speeds = config.gpu_speed_factors
     manager = ClusterManager(
         ClusterSpec(
-            num_gpus=integer(path, "total_gpus", payload.get("total_gpus", 8), 1),
+            num_gpus=config.total_gpus,
             gpu_speed_factors=tuple(speeds) if speeds else None,
         )
     )
-    scheduler = JobScheduler.from_payload(manager, payload, telemetry)
+    scheduler = JobScheduler(manager, telemetry=telemetry, **vars(config.scheduler))
     specs = [
         JobSpec.from_payload(entry, f"jobs[{index}]")
-        for index, entry in enumerate(payload["jobs"])
+        for index, entry in enumerate(config.jobs)
     ]
     for spec in specs:
         scheduler.submit(spec)
-    if payload.get("faults"):
+    if config.faults:
         scheduler.inject_fleet_faults(
-            FaultSchedule.from_payload(payload["faults"])
+            FaultSchedule.from_payload(config.faults)
         )
     report = scheduler.run()
     report["verified"] = verify_solo

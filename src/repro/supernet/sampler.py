@@ -27,11 +27,20 @@ __all__ = [
     "FairSampler",
     "SubnetStream",
     "STREAM_KINDS",
+    "check_stream_kind",
     "interleave_streams",
 ]
 
 #: the ``stream_kind`` values :meth:`SubnetStream.sample_kind` accepts
 STREAM_KINDS = ("spos", "generational", "fair")
+
+
+def check_stream_kind(kind: str) -> str:
+    """``kind`` if it is one of :data:`STREAM_KINDS`, else a
+    :class:`~repro.errors.ConfigError` (a config names it when read)."""
+    if kind not in STREAM_KINDS:
+        raise ConfigError(f"stream_kind must be one of {list(STREAM_KINDS)}, got {kind!r}")
+    return kind
 
 
 class SposSampler:
@@ -215,11 +224,8 @@ class SubnetStream:
             return cls.sample(space, seeds, count)
         if kind == "generational":
             return cls.sample_generational(space, seeds, count, generation)
-        if kind == "fair":
-            return cls(FairSampler(space, seeds).sample_many(count))
-        raise ConfigError(
-            f"stream_kind must be one of {list(STREAM_KINDS)}, got {kind!r}"
-        )
+        check_stream_kind(kind)
+        return cls(FairSampler(space, seeds).sample_many(count))
 
     def __len__(self) -> int:
         return len(self._subnets)

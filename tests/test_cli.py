@@ -607,6 +607,25 @@ def test_a_missing_or_malformed_config_file_is_one_line_and_exit_2(
 _EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
+def test_monitor_refuses_a_missing_rules_file_and_a_config_that_is_no_object(tmp_path, capsys):
+    """A missing ``--rules`` file used to end in a ``FileNotFoundError``
+    traceback and a config of ``5`` in a ``TypeError`` (both exit 1)."""
+    from repro.cli import run
+
+    missing, config = tmp_path / "missing.json", tmp_path / "five.json"
+    config.write_text("5")
+    with pytest.raises(SystemExit) as exit_:
+        run(["monitor", str(_EXAMPLES / "serving_demo.json"), "--rules", str(missing)])
+    assert exit_.value.code == 2
+    assert run(["monitor", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"naspipe: error: cannot read config {missing}: No such file or directory",
+        "naspipe: error: serving must be an object, got int",
+    ]
+
+
 def test_faults_exits_nonzero_when_it_prints_diverged(monkeypatch, capsys):
     """Was: "parameter digest DIVERGED from fault-free run" and exit 0."""
     import repro.ft
@@ -785,6 +804,88 @@ _REFUSED = {
         ["--json", "{out}"],
         "serving: num_gpus must be an integer, got 2.7",
     ),
+    # each below was read by hand at the parent: a traceback (exit 1), a
+    # refusal under another path, or a value taken as it came
+    "serve/gpu_speed_factors": (
+        "serve_demo.json",
+        {"gpu_speed_factors": [1, 1, 1, 1, 1, 1, 1, "x"]},
+        ["--json", "{out}"],
+        "service config: gpu_speed_factors[7] must be a finite number, got 'x'",
+    ),
+    "serve/jobs": (
+        "serve_demo.json",
+        {"jobs": {"a": 1}},
+        ["--json", "{out}"],
+        "service config: jobs must be an array, got {'a': 1}",
+    ),
+    "serve/faults": (
+        "serve_demo.json",
+        {"faults": {"kind": "slot_preempt", "time_ms": 1.0}},
+        ["--json", "{out}"],
+        "service config: faults must be an array, got {'kind': 'slot_preempt', 'time_ms': 1.0}",
+    ),
+    "serve/stream_kind": (
+        "serve_demo.json",
+        {"jobs": [{"name": "a", "space": "NLP.c3", "stream_kind": "evolution"}]},
+        ["--json", "{out}"],
+        "jobs[0]: stream_kind must be one of ['spos', 'generational', 'fair'], got 'evolution'",
+    ),
+    "chaos-fleet/serving": (
+        "chaos_fleet_demo.json",
+        {"serving": [1]},
+        ["--json", "{out}"],
+        "fleet config: serving must be an object, got [1]",
+    ),
+    "faults/checkpoint_dir": (
+        "faults_demo.json",
+        {"checkpoint_dir": 5},
+        ["--json", "{out}"],
+        "faults config: checkpoint_dir must be a string, got 5",
+    ),
+    "monitor/rules": (
+        "serving_demo.json",
+        {},
+        ["--rules", "{rules}", "--json", "{out}"],
+        "alert rules must be an object, got int",
+    ),
+    "monitor/rulez": (
+        "serving_demo.json",
+        {},
+        ["--rules", "{rules}", "--json", "{out}"],
+        "alert rules: unknown keys ['rulez']; expected a subset of ['rules']",
+    ),
+    # a rules file of null ended in a TypeError (exit 1), and one holding
+    # a string was read as a list of rules, one per character
+    "monitor/null": (
+        "serving_demo.json",
+        {},
+        ["--rules", "{rules}", "--json", "{out}"],
+        "alert rules must be an object, got NoneType",
+    ),
+    "monitor/path": (
+        "serving_demo.json",
+        {},
+        ["--rules", "{rules}", "--json", "{out}"],
+        "alert rules must be an object, got str",
+    ),
+    "trace/label": (
+        "trace_demo.json",
+        {"label": 7},
+        ["--out", "{out}"],
+        "run config: label must be a string, got 7",
+    ),
+    "trace/batch": (
+        "trace_demo.json",
+        {"batch": "32"},
+        ["--out", "{out}"],
+        "run config: batch must be an integer, got '32'",
+    ),
+    "trace/stream_kind": (
+        "trace_demo.json",
+        {"stream_kind": "evolution"},
+        ["--out", "{out}"],
+        "run config: stream_kind must be one of ['spos', 'generational', 'fair'], got 'evolution'",
+    ),
 }
 
 
@@ -795,6 +896,10 @@ _RULES = {
         {"name": "r", "kind": "burn_rate", "good": "serving_slo_good_total",
          "bad": "serving_slo_bad_total", "windows": [5]}
     ],
+    "monitor/rules": 5,
+    "monitor/rulez": {"rulez": [{"name": "r", "metric": "fleet_down_slots"}]},
+    "monitor/null": None,
+    "monitor/path": "x.json",
 }
 
 

@@ -20,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SearchSpace, SystemConfig, payload
 from repro.baselines.systems import _FACTORIES, resolve_target
-from repro.cli import main
+from repro.cli import ChaosConfig, FaultsConfig, TraceConfig, main
 from repro.errors import ConfigError, ReproducibilityError, SearchSpaceError, ServiceError
 from repro.experiments.common import ExperimentScale, make_stream
 from repro.ft import FaultEvent, FaultSchedule, JobMemo, fleet_sweep
+from repro.ft.fleet import FleetConfig
 from repro.nas import SupernetTrainer
-from repro.obs.telemetry.alerts import AlertRule
+from repro.obs.telemetry.alerts import AlertRule, BurnWindow
 from repro.replay import RunManifest, record_run
 from repro.service import (
     ClusterManager,
@@ -34,11 +35,12 @@ from repro.service import (
     run_service,
     solo_verdict,
 )
-from repro.service.scheduler import SCHEDULER_KNOBS
+from repro.service.scheduler import SchedulerKnobs, ServiceConfig
 from repro.serving import BatchPolicy, ServingEngine, ServingSpec, WorkloadSpec
 from repro.serving.frontend import _RENAME
 from repro.sim.cluster import ClusterSpec
 
+SCHEDULER_KNOBS = tuple(payload.accepted(SchedulerKnobs))
 TINY = {"num_blocks": 4, "functional_width": 8}
 JOB = {
     "name": "a",
@@ -122,7 +124,7 @@ UNKNOWN_KEY = {
         "fault event 1",
         "duration_ms",
     ),
-    "alert": (lambda x, _: AlertRule({"name": "r", "metric": "m", **x}), "alert rule 'r'", "for_ms"),
+    "alert": (lambda x, _: AlertRule.from_payload({"name": "r", "metric": "m", **x}), "alert rule 'r'", "for_ms"),
     "service": (lambda x, _: run_service({"jobs": [JOB], **x}), "service config", "quantum"),
     "fleet": (lambda x, _: _fleet(x), "fleet config", "slots_per_node"),
     "trace": (_cli("trace"), "run config", "label"),
@@ -183,7 +185,7 @@ NOT_AN_OBJECT = {
     "fleet": (lambda value, _: fleet_sweep(value), "fleet config"),
     "service": (lambda value, _: run_service(value), "service config"),
     "job": (lambda value, _: JobSpec.from_payload(value, "jobs[3]"), "jobs[3]"),
-    "alert rule": (lambda value, _: AlertRule(value), "alert rule"),
+    "alert rule": (lambda value, _: AlertRule.from_payload(value), "alert rule"),
 }
 
 
@@ -312,6 +314,12 @@ def test_ints_given_for_float_fields_arrive_as_floats():
 # ----------------------------------------------------------------------
 # a value is checked against its field's declared type, never cast
 # ----------------------------------------------------------------------
+def _built(cls, base, path):
+    """A ``_TYPED_READERS`` row for a config ``payload.build`` reads as
+    ``cls`` from ``base`` and the drawn key."""
+    return cls, (), lambda x, _: payload.build(cls, {**base, **x}, path), path
+
+
 #: a manifest as ``to_json`` writes it: a record, every key present
 _MANIFEST = json.loads(RunManifest("NLP.c3", "NASPipe").to_json())
 #: a reader of one class's fields → (the class, its rename, read({key:
@@ -343,6 +351,13 @@ _TYPED_READERS = {
         lambda x, _: RunManifest.from_json(json.dumps({**_MANIFEST, **x})),
         "manifest",
     ),
+    "trace": _built(TraceConfig, RUN, "run config"),
+    "faults": _built(FaultsConfig, RUN, "faults config"),
+    "chaos": _built(ChaosConfig, RUN, "chaos config"),
+    "service": _built(ServiceConfig, {"jobs": [JOB]}, "service config"),
+    "fleet": _built(FleetConfig, {"serving": SERVING, "jobs": [JOB]}, "fleet config"),
+    "alert rule": _built(AlertRule, {"name": "r", "metric": "m"}, "alert rule 'r'"),
+    "burn window": _built(BurnWindow, {"window_ms": 10.0}, "alert rule 'r'.windows[0]"),
 }
 _NUMERIC_TEXT = st.integers(-9, 99).map(str) | st.floats(-9, 99).map(repr)
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -421,11 +436,11 @@ def test_an_int_is_read_as_a_float_only_where_the_field_is_one():
 
 
 def _alert(**rule):
-    return AlertRule({"name": "r", "metric": "fleet_down_slots", **rule})
+    return AlertRule.from_payload({"name": "r", "metric": "fleet_down_slots", **rule})
 
 
 def _burn(**rule):
-    return AlertRule(
+    return AlertRule.from_payload(
         {"name": "r", "kind": "burn_rate", "good": "g", "bad": "b", "windows": [{"window_ms": 10}], **rule}
     )
 
@@ -487,21 +502,25 @@ def test_job_spec_keys_are_its_fields():
     assert JobSpec.from_payload({"name": "a", "space": "NLP.c1"}) == JobSpec("a", "NLP.c1")
 
 
+def _configured_scheduler(manager, config):
+    """The scheduler a service config describes, as ``run_service`` builds it."""
+    knobs = payload.build(ServiceConfig, {"jobs": [JOB], **config}, "service config").scheduler
+    return JobScheduler(manager, **vars(knobs))
+
+
 def test_scheduler_defaults_are_the_constructor_defaults():
     manager = ClusterManager(ClusterSpec(num_gpus=4))
-    default, built = JobScheduler(manager), JobScheduler.from_payload(manager, {})
+    default, built = JobScheduler(manager), _configured_scheduler(manager, {})
     for knob in SCHEDULER_KNOBS:
         assert getattr(built, knob) == getattr(default, knob), knob
     # other keys of the config are not the scheduler's to read, and
     # values are checked against the constructor's types
-    tuned = JobScheduler.from_payload(
-        manager, {"quantum": 3, "resize_cost_ms": 10, "jobs": [], "total_gpus": 4}
-    )
+    tuned = _configured_scheduler(manager, {"quantum": 3, "resize_cost_ms": 10, "total_gpus": 4})
     assert (tuned.quantum, type(tuned.quantum)) == (3, int)
     assert (tuned.resize_cost_ms, type(tuned.resize_cost_ms)) == (10.0, float)
     assert tuned.slots_per_node == default.slots_per_node
     with pytest.raises(ConfigError, match=r"service config: quantum must be an integer, got 3\.0"):
-        JobScheduler.from_payload(manager, {"quantum": 3.0})
+        _configured_scheduler(manager, {"quantum": 3.0})
 
 
 # ----------------------------------------------------------------------

@@ -337,7 +337,7 @@ def _series(*points):
 
 
 def test_threshold_rule_holds_for_for_ms_before_firing():
-    rule = AlertRule(
+    rule = AlertRule.from_payload(
         {
             "name": "hot",
             "kind": "threshold",
@@ -366,7 +366,7 @@ def test_threshold_rule_holds_for_for_ms_before_firing():
 
 
 def test_threshold_rule_still_firing_at_end_has_null_resolution():
-    rule = AlertRule(
+    rule = AlertRule.from_payload(
         {"name": "down", "metric": "down_slots", "op": ">", "threshold": 0.0}
     )
     series = _series((0, {"down_slots": 0}), (100, {"down_slots": 2}))
@@ -376,7 +376,7 @@ def test_threshold_rule_still_firing_at_end_has_null_resolution():
 
 
 def test_burn_rate_needs_every_window_burning():
-    rule = AlertRule(
+    rule = AlertRule.from_payload(
         {
             "name": "burn",
             "kind": "burn_rate",
@@ -410,18 +410,18 @@ def test_burn_rate_needs_every_window_burning():
 
 def test_rule_validation_is_loud():
     with pytest.raises(ConfigError):
-        AlertRule({"name": "x", "metric": "m", "op": "!=", "threshold": 1})
+        AlertRule.from_payload({"name": "x", "metric": "m", "op": "!=", "threshold": 1})
     with pytest.raises(ConfigError):
-        AlertRule({"name": "x", "kind": "threshold"})  # no metric
+        AlertRule.from_payload({"name": "x", "kind": "threshold"})  # no metric
     with pytest.raises(ConfigError):
-        AlertRule({"name": "x", "kind": "burn_rate", "good": "g", "bad": "b",
-                   "objective": 1.5, "windows": [{"window_ms": 10}]})
+        AlertRule.from_payload({"name": "x", "kind": "burn_rate", "good": "g", "bad": "b",
+                                "objective": 1.5, "windows": [{"window_ms": 10}]})
     with pytest.raises(ConfigError):
-        AlertRule({"name": "x", "kind": "burn_rate", "good": "g", "bad": "b"})
+        AlertRule.from_payload({"name": "x", "kind": "burn_rate", "good": "g", "bad": "b"})
     with pytest.raises(ConfigError):
-        AlertRule({"name": "x", "metric": "m", "surprise": 1})
+        AlertRule.from_payload({"name": "x", "metric": "m", "surprise": 1})
     with pytest.raises(ConfigError):
-        AlertRule({"metric": "m"})  # nameless
+        AlertRule.from_payload({"metric": "m"})  # nameless
 
 
 def test_load_rules_from_file_and_defaults(tmp_path):
@@ -482,7 +482,7 @@ def test_a_rule_that_could_never_fire_is_refused_by_the_hub(series, complaint):
     with pytest.raises(ConfigError, match="alert rule 'r'"):
         TelemetryHub(rules=[burn])
     # the rule classes stay catalog-free: synthetic series evaluate
-    assert AlertEngine([AlertRule(_threshold(series)[0])]).evaluate(
+    assert AlertEngine([AlertRule.from_payload(_threshold(series)[0])]).evaluate(
         _series((0, {series: 5}))
     )
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 KNOBS = "quantum|resize_cost_ms|max_restarts|requeue_backoff_ms|slots_per_node"
+#: the modules whose configs were read key by key before each became a dataclass
+CONFIG_READERS = ("cli.py", "ft/fleet.py", "service/scheduler.py", "obs/telemetry/alerts.py")
 CACHE_HOMES = ("core/context_manager.py", "memory_model.py")
 READERS = tuple(f"obs/{name}.py" for name in ("summary", "critical_path", "whatif", "exporter"))
 RULES = [
@@ -147,6 +149,13 @@ RULES = [
     (r'checkpoint_interval(: int = | or |", )8\b', ("ft/recovery.py",), 1, "RecoverySpec.checkpoint_interval"),
     # a manifest is read by the typed reader, like every other payload
     (r"cls\(\*\*payload\)", (), 0, "payload.build(RunManifest, payload, \"manifest\")"),
+    # a config is a declared class read by payload.build: no key list is
+    # kept beside it and no key is read with its default spelled in place
+    (r"reject_unknown\(", ("payload.py",), 2, "a dataclass read by payload.build"),
+    *(
+        (r'(config|payload|window)\.get\("', (), 0, "a field of the config's dataclass", reader)
+        for reader in CONFIG_READERS
+    ),
 ]
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Print the "accepted config keys" tables of ``docs/OPERATIONS.md``.
 
-Every list below is the tuple or the dataclass field table the payload
-reader (``repro.payload``) itself checks a config against, so the tables
-cannot name a key the code rejects or miss one it accepts, and a key's
-type is the one its value is checked against.  Regenerate instead of
+Every row is the field table of the dataclass the payload reader
+(``repro.payload``) builds from that config, so the tables cannot name a
+key the code rejects or miss one it accepts, and a key's type and
+default are the ones its field declares.  Regenerate instead of
 editing by hand::
 
     python tools/config_keys.py                  # print the block
@@ -15,21 +15,21 @@ editing by hand::
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 import sys
-import typing
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from marked_block import sync  # noqa: E402
 
-from repro import SearchSpace, SystemConfig, cli  # noqa: E402
-from repro.ft import FaultEvent, fleet  # noqa: E402
-from repro.obs.telemetry import alerts  # noqa: E402
-from repro.payload import _KINDS, accepted  # noqa: E402
-from repro.service import JobScheduler, JobSpec, scheduler  # noqa: E402
+from repro import SearchSpace, SystemConfig  # noqa: E402
+from repro.cli import ChaosConfig, FaultsConfig, TraceConfig  # noqa: E402
+from repro.ft import FaultEvent  # noqa: E402
+from repro.ft.fleet import FleetConfig  # noqa: E402
+from repro.obs.telemetry.alerts import AlertRule, BurnWindow  # noqa: E402
+from repro.payload import accepted  # noqa: E402
+from repro.service.scheduler import JobSpec, ServiceConfig  # noqa: E402
 from repro.serving import ServingSpec, frontend  # noqa: E402
 
 BEGIN, END = "<!-- config-keys:begin -->", "<!-- config-keys:end -->"
@@ -43,33 +43,30 @@ def _typed(key, kind, default=dataclasses.MISSING):
     return cell if default is dataclasses.MISSING else f"{cell}={json.dumps(default)}"
 
 
+def _default(f):
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return f.default
+
+
 def _fields(cls, rename=(), defaults=True):
     """Every accepted key with its type (``int``, ``number``, ``bool``,
     ``str``, ``object`` or ``array``, ``|null`` when it may be null), and
     its default unless the object overrides another's values
     (``overrides``)."""
     return ", ".join(
-        _typed(key, kind, f.default if defaults else dataclasses.MISSING)
+        _typed(key, kind, _default(f) if defaults else dataclasses.MISSING)
         for key, (f, kind) in accepted(cls, rename).items()
     )
 
 
-def _keys(keys):
-    return ", ".join(f"`{key}`" for key in keys)
-
-
 def block() -> str:
-    knobs = inspect.signature(JobScheduler.__init__).parameters
-    types = typing.get_type_hints(JobScheduler.__init__)
-    knob_cells = ", ".join(
-        _typed(k, _KINDS[types[k]][0], knobs[k].default) for k in scheduler.SCHEDULER_KNOBS
-    )
     rows = [
-        ("`trace`, `analyze`", "the config", _keys(cli._RUN_KEYS)),
-        ("`faults`", "the config", _keys(cli._FAULTS_KEYS)),
-        ("`chaos`", "the config", _keys(cli._CHAOS_KEYS)),
-        ("`serve`, `monitor`", "the config", _keys(scheduler._SERVICE_KEYS) + ", " + knob_cells),
-        ("`chaos-fleet`", "the config", _keys(fleet._FLEET_KEYS) + ", " + knob_cells),
+        ("`trace`, `analyze`", "the config", _fields(TraceConfig)),
+        ("`faults`", "the config", _fields(FaultsConfig)),
+        ("`chaos`", "the config", _fields(ChaosConfig)),
+        ("`serve`, `monitor`", "the config", _fields(ServiceConfig)),
+        ("`chaos-fleet`", "the config", _fields(FleetConfig)),
         ("`serve`, `chaos-fleet`", "each of `jobs`", _fields(JobSpec)),
         (
             "`bench-serving`, `monitor`, `chaos-fleet`",
@@ -77,7 +74,8 @@ def block() -> str:
             _fields(ServingSpec, frontend._RENAME),
         ),
         ("`faults`, `serve`", "each of `faults`", _fields(FaultEvent)),
-        ("`monitor --rules`", "each rule", _keys(sorted(alerts._RULE_KEYS))),
+        ("`monitor --rules`", "each rule", _fields(AlertRule)),
+        ("`monitor --rules`", "each of `windows`", _fields(BurnWindow)),
         ("any", "`space_overrides`", _fields(SearchSpace, defaults=False)),
         ("any", "`overrides`", _fields(SystemConfig, defaults=False)),
     ]
