@@ -20,6 +20,7 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -61,6 +62,13 @@ __all__ = ["PipelineEngine", "PipelineResult"]
 _DIRECTION = (("direction", "fwd"), ("direction", "bwd"))
 #: ``task_done`` carries nothing else, so its whole attrs tuple is shared
 _DONE_ATTRS = ((_DIRECTION[False],), (_DIRECTION[True],))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _transfer_attrs(src: int, dst: int, nbytes: int) -> tuple:
+    """``nic_transfer``'s leading attrs: one shared tuple per distinct
+    ``(src, dst, nbytes)``."""
+    return (("src", src), ("dst", dst), ("nbytes", nbytes))
 
 
 @dataclass
@@ -261,6 +269,14 @@ class PipelineEngine:
         self.batch = integer("engine", "batch", batch, 1)
         #: batch-dependent compute scaling, constant for the whole run
         self._batch_scale = supernet.batch_time_scale(batch)
+        #: per-stage compute slowdown, constant for the whole run
+        self._stage_speed = tuple(
+            self.cluster.spec.speed_factor(stage) for stage in range(self.stages)
+        )
+        #: §2.3's on-demand operator migration is in force
+        self._migrates = (
+            config.partitioning == "balanced" and config.mirror_mode == "migrate"
+        )
         #: per-layer ``fwd + bwd`` reference cost, what ``_partition_for``
         #: balances (filled on first use)
         self._layer_cost: Dict[LayerId, float] = {}
@@ -277,7 +293,7 @@ class PipelineEngine:
         self.policy = make_policy(config, self.stages)
 
         self.stage_states: List[CspStageState] = [
-            CspStageState(stage, trace=self.trace, clock=lambda: self.sim.now)
+            CspStageState(stage, trace=self.trace, clock=self.sim.clock)
             for stage in range(self.stages)
         ]
         self._stage_busy: List[bool] = [False] * self.stages
@@ -476,7 +492,7 @@ class PipelineEngine:
             self.trace.record_event("subnet_inject", self.sim.now, subnet_id=sid)
             self.sim.schedule_after(
                 0.0, lambda sid=sid: self._on_forward_arrival(0, sid),
-                label=f"inject SN{sid}",
+                label=("inject SN%s", sid),
             )
 
     # ------------------------------------------------------------------
@@ -534,13 +550,9 @@ class PipelineEngine:
         it elsewhere first moves its parameters over the interconnect,
         synchronously, on the critical path.  Mirroring eliminates this
         ("NASPipe mirrors these operators between stages and eliminates
-        these costs") at the price of push-sync traffic.
+        these costs") at the price of push-sync traffic.  Called only
+        while ``_migrates``.
         """
-        if (
-            self.config.partitioning != "balanced"
-            or self.config.mirror_mode != "migrate"
-        ):
-            return 0.0
         bandwidth = self.cluster.spec.network_bandwidth_bytes_per_ms
         latency = self.cluster.spec.network_latency_ms
         delay = 0.0
@@ -599,11 +611,6 @@ class PipelineEngine:
         run.bwd_ms = tuple(bwd_ms)
         run.boundary_bytes = tuple(boundary)
 
-    def _task_duration_ms(self, subnet_id: int, stage: int, is_backward: bool) -> float:
-        run = self.runs[subnet_id]
-        base = run.bwd_ms[stage] if is_backward else run.fwd_ms[stage]
-        return base * self._batch_scale * self.cluster.spec.speed_factor(stage)
-
     #: oversubscription level treated as a GPU OOM, and the penalty paid
     #: to catch the exception, reclaim memory and re-execute the stage
     #: (paper §4.2's retry path).
@@ -619,7 +626,8 @@ class PipelineEngine:
         if stage == 0 and not is_backward and subnet_id not in self.started:
             self.started.add(subnet_id)
             self._active_started += 1
-        layers = self.stage_layers(subnet_id, stage)
+        run = self.runs[subnet_id]
+        layers = run.stage_layers[stage]
         if (
             self.contexts is not None
             and not retrying
@@ -645,7 +653,7 @@ class PipelineEngine:
                 lambda: self._begin_task(
                     stage, subnet_id, is_backward, retrying=True
                 ),
-                label=f"oom-retry SN{subnet_id}@P{stage}",
+                label=("oom-retry SN%s@P%s", subnet_id, stage),
             )
             return
         if self.faults is not None:
@@ -674,11 +682,12 @@ class PipelineEngine:
                     lambda: self._begin_task(
                         stage, subnet_id, is_backward, retrying=True
                     ),
-                    label=f"task-retry SN{subnet_id}@P{stage}",
+                    label=("task-retry SN%s@P%s", subnet_id, stage),
                 )
                 return
         start = now
-        start += self._migration_delay_ms(stage, layers, now)
+        if self._migrates:
+            start += self._migration_delay_ms(stage, layers, now)
         if self.contexts is not None:
             context = self.contexts[stage]
             plan = context.acquire_for_task(layers, start)
@@ -709,7 +718,8 @@ class PipelineEngine:
                 self.prefetch_context(
                     stage + 1, self.stage_layers(subnet_id, stage + 1)
                 )
-        duration = self._task_duration_ms(subnet_id, stage, is_backward)
+        base = run.bwd_ms[stage] if is_backward else run.fwd_ms[stage]
+        duration = base * self._batch_scale * self._stage_speed[stage]
         self._last_was_backward[stage] = is_backward
         kind = "bwd" if is_backward else "fwd"
         self.trace.record_interval(stage, start, start + duration, kind, subnet_id)
@@ -718,7 +728,7 @@ class PipelineEngine:
         self.sim.schedule(
             start + duration,
             lambda: self._on_task_done(stage, subnet_id, is_backward),
-            label=f"SN{subnet_id}.{kind}@P{stage}",
+            label=("SN%s.%s@P%s", subnet_id, kind, stage),
         )
 
     # ------------------------------------------------------------------
@@ -751,10 +761,7 @@ class PipelineEngine:
         self, stage: int, subnet_id: int, dst: int, nbytes: int, arrival: float,
         is_backward: bool,
     ) -> None:
-        attrs = (
-            ("src", stage),
-            ("dst", dst),
-            ("nbytes", nbytes),
+        attrs = _transfer_attrs(stage, dst, nbytes) + (
             ("arrive", arrival),
             _DIRECTION[is_backward],
         )
@@ -793,7 +800,7 @@ class PipelineEngine:
             self.sim.schedule(
                 arrival,
                 lambda: self._on_forward_arrival(stage + 1, subnet_id),
-                label=f"fwd-xfer SN{subnet_id}->P{stage + 1}",
+                label=("fwd-xfer SN%s->P%s", subnet_id, stage + 1),
             )
         else:
             # Last stage: loss is available; the backward chain begins here.
@@ -848,7 +855,7 @@ class PipelineEngine:
             self.sim.schedule(
                 arrival,
                 lambda: self._on_backward_arrival(stage - 1, subnet_id),
-                label=f"bwd-xfer SN{subnet_id}->P{stage - 1}",
+                label=("bwd-xfer SN%s->P%s", subnet_id, stage - 1),
             )
         else:
             self._complete_subnet(subnet_id)
@@ -1020,6 +1027,9 @@ class PipelineEngine:
             if hits + misses:
                 cache_hit = hits / (hits + misses)
         scheduler = self.policy.scheduler
+        bubble_ratio, total_alu = self.trace.utilization(
+            self.supernet.gpu_alu_efficiency(self.batch)
+        )
         return PipelineResult(
             system=self.config.name,
             space=self.space.name,
@@ -1030,10 +1040,8 @@ class PipelineEngine:
             trace=self.trace,
             losses=dict(self.losses),
             digest=self.functional.digest() if self.functional else None,
-            bubble_ratio=self.trace.bubble_ratio(),
-            total_alu=self.trace.total_alu_utilization(
-                self.supernet.gpu_alu_efficiency(self.batch)
-            ),
+            bubble_ratio=bubble_ratio,
+            total_alu=total_alu,
             cache_hit_rate=cache_hit,
             throughput_samples_per_sec=self.trace.throughput_samples_per_sec(
                 self.batch

@@ -43,16 +43,15 @@ class SyncPolicy(ABC):
     def __init__(self, config: SystemConfig, stages: int) -> None:
         self.config = config
         self.stages = stages
+        #: the admission window; ``SystemConfig`` is frozen, so it is
+        #: resolved once
+        self.window = config.default_window(stages)
         self.engine: Optional["PipelineEngine"] = None
 
     def bind(self, engine: "PipelineEngine") -> None:
         self.engine = engine
 
     # ------------------------------------------------------------------
-    @property
-    def window(self) -> int:
-        return self.config.default_window(self.stages)
-
     def effective_window(self) -> int:
         """The window after any engine-side degradation backpressure
         (``PipelineEngine.admission_cap``).  Policies that manage their
@@ -62,8 +61,10 @@ class SyncPolicy(ABC):
         return self.engine.effective_window(self.window)
 
     def can_inject(self) -> bool:
-        assert self.engine is not None
-        return len(self.engine.inflight) < self.effective_window()
+        engine = self.engine
+        if engine.admission_cap is None:
+            return len(engine.inflight) < self.window
+        return len(engine.inflight) < self.effective_window()
 
     def can_start_forward(self, stage: int, subnet_id: int) -> bool:
         """Gate on *starting* a subnet's first forward (stage 0).

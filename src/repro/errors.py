@@ -106,6 +106,12 @@ class ServiceError(ReproError):
     can never be satisfied by the fleet)."""
 
 
+class ServiceConfigError(ServiceError, ConfigError):
+    """A job or scheduler value the service plane refuses: a
+    :class:`ServiceError` to a direct caller, and, being a
+    :class:`ConfigError` too, one line and exit 2 from the CLI."""
+
+
 class LeaseError(ServiceError):
     """A device-lease operation violated exclusive ownership: acquiring
     more slots than are free, releasing a lease twice, or using a lease

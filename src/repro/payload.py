@@ -190,7 +190,8 @@ def build(cls: type, payload: Mapping, path: str, rename: _Rename = ()):
 
     Unknown keys, values of the wrong type and a missing key of a field
     with no default are rejected; a :class:`ConfigError` from the class's
-    own validation is re-raised with ``path`` in front.
+    own validation is re-raised, of its own class, with ``path`` in
+    front.
     """
     kwargs = checked(cls, payload, path, rename)
     fields = accepted(cls, rename).items()
@@ -199,7 +200,7 @@ def build(cls: type, payload: Mapping, path: str, rename: _Rename = ()):
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

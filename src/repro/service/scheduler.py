@@ -71,7 +71,7 @@ from repro.baselines import resolve_target
 from repro.config import SystemConfig
 from repro.engines.functional_plane import FUNCTIONAL_BATCH, STREAM_KIND, FunctionalPlane
 from repro.engines.pipeline import PipelineEngine
-from repro.errors import ServiceError
+from repro.errors import ServiceConfigError, ServiceError
 from repro.ft.availability import failure_summary
 from repro.ft.faults import FaultEvent, FaultSchedule
 from repro.ft.recovery import (
@@ -82,7 +82,7 @@ from repro.ft.recovery import (
     run_uninterrupted,
 )
 from repro.invariants import diverged, same_training
-from repro.payload import at_least, build, compact, indented
+from repro.payload import at_least, build, compact, indented, positive
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
@@ -111,14 +111,14 @@ class JobSpec:
     name: str
     space: str
     system: str = "NASPipe"
-    subnets: int = 16
+    subnets: int = at_least(1, default=16)
     seed: int = 2022
-    #: fair-share weight and admission precedence (>= 1)
-    priority: int = 1
+    #: fair-share weight and admission precedence
+    priority: int = at_least(1, default=1)
     #: service virtual time of arrival
     submit_ms: float = 0.0
     #: smallest allocation the job will accept
-    min_gpus: int = 1
+    min_gpus: int = at_least(1, default=1)
     #: largest allocation the job can use
     max_gpus: int = 8
     batch: Optional[int] = None
@@ -129,19 +129,21 @@ class JobSpec:
     overrides: Optional[Mapping] = None
 
     def __post_init__(self) -> None:
+        # the single-field floors repeat for callers that construct a
+        # spec directly; a config payload meets them in the reader
         if not self.name:
-            raise ServiceError("a job needs a non-empty name")
+            raise ServiceConfigError("a job needs a non-empty name")
         if self.subnets < 1:
-            raise ServiceError(f"{self.name}: subnets must be >= 1")
+            raise ServiceConfigError(f"{self.name}: subnets must be >= 1")
         if self.priority < 1:
-            raise ServiceError(f"{self.name}: priority must be >= 1")
+            raise ServiceConfigError(f"{self.name}: priority must be >= 1")
         if self.min_gpus < 1 or self.max_gpus < self.min_gpus:
-            raise ServiceError(
+            raise ServiceConfigError(
                 f"{self.name}: need 1 <= min_gpus <= max_gpus, got "
                 f"[{self.min_gpus}, {self.max_gpus}]"
             )
         if self.submit_ms < 0:
-            raise ServiceError(f"{self.name}: submit_ms must be >= 0")
+            raise ServiceConfigError(f"{self.name}: submit_ms must be >= 0")
         check_stream_kind(self.stream_kind)
 
     @classmethod
@@ -290,30 +292,32 @@ class SchedulerKnobs:
     """The :class:`JobScheduler` knobs a service or fleet config may set."""
 
     #: subnets a segment trains between two consistent cuts
-    quantum: int = 8
+    quantum: int = at_least(1, default=8)
     #: virtual downtime charged when a job changes shape at a cut
     #: (checkpoint hand-off + engine respawn, as in RecoverySpec)
     resize_cost_ms: float = 50.0
     #: restart budget for rigid jobs aborted by lease revocation
-    max_restarts: int = 3
+    max_restarts: int = at_least(0, default=3)
     #: first re-queue backoff; doubles per consecutive restart
-    requeue_backoff_ms: float = 25.0
+    requeue_backoff_ms: float = positive(default=25.0)
     #: contiguous slot-group size a ``node_down`` takes out
-    slots_per_node: int = 4
+    slots_per_node: int = at_least(1, default=4)
 
     def __post_init__(self) -> None:
+        # for ``JobScheduler(**knobs)``; a config payload meets the
+        # floors in the reader
         if self.quantum < 1:
-            raise ServiceError(f"quantum must be >= 1, got {self.quantum}")
+            raise ServiceConfigError(f"quantum must be >= 1, got {self.quantum}")
         if self.max_restarts < 0:
-            raise ServiceError(
+            raise ServiceConfigError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
         if self.requeue_backoff_ms <= 0:
-            raise ServiceError(
+            raise ServiceConfigError(
                 f"requeue_backoff_ms must be > 0, got {self.requeue_backoff_ms}"
             )
         if self.slots_per_node < 1:
-            raise ServiceError(
+            raise ServiceConfigError(
                 f"slots_per_node must be >= 1, got {self.slots_per_node}"
             )
 
@@ -360,7 +364,7 @@ class JobScheduler:
         if self._ran:
             raise ServiceError("scheduler already ran; build a fresh one")
         if spec.name in self._jobs:
-            raise ServiceError(f"duplicate job name {spec.name!r}")
+            raise ServiceConfigError(f"duplicate job name {spec.name!r}")
         state = _JobState(spec=spec, index=len(self._jobs))
         state.space, state.config = spec.resolve()
         space = state.space
@@ -368,7 +372,7 @@ class JobScheduler:
             spec.max_gpus, self.manager.total_gpus, space.num_blocks
         )
         if spec.min_gpus > state.gpus_cap:
-            raise ServiceError(
+            raise ServiceConfigError(
                 f"{spec.name}: min_gpus={spec.min_gpus} can never be "
                 f"satisfied (fleet {self.manager.total_gpus}, "
                 f"{space.num_blocks} choice blocks, max_gpus {spec.max_gpus})"
@@ -815,7 +819,7 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         if not self.jobs:
-            raise ServiceError('service config needs a non-empty "jobs" list')
+            raise ServiceConfigError('needs a non-empty "jobs" list')
 
 
 def solo_verdict(

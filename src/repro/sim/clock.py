@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 __all__ = ["ScheduledEvent", "EventQueue"]
 
 _Entry = Tuple[float, int, int, "ScheduledEvent"]
+#: an event label: text, or ``(format, *args)`` formatted when read
+Label = Union[str, Tuple[object, ...]]
 
 #: never compact below this many cancelled entries (tiny stores are fine).
 _COMPACT_MIN = 64
@@ -35,10 +37,16 @@ _COMPACT_MIN = 64
 
 class ScheduledEvent:
     """Handle to one pending event.  Unordered: the heap compares the
-    ``(time, priority, sequence)`` key stored beside it, never the handle."""
+    ``(time, priority, sequence)`` key stored beside it, never the handle.
+
+    ``label`` is a string, or a ``(format, *args)`` tuple formatted with
+    ``%`` only when :attr:`label` is read (an over-budget error, a
+    ``repr``): hot schedulers pass the tuple and no run that succeeds
+    ever formats it.
+    """
 
     __slots__ = (
-        "time", "priority", "sequence", "callback", "label", "cancelled",
+        "time", "priority", "sequence", "callback", "_label", "cancelled",
         "_queue", "_epoch",
     )
 
@@ -47,7 +55,7 @@ class ScheduledEvent:
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
-        self.label = label
+        self._label = label
         self.cancelled = False
         #: owning queue while the event is stored (detached on pop) —
         #: lets ``cancel()`` decrement the live counter in O(1).
@@ -55,6 +63,11 @@ class ScheduledEvent:
         #: queue epoch at schedule time; a ``clear()`` bumps the epoch so
         #: stale handles cancelled afterwards don't corrupt the counters.
         self._epoch = queue._epoch
+
+    @property
+    def label(self) -> str:
+        label = self._label
+        return label if isinstance(label, str) else label[0] % label[1:]
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -98,7 +111,7 @@ class EventQueue:
         time: float,
         callback: Callable[[], None],
         priority: int = 0,
-        label: str = "",
+        label: Label = "",
     ) -> ScheduledEvent:
         """Enqueue ``callback`` to fire at virtual ``time``.
 
@@ -123,7 +136,7 @@ class EventQueue:
         delay: float,
         callback: Callable[[], None],
         priority: int = 0,
-        label: str = "",
+        label: Label = "",
     ) -> ScheduledEvent:
         return self.schedule(self._now + delay, callback, priority, label)
 

@@ -33,25 +33,24 @@ class SimulationEngine:
         trace: Optional["ExecutionTrace"] = None,
     ) -> None:
         self.queue = EventQueue()
+        #: the queue's own bound methods: a schedule is one frame, with
+        #: no pass-through of the engine in front of it
+        self.schedule = self.queue.schedule
+        self.schedule_after = self.queue.schedule_after
         self.max_events = max_events
         self.events_processed = 0
         self.trace = trace
 
     @property
     def now(self) -> float:
-        return self.queue.now
+        return self.queue._now
 
     def clock(self) -> float:
         """``now`` as a callable.  A clock consumer (the cluster
-        manager's usage ledger) holds this bound method, which refers
-        to the simulator alone and not to the plane that owns both."""
-        return self.queue.now
-
-    def schedule(self, time: float, callback, priority: int = 0, label: str = ""):
-        return self.queue.schedule(time, callback, priority, label)
-
-    def schedule_after(self, delay: float, callback, priority: int = 0, label: str = ""):
-        return self.queue.schedule_after(delay, callback, priority, label)
+        manager's usage ledger, a stage's ``queue_depth`` sampler) holds
+        this bound method, which refers to the simulator alone and not
+        to the plane that owns both."""
+        return self.queue._now
 
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains (or ``until`` is reached).

@@ -309,6 +309,32 @@ class ExecutionTrace:
             if interval.gpu_id == gpu_id and interval.kind in kinds
         )
 
+    def utilization(self, alu_efficiency: float = 1.0) -> Tuple[float, float]:
+        """``(bubble_ratio(), total_alu_utilization(alu_efficiency))``
+        from one walk of the intervals.
+
+        The walk groups the fwd/bwd durations by GPU in interval order,
+        and each GPU's busy time is builtin ``sum`` over that sequence,
+        value for value what :meth:`busy_time` sums (``sum`` is
+        compensated on Python 3.12, so a hand-written ``+=`` would move
+        the last bits)."""
+        makespan = self.makespan
+        if makespan <= 0:
+            return 0.0, 0.0
+        per_gpu: Dict[int, List[float]] = {gpu: [] for gpu in range(self.num_gpus)}
+        for gpu_id, start, end, kind, _ in self.intervals:
+            if kind == "fwd" or kind == "bwd":
+                durations = per_gpu.get(gpu_id)
+                if durations is not None:
+                    durations.append(end - start)
+        idle_fractions = []
+        total = 0.0
+        for durations in per_gpu.values():
+            fraction = min(1.0, sum(durations) / makespan)
+            idle_fractions.append(1.0 - fraction)
+            total += fraction * alu_efficiency
+        return sum(idle_fractions) / len(idle_fractions), total
+
     def bubble_ratio(self) -> float:
         """Mean idle fraction across GPUs over the active window.
 
@@ -318,13 +344,7 @@ class ExecutionTrace:
         :func:`repro.obs.summary.bubble_attribution`, which sums back to
         this value within 1e-9.
         """
-        if self.makespan <= 0:
-            return 0.0
-        idle_fractions = []
-        for gpu_id in range(self.num_gpus):
-            busy = self.busy_time(gpu_id, compute_only=True)
-            idle_fractions.append(1.0 - min(1.0, busy / self.makespan))
-        return sum(idle_fractions) / len(idle_fractions)
+        return self.utilization()[0]
 
     def total_alu_utilization(self, alu_efficiency: float = 1.0) -> float:
         """Sum over GPUs of (busy fraction × ALU efficiency).
@@ -333,13 +353,7 @@ class ExecutionTrace:
         Matches the paper's normalisation: "7.8×" means the summed
         utilisation equals 7.8 fully-busy GPUs.  Dimensionless.
         """
-        if self.makespan <= 0:
-            return 0.0
-        total = 0.0
-        for gpu_id in range(self.num_gpus):
-            busy = self.busy_time(gpu_id, compute_only=True)
-            total += min(1.0, busy / self.makespan) * alu_efficiency
-        return total
+        return self.utilization(alu_efficiency)[1]
 
     def cache_hit_rate(self) -> Optional[float]:
         """Fraction of layer activations found resident (Table 2's last

@@ -778,7 +778,7 @@ _REFUSED = {
         "serve_demo.json",
         {"quantum": 6.9},
         ["--json", "{out}"],
-        "service config: quantum must be an integer, got 6.9",
+        "service config: quantum must be an integer >= 1, got 6.9",
     ),
     "serve/space": (
         "serve_demo.json",
@@ -829,6 +829,61 @@ _REFUSED = {
         {"jobs": [{"name": "a", "space": "NLP.c3", "stream_kind": "evolution"}]},
         ["--json", "{out}"],
         "jobs[0]: stream_kind must be one of ['spos', 'generational', 'fair'], got 'evolution'",
+    ),
+    # a bad service or fleet value raised a ServiceError traceback (exit 1)
+    "serve/quantum": (
+        "serve_demo.json",
+        {"quantum": 0},
+        ["--json", "{out}"],
+        "service config: quantum must be an integer >= 1, got 0",
+    ),
+    "serve/requeue_backoff_ms": (
+        "serve_demo.json",
+        {"requeue_backoff_ms": 0},
+        ["--json", "{out}"],
+        "service config: requeue_backoff_ms must be a finite number > 0, got 0",
+    ),
+    "serve/subnets": (
+        "serve_demo.json",
+        {"jobs": [{"name": "a", "space": "NLP.c3", "subnets": 0}]},
+        ["--json", "{out}"],
+        "jobs[0]: subnets must be an integer >= 1, got 0",
+    ),
+    "serve/priority": (
+        "serve_demo.json",
+        {"jobs": [{"name": "a", "space": "NLP.c3", "priority": 0}]},
+        ["--json", "{out}"],
+        "jobs[0]: priority must be an integer >= 1, got 0",
+    ),
+    "serve/min_gpus": (
+        "serve_demo.json",
+        {"jobs": [{"name": "a", "space": "NLP.c3", "min_gpus": 0}]},
+        ["--json", "{out}"],
+        "jobs[0]: min_gpus must be an integer >= 1, got 0",
+    ),
+    "serve/max_gpus": (
+        "serve_demo.json",
+        {"jobs": [{"name": "a", "space": "NLP.c3", "min_gpus": 4, "max_gpus": 2}]},
+        ["--json", "{out}"],
+        "jobs[0]: a: need 1 <= min_gpus <= max_gpus, got [4, 2]",
+    ),
+    "serve/name": (
+        "serve_demo.json",
+        {"jobs": [{"name": "", "space": "NLP.c3"}]},
+        ["--json", "{out}"],
+        "jobs[0]: a job needs a non-empty name",
+    ),
+    "serve/no_jobs": (
+        "serve_demo.json",
+        {"jobs": []},
+        ["--json", "{out}"],
+        'service config: needs a non-empty "jobs" list',
+    ),
+    "chaos-fleet/max_restarts": (
+        "chaos_fleet_demo.json",
+        {"max_restarts": -1},
+        ["--json", "{out}"],
+        "fleet config: max_restarts must be an integer >= 0, got -1",
     ),
     "chaos-fleet/serving": (
         "chaos_fleet_demo.json",

@@ -303,7 +303,7 @@ def test_ints_given_for_float_fields_arrive_as_floats():
     spec = JobSpec.from_payload({**JOB, "submit_ms": 5, "subnets": 4})
     assert type(spec.submit_ms) is float and type(spec.subnets) is int
     # a float is not an int, however integral
-    with pytest.raises(ConfigError, match=r"job: subnets must be an integer, got 4\.0"):
+    with pytest.raises(ConfigError, match=r"job: subnets must be an integer >= 1, got 4\.0"):
         JobSpec.from_payload({**JOB, "subnets": 4.0})
     # a bool default is not an int default
     assert payload.build(_Switch, {"on": False}, "switch").on is False
@@ -519,7 +519,7 @@ def test_scheduler_defaults_are_the_constructor_defaults():
     assert (tuned.quantum, type(tuned.quantum)) == (3, int)
     assert (tuned.resize_cost_ms, type(tuned.resize_cost_ms)) == (10.0, float)
     assert tuned.slots_per_node == default.slots_per_node
-    with pytest.raises(ConfigError, match=r"service config: quantum must be an integer, got 3\.0"):
+    with pytest.raises(ConfigError, match=r"service config: quantum must be an integer >= 1, got 3\.0"):
         _configured_scheduler(manager, {"quantum": 3.0})
 
 
