@@ -71,6 +71,27 @@ def _transfer_attrs(src: int, dst: int, nbytes: int) -> tuple:
     return (("src", src), ("dst", dst), ("nbytes", nbytes))
 
 
+class _LayerTable(dict):
+    """``layer -> (fwd_ms_ref, bwd_ms_ref, activation_bytes_per_sample,
+    param_bytes)``: every fact the engine reads of a layer, taken from
+    :meth:`Supernet.profile` the first time the layer is looked up, so a
+    hit is one C-level dict probe."""
+
+    def __init__(self, supernet: Supernet) -> None:
+        super().__init__()
+        self.supernet = supernet
+
+    def __missing__(self, layer: LayerId) -> Tuple[float, float, int, int]:
+        profile = self.supernet.profile(layer)
+        facts = self[layer] = (
+            profile.fwd_ms_ref,
+            profile.bwd_ms_ref,
+            profile.activation_bytes_per_sample,
+            profile.param_bytes,
+        )
+        return facts
+
+
 @dataclass
 class _SubnetRun:
     """Mutable per-subnet in-flight state.
@@ -277,9 +298,9 @@ class PipelineEngine:
         self._migrates = (
             config.partitioning == "balanced" and config.mirror_mode == "migrate"
         )
-        #: per-layer ``fwd + bwd`` reference cost, what ``_partition_for``
-        #: balances (filled on first use)
-        self._layer_cost: Dict[LayerId, float] = {}
+        #: the facts this engine reads of each layer, resolved the first
+        #: time it sees the layer; it lives and dies with the engine
+        self._layers = _LayerTable(supernet)
 
         self.trace = ExecutionTrace(num_gpus=self.stages)
         self.sim = SimulationEngine(trace=self.trace)
@@ -452,14 +473,10 @@ class PipelineEngine:
     def _partition_for(self, subnet: Subnet) -> Partition:
         if self.config.partitioning == "static":
             return list(self.home_partition)
-        memo = self._layer_cost
-        costs = []
-        for layer in subnet.layer_ids():
-            cost = memo.get(layer)
-            if cost is None:
-                profile = self.supernet.profile(layer)
-                cost = memo[layer] = profile.fwd_ms_ref + profile.bwd_ms_ref
-            costs.append(cost)
+        costs = [
+            facts[0] + facts[1]
+            for facts in map(self._layers.__getitem__, subnet.layer_ids())
+        ]
         weights = (
             self.degradation.partition_weights()
             if self.degradation is not None
@@ -484,7 +501,7 @@ class PipelineEngine:
             for state in self.stage_states:
                 state.retrieve(subnet)
             if self.mirror_registry is not None:
-                self.mirror_registry.register_subnet(subnet, partition, self.sim.now)
+                self.mirror_registry.register_stages(run.stage_layers, self.sim.now)
             if self.functional is not None:
                 run.boundary_in[0] = self.functional.input_for(subnet)
             self.policy.on_injected(subnet.subnet_id)
@@ -561,9 +578,7 @@ class PipelineEngine:
             if location is None:
                 location = self._home_stage(layer)
             if location != stage:
-                delay += (
-                    self.supernet.profile(layer).param_bytes / bandwidth + latency
-                )
+                delay += self._layers[layer][3] / bandwidth + latency
                 self.migration_count += 1
             self._layer_location[layer] = stage
         if delay:
@@ -581,11 +596,12 @@ class PipelineEngine:
         the original per-event loop did (float addition is not
         associative; a reordered sum would shift makespans bitwise).
         """
-        profile = self.supernet.profile
+        facts_of = self._layers.__getitem__
         recompute = self.config.recompute
+        batch = self.batch
+        layer_ids = run.subnet.layer_ids()
         stage_layers = tuple(
-            run.subnet.layers_in_range(start, stop)
-            for start, stop in run.partition
+            [layer_ids[max(start, 0) : max(stop, 0)] for start, stop in run.partition]
         )
         fwd_ms: List[float] = []
         bwd_ms: List[float] = []
@@ -593,19 +609,16 @@ class PipelineEngine:
         for layers in stage_layers:
             fwd = 0.0
             bwd = 0.0
-            for layer in layers:
-                p = profile(layer)
-                fwd += p.fwd_ms_ref
-                bwd += p.bwd_ms_ref
+            # the boundary is the stage's last layer's (none: 0 bytes)
+            act = 0
+            for fwd_ref, bwd_ref, act, _ in map(facts_of, layers):
+                fwd += fwd_ref
+                bwd += bwd_ref
                 if recompute:
-                    bwd += p.fwd_ms_ref  # checkpoint re-forward
+                    bwd += fwd_ref  # checkpoint re-forward
             fwd_ms.append(fwd)
             bwd_ms.append(bwd)
-            boundary.append(
-                profile(layers[-1]).activation_bytes_per_sample * self.batch
-                if layers
-                else 0
-            )
+            boundary.append(act * batch)
         run.stage_layers = stage_layers
         run.fwd_ms = tuple(fwd_ms)
         run.bwd_ms = tuple(bwd_ms)
@@ -835,7 +848,7 @@ class PipelineEngine:
         if self.mirror_registry is not None:
             for layer in layers:
                 self.mirror_registry.record_update_push(
-                    layer, self.supernet.profile(layer).param_bytes
+                    layer, self._layers[layer][3]
                 )
 
         if self.contexts is not None:
@@ -1027,7 +1040,7 @@ class PipelineEngine:
             if hits + misses:
                 cache_hit = hits / (hits + misses)
         scheduler = self.policy.scheduler
-        bubble_ratio, total_alu = self.trace.utilization(
+        bubble_ratio, total_alu, mean_exec_ms = self.trace.utilization(
             self.supernet.gpu_alu_efficiency(self.batch)
         )
         return PipelineResult(
@@ -1046,7 +1059,7 @@ class PipelineEngine:
             throughput_samples_per_sec=self.trace.throughput_samples_per_sec(
                 self.batch
             ),
-            mean_exec_ms=self.trace.mean_exec_ms(),
+            mean_exec_ms=mean_exec_ms,
             mirror_push_bytes=(
                 self.mirror_registry.push_bytes_total if self.mirror_registry else 0
             ),

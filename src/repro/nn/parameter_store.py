@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
     "AccessRecord",
     "ParameterStore",
     "LayerId",
-    "intern_layer",
+    "intern_layers",
     "member_name",
     "parse_member",
     "save_members",
@@ -42,20 +42,21 @@ __all__ = [
 #: paper's l_x^i notation.
 LayerId = Tuple[int, int]
 
-#: canonical instance per (block, choice) pair — see :func:`intern_layer`
+#: canonical instance per (block, choice) pair — see :func:`intern_layers`
 _LAYER_INTERN: Dict[LayerId, LayerId] = {}
 
 
-def intern_layer(layer: LayerId) -> LayerId:
-    """Canonicalise a layer id so equal pairs share one tuple object.
+def intern_layers(layers: Sequence[LayerId]) -> Tuple[LayerId, ...]:
+    """Canonicalise layer ids so equal pairs share one tuple object.
 
     Layer ids are the hot dict/set keys of the whole system — the
     dependency tracker's edge maps, the context manager's residency
     table, the parameter store itself.  Sharing one object per distinct
     id makes the equality step of every hash probe an identity hit and
     bounds tuple churn at the search space's (blocks × choices) size.
+    One C-level map over the sequence, with no frame per id.
     """
-    return _LAYER_INTERN.setdefault(layer, layer)
+    return tuple(map(_LAYER_INTERN.setdefault, layers, layers))
 
 
 # ----------------------------------------------------------------------

@@ -93,11 +93,12 @@ def _attribution(model: RunModel) -> List[StageBubbles]:
     trace = model.trace
     makespan = trace.makespan
     per_stage: List[StageBubbles] = []
+    busy_of, _ = trace.compute_durations()
     for stage, chain in model.gpu_chain.items():
         compute = _merge([(a.start, a.end) for a in chain if a.kind == "compute"])
         stalls = _merge([(a.start, a.end) for a in chain if a.kind == "stall"])
         wait_segments = model.wait_segments.get(stage, [])
-        busy = trace.busy_time(stage, compute_only=True)
+        busy = sum(busy_of.get(stage, ()))
         idle = max(0.0, makespan - busy)
 
         if makespan <= 0:

@@ -11,6 +11,7 @@ every subnet individually, at second-level subnet frequency).
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 from repro.errors import PartitionError
@@ -28,24 +29,40 @@ __all__ = [
 Partition = List[Tuple[int, int]]
 
 
-def _fits(costs: Sequence[float], limit: float, stages: int) -> bool:
+def _fits(costs: Sequence[float], limit: float, stages: int) -> Tuple[bool, float]:
     """Whether greedy left-to-right filling needs at most ``stages``
     segments of sum ≤ ``limit``; gives up at the first segment too many.
+
+    Returns ``(fits, bound)``.  The pass's decisions are its comparisons
+    ``running + cost > limit``; another limit that gives every one of
+    them the same answer makes the same pass.  When it fits, ``bound``
+    is at least every sum it kept, so every limit in ``[bound, limit]``
+    fits the same way.  When it fails, ``bound`` is the smallest sum
+    that overflowed, so every limit in ``[limit, bound)`` fails the same
+    way.
 
     ``limit`` must be at least ``max(costs)`` — the bisection below never
     asks about less — so no single block is infeasible on its own.
     """
     spare = stages - 1
     running = 0.0
+    kept = 0.0
+    overflow = math.inf
     for cost in costs:
-        if running + cost > limit:
+        total = running + cost
+        if total > limit:
+            if total < overflow:
+                overflow = total
             if not spare:
-                return False
+                return False, overflow
             spare -= 1
+            # a segment's sums only grow, so its last is its largest
+            if running > kept:
+                kept = running
             running = cost
         else:
-            running += cost
-    return True
+            running = total
+    return True, max(kept, running)
 
 
 def _cut_at_limit(costs: Sequence[float], limit: float, stages: int) -> Partition:
@@ -89,19 +106,39 @@ def balanced_partition(costs: Sequence[float], stages: int) -> Partition:
         raise PartitionError(
             f"cannot split {m} blocks into {stages} stages (need >= 1 each)"
         )
-    if any(cost < 0 for cost in costs):
-        raise PartitionError("block costs must be non-negative")
+    _check_costs(costs)
     low = max(costs) if costs else 0.0
     high = float(sum(costs))
     # Binary search the smallest feasible max-segment sum.  48 iterations
     # of float bisection reaches machine precision for any realistic sum.
+    # A question the last fitting or failing pass already answers (see
+    # _fits) is answered from its bound: every later ``mid`` lies below
+    # the last limit that fit and above the last that failed, so inside
+    # the range where that pass would decide exactly as it did.
+    fits_from = math.inf
+    fails_below = -math.inf
     for _ in range(48):
         mid = (low + high) / 2.0
-        if _fits(costs, mid, stages):
+        if mid >= fits_from:
             high = mid
-        else:
+        elif mid < fails_below:
             low = mid
+        else:
+            fits, bound = _fits(costs, mid, stages)
+            if fits:
+                high = mid
+                fits_from = bound
+            else:
+                low = mid
+                fails_below = bound
     return _cut_at_limit(costs, high, stages)
+
+
+def _check_costs(costs: Sequence[float]) -> None:
+    """Refuse a NaN, an infinity or a negative cost: the bisection
+    compares sums, and a NaN compares false with everything."""
+    if not all(0 <= cost < math.inf for cost in costs):
+        raise PartitionError("block costs must be finite and non-negative")
 
 
 def _weighted_cut(
@@ -180,8 +217,7 @@ def weighted_balanced_partition(
         raise PartitionError(
             f"cannot split {m} blocks into {stages} stages (need >= 1 each)"
         )
-    if any(cost < 0 for cost in costs):
-        raise PartitionError("block costs must be non-negative")
+    _check_costs(costs)
     low = 0.0
     high = max(stage_weights) * float(sum(costs))
     for _ in range(60):

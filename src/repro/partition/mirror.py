@@ -16,7 +16,7 @@ each subnet is stuck with the static partition's imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.nn.parameter_store import LayerId
 from repro.partition.balanced import Partition
@@ -83,10 +83,18 @@ class MirrorRegistry:
         Returns the events created by this registration (empty when the
         balanced partition happens to match all homes).
         """
-        created: List[MirrorEvent] = []
+        return self.register_stages(
+            [subnet.layers_in_range(start, stop) for start, stop in partition], time
+        )
+
+    def register_stages(
+        self, stage_layers: Sequence[Sequence[LayerId]], time: float = 0.0
+    ) -> List[MirrorEvent]:
+        """:meth:`register_subnet` from the subnet's per-stage layer
+        views, for a caller that has already sliced them."""
         before = len(self.events)
-        for stage, (start, stop) in enumerate(partition):
-            for layer in subnet.layers_in_range(start, stop):
+        for stage, layers in enumerate(stage_layers):
+            for layer in layers:
                 self.ensure_resident_stage(layer, stage, time)
         return self.events[before:]
 

@@ -29,7 +29,7 @@ byte quantities are plain bytes.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -60,6 +60,10 @@ class BusyInterval(NamedTuple):
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+#: builds a :class:`BusyInterval` without the generated ``__new__`` frame
+_new_tuple = tuple.__new__
 
 
 class TraceEvent(NamedTuple):
@@ -190,7 +194,9 @@ class ExecutionTrace:
                 f"interval must be finite and end no earlier than it "
                 f"starts: {start}..{end}"
             )
-        self.intervals.append(BusyInterval(gpu_id, start, end, kind, subnet_id))
+        self.intervals.append(
+            _new_tuple(BusyInterval, (gpu_id, start, end, kind, subnet_id))
+        )
         if kind == "stall":
             self.stall_time_total += end - start
         self.end_time = max(self.end_time, end)
@@ -309,31 +315,40 @@ class ExecutionTrace:
             if interval.gpu_id == gpu_id and interval.kind in kinds
         )
 
-    def utilization(self, alu_efficiency: float = 1.0) -> Tuple[float, float]:
-        """``(bubble_ratio(), total_alu_utilization(alu_efficiency))``
-        from one walk of the intervals.
+    def compute_durations(self) -> Tuple[Dict[int, List[float]], List[float]]:
+        """One walk of the intervals: the fwd/bwd durations grouped by
+        GPU, and all of them, each in interval order.
 
-        The walk groups the fwd/bwd durations by GPU in interval order,
-        and each GPU's busy time is builtin ``sum`` over that sequence,
-        value for value what :meth:`busy_time` sums (``sum`` is
-        compensated on Python 3.12, so a hand-written ``+=`` would move
-        the last bits)."""
-        makespan = self.makespan
-        if makespan <= 0:
-            return 0.0, 0.0
-        per_gpu: Dict[int, List[float]] = {gpu: [] for gpu in range(self.num_gpus)}
+        Builtin ``sum`` over a GPU's list is, value for value, what
+        :meth:`busy_time` sums, and over the whole list what
+        :meth:`mean_exec_ms` sums (``sum`` is compensated on Python
+        3.12, so a hand-written ``+=`` would move the last bits)."""
+        per_gpu: Dict[int, List[float]] = defaultdict(list)
+        every: List[float] = []
         for gpu_id, start, end, kind, _ in self.intervals:
             if kind == "fwd" or kind == "bwd":
-                durations = per_gpu.get(gpu_id)
-                if durations is not None:
-                    durations.append(end - start)
+                duration = end - start
+                every.append(duration)
+                per_gpu[gpu_id].append(duration)
+        return per_gpu, every
+
+    def utilization(self, alu_efficiency: float = 1.0) -> Tuple[float, float, float]:
+        """``(bubble_ratio(), total_alu_utilization(alu_efficiency),
+        mean_exec_ms())`` — Table 2's busy-time columns — from one
+        :meth:`compute_durations` walk."""
+        per_gpu, every = self.compute_durations()
+        done = self.subnets_completed()
+        mean_exec = sum(every) / done if done else 0.0
+        makespan = self.makespan
+        if makespan <= 0:
+            return 0.0, 0.0, mean_exec
         idle_fractions = []
         total = 0.0
-        for durations in per_gpu.values():
-            fraction = min(1.0, sum(durations) / makespan)
+        for gpu in range(self.num_gpus):
+            fraction = min(1.0, sum(per_gpu.get(gpu, ())) / makespan)
             idle_fractions.append(1.0 - fraction)
             total += fraction * alu_efficiency
-        return sum(idle_fractions) / len(idle_fractions), total
+        return sum(idle_fractions) / len(idle_fractions), total, mean_exec
 
     def bubble_ratio(self) -> float:
         """Mean idle fraction across GPUs over the active window.
@@ -383,15 +398,7 @@ class ExecutionTrace:
         by subnets completed and by the stage count — i.e. the per-subnet
         critical-path time had there been no bubbles.  Virtual ms.
         """
-        done = self.subnets_completed()
-        if done == 0:
-            return 0.0
-        compute = sum(
-            interval.duration
-            for interval in self.intervals
-            if interval.kind in ("fwd", "bwd")
-        )
-        return compute / done
+        return self.utilization()[2]
 
     def gantt_rows(self) -> List[Tuple[int, float, float, str, int]]:
         """Plain-tuple rendering of intervals (for Figure 1 style output)."""

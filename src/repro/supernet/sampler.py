@@ -59,10 +59,9 @@ class SposSampler:
     def sample(self) -> Subnet:
         """Draw the next subnet in sequence."""
         choices = tuple(
-            int(c)
-            for c in self._rng.integers(
+            self._rng.integers(
                 0, self.space.choices_per_block, size=self.space.num_blocks
-            )
+            ).tolist()
         )
         subnet = Subnet(self._next_id, choices)
         self._next_id += 1
@@ -111,8 +110,8 @@ class GenerationalSampler:
         members: List[List[int]] = [[] for _ in range(self.generation)]
         for _block in range(self.space.num_blocks):
             permutation = self._rng.permutation(self.space.choices_per_block)
-            for member, choice in zip(members, permutation):
-                member.append(int(choice))
+            for member, choice in zip(members, permutation.tolist()):
+                member.append(choice)
         self._deck = members
 
     def sample(self) -> Subnet:
@@ -152,8 +151,8 @@ class FairSampler:
         members: List[List[int]] = [[] for _ in range(n)]
         for _block in range(self.space.num_blocks):
             permutation = self._rng.permutation(n)
-            for member, choice in zip(members, permutation):
-                member.append(int(choice))
+            for member, choice in zip(members, permutation.tolist()):
+                member.append(choice)
         self._round = members
 
     def sample(self) -> Subnet:

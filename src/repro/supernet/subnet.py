@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.nn.parameter_store import LayerId, intern_layer
+from repro.nn.parameter_store import LayerId, intern_layers
 
 __all__ = ["Subnet"]
 
@@ -26,7 +26,7 @@ class Subnet:
 
     Layer-id views (:meth:`layer_ids`, :meth:`layers_in_range`) are
     computed once, interned through
-    :func:`repro.nn.parameter_store.intern_layer` and cached on the
+    :func:`repro.nn.parameter_store.intern_layers` and cached on the
     instance — they are consulted on every scheduler decision and cache
     probe, and immutability makes memoisation free.  They return tuples;
     callers must not rely on list identity.
@@ -47,10 +47,7 @@ class Subnet:
         """The (block, choice) identity of every activated layer."""
         cached = self.__dict__.get("_layer_ids")
         if cached is None:
-            cached = tuple(
-                intern_layer((block, choice))
-                for block, choice in enumerate(self.choices)
-            )
+            cached = intern_layers(tuple(enumerate(self.choices)))
             object.__setattr__(self, "_layer_ids", cached)
         return cached
 

@@ -1,0 +1,52 @@
+"""The samplers' draws as they were before they converted each drawn
+array with ``.tolist()``.
+
+``SposSampler.sample``, ``GenerationalSampler._deal_generation`` and
+``FairSampler._deal_round`` of that time, copied verbatim (each choice
+went through ``int()``), on subclasses of the live samplers, so
+``tests/test_sampler.py`` can demand the same stream by ``repr``.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+from repro.supernet.sampler import FairSampler, GenerationalSampler, SposSampler
+from repro.supernet.subnet import Subnet
+
+__all__ = ["ReferenceFair", "ReferenceGenerational", "ReferenceSpos"]
+
+
+class ReferenceSpos(SposSampler):
+    def sample(self) -> Subnet:
+        """Draw the next subnet in sequence."""
+        choices = tuple(
+            int(c)
+            for c in self._rng.integers(
+                0, self.space.choices_per_block, size=self.space.num_blocks
+            )
+        )
+        subnet = Subnet(self._next_id, choices)
+        self._next_id += 1
+        return subnet
+
+
+class ReferenceGenerational(GenerationalSampler):
+    def _deal_generation(self) -> None:
+        members: List[List[int]] = [[] for _ in range(self.generation)]
+        for _block in range(self.space.num_blocks):
+            permutation = self._rng.permutation(self.space.choices_per_block)
+            for member, choice in zip(members, permutation):
+                member.append(int(choice))
+        self._deck = members
+
+
+class ReferenceFair(FairSampler):
+    def _deal_round(self) -> None:
+        n = self.space.choices_per_block
+        members: List[List[int]] = [[] for _ in range(n)]
+        for _block in range(self.space.num_blocks):
+            permutation = self._rng.permutation(n)
+            for member, choice in zip(members, permutation):
+                member.append(int(choice))
+        self._round = members

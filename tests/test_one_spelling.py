@@ -1,0 +1,44 @@
+"""``tools/check_one_spelling.py`` holds on the tree and fires on a
+planted second spelling of an engine's layer facts."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_one_spelling.py"
+ENGINE = "engines/pipeline.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("check_one_spelling", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sources(tool):
+    return {p.relative_to(tool.SRC).as_posix(): p.read_text() for p in tool.SRC.rglob("*.py")}
+
+
+def test_every_rule_holds_on_the_tree():
+    tool = _tool()
+    assert tool.violations(_sources(tool)) == []
+
+
+def test_a_second_read_of_a_layer_profile_in_the_engine_fires():
+    tool = _tool()
+    sources = _sources(tool)
+    read = "self._layers[layer][3] / bandwidth"
+    assert read in sources[ENGINE]
+    sources[ENGINE] = sources[ENGINE].replace(
+        read, "self.supernet.profile(layer).param_bytes / bandwidth"
+    )
+    (error,) = tool.violations(sources)
+    assert error.startswith("'supernet\\\\.profile\\\\b': 2 hit(s)")
+
+
+def test_the_deleted_cost_memo_cannot_come_back():
+    tool = _tool()
+    sources = _sources(tool)
+    sources[ENGINE] += "\n_layer_cost = {}\n"
+    (error,) = tool.violations(sources)
+    assert error.startswith("'_layer_cost': 1 hit(s)")

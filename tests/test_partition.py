@@ -13,7 +13,7 @@ from repro.partition import (
     partition_imbalance,
     static_partition_for_space,
 )
-from repro.partition.balanced import _cut_at_limit, _fits
+from repro.partition.balanced import _cut_at_limit, _fits, weighted_balanced_partition
 from repro.partition.static import expected_block_costs
 from repro.supernet.subnet import Subnet
 
@@ -84,7 +84,7 @@ def _greedy_segments_needed(costs, limit):
 def test_early_exit_predicate_agrees_with_counting(costs, stages, position):
     # anywhere the bisection can ask: max(costs) <= limit <= sum(costs)
     limit = max(costs) + position * (sum(costs) - max(costs))
-    assert _fits(costs, limit, stages) == (
+    assert _fits(costs, limit, stages)[0] == (
         _greedy_segments_needed(costs, limit) <= stages
     )
 
@@ -109,6 +109,18 @@ def test_balanced_partition_errors():
         balanced_partition([1.0, 2.0], 0)
     with pytest.raises(PartitionError):
         balanced_partition([1.0, -1.0], 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_balanced_partition_refuses_a_non_finite_or_negative_cost(bad):
+    with pytest.raises(PartitionError, match="finite and non-negative"):
+        balanced_partition([1.0, bad, 2.0], 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_weighted_balanced_partition_refuses_a_non_finite_or_negative_cost(bad):
+    with pytest.raises(PartitionError, match="finite and non-negative"):
+        weighted_balanced_partition([1.0, bad, 2.0], 2, [1.0, 2.0])
 
 
 def test_partition_imbalance_perfect():

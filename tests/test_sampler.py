@@ -99,3 +99,34 @@ def test_stream_replay_identical_for_any_seed(seed):
     while stream.remaining:
         second.append(stream.retrieve().choices)
     assert first == second
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["NLP.c0", "NLP.c3", "CV.c1", "CV.c3"]),
+    st.integers(1, 64),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+)
+def test_samplers_draw_the_reference_stream(name, blocks, choices, seed, count):
+    """Each sampler's stream equals its copy from before the drawn array
+    was converted with ``.tolist()`` (``tests/sampler_reference.py``),
+    subnet for subnet by ``repr`` — the same ``int``s, never numpy's."""
+    from sampler_reference import ReferenceFair, ReferenceGenerational, ReferenceSpos
+    from repro.supernet.sampler import FairSampler
+
+    space = get_search_space(name).scaled(
+        name=f"{name}-drawn", num_blocks=blocks, choices_per_block=choices
+    )
+    pairs = [(SposSampler, ReferenceSpos, ()), (FairSampler, ReferenceFair, ())]
+    pairs.append(
+        (GenerationalSampler, ReferenceGenerational, (min(8, choices),))
+    )
+    for live, reference, extra in pairs:
+        got = live(space, SeedSequenceTree(seed), *extra).sample_many(count)
+        want = reference(space, SeedSequenceTree(seed), *extra).sample_many(count)
+        assert repr([(s.subnet_id, s.choices) for s in got]) == repr(
+            [(s.subnet_id, s.choices) for s in want]
+        )
+        assert all(type(c) is int for s in got for c in s.choices)

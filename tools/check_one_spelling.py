@@ -156,11 +156,15 @@ RULES = [
         (r'(config|payload|window)\.get\("', (), 0, "a field of the config's dataclass", reader)
         for reader in CONFIG_READERS
     ),
+    # an engine reads a layer's facts from its one layer table, which
+    # asks the supernet's profile the first time it sees the layer
+    (r"supernet\.profile\b", ("engines/pipeline.py",), 1, "self._layers[layer]", "engines/pipeline.py"),
+    (r"_layer_cost", (), 0, "self._layers[layer]", "engines/pipeline.py"),
 ]
 
 
-def main() -> int:
-    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+def violations(sources) -> list:
+    """One line per rule the ``{path under src/repro: text}`` sources break."""
     errors = []
     for pattern, homes, limit, instead, *under in RULES:
         hits = {
@@ -174,6 +178,12 @@ def main() -> int:
                 f"{pattern!r}: {sum(hits.values())} hit(s); exactly {limit}, in "
                 f"{list(homes)} only, but also in {strays} — use {instead}"
             )
+    return errors
+
+
+def main() -> int:
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    errors = violations(sources)
     print("\n".join(errors) or f"one spelling each: {len(RULES)} rules hold")
     return 1 if errors else 0
 
