@@ -222,8 +222,10 @@ class CspPolicy(SyncPolicy):
             )
             if not decision.found:
                 return None
-            # Safety validation with exact per-layer semantics; only
-            # ever rejects a conservative-mode proposal.
+            # Safety validation (paper §3.1) with exact per-layer
+            # semantics, read from the same unreleased-user lists the
+            # index is built on; only ever rejects a conservative-mode
+            # proposal.
             if self.tracker.is_clear(decision.qval, stage_layers(decision.qval)):
                 return decision.qval
             if skip is None:

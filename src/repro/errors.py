@@ -28,23 +28,6 @@ class SchedulingError(ReproError):
     """The pipeline scheduler reached an inconsistent state."""
 
 
-class DependencyViolationError(SchedulingError):
-    """A task was executed in violation of a CSP causal dependency.
-
-    Raised by the runtime's self-check; under correct operation it never
-    fires.  Its presence in tests is what makes Definition 2 enforceable.
-    """
-
-    def __init__(self, task: object, blocking_subnet: int, layer: object) -> None:
-        self.task = task
-        self.blocking_subnet = blocking_subnet
-        self.layer = layer
-        super().__init__(
-            f"task {task} ran before subnet {blocking_subnet} released "
-            f"shared layer {layer}"
-        )
-
-
 class GpuOutOfMemoryError(ReproError):
     """A simulated GPU exceeded its memory capacity."""
 

@@ -78,15 +78,37 @@ def test_frontier_waits_for_prefix():
     assert tracker.frontier == 3  # 2 was already finished
 
 
-def test_elimination_prunes_user_lists():
+def test_release_and_elimination_leave_the_unreleased_lists():
     a = Subnet(0, (4,))
     b = Subnet(1, (4,))
     tracker = _tracker(a, b)
-    assert tracker.layer_users((0, 4)) == [0, 1]
+    assert tracker.unreleased_users((0, 4)) == [0, 1]
+    tracker.release_layers(1, [(0, 4)])
+    assert tracker.unreleased_users((0, 4)) == [0]
+    assert tracker.has_released(1, (0, 4)) and not tracker.has_released(0, (0, 4))
     tracker.mark_finished(0)
-    assert tracker.layer_users((0, 4)) == [1]
+    assert tracker.unreleased_users((0, 4)) == []
     # Eliminated subnets count as released forever.
-    assert tracker.has_released(0, (0, 4))
+    assert tracker.frontier == 1 and tracker.has_released(0, (0, 4))
+
+
+def test_registration_out_of_sequence_order_raises():
+    tracker = _tracker(Subnet(0, (1, 2)), Subnet(3, (1, 2)))
+    with pytest.raises(SchedulingError, match="subnet 2 registered after subnet 3"):
+        tracker.register(Subnet(2, (1, 2)))
+    # the refused subnet left no trace; the next id in order still registers
+    assert not tracker.is_registered(2)
+    assert tracker.unreleased_users((0, 1)) == [0, 3]
+    tracker.register(Subnet(4, (1, 2)))
+    assert tracker.unreleased_users((0, 1)) == [0, 3, 4]
+    # an unregistered id cannot be indexed: a lower id may still register
+    with pytest.raises(SchedulingError, match="subnet 6 indexed before it registered"):
+        tracker.index_add(0, 6, [(0, 1)])
+    # after a recovered run's reset, the ids below the cut are taken
+    resumed = DependencyTracker()
+    resumed.reset_frontier(5)
+    with pytest.raises(SchedulingError, match="subnet 3 registered after subnet 4"):
+        resumed.register(Subnet(3, (1, 2)))
 
 
 def test_dependency_exists():
@@ -153,11 +175,11 @@ def _assert_waiters_mirror_blocked_edges(tracker):
     num_choices=st.integers(1, 4),
 )
 def test_index_upkeep_under_random_ops(seed, num_subnets, num_blocks, num_choices):
-    """After every register / index_add / release_layers / mark_finished
-    / index_discard — registration order shuffled, so late-registering
-    earlier subnets add edges too — the waiter map mirrors the blocked
-    edges, and ``dirty_scopes`` covers every scope whose ``ready_ids``
-    differ from what its owner saw when it last cleared the mark."""
+    """After every register (in sequence order) / index_add /
+    release_layers / mark_finished / index_discard the waiter map mirrors
+    the blocked edges, and ``dirty_scopes`` covers every scope whose
+    ``ready_ids`` differ from what its owner saw when it last cleared the
+    mark."""
     from random import Random
 
     rng = Random(seed)
@@ -168,8 +190,7 @@ def test_index_upkeep_under_random_ops(seed, num_subnets, num_blocks, num_choice
     scopes = (0, 1)
     cut = max(1, num_blocks // 2)
     slices = {0: (0, cut), 1: (cut, num_blocks)}
-    order = list(range(num_subnets))
-    rng.shuffle(order)
+    order = list(range(num_subnets - 1, -1, -1))  # popped from the end
 
     tracker = DependencyTracker()
     seen = {scope: [] for scope in scopes}
@@ -208,7 +229,7 @@ def test_index_upkeep_under_random_ops(seed, num_subnets, num_blocks, num_choice
         check()
 
     # quiescence: everything registered, finished and popped
-    for sid in order:
+    for sid in reversed(order):
         tracker.register(subnets[sid])
         unfinished.add(sid)
     for sid in sorted(unfinished):
@@ -218,4 +239,4 @@ def test_index_upkeep_under_random_ops(seed, num_subnets, num_blocks, num_choice
         for sid in tracker.indexed_ids(scope):
             tracker.index_discard(scope, sid)
             check()
-    assert tracker._waiters == {} and tracker._watchers == {}
+    assert tracker._waiters == {}

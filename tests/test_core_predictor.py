@@ -90,15 +90,15 @@ def test_prediction_counter_increments():
 # ----------------------------------------------------------------------
 def _chain_reference(tracker, queue, layers_of, assumed, skip, depth):
     """Algorithm 3's lookahead spelled out: rescan the queue ``depth``
-    times against the per-layer user lists, treating ``assumed`` (and
-    each pick) as released."""
+    times against the per-layer unreleased-user lists, treating
+    ``assumed`` (and each pick) as released."""
     assumed, skip, picks = set(assumed), set(skip), []
     for _ in range(depth):
         for qval in queue:
             if qval not in skip and all(
-                user in assumed or tracker.has_released(user, layer)
+                user in assumed
                 for layer in layers_of[qval]
-                for user in tracker.layer_users(layer)
+                for user in tracker.unreleased_users(layer)
                 if user < qval
             ):
                 picks.append(qval)

@@ -19,12 +19,8 @@ from repro.sim.trace import ExecutionTrace
 def test_error_hierarchy():
     assert issubclass(errors.ConfigError, errors.ReproError)
     assert issubclass(errors.DeadlockError, errors.SimulationError)
-    assert issubclass(errors.DependencyViolationError, errors.SchedulingError)
     oom = errors.GpuOutOfMemoryError(3, requested=100, available=10)
     assert oom.gpu_id == 3 and "100" in str(oom)
-    violation = errors.DependencyViolationError("task", 5, (0, 1))
-    assert violation.blocking_subnet == 5
-    assert "subnet 5" in str(violation)
     deadlock = errors.DeadlockError({"inflight": [1]})
     assert "inflight" in str(deadlock)
 

@@ -1,11 +1,14 @@
 """``tools/check_one_spelling.py`` holds on the tree and fires on a
-planted second spelling of an engine's layer facts."""
+planted second spelling of an engine's layer facts or of the dependency
+tracker's record."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_one_spelling.py"
 ENGINE = "engines/pipeline.py"
+#: the tracker as it was before it kept one record (verbatim copy)
+REFERENCE_TRACKER = TOOL.parents[1] / "tests" / "dependency_reference.py"
 
 
 def _tool():
@@ -42,3 +45,13 @@ def test_the_deleted_cost_memo_cannot_come_back():
     sources[ENGINE] += "\n_layer_cost = {}\n"
     (error,) = tool.violations(sources)
     assert error.startswith("'_layer_cost': 1 hit(s)")
+
+
+def test_the_old_dependency_records_cannot_come_back():
+    """The tracker that kept ``_users`` / ``_released`` / ``_watchers``
+    beside its unreleased-user lists breaks the rule."""
+    tool = _tool()
+    sources = _sources(tool)
+    sources["core/dependency.py"] = REFERENCE_TRACKER.read_text()
+    (error,) = tool.violations(sources)
+    assert error.startswith("'self\\\\._(users|released|watchers)\\\\b': 17 hit(s)")

@@ -160,6 +160,9 @@ RULES = [
     # asks the supernet's profile the first time it sees the layer
     (r"supernet\.profile\b", ("engines/pipeline.py",), 1, "self._layers[layer]", "engines/pipeline.py"),
     (r"_layer_cost", (), 0, "self._layers[layer]", "engines/pipeline.py"),
+    # who still holds a layer is one record: the sorted list of its users
+    # that have not released it, which the readiness index reads too
+    (r"self\._(users|released|watchers)\b", (), 0, "DependencyTracker._unreleased", "core/"),
 ]
 
 
