@@ -1,11 +1,9 @@
 """Extension ablations beyond the paper's Figure 6 (DESIGN.md §6).
 
 Design-choice sweeps: predictor lookahead depth, context cache capacity,
-scheduler check mode, SSP staleness, and the dependency-DAG bound
-comparison of uniform vs generational streams.
+SSP staleness, and the dependency-DAG bound comparison of uniform vs
+generational streams.
 """
-
-import pytest
 
 from repro.baselines import naspipe, ssp
 from repro.engines.pipeline import PipelineEngine
@@ -70,26 +68,6 @@ def test_cache_capacity_sweep(benchmark):
     print()
     for multiple, result in results.items():
         print(f"cache={multiple:.0f}x subnet: hit={hits[multiple]:.3f}")
-
-
-def test_scheduler_mode_equivalent_results(benchmark):
-    def both():
-        return (
-            _run_config(naspipe(scheduler_mode="index")),
-            _run_config(naspipe(scheduler_mode="conservative")),
-        )
-
-    exact, conservative = run_once(benchmark, both)
-    assert exact.subnets_completed == conservative.subnets_completed
-    # The conservative (paper-verbatim) filter admits a subset of the
-    # exact check's schedules per decision, but downstream interactions
-    # (cache residency, arrival order) mean neither strictly dominates;
-    # they must land within a few percent of each other.
-    ratio = conservative.makespan_ms / exact.makespan_ms
-    assert 0.9 < ratio < 1.1
-    print()
-    print(f"exact:        {exact.makespan_ms:10.0f} ms")
-    print(f"conservative: {conservative.makespan_ms:10.0f} ms")
 
 
 def test_ssp_staleness_sweep(benchmark):

@@ -1,8 +1,7 @@
 """Long-stream endurance bench: 1000 subnets through the CSP pipeline.
 
-Exercises what short runs cannot: the finished-list elimination scheme
-must keep the dependency tracker's state bounded (the paper's complexity
-argument), throughput must hold steady between the first and second half
+Exercises what short runs cannot: the elimination scheme must keep the
+dependency tracker's state bounded (the paper's complexity argument), throughput must hold steady between the first and second half
 (no degradation with stream position), and the ranking/ordering
 invariants must survive at scale.
 """
@@ -37,11 +36,12 @@ def test_thousand_subnet_stream(benchmark):
     engine, result = run_once(benchmark, long_run)
     assert result.subnets_completed == _SUBNETS
 
-    # Elimination kept the tracker small: the frontier advanced past
-    # almost the entire stream and only a bounded suffix stays active.
+    # Elimination kept the tracker flat: every finished subnet left its
+    # subnet table, its unreleased-user lists and its readiness index.
     tracker = engine.policy.tracker
-    assert tracker.frontier == _SUBNETS
-    assert tracker.active_subnets() == []
+    assert tracker._subnets == {} and tracker._unreleased == {}
+    assert tracker._waiters == {}
+    assert all(not scope.layers for scope in tracker._scopes.values())
 
     # Throughput steady: second-half completion rate within 15% of the
     # first half's.

@@ -1,8 +1,8 @@
 """Scheduler-scaling microbenchmark (paper §3.2's flat-cost claim).
 
 Drives the readiness-index scheduler over 100→1000-subnet streams with a
-straggler pinning the elimination frontier — the adversarial regime where
-per-layer user lists grow with the stream — and asserts its mean per-call
+straggler that finishes only at the end — the regime where the paper's
+prefix elimination would never prune — and asserts its mean per-call
 cost, timed from outside, stays flat (within 2×) from the shortest to the
 longest stream.  That the index answers exactly what rescanning those
 lists would is ``tests/test_scheduler_equivalence.py``'s job.
@@ -23,9 +23,9 @@ _REPEATS = 3
 def _mean_call_us(stream_len: int) -> float:
     best = float("inf")
     for _ in range(_REPEATS):
-        timed = ScheduleStopwatch(CspScheduler(mode="index"))
+        timed = ScheduleStopwatch(CspScheduler())
         drive_scheduler_stream(timed, stream_len)
-        assert timed.scans == 0 and timed.ready_pops >= stream_len - 2
+        assert timed.ready_pops >= stream_len - 2
         best = min(best, timed.mean_call_s * 1e6)
     return best
 

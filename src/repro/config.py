@@ -13,14 +13,11 @@ from typing import Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["SystemConfig", "SCHEDULER_MODES"]
+__all__ = ["SystemConfig"]
 
 SYNC_MODES = ("csp", "bsp", "asp", "ssp")
 PARTITIONING = ("balanced", "static")
 CONTEXT_MODES = ("full", "cached")
-#: "index" = incremental readiness index (O(1)-amortized decisions);
-#: "conservative" = Algorithm 2 verbatim.
-SCHEDULER_MODES = ("index", "conservative")
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class SystemConfig:
     predictor_depth: int = 2
     recompute: bool = True
     mirroring: bool = True
-    scheduler_mode: str = "index"  # see SCHEDULER_MODES
     #: how off-home layers reach their executing stage when partitions are
     #: balanced per subnet: "mirror" = active replication with async push
     #: (NASPipe §4.2); "migrate" = on-demand move over the interconnect,
@@ -73,11 +69,6 @@ class SystemConfig:
             )
         if self.cache_subnets <= 0:
             raise ConfigError("cache_subnets must be positive")
-        if self.scheduler_mode not in SCHEDULER_MODES:
-            raise ConfigError(
-                f"scheduler_mode must be one of {SCHEDULER_MODES}, "
-                f"got {self.scheduler_mode!r}"
-            )
         if self.mirror_mode not in ("mirror", "migrate"):
             raise ConfigError(
                 f"mirror_mode must be 'mirror' or 'migrate', "

@@ -7,16 +7,16 @@ Causal Synchronous Parallelism (Definition 2) requires that when subnets
 * :class:`Task` — the minimal scheduling unit (a stage's forward or
   backward pass for one subnet);
 * :class:`DependencyTracker` — per-layer release bookkeeping, the exact
-  form of Definition 2's dependency-preservation property;
-* :class:`CspScheduler` — Algorithm 2 (queue scan, lowest-ID-first,
-  finished-list elimination), with both the paper's conservative
-  stage-local check and the exact per-layer check;
+  form of Definition 2's dependency-preservation property, with the
+  elimination scheme (a finished subnet leaves it);
+* :class:`CspScheduler` — Algorithm 2 (lowest-ID-first), the exact
+  per-layer check popped from the tracker's readiness index;
 * :class:`ContextPredictor` — Algorithm 3 (forecast the next scheduled
   tasks by re-running the scheduler against hypothetical state);
 * :class:`StageContextManager` — pinned-CPU ↔ GPU parameter cache with
   prefetch/evict and cache-hit accounting;
 * :class:`CspStageState` — the per-stage runtime lists of Algorithm 1
-  (queue list, finished list, subnet list).
+  (queue list, backward-ready list).
 """
 
 from repro import _exports

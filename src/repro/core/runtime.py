@@ -7,9 +7,13 @@ Each pipeline stage (one GPU worker) owns:
   scheduler's in-order scan realises lowest-ID-first priority;
 * ``backward_ready`` — subnet IDs whose backward input (gradient from the
   next stage, or loss at the last stage) has arrived;
-* ``stage_finished`` (L_f) — subnet IDs whose backward has completed at
-  *this* stage, pruned by the elimination scheme;
-* ``known`` (L_SN) — the subnet descriptors this stage has retrieved.
+* ``busy_subnets`` — subnet IDs whose forward ran here and whose
+  backward has not.
+
+Algorithm 1's L_f and L_SN are not kept per stage: a finished subnet
+leaves the dependency tracker (:meth:`~repro.core.dependency.
+DependencyTracker.mark_finished`), and descriptors live once, in the
+engine's run table.
 
 The state object is pure bookkeeping; decisions are made by the scheduler
 and the engine, which keeps this faithful to the paper's decentralised
@@ -21,11 +25,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.errors import SchedulingError
 from repro.sim.trace import ExecutionTrace
-from repro.supernet.subnet import Subnet
 
 __all__ = ["CspStageState"]
 
@@ -41,8 +44,6 @@ class CspStageState:
     stage: int
     queue: List[int] = field(default_factory=list)
     backward_ready: List[int] = field(default_factory=list)
-    stage_finished: Set[int] = field(default_factory=set)
-    known: Dict[int, Subnet] = field(default_factory=dict)
     #: subnets whose forward ran here and whose backward has not yet
     busy_subnets: Set[int] = field(default_factory=set)
     #: queue observers — the CSP policy's readiness index mirrors the
@@ -89,10 +90,6 @@ class CspStageState:
         self.on_enqueue = on_enqueue
         self.on_pop = on_pop
 
-    def retrieve(self, subnet: Subnet) -> None:
-        """L_SN.append(retrieve()) — learn a subnet descriptor."""
-        self.known[subnet.subnet_id] = subnet
-
     def enqueue_forward(self, subnet_id: int) -> None:
         """A forward input arrived at this stage (receiveFwd)."""
         if subnet_id in self.queue:
@@ -134,24 +131,11 @@ class CspStageState:
         self._sample_depth()
         return subnet_id
 
-    def finish_backward(self, subnet_id: int, frontier: int) -> None:
-        """flush + L_f.append, then prune ids below the global frontier."""
-        self.stage_finished.add(subnet_id)
+    def finish_backward(self, subnet_id: int) -> None:
+        """The backward of ``subnet_id`` ran here (flush)."""
         self.busy_subnets.discard(subnet_id)
-        if frontier:
-            self.stage_finished = {
-                sid for sid in self.stage_finished if sid >= frontier
-            }
 
     # ------------------------------------------------------------------
-    def subnet(self, subnet_id: int) -> Subnet:
-        try:
-            return self.known[subnet_id]
-        except KeyError:
-            raise SchedulingError(
-                f"stage {self.stage}: unknown subnet {subnet_id}"
-            ) from None
-
     @property
     def has_work(self) -> bool:
         return bool(self.queue or self.backward_ready)

@@ -146,9 +146,7 @@ class PipelineResult:
     #: worst per-stage cached parameter footprint observed (bytes);
     #: None for full-context systems.
     peak_cache_bytes: Optional[int] = None
-    #: scheduler cost accounting (CSP systems; empty/zero otherwise)
-    scheduler_mode: str = ""
-    scheduler_scans: int = 0
+    #: scheduler cost accounting (CSP systems; zero otherwise)
     scheduler_ready_pops: int = 0
     # -- fault tolerance (repro.ft) ------------------------------------
     #: True when a fatal fault halted the run before the stream drained;
@@ -498,8 +496,6 @@ class PipelineEngine:
             self._precompute_run(run)
             self.runs[subnet.subnet_id] = run
             self.inflight.add(subnet.subnet_id)
-            for state in self.stage_states:
-                state.retrieve(subnet)
             if self.mirror_registry is not None:
                 self.mirror_registry.register_stages(run.stage_layers, self.sim.now)
             if self.functional is not None:
@@ -760,7 +756,7 @@ class PipelineEngine:
         # the own stage is idle now, and beyond it only the stages the
         # policy names can have gained something to run — those whose
         # ready list a released layer changed (CSP), or every stage when
-        # the gate reads global state (SSP staleness, conservative CSP).
+        # the gate reads global state (SSP staleness).
         self._kick(stage)
         for other in self.policy.wakes():
             if other != stage:
@@ -856,9 +852,7 @@ class PipelineEngine:
             context.release_after_task(layers, now, dirty=True)
             context.evict_subnet(layers, now)
 
-        self.stage_states[stage].finish_backward(
-            subnet_id, self._tracker_frontier()
-        )
+        self.stage_states[stage].finish_backward(subnet_id)
         self.policy.on_backward_done(stage, subnet_id)
 
         if stage > 0:
@@ -873,10 +867,6 @@ class PipelineEngine:
         else:
             self._complete_subnet(subnet_id)
 
-    def _tracker_frontier(self) -> int:
-        tracker = self.policy.tracker
-        return tracker.frontier if tracker is not None else 0
-
     def _complete_subnet(self, subnet_id: int) -> None:
         now = self.sim.now
         self.inflight.discard(subnet_id)
@@ -887,11 +877,6 @@ class PipelineEngine:
         self.trace.record_subnet_complete(subnet_id, now)
         flush_ids = self.policy.on_subnet_complete(subnet_id)
         self._flush(flush_ids)
-        # §3.2's elimination applied to L_SN: a completed subnet's
-        # descriptor has no reader left (the conservative scan skips ids
-        # the tracker reports finished before it asks for them).
-        for state in self.stage_states:
-            state.known.pop(subnet_id, None)
         if self.checkpoints is not None:
             self.checkpoints.on_subnet_complete(subnet_id, now)
         if self.faults is not None and len(self.completed) == len(self.stream):
@@ -1064,8 +1049,6 @@ class PipelineEngine:
                 self.mirror_registry.push_bytes_total if self.mirror_registry else 0
             ),
             scheduler_calls=scheduler.calls if scheduler else 0,
-            scheduler_mode=scheduler.mode if scheduler else "",
-            scheduler_scans=scheduler.scans if scheduler else 0,
             scheduler_ready_pops=scheduler.ready_pops if scheduler else 0,
             oom_retries=self.oom_retries,
             peak_cache_bytes=(

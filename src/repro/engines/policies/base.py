@@ -36,7 +36,7 @@ class SyncPolicy(ABC):
     #: the engine buffers them until ``flush_ready`` returns subnet ids.
     commits_immediately: bool = True
     #: the CSP policy's dependency tracker and Algorithm-2 scheduler; the
-    #: engine reads both for its frontier, stall dump and cost counters
+    #: engine reads both for its stall dump and cost counters
     tracker = None
     scheduler = None
 

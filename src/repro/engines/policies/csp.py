@@ -1,9 +1,10 @@
 """CSP policy: the NASPipe scheduler + predictor glued to the engine.
 
-Forward selection runs Algorithm 2 over the stage's sorted queue; every
-candidate the (possibly conservative) scheduler proposes is validated
+Forward selection runs Algorithm 2 over the stage's sorted queue; the
+candidate the scheduler pops from the readiness index is validated
 against the exact per-layer :class:`DependencyTracker` before execution —
-the context executor's "check ... for safety" (paper §3.1).
+the context executor's "check ... for safety" (paper §3.1) — and a
+candidate that fails it is a :class:`~repro.errors.SchedulingError`.
 
 When the predictor is enabled, the policy calls Algorithm 3 at the two
 paper-specified points (before each backward and each forward) and turns
@@ -13,14 +14,14 @@ its predictions into context-manager prefetches.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.config import SystemConfig
 from repro.core.dependency import DependencyTracker
 from repro.core.predictor import ContextPredictor
 from repro.core.scheduler import CspScheduler
 from repro.engines.policies.base import SyncPolicy
-from repro.nn.parameter_store import LayerId
+from repro.errors import SchedulingError
 
 __all__ = ["CspPolicy"]
 
@@ -37,7 +38,7 @@ class CspPolicy(SyncPolicy):
     def __init__(self, config: SystemConfig, stages: int) -> None:
         super().__init__(config, stages)
         self.tracker = DependencyTracker()
-        self.scheduler = CspScheduler(mode=config.scheduler_mode)
+        self.scheduler = CspScheduler()
         self._predictors: List[ContextPredictor] = []
         #: per-stage open CSP wait (start time), for csp_wait_begin/end
         #: observability events — a wait opens when the stage has queued
@@ -51,17 +52,13 @@ class CspPolicy(SyncPolicy):
         self.tracker.dirty_scopes.update(range(stages))
         #: ``effective_window()`` as stage 0's last poll saw it
         self._window_seen: Optional[int] = None
-        self._stage_layers_fns = [
-            self._stage_layers_fn(stage) for stage in range(stages)
-        ]
 
     def bind(self, engine) -> None:
         super().bind(engine)
         # Recovered runs consume a stream slice that keeps its original
-        # sequence IDs; start elimination at the slice base so the
-        # frontier's contiguity walk doesn't wait on pre-crash ids.
+        # sequence IDs; the pre-crash ids below its base are taken.
         if engine.stream.base:
-            self.tracker.reset_frontier(engine.stream.base)
+            self.tracker.reserve_ids_below(engine.stream.base)
         if self.config.predictor and self.config.context == "cached":
             self._predictors = [
                 ContextPredictor(stage, depth=self.config.predictor_depth)
@@ -70,8 +67,8 @@ class CspPolicy(SyncPolicy):
         # Mirror each stage's forward queue into the tracker's readiness
         # index: enqueue indexes the (subnet, stage-slice) pair, pop
         # retires it.  All blocked-edge maintenance then rides the
-        # release path inside the tracker.  Every scheduler mode mirrors:
-        # the predictor's lookahead reads the same index.
+        # release path inside the tracker.  The predictor's lookahead
+        # reads the same index.
         for state in engine.stage_states:
             state.attach_queue_observer(
                 self._index_enqueue_fn(state.stage),
@@ -92,14 +89,6 @@ class CspPolicy(SyncPolicy):
             self.tracker.index_discard(stage, subnet_id)
 
         return on_pop
-
-    # ------------------------------------------------------------------
-    def _stage_layers_fn(self, stage: int) -> Callable[[int], Sequence[LayerId]]:
-        def stage_layers(subnet_id: int) -> Sequence[LayerId]:
-            assert self.engine is not None
-            return self.engine.stage_layers(subnet_id, stage)
-
-        return stage_layers
 
     # ------------------------------------------------------------------
     #: Algorithm 1 retrieves subnets continuously; the queue list holds
@@ -139,10 +128,6 @@ class CspPolicy(SyncPolicy):
         return chosen
 
     def wakes(self) -> Iterable[int]:
-        if self.scheduler.mode != "index":
-            # Algorithm 2 verbatim gates on the global frontier and on
-            # per-stage finished sets: any completion may change it.
-            return super().wakes()
         # A poll answers from the stage's ready list alone — plus, at
         # stage 0, the execution window, whose occupancy only moves on
         # stage 0's own tasks but whose size degradation may change.
@@ -208,29 +193,23 @@ class CspPolicy(SyncPolicy):
             layers = self.engine.stage_layers(head, stage)
             return head if self.tracker.is_clear(head, layers) else None
 
-        skip: Optional[Set[int]] = None
-        stage_layers = self._stage_layers_fns[stage]
-        while True:
-            decision = self.scheduler.schedule(
-                state.queue,
-                stage_layers,
-                self.tracker,
-                stage_finished=state.stage_finished,
-                subnet_of=state.subnet,
-                skip=skip,
-                scope=stage,
-            )
-            if not decision.found:
-                return None
-            # Safety validation (paper §3.1) with exact per-layer
-            # semantics, read from the same unreleased-user lists the
-            # index is built on; only ever rejects a conservative-mode
-            # proposal.
-            if self.tracker.is_clear(decision.qval, stage_layers(decision.qval)):
-                return decision.qval
-            if skip is None:
-                skip = set()
-            skip.add(decision.qval)
+        decision = self.scheduler.schedule(state.queue, self.tracker, stage)
+        if not decision.found:
+            return None
+        # Safety validation (paper §3.1) with exact per-layer semantics,
+        # read from the unreleased-user lists the index is built on: a
+        # proposal it rejects means the index lost an edge.
+        qval = decision.qval
+        blocking = self.tracker.blocking_user(
+            qval, self.engine.stage_layers(qval, stage)
+        )
+        if blocking is None:
+            return qval
+        user, layer = blocking
+        raise SchedulingError(
+            f"stage {stage}: the readiness index proposed subnet {qval}, "
+            f"still blocked by subnet {user} on layer {layer}"
+        )
 
     # ------------------------------------------------------------------
     def before_task(self, stage: int, subnet_id: int, is_backward: bool) -> None:

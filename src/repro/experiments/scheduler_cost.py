@@ -3,12 +3,13 @@
 The paper argues Algorithm 2 costs O(|L_q|·(|L_f| + m²)) per call, kept
 small (<0.01 s) by the finished-list elimination scheme, and therefore
 negligible against second-scale subnet executions.  This experiment
-measures the real per-call wall time of that algorithm — the scheduler's
-``conservative`` mode, the pseudocode verbatim — at growing queue sizes,
-in the average case (a random SPOS queue) and the worst (every queued
-subnet blocked, so each call walks the whole queue).
+measures the real per-call wall time of that algorithm — the pseudocode
+verbatim, :func:`_schedule` over the experiment's own L_SN and L_f — at
+growing queue sizes, in the average case (a random SPOS queue) and the
+worst (every queued subnet blocked, so each call walks the whole queue).
 
-The default ``index`` mode's cost over long streams is the ledger's
+The runtime's scheduler pops the exact per-layer check from a readiness
+index instead; its cost over long streams is the ledger's
 ``core.sched_busy_s`` row and ``benchmarks/test_scheduler_scaling.py``.
 """
 
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import timeit
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.dependency import DependencyTracker
-from repro.core.scheduler import CspScheduler
+from repro.nn.parameter_store import LayerId
 from repro.seeding import SeedSequenceTree
 from repro.supernet.sampler import SposSampler
 from repro.supernet.search_space import get_search_space
+from repro.supernet.subnet import Subnet
 
 __all__ = ["SchedulerCostPoint", "run", "format_text"]
 
@@ -35,32 +36,53 @@ class SchedulerCostPoint:
     scans_per_call: float
 
 
+def _schedule(
+    queue: Sequence[int],
+    stage_layers: Callable[[int], Sequence[LayerId]],
+    known: Dict[int, Subnet],
+    finished: Set[int],
+) -> Tuple[int, int]:
+    """Algorithm 2 (SCHEDULE) verbatim: the first queued subnet whose
+    stage slice shares no layer with any earlier subnet of L_SN
+    (``known``) that is not in L_f (``finished``).  Returns its queue
+    index (-1 = none) and the queue entries examined."""
+    for qidx, qval in enumerate(queue):
+        layer_set = set(stage_layers(qval))
+        for wval in range(qval):
+            earlier = known.get(wval)
+            if earlier is None or wval in finished:
+                continue
+            if any(earlier.choices[block] == choice for block, choice in layer_set):
+                break
+        else:
+            return qidx, qidx + 1
+    return -1, len(queue)
+
+
 def _measure(
     subnets, queue_size: int, scenario: str, stages: int, calls: int,
     num_blocks: int,
 ) -> SchedulerCostPoint:
-    tracker = DependencyTracker()
-    for subnet in subnets:
-        tracker.register(subnet)
     queue = [subnet.subnet_id for subnet in subnets[1:]]
-    lookup = {subnet.subnet_id: subnet for subnet in subnets}
+    known = {subnet.subnet_id: subnet for subnet in subnets}
+    finished: Set[int] = set()
     slice_size = num_blocks // stages
 
     def stage_layers(subnet_id: int):
-        return lookup[subnet_id].layers_in_range(0, slice_size)
+        return known[subnet_id].layers_in_range(0, slice_size)
 
-    scheduler = CspScheduler(mode="conservative")
-    elapsed = timeit.timeit(
-        lambda: scheduler.schedule(
-            queue, stage_layers, tracker, subnet_of=lookup.__getitem__
-        ),
-        number=calls,
-    )
+    scans = 0
+
+    def call() -> None:
+        nonlocal scans
+        scans += _schedule(queue, stage_layers, known, finished)[1]
+
+    elapsed = timeit.timeit(call, number=calls)
     return SchedulerCostPoint(
         queue_size=queue_size,
         scenario=scenario,
         mean_call_us=elapsed / calls * 1e6,
-        scans_per_call=scheduler.scans / scheduler.calls,
+        scans_per_call=scans / calls,
     )
 
 
@@ -71,8 +93,6 @@ def run(
     stages: int = 8,
     seed: int = 2022,
 ) -> List[SchedulerCostPoint]:
-    from repro.supernet.subnet import Subnet
-
     space = get_search_space(space_name)
     sampler = SposSampler(space, SeedSequenceTree(seed))
     points: List[SchedulerCostPoint] = []

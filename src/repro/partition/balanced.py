@@ -198,7 +198,7 @@ def weighted_balanced_partition(
     :func:`balanced_partition` exactly (same code path, so identical
     cuts).  Bisection over the answer with a greedy max-prefix
     feasibility check; with the one-block-per-stage floor the greedy
-    check is conservative in degenerate corners, yielding a valid,
+    check errs on the safe side in degenerate corners, yielding a valid,
     near-optimal cut.
 
     >>> weighted_balanced_partition([1, 1, 1, 1], 2, [3.0, 1.0])

@@ -119,8 +119,6 @@ class ReferenceEngine(PipelineEngine):
             self._precompute_run(run)
             self.runs[subnet.subnet_id] = run
             self.inflight.add(subnet.subnet_id)
-            for state in self.stage_states:
-                state.retrieve(subnet)
             if self.mirror_registry is not None:
                 self.mirror_registry.register_subnet(subnet, partition, self.sim.now)
             if self.functional is not None:

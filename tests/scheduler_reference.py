@@ -22,21 +22,19 @@ from repro.supernet.subnet import Subnet
 class ScanOracle:
     """First queued id whose stage slice ``tracker.is_clear`` — drop-in
     for ``CspScheduler`` (same ``schedule`` signature and counters, so it
-    can be injected as ``engine.policy.scheduler``)."""
-
-    mode = "scan-oracle"
+    can be injected as ``engine.policy.scheduler``).  The stage slice of
+    a queued id is the one the queue's mirror handed ``index_add``; the
+    oracle reads it back but none of the index's edges or ready list."""
 
     def __init__(self):
         self.calls = self.scans = self.ready_pops = 0
 
-    def schedule(self, queue, stage_layers_of, tracker, stage_finished=None,
-                 subnet_of=None, skip=None, scope=None):
+    def schedule(self, queue, tracker, scope):
         self.calls += 1
+        stage_layers = tracker._scopes[scope].layers if queue else {}
         for qidx, qval in enumerate(queue):
-            if skip and qval in skip:
-                continue
             self.scans += 1
-            if tracker.is_clear(qval, stage_layers_of(qval)):
+            if tracker.is_clear(qval, stage_layers[qval]):
                 return ScheduleDecision(qidx, qval)
         return ScheduleDecision(-1, -1)
 
@@ -60,10 +58,9 @@ def drive_scheduler_stream(
     forward, keep up to ``inflight_cap`` scheduled subnets unreleased
     (their WRITEs still pending), and retire the oldest when the queue is
     fully blocked.  With ``straggler`` enabled, subnet 0 releases its
-    layers but never finishes, pinning the elimination frontier at zero —
-    user lists then grow with the stream, which is exactly the regime
-    where rescanning becomes superlinear and the readiness index does
-    not.  Everything is derived from ``seed``.  Returns every
+    layers but only finishes at the end — the paper's prefix elimination
+    would then never prune, the regime where rescanning becomes
+    superlinear and the readiness index does not.  Everything is derived from ``seed``.  Returns every
     ``(qidx, qval)`` the scheduler answered, in call order (NONE
     decisions included as ``(-1, -1)``): two schedulers run with equal
     parameters must produce identical sequences.
@@ -96,17 +93,14 @@ def drive_scheduler_stream(
 
     admit()
     while queue:
-        decision = scheduler.schedule(
-            queue, stage_layers, tracker, scope=scope
-        )
+        decision = scheduler.schedule(queue, tracker, scope)
         decisions.append((decision.qidx, decision.qval))
         if decision.found:
             queue.remove(decision.qval)
             tracker.index_discard(scope, decision.qval)
             if straggler and decision.qval == 0:
                 # The straggler's WRITEs commit (so nothing deadlocks)
-                # but it never reports finished: the frontier stays at 0
-                # and nothing behind it is ever eliminated.
+                # but it only reports finished once the stream drained.
                 tracker.release_layers(0, subnets[0].layer_ids())
                 held_straggler = True
             else:

@@ -80,10 +80,6 @@ def test_invalid_configs_rejected():
         (lambda: naspipe(predictor_depth=0), ["predictor_depth", ">= 1"]),
         (lambda: naspipe(predictor_depth=-1), ["predictor_depth", ">= 1"]),
         (lambda: ssp(-2), ["staleness", ">= 0"]),
-        (
-            lambda: naspipe(scheduler_mode="scan"),
-            ["scheduler_mode", "'index'", "'conservative'"],
-        ),
     ],
 )
 def test_out_of_range_fields_rejected_at_construction(build, names):

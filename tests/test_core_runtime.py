@@ -5,7 +5,6 @@ import pytest
 from repro.core.runtime import CspStageState
 from repro.core.task import Task, TaskKind
 from repro.errors import SchedulingError
-from repro.supernet.subnet import Subnet
 
 
 def test_task_properties_and_str():
@@ -55,26 +54,16 @@ def test_backward_ready_lowest_first():
     assert state.pop_backward() == 7
 
 
-def test_finish_backward_prunes_by_frontier():
+def test_finish_backward_frees_the_stage():
     state = CspStageState(stage=0)
     for sid in (0, 1, 2):
         state.enqueue_forward(sid)
         state.pop_forward(sid)
-    state.finish_backward(0, frontier=0)
-    state.finish_backward(1, frontier=0)
-    assert state.stage_finished == {0, 1}
-    state.finish_backward(2, frontier=2)
-    assert state.stage_finished == {2}
+    state.finish_backward(0)
+    state.finish_backward(2)
+    assert state.busy_subnets == {1}
+    state.finish_backward(1)
     assert state.busy_subnets == set()
-
-
-def test_retrieve_and_subnet_lookup():
-    state = CspStageState(stage=1)
-    subnet = Subnet(0, (1, 2))
-    state.retrieve(subnet)
-    assert state.subnet(0) is subnet
-    with pytest.raises(SchedulingError):
-        state.subnet(1)
 
 
 def test_has_work():

@@ -45,7 +45,6 @@ WIDE = get_search_space("NLP.c3").scaled(
 
 CONFIGS = {
     "naspipe-index": naspipe,
-    "naspipe-conservative": lambda: naspipe(scheduler_mode="conservative"),
     "naspipe-in-order": naspipe_wo_scheduler,
     "naspipe-no-predictor": naspipe_wo_predictor,
     "pipedream": pipedream,

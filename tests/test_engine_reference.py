@@ -56,7 +56,6 @@ SYSTEMS = {
     "NASPipe w/o scheduler": naspipe_wo_scheduler,
     "NASPipe w/o predictor": naspipe_wo_predictor,
     "NASPipe w/o mirroring": naspipe_wo_mirroring,
-    "NASPipe conservative": lambda **kw: naspipe(scheduler_mode="conservative", **kw),
     "NASPipe migrate": lambda **kw: naspipe(mirror_mode="migrate", **kw),
     "NASPipe small cache": lambda **kw: naspipe(cache_subnets=0.2, **kw),
 }

@@ -1,6 +1,6 @@
 """``tools/check_one_spelling.py`` holds on the tree and fires on a
-planted second spelling of an engine's layer facts or of the dependency
-tracker's record."""
+planted second spelling of an engine's layer facts, of the dependency
+tracker's record or of the CSP decision path."""
 
 import importlib.util
 from pathlib import Path
@@ -49,9 +49,24 @@ def test_the_deleted_cost_memo_cannot_come_back():
 
 def test_the_old_dependency_records_cannot_come_back():
     """The tracker that kept ``_users`` / ``_released`` / ``_watchers``
-    beside its unreleased-user lists breaks the rule."""
+    beside its unreleased-user lists breaks the rule (and, with its
+    elimination frontier, the one-decision-path rule)."""
     tool = _tool()
     sources = _sources(tool)
     sources["core/dependency.py"] = REFERENCE_TRACKER.read_text()
-    (error,) = tool.violations(sources)
-    assert error.startswith("'self\\\\._(users|released|watchers)\\\\b': 17 hit(s)")
+    records, _ = tool.violations(sources)
+    assert records.startswith("'self\\\\._(users|released|watchers)\\\\b': 17 hit(s)")
+
+
+def test_the_second_csp_decision_path_cannot_come_back():
+    """The old tracker's frontier, which only Algorithm 2's whole-subnet
+    scan read, and the config switch that selected that scan both fire
+    the one-decision-path rule."""
+    tool = _tool()
+    sources = _sources(tool)
+    sources["core/dependency.py"] = REFERENCE_TRACKER.read_text()
+    sources["config.py"] += 'SCHEDULER_MODES = ("index", "conservative")\n'
+    _, path = tool.violations(sources)
+    assert path.startswith("'conservative|scheduler_mode|stage_finished|")
+    assert ": 10 hit(s); " in path
+    assert "['config.py', 'core/dependency.py']" in path

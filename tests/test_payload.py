@@ -233,6 +233,12 @@ MISTAKES = {
         {"bogus": 1},
         ".overrides: unknown keys ['bogus']; expected a subset of [",
     ),
+    # the CSP scheduler has one decision path; its old switch is no field
+    "removed system field": (
+        "overrides",
+        {"scheduler_mode": "index"},
+        ".overrides: unknown keys ['scheduler_mode']; expected a subset of [",
+    ),
     "system": ("system", "Foo", ".system: unknown system 'Foo'; known: ['GPipe', 'NASPipe'"),
 }
 

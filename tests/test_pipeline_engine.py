@@ -3,19 +3,20 @@ stall accounting, per-system invariants."""
 
 import gc
 import json
+import re
+from bisect import insort
 from pathlib import Path
 
 import pytest
 
 from repro.baselines import gpipe, naspipe, pipedream, ssp, vpipe
 from repro.engines.pipeline import PipelineEngine
-from repro.errors import ConfigError, DeadlockError, PartitionError
+from repro.errors import ConfigError, DeadlockError, PartitionError, SchedulingError
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.sim.trace import TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.search_space import get_search_space
-from repro.supernet.subnet import Subnet
 from repro.supernet.supernet import Supernet
 
 
@@ -104,21 +105,18 @@ def test_historic_fingerprint_matches_committed_baseline(attrs_census):
 
 @pytest.mark.parametrize(
     "mode, makespan_ms, hit_rate",
-    [
-        ("index", 53515.19241642031, 0.9719509548611112),
-        ("conservative", 53994.38486597135, 0.9814453125),
-    ],
+    [("index", 53515.19241642031, 0.9719509548611112)],
 )
 def test_completed_subnets_leave_per_stage_state(mode, makespan_ms, hit_rate):
-    """§3.2's elimination keeps state flat over long streams: like L_f,
-    each stage's L_SN (``known``) and the engine's ``started`` set hold
-    in-flight subnets only — never the stream (NLP.c3 x 192 x 8 GPUs;
-    the pinned results are the ones the unpruned engine gave)."""
+    """§3.2's elimination keeps state flat over long streams: the
+    engine's ``started`` set and the dependency tracker hold in-flight
+    subnets only — never the stream (NLP.c3 x 192 x 8 GPUs; the pinned
+    results are the ones the unpruned engine gave)."""
     space = get_search_space("NLP.c3")
     engine = PipelineEngine(
         Supernet(space),
         SubnetStream.sample(space, SeedSequenceTree(2022), 192),
-        naspipe(scheduler_mode=mode),
+        naspipe(),
         ClusterSpec(num_gpus=8),
         batch=32,
     )
@@ -127,10 +125,7 @@ def test_completed_subnets_leave_per_stage_state(mode, makespan_ms, hit_rate):
     def sample(event):
         if event.kind == "subnet_complete":
             held.append(
-                max(
-                    len(engine.started),
-                    *(len(state.known) for state in engine.stage_states),
-                )
+                max(len(engine.started), len(engine.policy.tracker._subnets))
             )
 
     engine.trace.listeners.append(sample)
@@ -138,8 +133,52 @@ def test_completed_subnets_leave_per_stage_state(mode, makespan_ms, hit_rate):
     assert len(held) == 192
     assert max(held) <= engine.policy.window + engine.policy.QUEUE_CAP
     assert not engine.started
-    assert not any(state.known for state in engine.stage_states)
+    assert not engine.policy.tracker._subnets
     assert (result.makespan_ms, result.cache_hit_rate) == (makespan_ms, hit_rate)
+
+
+def test_a_blocked_proposal_is_a_scheduling_error(small_supernet):
+    """§3.1's safety check stays in front of every forward: when the
+    readiness index proposes a queued subnet that is still blocked (here
+    it forgets each entry's blocking edges as it indexes it), the policy
+    names the stage, the subnet and the blocking (user, layer) edge
+    instead of running it or falling through to another candidate."""
+    engine = PipelineEngine(
+        small_supernet,
+        SubnetStream.sample(small_supernet.space, SeedSequenceTree(11), 24),
+        naspipe(),
+        ClusterSpec(num_gpus=4),
+        batch=32,
+    )
+    tracker = engine.policy.tracker
+    index_add = tracker.index_add
+    lost = []
+
+    def index_add_losing_edges(scope, subnet_id, layers):
+        index_add(scope, subnet_id, layers)
+        entry = tracker._scopes[scope]
+        if entry.blocked[subnet_id]:
+            lost.append(subnet_id)
+            tracker.index_discard(scope, subnet_id)
+            entry.layers[subnet_id] = list(layers)
+            entry.blocked[subnet_id] = set()
+            insort(entry.ready, subnet_id)
+
+    tracker.index_add = index_add_losing_edges
+    with pytest.raises(SchedulingError) as raised:
+        engine.run()
+    found = re.fullmatch(
+        r"stage (\d+): the readiness index proposed subnet (\d+), still "
+        r"blocked by subnet (\d+) on layer \((\d+), (\d+)\)",
+        str(raised.value),
+    )
+    assert found, str(raised.value)
+    stage, subnet_id, user, block, choice = map(int, found.groups())
+    assert subnet_id in lost and subnet_id in engine.stage_states[stage].queue
+    assert (block, choice) in engine.stage_layers(subnet_id, stage)
+    assert user < subnet_id
+    assert tracker.unreleased_users((block, choice))[0] == user
+    assert engine.subnet_of(user).choices[block] == choice
 
 
 def _silent_wakes_engine(supernet, dump=True):

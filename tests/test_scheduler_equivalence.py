@@ -11,7 +11,7 @@ layers of evidence:
    the index's ready set always equals the brute-force recomputation
    from :meth:`DependencyTracker.is_clear`;
 3. end-to-end: full pipeline runs with the oracle injected as
-   ``engine.policy.scheduler`` and with the stock ``index`` scheduler
+   ``engine.policy.scheduler`` and with the stock scheduler
    produce the identical event sequence and the identical
    final-parameter digest through the functional plane.
 
@@ -55,7 +55,7 @@ SCOPE = 0
 def test_index_and_scan_make_identical_decisions(
     seed, num_subnets, queue_cap, inflight_cap, straggler
 ):
-    oracle, index = ScanOracle(), CspScheduler(mode="index")
+    oracle, index = ScanOracle(), CspScheduler()
     decisions = [
         drive_scheduler_stream(
             scheduler,
@@ -69,7 +69,6 @@ def test_index_and_scan_make_identical_decisions(
     ]
     assert decisions[0] == decisions[1]
     assert oracle.calls == index.calls == len(decisions[0])
-    assert index.scans == 0
 
 
 # ----------------------------------------------------------------------
@@ -179,67 +178,12 @@ def _run(scheduler, seed: int, gpus: int):
     gpus=st.sampled_from([2, 4]),
 )
 def test_pipeline_digest_identical_across_modes(seed, gpus):
-    scan_result, scan_events = _run(ScanOracle(), seed, gpus)
+    oracle = ScanOracle()
+    scan_result, scan_events = _run(oracle, seed, gpus)
     index_result, index_events = _run(None, seed, gpus)
-    assert scan_result.scheduler_mode == ScanOracle.mode
-    assert scan_result.scheduler_scans > 0
-    assert index_result.scheduler_mode == "index"
+    assert oracle.scans > 0 and scan_result.scheduler_ready_pops == 0
     assert index_result.scheduler_ready_pops > 0
     assert scan_events == index_events
     assert scan_result.digest == index_result.digest
     assert scan_result.trace.makespan == index_result.trace.makespan
 
-
-# ----------------------------------------------------------------------
-# 4. skip-set differential: oracle and index agree under exclusions
-# ----------------------------------------------------------------------
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_subnets=st.integers(4, 24),
-    num_blocks=st.integers(2, 6),
-    skip_fraction=st.floats(0.0, 0.9),
-)
-def test_scan_and_index_agree_with_skip_sets(
-    seed, num_subnets, num_blocks, skip_fraction
-):
-    """The in-flight ``skip`` set prunes both the linear scan and the
-    index's first_ready walk; for any readiness state and any skip set
-    the two modes must return the same decision."""
-    rng = Random(seed)
-    subnets = {
-        i: Subnet(i, tuple(rng.randrange(3) for _ in range(num_blocks)))
-        for i in range(num_subnets)
-    }
-    layers_of = {
-        sid: subnet.layers_in_range(0, num_blocks)
-        for sid, subnet in subnets.items()
-    }
-    tracker = DependencyTracker()
-    for subnet in subnets.values():
-        tracker.register(subnet)
-    queue = sorted(subnets)
-    for sid in queue:
-        tracker.index_add(SCOPE, sid, layers_of[sid])
-    # randomly retire a prefix of blockers so readiness varies
-    for sid in list(subnets):
-        if rng.random() < 0.4:
-            tracker.mark_finished(sid)
-
-    scan = ScanOracle()
-    index = CspScheduler(mode="index")
-    stage_layers = lambda sid: layers_of[sid]
-    for _ in range(4):
-        skip = {sid for sid in queue if rng.random() < skip_fraction}
-        got_scan = scan.schedule(
-            queue, stage_layers, tracker, skip=skip, scope=SCOPE
-        )
-        got_index = index.schedule(
-            queue, stage_layers, tracker, skip=skip, scope=SCOPE
-        )
-        assert (got_scan.qidx, got_scan.qval) == (
-            got_index.qidx,
-            got_index.qval,
-        )
-        if got_scan.found:
-            assert got_scan.qval not in skip

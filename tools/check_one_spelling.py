@@ -163,6 +163,15 @@ RULES = [
     # who still holds a layer is one record: the sorted list of its users
     # that have not released it, which the readiness index reads too
     (r"self\._(users|released|watchers)\b", (), 0, "DependencyTracker._unreleased", "core/"),
+    # one CSP decision path, the readiness index: Algorithm 2's pseudocode
+    # (whole earlier subnets against a stage-finished list past a global
+    # frontier) is no runtime option but the scheduler-cost experiment
+    (
+        r"conservative|scheduler_mode|stage_finished|SCHEDULER_MODES|\.frontier\b",
+        (),
+        0,
+        "CspScheduler.schedule / experiments.scheduler_cost",
+    ),
 ]
 
 
