@@ -15,6 +15,7 @@ docs-check:
 	python tools/check_docs_links.py
 	python tools/check_cli_examples.py
 	python tools/check_one_spelling.py
+	python tools/test_only_api.py --check
 	python tools/config_keys.py --check docs/OPERATIONS.md
 	python tools/trace_kinds.py --check docs/TRACING.md
 	python tools/telemetry_catalog.py --check docs/TELEMETRY.md

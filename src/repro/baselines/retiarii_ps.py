@@ -35,12 +35,6 @@ class RetiariiResult:
     digest: Optional[str]
     ps_busy_ms: float
 
-    @property
-    def ps_utilisation(self) -> float:
-        if self.makespan_ms <= 0:
-            return 0.0
-        return min(1.0, self.ps_busy_ms / self.makespan_ms)
-
 
 class RetiariiParameterServer:
     """One-subnet-per-GPU data parallelism with bulk PS synchronisation."""

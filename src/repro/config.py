@@ -100,10 +100,6 @@ class SystemConfig:
         """A copy with fields replaced (ablation/sweep helper)."""
         return replace(self, **overrides)
 
-    @property
-    def enforces_causal_order(self) -> bool:
-        return self.sync == "csp"
-
     def default_window(self, stages: int) -> int:
         """In-flight subnet window used for injection and memory sizing."""
         if self.inject_window is not None:

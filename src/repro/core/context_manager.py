@@ -51,10 +51,6 @@ class FetchPlan(NamedTuple):
     misses: int
     fetched_bytes: int
 
-    @property
-    def is_hit(self) -> bool:
-        return self.misses == 0
-
 
 class _CacheEntry:
     __slots__ = ("nbytes", "pins", "dirty", "ready_at")
@@ -141,10 +137,6 @@ class StageContextManager:
     # ------------------------------------------------------------------
     # residency primitives
     # ------------------------------------------------------------------
-    def is_resident(self, layer: LayerId, now: float) -> bool:
-        entry = self._entries.get(layer)
-        return entry is not None and entry.ready_at <= now
-
     def _evict_for(self, needed: int, now: float) -> None:
         """Evict LRU unpinned layers until ``needed`` bytes fit.
 
@@ -236,27 +228,6 @@ class StageContextManager:
     # ------------------------------------------------------------------
     # public operations
     # ------------------------------------------------------------------
-    def peek_residency(
-        self, layers: Iterable[LayerId], now: float
-    ) -> Tuple[int, int]:
-        """Count ``(resident, absent_or_in_flight)`` without side effects.
-
-        Unlike :meth:`acquire_for_task` this neither pins, fetches,
-        touches LRU order nor increments the hit/miss counters — it is a
-        pure observation that cannot perturb the deterministic eviction
-        order.  No runtime path calls it; tests use it to inspect the
-        cache.
-        """
-        resident = 0
-        absent = 0
-        for layer in layers:
-            entry = self._entries.get(layer)
-            if entry is not None and entry.ready_at <= now:
-                resident += 1
-            else:
-                absent += 1
-        return resident, absent
-
     def prefetch(self, layers: Iterable[LayerId], now: float) -> float:
         """Asynchronously fetch any non-resident layers (predictor path).
 

@@ -62,10 +62,6 @@ class ContextPredictor:
         self._blocked: Dict[int, None] = {}
         self.predictions_made = 0
 
-    @property
-    def blocked_backwards(self) -> List[int]:
-        return list(self._blocked)
-
     # ------------------------------------------------------------------
     def _chain_forwards(
         self,

@@ -134,8 +134,3 @@ class CspStageState:
     def finish_backward(self, subnet_id: int) -> None:
         """The backward of ``subnet_id`` ran here (flush)."""
         self.busy_subnets.discard(subnet_id)
-
-    # ------------------------------------------------------------------
-    @property
-    def has_work(self) -> bool:
-        return bool(self.queue or self.backward_ready)

@@ -28,19 +28,6 @@ class Task:
     kind: TaskKind = TaskKind.FORWARD
 
     @property
-    def sort_key(self):
-        """Deterministic ordering key: (subnet, stage, kind name).
-
-        Used only for stable container behaviour, not scheduling priority
-        (the scheduler applies backward-first / lowest-ID-first itself).
-        """
-        return (self.subnet_id, self.stage, self.kind.value)
-
-    @property
-    def is_forward(self) -> bool:
-        return self.kind is TaskKind.FORWARD
-
-    @property
     def is_backward(self) -> bool:
         return self.kind is TaskKind.BACKWARD
 

@@ -14,7 +14,7 @@ bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class Vocabulary:
         ids = ids[:seq_len]
         ids.extend([self.pad_id] * (seq_len - len(ids)))
         return np.asarray(ids, dtype=np.int64)
-
-    def encode_batch(self, texts: Sequence[str], seq_len: int) -> np.ndarray:
-        return np.stack([self.encode(text, seq_len) for text in texts])
 
     def decode(self, ids: Iterable[int], strip_special: bool = True) -> str:
         words = []

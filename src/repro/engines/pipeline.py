@@ -106,7 +106,6 @@ class _SubnetRun:
 
     subnet: Subnet
     partition: Partition
-    injected_at: float
     boundary_in: Dict[int, np.ndarray] = field(default_factory=dict)
     grad_in: Dict[int, np.ndarray] = field(default_factory=dict)
     activations: Dict[int, StageActivation] = field(default_factory=dict)
@@ -492,7 +491,7 @@ class PipelineEngine:
             subnet = self.stream.retrieve()
             assert subnet is not None
             partition = self._partition_for(subnet)
-            run = _SubnetRun(subnet, partition, self.sim.now)
+            run = _SubnetRun(subnet, partition)
             self._precompute_run(run)
             self.runs[subnet.subnet_id] = run
             self.inflight.add(subnet.subnet_id)

@@ -193,9 +193,6 @@ class FaultSchedule:
     def __bool__(self) -> bool:
         return bool(self.events)
 
-    def fatal_events(self) -> List[FaultEvent]:
-        return [event for event in self.events if event.fatal]
-
     def kind_counts(self) -> Dict[str, int]:
         """Events per fault kind, keys ascending (the ``fault_kinds`` /
         ``storm_kinds`` cell of a sweep row)."""

@@ -128,37 +128,6 @@ def memory_breakdown(
     )
 
 
-def cpu_pinned_bytes_per_stage(
-    supernet: Supernet, config: SystemConfig, stages: int
-) -> int:
-    """Pinned host memory a stage needs for its supernet partition.
-
-    Swapped-context systems keep the whole supernet in pinned CPU memory,
-    partitioned by choice-block hierarchy across stages (§4.2); the
-    paper's artifact demands 100 GB of host RAM for exactly this reason.
-    Full-context systems pin nothing (weights live on the GPU).
-    """
-    if config.context == "full":
-        return 0
-    return int(supernet.total_param_bytes() / stages)
-
-
-def cpu_memory_feasible(
-    supernet: Supernet,
-    config: SystemConfig,
-    cluster: ClusterSpec,
-    host_memory_bytes: int = 64 * 1_000_000_000,
-) -> bool:
-    """Whether each host's RAM holds its stages' pinned partitions.
-
-    The testbed had 64 GB per host, 4 GPUs each; NLP.c0's 80 GB supernet
-    fits only because it spreads over the stages' hosts.
-    """
-    per_stage = cpu_pinned_bytes_per_stage(supernet, config, cluster.num_gpus)
-    stages_per_host = min(cluster.gpus_per_host, cluster.num_gpus)
-    return per_stage * stages_per_host <= host_memory_bytes
-
-
 def max_feasible_batch(
     supernet: Supernet, config: SystemConfig, cluster: ClusterSpec
 ) -> Optional[int]:

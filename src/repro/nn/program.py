@@ -50,10 +50,6 @@ class StageActivation:
     caches: Optional[List[Any]]
     stage_output: np.ndarray
 
-    @property
-    def recomputed(self) -> bool:
-        return self.caches is None
-
 
 @dataclass
 class PendingUpdate:

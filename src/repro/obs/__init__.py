@@ -41,9 +41,7 @@ __getattr__, __dir__, __all__ = _exports(globals(), {
         "EVENT_SCHEMAS", "EventField", "EventSchema", "validate_event",
         "validate_trace",
     ),
-    "repro.obs.exporter": (
-        "export_chrome_trace", "to_perfetto", "validate_chrome_trace",
-    ),
+    "repro.obs.exporter": ("export_chrome_trace", "validate_chrome_trace"),
     "repro.obs.model": ("WaitWindow", "csp_wait_windows"),
     "repro.obs.summary": (
         "StageBubbles", "bubble_attribution", "format_summary", "run_summary",

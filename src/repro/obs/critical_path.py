@@ -88,10 +88,6 @@ class CriticalPath:
     segments: List[PathSegment]
     makespan_ms: float
 
-    @property
-    def length_ms(self) -> float:
-        return sum(segment.duration for segment in self.segments)
-
     def by_resource(self) -> Dict[str, float]:
         """Total path ms per resource class (every class present)."""
         totals = {resource: 0.0 for resource in RESOURCE_CLASSES}

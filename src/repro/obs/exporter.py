@@ -26,7 +26,6 @@ this).
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 from math import isfinite
 from operator import is_, itemgetter
@@ -37,7 +36,7 @@ from repro.obs.model import csp_wait_windows
 from repro.payload import compact
 from repro.sim.trace import ExecutionTrace
 
-__all__ = ["to_perfetto", "export_chrome_trace", "validate_chrome_trace"]
+__all__ = ["export_chrome_trace", "validate_chrome_trace"]
 
 _PID_GPU = 0
 _PID_COPY = 1
@@ -311,20 +310,6 @@ def _instant(kind, stage, subnet_id, attrs, row):
     return tid, name, (
         f'{{"args":{compact(attrs)},"cat":"{category}","name":{_quote(name)},'
         f'"ph":"i","pid":{pid},"s":"{scope}","tid":{_json(tid)},"ts":'
-    )
-
-
-def to_perfetto(
-    trace: ExecutionTrace,
-    label: str = "naspipe",
-    system: str = "",
-    space: str = "",
-    batch: Optional[int] = None,
-) -> Dict[str, object]:
-    """The Chrome trace payload: :func:`export_chrome_trace`'s text,
-    parsed (a JSON-serialisable dict whose objects are key-sorted)."""
-    return json.loads(
-        export_chrome_trace(trace, label=label, system=system, space=space, batch=batch)
     )
 
 

@@ -281,11 +281,6 @@ def _read_table():
 
 _FEEDS, _SERIES = _read_table()
 
-#: the trace kinds the hub listens to
-LISTENED_KINDS = tuple(
-    source for source in _FEEDS if source not in (FLEET, JOBS, SLO_GOOD, SLO_BAD, LANDED)
-)
-
 
 def _check_rule(rule: AlertRule) -> None:
     """A rule over a series no scrape carries would be accepted and

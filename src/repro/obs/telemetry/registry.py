@@ -215,11 +215,6 @@ class Histogram(_Instrument):
         self._sum[key] = self._sum.get(key, 0.0) + number
         self._count[key] = self._count.get(key, 0) + 1
 
-    def bucket_counts(self, **label_values) -> List[int]:
-        """Per-bucket (non-cumulative) counts; last entry is +Inf."""
-        key = self._key(label_values)
-        return list(self._counts.get(key, [0] * (len(self.buckets) + 1)))
-
     def count(self, **label_values) -> int:
         return self._count.get(self._key(label_values), 0)
 

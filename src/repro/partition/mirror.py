@@ -110,10 +110,6 @@ class MirrorRegistry:
             self.push_count += 1
         return sent
 
-    def mirrored_layer_count(self) -> int:
-        """How many distinct layers have at least one off-home replica."""
-        return sum(1 for stages in self._replicas.values() if len(stages) > 1)
-
     def stage_replica_counts(self) -> Dict[int, int]:
         """Off-home replicas resident per stage, sorted by stage.
 

@@ -1,19 +1,13 @@
 """Device leases: the handle a pipeline engine runs on in a shared fleet.
 
 A :class:`DeviceLease` names the set of physical GPU slots a
-:class:`~repro.service.manager.ClusterManager` granted to one job.  The
-engine never sees the fleet — it calls :meth:`DeviceLease.materialize`
-and receives a fresh :class:`~repro.sim.cluster.Cluster` view in which
-stage ``i`` runs on physical slot ``slots[i]``.  Two properties follow:
-
-* **Exclusive ownership.**  The manager guarantees slot sets of live
-  leases are disjoint, so two engines can never contend for (or observe)
-  each other's devices — the isolation behind per-tenant determinism.
-* **No state leakage.**  Devices are occupancy models with per-run
-  mutable state (``busy_until``, ``next_free``, memory ledgers).  Each
-  ``materialize()`` builds them fresh via
-  :func:`repro.sim.cluster.build_devices`; only the *slot identity* is
-  shared between successive tenants of the same hardware.
+:class:`~repro.service.manager.ClusterManager` granted to one job; stage
+``i`` runs on physical slot ``slots[i]``.  The engine never sees the
+fleet — it calls :meth:`DeviceLease.materialize` and receives a fresh
+:class:`~repro.sim.cluster.Cluster`.  The manager keeps the slot sets of
+live leases disjoint, so two engines never contend for each other's
+devices, and each ``materialize()`` builds new devices, so no occupancy
+state (``next_free``) passes between successive tenants of one slot.
 
 The lease-local :class:`~repro.sim.cluster.ClusterSpec` carries the
 fleet's per-slot speed factors re-indexed to lease positions, so a job
@@ -26,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import LeaseError
-from repro.sim.cluster import Cluster, ClusterSpec, build_devices
+from repro.sim.cluster import Cluster, ClusterSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.manager import ClusterManager
@@ -61,7 +55,7 @@ class DeviceLease:
         return self.manager.revocation_of(self)
 
     def materialize(self) -> Cluster:
-        """A fresh :class:`Cluster` over the leased slots.
+        """A fresh :class:`Cluster` for the lease-local spec.
 
         The engine adopts it as its device plane (see
         ``PipelineEngine._resolve_cluster``).  Raises :class:`LeaseError`
@@ -82,7 +76,7 @@ class DeviceLease:
                 f"lease {self.lease_id} ({self.job}) was already released; "
                 "cannot materialize devices from it"
             )
-        return Cluster(self.spec, devices=build_devices(self.spec, self.slots))
+        return Cluster(self.spec)
 
     def release(self) -> None:
         """Return the slots to the fleet.

@@ -113,16 +113,8 @@ class ClusterManager:
         revoked."""
         return self._revoked.get(lease.lease_id)
 
-    def live_leases(self) -> Tuple[DeviceLease, ...]:
-        """Live leases in grant order."""
-        return tuple(self._live[k] for k in sorted(self._live))
-
     def is_active(self, lease: DeviceLease) -> bool:
         return self._live.get(lease.lease_id) is lease
-
-    def owner_of(self, slot: int) -> int:
-        """Lease id holding ``slot``, or ``-1`` when free."""
-        return self._owner.get(slot, -1)
 
     # ------------------------------------------------------------------
     # usage ledger (per-slot holdings on the virtual clock)

@@ -174,7 +174,6 @@ class _Segment:
     cursor_from: int
     cursor_to: int
     makespan_ms: float
-    resize_overhead_ms: float = 0.0
 
 
 @dataclass
@@ -559,7 +558,6 @@ class JobScheduler:
                 cursor_from=state.cursor,
                 cursor_to=pending.end_cursor,
                 makespan_ms=result.makespan_ms,
-                resize_overhead_ms=pending.delay,
             )
         )
         state.gpu_ms += pending.granted * result.makespan_ms

@@ -61,10 +61,9 @@ class BatchPolicy:
 
 @dataclass(frozen=True)
 class FormedBatch:
-    """One emitted batch: the requests plus why/when it formed."""
+    """One emitted batch: the requests plus why it formed."""
 
     index: int  # 0-based formation ordinal
-    formed_ms: float
     cause: str  # "full" | "linger" | "drain"
     requests: tuple  # Tuple[EvalRequest, ...] in admission order
     oldest_wait_ms: float  # linger of the oldest member at formation
@@ -144,7 +143,6 @@ class BoundedBatcher:
         del self._queued_at[:count]
         batch = FormedBatch(
             index=self.batches_formed,
-            formed_ms=now,
             cause=cause,
             requests=taken,
             oldest_wait_ms=now - oldest,

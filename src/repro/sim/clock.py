@@ -102,10 +102,6 @@ class EventQueue:
     def now(self) -> float:
         return self._now
 
-    def physical_size(self) -> int:
-        """Stored entries including cancelled ones (compaction tests)."""
-        return len(self._heap)
-
     def schedule(
         self,
         time: float,
@@ -156,10 +152,6 @@ class EventQueue:
         self._live -= 1
         event._queue = None
         return event
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._live_head()
-        return heap[0][0] if heap else None
 
     def _live_head(self) -> List[_Entry]:
         """Drop cancelled entries off the top; return the heap."""

@@ -1,26 +1,19 @@
-"""Cluster topology: GPUs, copy engines and links, built from a spec.
+"""Cluster topology: copy engines and links, built from a spec.
 
 Defaults mirror the paper's testbed: 11 GB GPUs, PCIe 3.0 ×16 at
 15 760 MB/s for host↔device copies, inter-stage traffic capped at the
-measured 867 MB/s, 0.17 ms ping.
-
-Device construction lives in :func:`build_devices` so ownership is a
-choice, not a side effect: an engine that runs alone builds (and owns)
-its devices through ``Cluster(spec)``, while a multi-tenant service has
-:class:`repro.service.manager.ClusterManager` build them against leased
-physical slots and hand the engine an already-populated ``Cluster``
-(``Cluster(spec, devices=...)``).
+measured 867 MB/s, 0.17 ms ping.  Each ``Cluster(spec)`` builds fresh
+devices, so no occupancy state (``next_free``) leaks between runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim.devices import CopyEngine, GpuDevice, Link
+from repro.sim.devices import CopyEngine, Link
 
-__all__ = ["ClusterSpec", "Cluster", "ClusterDevices", "build_devices"]
+__all__ = ["ClusterSpec", "Cluster"]
 
 _MB = 1_000_000
 
@@ -93,73 +86,27 @@ class ClusterSpec:
         return (self.num_gpus + self.gpus_per_host - 1) // self.gpus_per_host
 
 
-#: (gpus, copy_engines, forward_links, backward_links) — one run's
-#: freshly-constructed occupancy models.
-ClusterDevices = Tuple[
-    List[GpuDevice], List[CopyEngine], List[Link], List[Link]
-]
-
-
-def build_devices(
-    spec: ClusterSpec, slots: Optional[Tuple[int, ...]] = None
-) -> ClusterDevices:
-    """Construct the device set one simulation run occupies.
-
-    ``slots`` brands each GPU with its physical identity in a shared
-    fleet (stage ``i`` runs on physical slot ``slots[i]``); without it,
-    stage index and physical identity coincide.  Devices are always
-    fresh — occupancy state (``busy_until``, ``next_free``) never leaks
-    between runs even when the same physical slots are re-leased.
-    """
-    if slots is not None and len(slots) != spec.num_gpus:
-        raise ConfigError(
-            f"slot set names {len(slots)} GPUs, spec expects {spec.num_gpus}"
-        )
-    gpus = [
-        GpuDevice(
-            gpu_id=i,
-            memory_capacity=spec.gpu_memory_bytes,
-            reserved_bytes=spec.reserved_bytes,
-            slot=None if slots is None else slots[i],
-        )
-        for i in range(spec.num_gpus)
-    ]
-    copy_engines = [
-        CopyEngine(i, spec.pcie_bandwidth_bytes_per_ms)
-        for i in range(spec.num_gpus)
-    ]
-    # links[i] carries stage i -> i+1 (forward) traffic; a paired
-    # reverse link carries gradients.  Full duplex, so they do not
-    # contend with each other.  Bandwidth/latency per link depend on
-    # whether the hop crosses a host boundary (see ClusterSpec).
-    forward_links = [
-        Link(i, i + 1, *spec.link_parameters(i, i + 1))
-        for i in range(spec.num_gpus - 1)
-    ]
-    backward_links = [
-        Link(i + 1, i, *spec.link_parameters(i + 1, i))
-        for i in range(spec.num_gpus - 1)
-    ]
-    return gpus, copy_engines, forward_links, backward_links
-
-
 class Cluster:
-    """Instantiated devices for one simulation run.
+    """Instantiated devices for one simulation run."""
 
-    ``devices`` lets an external owner (the service plane's
-    ``ClusterManager``) supply pre-built devices; by default the cluster
-    builds — and therefore owns — its own.
-    """
-
-    def __init__(
-        self, spec: ClusterSpec, devices: Optional[ClusterDevices] = None
-    ) -> None:
+    def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
-        if devices is None:
-            devices = build_devices(spec)
-        self.gpus, self.copy_engines, self.forward_links, self.backward_links = (
-            devices
-        )
+        self.copy_engines = [
+            CopyEngine(i, spec.pcie_bandwidth_bytes_per_ms)
+            for i in range(spec.num_gpus)
+        ]
+        # forward_links[i] carries stage i -> i+1 traffic; a paired
+        # reverse link carries gradients.  Full duplex, so they do not
+        # contend with each other.  Bandwidth/latency per link depend on
+        # whether the hop crosses a host boundary (see ClusterSpec).
+        self.forward_links = [
+            Link(i, i + 1, *spec.link_parameters(i, i + 1))
+            for i in range(spec.num_gpus - 1)
+        ]
+        self.backward_links = [
+            Link(i + 1, i, *spec.link_parameters(i + 1, i))
+            for i in range(spec.num_gpus - 1)
+        ]
 
     @property
     def num_stages(self) -> int:

@@ -284,10 +284,6 @@ class ExecutionTrace:
             intervals.sort(key=lambda i: (i.start, i.end))
         return per_gpu
 
-    def event_kinds(self) -> List[str]:
-        """Sorted distinct event kinds present in this trace."""
-        return sorted(set(self.events.kind))
-
     def event_counts(self) -> Dict[str, int]:
         """``{kind: occurrences}``, sorted by kind (deterministic)."""
         counts = Counter(self.events.kind)

@@ -259,16 +259,6 @@ class SubnetStream:
         restart so data batches and causal order replay bitwise)."""
         return self._base
 
-    def slice_from(self, start: int) -> "SubnetStream":
-        """The sub-stream of ids >= ``start``, keeping original ids —
-        what a recovered run consumes after restoring the checkpoint at
-        cut ``start``."""
-        if start < self._base:
-            raise SearchSpaceError(
-                f"cannot slice from {start}: stream starts at {self._base}"
-            )
-        return SubnetStream(self._subnets[start - self._base:], start=start)
-
 
 def interleave_streams(streams: Sequence[Sequence[Subnet]]) -> SubnetStream:
     """Round-robin merge of several spaces' streams (hybrid traverse, §5.5).

@@ -59,28 +59,9 @@ class SearchSpace:
                 raise SearchSpaceError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @property
-    def num_candidate_layers(self) -> int:
-        """Total candidate layers embedded in the supernet (m × n)."""
-        return self.num_blocks * self.choices_per_block
-
-    @property
     def architecture_count(self) -> int:
         """How many candidate DNNs the space embeds (n^m)."""
         return self.choices_per_block**self.num_blocks
-
-    def validate_choices(self, choices) -> None:
-        """Raise unless ``choices`` encodes a subnet of this space."""
-        if len(choices) != self.num_blocks:
-            raise SearchSpaceError(
-                f"{self.name}: subnet must choose {self.num_blocks} layers, "
-                f"got {len(choices)}"
-            )
-        for block, choice in enumerate(choices):
-            if not 0 <= choice < self.choices_per_block:
-                raise SearchSpaceError(
-                    f"{self.name}: block {block} choice {choice} out of "
-                    f"range [0, {self.choices_per_block})"
-                )
 
     def scaled(self, **overrides) -> "SearchSpace":
         """A copy with some fields overridden (for scaled-down tests)."""

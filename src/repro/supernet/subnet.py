@@ -10,7 +10,7 @@ later one must then wait for the earlier one's WRITE on every shared layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.nn.parameter_store import LayerId, intern_layers
 
@@ -51,13 +51,6 @@ class Subnet:
             object.__setattr__(self, "_layer_ids", cached)
         return cached
 
-    def layer_id_set(self) -> FrozenSet[LayerId]:
-        cached = self.__dict__.get("_layer_id_set")
-        if cached is None:
-            cached = frozenset(self.layer_ids())
-            object.__setattr__(self, "_layer_id_set", cached)
-        return cached
-
     def layers_in_range(self, start: int, stop: int) -> Tuple[LayerId, ...]:
         """Layers of blocks ``[start, stop)`` — one pipeline stage's slice."""
         ranges: Dict[Tuple[int, int], Tuple[LayerId, ...]] = self.__dict__.get(
@@ -72,24 +65,6 @@ class Subnet:
             cached = layers[max(start, 0) : max(stop, 0)]
             ranges[(start, stop)] = cached
         return cached
-
-    def shared_layers(self, other: "Subnet") -> List[LayerId]:
-        """Layers both subnets activate (the causal-dependency set)."""
-        return [
-            (block, choice)
-            for block, (choice, other_choice) in enumerate(
-                zip(self.choices, other.choices)
-            )
-            if choice == other_choice
-        ]
-
-    def depends_on(self, earlier: "Subnet") -> bool:
-        """True iff this subnet causally depends on ``earlier``.
-
-        Only meaningful when ``earlier.subnet_id < self.subnet_id``; the
-        check itself is symmetric (layer sharing).
-        """
-        return any(a == b for a, b in zip(self.choices, earlier.choices))
 
     def mutate(self, block: int, new_choice: int) -> "Subnet":
         """A copy with one block's choice replaced (evolutionary search)."""

@@ -5,7 +5,10 @@ Until then every ``cache_access`` row carried a tuple of its own.  This
 module is that ``repro.core.context_manager``, copied verbatim below
 this docstring, so ``tests/test_context_manager_reference.py`` can drive
 it and the live manager through one drawn op stream and demand the same
-trace columns (by ``repr``), counters and LRU order.
+trace columns (by ``repr``), counters and LRU order.  The live manager
+has since dropped ``is_resident`` and ``peek_residency``, which only
+tests read; the module-level functions of those names at the end read
+the same entries of either manager.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from repro.sim.devices import CopyEngine
 from repro.sim.trace import ExecutionTrace
 from repro.supernet.supernet import Supernet
 
-__all__ = ["StageContextManager", "FetchPlan", "stage_cache_bytes"]
+__all__ = [
+    "StageContextManager", "FetchPlan", "stage_cache_bytes", "is_resident", "peek_residency",
+]
 
 
 def stage_cache_bytes(
@@ -369,3 +374,16 @@ class StageContextManager:
 
     def resident_layer_count(self) -> int:
         return len(self._entries)
+
+
+def is_resident(manager, layer: LayerId, now: float) -> bool:
+    """Whether ``layer``'s copy has landed on ``manager``'s stage by ``now``."""
+    entry = manager._entries.get(layer)
+    return entry is not None and entry.ready_at <= now
+
+
+def peek_residency(manager, layers: Iterable[LayerId], now: float) -> Tuple[int, int]:
+    """``(resident, absent_or_in_flight)`` of ``layers`` at ``now``; reads
+    the entries only, so it pins, fetches and counts nothing."""
+    landed = [is_resident(manager, layer, now) for layer in layers]
+    return sum(landed), len(landed) - sum(landed)

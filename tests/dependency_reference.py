@@ -8,7 +8,11 @@ register out of sequence order (``_watchers`` / ``_add_edge``).  This
 module is that ``repro.core.dependency``, copied verbatim below this
 docstring, so ``tests/test_dependency_reference.py`` can drive it and the
 live tracker through one drawn, in-order op stream and demand the same
-answer to every query.
+answer to every query.  ``Subnet.depends_on`` and ``Subnet.layer_id_set``,
+which that code called, have since left ``src/``: ``depends_on`` below is
+the method's body (``shared_layers`` beside it is the other pairwise
+relation the tests read), and ``_eliminate`` iterates
+``frozenset(subnet.layer_ids())``, which is what ``layer_id_set`` returned.
 """
 
 from __future__ import annotations
@@ -20,7 +24,22 @@ from repro.errors import SchedulingError
 from repro.nn.parameter_store import LayerId
 from repro.supernet.subnet import Subnet
 
-__all__ = ["DependencyTracker", "ReadinessOverlay"]
+__all__ = ["DependencyTracker", "ReadinessOverlay", "depends_on", "shared_layers"]
+
+
+def shared_layers(subnet: Subnet, other: Subnet) -> List[LayerId]:
+    """Layers both subnets activate (the causal-dependency set)."""
+    return [
+        (block, choice)
+        for block, (choice, other_choice) in enumerate(zip(subnet.choices, other.choices))
+        if choice == other_choice
+    ]
+
+
+def depends_on(later: Subnet, earlier: Subnet) -> bool:
+    """True iff ``later`` causally depends on ``earlier``: they share a
+    layer (the check itself is symmetric)."""
+    return any(a == b for a, b in zip(later.choices, earlier.choices))
 
 #: one blocking edge: an earlier user that has not released a layer yet
 _Edge = Tuple[int, LayerId]
@@ -177,7 +196,7 @@ class DependencyTracker:
         subnet = self._subnets.pop(subnet_id)
         self._released.pop(subnet_id, None)
         self._finished.discard(subnet_id)
-        for layer in subnet.layer_id_set():
+        for layer in frozenset(subnet.layer_ids()):
             users = self._users.get(layer)
             if users and users[0] == subnet_id:
                 users.pop(0)
@@ -338,7 +357,7 @@ class DependencyTracker:
         later = self._subnets.get(later_id)
         if earlier is None or later is None:
             return False
-        return later.depends_on(earlier)
+        return depends_on(later, earlier)
 
     def active_subnets(self) -> List[int]:
         return sorted(self._subnets)

@@ -10,7 +10,8 @@ built its attrs afresh, and the result walked the intervals twice per
 GPU.  The methods below are the engine's, the policy's and the trace's
 of that time, copied verbatim, so ``tests/test_engine_reference.py``
 can run them beside the live engine and demand the same trace columns,
-intervals and result fields (by ``repr``).
+intervals and result fields (by ``repr``).  One edit since: a
+``_SubnetRun`` no longer takes its injection time, which nothing read.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class ReferenceEngine(PipelineEngine):
             subnet = self.stream.retrieve()
             assert subnet is not None
             partition = self._partition_for(subnet)
-            run = _SubnetRun(subnet, partition, self.sim.now)
+            run = _SubnetRun(subnet, partition)
             self._precompute_run(run)
             self.runs[subnet.subnet_id] = run
             self.inflight.add(subnet.subnet_id)

@@ -43,8 +43,8 @@ from repro.ft import (
 from repro.obs import (
     EVENT_SCHEMAS,
     critical_path_breakdown,
+    export_chrome_trace,
     run_summary,
-    to_perfetto,
     what_if_report,
 )
 from repro.obs.telemetry import TelemetryHub, replay_telemetry
@@ -110,6 +110,11 @@ def rendered_by_kind(payload) -> Dict[str, dict]:
         assert kind not in by_kind, f"{kind} rendered twice"
         by_kind[kind] = event
     return by_kind
+
+
+def to_perfetto(trace: ExecutionTrace, **envelope) -> dict:
+    """The Chrome trace payload: the export's text, parsed."""
+    return json.loads(export_chrome_trace(trace, **envelope))
 
 
 def rendered(kind: str) -> dict:

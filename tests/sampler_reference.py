@@ -5,16 +5,33 @@ array with ``.tolist()``.
 ``FairSampler._deal_round`` of that time, copied verbatim (each choice
 went through ``int()``), on subclasses of the live samplers, so
 ``tests/test_sampler.py`` can demand the same stream by ``repr``.
+``validate_choices`` is the rule a drawn choice vector must meet.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.errors import SearchSpaceError
 from repro.supernet.sampler import FairSampler, GenerationalSampler, SposSampler
 from repro.supernet.subnet import Subnet
 
-__all__ = ["ReferenceFair", "ReferenceGenerational", "ReferenceSpos"]
+__all__ = ["ReferenceFair", "ReferenceGenerational", "ReferenceSpos", "validate_choices"]
+
+
+def validate_choices(space, choices) -> None:
+    """Raise unless ``choices`` encodes a subnet of ``space``."""
+    if len(choices) != space.num_blocks:
+        raise SearchSpaceError(
+            f"{space.name}: subnet must choose {space.num_blocks} layers, "
+            f"got {len(choices)}"
+        )
+    for block, choice in enumerate(choices):
+        if not 0 <= choice < space.choices_per_block:
+            raise SearchSpaceError(
+                f"{space.name}: block {block} choice {choice} out of "
+                f"range [0, {space.choices_per_block})"
+            )
 
 
 class ReferenceSpos(SposSampler):

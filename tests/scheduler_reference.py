@@ -48,7 +48,7 @@ def drive_scheduler_stream(
     num_choices: int = 8,
     stages: int = 8,
     seed: int = 2022,
-    straggler: bool = True,
+    chained: bool = False,
 ) -> Tuple[Tuple[int, int], ...]:
     """Drive ``scheduler`` through a synthetic subnet stream.
 
@@ -57,19 +57,26 @@ def drive_scheduler_stream(
     readiness index, as the CSP policy does), ask SCHEDULE() for the next
     forward, keep up to ``inflight_cap`` scheduled subnets unreleased
     (their WRITEs still pending), and retire the oldest when the queue is
-    fully blocked.  With ``straggler`` enabled, subnet 0 releases its
-    layers but only finishes at the end — the paper's prefix elimination
-    would then never prune, the regime where rescanning becomes
-    superlinear and the readiness index does not.  Everything is derived from ``seed``.  Returns every
-    ``(qidx, qval)`` the scheduler answered, in call order (NONE
-    decisions included as ``(-1, -1)``): two schedulers run with equal
-    parameters must produce identical sequences.
+    fully blocked.  Subnets are drawn uniformly, or, with ``chained``,
+    each is the previous one with one block mutated (the shape of
+    ``Subnet.mutate`` in evolutionary search): neighbours then nearly
+    always share the stage's layers, so most queued subnets wait on an
+    in-flight predecessor and waits chain down the queue.  Everything is
+    derived from ``seed``.  Returns every ``(qidx, qval)`` the scheduler
+    answered, in call order (NONE decisions included as ``(-1, -1)``):
+    two schedulers run with equal parameters must produce identical
+    sequences.
     """
     rng = Random(seed)
-    subnets = [
-        Subnet(i, tuple(rng.randrange(num_choices) for _ in range(num_blocks)))
-        for i in range(num_subnets)
-    ]
+    subnets = [Subnet(0, tuple(rng.randrange(num_choices) for _ in range(num_blocks)))]
+    for i in range(1, num_subnets):
+        if chained:
+            block, choice = rng.randrange(num_blocks), rng.randrange(num_choices)
+            subnets.append(subnets[-1].mutate(block, choice).with_id(i))
+        else:
+            subnets.append(
+                Subnet(i, tuple(rng.randrange(num_choices) for _ in range(num_blocks)))
+            )
     slice_stop = max(1, num_blocks // stages)
 
     def stage_layers(subnet_id: int) -> List:
@@ -81,7 +88,6 @@ def drive_scheduler_stream(
     inflight: List[int] = []
     decisions: List[Tuple[int, int]] = []
     next_id = 0
-    held_straggler = False
 
     def admit() -> None:
         nonlocal next_id
@@ -98,22 +104,15 @@ def drive_scheduler_stream(
         if decision.found:
             queue.remove(decision.qval)
             tracker.index_discard(scope, decision.qval)
-            if straggler and decision.qval == 0:
-                # The straggler's WRITEs commit (so nothing deadlocks)
-                # but it only reports finished once the stream drained.
-                tracker.release_layers(0, subnets[0].layer_ids())
-                held_straggler = True
-            else:
-                inflight.append(decision.qval)
-                if len(inflight) > inflight_cap:
-                    tracker.mark_finished(inflight.pop(0))
+            inflight.append(decision.qval)
+            if len(inflight) > inflight_cap:
+                tracker.mark_finished(inflight.pop(0))
             admit()
         else:
-            if not inflight:
-                break  # every queued subnet blocked only by the straggler
+            # with nothing in flight every earlier subnet has finished,
+            # so the lowest queued one is clear: a NONE means one is
+            assert inflight, "NONE with nothing in flight"
             tracker.mark_finished(inflight.pop(0))
     while inflight:
         tracker.mark_finished(inflight.pop(0))
-    if held_straggler:
-        tracker.mark_finished(0)
     return tuple(decisions)

@@ -26,7 +26,6 @@ def test_naspipe_config_shape():
     assert config.context == "cached"
     assert config.cache_subnets == 3.0
     assert config.predictor and config.mirroring and config.recompute
-    assert config.enforces_causal_order
 
 
 def test_baseline_configs_shape():

@@ -9,6 +9,8 @@ from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.search_space import get_search_space
 from repro.supernet.supernet import Supernet
 
+from context_manager_reference import is_resident, peek_residency
+
 #: hypothesis forbids function-scoped fixtures; same space as ``tiny_space``
 _PROPERTY_SUPERNET = Supernet(
     get_search_space("NLP.c3").scaled(
@@ -31,20 +33,20 @@ def _layer_bytes(supernet: Supernet, layer):
 def test_prefetch_makes_layers_resident_later(manager):
     ready = manager.prefetch([(0, 0)], now=0.0)
     assert ready > 0.0
-    assert not manager.is_resident((0, 0), now=0.0)
-    assert manager.is_resident((0, 0), now=ready)
+    assert not is_resident(manager, (0, 0), now=0.0)
+    assert is_resident(manager, (0, 0), now=ready)
 
 
 def test_acquire_counts_hit_after_prefetch(manager):
     ready = manager.prefetch([(0, 0)], now=0.0)
     plan = manager.acquire_for_task([(0, 0)], now=ready)
-    assert plan.is_hit
+    assert plan.misses == 0
     assert manager.hits == 1 and manager.misses == 0
 
 
 def test_acquire_counts_miss_and_stalls(manager):
     plan = manager.acquire_for_task([(1, 0)], now=0.0)
-    assert not plan.is_hit
+    assert plan.misses > 0
     assert plan.ready_time > 0.0
     assert manager.misses == 1
 
@@ -62,14 +64,14 @@ def test_lru_eviction_under_pressure(manager, tiny_supernet):
     ready = manager.prefetch([(0, 0), (1, 0), (2, 0), (3, 0)], now=0.0)
     manager.prefetch([(4, 0)], now=ready + 1)
     assert manager.resident_bytes <= manager.capacity_bytes
-    assert not manager.is_resident((0, 0), now=ready + 1000)
+    assert not is_resident(manager, (0, 0), now=ready + 1000)
 
 
 def test_pinned_layers_survive_pressure(manager):
     plan = manager.acquire_for_task([(0, 0)], now=0.0)
     ready = plan.ready_time
     manager.prefetch([(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)], now=ready + 1)
-    assert manager.is_resident((0, 0), now=ready + 1000)
+    assert is_resident(manager, (0, 0), now=ready + 1000)
 
 
 def test_release_unpins_and_dirty_writeback_on_evict(manager):
@@ -77,13 +79,13 @@ def test_release_unpins_and_dirty_writeback_on_evict(manager):
     manager.release_after_task([(0, 0)], now=plan.ready_time, dirty=True)
     manager.evict_subnet([(0, 0)], now=plan.ready_time)
     assert manager.writeback_bytes > 0
-    assert not manager.is_resident((0, 0), now=plan.ready_time + 1000)
+    assert not is_resident(manager, (0, 0), now=plan.ready_time + 1000)
 
 
 def test_evict_skips_pinned(manager):
     plan = manager.acquire_for_task([(0, 0)], now=0.0)
     manager.evict_subnet([(0, 0)], now=plan.ready_time)
-    assert manager.is_resident((0, 0), now=plan.ready_time)
+    assert is_resident(manager, (0, 0), now=plan.ready_time)
 
 
 def test_clean_evict_no_writeback(manager):
@@ -113,16 +115,16 @@ def test_evict_subnet_skips_in_flight_prefetch(manager):
     ready = manager.prefetch([(0, 0)], now=0.0)
     fetched_once = manager.fetch_bytes
     manager.evict_subnet([(0, 0)], now=0.0)  # copy not landed yet
-    assert manager.is_resident((0, 0), now=ready)
+    assert is_resident(manager, (0, 0), now=ready)
     plan = manager.acquire_for_task([(0, 0)], now=ready)
-    assert plan.is_hit
+    assert plan.misses == 0
     # Single-fetch accounting: one copy ever issued, bytes charged once.
     assert manager.fetch_bytes == fetched_once
     assert manager.copy_engine.total_copies == 1
     # Once the copy has landed (and the layer is unpinned), EVICT works.
     manager.release_after_task([(0, 0)], now=plan.ready_time, dirty=False)
     manager.evict_subnet([(0, 0)], now=plan.ready_time)
-    assert not manager.is_resident((0, 0), now=plan.ready_time + 1000)
+    assert not is_resident(manager, (0, 0), now=plan.ready_time + 1000)
 
 
 def test_acquire_fetched_bytes_excludes_in_flight_prefetch(manager, tiny_supernet):
@@ -312,7 +314,7 @@ def _replay(ops, capacity):
         elif op == "throttle":
             manager.throttled = naive.throttled = not naive.throttled
         else:  # an observation: nothing below may notice it happened
-            resident, absent = manager.peek_residency(layers, now)
+            resident, absent = peek_residency(manager, layers, now)
             assert resident == sum(
                 layer in naive.entries and naive.entries[layer][3] <= now
                 for layer in layers

@@ -25,6 +25,11 @@ def _env(rows, queue, lo=0, hi=None):
     return subnets, tracker, ContextPredictor(STAGE, depth=2)
 
 
+def _blocked_backwards(predictor):
+    """The backward hints a predictor holds (L_blocked), in arrival order."""
+    return list(predictor._blocked)
+
+
 def test_backward_prediction_assumes_release():
     # Subnet 1 shares with 0; a backward of 0 should predict 1's forward.
     _subnets, tracker, predictor = _env([(4, 4), (4, 4)], queue=[1])
@@ -52,22 +57,22 @@ def test_forward_prediction_skips_current_and_releases_pending():
     assert (1, TaskKind.BACKWARD) in kinds
     assert (2, TaskKind.FORWARD) in kinds
     # The hint is consumed.
-    assert predictor.blocked_backwards == []
+    assert _blocked_backwards(predictor) == []
 
 
 def test_forward_prediction_keeps_unrelated_hints():
     _subnets, tracker, predictor = _env([(1,), (2,), (3,)], queue=[2])
     predictor.predict_on_backward(0, tracker, pending_backward_hints=[2])
     predictor.predict_on_forward(1, tracker)
-    assert predictor.blocked_backwards == [2]
+    assert _blocked_backwards(predictor) == [2]
 
 
 def test_own_backward_drops_its_hint_and_order_is_kept():
     _subnets, tracker, predictor = _env([(1,), (2,), (3,), (4,)], queue=[3])
     predictor.predict_on_backward(0, tracker, pending_backward_hints=[2, 0, 1])
-    assert predictor.blocked_backwards == [2, 1]
+    assert _blocked_backwards(predictor) == [2, 1]
     predictor.predict_on_backward(2, tracker, pending_backward_hints=[1, 2])
-    assert predictor.blocked_backwards == [1]
+    assert _blocked_backwards(predictor) == [1]
 
 
 def test_no_prediction_when_everything_blocked():
@@ -178,10 +183,10 @@ def test_blocked_backwards_bounded_by_inflight_window():
     def watched(stage, subnet_id, is_backward):
         nonlocal peak
         before_task(stage, subnet_id, is_backward)
-        peak = max(peak, len(policy._predictors[stage].blocked_backwards))
+        peak = max(peak, len(_blocked_backwards(policy._predictors[stage])))
 
     policy.before_task = watched
     result = engine.run()
     assert result.subnets_completed == 192
     assert 0 < peak <= policy.effective_window()
-    assert all(p.blocked_backwards == [] for p in policy._predictors)
+    assert all(_blocked_backwards(p) == [] for p in policy._predictors)

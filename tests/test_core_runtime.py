@@ -7,14 +7,19 @@ from repro.core.task import Task, TaskKind
 from repro.errors import SchedulingError
 
 
+def _sort_key(task):
+    """A deterministic order over tasks: (subnet, stage, kind name)."""
+    return (task.subnet_id, task.stage, task.kind.value)
+
+
 def test_task_properties_and_str():
     fwd = Task(3, 1, TaskKind.FORWARD)
     bwd = Task(3, 1, TaskKind.BACKWARD)
-    assert fwd.is_forward and not fwd.is_backward
-    assert bwd.is_backward and not bwd.is_forward
+    assert fwd.kind is TaskKind.FORWARD and not fwd.is_backward
+    assert bwd.is_backward and bwd.kind is not TaskKind.FORWARD
     assert str(fwd) == "SN3.fwd@P1"
-    assert bwd.sort_key < fwd.sort_key  # "bwd" sorts before "fwd"
-    assert Task(0, 0).sort_key < Task(1, 0).sort_key
+    assert _sort_key(bwd) < _sort_key(fwd)  # "bwd" sorts before "fwd"
+    assert _sort_key(Task(0, 0)) < _sort_key(Task(1, 0))
 
 
 def test_queue_kept_sorted_by_id():
@@ -68,6 +73,6 @@ def test_finish_backward_frees_the_stage():
 
 def test_has_work():
     state = CspStageState(stage=0)
-    assert not state.has_work
+    assert not (state.queue or state.backward_ready)
     state.enqueue_forward(0)
-    assert state.has_work
+    assert state.queue or state.backward_ready

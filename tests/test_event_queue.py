@@ -16,6 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 from repro.sim.clock import EventQueue, ScheduledEvent
 
 
+def _physical_size(queue):
+    """Stored entries, cancelled ones included."""
+    return len(queue._heap)
+
+
+def _peek_time(queue):
+    """The next live event's time (drops cancelled entries off the top)."""
+    heap = queue._live_head()
+    return heap[0][0] if heap else None
+
+
 def _drain(queue):
     order = []
     while True:
@@ -62,20 +73,20 @@ def test_clear_returns_live_count_and_detaches_handles():
     queue.schedule(10.0, lambda: None)
     events[1].cancel()
     assert len(queue) == 1
-    assert queue.physical_size() == 1
+    assert _physical_size(queue) == 1
 
 
 def test_mass_cancellation_compacts_physical_store():
     queue = EventQueue()
     events = [queue.schedule(float(i), lambda: None) for i in range(200)]
-    assert queue.physical_size() == 200
+    assert _physical_size(queue) == 200
     for event in events[:150]:
         event.cancel()
     # compaction fires once cancelled entries outnumber live ones, so
     # the physical store must have shed at least the pre-trigger stale
     # run without a single pop (it re-arms only past the 64-entry floor)
     assert len(queue) == 50
-    assert queue.physical_size() <= 100
+    assert _physical_size(queue) <= 100
     assert len(_drain(queue)) == 50
 
 
@@ -97,7 +108,7 @@ def test_schedule_rejects_times_not_at_or_after_now(time):
         queue.schedule(time, lambda: None)
     with pytest.raises(ValueError):
         queue.schedule_after(time, lambda: None)
-    assert len(queue) == 1 and queue.physical_size() == 1
+    assert len(queue) == 1 and _physical_size(queue) == 1
 
 
 def test_positive_infinity_is_ordered_last():
@@ -141,7 +152,7 @@ def test_cancelled_head_is_skipped():
     queue = EventQueue()
     first = queue.schedule(1.0, lambda: None, priority=0)
     second = queue.schedule(1.0, lambda: None, priority=1)
-    assert queue.peek_time() == 1.0
+    assert _peek_time(queue) == 1.0
     first.cancel()
     assert queue.pop() is second
     assert len(queue) == 0
@@ -261,7 +272,7 @@ def test_queue_matches_sorted_list_oracle(ops):
             for handle, entry in handles[arg % len(handles):][:extra]:
                 handle.cancel()
                 oracle.cancel(entry)
-            stale = queue.physical_size() - len(queue)
+            stale = _physical_size(queue) - len(queue)
             assert stale < 64 or stale <= len(queue)  # else it compacted
         elif op == "pop":
             assert _popped(queue.pop()) == oracle.pop_until(None)
@@ -275,7 +286,7 @@ def test_queue_matches_sorted_list_oracle(ops):
         elif op == "clear":
             assert queue.clear() == oracle.clear()
         elif op == "peek":
-            assert queue.peek_time() == oracle.peek_time()
+            assert _peek_time(queue) == oracle.peek_time()
         assert (len(queue), queue.now) == (len(oracle.entries), oracle.now)
     assert _drain(queue) == [
         (key[0], key[1], label) for key, label in oracle.entries

@@ -5,6 +5,8 @@ import pytest
 from repro.experiments.common import ExperimentScale, make_stream, run_system
 from repro.experiments.figure4 import ConvergenceCurve, _smooth
 
+from dependency_reference import depends_on
+
 
 def test_smooth_is_trailing_mean():
     series = [(0.0, 4.0), (1.0, 2.0), (2.0, 0.0)]
@@ -41,7 +43,7 @@ def test_make_stream_kinds():
     # Generational: first 8 (one generation) are pairwise independent.
     members = list(generational)
     assert not any(
-        a.depends_on(b)
+        depends_on(a, b)
         for i, a in enumerate(members)
         for b in members[i + 1:]
     )

@@ -18,11 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.invariants as invariants
 from export_reference import reference_export
-from goldens import READER_RUNS, one_event_per_kind
+from goldens import READER_RUNS, one_event_per_kind, to_perfetto
 from repro.baselines import naspipe
 from repro.engines.pipeline import PipelineEngine
 from repro.ft import run_fleet_scenario
-from repro.obs import EVENT_SCHEMAS, export_chrome_trace, to_perfetto
+from repro.obs import EVENT_SCHEMAS, export_chrome_trace
 from repro.obs.exporter import _INSTANTS, _SPECIAL
 from repro.seeding import SeedSequenceTree
 from repro.serving import ServingEngine, ServingSpec
@@ -83,7 +83,7 @@ def test_an_overloaded_serving_trace_exports_the_reference_bytes():
     trace = ServingEngine(
         ServingSpec.from_payload(dict(SMALL_CONFIG, rate_rps=640.0))
     ).run().trace
-    assert {"request_shed", "batch_form", "cache_hit"} <= set(trace.event_kinds())
+    assert {"request_shed", "batch_form", "cache_hit"} <= set(trace.event_counts())
     assert_same_bytes(trace, label="serving")
 
 
@@ -102,8 +102,8 @@ def test_a_fleet_storm_exports_the_reference_bytes(monkeypatch):
         horizon_ms=1500.0,
     )
     assert row["revocations"] > 0 and len(traces) == 2
-    assert {"job_start", "lease_revoke"} <= set(traces[0].event_kinds())
-    assert "request_retry" in traces[1].event_kinds()
+    assert {"job_start", "lease_revoke"} <= set(traces[0].event_counts())
+    assert "request_retry" in traces[1].event_counts()
     for trace in traces:
         assert_same_bytes(trace, label="fleet")
 

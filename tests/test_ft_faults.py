@@ -63,7 +63,7 @@ def test_schedule_sorts_and_serialises(tmp_path):
         ]
     )
     assert [e.time_ms for e in schedule] == [100.0, 200.0, 300.0]
-    assert len(schedule.fatal_events()) == 1
+    assert sum(event.fatal for event in schedule) == 1
 
     # payload / JSON / file round-trips all preserve the schedule
     assert FaultSchedule.from_payload(schedule.to_payload()).events == schedule.events
@@ -210,7 +210,7 @@ def test_faulted_run_traces_validate_against_schema(ft_space, csp_baseline, tmp_
     emitted = set()
     for attempt_result in result.results:
         assert validate_trace(attempt_result.trace) == []
-        emitted |= set(attempt_result.trace.event_kinds())
+        emitted |= set(attempt_result.trace.event_counts())
     # the fault-tolerance plane actually showed up, with declared kinds
     for kind in (
         "fault_inject",
@@ -227,7 +227,8 @@ def test_faulted_run_traces_validate_against_schema(ft_space, csp_baseline, tmp_
 
 
 def test_faulted_trace_exports_to_chrome_format(ft_space, csp_baseline, tmp_path):
-    from repro.obs import to_perfetto, validate_chrome_trace
+    from goldens import to_perfetto
+    from repro.obs import validate_chrome_trace
 
     schedule = FaultSchedule(
         [FaultEvent("gpu_crash", csp_baseline.makespan_ms / 2, target=1)]

@@ -236,7 +236,7 @@ def test_stream_slice_preserves_sequence_ids(rec_space):
     assert resumed.base == 5
     assert resumed[7].subnet_id == 7
     assert len(resumed) == 7
-    sliced = stream.slice_from(5)
+    sliced = SubnetStream(subnets[5:], start=5)  # what a resume at cut 5 consumes
     assert [s.subnet_id for s in sliced] == [s.subnet_id for s in resumed]
 
 

@@ -27,8 +27,9 @@ from goldens import (
     produce,
     rendered_by_kind,
     stale,
+    to_perfetto,
 )
-from repro.obs import to_perfetto, validate_chrome_trace, validate_trace
+from repro.obs import validate_chrome_trace, validate_trace
 from repro.obs.telemetry import INSTRUMENTS
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -78,7 +78,7 @@ def test_retiarii_ps_trains_and_reports(tiny_supernet):
     ).run()
     assert result.subnets_completed == 12
     assert result.makespan_ms > 0
-    assert 0.0 <= result.ps_utilisation <= 1.0
+    assert 0.0 <= min(1.0, result.ps_busy_ms / result.makespan_ms) <= 1.0
     assert result.digest is not None
 
 

@@ -21,7 +21,6 @@ from repro.obs import (
     csp_wait_windows,
     export_chrome_trace,
     run_summary,
-    to_perfetto,
     validate_chrome_trace,
     validate_event,
     validate_trace,
@@ -33,7 +32,7 @@ from repro.sim.trace import ExecutionTrace, TraceEvent
 from repro.supernet.sampler import SubnetStream
 from repro.supernet.supernet import Supernet
 
-from goldens import one_event_per_kind, rendered_by_kind
+from goldens import one_event_per_kind, rendered_by_kind, to_perfetto
 
 TRACING_DOC = Path(__file__).resolve().parents[1] / "docs" / "TRACING.md"
 
@@ -307,7 +306,7 @@ def test_tracing_doc_covers_every_kind_actually_emitted(tiny_supernet):
     emitted = set()
     for factory in (naspipe, gpipe, pipedream, lambda: ssp(2)):
         result = _run(tiny_supernet, factory(), count=8, gpus=2)
-        emitted |= set(result.trace.event_kinds())
+        emitted |= set(result.trace.event_counts())
     assert emitted <= set(EVENT_SCHEMAS)
     missing = [kind for kind in sorted(emitted) if f"`{kind}`" not in doc]
     assert missing == [], f"docs/TRACING.md is missing emitted kinds: {missing}"

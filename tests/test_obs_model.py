@@ -161,5 +161,5 @@ def test_each_public_reader_builds_the_model_once(csp_result, monkeypatch):
         read()
         assert len(builds) == 1, name
     del builds[:]
-    obs.to_perfetto(trace)  # wait windows only: no model
+    obs.export_chrome_trace(trace)  # wait windows only: no model
     assert builds == []

@@ -1,8 +1,10 @@
 """``tools/check_one_spelling.py`` holds on the tree and fires on a
 planted second spelling of an engine's layer facts, of the dependency
-tracker's record or of the CSP decision path."""
+tracker's record or of the CSP decision path; ``tools/test_only_api.py``
+holds on the tree and fires on a planted definition only tests read."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_one_spelling.py"
@@ -11,8 +13,8 @@ ENGINE = "engines/pipeline.py"
 REFERENCE_TRACKER = TOOL.parents[1] / "tests" / "dependency_reference.py"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("check_one_spelling", TOOL)
+def _tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -70,3 +72,19 @@ def test_the_second_csp_decision_path_cannot_come_back():
     assert path.startswith("'conservative|scheduler_mode|stage_finished|")
     assert ": 10 hit(s); " in path
     assert "['config.py', 'core/dependency.py']" in path
+
+
+def test_src_holds_no_test_only_api_and_a_planted_definition_fires(tmp_path):
+    scan = _tool(TOOL.parent / "test_only_api.py")
+    assert sorted(q for _, q in scan.scan()) == sorted(scan.ALLOWED)
+    for directory in scan.CALLER_DIRS:
+        shutil.copytree(
+            scan.ROOT / directory, tmp_path / directory,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    module = tmp_path / "src" / "repro" / "sim" / "devices.py"
+    text = module.read_text()
+    module.write_text(text + "\n\ndef only_a_test_reads_this():\n    pass\n")
+    line = len(text.splitlines()) + 3
+    planted = (f"src/repro/sim/devices.py:{line}", "only_a_test_reads_this")
+    assert planted in scan.scan(tmp_path)

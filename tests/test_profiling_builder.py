@@ -16,6 +16,8 @@ from repro.supernet.catalog import NLP_LAYER_TYPES
 from repro.supernet.sampler import FairSampler
 from repro.supernet.search_space import get_search_space
 
+from dependency_reference import depends_on
+
 
 # ----------------------------------------------------------------------
 # profiling
@@ -122,7 +124,7 @@ def test_fair_sampler_no_intra_round_conflicts():
     subnets = FairSampler(space, SeedSequenceTree(3)).sample_many(5)
     for i, a in enumerate(subnets):
         for b in subnets[i + 1:]:
-            assert not a.depends_on(b)
+            assert not depends_on(a, b)
 
 
 def test_fair_sampler_deterministic():

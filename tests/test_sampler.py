@@ -10,6 +10,9 @@ from repro.supernet import SposSampler, SubnetStream, get_search_space
 from repro.supernet.sampler import GenerationalSampler, interleave_streams
 from repro.supernet.subnet import Subnet
 
+from dependency_reference import depends_on
+from sampler_reference import validate_choices
+
 
 def test_spos_deterministic_per_seed(tiny_space):
     a = SposSampler(tiny_space, SeedSequenceTree(5)).sample_many(10)
@@ -23,7 +26,7 @@ def test_spos_ids_dense_and_choices_in_range(tiny_space):
     subnets = SposSampler(tiny_space, SeedSequenceTree(5)).sample_many(20)
     assert [s.subnet_id for s in subnets] == list(range(20))
     for subnet in subnets:
-        tiny_space.validate_choices(subnet.choices)
+        validate_choices(tiny_space, subnet.choices)
 
 
 def test_spos_marginals_roughly_uniform():
@@ -43,7 +46,7 @@ def test_generational_no_intra_generation_conflicts(tiny_space):
         generation = subnets[g * 4 : (g + 1) * 4]
         for i, a in enumerate(generation):
             for b in generation[i + 1 :]:
-                assert not a.depends_on(b), (a, b)
+                assert not depends_on(a, b), (a, b)
 
 
 def test_generational_rejects_oversized_generation(tiny_space):

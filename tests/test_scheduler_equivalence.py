@@ -50,10 +50,10 @@ SCOPE = 0
     num_subnets=st.integers(5, 80),
     queue_cap=st.integers(2, 12),
     inflight_cap=st.integers(1, 5),
-    straggler=st.booleans(),
+    chained=st.booleans(),
 )
 def test_index_and_scan_make_identical_decisions(
-    seed, num_subnets, queue_cap, inflight_cap, straggler
+    seed, num_subnets, queue_cap, inflight_cap, chained
 ):
     oracle, index = ScanOracle(), CspScheduler()
     decisions = [
@@ -63,7 +63,7 @@ def test_index_and_scan_make_identical_decisions(
             queue_cap=queue_cap,
             inflight_cap=inflight_cap,
             seed=seed,
-            straggler=straggler,
+            chained=chained,
         )
         for scheduler in (oracle, index)
     ]

@@ -81,7 +81,7 @@ def test_service_run_leaves_a_clean_valid_fleet(payload):
     # slot sets are disjoint and within the fleet
     def check(_event):
         seen = set()
-        for lease in manager.live_leases():
+        for lease in manager._live.values():
             slots = set(lease.slots)
             assert slots.isdisjoint(seen)
             assert slots <= set(range(manager.total_gpus))
@@ -142,4 +142,4 @@ def test_manager_ownership_model(ops):
         assert manager.leased_gpus == 8 - len(model_free)
     for lease in live:
         assert lease.active
-        assert manager.owner_of(lease.slots[0]) == lease.lease_id
+        assert manager._owner[lease.slots[0]] == lease.lease_id

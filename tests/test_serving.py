@@ -38,6 +38,8 @@ from repro.supernet.search_space import get_search_space
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from context_manager_reference import is_resident, peek_residency  # noqa: E402
+
 # One CI-sized config shared by the whole file (small space, short
 # stream) — the same three-scenario shape as examples/serving_demo.json.
 SMALL_CONFIG = {
@@ -318,7 +320,7 @@ def test_serving_trace_schema_validates(overload_result):
 
 
 def test_serving_trace_carries_the_lifecycle_kinds(overload_result):
-    kinds = overload_result.trace.event_kinds()
+    kinds = list(overload_result.trace.event_counts())
     for kind in (
         "request_arrive",
         "request_admit",
@@ -417,8 +419,8 @@ def test_peek_residency_has_no_side_effects(tiny_supernet):
         manager.prefetch_requests,
     )
     # In flight at t=0, resident once the copy lands.
-    assert manager.peek_residency([(0, 0), (1, 0)], now=0.0) == (0, 2)
-    assert manager.peek_residency([(0, 0), (1, 0)], now=ready) == (1, 1)
+    assert peek_residency(manager, [(0, 0), (1, 0)], now=0.0) == (0, 2)
+    assert peek_residency(manager, [(0, 0), (1, 0)], now=ready) == (1, 1)
     after = (
         manager.hits,
         manager.misses,
@@ -426,7 +428,7 @@ def test_peek_residency_has_no_side_effects(tiny_supernet):
         manager.prefetch_requests,
     )
     assert after == before
-    assert not manager.is_resident((1, 0), now=ready)  # no fetch started
+    assert not is_resident(manager, (1, 0), now=ready)  # no fetch started
 
 
 def test_repeated_request_payloads_share_one_attrs_object(attrs_census):

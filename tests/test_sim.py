@@ -5,14 +5,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, GpuOutOfMemoryError, SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.sim import (
     Cluster,
     ClusterSpec,
     CopyEngine,
     EventQueue,
     ExecutionTrace,
-    GpuDevice,
     Link,
     SimulationEngine,
 )
@@ -126,28 +125,6 @@ def test_engine_budget_not_charged_for_unfired_events():
 # ----------------------------------------------------------------------
 # devices
 # ----------------------------------------------------------------------
-def test_gpu_memory_ledger():
-    gpu = GpuDevice(gpu_id=0, memory_capacity=1000, reserved_bytes=100)
-    assert gpu.free_bytes == 900
-    gpu.allocate("a", 500)
-    assert gpu.free_bytes == 400
-    with pytest.raises(GpuOutOfMemoryError):
-        gpu.allocate("b", 500)
-    assert gpu.free("a") == 500
-    assert gpu.free("missing") == 0
-    gpu.allocate("b", 900)
-
-
-def test_gpu_is_busy_tracks_busy_until():
-    gpu = GpuDevice(gpu_id=0, memory_capacity=1000)
-    assert not gpu.is_busy(0.0)
-    gpu.busy_until = 5.0
-    assert gpu.is_busy(0.0)
-    assert gpu.is_busy(4.999)
-    assert not gpu.is_busy(5.0)  # free exactly when the task ends
-    assert not gpu.is_busy(6.0)
-
-
 def test_copy_engine_fifo_queueing():
     engine = CopyEngine(gpu_id=0, bandwidth_bytes_per_ms=100.0)
     first = engine.enqueue(1000, now=0.0)  # 10 ms
@@ -161,9 +138,11 @@ def test_copy_engine_fifo_queueing():
 
 def test_copy_engine_would_complete_does_not_enqueue():
     engine = CopyEngine(gpu_id=0, bandwidth_bytes_per_ms=100.0)
-    t = engine.would_complete_at(1000, now=0.0)
+    # the completion time a copy would get, read off the engine's state
+    t = max(0.0, engine.next_free) + 1000 / engine.bandwidth_bytes_per_ms
     assert t == 10.0
     assert engine.next_free == 0.0
+    assert engine.enqueue(1000, now=0.0) == t
 
 
 def test_link_transfer_includes_latency():
@@ -181,7 +160,7 @@ def test_cluster_defaults_match_testbed():
     assert spec.num_gpus == 8
     assert spec.gpu_memory_bytes == 11 * 1_000_000_000
     cluster = Cluster(spec)
-    assert len(cluster.gpus) == 8
+    assert len(cluster.copy_engines) == 8
     assert len(cluster.forward_links) == 7
     assert cluster.forward_link(0).dst == 1
     assert cluster.backward_link(3).dst == 2

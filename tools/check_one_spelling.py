@@ -76,7 +76,7 @@ RULES = [
     (r"json\.dumps|sort_keys", (), 0, "a renderer's text / payload.compact", "obs/exporter.py"),
     # a series key is validated by the public kwargs API only; the hub
     # keys a series from its INSTRUMENTS row and calls the key-taking op
-    (r"\b_key\(", ("obs/telemetry/registry.py",), 10, "instrument._inc/_set/_add/_observe(key, …)"),
+    (r"\b_key\(", ("obs/telemetry/registry.py",), 9, "instrument._inc/_set/_add/_observe(key, …)"),
     # a replay reads the event columns; it builds no TraceEvent row
     (r"events_of\(\*LISTENED_KINDS", (), 0, "trace.events.rows() into TelemetryHub._on_row"),
     # degraded-mode mitigation is timing-only: its thresholds are module
