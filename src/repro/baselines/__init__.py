@@ -1,5 +1,5 @@
-"""Preconfigured systems: NASPipe, the paper's three baselines, Retiarii's
-parameter-server pattern, the SSP extension, and the §5.3 ablations."""
+"""Preconfigured systems: NASPipe, the paper's three baselines, the SSP
+extension, and the §5.3 ablations."""
 
 from repro import _exports
 
@@ -9,5 +9,4 @@ __getattr__, __dir__, __all__ = _exports(globals(), {
         "naspipe_wo_predictor", "naspipe_wo_scheduler", "pipedream", "resolve_target",
         "ssp", "system_by_name", "vpipe",
     ),
-    "repro.baselines.retiarii_ps": ("RetiariiParameterServer",),
 })

@@ -262,9 +262,8 @@ class DependencyTracker:
         return list(scope.ready) if scope is not None else []
 
     def ready_count(self, scope_key: Hashable) -> int:
-        """``len(ready_ids(scope_key))`` without copying the list — the
-        per-decision counter sample in the CSP policy only needs the
-        size."""
+        """Size of the scope's ready list, without copying it: the CSP
+        policy's per-decision counter sample needs only that."""
         scope = self._scopes.get(scope_key)
         return len(scope.ready) if scope is not None else 0
 

@@ -12,5 +12,4 @@ from repro import _exports
 
 __getattr__, __dir__, __all__ = _exports(globals(), {
     "repro.data.synthetic": ("SyntheticTaskData",),
-    "repro.data.vocab": ("Vocabulary", "synthetic_vocabulary"),
 })

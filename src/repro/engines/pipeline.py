@@ -207,16 +207,6 @@ class PipelineResult:
             batch=self.batch,
         )
 
-    def trace_summary(self):
-        """Deterministic run summary dict with per-stage bubble
-        attribution (startup / csp-wait / fetch-stall / drain); the
-        attribution means sum to :meth:`ExecutionTrace.bubble_ratio`
-        within 1e-9.  Render with :func:`repro.obs.format_summary`.
-        """
-        from repro.obs import run_summary
-
-        return run_summary(self)
-
     def critical_path(self):
         """Critical-path breakdown of this run: the longest dependency
         chain to final completion, attributed by resource class; its

@@ -20,7 +20,7 @@ take consistent-cut checkpoints, recover, and measure the cost:
 * :mod:`repro.ft.recovery` — crash-restart / elastic-rescale driver
   plus retry and degraded-mode policies;
 * :mod:`repro.ft.availability` — lost-virtual-time, recovery-latency
-  and goodput accounting, including MTBF sweeps;
+  and goodput accounting;
 * :mod:`repro.ft.degradation` — health monitoring over the trace-event
   stream and deterministic adaptive mitigation (admission control,
   prefetch throttling, straggler rebalancing) for *non-fatal* faults;
@@ -35,14 +35,12 @@ take consistent-cut checkpoints, recover, and measure the cost:
 from repro import _exports
 
 __getattr__, __dir__, __all__ = _exports(globals(), {
-    "repro.ft.availability": (
-        "availability_summary", "failure_summary", "format_availability", "mtbf_sweep",
-    ),
+    "repro.ft.availability": ("availability_summary", "failure_summary", "format_availability"),
     "repro.ft.chaos": (
         "NONFATAL_KINDS", "chaos_invariants", "chaos_sweep", "format_chaos_report",
         "run_chaos_scenario",
     ),
-    "repro.ft.checkpoint": ("Checkpoint", "CheckpointManager", "restore_checkpoint"),
+    "repro.ft.checkpoint": ("Checkpoint", "CheckpointManager"),
     "repro.ft.degradation": ("DegradationManager", "HealthMonitor"),
     "repro.ft.faults": (
         "ALL_KINDS", "FATAL_KINDS", "FAULT_KINDS", "FLEET_KINDS", "FaultEvent",

@@ -11,35 +11,20 @@ reproducible:
 * **goodput** — the fault-free makespan divided by the faulted global
   makespan: the fraction of wall-clock the cluster spent making forward
   progress.
-
-:func:`mtbf_sweep` runs the same workload under seeded fault schedules
-of decreasing MTBF and tabulates the degradation curve.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional
 
-from repro.config import SystemConfig
-from repro.engines.functional_plane import FUNCTIONAL_BATCH
 from repro.engines.pipeline import PipelineResult
-from repro.ft.faults import FaultSchedule
-from repro.ft.recovery import (
-    FaultedRunResult,
-    RecoverySpec,
-    run_uninterrupted,
-    run_with_recovery,
-)
+from repro.ft.recovery import FaultedRunResult
 from repro.invariants import same_training
-from repro.seeding import SeedSequenceTree
-from repro.supernet.search_space import SearchSpace
 
 __all__ = [
     "availability_summary",
     "failure_summary",
     "format_availability",
-    "mtbf_sweep",
 ]
 
 
@@ -138,52 +123,3 @@ def format_availability(summary: Dict[str, object]) -> str:
         lines.append(f"  parameter digest    {verdict}")
     return "\n".join(lines)
 
-
-def mtbf_sweep(
-    space: SearchSpace,
-    config: SystemConfig,
-    *,
-    mtbf_values_ms: Sequence[float],
-    num_gpus: int,
-    steps: int,
-    seed: int,
-    checkpoint_dir: Union[str, Path],
-    spec: Optional[RecoverySpec] = None,
-    batch: Optional[int] = None,
-    functional_batch: int = FUNCTIONAL_BATCH,
-) -> List[Dict[str, object]]:
-    """Goodput vs MTBF: one seeded schedule and recovered run per row."""
-    baseline = run_uninterrupted(
-        space,
-        config,
-        num_gpus=num_gpus,
-        steps=steps,
-        seed=seed,
-        batch=batch,
-        functional_batch=functional_batch,
-    )
-    seeds = SeedSequenceTree(seed)
-    rows: List[Dict[str, object]] = []
-    for mtbf in mtbf_values_ms:
-        schedule = FaultSchedule.from_mtbf(
-            seeds,
-            mtbf_ms=mtbf,
-            horizon_ms=baseline.makespan_ms,
-            num_gpus=num_gpus,
-        )
-        faulted = run_with_recovery(
-            space,
-            config,
-            schedule,
-            num_gpus=num_gpus,
-            steps=steps,
-            seed=seed,
-            checkpoint_dir=Path(checkpoint_dir) / f"mtbf_{int(mtbf)}",
-            spec=spec,
-            batch=batch,
-            functional_batch=functional_batch,
-        )
-        row = availability_summary(faulted, baseline)
-        row["mtbf_ms"] = mtbf
-        rows.append(row)
-    return rows

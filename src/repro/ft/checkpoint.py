@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engines.functional_plane import FunctionalPlane
     from repro.engines.pipeline import PipelineEngine
 
-__all__ = ["Checkpoint", "CheckpointManager", "restore_checkpoint"]
+__all__ = ["Checkpoint", "CheckpointManager"]
 
 _Params = Dict[str, np.ndarray]
 
@@ -122,15 +122,6 @@ def _intify_rng_state(state: Dict[str, object]) -> Dict[str, object]:
     """JSON round-trips PCG64 state ints fine, but nested dict values may
     arrive as plain dicts — normalise recursively (ints stay ints)."""
     return json.loads(json.dumps(state))
-
-
-def restore_checkpoint(
-    directory: Union[str, Path], plane: "FunctionalPlane"
-) -> Checkpoint:
-    """Load the checkpoint stored at ``directory`` into ``plane``."""
-    checkpoint = Checkpoint.load(directory)
-    checkpoint.restore(plane)
-    return checkpoint
 
 
 class CheckpointManager:

@@ -175,10 +175,6 @@ class HealthMonitor:
         if count + 1 >= MIN_SAMPLES:
             self._classify(scope, index, ewma)
 
-    def estimate(self, scope: str, index: int) -> Optional[float]:
-        entry = self._ewma.get((scope, index))
-        return entry[0] if entry is not None else None
-
     def _classify(self, scope: str, index: int, metric: float) -> None:
         if scope == "stage":
             healthy, unhealthy = STAGE_HEALTHY, STAGE_STRAGGLER

@@ -1,10 +1,9 @@
-"""Metric computation: pipeline bubble theory, normalised throughput and
-the paper's Table 3 reproducibility matrix."""
+"""Metric computation: normalised throughput and the paper's Table 3
+reproducibility matrix."""
 
 from repro import _exports
 
 __getattr__, __dir__, __all__ = _exports(globals(), {
-    "repro.metrics.bubbles": ("gpipe_theory_bubble", "pipeline_theory_bubble"),
     "repro.metrics.reproducibility": ("ReproducibilityReport",),
-    "repro.metrics.throughput": ("normalize_throughput", "speedup_table"),
+    "repro.metrics.throughput": ("normalize_throughput",),
 })

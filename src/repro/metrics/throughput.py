@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional
 
-__all__ = ["normalize_throughput", "speedup_table", "subnets_per_hour"]
+__all__ = ["normalize_throughput", "subnets_per_hour"]
 
 
 def normalize_throughput(
@@ -23,24 +23,6 @@ def normalize_throughput(
         name: (value / base if value is not None else None)
         for name, value in throughputs.items()
     }
-
-
-def speedup_table(
-    rows: Sequence[Tuple[str, Mapping[str, Optional[float]]]],
-    target: str,
-    baseline: str,
-) -> List[Tuple[str, Optional[float]]]:
-    """Per-space speedup of ``target`` over ``baseline`` (None on OOM).
-
-    Provenance: §5.1's headline speedup claims (e.g. NASPipe 6.8× over
-    GPipe on NLP.c1). Output is a unitless ratio per search space.
-    """
-    table: List[Tuple[str, Optional[float]]] = []
-    for space, throughputs in rows:
-        t = throughputs.get(target)
-        b = throughputs.get(baseline)
-        table.append((space, (t / b) if t and b else None))
-    return table
 
 
 def subnets_per_hour(subnets_completed: int, makespan_ms: float) -> float:

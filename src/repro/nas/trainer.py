@@ -54,14 +54,6 @@ class TrainingRun:
         ids = sorted(self.result.losses)[-tail:]
         return sum(self.result.losses[i] for i in ids) / len(ids)
 
-    def analysis(self):
-        """Post-training usage report (see :mod:`repro.nas.analysis`)."""
-        from repro.nas.analysis import training_report
-
-        return training_report(
-            self.plane.store, self.plane.space.num_blocks
-        )
-
     def save(self, params_path, optimizer_path=None) -> None:
         """Checkpoint the trained supernet (weights + optimizer state)."""
         self.plane.save_checkpoint(params_path, optimizer_path)

@@ -27,6 +27,6 @@ __getattr__, __dir__, __all__ = _exports(globals(), {
         "layer_forward", "layer_backward",
     ),
     "repro.nn.program": ("SubnetSegmentProgram", "StageActivation"),
-    "repro.nn.loss": ("cross_entropy_with_logits", "softmax"),
+    "repro.nn.loss": ("cross_entropy_with_logits",),
     "repro.nn.optim": ("SGD", "MomentumSGD"),
 })

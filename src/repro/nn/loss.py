@@ -8,12 +8,7 @@ import numpy as np
 
 from repro.nn import functional as F
 
-__all__ = ["softmax", "cross_entropy_with_logits"]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax (re-exported for API convenience)."""
-    return F.softmax_rows(logits)
+__all__ = ["cross_entropy_with_logits"]
 
 
 def cross_entropy_with_logits(

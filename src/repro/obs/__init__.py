@@ -20,11 +20,11 @@ into inspectable artifacts:
 * :mod:`repro.obs.critical_path` — the task-DAG critical path of a run,
   attributed by resource class; tiles the makespan exactly (1e-9).
 * :mod:`repro.obs.whatif` — analytic lower-bound projections ("zero
-  fetch stalls", "infinite NIC", the ASP bound) plus a rerun hook.
+  fetch stalls", "infinite NIC", the ASP bound).
 * :mod:`repro.obs.registry` — append-only JSONL run registry with
   field-wise compare and CI regression gating.
 
-Entry points: ``PipelineResult.trace_export()`` / ``.trace_summary()`` /
+Entry points: ``run_summary(result)``, ``PipelineResult.trace_export()`` /
 ``.critical_path()`` / ``.what_if()``, the ``naspipe trace`` /
 ``analyze`` / ``compare`` CLI and ``make trace-demo`` / ``bench-obs``.
 See ``docs/ANALYSIS.md`` for the analysis semantics.
@@ -38,8 +38,7 @@ from repro.obs.critical_path import critical_path
 
 __getattr__, __dir__, __all__ = _exports(globals(), {
     "repro.obs.events": (
-        "EVENT_SCHEMAS", "EventField", "EventSchema", "validate_event",
-        "validate_trace",
+        "EVENT_SCHEMAS", "EventField", "EventSchema", "validate_trace",
     ),
     "repro.obs.exporter": ("export_chrome_trace", "validate_chrome_trace"),
     "repro.obs.model": ("WaitWindow", "csp_wait_windows"),
@@ -51,7 +50,7 @@ __getattr__, __dir__, __all__ = _exports(globals(), {
         "RESOURCE_CLASSES", "CriticalPath", "PathSegment", "critical_path",
         "critical_path_breakdown",
     ),
-    "repro.obs.whatif": ("SCENARIOS", "project", "rerun_projection", "what_if_report"),
+    "repro.obs.whatif": ("SCENARIOS", "what_if_report"),
     "repro.obs.registry": (
         "append_run", "check_regression", "compare_records", "format_compare",
         "load_runs", "resolve_run", "run_record",

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from repro.sim.trace import ExecutionTrace, TraceEvent
+from repro.sim.trace import ExecutionTrace
 
 __all__ = [
     "EventField",
     "EventSchema",
     "EVENT_SCHEMAS",
-    "validate_event",
     "validate_trace",
 ]
 
@@ -641,12 +640,6 @@ def _problems(
     return problems
 
 
-def validate_event(event: TraceEvent) -> List[str]:
-    """Schema-check one event; returns human-readable problems (empty =
-    valid)."""
-    return _problems(*event)
-
-
 def _shape(schema: EventSchema, keys: Tuple[str, ...]):
     """How a row of ``schema``'s kind whose attrs carry ``keys`` is
     checked: its scoping and, per key in order, the declared classes —
@@ -683,7 +676,7 @@ def validate_trace(trace: ExecutionTrace) -> List[str]:
     Reads the event columns and builds no row object.  Each (kind, attr
     keys) pair is resolved to its checks once per call; a row that
     passes them adds nothing, and any other row gets the problem list
-    :func:`validate_event` would give it."""
+    :func:`_problems` gives it."""
     shapes: Dict[str, dict] = {kind: {} for kind in EVENT_SCHEMAS}
     problems: List[str] = []
     for kind, time, stage, subnet_id, attrs in trace.events.rows():

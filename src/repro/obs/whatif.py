@@ -33,9 +33,6 @@ is a projection rather than a bound, but in practice lands below the
 CSP makespan and within a few percent of an actually-simulated ASP run
 (the acceptance test pins 5%).
 
-``rerun_projection`` is the empirical complement: re-simulate with one
-config knob changed and diff the two summaries.
-
 Everything here is deterministic: dict keys are sorted and scenario
 order is fixed, so reports are byte-stable across identical runs.
 See ``docs/ANALYSIS.md`` for the model's assumptions in prose.
@@ -46,13 +43,12 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.model import RunModel
-from repro.obs.summary import run_summary
 from repro.sim.trace import ExecutionTrace
 
-__all__ = ["SCENARIOS", "project", "what_if_report", "rerun_projection"]
+__all__ = ["SCENARIOS", "what_if_report"]
 
 #: fixed evaluation (and report) order
 SCENARIOS = (
@@ -308,16 +304,6 @@ def _asp_bound(model: RunModel) -> float:
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def project(trace: ExecutionTrace, scenario: str) -> float:
-    """Projected makespan (virtual ms) under one scenario."""
-    if scenario not in SCENARIOS:
-        raise KeyError(
-            f"unknown scenario {scenario!r}; known: {list(SCENARIOS)}"
-        )
-    model = RunModel(trace)
-    return _project(model, _observed_order(model), scenario)
-
-
 def _project(model: RunModel, work: _Work, scenario: str) -> float:
     if scenario == "no_csp_constraint":
         return _asp_bound(model)
@@ -360,52 +346,3 @@ def _report(model: RunModel) -> Dict[str, object]:
         "ranked": ranked,
     }
 
-
-def rerun_projection(
-    space_name: str,
-    system_name: str,
-    scale,
-    knob: str,
-    value: object,
-    num_gpus: Optional[int] = None,
-    batch: Optional[int] = None,
-) -> Dict[str, object]:
-    """Empirical projection: re-simulate with one config knob changed.
-
-    Runs the (system, space) cell twice — as configured and with
-    ``knob=value`` — and diffs the two run summaries.  Complements the
-    analytic scenarios: those bound what a *free* subsystem saves; this
-    measures what an actual config change buys, second-order effects
-    included.  Returns ``{baseline, changed, deltas}`` where deltas are
-    ``changed - baseline`` for every shared numeric summary field.
-    """
-    from repro.experiments.common import run_system
-
-    baseline = run_system(
-        space_name, system_name, scale, num_gpus=num_gpus, batch=batch
-    )
-    changed = run_system(
-        space_name, system_name, scale, num_gpus=num_gpus, batch=batch,
-        **{knob: value},
-    )
-    if baseline is None or changed is None:
-        raise RuntimeError(
-            f"rerun_projection: {system_name} on {space_name} failed to run"
-        )
-    base_summary = run_summary(baseline)
-    changed_summary = run_summary(changed)
-    deltas = {
-        key: changed_summary[key] - base_summary[key]
-        for key in sorted(base_summary)
-        if isinstance(base_summary.get(key), (int, float))
-        and isinstance(changed_summary.get(key), (int, float))
-        and not isinstance(base_summary.get(key), bool)
-    }
-    return {
-        "schema": 1,
-        "knob": knob,
-        "value": value,
-        "baseline": base_summary,
-        "changed": changed_summary,
-        "deltas": deltas,
-    }

@@ -9,9 +9,7 @@ the paper's three performance levers (§5.3's "w/o mirroring" ablation).
 from repro import _exports
 
 __getattr__, __dir__, __all__ = _exports(globals(), {
-    "repro.partition.balanced": (
-        "Partition", "balanced_partition", "partition_cost", "partition_imbalance",
-    ),
+    "repro.partition.balanced": ("Partition", "balanced_partition"),
     "repro.partition.static": ("static_partition_for_space",),
     "repro.partition.mirror": ("MirrorRegistry",),
 })

@@ -20,8 +20,6 @@ __all__ = [
     "Partition",
     "balanced_partition",
     "weighted_balanced_partition",
-    "partition_cost",
-    "partition_imbalance",
 ]
 
 #: A partition is a list of ``(start, stop)`` block ranges, one per stage,
@@ -230,16 +228,3 @@ def weighted_balanced_partition(
     partition, _ = _weighted_cut(costs, stage_weights, high, stages)
     return partition
 
-
-def partition_cost(costs: Sequence[float], partition: Partition) -> float:
-    """The max stage sum — the pipeline step time this partition yields."""
-    return max(sum(costs[start:stop]) for start, stop in partition)
-
-
-def partition_imbalance(costs: Sequence[float], partition: Partition) -> float:
-    """Max stage sum over mean stage sum (1.0 = perfectly balanced)."""
-    sums = [sum(costs[start:stop]) for start, stop in partition]
-    mean = sum(sums) / len(sums)
-    if mean == 0:
-        return 1.0
-    return max(sums) / mean

@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Set
 
 from repro.nn.parameter_store import LayerId
 from repro.partition.balanced import Partition
-from repro.supernet.subnet import Subnet
 
 __all__ = ["MirrorEvent", "MirrorRegistry"]
 
@@ -75,23 +74,12 @@ class MirrorRegistry:
         self.events.append(MirrorEvent(layer, self.home_stage(layer), stage, time))
         return True
 
-    def register_subnet(
-        self, subnet: Subnet, partition: Partition, time: float = 0.0
-    ) -> List[MirrorEvent]:
-        """Mirror every layer the subnet runs off its home stage.
-
-        Returns the events created by this registration (empty when the
-        balanced partition happens to match all homes).
-        """
-        return self.register_stages(
-            [subnet.layers_in_range(start, stop) for start, stop in partition], time
-        )
-
     def register_stages(
         self, stage_layers: Sequence[Sequence[LayerId]], time: float = 0.0
     ) -> List[MirrorEvent]:
-        """:meth:`register_subnet` from the subnet's per-stage layer
-        views, for a caller that has already sliced them."""
+        """Mirror every layer of a subnet's per-stage layer views off
+        its home stage; returns the events this call created (empty when
+        the subnet's partition matches all homes)."""
         before = len(self.events)
         for stage, layers in enumerate(stage_layers):
             for layer in layers:

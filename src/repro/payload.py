@@ -30,8 +30,8 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["reject_unknown", "require", "accepted", "checked", "build", "check", "integer",
-           "number", "at_least", "positive", "compact", "indented", "sha256"]
+__all__ = ["reject_unknown", "require", "accepted", "checked", "build", "check", "check_ranges",
+           "integer", "number", "at_least", "positive", "compact", "indented", "sha256"]
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +183,18 @@ def checked(cls: type, payload: Mapping, path: str, rename: _Rename = ()) -> dic
     each value checked; unknown keys are rejected."""
     reject_unknown(payload, accepted(cls, rename), path)
     return _values(cls, payload, path, rename)
+
+
+def check_ranges(obj, path: str, error: type = ConfigError) -> None:
+    """:func:`check` each field of dataclass ``obj`` declared with
+    :func:`at_least` or :func:`positive`, for a caller that constructs it
+    directly; the reader's message is raised as ``error``."""
+    try:
+        for key, f, declared, nullable, element in _field_table(type(obj), ()):
+            if f.metadata:
+                check(path, key, getattr(obj, f.name), declared, nullable, element, **f.metadata)
+    except ConfigError as exc:
+        raise error(str(exc)) from None
 
 
 def build(cls: type, payload: Mapping, path: str, rename: _Rename = ()):

@@ -82,7 +82,7 @@ from repro.ft.recovery import (
     run_uninterrupted,
 )
 from repro.invariants import diverged, same_training
-from repro.payload import at_least, build, compact, indented, positive
+from repro.payload import at_least, build, check_ranges, compact, indented, positive
 from repro.service.manager import ClusterManager
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimulationEngine
@@ -129,15 +129,10 @@ class JobSpec:
     overrides: Optional[Mapping] = None
 
     def __post_init__(self) -> None:
-        # the single-field floors repeat for callers that construct a
-        # spec directly; a config payload meets them in the reader
         if not self.name:
             raise ServiceConfigError("a job needs a non-empty name")
-        if self.subnets < 1:
-            raise ServiceConfigError(f"{self.name}: subnets must be >= 1")
-        if self.priority < 1:
-            raise ServiceConfigError(f"{self.name}: priority must be >= 1")
-        if self.min_gpus < 1 or self.max_gpus < self.min_gpus:
+        check_ranges(self, self.name, ServiceConfigError)
+        if self.max_gpus < self.min_gpus:
             raise ServiceConfigError(
                 f"{self.name}: need 1 <= min_gpus <= max_gpus, got "
                 f"[{self.min_gpus}, {self.max_gpus}]"
@@ -303,22 +298,7 @@ class SchedulerKnobs:
     slots_per_node: int = at_least(1, default=4)
 
     def __post_init__(self) -> None:
-        # for ``JobScheduler(**knobs)``; a config payload meets the
-        # floors in the reader
-        if self.quantum < 1:
-            raise ServiceConfigError(f"quantum must be >= 1, got {self.quantum}")
-        if self.max_restarts < 0:
-            raise ServiceConfigError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.requeue_backoff_ms <= 0:
-            raise ServiceConfigError(
-                f"requeue_backoff_ms must be > 0, got {self.requeue_backoff_ms}"
-            )
-        if self.slots_per_node < 1:
-            raise ServiceConfigError(
-                f"slots_per_node must be >= 1, got {self.slots_per_node}"
-            )
+        check_ranges(self, "scheduler", ServiceConfigError)
 
 
 class JobScheduler:

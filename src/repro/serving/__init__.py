@@ -34,7 +34,5 @@ __getattr__, __dir__, __all__ = _exports(globals(), {
     "repro.serving.metrics": (
         "format_serving_report", "nearest_rank", "serving_report_json",
     ),
-    "repro.serving.workload": (
-        "EvalRequest", "RequestDraws", "WorkloadSpec", "generate_requests",
-    ),
+    "repro.serving.workload": ("EvalRequest", "RequestDraws", "WorkloadSpec"),
 })

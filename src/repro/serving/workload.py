@@ -33,7 +33,7 @@ from repro.seeding import SeedSequenceTree
 from repro.supernet.search_space import SearchSpace
 from repro.supernet.subnet import Subnet
 
-__all__ = ["EvalRequest", "RequestDraws", "WorkloadSpec", "generate_requests", "path_key"]
+__all__ = ["EvalRequest", "RequestDraws", "WorkloadSpec", "path_key"]
 
 
 @dataclass(frozen=True)
@@ -212,14 +212,3 @@ class RequestDraws:
             ]
         return self._requests
 
-
-def generate_requests(
-    spec: WorkloadSpec, space: SearchSpace
-) -> List[EvalRequest]:
-    """Materialise the full request sequence for ``spec`` over ``space``.
-
-    Deterministic: every draw comes from a named seed stream, so two
-    calls with equal spec and space yield identical request lists
-    (ids, times, and choice tuples all bitwise equal).
-    """
-    return RequestDraws(spec, space).requests(spec)

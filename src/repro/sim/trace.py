@@ -114,8 +114,7 @@ class EventLog(Sequence):
     is byte-identical to the row store's.
 
     Whole-trace passes that need no row object read :meth:`rows` or a
-    column directly; :meth:`ExecutionTrace.events_of` builds rows for
-    the matching kinds only.
+    column directly.
     """
 
     __slots__ = ("kind", "time", "stage", "subnet_id", "attrs")
@@ -254,18 +253,6 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     # event queries
     # ------------------------------------------------------------------
-    def events_of(self, *kinds: str) -> Iterator[TraceEvent]:
-        """Events of the given kinds, in emission order: a scan of the
-        ``kind`` column that builds the matching rows only."""
-        wanted = set(kinds)
-        log = self.events
-        time, stage, subnet_id, attrs = log.time, log.stage, log.subnet_id, log.attrs
-        return (
-            TraceEvent(kind, time[i], stage[i], subnet_id[i], attrs[i])
-            for i, kind in enumerate(log.kind)
-            if kind in wanted
-        )
-
     def intervals_by_gpu(
         self, kinds: Tuple[str, ...] = ("fwd", "bwd", "stall")
     ) -> Dict[int, List[BusyInterval]]:
@@ -298,25 +285,12 @@ class ExecutionTrace:
         the denominator of every Table 2 utilisation column."""
         return self.end_time - self.start_time
 
-    def busy_time(self, gpu_id: int, compute_only: bool = True) -> float:
-        """Total occupied ms on ``gpu_id``.
-
-        ``compute_only=True`` counts fwd/bwd spans only — the paper's
-        notion of *busy* for bubble/ALU; ``False`` adds stall spans.
-        """
-        kinds = ("fwd", "bwd") if compute_only else ("fwd", "bwd", "stall")
-        return sum(
-            interval.duration
-            for interval in self.intervals
-            if interval.gpu_id == gpu_id and interval.kind in kinds
-        )
-
     def compute_durations(self) -> Tuple[Dict[int, List[float]], List[float]]:
         """One walk of the intervals: the fwd/bwd durations grouped by
         GPU, and all of them, each in interval order.
 
-        Builtin ``sum`` over a GPU's list is, value for value, what
-        :meth:`busy_time` sums, and over the whole list what
+        Builtin ``sum`` over a GPU's list is, value for value, its
+        fwd/bwd busy time, and over the whole list what
         :meth:`mean_exec_ms` sums (``sum`` is compensated on Python
         3.12, so a hand-written ``+=`` would move the last bits)."""
         per_gpu: Dict[int, List[float]] = defaultdict(list)
@@ -329,9 +303,11 @@ class ExecutionTrace:
         return per_gpu, every
 
     def utilization(self, alu_efficiency: float = 1.0) -> Tuple[float, float, float]:
-        """``(bubble_ratio(), total_alu_utilization(alu_efficiency),
-        mean_exec_ms())`` — Table 2's busy-time columns — from one
-        :meth:`compute_durations` walk."""
+        """``(bubble_ratio(), total ALU utilisation, mean_exec_ms())`` —
+        Table 2's busy-time columns — from one :meth:`compute_durations`
+        walk.  The total is the sum over GPUs of busy fraction ×
+        ``alu_efficiency`` (Table 2's "GPU ALU" column: "7.8×" means 7.8
+        fully busy GPUs)."""
         per_gpu, every = self.compute_durations()
         done = self.subnets_completed()
         mean_exec = sum(every) / done if done else 0.0
@@ -356,15 +332,6 @@ class ExecutionTrace:
         this value within 1e-9.
         """
         return self.utilization()[0]
-
-    def total_alu_utilization(self, alu_efficiency: float = 1.0) -> float:
-        """Sum over GPUs of (busy fraction × ALU efficiency).
-
-        Table 2's "GPU ALU" column and Figure 7's utilisation panel.
-        Matches the paper's normalisation: "7.8×" means the summed
-        utilisation equals 7.8 fully-busy GPUs.  Dimensionless.
-        """
-        return self.utilization(alu_efficiency)[1]
 
     def cache_hit_rate(self) -> Optional[float]:
         """Fraction of layer activations found resident (Table 2's last

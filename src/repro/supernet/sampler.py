@@ -28,7 +28,6 @@ __all__ = [
     "SubnetStream",
     "STREAM_KINDS",
     "check_stream_kind",
-    "interleave_streams",
 ]
 
 #: the ``stream_kind`` values :meth:`SubnetStream.sample_kind` accepts
@@ -259,24 +258,3 @@ class SubnetStream:
         restart so data batches and causal order replay bitwise)."""
         return self._base
 
-
-def interleave_streams(streams: Sequence[Sequence[Subnet]]) -> SubnetStream:
-    """Round-robin merge of several spaces' streams (hybrid traverse, §5.5).
-
-    Subnets are re-numbered with dense global sequence IDs; each subnet's
-    original choices are kept, so dependency analysis still works as long
-    as callers track which space each position came from (see
-    :mod:`repro.nas.hybrid`).
-    """
-    merged: List[Subnet] = []
-    cursors = [0] * len(streams)
-    remaining = sum(len(s) for s in streams)
-    stream_index = 0
-    while remaining:
-        if cursors[stream_index] < len(streams[stream_index]):
-            original = streams[stream_index][cursors[stream_index]]
-            merged.append(Subnet(len(merged), original.choices))
-            cursors[stream_index] += 1
-            remaining -= 1
-        stream_index = (stream_index + 1) % len(streams)
-    return SubnetStream(merged)

@@ -155,13 +155,6 @@ class Supernet:
     def total_param_bytes(self) -> int:
         return self.total_param_count() * BYTES_PER_PARAM
 
-    def subnet_param_count(self, subnet: Subnet) -> int:
-        """Parameters of one subnet (what VPipe caches)."""
-        return sum(self.profile(layer).param_count for layer in subnet.layer_ids())
-
-    def subnet_param_bytes(self, subnet: Subnet) -> int:
-        return self.subnet_param_count(subnet) * BYTES_PER_PARAM
-
     def expected_subnet_param_count(self) -> int:
         """Expected parameters of a uniformly sampled subnet (summed
         once: the space is immutable)."""

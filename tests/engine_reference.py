@@ -12,6 +12,9 @@ of that time, copied verbatim, so ``tests/test_engine_reference.py``
 can run them beside the live engine and demand the same trace columns,
 intervals and result fields (by ``repr``).  One edit since: a
 ``_SubnetRun`` no longer takes its injection time, which nothing read.
+
+The analytic bubble fractions the theory-anchor tests hold the engine's
+configurations to sit at the end.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
+from readback_reference import busy_time
 from repro.engines.pipeline import _DIRECTION, PipelineEngine, _SubnetRun
 from repro.engines.policies.base import SyncPolicy
 
-__all__ = ["ReferenceEngine"]
+__all__ = ["ReferenceEngine", "gpipe_theory_bubble", "pipeline_theory_bubble"]
 
 
 class _ParentWindow:
@@ -71,7 +75,7 @@ def bubble_ratio(self) -> float:
         return 0.0
     idle_fractions = []
     for gpu_id in range(self.num_gpus):
-        busy = self.busy_time(gpu_id, compute_only=True)
+        busy = busy_time(self, gpu_id, compute_only=True)
         idle_fractions.append(1.0 - min(1.0, busy / self.makespan))
     return sum(idle_fractions) / len(idle_fractions)
 
@@ -87,9 +91,17 @@ def total_alu_utilization(self, alu_efficiency: float = 1.0) -> float:
         return 0.0
     total = 0.0
     for gpu_id in range(self.num_gpus):
-        busy = self.busy_time(gpu_id, compute_only=True)
+        busy = busy_time(self, gpu_id, compute_only=True)
         total += min(1.0, busy / self.makespan) * alu_efficiency
     return total
+
+
+def register_subnet(registry, subnet, partition, time: float = 0.0):
+    """``MirrorRegistry.register_subnet``: mirror every layer the subnet
+    runs off its home stage; returns the events this created."""
+    return registry.register_stages(
+        [subnet.layers_in_range(start, stop) for start, stop in partition], time
+    )
 
 
 class ReferenceEngine(PipelineEngine):
@@ -121,7 +133,7 @@ class ReferenceEngine(PipelineEngine):
             self.runs[subnet.subnet_id] = run
             self.inflight.add(subnet.subnet_id)
             if self.mirror_registry is not None:
-                self.mirror_registry.register_subnet(subnet, partition, self.sim.now)
+                register_subnet(self.mirror_registry, subnet, partition, self.sim.now)
             if self.functional is not None:
                 run.boundary_in[0] = self.functional.input_for(subnet)
             self.policy.on_injected(subnet.subnet_id)
@@ -334,3 +346,25 @@ class ReferenceEngine(PipelineEngine):
         self.trace.append_event(
             "nic_transfer", self.sim.now, stage, subnet_id, attrs
         )
+
+
+# -- analytic bubble fractions --------------------------------------------
+def gpipe_theory_bubble(stages: int, bulk: int) -> float:
+    """Idle fraction of a BSP pipeline round (fill + drain overhead):
+    each of ``stages`` stages computes for ``bulk`` slots of a
+    ``bulk + stages - 1`` slot round — the closed form behind GPipe's
+    Table 2 "Bub." cells (§5.1, the paper's constant 0.57 at 8 GPUs)."""
+    if stages < 1 or bulk < 1:
+        raise ValueError("stages and bulk must be positive")
+    return (stages - 1) / (bulk + stages - 1)
+
+
+def pipeline_theory_bubble(stages: int, in_flight: int) -> float:
+    """Idle fraction of a continuously fed pipeline with a bounded
+    in-flight window: zero once the window covers the depth, otherwise
+    the under-fill fraction (Figure 7's depth discussion, §5.4)."""
+    if stages < 1 or in_flight < 1:
+        raise ValueError("stages and in_flight must be positive")
+    if in_flight >= stages:
+        return 0.0
+    return 1.0 - in_flight / stages

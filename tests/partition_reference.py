@@ -4,7 +4,8 @@ questions from the bounds of its earlier passes.
 ``_fits``, ``_cut_at_limit`` and ``balanced_partition`` of that time,
 copied verbatim: every one of the 48 bisection steps ran a greedy pass.
 ``tests/test_partition_reference.py`` demands the live partition cut
-exactly as these do, on drawn costs.
+exactly as these do, on drawn costs.  ``partition_cost`` and
+``partition_imbalance`` score a partition for the partitioning tests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import PartitionError
 
-__all__ = ["balanced_partition"]
+__all__ = ["balanced_partition", "partition_cost", "partition_imbalance"]
 
 Partition = List[Tuple[int, int]]
 
@@ -92,3 +93,17 @@ def balanced_partition(costs: Sequence[float], stages: int) -> Partition:
         else:
             low = mid
     return _cut_at_limit(costs, high, stages)
+
+
+def partition_cost(costs: Sequence[float], partition: Partition) -> float:
+    """The max stage sum — the pipeline step time this partition yields."""
+    return max(sum(costs[start:stop]) for start, stop in partition)
+
+
+def partition_imbalance(costs: Sequence[float], partition: Partition) -> float:
+    """Max stage sum over mean stage sum (1.0 = perfectly balanced)."""
+    sums = [sum(costs[start:stop]) for start, stop in partition]
+    mean = sum(sums) / len(sums)
+    if mean == 0:
+        return 1.0
+    return max(sums) / mean

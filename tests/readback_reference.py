@@ -8,8 +8,8 @@ every gap, the gap classifier filtered every wait window of the stage
 on every gap, the what-if replays rebuilt their dependency keys on
 every step, ``ExecutionTrace.event_counts`` counted in a Python loop and
 the exporter rendered every typed row from scratch.  This module is that
-code, copied verbatim (``event_counts`` as a function of the trace, which
-``run_summary`` calls), so
+code, copied verbatim (``event_counts``, ``events_of`` and ``busy_time``
+as functions of the trace), so
 ``tests/test_readback_reference.py`` can assert that the readers still
 produce the same bytes for any run.  What those readers share with the
 live code unchanged (the interval helpers, the result records, the ASP
@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.critical_path import CriticalPath, PathSegment
 from repro.obs.exporter import (
@@ -42,7 +42,7 @@ from repro.obs.model import WaitWindow, _complement, _merge
 from repro.obs.summary import StageBubbles, mean_attribution
 from repro.obs.whatif import _DROPPED_STALLS, SCENARIOS, _asp_bound
 from repro.payload import compact
-from repro.sim.trace import ExecutionTrace
+from repro.sim.trace import ExecutionTrace, TraceEvent
 
 _Segment = Tuple[float, float]
 
@@ -60,6 +60,33 @@ def event_counts(trace) -> Dict[str, int]:
     return {kind: counts[kind] for kind in sorted(counts)}
 
 
+def events_of(trace, *kinds: str) -> Iterator[TraceEvent]:
+    """Events of the given kinds, in emission order: a scan of the
+    ``kind`` column that builds the matching rows only."""
+    wanted = set(kinds)
+    log = trace.events
+    time, stage, subnet_id, attrs = log.time, log.stage, log.subnet_id, log.attrs
+    return (
+        TraceEvent(kind, time[i], stage[i], subnet_id[i], attrs[i])
+        for i, kind in enumerate(log.kind)
+        if kind in wanted
+    )
+
+
+def busy_time(trace, gpu_id: int, compute_only: bool = True) -> float:
+    """Total occupied ms on ``gpu_id``.
+
+    ``compute_only=True`` counts fwd/bwd spans only — the paper's
+    notion of *busy* for bubble/ALU; ``False`` adds stall spans.
+    """
+    kinds = ("fwd", "bwd") if compute_only else ("fwd", "bwd", "stall")
+    return sum(
+        interval.duration
+        for interval in trace.intervals
+        if interval.gpu_id == gpu_id and interval.kind in kinds
+    )
+
+
 # ----------------------------------------------------------------------
 # obs/model.py
 # ----------------------------------------------------------------------
@@ -70,7 +97,7 @@ def csp_wait_windows(trace: ExecutionTrace) -> Dict[int, List[WaitWindow]]:
     """Pair ``csp_wait_begin``/``csp_wait_end`` events into windows per
     stage; a wait still open at the end of the run closes at
     ``trace.end_time``."""
-    return _pair_waits(trace.events_of(*_WAIT_KINDS), trace.end_time)
+    return _pair_waits(events_of(trace, *_WAIT_KINDS), trace.end_time)
 
 
 def _pair_waits(events, end_time: float) -> Dict[int, List[WaitWindow]]:
@@ -190,7 +217,7 @@ class RunModel:
             "link_meta": links,
             "run_meta": metas,
         }
-        for event in trace.events_of(*sink):
+        for event in events_of(trace, *sink):
             sink[event.kind].append(event)
 
         # stall causes keyed by (stage, start time)
@@ -316,7 +343,7 @@ def _attribution(model: RunModel) -> List[StageBubbles]:
         compute = _merge([(a.start, a.end) for a in chain if a.kind == "compute"])
         stalls = _merge([(a.start, a.end) for a in chain if a.kind == "stall"])
         wait_segments = model.wait_segments.get(stage, [])
-        busy = trace.busy_time(stage, compute_only=True)
+        busy = busy_time(trace, stage, compute_only=True)
         idle = max(0.0, makespan - busy)
 
         if makespan <= 0:

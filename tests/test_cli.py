@@ -483,7 +483,7 @@ _FRONT_DOOR = {"repro", "repro.cli", "repro.payload", "repro.errors"}
 _NOT_ON_THE_TRACE_PATH = (
     "repro.nn.layers", "repro.nn.program", "repro.data",
     "repro.engines.functional_plane", "repro.engines.intra",
-    "repro.engines.sequential", "repro.baselines.retiarii_ps", "repro.replay",
+    "repro.engines.sequential", "repro.replay",
     "repro.viz", "repro.obs.registry", "repro.obs.whatif", "repro.obs.events",
     "repro.ft",
 )

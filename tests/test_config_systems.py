@@ -112,7 +112,7 @@ def test_default_windows_scale_with_stages():
 
 
 def test_gpipe_bulk_gives_paper_bubble():
-    from repro.metrics.bubbles import gpipe_theory_bubble
+    from engine_reference import gpipe_theory_bubble
 
     bulk = gpipe().default_bulk(8)
     bubble = gpipe_theory_bubble(8, bulk)

@@ -10,6 +10,7 @@ from repro.supernet.search_space import get_search_space
 from repro.supernet.supernet import Supernet
 
 from context_manager_reference import is_resident, peek_residency
+from readback_reference import events_of
 
 #: hypothesis forbids function-scoped fixtures; same space as ``tiny_space``
 _PROPERTY_SUPERNET = Supernet(
@@ -396,7 +397,7 @@ def _mixed_lru_state():
 def _evictions(trace):
     return [
         (dict(event.attrs)["block"], dict(event.attrs)["dirty"])
-        for event in trace.events_of("eviction")
+        for event in events_of(trace, "eviction")
     ]
 
 

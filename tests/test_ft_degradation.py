@@ -27,6 +27,8 @@ from repro.supernet.sampler import SubnetStream
 from repro.supernet.search_space import get_search_space
 from repro.supernet.supernet import Supernet
 
+from readback_reference import events_of
+
 
 @pytest.fixture(scope="module")
 def deg_space():
@@ -89,6 +91,12 @@ def _task(monitor, duration, t=0.0, stage=0):
     )
 
 
+def _estimate(monitor, scope, index):
+    """The monitor's EWMA of ``(scope, index)``; None before a sample."""
+    entry = monitor._ewma.get((scope, index))
+    return entry[0] if entry is not None else None
+
+
 def test_monitor_waits_for_min_samples():
     monitor, transitions = _monitor()
     for i in range(3):
@@ -111,12 +119,12 @@ def test_monitor_hysteresis_band_holds_state():
     assert transitions[-1][:3] == ("stage", 0, "straggler")
     count = len(transitions)
     # decay back into the band: hysteresis keeps the straggler status
-    while monitor.estimate("stage", 0) > 1.45:
+    while _estimate(monitor, "stage", 0) > 1.45:
         _task(monitor, 14.0, 99.0)
     assert monitor.status[("stage", 0)] == "straggler"
     assert len(transitions) == count
     # only the exit threshold flips it back
-    while monitor.estimate("stage", 0) > 1.25:
+    while _estimate(monitor, "stage", 0) > 1.25:
         _task(monitor, 10.0, 99.0)
     assert monitor.status[("stage", 0)] == "healthy"
     assert transitions[-1][:3] == ("stage", 0, "healthy")
@@ -126,7 +134,7 @@ def test_monitor_ignores_unprofiled_slices_and_own_plane():
     monitor, transitions = _monitor(slice_ms=0.0)
     for i in range(8):
         _task(monitor, 50.0, float(i))  # no nominal => no estimate
-    assert monitor.estimate("stage", 0) is None
+    assert _estimate(monitor, "stage", 0) is None
     # the kinds the mitigation plane itself emits are skipped outright
     monitor.observe(TraceEvent("health_report", 0.0))
     monitor.observe(TraceEvent("mitigation_apply", 0.0))
@@ -340,7 +348,7 @@ def test_healthy_run_applies_no_mitigations(deg_space, deg_baseline, num_gpus):
         degradation=True,
     )
     assert armed.mitigation_actions == []
-    assert list(armed.trace.events_of("health_report", "mitigation_apply")) == []
+    assert list(events_of(armed.trace, "health_report", "mitigation_apply")) == []
     assert armed.digest == deg_baseline.digest
     assert armed.losses == deg_baseline.losses
 

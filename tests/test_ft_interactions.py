@@ -14,6 +14,8 @@ from repro.ft import (
 from repro.obs import validate_trace
 from repro.supernet.search_space import get_search_space
 
+from readback_reference import events_of
+
 
 @pytest.fixture(scope="module")
 def mix_space():
@@ -123,7 +125,7 @@ def test_nic_degrade_across_checkpoint_cut(mix_space, mix_baseline, tmp_path):
         spec=RecoverySpec(checkpoint_interval=4),
     )
     assert result.num_attempts == 1  # degraded-mode continue, no restart
-    assert list(result.final.trace.events_of("checkpoint_commit"))
+    assert list(events_of(result.final.trace, "checkpoint_commit"))
     assert result.digest == mix_baseline.digest
     assert result.losses == mix_baseline.losses
 
@@ -136,7 +138,7 @@ def test_task_error_backoff_escalates(mix_space, mix_baseline):
         mix_space, naspipe(), num_gpus=4, steps=20, seed=11, faults=faults
     )
     assert result.task_retries == 6
-    retries = list(result.trace.events_of("task_retry"))
+    retries = list(events_of(result.trace, "task_retry"))
     assert [e.attr("attempt") for e in retries] == [1, 2, 3, 4, 5, 6]
     assert [e.attr("delay_ms") for e in retries] == [
         2.0 * 2**k for k in range(6)

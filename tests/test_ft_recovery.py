@@ -12,6 +12,7 @@ tail timing-independent.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from readback_reference import events_of
 from repro.baselines import naspipe, pipedream
 from repro.engines.functional_plane import FunctionalPlane
 from repro.errors import FaultToleranceError
@@ -22,8 +23,6 @@ from repro.ft import (
     RecoverySpec,
     availability_summary,
     format_availability,
-    mtbf_sweep,
-    restore_checkpoint,
     run_uninterrupted,
     run_with_recovery,
 )
@@ -204,7 +203,7 @@ def test_host_crash_takes_down_all_its_stages(rec_space, csp_baseline, tmp_path)
     )
     first = result.results[0]
     assert first.interrupt_kind == "host_crash"
-    downs = list(first.trace.events_of("gpu_down"))
+    downs = list(events_of(first.trace, "gpu_down"))
     assert len(downs) == 4  # all four stages live on host 0
     assert result.digest == csp_baseline.digest
 
@@ -265,7 +264,8 @@ def test_committed_checkpoint_round_trips(rec_space, csp_baseline, tmp_path):
         functional_batch=8,
         optimizer=MomentumSGD(0.3, 0.9, 5.0),
     )
-    checkpoint = restore_checkpoint(first_cut_dir, plane)
+    checkpoint = Checkpoint.load(first_cut_dir)
+    checkpoint.restore(plane)
     assert checkpoint.cut == result.checkpoint_cuts[0]
     # the restored store holds exactly the cut's bits
     assert plane.store.digest() == checkpoint.digest
@@ -320,7 +320,7 @@ def test_store_files_and_cut_files_are_one_format(
     )
     stored.save_meta()
     restored = plane()
-    restore_checkpoint(directory, restored)
+    Checkpoint.load(directory).restore(restored)
     assert restored.store.digest() == cut.digest
 
 
@@ -418,19 +418,3 @@ def test_every_total_is_the_sum_over_attempts(rec_space, csp_baseline, tmp_path)
         clock += result.interrupt_time_ms + 50.0
     assert run.makespan_ms == clock + run.results[-1].makespan_ms
 
-
-def test_mtbf_sweep_rows_are_reproducible(rec_space, tmp_path):
-    rows = mtbf_sweep(
-        rec_space,
-        naspipe(),
-        mtbf_values_ms=[400.0],
-        num_gpus=4,
-        steps=12,
-        seed=3,
-        checkpoint_dir=tmp_path,
-    )
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["mtbf_ms"] == 400.0
-    assert row["digest_matches_baseline"] is True
-    assert row["subnets_completed"] == 12

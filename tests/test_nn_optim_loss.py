@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.loss import cross_entropy_with_logits, softmax
+from repro.nn import functional as F
+from repro.nn.loss import cross_entropy_with_logits
 from repro.nn.optim import SGD, MomentumSGD
 
 
@@ -81,7 +82,7 @@ def test_updates_stay_float32():
 def test_softmax_rows_sum_to_one():
     rng = np.random.Generator(np.random.PCG64(3))
     logits = rng.standard_normal((5, 7)).astype(np.float32) * 10
-    probs = softmax(logits)
+    probs = F.softmax_rows(logits)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5)
     assert (probs >= 0).all()
 

@@ -22,9 +22,9 @@ from repro.obs import (
     export_chrome_trace,
     run_summary,
     validate_chrome_trace,
-    validate_event,
     validate_trace,
 )
+from repro.obs.events import _problems
 from repro.obs.exporter import _INSTANTS, _NOT_RENDERED, _SPECIAL
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
@@ -33,6 +33,7 @@ from repro.supernet.sampler import SubnetStream
 from repro.supernet.supernet import Supernet
 
 from goldens import one_event_per_kind, rendered_by_kind, to_perfetto
+from readback_reference import events_of
 
 TRACING_DOC = Path(__file__).resolve().parents[1] / "docs" / "TRACING.md"
 
@@ -89,30 +90,30 @@ def test_validate_event_rejects_bad_shapes():
         kind="task_done", time=1.0, stage=0, subnet_id=3,
         attrs=(("direction", "fwd"),),
     )
-    assert validate_event(ok) == []
-    assert validate_event(ok._replace(kind="nope"))
+    assert _problems(*ok) == []
+    assert _problems(*ok._replace(kind="nope"))
     missing = TraceEvent(kind="task_done", time=1.0, stage=0, subnet_id=3)
-    assert any("missing" in p for p in validate_event(missing))
+    assert any("missing" in p for p in _problems(*missing))
     extra = TraceEvent(
         kind="task_done", time=1.0, stage=0, subnet_id=3,
         attrs=(("direction", "fwd"), ("bogus", 1)),
     )
-    assert any("undeclared" in p for p in validate_event(extra))
+    assert any("undeclared" in p for p in _problems(*extra))
     unscoped = TraceEvent(
         kind="task_done", time=1.0, stage=-1, subnet_id=3,
         attrs=(("direction", "fwd"),),
     )
-    assert any("stage" in p for p in validate_event(unscoped))
+    assert any("stage" in p for p in _problems(*unscoped))
     badtype = TraceEvent(
         kind="task_done", time=1.0, stage=0, subnet_id=3,
         attrs=(("direction", 7),),
     )
-    assert any("direction" in p for p in validate_event(badtype))
+    assert any("direction" in p for p in _problems(*badtype))
     # bool is an int subclass — must still be rejected for int fields
     booled = TraceEvent(
         kind="ready_set", time=1.0, stage=0, attrs=(("size", True),),
     )
-    assert any("bool" in p for p in validate_event(booled))
+    assert any("bool" in p for p in _problems(*booled))
 
 
 @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf"), True, "1.0", None])
@@ -231,7 +232,7 @@ _COUNTER = {"name": "c", "ph": "C", "pid": 0, "ts": 1.0, "args": {"v": 3}}
 )
 def test_validate_chrome_trace_wants_finite_non_bool_numbers(event, complaint):
     """What no JSON parser reads (NaN, ±inf) and a bool posing as a
-    number used to validate clean — the rule ``validate_event`` applies
+    number used to validate clean — the rule ``validate_trace`` applies
     to an event's time."""
     for ok in (_SPAN, _INSTANT, _COUNTER):
         assert validate_chrome_trace({"traceEvents": [ok]}) == []
@@ -280,7 +281,7 @@ def test_bubble_attribution_sums_to_bubble_ratio(
 def test_csp_wait_windows_pair_up(tiny_supernet):
     result = _run(tiny_supernet, naspipe(), count=16, gpus=4)
     trace = result.trace
-    begins = len(list(trace.events_of("csp_wait_begin")))
+    begins = len(list(events_of(trace, "csp_wait_begin")))
     windows = csp_wait_windows(trace)
     assert sum(len(w) for w in windows.values()) == begins
     for stage, stage_windows in windows.items():

@@ -154,7 +154,6 @@ def test_each_public_reader_builds_the_model_once(csp_result, monkeypatch):
         "critical_path": lambda: obs.critical_path(trace),
         "critical_path_breakdown": lambda: obs.critical_path_breakdown(trace),
         "what_if_report": lambda: obs.what_if_report(trace),  # 5 scenarios
-        "project": lambda: obs.project(trace, "infinite_nic"),
     }
     for name, read in readers.items():
         del builds[:]

@@ -15,7 +15,7 @@ import pytest
 from repro.baselines import naspipe, pipedream
 from repro.engines.pipeline import PipelineEngine
 from repro.experiments.common import ExperimentScale, make_stream
-from repro.obs import SCENARIOS, project, rerun_projection, what_if_report
+from repro.obs import SCENARIOS, what_if_report
 from repro.seeding import SeedSequenceTree
 from repro.sim.cluster import ClusterSpec
 from repro.supernet.sampler import SubnetStream
@@ -43,8 +43,9 @@ def _run(supernet, config, count=8, gpus=2, batch=16, seed=7):
 def test_every_replay_scenario_is_a_lower_bound(tiny_supernet, config, gpus):
     result = _run(tiny_supernet, config, gpus=gpus)
     measured = result.trace.makespan
+    scenarios = what_if_report(result.trace)["scenarios"]
     for scenario in SCENARIOS:
-        projected = project(result.trace, scenario)
+        projected = scenarios[scenario]["projected_makespan_ms"]
         assert projected <= measured + _EPS, (scenario, projected, measured)
         assert projected > 0
 
@@ -56,16 +57,13 @@ def test_stall_relaxations_never_beat_the_combined_one(small_supernet):
         small_supernet, naspipe(cache_subnets=1.0, predictor=False),
         count=8, gpus=4,
     )
-    zero_fetch = project(result.trace, "zero_fetch_stalls")
-    perfect = project(result.trace, "perfect_predictor")
-    assert perfect <= zero_fetch + _EPS
-    assert zero_fetch <= project(result.trace, "as_scheduled") + _EPS
-
-
-def test_unknown_scenario_rejected(tiny_supernet):
-    result = _run(tiny_supernet, naspipe())
-    with pytest.raises(KeyError):
-        project(result.trace, "free_lunch")
+    projected = {
+        name: entry["projected_makespan_ms"]
+        for name, entry in what_if_report(result.trace)["scenarios"].items()
+    }
+    zero_fetch = projected["zero_fetch_stalls"]
+    assert projected["perfect_predictor"] <= zero_fetch + _EPS
+    assert zero_fetch <= projected["as_scheduled"] + _EPS
 
 
 # ----------------------------------------------------------------------
@@ -133,28 +131,9 @@ def test_no_csp_constraint_matches_simulated_asp_within_5pct():
         batch=32,
     ).run()
 
-    projected = project(csp.trace, "no_csp_constraint")
+    report = what_if_report(csp.trace)
+    projected = report["scenarios"]["no_csp_constraint"]["projected_makespan_ms"]
     assert asp.makespan_ms > 0
     relative_error = abs(projected - asp.makespan_ms) / asp.makespan_ms
     assert relative_error < 0.05, (projected, asp.makespan_ms)
 
-
-# ----------------------------------------------------------------------
-# empirical rerun projection
-# ----------------------------------------------------------------------
-def test_rerun_projection_diffs_two_real_runs():
-    scale = ExperimentScale(subnets=6, num_gpus=2, seed=5)
-    report = rerun_projection(
-        "NLP.c3", "NASPipe", scale, knob="predictor", value=False, batch=16
-    )
-    assert report["schema"] == 1
-    assert report["knob"] == "predictor" and report["value"] is False
-    assert report["baseline"]["makespan_ms"] > 0
-    assert report["changed"]["makespan_ms"] > 0
-    assert report["deltas"]["makespan_ms"] == pytest.approx(
-        report["changed"]["makespan_ms"] - report["baseline"]["makespan_ms"]
-    )
-    # every delta key exists in both summaries and is numeric
-    for key, value in report["deltas"].items():
-        assert isinstance(value, (int, float))
-        assert key in report["baseline"] and key in report["changed"]

@@ -84,7 +84,25 @@ def test_src_holds_no_test_only_api_and_a_planted_definition_fires(tmp_path):
         )
     module = tmp_path / "src" / "repro" / "sim" / "devices.py"
     text = module.read_text()
-    module.write_text(text + "\n\ndef only_a_test_reads_this():\n    pass\n")
+    # named in __all__, the package's _exports table, a docstring and a
+    # comment: none of them reads it; the ledger's span table does read
+    # ``a_span_reads_this``, by its name
+    module.write_text(
+        text
+        + "\n\ndef only_a_test_reads_this():\n    pass\n"
+        + "\n\ndef a_span_reads_this():\n"
+        + '    """Not ``only_a_test_reads_this``."""  # only_a_test_reads_this\n'
+        + '\n\n__all__ += ["only_a_test_reads_this", "a_span_reads_this"]\n'
+    )
+    for path, old, new in (
+        (module.with_name("__init__.py"), '("CopyEngine", "Link")',
+         '("CopyEngine", "Link", "only_a_test_reads_this")'),
+        (tmp_path / "ledger" / "programs.py", '("cancel",)', '("cancel", "a_span_reads_this")'),
+    ):
+        source = path.read_text()
+        assert source.count(old) == 1, (path, old)
+        path.write_text(source.replace(old, new))
     line = len(text.splitlines()) + 3
-    planted = (f"src/repro/sim/devices.py:{line}", "only_a_test_reads_this")
-    assert planted in scan.scan(tmp_path)
+    found = scan.scan(tmp_path)
+    assert (f"src/repro/sim/devices.py:{line}", "only_a_test_reads_this") in found
+    assert "a_span_reads_this" not in {qualified for _, qualified in found}

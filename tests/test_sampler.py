@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SearchSpaceError
 from repro.seeding import SeedSequenceTree
 from repro.supernet import SposSampler, SubnetStream, get_search_space
-from repro.supernet.sampler import GenerationalSampler, interleave_streams
+from repro.supernet.sampler import GenerationalSampler
 from repro.supernet.subnet import Subnet
 
 from dependency_reference import depends_on
@@ -81,14 +81,6 @@ def test_stream_retrieve_and_reset(tiny_space):
 def test_stream_rejects_sparse_ids():
     with pytest.raises(SearchSpaceError):
         SubnetStream([Subnet(1, (0,))])
-
-
-def test_interleave_streams_round_robin():
-    a = [Subnet(0, (0, 0)), Subnet(1, (0, 1))]
-    b = [Subnet(0, (1, 0))]
-    merged = interleave_streams([a, b])
-    assert [s.choices for s in merged] == [(0, 0), (1, 0), (0, 1)]
-    assert [s.subnet_id for s in merged] == [0, 1, 2]
 
 
 @given(st.integers(0, 2**32 - 1))

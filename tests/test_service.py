@@ -155,8 +155,11 @@ class TestJobSpec:
             JobSpec(name="a", space="NLP.c3", min_gpus=4, max_gpus=2)
 
     def test_priority_floor(self):
-        with pytest.raises(ServiceError):
+        # a direct construction meets the reader's declared ranges
+        with pytest.raises(ServiceError, match=r"^a: priority must be an integer >= 1, got 0$"):
             JobSpec(name="a", space="NLP.c3", priority=0)
+        with pytest.raises(ServiceError, match=r"^scheduler: max_restarts must be an integer >= 0"):
+            JobScheduler(ClusterManager(ClusterSpec(num_gpus=4)), max_restarts=-1)
 
     def test_duplicate_job_name_rejected(self):
         scheduler = JobScheduler(ClusterManager(ClusterSpec(num_gpus=4)))

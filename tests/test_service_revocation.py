@@ -16,6 +16,8 @@ from repro.service import ClusterManager, JobScheduler, JobSpec, run_service
 from repro.sim.cluster import ClusterSpec
 from repro.supernet.search_space import get_search_space
 
+from readback_reference import events_of
+
 OVERRIDES = {"num_blocks": 8, "functional_width": 16}
 
 
@@ -96,7 +98,7 @@ def test_elastic_csp_survives_revocation_bitwise():
         str(sid): loss for sid, loss in sorted(solo.losses.items())
     }
     # the revocation is a first-class trace event with fault provenance
-    revokes = list(scheduler.trace.events_of("lease_revoke"))
+    revokes = list(events_of(scheduler.trace, "lease_revoke"))
     assert len(revokes) == 1
     assert revokes[0].attr("job") == "elastic"
     assert "slot_preempt" in revokes[0].attr("fault")
@@ -144,7 +146,7 @@ def test_rigid_job_requeues_and_restarts_deterministically():
         _cv_space(), pipedream(), num_gpus=2, steps=spec.subnets, seed=spec.seed
     )
     assert job["digest"] == solo.digest
-    requeues = list(scheduler.trace.events_of("job_requeue"))
+    requeues = list(events_of(scheduler.trace, "job_requeue"))
     assert len(requeues) == 1
     assert requeues[0].attr("restarts") == 1
     assert requeues[0].attr("backoff_ms") == 10.0  # 10 * 2**0
@@ -168,7 +170,7 @@ def test_rigid_job_fails_closed_after_restart_budget():
     assert failure["max_restarts"] == 0
     assert failure["lost_virtual_ms"] > 0
     assert "slot_preempt" in failure["fault"]
-    failed_events = list(scheduler.trace.events_of("job_failed"))
+    failed_events = list(events_of(scheduler.trace, "job_failed"))
     assert len(failed_events) == 1
     assert failed_events[0].attr("job") == "rigid"
     # a failed job is a bounded outcome, not a leak

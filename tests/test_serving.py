@@ -21,12 +21,12 @@ from repro.serving import (
     BatchPolicy,
     BoundedBatcher,
     EvalRequest,
+    RequestDraws,
     ResultCache,
     ServingEngine,
     ServingInputs,
     ServingSpec,
     WorkloadSpec,
-    generate_requests,
     run_bench,
     serving_report_json,
     subnet_digest,
@@ -39,6 +39,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from context_manager_reference import is_resident, peek_residency  # noqa: E402
+from readback_reference import events_of  # noqa: E402
 
 # One CI-sized config shared by the whole file (small space, short
 # stream) — the same three-scenario shape as examples/serving_demo.json.
@@ -87,8 +88,8 @@ def _request(request_id, arrival_ms=0.0):
 def test_workload_is_deterministic():
     space = _small_space()
     spec = WorkloadSpec(num_requests=40, prefix_blocks=3, seed=7)
-    first = generate_requests(spec, space)
-    second = generate_requests(spec, space)
+    first = RequestDraws(spec, space).requests(spec)
+    second = RequestDraws(spec, space).requests(spec)
     assert [r.arrival_ms for r in first] == [r.arrival_ms for r in second]
     assert [r.subnet.choices for r in first] == [
         r.subnet.choices for r in second
@@ -101,7 +102,7 @@ def test_arrivals_strictly_increase():
         spec = WorkloadSpec(
             num_requests=50, arrival=arrival, prefix_blocks=3, seed=3
         )
-        times = [r.arrival_ms for r in generate_requests(spec, space)]
+        times = [r.arrival_ms for r in RequestDraws(spec, space).requests(spec)]
         assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -110,7 +111,7 @@ def test_full_repeat_fraction_only_replays_history():
     spec = WorkloadSpec(
         num_requests=30, repeat_fraction=1.0, prefix_blocks=3, seed=5
     )
-    requests = generate_requests(spec, space)
+    requests = RequestDraws(spec, space).requests(spec)
     seen = {requests[0].subnet.choices}
     for request in requests[1:]:
         assert request.subnet.choices in seen
@@ -122,7 +123,7 @@ def test_repeats_share_the_result_cache_key():
     spec = WorkloadSpec(
         num_requests=30, repeat_fraction=0.9, prefix_blocks=3, seed=5
     )
-    requests = generate_requests(spec, space)
+    requests = RequestDraws(spec, space).requests(spec)
     digests = [subnet_digest(space.name, r.subnet) for r in requests]
     assert len(set(digests)) < len(digests)  # verbatim repeats collide
     # ... and distinct choice paths never collide.
@@ -242,7 +243,8 @@ def test_a_serving_bench_draws_each_input_once(monkeypatch):
     assert draws.count("serving-arrivals") == 2
     spec = ServingSpec.from_payload(SMALL_CONFIG)
     space = ServingEngine(spec).space
-    distinct = {r.subnet.choices for r in generate_requests(spec.workload, space)}
+    requests = RequestDraws(spec.workload, space).requests(spec.workload)
+    distinct = {r.subnet.choices for r in requests}
     assert sorted(digests) == sorted(distinct)
 
 
@@ -333,7 +335,7 @@ def test_serving_trace_carries_the_lifecycle_kinds(overload_result):
 
 
 def test_shed_events_match_the_records(overload_result):
-    shed_events = list(overload_result.trace.events_of("request_shed"))
+    shed_events = list(events_of(overload_result.trace, "request_shed"))
     shed_records = [r for r in overload_result.records if r.outcome == "shed"]
     assert len(shed_events) == len(shed_records) > 0
     assert [e.subnet_id for e in shed_events] == [

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ft.faults import FaultEvent, FaultSchedule
-from repro.serving import ServingEngine, ServingSpec, generate_requests, subnet_digest
+from repro.serving import RequestDraws, ServingEngine, ServingSpec, subnet_digest
 from repro.serving import frontend
 from repro.supernet.subnet import Subnet
 
@@ -127,7 +127,8 @@ def digest_calls(monkeypatch):
 
 
 def _distinct_architectures(spec, space):
-    return {request.subnet.choices for request in generate_requests(spec.workload, space)}
+    requests = RequestDraws(spec.workload, space).requests(spec.workload)
+    return {request.subnet.choices for request in requests}
 
 
 def test_digest_once_per_architecture_and_no_python_ordering(digest_calls):
@@ -172,7 +173,8 @@ def test_plans_survive_a_revocation_and_the_cold_cache_behind_it(digest_calls):
     assert engine.layer_cache is not first_cache  # rebuilt cold on re-acquire
     assert engine.inputs._plans is plans  # ... the plans were not
     assert sorted(digest_calls) == sorted(_distinct_architectures(spec, engine.space))
-    for request in generate_requests(spec.workload, engine.space):
+    requests = RequestDraws(spec.workload, engine.space).requests(spec.workload)
+    for request in requests:
         plan = engine.inputs.plan(request.subnet)
         assert tuple(plan) == _reference(engine, request.subnet)
     assert all(record.outcome != "pending" for record in result.records)

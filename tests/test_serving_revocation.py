@@ -14,6 +14,8 @@ from repro.ft import FaultEvent, FaultSchedule
 from repro.obs.events import validate_trace
 from repro.serving import ServingEngine, ServingSpec
 
+from readback_reference import events_of
+
 CONFIG = {
     "space": "NLP.c3",
     "space_overrides": {"num_blocks": 8, "functional_width": 16},
@@ -91,11 +93,11 @@ def test_revocation_loses_no_request(revoked_result):
 
 def test_retry_and_revocation_are_trace_visible(revoked_result):
     _, result = revoked_result
-    revokes = list(result.trace.events_of("lease_revoke"))
+    revokes = list(events_of(result.trace, "lease_revoke"))
     assert len(revokes) == 1
     assert revokes[0].attr("job") == "serving"
     assert "slot_preempt" in revokes[0].attr("fault")
-    retries = list(result.trace.events_of("request_retry"))
+    retries = list(events_of(result.trace, "request_retry"))
     assert retries
     assert all(e.attr("retries") >= 1 for e in retries)
 

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from readback_reference import busy_time
 from repro.errors import ConfigError, SimulationError
 from repro.sim import (
     Cluster,
@@ -182,16 +183,16 @@ def test_trace_bubble_and_alu():
     trace.record_interval(1, 0.0, 5.0, "bwd", 0)
     # makespan 10: gpu0 fully busy, gpu1 half busy -> bubble 0.25
     assert trace.bubble_ratio() == pytest.approx(0.25)
-    assert trace.total_alu_utilization(1.0) == pytest.approx(1.5)
-    assert trace.total_alu_utilization(0.5) == pytest.approx(0.75)
+    assert trace.utilization(1.0)[1] == pytest.approx(1.5)
+    assert trace.utilization(0.5)[1] == pytest.approx(0.75)
 
 
 def test_trace_stall_not_counted_as_compute():
     trace = ExecutionTrace(num_gpus=1)
     trace.record_interval(0, 0.0, 4.0, "stall", 0)
     trace.record_interval(0, 4.0, 8.0, "fwd", 0)
-    assert trace.busy_time(0, compute_only=True) == 4.0
-    assert trace.busy_time(0, compute_only=False) == 8.0
+    assert busy_time(trace, 0, compute_only=True) == 4.0
+    assert busy_time(trace, 0, compute_only=False) == 8.0
     assert trace.stall_time_total == 4.0
 
 

@@ -1,73 +1,6 @@
-"""Vocabulary/tokenizer, engine event-listener, and CPU-memory tests."""
+"""Engine event-listener and CPU-memory tests."""
 
-import numpy as np
-import pytest
-
-from repro.data.vocab import (
-    BOS_TOKEN,
-    EOS_TOKEN,
-    PAD_TOKEN,
-    UNK_TOKEN,
-    Vocabulary,
-    synthetic_vocabulary,
-)
 from repro.seeding import SeedSequenceTree
-
-
-@pytest.fixture(scope="module")
-def vocab():
-    return synthetic_vocabulary(SeedSequenceTree(5), size=64)
-
-
-def test_vocab_size_and_specials(vocab):
-    assert len(vocab) == 64
-    assert vocab.tokens[0] == PAD_TOKEN
-    assert vocab.id_of(UNK_TOKEN) == vocab.unk_id
-    assert len(set(vocab.tokens)) == 64
-
-
-def test_vocab_deterministic():
-    a = synthetic_vocabulary(SeedSequenceTree(5), size=64)
-    b = synthetic_vocabulary(SeedSequenceTree(5), size=64)
-    assert a.tokens == b.tokens
-    c = synthetic_vocabulary(SeedSequenceTree(6), size=64)
-    assert a.tokens != c.tokens
-
-
-def test_encode_pads_and_truncates(vocab):
-    word = vocab.tokens[10]
-    ids = vocab.encode(f"{word} {word}", seq_len=6)
-    assert ids.shape == (6,)
-    assert ids[0] == vocab.bos_id
-    assert ids[1] == ids[2] == 10
-    assert ids[3] == vocab.eos_id
-    assert list(ids[4:]) == [vocab.pad_id, vocab.pad_id]
-    truncated = vocab.encode(" ".join([word] * 20), seq_len=4)
-    assert truncated.shape == (4,)
-
-
-def test_unknown_words_map_to_unk(vocab):
-    ids = vocab.encode("zzzzzzz", seq_len=4)
-    assert vocab.unk_id in ids
-
-
-def test_roundtrip_decode(vocab):
-    words = [vocab.tokens[12], vocab.tokens[20]]
-    ids = vocab.encode(" ".join(words), seq_len=8)
-    assert vocab.decode(ids) == " ".join(words)
-
-
-def test_encode_batch(vocab):
-    batch = np.stack([vocab.encode(text, seq_len=5) for text in ["a b", "c"]])
-    assert batch.shape == (2, 5)
-    assert batch.dtype == np.int64
-
-
-def test_vocab_validation():
-    with pytest.raises(ValueError):
-        Vocabulary(tokens=["not-pad", "x"])
-    with pytest.raises(ValueError):
-        synthetic_vocabulary(SeedSequenceTree(1), size=2)
 
 
 # ----------------------------------------------------------------------
